@@ -467,7 +467,7 @@ mod tests {
         let summary = check_cert_text(&text).expect("self-validation");
         assert!(summary.sites >= 20, "{summary:?}");
         assert_eq!(summary.kernels, 4);
-        assert_eq!(summary.classes, 7);
+        assert_eq!(summary.classes, 8);
         assert_eq!(summary.edges, 2);
         assert!(summary.bounds >= 10);
         assert!(summary.mutations >= 50);

@@ -16,10 +16,10 @@
 //!   `#![forbid(unsafe_code)]`.
 //! * **`lint/no-bare-lock`** / **`lint/no-unbounded-queue`** — executor
 //!   and scheduler hot paths (`parallel.rs`, `scheduler.rs`,
-//!   `engine.rs`, `faultpoint.rs`, all of `ddl-serve`) must not unwrap
-//!   lock results (one poisoned lock would cascade into a dead
-//!   scheduler) and must not construct unbounded channels (overload
-//!   must shed with `DdlError::Overloaded`, not grow memory).
+//!   `engine.rs`, `faultpoint.rs`, `scratch.rs`, all of `ddl-serve`)
+//!   must not unwrap lock results (one poisoned lock would cascade into
+//!   a dead scheduler) and must not construct unbounded channels
+//!   (overload must shed with `DdlError::Overloaded`, not grow memory).
 //! * **`lint/dead-allow`** — suppressions must stay earned: an allow
 //!   marker that no longer sits on or directly above a banned token, or
 //!   that names an unknown rule, is itself an error, as is an
@@ -558,6 +558,7 @@ const EXEC_HOT_PATH: &[&str] = &[
     "crates/core/src/scheduler.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/faultpoint.rs",
+    "crates/core/src/scratch.rs",
 ];
 
 /// Crates whose entire library source is an executor hot path.
@@ -1027,6 +1028,7 @@ mod tests {
         assert!(is_exec_hot_path("crates/core/src/scheduler.rs"));
         assert!(is_exec_hot_path("crates/core/src/parallel.rs"));
         assert!(is_exec_hot_path("crates/core/src/engine.rs"));
+        assert!(is_exec_hot_path("crates/core/src/scratch.rs"));
         assert!(is_exec_hot_path("crates/serve/src/lib.rs"));
         assert!(!is_exec_hot_path("crates/core/src/planner.rs"));
         assert!(!is_exec_hot_path("crates/core/src/obs.rs"));

@@ -51,6 +51,7 @@ pub const LOCK_SCAN_FILES: &[&str] = &[
     "crates/core/src/scheduler.rs",
     "crates/core/src/faultpoint.rs",
     "crates/core/src/parallel.rs",
+    "crates/core/src/scratch.rs",
     "crates/core/src/wisdom.rs",
     "crates/serve/src/lib.rs",
 ];
@@ -865,6 +866,7 @@ mod tests {
                 "faultpoint.state",
                 "scheduler.deques",
                 "scheduler.slots",
+                "scratch.free",
                 "serve.queue",
                 "serve.workers",
             ]

@@ -45,6 +45,20 @@
 //! strided input into contiguous scratch first (the paper's Fig. 6
 //! picture at leaf granularity).
 //!
+//! # Scratch ownership
+//!
+//! A node of size `n` uses `scratch[..n]` (`t`), or `scratch[..2n]`
+//! (`t2` then `t`) when it reorganizes, and hands the rest to its
+//! children; a reorganizing leaf uses `scratch[..n]` (`r`). The
+//! executor **writes every scratch point before reading it**: stage 1
+//! fills all of `t` (or `t2`), the transpose fills all of `t`, and the
+//! leaf gather fills all of `r`, each before anything reads them. So the
+//! contents of the scratch passed in never reach the output, and the
+//! plan can hand its internally-allocating entry points a reused, dirty
+//! buffer from its `ScratchPool`.
+//! [`DftPlan::execute_with_scratch`] and [`DftPlan::try_execute_view`]
+//! remain the explicit-buffer API.
+//!
 //! # Tracing
 //!
 //! The executor is generic over [`MemoryTracer`]. With the default
@@ -65,6 +79,7 @@ use crate::obs::{
     stage_end, stage_start, Counter, ExecutionMetrics, NullSink, Recorder, Sink, SpanInfo,
     SpanKind, Stage,
 };
+use crate::scratch::ScratchPool;
 use crate::tree::Tree;
 use crate::DFT_POINT_BYTES;
 use ddl_cachesim::{MemoryTracer, NullTracer};
@@ -184,6 +199,9 @@ pub struct DftPlan {
     /// Dispatch-time fallbacks to `Scalar` observed by this plan, shared
     /// across clones so batch executors can diff it around a run.
     backend_fallbacks: Arc<AtomicU64>,
+    /// Scratch for the internally-allocating entry points, shared
+    /// across clones and allocated on first use.
+    scratch: ScratchPool<Complex64>,
 }
 
 impl DftPlan {
@@ -210,6 +228,7 @@ impl DftPlan {
             twiddle_points: tw_cursor,
             backend,
             backend_fallbacks: Arc::new(AtomicU64::new(0)),
+            scratch: ScratchPool::new(),
         })
     }
 
@@ -259,30 +278,29 @@ impl DftPlan {
         self.root.scratch_need
     }
 
-    /// Fallible out-of-place execution, allocating scratch internally.
+    /// Scratch buffers this plan and its clones currently hold for reuse
+    /// — at most the peak number of concurrent internally-scratched
+    /// executions so far.
+    pub fn pooled_scratch(&self) -> usize {
+        self.scratch.pooled()
+    }
+
+    /// Fallible out-of-place execution on the plan's own scratch.
     ///
     /// Returns [`DdlError::ShapeMismatch`] when `input` or `output` is
-    /// shorter than `n`.
+    /// shorter than `n`. Allocates only when no pooled buffer is free
+    /// (the first call, or concurrent calls on one plan).
     pub fn try_execute(
         &self,
         input: &[Complex64],
         output: &mut [Complex64],
     ) -> Result<(), DdlError> {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        self.try_execute_view(
-            input,
-            0,
-            1,
-            output,
-            0,
-            1,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 4],
-        )
+        self.scratch.with(self.scratch_len(), |scratch| {
+            self.try_execute_view(input, 0, 1, output, 0, 1, scratch, &mut NullTracer, [0; 4])
+        })
     }
 
-    /// Executes out of place, allocating scratch internally.
+    /// Executes out of place on the plan's own scratch.
     ///
     /// `input.len()` and `output.len()` must both be at least `n`.
     /// Panicking wrapper over [`DftPlan::try_execute`].
@@ -303,10 +321,11 @@ impl DftPlan {
                 data.len(),
             ));
         }
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len() + n];
-        let (copy, rest) = scratch.split_at_mut(n);
-        copy.copy_from_slice(&data[..n]);
-        self.try_execute_view(copy, 0, 1, data, 0, 1, rest, &mut NullTracer, [0; 4])
+        self.scratch.with(self.scratch_len() + n, |scratch| {
+            let (copy, rest) = scratch.split_at_mut(n);
+            copy.copy_from_slice(&data[..n]);
+            self.try_execute_view(copy, 0, 1, data, 0, 1, rest, &mut NullTracer, [0; 4])
+        })
     }
 
     /// Executes in place: `data[..n]` is replaced by its DFT.
@@ -480,7 +499,7 @@ impl DftPlan {
     /// Executes once with a fresh [`Recorder`] attached and returns the
     /// per-stage breakdown: wall-clock total plus the leaf/twiddle/reorg
     /// split of the paper's Eq. (2)/(3), stage call/point counts and a
-    /// leaf flop estimate. Scratch is allocated internally.
+    /// leaf flop estimate. Runs on the plan's own scratch.
     pub fn try_profile(
         &self,
         input: &[Complex64],
@@ -502,31 +521,32 @@ impl DftPlan {
         output: &mut [Complex64],
         recorder: &mut Recorder,
     ) -> Result<ExecutionMetrics, DdlError> {
-        let mut scratch = vec![Complex64::ZERO; self.scratch_len()];
-        recorder.span_begin(SpanInfo {
-            kind: SpanKind::Execution,
-            label: "dft",
-            size: self.n(),
-            stride: 1,
-            reorg: self.root.reorg,
-            backend: self.backend.label(),
-        });
-        let t0 = std::time::Instant::now();
-        let result = self.try_execute_view_observed(
-            input,
-            0,
-            1,
-            output,
-            0,
-            1,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 4],
-            recorder,
-        );
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        recorder.span_end();
-        result?;
+        let total_ns = self.scratch.with(self.scratch_len(), |scratch| {
+            recorder.span_begin(SpanInfo {
+                kind: SpanKind::Execution,
+                label: "dft",
+                size: self.n(),
+                stride: 1,
+                reorg: self.root.reorg,
+                backend: self.backend.label(),
+            });
+            let t0 = std::time::Instant::now();
+            let result = self.try_execute_view_observed(
+                input,
+                0,
+                1,
+                output,
+                0,
+                1,
+                scratch,
+                &mut NullTracer,
+                [0; 4],
+                recorder,
+            );
+            let total_ns = t0.elapsed().as_nanos() as u64;
+            recorder.span_end();
+            result.map(|()| total_ns)
+        })?;
         Ok(ExecutionMetrics::from_recorder(
             "dft",
             self.n(),

@@ -113,13 +113,12 @@ impl Dft2dPlan {
         }
 
         let mut work = vec![Complex64::ZERO; n];
-        let mut scratch = Vec::new();
 
         // 1. row FFTs: input rows -> work rows (all unit stride)
         for r in 0..rows {
             let src = &input[r * cols..(r + 1) * cols];
             let dst = &mut work[r * cols..(r + 1) * cols];
-            self.row_plan.execute_with_scratch(src, dst, &mut scratch);
+            self.row_plan.try_execute(src, dst)?;
         }
 
         // 2. tiled transpose: work (rows x cols) -> output (cols x rows)
@@ -129,7 +128,7 @@ impl Dft2dPlan {
         for c in 0..cols {
             let src = &output[c * rows..(c + 1) * rows];
             let dst = &mut work[c * rows..(c + 1) * rows];
-            self.col_plan.execute_with_scratch(src, dst, &mut scratch);
+            self.col_plan.try_execute(src, dst)?;
         }
 
         // 4. transpose back to row-major order

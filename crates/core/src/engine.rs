@@ -4,13 +4,15 @@
 //! The paper's system is an offline planner feeding an online executor;
 //! a service wrapping it wants exactly one copy of each compiled plan
 //! (twiddle tables for a 2^20-point DFT are megabytes) shared across
-//! every concurrent request, while per-request state — scratch buffers,
-//! deadlines, cancellation — stays private and cheap. [`Engine`] is the
-//! shared, immutable-once-published side: a sharded read-mostly cache of
-//! compiled [`PlanArtifact`]s keyed by `(transform, n, strategy)`.
+//! every concurrent request, while per-request state — deadlines,
+//! cancellation — stays private and cheap. [`Engine`] is the shared,
+//! immutable-once-published side: a sharded read-mostly cache of
+//! compiled [`PlanArtifact`]s keyed by `(transform, n, strategy)`. Each
+//! artifact owns its executor scratch (a pool shared by every session
+//! running that plan), so steady-state sessions allocate no scratch.
 //! [`Session`] is the per-request side: it borrows a handle to the
-//! engine (cloning an [`Engine`] is one `Arc` bump) and owns reusable
-//! scratch plus an optional deadline and a [`CancelToken`].
+//! engine (cloning an [`Engine`] is one `Arc` bump) and holds an
+//! optional deadline and a [`CancelToken`].
 //!
 //! # Fault containment
 //!
@@ -256,7 +258,6 @@ impl Engine {
         self.inner.sessions.fetch_add(1, Ordering::Relaxed);
         Session {
             engine: self.clone(),
-            scratch_c: Vec::new(),
             started: Instant::now(),
             deadline: None,
             cancel: CancelToken::new(),
@@ -410,13 +411,12 @@ impl Engine {
     }
 }
 
-/// Per-request execution state: reusable scratch, an optional deadline
-/// measured from session creation, and a cancellation token. Cheap to
-/// create (no allocation until the first execute) and single-threaded;
+/// Per-request execution state: an optional deadline measured from
+/// session creation and a cancellation token. Cheap to create (no
+/// allocation; scratch belongs to the cached plan) and single-threaded;
 /// open one per request.
 pub struct Session {
     engine: Engine,
-    scratch_c: Vec<Complex64>,
     started: Instant,
     deadline: Option<Duration>,
     cancel: CancelToken,
@@ -470,7 +470,7 @@ impl Session {
         Ok(())
     }
 
-    /// Plans (or fetches) and runs a forward DFT, reusing session
+    /// Plans (or fetches) and runs a forward DFT on the plan's own
     /// scratch. Checks deadline/cancellation before planning and before
     /// executing.
     pub fn execute_dft(
@@ -500,8 +500,7 @@ impl Session {
             ));
         }
         self.check("session: execute")?;
-        plan.execute_with_scratch(input, output, &mut self.scratch_c);
-        Ok(())
+        plan.try_execute(input, output)
     }
 
     /// Plans (or fetches) and runs an in-place WHT. Checks

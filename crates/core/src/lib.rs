@@ -65,6 +65,7 @@ pub mod planner;
 pub mod reports;
 pub mod rfft;
 pub mod scheduler;
+mod scratch;
 pub mod sixstep;
 pub mod trace;
 pub mod traced;

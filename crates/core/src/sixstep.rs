@@ -117,7 +117,6 @@ impl SixStepPlan {
             ));
         }
         let mut work = vec![Complex64::ZERO; n];
-        let mut scratch = Vec::new();
 
         // 1. transpose n1 x n2 -> n2 x n1 (into output as temp)
         transpose_blocked(&input[..n], &mut output[..n], n1, n2, 32);
@@ -126,7 +125,7 @@ impl SixStepPlan {
         for r in 0..n2 {
             let src = &output[r * n1..(r + 1) * n1];
             let dst = &mut work[r * n1..(r + 1) * n1];
-            self.col_plan.execute_with_scratch(src, dst, &mut scratch);
+            self.col_plan.try_execute(src, dst)?;
         }
 
         // 3+4. twiddle and transpose back: work[i2*n1 + i1] holds
@@ -142,7 +141,7 @@ impl SixStepPlan {
         for r in 0..n1 {
             let src = &output[r * n2..(r + 1) * n2];
             let dst = &mut work[r * n2..(r + 1) * n2];
-            self.row_plan.execute_with_scratch(src, dst, &mut scratch);
+            self.row_plan.try_execute(src, dst)?;
         }
 
         // 6. final transpose n1 x n2 -> n2 x n1 gives natural order

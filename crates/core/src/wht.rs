@@ -14,10 +14,17 @@
 //! scratch, executes there at unit stride, and scatters back — `2·2n`
 //! memory operations, the WHT version of the paper's `Dr` reorganization.
 //! Data points are `f64` (8 bytes), as in the paper's WHT experiments.
+//!
+//! Scratch is only ever a reorganized node's gather target, filled from
+//! the data view before the subtree runs in it, so the executor writes
+//! every scratch point before reading it. The plan's internally
+//! scratched entry points therefore reuse dirty buffers from its
+//! `ScratchPool`, as [`crate::dft`] does.
 
 use crate::obs::{
     stage_end, stage_start, ExecutionMetrics, NullSink, Recorder, Sink, SpanInfo, SpanKind, Stage,
 };
+use crate::scratch::ScratchPool;
 use crate::tree::Tree;
 use crate::WHT_POINT_BYTES;
 use ddl_cachesim::{MemoryTracer, NullTracer};
@@ -32,6 +39,9 @@ pub struct WhtPlan {
     tree: Tree,
     n: usize,
     scratch_need: usize,
+    /// Scratch for the internally-allocating entry points, shared
+    /// across clones and allocated on first use.
+    scratch: ScratchPool<f64>,
 }
 
 impl WhtPlan {
@@ -56,6 +66,7 @@ impl WhtPlan {
             n: tree.size(),
             tree,
             scratch_need,
+            scratch: ScratchPool::new(),
         })
     }
 
@@ -80,7 +91,14 @@ impl WhtPlan {
         self.scratch_need
     }
 
-    /// Executes in place on `data[..n]`.
+    /// Scratch buffers this plan and its clones currently hold for reuse
+    /// — at most the peak number of concurrent internally-scratched
+    /// executions so far (zero for trees without reorganization).
+    pub fn pooled_scratch(&self) -> usize {
+        self.scratch.pooled()
+    }
+
+    /// Executes in place on `data[..n]`, on the plan's own scratch.
     ///
     /// Panics if `data` is shorter than the transform; see
     /// [`WhtPlan::try_execute`] for the fallible form.
@@ -93,8 +111,9 @@ impl WhtPlan {
 
     /// Fallible form of [`WhtPlan::execute`].
     pub fn try_execute(&self, data: &mut [f64]) -> Result<(), DdlError> {
-        let mut scratch = vec![0.0f64; self.scratch_need];
-        self.try_execute_view(data, 0, 1, &mut scratch, &mut NullTracer, [0; 2])
+        self.scratch.with(self.scratch_need, |scratch| {
+            self.try_execute_view(data, 0, 1, scratch, &mut NullTracer, [0; 2])
+        })
     }
 
     /// Full-control entry: in-place on the strided view `(base, stride)`
@@ -188,8 +207,8 @@ impl WhtPlan {
     /// Executes once with a fresh [`Recorder`] attached and returns the
     /// per-stage breakdown: wall-clock total plus the leaf/reorg split of
     /// the paper's Eq. (2) (the WHT has no twiddle term), stage
-    /// call/point counts and a leaf op estimate. Scratch is allocated
-    /// internally.
+    /// call/point counts and a leaf op estimate. Runs on the plan's own
+    /// scratch.
     pub fn try_profile(&self, data: &mut [f64]) -> Result<ExecutionMetrics, DdlError> {
         let mut recorder = Recorder::new();
         self.try_profile_with(data, &mut recorder)
@@ -206,28 +225,29 @@ impl WhtPlan {
         data: &mut [f64],
         recorder: &mut Recorder,
     ) -> Result<ExecutionMetrics, DdlError> {
-        let mut scratch = vec![0.0f64; self.scratch_need];
-        recorder.span_begin(SpanInfo {
-            kind: SpanKind::Execution,
-            label: "wht",
-            size: self.n,
-            stride: 1,
-            reorg: self.tree.reorg(),
-            backend: "scalar",
-        });
-        let t0 = std::time::Instant::now();
-        let result = self.try_execute_view_observed(
-            data,
-            0,
-            1,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 2],
-            recorder,
-        );
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        recorder.span_end();
-        result?;
+        let total_ns = self.scratch.with(self.scratch_need, |scratch| {
+            recorder.span_begin(SpanInfo {
+                kind: SpanKind::Execution,
+                label: "wht",
+                size: self.n,
+                stride: 1,
+                reorg: self.tree.reorg(),
+                backend: "scalar",
+            });
+            let t0 = std::time::Instant::now();
+            let result = self.try_execute_view_observed(
+                data,
+                0,
+                1,
+                scratch,
+                &mut NullTracer,
+                [0; 2],
+                recorder,
+            );
+            let total_ns = t0.elapsed().as_nanos() as u64;
+            recorder.span_end();
+            result.map(|()| total_ns)
+        })?;
         Ok(ExecutionMetrics::from_recorder(
             "wht",
             self.n,

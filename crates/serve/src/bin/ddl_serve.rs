@@ -119,19 +119,22 @@ fn parse_args() -> Args {
     args
 }
 
-fn serve_stream(svc: &Service, stream: TcpStream) {
+fn serve_connection(svc: &Service, stream: TcpStream) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".to_string());
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("ddl-serve: [{peer}] clone failed: {e}");
-            return;
-        }
-    };
-    let reader = BufReader::new(stream);
+    match stream.try_clone() {
+        Ok(writer) => serve_stream(svc, BufReader::new(stream), writer),
+        Err(e) => eprintln!("ddl-serve: [{peer}] clone failed: {e}"),
+    }
+}
+
+/// Answers each non-blank request line with one response line. The line
+/// and its `\n` go out in a single `write_all`: on an unbuffered socket,
+/// `writeln!` would send two segments, and Nagle would then hold the
+/// second until a delayed-ACK client acknowledged the first (~40 ms).
+fn serve_stream<R: BufRead, W: Write>(svc: &Service, reader: R, mut writer: W) {
     for line in reader.lines() {
         let line = match line {
             Ok(l) => l,
@@ -140,8 +143,9 @@ fn serve_stream(svc: &Service, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = svc.handle(&line);
-        if writeln!(writer, "{response}").is_err() {
+        let mut response = svc.handle(&line);
+        response.push('\n');
+        if writer.write_all(response.as_bytes()).is_err() {
             break;
         }
     }
@@ -263,7 +267,7 @@ fn main() -> ExitCode {
                 // drops this connection but the listener keeps going.
                 let spawned = std::thread::Builder::new()
                     .name("ddl-serve-conn".to_string())
-                    .spawn(move || serve_stream(&svc, stream));
+                    .spawn(move || serve_connection(&svc, stream));
                 if let Err(e) = spawned {
                     eprintln!("ddl-serve: connection thread spawn failed: {e}");
                 }
@@ -273,4 +277,47 @@ fn main() -> ExitCode {
     }
     finish_telemetry(&svc);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call separately.
+    #[derive(Default)]
+    struct SegmentWriter {
+        segments: Vec<Vec<u8>>,
+    }
+
+    impl Write for SegmentWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.segments.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_reply_is_one_write_ending_in_newline() {
+        let svc = Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        });
+        let requests = "exec dft 64 ddl\n\nbogus\nexec wht 16 sdl\n";
+        let mut out = SegmentWriter::default();
+        serve_stream(&svc, requests.as_bytes(), &mut out);
+        svc.shutdown();
+        assert_eq!(out.segments.len(), 3, "one write per non-blank request");
+        for seg in &out.segments {
+            let text = std::str::from_utf8(seg).unwrap();
+            assert!(text.ends_with('\n'), "{text:?}");
+            assert_eq!(text.matches('\n').count(), 1, "{text:?}");
+        }
+        assert!(out.segments[0].starts_with(b"ok exec dft n=64"));
+        assert!(out.segments[1].starts_with(b"err "));
+        assert!(out.segments[2].starts_with(b"ok exec wht n=16"));
+    }
 }

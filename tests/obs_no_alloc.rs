@@ -107,3 +107,85 @@ fn null_sink_wht_execution_allocates_nothing() {
         "uninstrumented WHT execution must not allocate"
     );
 }
+
+#[test]
+fn plan_owned_scratch_makes_public_entry_points_allocation_free() {
+    // Reorganizing split and leaf: the pooled buffer backs t2, t and r.
+    let dft = DftPlan::from_expr("ctddl(ddl(16), ctddl(8, 8))", Direction::Forward).unwrap();
+    let n = dft.n();
+    let input: Vec<Complex64> = (0..n)
+        .map(|i| Complex64::new(i as f64, -(i as f64)))
+        .collect();
+    let mut output = vec![Complex64::ZERO; n];
+    let mut data = input.clone();
+    let wht = WhtPlan::from_expr("split(ddl(32), splitddl(ddl(8), 4))").unwrap();
+    assert!(wht.scratch_len() > 0);
+    let mut wdata: Vec<f64> = (0..wht.n()).map(|i| i as f64).collect();
+
+    // One warm call per entry point sizes the pooled buffers.
+    dft.try_execute(&input, &mut output).unwrap();
+    dft.try_execute_inplace(&mut data).unwrap();
+    wht.try_execute(&mut wdata).unwrap();
+
+    let before = local_allocations();
+    for _ in 0..8 {
+        dft.try_execute(&input, &mut output).unwrap();
+        data.copy_from_slice(&input);
+        dft.try_execute_inplace(&mut data).unwrap();
+        wht.try_execute(&mut wdata).unwrap();
+    }
+    let after = local_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state execution on plan-owned scratch must not allocate"
+    );
+    assert_eq!(data, output, "in-place and out-of-place agree");
+    assert_eq!(dft.pooled_scratch(), 1);
+    assert_eq!(wht.pooled_scratch(), 1);
+}
+
+#[test]
+fn concurrent_executions_share_the_pool_without_growing_past_them() {
+    const THREADS: usize = 2;
+    let plan = DftPlan::from_expr("ctddl(ddl(32), ct(16, 8))", Direction::Inverse).unwrap();
+    let n = plan.n();
+    let inputs: Vec<Vec<Complex64>> = (0..THREADS)
+        .map(|t| {
+            (0..n)
+                .map(|i| Complex64::new((i * (t + 2)) as f64 * 0.01, (i % 7) as f64))
+                .collect()
+        })
+        .collect();
+    // References from a fresh, unshared plan (zeroed scratch).
+    let reference = |x: &[Complex64]| {
+        let fresh = DftPlan::new(plan.tree().clone(), plan.direction()).unwrap();
+        let mut y = vec![Complex64::ZERO; n];
+        fresh.try_execute(x, &mut y).unwrap();
+        y
+    };
+    let want: Vec<Vec<Complex64>> = inputs.iter().map(|x| reference(x)).collect();
+
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for (t, (x, want)) in inputs.iter().zip(&want).enumerate() {
+            // Each thread runs its own clone; clones share one pool.
+            let plan = plan.clone();
+            let barrier = &barrier;
+            s.spawn(move || {
+                let mut y = vec![Complex64::ZERO; n];
+                for _ in 0..32 {
+                    barrier.wait();
+                    plan.try_execute(x, &mut y).unwrap();
+                    assert_eq!(&y, want, "thread {t}: output differs from a fresh plan");
+                    assert!(plan.pooled_scratch() <= THREADS);
+                }
+            });
+        }
+    });
+    let pooled = plan.pooled_scratch();
+    assert!(
+        (1..=THREADS).contains(&pooled),
+        "pool holds {pooled} buffers for {THREADS} concurrent executors"
+    );
+}
