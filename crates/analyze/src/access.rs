@@ -867,7 +867,8 @@ mod tests {
             let plan = DftPlan::new(tree, Direction::Forward).unwrap();
             let mut report = AnalysisReport::new();
             let analysis = analyze_dft_plan(&plan, 1, expr, &mut report);
-            let stats = ddl_core::traced::simulate_dft(&plan, CacheConfig::paper_default(64));
+            let stats =
+                ddl_core::traced::simulate_dft(&plan, 1, CacheConfig::paper_default(64)).unwrap();
             assert_eq!(
                 analysis.accesses, stats.accesses,
                 "{expr}: static access count disagrees with the traced executor"
@@ -884,7 +885,8 @@ mod tests {
             let mut report = AnalysisReport::new();
             let analysis = analyze_wht_plan(&plan, 1, expr, &mut report);
             assert!(report.passes(), "{expr}: {:?}", report.findings);
-            let stats = ddl_core::traced::simulate_wht(&plan, CacheConfig::paper_default(64));
+            let stats =
+                ddl_core::traced::simulate_wht(&plan, 1, CacheConfig::paper_default(64)).unwrap();
             assert_eq!(analysis.accesses, stats.accesses, "{expr}");
         }
     }

@@ -26,7 +26,7 @@
 use ddl_analyze::{analyze_dft_plan, conflict_summary, AnalysisReport, CacheGeometry};
 use ddl_cachesim::CacheConfig;
 use ddl_core::planner::{try_plan_dft, PlannerConfig, Strategy};
-use ddl_core::traced::simulate_dft_at_stride;
+use ddl_core::traced::simulate_dft;
 use ddl_core::{DftPlan, Tree};
 use ddl_num::Direction;
 
@@ -70,8 +70,8 @@ fn static_score(plan: &DftPlan, stride: usize, cache: &CacheConfig) -> u64 {
 /// traffic is excluded deliberately — the static pathological-access
 /// score models set aliasing, not working-set size.
 fn simulated_score(plan: &DftPlan, stride: usize, cache: &CacheConfig) -> u64 {
-    let dm = simulate_dft_at_stride(plan, stride, *cache);
-    let fa = simulate_dft_at_stride(
+    let dm = simulate_dft(plan, stride, *cache).unwrap();
+    let fa = simulate_dft(
         plan,
         stride,
         CacheConfig {
@@ -79,7 +79,8 @@ fn simulated_score(plan: &DftPlan, stride: usize, cache: &CacheConfig) -> u64 {
             line_bytes: cache.line_bytes,
             associativity: cache.capacity_bytes / cache.line_bytes,
         },
-    );
+    )
+    .unwrap();
     dm.misses.saturating_sub(fa.misses)
 }
 

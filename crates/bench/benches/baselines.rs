@@ -37,10 +37,9 @@ fn bench_baselines(c: &mut Criterion) {
         // FFTW-proxy: fixed right-most radix-64 recursion
         let proxy = DftPlan::new(Tree::rightmost(n, 64), Direction::Forward).unwrap();
         let mut y = vec![Complex64::ZERO; n];
-        let mut scratch = Vec::new();
         group.bench_with_input(BenchmarkId::new("rightmost_sdl", log_n), &n, |b, _| {
             b.iter(|| {
-                proxy.execute_with_scratch(&x, &mut y, &mut scratch);
+                proxy.try_execute(&x, &mut y).unwrap();
                 std::hint::black_box(&mut y);
             });
         });
@@ -52,10 +51,9 @@ fn bench_baselines(c: &mut Criterion) {
         ] {
             let plan = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
             let mut out = vec![Complex64::ZERO; n];
-            let mut s = Vec::new();
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {
                 b.iter(|| {
-                    plan.execute_with_scratch(&x, &mut out, &mut s);
+                    plan.try_execute(&x, &mut out).unwrap();
                     std::hint::black_box(&mut out);
                 });
             });

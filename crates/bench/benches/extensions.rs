@@ -24,10 +24,9 @@ fn bench_extensions(c: &mut Criterion) {
             .map(|i| Complex64::new((i % 83) as f64, (i % 47) as f64))
             .collect();
         let mut cy = vec![Complex64::ZERO; n];
-        let mut scratch = Vec::new();
         group.bench_with_input(BenchmarkId::new("complex_fft", log_n), &n, |b, _| {
             b.iter(|| {
-                cplan.execute_with_scratch(&cx, &mut cy, &mut scratch);
+                cplan.try_execute(&cx, &mut cy).unwrap();
                 std::hint::black_box(&mut cy);
             });
         });

@@ -26,10 +26,9 @@ fn bench_fft(c: &mut Criterion) {
             let tree = plan_dft(n, &cfg).tree;
             let plan = DftPlan::new(tree, Direction::Forward).unwrap();
             let mut y = vec![Complex64::ZERO; n];
-            let mut scratch = Vec::new();
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {
                 b.iter(|| {
-                    plan.execute_with_scratch(&x, &mut y, &mut scratch);
+                    plan.try_execute(&x, &mut y).unwrap();
                     std::hint::black_box(&mut y);
                 });
             });

@@ -30,7 +30,7 @@ fn bench_wht(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {
                 b.iter(|| {
                     // in-place transform; input values don't affect timing
-                    plan.execute(&mut data);
+                    plan.try_execute(&mut data).unwrap();
                     std::hint::black_box(&mut data);
                 });
             });

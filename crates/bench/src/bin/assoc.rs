@@ -43,8 +43,14 @@ fn main() {
             line_bytes: 64,
             associativity: ways,
         };
-        let s = simulate_dft(&sdl_plan, cache).miss_rate() * 100.0;
-        let d = simulate_dft(&ddl_plan, cache).miss_rate() * 100.0;
+        let s = simulate_dft(&sdl_plan, 1, cache)
+            .expect("simulate")
+            .miss_rate()
+            * 100.0;
+        let d = simulate_dft(&ddl_plan, 1, cache)
+            .expect("simulate")
+            .miss_rate()
+            * 100.0;
         println!("{:>8} {:>12.2} {:>12.2} {:>12.2}", ways, s, d, s - d);
     }
     println!("\n# conflict misses shrink with associativity; the residual gap is the");

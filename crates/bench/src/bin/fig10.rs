@@ -39,8 +39,14 @@ fn main() {
     );
     for line in [16usize, 32, 64, 128, 256] {
         let cache = CacheConfig::paper_default(line);
-        let s = simulate_dft(&sdl_plan, cache).miss_rate() * 100.0;
-        let d = simulate_dft(&ddl_plan, cache).miss_rate() * 100.0;
+        let s = simulate_dft(&sdl_plan, 1, cache)
+            .expect("simulate")
+            .miss_rate()
+            * 100.0;
+        let d = simulate_dft(&ddl_plan, 1, cache)
+            .expect("simulate")
+            .miss_rate()
+            * 100.0;
         println!(
             "{:>10} {:>12.2} {:>12.2} {:>12.1}",
             line,

@@ -102,8 +102,8 @@ fn main() {
         let n = 1usize << log_n;
         let sdl_tree = &sdl[(log_n - 1) as usize].1.tree;
         let ddl_tree = &ddl[(log_n - 1) as usize].1.tree;
-        let t_sdl = time_wht_tree(sdl_tree, n, 1, floor, 3);
-        let t_ddl = time_wht_tree(ddl_tree, n, 1, floor, 3);
+        let t_sdl = time_wht_tree(sdl_tree, n, 1, floor, 3).expect("time sdl tree");
+        let t_ddl = time_wht_tree(ddl_tree, n, 1, floor, 3).expect("time ddl tree");
 
         if metrics_out.is_some() {
             // One instrumented execution per tree: the per-stage
@@ -111,7 +111,7 @@ fn main() {
             for tree in [sdl_tree, ddl_tree] {
                 let plan = WhtPlan::new(tree.clone()).expect("planner generated an invalid tree");
                 let mut data: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
-                match plan.try_profile(&mut data) {
+                match plan.try_profile_with(&mut data, &mut Recorder::new()) {
                     Ok(m) => report.executions.push(m),
                     Err(e) => eprintln!("warning: could not profile n={n}: {e}"),
                 }

@@ -45,12 +45,16 @@ fn main() {
         let idx = (log_n - 1) as usize;
         let sdl_stats = simulate_dft(
             &DftPlan::new(sdl[idx].1.tree.clone(), Direction::Forward).unwrap(),
+            1,
             cache,
-        );
+        )
+        .expect("simulate");
         let ddl_stats = simulate_dft(
             &DftPlan::new(ddl[idx].1.tree.clone(), Direction::Forward).unwrap(),
+            1,
             cache,
-        );
+        )
+        .expect("simulate");
         let (s, d) = (sdl_stats.miss_rate() * 100.0, ddl_stats.miss_rate() * 100.0);
         println!(
             "{:>8} {:>12.2} {:>12.2} {:>12.1}",

@@ -114,9 +114,10 @@ fn emit_report(metrics_out: Option<&Path>) -> ExitCode {
             .map(|i| Complex64::new((i % 7) as f64, (i % 5) as f64 * -0.5))
             .collect();
         let mut output = vec![Complex64::ZERO; n];
-        report
-            .executions
-            .push(plan.try_profile(&input, &mut output).expect("dft profile"));
+        report.executions.push(
+            plan.try_profile_with(&input, &mut output, &mut Recorder::new())
+                .expect("dft profile"),
+        );
     }
     // Reorg on the left child: WHT left children run at stride n2, and
     // the gather/scatter only fires on strided views.
@@ -124,9 +125,10 @@ fn emit_report(metrics_out: Option<&Path>) -> ExitCode {
     for tree in [&wht_tree, &reorg_wht] {
         let plan = WhtPlan::new(tree.clone()).expect("valid tree");
         let mut data: Vec<f64> = (0..plan.n()).map(|i| (i % 17) as f64 - 8.0).collect();
-        report
-            .executions
-            .push(plan.try_profile(&mut data).expect("wht profile"));
+        report.executions.push(
+            plan.try_profile_with(&mut data, &mut Recorder::new())
+                .expect("wht profile"),
+        );
     }
 
     // --- parallel batch: per-item queue/run timings feed BatchMetrics ---
@@ -134,7 +136,8 @@ fn emit_report(metrics_out: Option<&Path>) -> ExitCode {
     let signals = 8;
     let inputs = vec![Complex64::ONE; DFT_N * signals];
     let mut outputs = vec![Complex64::ZERO; DFT_N * signals];
-    let batch = try_execute_dft_batch(&batch_plan, &inputs, &mut outputs, 2).expect("batch");
+    let opts = BatchOptions::with_threads(2);
+    let batch = try_execute_dft_batch(&batch_plan, &inputs, &mut outputs, &opts).expect("batch");
     report.batches.push(batch.metrics("dft-smoke-batch"));
 
     // --- scheduler outcomes: one batch per shed path, so `--check` can
@@ -146,6 +149,7 @@ fn emit_report(metrics_out: Option<&Path>) -> ExitCode {
         || (),
         |_idx, item, _| {
             std::hint::black_box(item);
+            Ok(())
         },
     );
     report.batches.push(expired.metrics("sched-deadline-batch"));
@@ -157,6 +161,7 @@ fn emit_report(metrics_out: Option<&Path>) -> ExitCode {
         || (),
         |_idx, item, _| {
             std::hint::black_box(item);
+            Ok(())
         },
     );
     report

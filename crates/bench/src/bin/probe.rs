@@ -48,7 +48,7 @@ fn main() {
         println!("== n = 2^{log_n} ==");
         for e in exprs {
             let tree = parse(e).unwrap();
-            let t = time_dft_tree(&tree, n, 1, 0.5, 3);
+            let t = time_dft_tree(&tree, n, 1, 0.5, 3).expect("time tree");
             println!("{:9.3} ms  {:8.1} MFLOPS  {}", t * 1e3, fft_mflops(n, t), e);
         }
     }

@@ -26,7 +26,7 @@ fn main() {
     ] {
         let tree = parse(&expr).unwrap();
         let plan = DftPlan::new(tree, Direction::Forward).unwrap();
-        let s = simulate_dft(&plan, cache);
+        let s = simulate_dft(&plan, 1, cache).expect("simulate");
         println!(
             "{label:>12}: miss {:6.2}%  misses {:>9}  accesses {:>9}",
             s.miss_rate() * 100.0,

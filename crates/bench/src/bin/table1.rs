@@ -86,7 +86,7 @@ fn main() {
     for expr in candidate_exprs(p) {
         let tree = parse(&expr).unwrap_or_else(|e| panic!("bad expr {expr}: {e}"));
         assert_eq!(tree.size(), n, "expr {expr} has wrong size");
-        let measured = time_dft_tree(&tree, n, 1, floor, 3);
+        let measured = time_dft_tree(&tree, n, 1, floor, 3).expect("time candidate");
         let estimated = model.tree_cost_ns(&tree, 1) * 1e-9;
         rows.push((measured, estimated, tree));
     }

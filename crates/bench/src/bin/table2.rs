@@ -39,12 +39,16 @@ fn main() {
         let idx = (log_n - 1) as usize;
         let s = simulate_dft(
             &DftPlan::new(sdl_sweep[idx].1.tree.clone(), Direction::Forward).unwrap(),
+            1,
             cache,
-        );
+        )
+        .expect("simulate");
         let d = simulate_dft(
             &DftPlan::new(ddl_sweep[idx].1.tree.clone(), Direction::Forward).unwrap(),
+            1,
             cache,
-        );
+        )
+        .expect("simulate");
         let miss_red = if s.misses > 0 {
             (s.misses as f64 - d.misses as f64) / s.misses as f64 * 100.0
         } else {

@@ -13,7 +13,7 @@ use crate::host;
 use ddl_core::json::{self, Json};
 use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{try_execute_dft_batch, BackendKind, DftPlan, WhtPlan};
+use ddl_core::{try_execute_dft_batch, BackendKind, BatchOptions, DftPlan, WhtPlan};
 use ddl_num::{Complex64, DdlError, Direction};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -297,8 +297,9 @@ fn batch_case(repeats: u32) -> Result<BenchCase, DdlError> {
     let plan = DftPlan::new(outcome.tree, Direction::Forward)?;
     let inputs = dft_input(n * BATCH_SIGNALS);
     let mut outputs = vec![Complex64::ZERO; n * BATCH_SIGNALS];
+    let opts = BatchOptions::with_threads(BATCH_THREADS);
     let (median_ns, min_ns, max_ns) = time_median_ns(repeats, || {
-        try_execute_dft_batch(&plan, &inputs, &mut outputs, BATCH_THREADS).map(|_| ())
+        try_execute_dft_batch(&plan, &inputs, &mut outputs, &opts).map(|_| ())
     })?;
     Ok(BenchCase {
         id: format!("dft-batch-n{n}-s{BATCH_SIGNALS}-t{BATCH_THREADS}"),

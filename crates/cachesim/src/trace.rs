@@ -1,8 +1,9 @@
 //! Tracer plumbing between the executors and the cache model.
 //!
-//! The transform executors in `ddl-core` are generic over a
-//! [`MemoryTracer`]: the fast path uses [`NullTracer`] (every call inlines
-//! to nothing), the simulation path feeds a [`Cache`]. Buffers (input,
+//! The transform executors in `ddl-core` take one observer whose address
+//! half is a [`MemoryTracer`]: on the fast path that half is disabled
+//! (`ENABLED == false`, as for [`NullTracer`], so every call inlines to
+//! nothing), the simulation path feeds a [`Cache`]. Buffers (input,
 //! output, scratch) live at disjoint ranges of one simulated address
 //! space, managed by [`AddressSpace`], so inter-buffer conflict misses —
 //! which the paper's analysis shows dominate for power-of-two strides —

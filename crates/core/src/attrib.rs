@@ -5,13 +5,14 @@
 //! specific non-unit-stride leaf stages, and DDL's reorganizations remove
 //! exactly those (Sec. III–IV). Whole-run [`CacheStats`] totals can show
 //! *that* a DDL plan misses less; this module shows *which tree node*
-//! stopped thrashing. It drives the real executors under an
-//! [`AttributingCache`] (`ddl-cachesim`), bridging the executor's two
-//! instrumentation channels — the [`MemoryTracer`] address stream and the
-//! [`Sink`] node spans carrying `(label, size, stride, reorg)` — into one
-//! attributed tree with exact conservation: per-node counters sum to the
-//! whole-run totals, every event charged to exactly one node (or the
-//! `outside` bucket).
+//! stopped thrashing. It drives the real executors through the
+//! simulation harness ([`crate::traced`]) with an [`AttributingCache`]
+//! (`ddl-cachesim`) as the one observer, which consumes both halves of
+//! the executor's instrumentation — the [`MemoryTracer`] address stream
+//! and the [`Sink`] node spans carrying `(label, size, stride, reorg)` —
+//! into one attributed tree with exact conservation: per-node counters
+//! sum to the whole-run totals, every event charged to exactly one node
+//! (or the `outside` bucket).
 //!
 //! Each leaf is then classified three ways:
 //!
@@ -43,20 +44,21 @@
 use crate::dft::DftPlan;
 use crate::json::{self, Json};
 use crate::model::CacheModel;
-use crate::obs::{get_bool, get_str, get_u64, metrics_err, obj, Sink, SpanInfo, SpanKind};
+use crate::obs::{
+    get_bool, get_str, get_u64, metrics_err, obj, Candidate, Counter, Sink, SpanInfo, SpanKind,
+    Stage,
+};
 use crate::rfft::RfftPlan;
-use crate::traced::SIM_PAGE_BYTES;
+use crate::traced;
 use crate::tree::Tree;
 use crate::wht::WhtPlan;
 use crate::{DFT_POINT_BYTES, WHT_POINT_BYTES};
 use ddl_cachesim::{
-    AddressSpace, AttributedNode, AttributingCache, BucketStats, Cache, CacheConfig, CacheStats,
-    HierStats, HierarchyAttributingCache, HierarchyConfig, MemoryTracer, NodeKey,
+    AttributedNode, AttributingCache, BucketStats, Cache, CacheConfig, CacheStats, HierStats,
+    HierarchyAttributingCache, HierarchyConfig, MemoryTracer, NodeKey,
 };
 use ddl_num::{Complex64, DdlError};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Schema identifier of attribution reports.
 pub const ATTRIBUTION_SCHEMA: &str = "ddl-attribution";
@@ -387,12 +389,12 @@ pub struct AttributionReport {
 }
 
 // ---------------------------------------------------------------------------
-// Bridge: one shared attributor bundle behind the executor's two channels.
+// The attributing observer and its drivers.
 // ---------------------------------------------------------------------------
 
-/// The attributors one run drives together: the v1 single-level
-/// [`AttributingCache`] over the raw stream (so `totals` stay identical
-/// to the unattributed simulators) and, optionally, the
+/// The attributors one run drives together, as one [`Observer`]: the v1
+/// single-level [`AttributingCache`] over the raw stream (so `totals`
+/// stay identical to the unattributed simulators) and, optionally, the
 /// [`HierarchyAttributingCache`]. Both receive the same access stream
 /// and the same node-span boundaries, so their arenas are structurally
 /// identical (same indices) and can be zipped when building the report.
@@ -400,6 +402,9 @@ pub struct AttributionReport {
 struct AttribBundle {
     line: AttributingCache,
     hier: Option<HierarchyAttributingCache>,
+    /// Kinds of the open spans. Only *node* spans are attribution
+    /// boundaries; execution and planner spans nest around them.
+    kinds: Vec<SpanKind>,
 }
 
 impl AttribBundle {
@@ -407,28 +412,16 @@ impl AttribBundle {
         AttribBundle {
             line: AttributingCache::new(Cache::new(config)),
             hier: hier.map(|h| HierarchyAttributingCache::new(&h)),
+            kinds: Vec::new(),
         }
     }
 
-    fn node_enter(&mut self, key: NodeKey) {
-        self.line.node_enter(key);
-        if let Some(h) = &mut self.hier {
-            h.node_enter(key);
-        }
-    }
-
-    fn node_exit(&mut self) {
-        self.line.node_exit();
-        if let Some(h) = &mut self.hier {
-            h.node_exit();
-        }
-    }
-
-    fn finish(&mut self) {
+    fn finish(mut self) -> Self {
         self.line.finish();
         if let Some(h) = &mut self.hier {
             h.finish();
         }
+        self
     }
 }
 
@@ -452,101 +445,46 @@ impl MemoryTracer for AttribBundle {
     }
 }
 
-/// [`MemoryTracer`] half of the bridge: forwards the address stream into
-/// the shared attributor bundle.
-struct SharedTracer(Rc<RefCell<AttribBundle>>);
-
-impl MemoryTracer for SharedTracer {
+impl Sink for AttribBundle {
     const ENABLED: bool = true;
 
-    #[inline]
-    fn read(&mut self, addr: u64, bytes: u32) {
-        self.0.borrow_mut().read(addr, bytes);
-    }
+    fn counter(&mut self, _counter: Counter, _delta: u64) {}
 
-    #[inline]
-    fn write(&mut self, addr: u64, bytes: u32) {
-        self.0.borrow_mut().write(addr, bytes);
-    }
-}
+    fn stage(&mut self, _stage: Stage, _nanos: u64, _points: u64) {}
 
-/// [`Sink`] half of the bridge: forwards *node* spans as attribution
-/// boundaries. Other span kinds (execution, planner) nest around node
-/// spans, so they are tracked on a local stack and skipped.
-struct AttribSink {
-    shared: Rc<RefCell<AttribBundle>>,
-    kinds: Vec<SpanKind>,
-}
-
-impl AttribSink {
-    fn new(shared: Rc<RefCell<AttribBundle>>) -> Self {
-        AttribSink {
-            shared,
-            kinds: Vec::new(),
-        }
-    }
-}
-
-impl Sink for AttribSink {
-    const ENABLED: bool = true;
-
-    fn counter(&mut self, _counter: crate::obs::Counter, _delta: u64) {}
-
-    fn stage(&mut self, _stage: crate::obs::Stage, _nanos: u64, _points: u64) {}
-
-    fn candidate(&mut self, _candidate: crate::obs::Candidate) {}
+    fn candidate(&mut self, _candidate: Candidate) {}
 
     fn span_begin(&mut self, info: SpanInfo) {
         self.kinds.push(info.kind);
         if info.kind == SpanKind::Node {
-            self.shared.borrow_mut().node_enter(NodeKey {
+            let key = NodeKey {
                 label: info.label,
                 size: info.size,
                 stride: info.stride,
                 reorg: info.reorg,
-            });
+            };
+            self.line.node_enter(key);
+            if let Some(h) = &mut self.hier {
+                h.node_enter(key);
+            }
         }
     }
 
     fn span_end(&mut self) {
-        // ddl-lint: allow(no-panics): executors emit balanced spans by construction; imbalance is a bug
-        let kind = self.kinds.pop().expect("span_end without span_begin");
-        if kind == SpanKind::Node {
-            self.shared.borrow_mut().node_exit();
+        if self.kinds.pop() == Some(SpanKind::Node) {
+            self.line.node_exit();
+            if let Some(h) = &mut self.hier {
+                h.node_exit();
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Drivers (mirror crate::traced's buffer layout exactly).
-// ---------------------------------------------------------------------------
-
-/// Builds the shared bundle, runs `body` against it, and tears the
-/// bridge back down into the finished bundle.
-fn drive_bundle(
-    config: CacheConfig,
-    hier: Option<HierarchyConfig>,
-    body: impl FnOnce(&mut SharedTracer, &mut AttribSink) -> Result<(), DdlError>,
-) -> Result<AttribBundle, DdlError> {
-    let shared = Rc::new(RefCell::new(AttribBundle::new(config, hier)));
-    let mut tracer = SharedTracer(Rc::clone(&shared));
-    let mut sink = AttribSink::new(Rc::clone(&shared));
-    body(&mut tracer, &mut sink)?;
-    drop(tracer);
-    drop(sink);
-    let mut bundle = Rc::try_unwrap(shared)
-        // ddl-lint: allow(no-panics): both clones were just dropped; a leak here is a bug, not a recoverable state
-        .expect("attribution bridge outlived the run")
-        .into_inner();
-    bundle.finish();
-    Ok(bundle)
-}
-
 /// Runs one out-of-place DFT execution with input read at `root_stride`
 /// against a fresh cache, attributing every simulated cache event to the
-/// plan-tree node that caused it. Buffer layout matches
-/// [`crate::traced::simulate_dft_at_stride`], so totals agree with the
-/// unattributed simulation.
+/// plan-tree node that caused it. The run goes through the same
+/// simulation harness as [`crate::traced::simulate_dft`], so totals
+/// agree with the unattributed simulation.
 pub fn attribute_dft(
     plan: &DftPlan,
     root_stride: usize,
@@ -573,38 +511,12 @@ fn attribute_dft_with(
     config: CacheConfig,
     hier: Option<HierarchyConfig>,
 ) -> Result<AttributionRun, DdlError> {
-    let n = plan.n();
-    let span = (n - 1) * root_stride + 1;
-    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-    let xa = space.alloc((span * DFT_POINT_BYTES) as u64);
-    let ya = space.alloc((n * DFT_POINT_BYTES) as u64);
-    let sa = space.alloc((plan.scratch_len().max(1) * DFT_POINT_BYTES) as u64);
-    let ta = space.alloc((plan.twiddle_points().max(1) * DFT_POINT_BYTES) as u64);
-
-    let x = vec![Complex64::new(1.0, -1.0); span];
-    let mut y = vec![Complex64::ZERO; n];
-    let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-
-    let bundle = drive_bundle(config, hier, |tracer, sink| {
-        plan.try_execute_view_observed(
-            &x,
-            0,
-            root_stride,
-            &mut y,
-            0,
-            1,
-            &mut scratch,
-            tracer,
-            [xa, ya, sa, ta],
-            sink,
-        )
-    })?;
-    std::hint::black_box(&mut y);
-
+    let mut bundle = AttribBundle::new(config, hier);
+    traced::run_dft(plan, root_stride, &mut bundle)?;
     let mut run = finish_run(
-        bundle,
+        bundle.finish(),
         "dft",
-        n,
+        plan.n(),
         plan.tree().to_string(),
         root_stride,
         DFT_POINT_BYTES,
@@ -620,8 +532,8 @@ fn attribute_dft_with(
 }
 
 /// Runs one in-place WHT execution on a view of `root_stride` against a
-/// fresh cache, attributing events per node. Buffer layout matches
-/// [`crate::traced::simulate_wht_at_stride`].
+/// fresh cache, attributing events per node, through the same harness as
+/// [`crate::traced::simulate_wht`].
 pub fn attribute_wht(
     plan: &WhtPlan,
     root_stride: usize,
@@ -646,32 +558,12 @@ fn attribute_wht_with(
     config: CacheConfig,
     hier: Option<HierarchyConfig>,
 ) -> Result<AttributionRun, DdlError> {
-    let n = plan.n();
-    let span = (n - 1) * root_stride + 1;
-    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-    let da = space.alloc((span * WHT_POINT_BYTES) as u64);
-    let sa = space.alloc((plan.scratch_len().max(1) * WHT_POINT_BYTES) as u64);
-
-    let mut data = vec![1.5f64; span];
-    let mut scratch = vec![0.0f64; plan.scratch_len()];
-
-    let bundle = drive_bundle(config, hier, |tracer, sink| {
-        plan.try_execute_view_observed(
-            &mut data,
-            0,
-            root_stride,
-            &mut scratch,
-            tracer,
-            [da, sa],
-            sink,
-        )
-    })?;
-    std::hint::black_box(&mut data);
-
+    let mut bundle = AttribBundle::new(config, hier);
+    traced::run_wht(plan, root_stride, &mut bundle)?;
     let mut run = finish_run(
-        bundle,
+        bundle.finish(),
         "wht",
-        n,
+        plan.n(),
         plan.tree().to_string(),
         root_stride,
         WHT_POINT_BYTES,
@@ -710,34 +602,15 @@ fn attribute_rfft_with(
     hier: Option<HierarchyConfig>,
 ) -> Result<AttributionRun, DdlError> {
     let n = plan.n();
-    let h = n / 2;
     let half = plan.half_forward();
-    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-    let xa = space.alloc((n * 8) as u64);
-    let za = space.alloc((h * DFT_POINT_BYTES) as u64);
-    let zfa = space.alloc((h * DFT_POINT_BYTES) as u64);
-    let speca = space.alloc(((h + 1) * DFT_POINT_BYTES) as u64);
-    let sa = space.alloc((half.scratch_len().max(1) * DFT_POINT_BYTES) as u64);
-    let ta = space.alloc((half.twiddle_points().max(1) * DFT_POINT_BYTES) as u64);
-
     let x = vec![0.75f64; n];
-    let mut spectrum = vec![Complex64::ZERO; h + 1];
-    let mut scratch = vec![Complex64::ZERO; half.scratch_len()];
-
-    let bundle = drive_bundle(config, hier, |tracer, sink| {
-        plan.try_forward_observed(
-            &x,
-            &mut spectrum,
-            &mut scratch,
-            tracer,
-            [xa, za, zfa, speca, sa, ta],
-            sink,
-        )
-    })?;
+    let mut spectrum = vec![Complex64::ZERO; plan.bins()];
+    let mut bundle = AttribBundle::new(config, hier);
+    plan.forward_observed(&x, &mut spectrum, &mut bundle)?;
     std::hint::black_box(&mut spectrum);
 
     let mut run = finish_run(
-        bundle,
+        bundle.finish(),
         "rfft",
         n,
         format!("rfft({})", half.tree()),
@@ -1392,7 +1265,7 @@ impl AttributionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traced::{simulate_dft_at_stride, simulate_wht_at_stride};
+    use crate::traced::{simulate_dft, simulate_wht};
     use ddl_num::Direction;
 
     fn paper_cache() -> CacheConfig {
@@ -1412,7 +1285,7 @@ mod tests {
         let plan = DftPlan::from_expr("ct(ddl(8), ct(8, 4))", Direction::Forward).unwrap();
         let run = attribute_dft(&plan, 4, paper_cache()).unwrap();
         assert!(run.conserved());
-        assert_eq!(run.totals, simulate_dft_at_stride(&plan, 4, paper_cache()));
+        assert_eq!(run.totals, simulate_dft(&plan, 4, paper_cache()).unwrap());
         // The executor spans its whole recursion: nothing falls outside.
         assert_eq!(run.outside, CacheStats::default());
         assert_eq!(run.roots.len(), 1);
@@ -1424,7 +1297,7 @@ mod tests {
         let plan = WhtPlan::from_expr("split(splitddl(8, 8), split(8, 4))").unwrap();
         let run = attribute_wht(&plan, 2, paper_cache()).unwrap();
         assert!(run.conserved());
-        assert_eq!(run.totals, simulate_wht_at_stride(&plan, 2, paper_cache()));
+        assert_eq!(run.totals, simulate_wht(&plan, 2, paper_cache()).unwrap());
         assert_eq!(run.outside, CacheStats::default());
     }
 
@@ -1538,12 +1411,12 @@ mod tests {
         assert!(run.conserved());
         run.check_hierarchy().unwrap();
         // The extra observers must not perturb the v1 single-level view.
-        assert_eq!(run.totals, simulate_dft_at_stride(&plan, 1, cache));
+        assert_eq!(run.totals, simulate_dft(&plan, 1, cache).unwrap());
         // The TLB sees the raw (undecomposed) stream, so its totals match
         // the classic CacheWithTlb pairing byte for byte — this is what
         // lets the TLB ablation regenerate from the artifact.
         let mut both = CacheWithTlb::new(cache, Tlb::typical_l1_dtlb());
-        simulate_dft_into(&plan, &mut both);
+        simulate_dft_into(&plan, &mut both).unwrap();
         let h = run.hierarchy.as_ref().unwrap();
         assert_eq!(h.totals.tlb, both.tlb.stats());
         run.walk(&mut |node, path| {
@@ -1561,7 +1434,7 @@ mod tests {
         let run = attribute_wht_hier(&plan, 2, cache, HierarchyConfig::typical(cache)).unwrap();
         assert!(run.conserved());
         run.check_hierarchy().unwrap();
-        assert_eq!(run.totals, simulate_wht_at_stride(&plan, 2, cache));
+        assert_eq!(run.totals, simulate_wht(&plan, 2, cache).unwrap());
     }
 
     #[test]

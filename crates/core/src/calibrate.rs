@@ -7,8 +7,8 @@
 //! 1. **analytical** — [`CacheModel::dft_stage_cost_ns`] /
 //!    [`CacheModel::wht_stage_cost_ns`], the closed-form per-stage
 //!    prediction;
-//! 2. **measured** — median-of-k [`DftPlan::try_profile`] /
-//!    [`WhtPlan::try_profile`] runs, whose recorders time the same
+//! 2. **measured** — median-of-k [`DftPlan::try_profile_with`] /
+//!    [`WhtPlan::try_profile_with`] runs, whose recorders time the same
 //!    leaf/twiddle/reorg stages on the real machine;
 //! 3. **simulated** — the cache simulator replaying the exact access
 //!    stream, giving architecture-independent access/miss counts;
@@ -322,7 +322,7 @@ pub fn calibrate_dft(
         .collect();
     let mut output = vec![Complex64::ZERO; n];
     // warm-up run: fault in buffers and tables before measuring
-    plan.try_profile(&input, &mut output)?;
+    plan.try_execute(&input, &mut output)?;
     let mut measured = Measured::new();
     for _ in 0..cal.repeats.max(1) {
         let mut recorder = Recorder::new();
@@ -333,7 +333,7 @@ pub fn calibrate_dft(
         measured.total.push(m.total_ns as f64);
     }
     let nums = measured.finish(predicted, cal.model.tree_cost_ns(plan.tree(), 1));
-    let stats = traced::simulate_dft(&plan, cal.cache);
+    let stats = traced::simulate_dft(&plan, 1, cal.cache)?;
     Ok(CalibrationCase {
         transform: "dft".into(),
         n,
@@ -367,7 +367,7 @@ pub fn calibrate_wht(
 
     let base: Vec<f64> = (0..n).map(|i| (i % 101) as f64 * 0.5 - 20.0).collect();
     let mut data = base.clone();
-    plan.try_profile(&mut data)?;
+    plan.try_execute(&mut data)?;
     let mut measured = Measured::new();
     for _ in 0..cal.repeats.max(1) {
         data.copy_from_slice(&base);
@@ -379,7 +379,7 @@ pub fn calibrate_wht(
         measured.total.push(m.total_ns as f64);
     }
     let nums = measured.finish(predicted, model.wht_tree_cost_ns(plan.tree(), 1));
-    let stats = traced::simulate_wht(&plan, cal.cache);
+    let stats = traced::simulate_wht(&plan, 1, cal.cache)?;
     Ok(CalibrationCase {
         transform: "wht".into(),
         n,

@@ -73,7 +73,7 @@ impl DctPlan {
             v[n - 1 - i] = Complex64::from_re(x[2 * i + 1]);
         }
         let mut spectrum = vec![Complex64::ZERO; n];
-        self.forward.execute(&v, &mut spectrum);
+        self.forward.try_execute(&v, &mut spectrum)?;
         // y[k] = 2 Re( w_{4n}^{k} * V[k] ), w = exp(-2πi/4n)
         for (k, out) in y.iter_mut().take(n).enumerate() {
             let w = root_of_unity(4 * n, k, Direction::Forward);
@@ -113,7 +113,7 @@ impl DctPlan {
             *s = w * Complex64::new(yk, -yn_k).scale(0.5);
         }
         let mut v = vec![Complex64::ZERO; n];
-        self.inverse.execute(&spectrum, &mut v);
+        self.inverse.try_execute(&spectrum, &mut v)?;
         // undo the even/odd permutation; inverse FFT is unnormalized, so
         // scale by 1/n
         let scale = 1.0 / n as f64;

@@ -55,15 +55,15 @@
 //! leaf gather fills all of `r`, each before anything reads them. So the
 //! contents of the scratch passed in never reach the output, and the
 //! plan can hand its internally-allocating entry points a reused, dirty
-//! buffer from its `ScratchPool`.
-//! [`DftPlan::execute_with_scratch`] and [`DftPlan::try_execute_view`]
-//! remain the explicit-buffer API.
+//! buffer from its `ScratchPool`. [`DftPlan::try_run`] remains the
+//! explicit-buffer API.
 //!
-//! # Tracing
+//! # Observation
 //!
-//! The executor is generic over [`MemoryTracer`]. With the default
-//! [`NullTracer`] all trace code compiles away (`MemoryTracer::ENABLED`
-//! is `false`). With a cache simulator attached, the executor emits one
+//! The executor takes one [`Observer`]: a span/stage/counter sink and a
+//! memory tracer in one value, each half gated by its own `ENABLED`
+//! flag. With [`NullSink`] all instrumentation compiles away. With a
+//! cache simulator attached (see [`crate::traced`]), the executor emits one
 //! event per point load/store of every stage — leaf reads/writes, twiddle
 //! read-modify-writes and reorganization gathers — at the exact simulated
 //! addresses. Within a single leaf codelet the emitted order is ascending
@@ -76,13 +76,13 @@ use std::sync::Arc;
 
 use crate::backend::{self, BackendKind};
 use crate::obs::{
-    stage_end, stage_start, Counter, ExecutionMetrics, NullSink, Recorder, Sink, SpanInfo,
-    SpanKind, Stage,
+    stage_end, stage_start, Counter, ExecutionMetrics, NullSink, Observer, Recorder, Sink,
+    SpanInfo, SpanKind, Stage,
 };
 use crate::scratch::ScratchPool;
 use crate::tree::Tree;
 use crate::DFT_POINT_BYTES;
-use ddl_cachesim::{MemoryTracer, NullTracer};
+use ddl_cachesim::MemoryTracer;
 use ddl_kernels::{apply_twiddles, dft_leaf_strided};
 use ddl_num::{Complex64, DdlError, Direction, TwiddleTable};
 
@@ -188,6 +188,54 @@ impl View {
     }
 }
 
+/// The buffers of one [`DftPlan::try_run`]: `n` points read from
+/// `input[in_base + i·in_stride]` and written to
+/// `output[out_base + j·out_stride]`. [`DftPlan::try_run`] validates the
+/// views against the buffers.
+pub struct DftViews<'a> {
+    input: &'a [Complex64],
+    in_base: usize,
+    in_stride: usize,
+    output: &'a mut [Complex64],
+    out_base: usize,
+    out_stride: usize,
+    /// Simulated byte addresses of `[input, output, scratch, twiddle
+    /// tables]`, assigned by the simulation harness and read only when
+    /// the observer traces.
+    pub(crate) addrs: [u64; 4],
+}
+
+impl<'a> DftViews<'a> {
+    /// Unit-stride views of both buffers from index 0.
+    pub fn new(input: &'a [Complex64], output: &'a mut [Complex64]) -> DftViews<'a> {
+        DftViews {
+            input,
+            in_base: 0,
+            in_stride: 1,
+            output,
+            out_base: 0,
+            out_stride: 1,
+            addrs: Default::default(),
+        }
+    }
+
+    /// Reads the input at `input[base + i·stride]`.
+    #[must_use]
+    pub fn input_at(mut self, base: usize, stride: usize) -> DftViews<'a> {
+        self.in_base = base;
+        self.in_stride = stride;
+        self
+    }
+
+    /// Writes the output at `output[base + j·stride]`.
+    #[must_use]
+    pub fn output_at(mut self, base: usize, stride: usize) -> DftViews<'a> {
+        self.out_base = base;
+        self.out_stride = stride;
+        self
+    }
+}
+
 /// A compiled, executable DFT of one size and direction.
 #[derive(Clone, Debug)]
 pub struct DftPlan {
@@ -273,7 +321,7 @@ impl DftPlan {
         &self.tree
     }
 
-    /// Scratch requirement in points for [`Self::execute_with_scratch`].
+    /// Scratch requirement in points for [`Self::try_run`].
     pub fn scratch_len(&self) -> usize {
         self.root.scratch_need
     }
@@ -295,23 +343,15 @@ impl DftPlan {
         input: &[Complex64],
         output: &mut [Complex64],
     ) -> Result<(), DdlError> {
-        self.scratch.with(self.scratch_len(), |scratch| {
-            self.try_execute_view(input, 0, 1, output, 0, 1, scratch, &mut NullTracer, [0; 4])
-        })
-    }
-
-    /// Executes out of place on the plan's own scratch.
-    ///
-    /// `input.len()` and `output.len()` must both be at least `n`.
-    /// Panicking wrapper over [`DftPlan::try_execute`].
-    pub fn execute(&self, input: &[Complex64], output: &mut [Complex64]) {
-        if let Err(e) = self.try_execute(input, output) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
+        self.try_run_pooled(DftViews::new(input, output), &mut NullSink)
     }
 
     /// Fallible in-place execution: `data[..n]` is replaced by its DFT.
+    ///
+    /// The executor is fundamentally out-of-place (the self-sorting
+    /// recursion reads and writes different locations), so this copies
+    /// the input into scratch first — one extra pass, the same trade
+    /// FFTW's in-place interface makes.
     pub fn try_execute_inplace(&self, data: &mut [Complex64]) -> Result<(), DdlError> {
         let n = self.n();
         if data.len() < n {
@@ -324,94 +364,48 @@ impl DftPlan {
         self.scratch.with(self.scratch_len() + n, |scratch| {
             let (copy, rest) = scratch.split_at_mut(n);
             copy.copy_from_slice(&data[..n]);
-            self.try_execute_view(copy, 0, 1, data, 0, 1, rest, &mut NullTracer, [0; 4])
+            self.try_run(DftViews::new(copy, data), rest, &mut NullSink)
         })
     }
 
-    /// Executes in place: `data[..n]` is replaced by its DFT.
-    ///
-    /// The executor is fundamentally out-of-place (the self-sorting
-    /// recursion reads and writes different locations), so this
-    /// convenience copies the input into scratch first — one extra pass,
-    /// the same trade FFTW's in-place interface makes.
-    ///
-    /// Panicking wrapper over [`DftPlan::try_execute_inplace`].
-    pub fn execute_inplace(&self, data: &mut [Complex64]) {
-        if let Err(e) = self.try_execute_inplace(data) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Executes out of place using caller-provided scratch (resized as
-    /// needed). Reusing scratch across calls avoids per-call allocation.
-    pub fn execute_with_scratch(
+    /// [`DftPlan::try_run`] on the plan's own scratch.
+    pub(crate) fn try_run_pooled<O: Observer>(
         &self,
-        input: &[Complex64],
-        output: &mut [Complex64],
-        scratch: &mut Vec<Complex64>,
-    ) {
-        if scratch.len() < self.scratch_len() {
-            scratch.resize(self.scratch_len(), Complex64::ZERO);
-        }
-        self.execute_view(input, 0, 1, output, 0, 1, scratch, &mut NullTracer, [0; 4]);
+        views: DftViews<'_>,
+        obs: &mut O,
+    ) -> Result<(), DdlError> {
+        self.scratch.with(self.scratch_len(), |scratch| {
+            self.try_run(views, scratch, obs)
+        })
     }
 
     /// Full-control entry point: strided input/output views, explicit
-    /// scratch, an arbitrary tracer and simulated base addresses
-    /// `[input, output, scratch, twiddle tables]` (in bytes; only read
-    /// when tracing — the table region spans
-    /// [`Self::twiddle_points`] points).
+    /// scratch (at least [`Self::scratch_len`] points) and one
+    /// [`Observer`]. The observer's sink half times every stage span
+    /// (leaf codelets, twiddle passes, reorganizations) — the measurable
+    /// form of the paper's Eq. (2)/(3) decomposition — and its tracing
+    /// half receives every point load and store at the simulated
+    /// addresses the simulation harness ([`crate::traced`]) assigned to
+    /// the views. With [`NullSink`] both halves compile away.
     ///
-    /// This is the hook both the planner (timing a subproblem "`n`-point
-    /// DFT at stride `s`", paper Section IV-B) and the cache simulation
-    /// driver use.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_execute_view<T: MemoryTracer>(
+    /// This is the hook the planner (timing a subproblem "`n`-point DFT
+    /// at stride `s`", paper Section IV-B), the simulation harness and
+    /// callers managing their own scratch use.
+    pub fn try_run<O: Observer>(
         &self,
-        input: &[Complex64],
-        in_base: usize,
-        in_stride: usize,
-        output: &mut [Complex64],
-        out_base: usize,
-        out_stride: usize,
+        views: DftViews<'_>,
         scratch: &mut [Complex64],
-        tracer: &mut T,
-        addrs: [u64; 4],
+        obs: &mut O,
     ) -> Result<(), DdlError> {
-        self.try_execute_view_observed(
+        let DftViews {
             input,
             in_base,
             in_stride,
             output,
             out_base,
             out_stride,
-            scratch,
-            tracer,
             addrs,
-            &mut NullSink,
-        )
-    }
-
-    /// [`DftPlan::try_execute_view`] with an observability sink: every
-    /// stage span (leaf codelets, twiddle passes, reorganizations) is
-    /// timed into `sink`, giving the measurable form of the paper's
-    /// Eq. (2)/(3) decomposition. With [`NullSink`] this *is*
-    /// `try_execute_view` — the stage timers compile away.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_execute_view_observed<T: MemoryTracer, S: Sink>(
-        &self,
-        input: &[Complex64],
-        in_base: usize,
-        in_stride: usize,
-        output: &mut [Complex64],
-        out_base: usize,
-        out_stride: usize,
-        scratch: &mut [Complex64],
-        tracer: &mut T,
-        addrs: [u64; 4],
-        sink: &mut S,
-    ) -> Result<(), DdlError> {
+        } = views;
         let n = self.n();
         // Overflow-checked view validation: a malicious (base, stride)
         // pair must produce an error, not wrap around and index wild.
@@ -467,8 +461,8 @@ impl DftPlan {
         let (effective, fell_back) = backend::resolve(self.backend);
         if fell_back {
             self.backend_fallbacks.fetch_add(1, Ordering::Relaxed);
-            if S::ENABLED {
-                sink.counter(Counter::BackendFallback, 1);
+            if O::SINK {
+                obs.counter(Counter::BackendFallback, 1);
             }
         }
         exec(
@@ -490,31 +484,20 @@ impl DftPlan {
             scratch,
             addrs[2],
             addrs[3],
-            tracer,
-            sink,
+            obs,
         );
         Ok(())
     }
 
-    /// Executes once with a fresh [`Recorder`] attached and returns the
-    /// per-stage breakdown: wall-clock total plus the leaf/twiddle/reorg
-    /// split of the paper's Eq. (2)/(3), stage call/point counts and a
-    /// leaf flop estimate. Runs on the plan's own scratch.
-    pub fn try_profile(
-        &self,
-        input: &[Complex64],
-        output: &mut [Complex64],
-    ) -> Result<ExecutionMetrics, DdlError> {
-        let mut recorder = Recorder::new();
-        self.try_profile_with(input, output, &mut recorder)
-    }
-
-    /// [`DftPlan::try_profile`] into a caller-provided recorder, which
-    /// additionally captures the hierarchical trace timeline (an
-    /// `execution` span wrapping one `node` span per tree node) for
-    /// export via [`crate::trace`]. The returned metrics summarize the
-    /// recorder's accumulated totals, so pass a fresh recorder for
-    /// single-run numbers.
+    /// Executes once on the plan's own scratch with `recorder` attached
+    /// and returns the per-stage breakdown: wall-clock total plus the
+    /// leaf/twiddle/reorg split of the paper's Eq. (2)/(3), stage
+    /// call/point counts and a leaf flop estimate. The recorder also
+    /// captures the hierarchical trace timeline (an `execution` span
+    /// wrapping one `node` span per tree node) for export via
+    /// [`crate::trace`]. The returned metrics summarize the recorder's
+    /// accumulated totals, so pass a fresh recorder for single-run
+    /// numbers.
     pub fn try_profile_with(
         &self,
         input: &[Complex64],
@@ -531,18 +514,7 @@ impl DftPlan {
                 backend: self.backend.label(),
             });
             let t0 = std::time::Instant::now();
-            let result = self.try_execute_view_observed(
-                input,
-                0,
-                1,
-                output,
-                0,
-                1,
-                scratch,
-                &mut NullTracer,
-                [0; 4],
-                recorder,
-            );
+            let result = self.try_run(DftViews::new(input, output), scratch, recorder);
             let total_ns = t0.elapsed().as_nanos() as u64;
             recorder.span_end();
             result.map(|()| total_ns)
@@ -556,36 +528,12 @@ impl DftPlan {
             crate::obs::tree_leaf_flops(&self.tree, true),
         ))
     }
-
-    /// Panicking wrapper over [`DftPlan::try_execute_view`]; the hot-path
-    /// entry point used by the planner and the simulation driver, where
-    /// views are computed by the library itself and failures are bugs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_view<T: MemoryTracer>(
-        &self,
-        input: &[Complex64],
-        in_base: usize,
-        in_stride: usize,
-        output: &mut [Complex64],
-        out_base: usize,
-        out_stride: usize,
-        scratch: &mut [Complex64],
-        tracer: &mut T,
-        addrs: [u64; 4],
-    ) {
-        if let Err(e) = self.try_execute_view(
-            input, in_base, in_stride, output, out_base, out_stride, scratch, tracer, addrs,
-        ) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
 }
 
 /// Recursive executor. `sv`/`dv` describe the input/output views into
 /// `x`/`y`; `scr_addr` is the simulated byte address of `scratch[0]`.
 #[allow(clippy::too_many_arguments)]
-fn exec<T: MemoryTracer, S: Sink>(
+fn exec<O: Observer>(
     node: &Compiled,
     dir: Direction,
     be: BackendKind,
@@ -596,12 +544,11 @@ fn exec<T: MemoryTracer, S: Sink>(
     scratch: &mut [Complex64],
     scr_addr: u64,
     tw_addr: u64,
-    tr: &mut T,
-    sink: &mut S,
+    obs: &mut O,
 ) {
     let n = node.n;
-    if S::ENABLED {
-        sink.span_begin(SpanInfo {
+    if O::SINK {
+        obs.span_begin(SpanInfo {
             kind: SpanKind::Node,
             label: "dft",
             size: n,
@@ -615,38 +562,29 @@ fn exec<T: MemoryTracer, S: Sink>(
             if node.reorg && sv.stride > 1 {
                 // Leaf reorganization: compact the strided input into
                 // contiguous scratch, then run the codelet at unit stride.
-                let t0 = stage_start::<S>();
+                let t0 = stage_start::<O>();
                 let (r, _) = scratch.split_at_mut(n);
                 for (i, ri) in r.iter_mut().enumerate() {
                     *ri = x[sv.base + i * sv.stride];
                 }
-                stage_end(sink, Stage::Reorg, t0, n as u64);
-                if T::ENABLED {
+                stage_end(obs, Stage::Reorg, t0, n as u64);
+                if O::TRACE {
                     for i in 0..n {
-                        tr.read(sv.elem_addr(i), DFT_POINT_BYTES as u32);
-                        tr.write(
+                        obs.read(sv.elem_addr(i), DFT_POINT_BYTES as u32);
+                        obs.write(
                             scr_addr + (i * DFT_POINT_BYTES) as u64,
                             DFT_POINT_BYTES as u32,
                         );
                     }
                 }
-                leaf(
-                    n,
-                    dir,
-                    be,
-                    r,
-                    View {
-                        base: 0,
-                        stride: 1,
-                        addr: scr_addr,
-                    },
-                    y,
-                    dv,
-                    tr,
-                    sink,
-                );
+                let rv = View {
+                    base: 0,
+                    stride: 1,
+                    addr: scr_addr,
+                };
+                leaf(n, dir, be, r, rv, y, dv, obs);
             } else {
-                leaf(n, dir, be, x, sv, y, dv, tr, sink);
+                leaf(n, dir, be, x, sv, y, dv, obs);
             }
         }
         CompiledKind::Split {
@@ -657,160 +595,84 @@ fn exec<T: MemoryTracer, S: Sink>(
             right,
         } => {
             let (n1, n2) = (*n1, *n2);
-            if node.reorg {
-                // Dynamic data layout (paper Fig. 5): stage 1 writes each
-                // sub-DFT contiguously into t2, then a tiled transpose
-                // reorganizes t2 -> t between the stages.
-                let (t2, after) = scratch.split_at_mut(n);
+            // Stage 1 writes scratch[..n]. The static layout interleaves
+            // it (t[j1*n2 + i2], stride n2) — the strided-write pathology
+            // DDL removes. Dynamic data layout (paper Fig. 5) writes each
+            // sub-DFT contiguously (t2[i2*n1 + j1]) and a tiled transpose
+            // reorganizes t2 into t between the stages, so a reorganizing
+            // node holds both layouts at once.
+            let (staged, after) = scratch.split_at_mut(n);
+            let (t, rest, held) = if node.reorg {
                 let (t, rest) = after.split_at_mut(n);
-                let t2_addr = scr_addr;
-                let t_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
-                let rest_addr = scr_addr + (2 * n * DFT_POINT_BYTES) as u64;
-
-                // Stage 1: left child reads x at stride n2*s (Property 1)
-                // and writes t2[i2*n1 ..] at UNIT stride.
-                for i2 in 0..n2 {
-                    exec(
-                        left,
-                        dir,
-                        be,
-                        x,
-                        View {
-                            base: sv.base + i2 * sv.stride,
-                            stride: n2 * sv.stride,
-                            addr: sv.addr,
-                        },
-                        t2,
-                        View {
-                            base: i2 * n1,
-                            stride: 1,
-                            addr: t2_addr,
-                        },
-                        rest,
-                        rest_addr,
-                        tw_addr,
-                        tr,
-                        sink,
-                    );
-                }
-
-                // Twiddle pass over t2 (table laid out to match).
-                let t0 = stage_start::<S>();
-                twiddle_pass(be, t2, tw);
-                stage_end(sink, Stage::Twiddle, t0, n as u64);
-                if T::ENABLED {
-                    trace_twiddle(
-                        n,
-                        t2_addr,
-                        tw_addr + (node.tw_offset * DFT_POINT_BYTES) as u64,
-                        tr,
-                    );
-                }
-
-                // The reorganization Dr: tiled transpose of the n2 x n1
-                // row-major t2 into t[j1*n2 + i2].
-                let t0 = stage_start::<S>();
-                transpose_traced(t2, t, n2, n1, t2_addr, t_addr, tr);
-                stage_end(sink, Stage::Reorg, t0, n as u64);
-
-                // Stage 2: right child reads t at unit stride.
-                for j1 in 0..n1 {
-                    exec(
-                        right,
-                        dir,
-                        be,
-                        t,
-                        View {
-                            base: n2 * j1,
-                            stride: 1,
-                            addr: t_addr,
-                        },
-                        y,
-                        View {
-                            base: dv.base + j1 * dv.stride,
-                            stride: n1 * dv.stride,
-                            addr: dv.addr,
-                        },
-                        rest,
-                        rest_addr,
-                        tw_addr,
-                        tr,
-                        sink,
-                    );
-                }
+                (Some(t), rest, 2 * n)
             } else {
-                // Static layout: stage 1 writes t interleaved (stride n2),
-                // which is the strided-write pathology DDL removes.
-                let (t, rest) = scratch.split_at_mut(n);
-                let t_addr = scr_addr;
-                let rest_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
+                (None, after, n)
+            };
+            let rest_addr = scr_addr + (held * DFT_POINT_BYTES) as u64;
+            let (step, stride) = if node.reorg { (n1, 1) } else { (1, n2) };
 
-                for i2 in 0..n2 {
-                    exec(
-                        left,
-                        dir,
-                        be,
-                        x,
-                        View {
-                            base: sv.base + i2 * sv.stride,
-                            stride: n2 * sv.stride,
-                            addr: sv.addr,
-                        },
-                        t,
-                        View {
-                            base: i2,
-                            stride: n2,
-                            addr: t_addr,
-                        },
-                        rest,
-                        rest_addr,
-                        tw_addr,
-                        tr,
-                        sink,
-                    );
-                }
+            // Stage 1: left child reads x at stride n2*s (Property 1).
+            for i2 in 0..n2 {
+                let lv = View {
+                    base: sv.base + i2 * sv.stride,
+                    stride: n2 * sv.stride,
+                    addr: sv.addr,
+                };
+                let sv1 = View {
+                    base: i2 * step,
+                    stride,
+                    addr: scr_addr,
+                };
+                exec(
+                    left, dir, be, x, lv, staged, sv1, rest, rest_addr, tw_addr, obs,
+                );
+            }
 
-                let t0 = stage_start::<S>();
-                twiddle_pass(be, t, tw);
-                stage_end(sink, Stage::Twiddle, t0, n as u64);
-                if T::ENABLED {
-                    trace_twiddle(
-                        n,
-                        t_addr,
-                        tw_addr + (node.tw_offset * DFT_POINT_BYTES) as u64,
-                        tr,
-                    );
-                }
+            // Twiddle pass over the stage-1 buffer (table laid out to
+            // match).
+            let t0 = stage_start::<O>();
+            twiddle_pass(be, staged, tw);
+            stage_end(obs, Stage::Twiddle, t0, n as u64);
+            if O::TRACE {
+                trace_twiddle(
+                    n,
+                    scr_addr,
+                    tw_addr + (node.tw_offset * DFT_POINT_BYTES) as u64,
+                    obs,
+                );
+            }
 
-                for j1 in 0..n1 {
-                    exec(
-                        right,
-                        dir,
-                        be,
-                        t,
-                        View {
-                            base: n2 * j1,
-                            stride: 1,
-                            addr: t_addr,
-                        },
-                        y,
-                        View {
-                            base: dv.base + j1 * dv.stride,
-                            stride: n1 * dv.stride,
-                            addr: dv.addr,
-                        },
-                        rest,
-                        rest_addr,
-                        tw_addr,
-                        tr,
-                        sink,
-                    );
+            // The reorganization Dr: tiled transpose of the n2 x n1
+            // row-major t2 into t[j1*n2 + i2].
+            let (t, t_addr): (&[Complex64], u64) = match t {
+                Some(t) => {
+                    let t_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
+                    let t0 = stage_start::<O>();
+                    transpose_traced(staged, t, n2, n1, scr_addr, t_addr, obs);
+                    stage_end(obs, Stage::Reorg, t0, n as u64);
+                    (t, t_addr)
                 }
+                None => (staged, scr_addr),
+            };
+
+            // Stage 2: right child reads t at unit stride.
+            for j1 in 0..n1 {
+                let rv = View {
+                    base: n2 * j1,
+                    stride: 1,
+                    addr: t_addr,
+                };
+                let yv = View {
+                    base: dv.base + j1 * dv.stride,
+                    stride: n1 * dv.stride,
+                    addr: dv.addr,
+                };
+                exec(right, dir, be, t, rv, y, yv, rest, rest_addr, tw_addr, obs);
             }
         }
     }
-    if S::ENABLED {
-        sink.span_end();
+    if O::SINK {
+        obs.span_end();
     }
 }
 
@@ -818,7 +680,7 @@ fn exec<T: MemoryTracer, S: Sink>(
 /// its trace. The scalar path keeps its direct (statically dispatched)
 /// call so the default backend costs nothing extra per leaf.
 #[allow(clippy::too_many_arguments)]
-fn leaf<T: MemoryTracer, S: Sink>(
+fn leaf<O: Observer>(
     n: usize,
     dir: Direction,
     be: BackendKind,
@@ -826,10 +688,9 @@ fn leaf<T: MemoryTracer, S: Sink>(
     sv: View,
     y: &mut [Complex64],
     dv: View,
-    tr: &mut T,
-    sink: &mut S,
+    obs: &mut O,
 ) {
-    let t0 = stage_start::<S>();
+    let t0 = stage_start::<O>();
     match be {
         BackendKind::Scalar => {
             dft_leaf_strided(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride)
@@ -837,13 +698,13 @@ fn leaf<T: MemoryTracer, S: Sink>(
         other => backend::backend_for(other)
             .leaf_dft(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride),
     }
-    stage_end(sink, Stage::Leaf, t0, n as u64);
-    if T::ENABLED {
+    stage_end(obs, Stage::Leaf, t0, n as u64);
+    if O::TRACE {
         for i in 0..n {
-            tr.read(sv.elem_addr(i), DFT_POINT_BYTES as u32);
+            obs.read(sv.elem_addr(i), DFT_POINT_BYTES as u32);
         }
         for j in 0..n {
-            tr.write(dv.elem_addr(j), DFT_POINT_BYTES as u32);
+            obs.write(dv.elem_addr(j), DFT_POINT_BYTES as u32);
         }
     }
 }
@@ -937,7 +798,7 @@ mod tests {
         let plan = DftPlan::new(tree.clone(), dir).unwrap();
         let x = sample(n);
         let mut y = vec![Complex64::ZERO; n];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = naive_dft(&x, dir);
         let err = relative_rms_error(&y, &want);
         assert!(err < 1e-11, "tree {tree} dir {dir:?}: err = {err:e}");
@@ -1008,17 +869,10 @@ mod tests {
         let big = sample(n * ss + 1);
         let mut out = vec![Complex64::ZERO; n * ds + 1];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        plan.execute_view(
-            &big,
-            1,
-            ss,
-            &mut out,
-            1,
-            ds,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 4],
-        );
+        let views = DftViews::new(&big, &mut out)
+            .input_at(1, ss)
+            .output_at(1, ds);
+        plan.try_run(views, &mut scratch, &mut NullSink).unwrap();
         let x: Vec<Complex64> = (0..n).map(|i| big[1 + i * ss]).collect();
         let got: Vec<Complex64> = (0..n).map(|i| out[1 + i * ds]).collect();
         let want = naive_dft(&x, Direction::Forward);
@@ -1033,8 +887,8 @@ mod tests {
         let x = sample(1 << 8);
         let mut f = vec![Complex64::ZERO; 1 << 8];
         let mut b = vec![Complex64::ZERO; 1 << 8];
-        fwd.execute(&x, &mut f);
-        inv.execute(&f, &mut b);
+        fwd.try_execute(&x, &mut f).unwrap();
+        inv.try_execute(&f, &mut b).unwrap();
         let back: Vec<Complex64> = b.iter().map(|v| v.scale(1.0 / 256.0)).collect();
         assert!(relative_rms_error(&back, &x) < 1e-11);
     }
@@ -1043,23 +897,13 @@ mod tests {
     fn scratch_len_is_sufficient_and_reported() {
         let tree = crate::grammar::parse("ctddl(ctddl(8, 8), ct(8, 8))").unwrap();
         let plan = DftPlan::new(tree, Direction::Forward).unwrap();
-        // exact scratch must work; plan.execute_with_scratch resizes, so
-        // test execute_view with the exact amount
+        // exactly scratch_len points must be enough
         let n = plan.n();
         let x = sample(n);
         let mut y = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        plan.execute_view(
-            &x,
-            0,
-            1,
-            &mut y,
-            0,
-            1,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 4],
-        );
+        plan.try_run(DftViews::new(&x, &mut y), &mut scratch, &mut NullSink)
+            .unwrap();
         let want = naive_dft(&x, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-11);
     }
@@ -1070,9 +914,9 @@ mod tests {
         let n = plan.n();
         let x = sample(n);
         let mut inplace = x.clone();
-        plan.execute_inplace(&mut inplace);
+        plan.try_execute_inplace(&mut inplace).unwrap();
         let mut oop = vec![Complex64::ZERO; n];
-        plan.execute(&x, &mut oop);
+        plan.try_execute(&x, &mut oop).unwrap();
         assert_eq!(inplace, oop);
     }
 
@@ -1082,7 +926,7 @@ mod tests {
         assert_eq!(plan.n(), 1024);
         let x = sample(1024);
         let mut y = vec![Complex64::ZERO; 1024];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = naive_dft(&x, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-11);
     }
@@ -1094,11 +938,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input view out of bounds")]
-    fn short_input_panics() {
+    fn short_input_is_an_error() {
         let plan = DftPlan::from_expr("ct(4,4)", Direction::Forward).unwrap();
         let x = vec![Complex64::ZERO; 8];
         let mut y = vec![Complex64::ZERO; 16];
-        plan.execute(&x, &mut y);
+        let err = plan.try_execute(&x, &mut y).unwrap_err();
+        assert!(
+            err.to_string().contains("input view out of bounds"),
+            "{err}"
+        );
     }
 }

@@ -27,20 +27,22 @@
 //! top of the planned FFT: [`dft2d`], [`rfft`], [`dct`], [`sixstep`].
 //!
 //! Every fallible public operation reports through the workspace-wide
-//! [`DdlError`]; the panicking entry points are thin wrappers over the
-//! `try_*` forms.
+//! [`DdlError`]. A plan executes through one full-control entry point
+//! (`try_run`: strided views, explicit scratch, one [`Observer`]) and a
+//! few conveniences over it that run on the plan's own scratch.
 //!
 //! ```
-//! use ddl_core::{plan_dft, DftPlan, PlannerConfig};
+//! use ddl_core::{try_plan_dft, DdlError, DftPlan, PlannerConfig};
 //! use ddl_num::{Complex64, Direction};
 //!
 //! // Search, compile, execute.
-//! let outcome = plan_dft(1 << 10, &PlannerConfig::ddl_analytical());
-//! let plan = DftPlan::new(outcome.tree, Direction::Forward).unwrap();
+//! let outcome = try_plan_dft(1 << 10, &PlannerConfig::ddl_analytical())?;
+//! let plan = DftPlan::new(outcome.tree, Direction::Forward)?;
 //! let x = vec![Complex64::ONE; 1 << 10];
 //! let mut y = vec![Complex64::ZERO; 1 << 10];
-//! plan.execute(&x, &mut y);
+//! plan.try_execute(&x, &mut y)?;
 //! assert!((y[0].re - 1024.0).abs() < 1e-9); // DC bin of a constant
+//! # Ok::<(), DdlError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,7 +86,7 @@ pub use calibrate::{
 };
 pub use dct::DctPlan;
 pub use ddl_num::DdlError;
-pub use dft::DftPlan;
+pub use dft::{DftPlan, DftViews};
 pub use dft2d::Dft2dPlan;
 pub use engine::{Engine, EngineConfig, EngineStats, PlanKey, Session, TransformKind};
 pub use flight::{
@@ -98,14 +100,10 @@ pub use histo::{
 pub use measure::Deadline;
 pub use model::{CacheModel, StageCost};
 pub use obs::{
-    BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, PlannerRunMetrics, Recorder,
-    Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+    BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, Observer, PlannerRunMetrics,
+    Recorder, Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
 };
-pub use parallel::{
-    execute_batch_with, execute_dft_batch, execute_wht_batch, try_execute_dft_batch,
-    try_execute_dft_batch_opts, try_execute_wht_batch, try_execute_wht_batch_opts, BatchReport,
-    ItemTiming,
-};
+pub use parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport, ItemTiming};
 pub use planner::{
     plan_dft, plan_wht, try_plan_dft, try_plan_dft_with, try_plan_wht, try_plan_wht_with,
     CostBackend, PlannerConfig, Strategy,
@@ -121,7 +119,7 @@ pub use trace::{
     TRACE_VERSION,
 };
 pub use tree::Tree;
-pub use wht::WhtPlan;
+pub use wht::{WhtPlan, WhtView};
 pub use wisdom::Wisdom;
 
 /// Size of one DFT data point in bytes (double-precision complex), as in

@@ -20,8 +20,12 @@
 //!   counters, round-tripping through [`crate::json`] under the stable
 //!   `ddl-metrics` schema (see DESIGN.md's "Observability" section).
 //!
+//! * [`Observer`] — what one executor run takes: a [`Sink`] and a
+//!   [`MemoryTracer`] in one value, so measurement and simulation share
+//!   the one recursive walk.
+//!
 //! Instrumented entry points are additive: `try_plan_dft_with`,
-//! `DftPlan::try_profile`, `Wisdom::load_with`, … sit next to their
+//! `DftPlan::try_profile_with`, `Wisdom::load_with`, … sit next to their
 //! uninstrumented originals, which delegate with [`NullSink`].
 //!
 //! Benchmark binaries write reports behind a `--metrics-out <path>` flag;
@@ -30,6 +34,7 @@
 
 use crate::json::{self, Json};
 use crate::tree::Tree;
+use ddl_cachesim::MemoryTracer;
 use ddl_num::DdlError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -292,6 +297,43 @@ impl Sink for NullSink {
 
     #[inline(always)]
     fn span_end(&mut self) {}
+}
+
+/// The one observer an executor run takes: the simulated address stream
+/// ([`MemoryTracer`]) and the spans, stages and counters ([`Sink`]),
+/// each half gated by its own `ENABLED` flag. The executors guard every
+/// trace call on [`Observer::TRACE`] and every span, timer and counter
+/// on [`Observer::SINK`], so [`NullSink`] (both halves off) compiles to
+/// the uninstrumented code, a [`Recorder`] observes spans only, and the
+/// simulation harness wraps a plain cache as a trace-only observer.
+pub trait Observer: MemoryTracer + Sink {
+    /// Whether the address-stream half observes anything.
+    const TRACE: bool = <Self as MemoryTracer>::ENABLED;
+    /// Whether the span/stage/counter half observes anything.
+    const SINK: bool = <Self as Sink>::ENABLED;
+}
+
+impl<O: MemoryTracer + Sink> Observer for O {}
+
+impl MemoryTracer for NullSink {
+    const ENABLED: bool = false;
+
+    #[inline(always)]
+    fn read(&mut self, _addr: u64, _bytes: u32) {}
+
+    #[inline(always)]
+    fn write(&mut self, _addr: u64, _bytes: u32) {}
+}
+
+/// A recorder times spans; it traces no addresses.
+impl MemoryTracer for Recorder {
+    const ENABLED: bool = false;
+
+    #[inline(always)]
+    fn read(&mut self, _addr: u64, _bytes: u32) {}
+
+    #[inline(always)]
+    fn write(&mut self, _addr: u64, _bytes: u32) {}
 }
 
 /// Starts a stage timer only when the sink is enabled; with the

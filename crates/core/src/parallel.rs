@@ -17,22 +17,20 @@
 //! Batch execution is built for embedding in long-running services:
 //!
 //! * Every batch item runs under [`std::panic::catch_unwind`], so a
-//!   panicking item fails *only itself* — the remaining items complete
-//!   and the process survives. Per-item outcomes are reported through
-//!   [`BatchReport`].
+//!   panicking (or erroring) item fails *only itself* — the remaining
+//!   items complete and the process survives. Per-item outcomes are
+//!   reported through [`BatchReport`].
 //! * When the OS refuses to spawn a worker thread, the affected share of
 //!   the batch runs sequentially on the calling thread instead of
 //!   aborting ([`BatchReport::degraded_to_sequential`]).
 //! * Shape errors (ragged batch, mismatched buffers) are reported as
-//!   [`DdlError::ShapeMismatch`] by the `try_*` entry points; the legacy
-//!   panicking wrappers are retained on top of them.
+//!   [`DdlError::ShapeMismatch`] before any item runs.
 
-use crate::dft::DftPlan;
+use crate::dft::{DftPlan, DftViews};
 use crate::flight::RequestId;
-use crate::obs::BatchMetrics;
+use crate::obs::{BatchMetrics, NullSink};
 use crate::scheduler::{execute_batch_scheduled, BatchOptions};
-use crate::wht::WhtPlan;
-use ddl_cachesim::NullTracer;
+use crate::wht::{WhtPlan, WhtView};
 use ddl_num::{Complex64, DdlError};
 
 /// Timing of one batch item: how long it waited and how long it ran.
@@ -199,58 +197,15 @@ pub(crate) fn panic_payload_text(payload: Box<dyn std::any::Any + Send>) -> Stri
     }
 }
 
-/// Generic fault-contained batch engine: runs `run_item` once per item
-/// across up to `threads` worker threads, each with its own scratch from
-/// `new_scratch`.
-///
-/// A panicking item fails only itself ([`DdlError::WorkerPanic`] in its
-/// slot of the report); if the OS cannot spawn a worker, that share of
-/// the batch runs on the calling thread instead. The DFT/WHT batch entry
-/// points are built on this engine, and it is public so applications can
-/// get the same containment for their own per-item post-processing.
-///
-/// Since PR 6 this is a thin wrapper over the work-stealing
-/// [`execute_batch_scheduled`](crate::scheduler::execute_batch_scheduled)
-/// with no deadline and no cancellation token.
-pub fn execute_batch_with<Item, S, FS, FI>(
-    items: Vec<Item>,
-    threads: usize,
-    new_scratch: FS,
-    run_item: FI,
-) -> BatchReport
-where
-    Item: Send,
-    FS: Fn() -> S + Sync,
-    FI: Fn(usize, Item, &mut S) + Sync,
-{
-    execute_batch_scheduled(
-        items,
-        &BatchOptions::with_threads(threads),
-        new_scratch,
-        run_item,
-    )
-}
-
-/// Fallible batch DFT: `inputs` and `outputs` are concatenations of
-/// `batch` signals of `plan.n()` points each.
+/// Batch DFT: `inputs` and `outputs` are concatenations of signals of
+/// `plan.n()` points each, executed under `opts` (worker count,
+/// deadline, cancellation) with one scratch buffer per worker.
 ///
 /// Shape problems return [`DdlError::ShapeMismatch`]. Execution faults
-/// never propagate: each item's outcome lands in the returned
-/// [`BatchReport`].
+/// never propagate: each item's outcome lands in its slot of the
+/// returned [`BatchReport`], and items dequeued past the deadline (or
+/// after cancellation) fail with typed errors instead of executing.
 pub fn try_execute_dft_batch(
-    plan: &DftPlan,
-    inputs: &[Complex64],
-    outputs: &mut [Complex64],
-    threads: usize,
-) -> Result<BatchReport, DdlError> {
-    try_execute_dft_batch_opts(plan, inputs, outputs, &BatchOptions::with_threads(threads))
-}
-
-/// [`try_execute_dft_batch`] with full scheduling options: deadline and
-/// cancellation in addition to the worker count. Items dequeued past the
-/// deadline (or after cancellation) fail with typed errors in their
-/// report slots instead of executing.
-pub fn try_execute_dft_batch_opts(
     plan: &DftPlan,
     inputs: &[Complex64],
     outputs: &mut [Complex64],
@@ -283,55 +238,16 @@ pub fn try_execute_dft_batch_opts(
         items,
         opts,
         || vec![Complex64::ZERO; plan.scratch_len()],
-        |_idx, (src, dst), scratch| {
-            plan.execute_view(src, 0, 1, dst, 0, 1, scratch, &mut NullTracer, [0; 4]);
-        },
+        |_idx, (src, dst), scratch| plan.try_run(DftViews::new(src, dst), scratch, &mut NullSink),
     );
     report.set_backend_fallbacks(plan.backend_fallbacks().saturating_sub(fallbacks_before));
     Ok(report)
 }
 
-/// Executes a batch of independent DFTs: `inputs` and `outputs` are
-/// concatenations of `batch` signals of `plan.n()` points each.
-///
-/// Work is split across `threads` OS threads (clamped to the batch size);
-/// each thread reuses one scratch buffer across its share of the batch.
-/// `threads == 1` degenerates to a sequential loop with no thread spawn.
-///
-/// Panicking wrapper over [`try_execute_dft_batch`]: panics on shape
-/// errors and on the first failed batch item.
-pub fn execute_dft_batch(
-    plan: &DftPlan,
-    inputs: &[Complex64],
-    outputs: &mut [Complex64],
-    threads: usize,
-) {
-    match try_execute_dft_batch(plan, inputs, outputs, threads) {
-        Ok(report) => {
-            if let Some((_, e)) = report.failures().next() {
-                // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-                panic!("{e}");
-            }
-        }
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible batch WHT over `data`, a concatenation of signals of
-/// `plan.n()` points each, transformed in place.
+/// Batch WHT over `data`, a concatenation of signals of `plan.n()`
+/// points each, transformed in place under `opts`; the WHT counterpart
+/// of [`try_execute_dft_batch`].
 pub fn try_execute_wht_batch(
-    plan: &WhtPlan,
-    data: &mut [f64],
-    threads: usize,
-) -> Result<BatchReport, DdlError> {
-    try_execute_wht_batch_opts(plan, data, &BatchOptions::with_threads(threads))
-}
-
-/// [`try_execute_wht_batch`] with full scheduling options (deadline and
-/// cancellation); the WHT counterpart of
-/// [`try_execute_dft_batch_opts`].
-pub fn try_execute_wht_batch_opts(
     plan: &WhtPlan,
     data: &mut [f64],
     opts: &BatchOptions,
@@ -350,27 +266,8 @@ pub fn try_execute_wht_batch_opts(
         items,
         opts,
         || vec![0.0f64; plan.scratch_len()],
-        |_idx, chunk, scratch| {
-            plan.execute_view(chunk, 0, 1, scratch, &mut NullTracer, [0; 2]);
-        },
+        |_idx, chunk, scratch| plan.try_run(WhtView::new(chunk), scratch, &mut NullSink),
     ))
-}
-
-/// Executes a batch of independent in-place WHTs over `data`, a
-/// concatenation of signals of `plan.n()` points each.
-///
-/// Panicking wrapper over [`try_execute_wht_batch`].
-pub fn execute_wht_batch(plan: &WhtPlan, data: &mut [f64], threads: usize) {
-    match try_execute_wht_batch(plan, data, threads) {
-        Ok(report) => {
-            if let Some((_, e)) = report.failures().next() {
-                // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-                panic!("{e}");
-            }
-        }
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -379,6 +276,14 @@ mod tests {
     use crate::tree::Tree;
     use ddl_kernels::{naive_dft, naive_wht};
     use ddl_num::{relative_rms_error, Direction};
+
+    /// Runs a DFT batch on `threads` workers and requires every item to
+    /// succeed.
+    fn run_dft(plan: &DftPlan, inputs: &[Complex64], outputs: &mut [Complex64], threads: usize) {
+        let opts = BatchOptions::with_threads(threads);
+        let report = try_execute_dft_batch(plan, inputs, outputs, &opts).unwrap();
+        assert!(report.all_ok(), "{:?}", report.outcomes());
+    }
 
     fn signals(count: usize, n: usize) -> Vec<Complex64> {
         (0..count * n)
@@ -393,8 +298,8 @@ mod tests {
         let inputs = signals(batch, 256);
         let mut seq = vec![Complex64::ZERO; batch * 256];
         let mut par = vec![Complex64::ZERO; batch * 256];
-        execute_dft_batch(&plan, &inputs, &mut seq, 1);
-        execute_dft_batch(&plan, &inputs, &mut par, 4);
+        run_dft(&plan, &inputs, &mut seq, 1);
+        run_dft(&plan, &inputs, &mut par, 4);
         assert_eq!(seq, par);
     }
 
@@ -403,7 +308,7 @@ mod tests {
         let plan = DftPlan::new(Tree::balanced(64, 8), Direction::Forward).unwrap();
         let inputs = signals(5, 64);
         let mut out = vec![Complex64::ZERO; 5 * 64];
-        execute_dft_batch(&plan, &inputs, &mut out, 3);
+        run_dft(&plan, &inputs, &mut out, 3);
         for b in 0..5 {
             let x = &inputs[b * 64..(b + 1) * 64];
             let want = naive_dft(x, Direction::Forward);
@@ -416,7 +321,7 @@ mod tests {
         let plan = DftPlan::new(Tree::leaf(16), Direction::Forward).unwrap();
         let inputs = signals(2, 16);
         let mut out = vec![Complex64::ZERO; 2 * 16];
-        execute_dft_batch(&plan, &inputs, &mut out, 64);
+        run_dft(&plan, &inputs, &mut out, 64);
         let want = naive_dft(&inputs[..16], Direction::Forward);
         assert!(relative_rms_error(&out[..16], &want) < 1e-10);
     }
@@ -426,7 +331,7 @@ mod tests {
         let plan = DftPlan::new(Tree::leaf(8), Direction::Forward).unwrap();
         let inputs: Vec<Complex64> = vec![];
         let mut out: Vec<Complex64> = vec![];
-        execute_dft_batch(&plan, &inputs, &mut out, 4);
+        run_dft(&plan, &inputs, &mut out, 4);
     }
 
     #[test]
@@ -435,7 +340,7 @@ mod tests {
         let batch = 7;
         let orig: Vec<f64> = (0..batch * 128).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut data = orig.clone();
-        execute_wht_batch(&plan, &mut data, 3);
+        try_execute_wht_batch(&plan, &mut data, &BatchOptions::with_threads(3)).unwrap();
         for b in 0..batch {
             let want = naive_wht(&orig[b * 128..(b + 1) * 128]);
             for j in 0..128 {
@@ -445,39 +350,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "whole number of signals")]
-    fn ragged_batch_panics() {
-        let plan = DftPlan::new(Tree::leaf(8), Direction::Forward).unwrap();
-        let inputs = signals(1, 9);
-        let mut out = vec![Complex64::ZERO; 9];
-        execute_dft_batch(&plan, &inputs, &mut out, 2);
-    }
-
-    #[test]
     fn ragged_batch_is_a_shape_error_not_a_panic() {
         let plan = DftPlan::new(Tree::leaf(8), Direction::Forward).unwrap();
         let inputs = signals(1, 9);
         let mut out = vec![Complex64::ZERO; 9];
-        let err = try_execute_dft_batch(&plan, &inputs, &mut out, 2).unwrap_err();
+        let opts = BatchOptions::with_threads(2);
+        let err = try_execute_dft_batch(&plan, &inputs, &mut out, &opts).unwrap_err();
         assert!(matches!(err, DdlError::ShapeMismatch { .. }), "{err}");
         let mut data = vec![0.0f64; 9];
         let wplan = WhtPlan::new(Tree::leaf(8)).unwrap();
-        assert!(try_execute_wht_batch(&wplan, &mut data, 2).is_err());
+        assert!(try_execute_wht_batch(&wplan, &mut data, &opts).is_err());
     }
 
     #[test]
     fn panicking_item_fails_only_itself() {
         let items: Vec<usize> = (0..16).collect();
         let touched = std::sync::Mutex::new(vec![false; 16]);
-        let report = execute_batch_with(
+        let report = execute_batch_scheduled(
             items,
-            4,
+            &BatchOptions::with_threads(4),
             || (),
             |idx, item, _scratch| {
                 if item == 5 || item == 11 {
                     panic!("injected fault on item {item}");
                 }
                 touched.lock().unwrap()[idx] = true;
+                Ok(())
             },
         );
         assert_eq!(report.items(), 16);
@@ -505,7 +403,8 @@ mod tests {
         let plan = DftPlan::new(Tree::leaf(8), Direction::Forward).unwrap();
         let inputs = signals(6, 8);
         let mut out = vec![Complex64::ZERO; 6 * 8];
-        let report = try_execute_dft_batch(&plan, &inputs, &mut out, 3).unwrap();
+        let opts = BatchOptions::with_threads(3);
+        let report = try_execute_dft_batch(&plan, &inputs, &mut out, &opts).unwrap();
         assert_eq!(report.items(), 6);
         assert!(report.all_ok());
         assert!(!report.degraded_to_sequential());

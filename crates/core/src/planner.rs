@@ -25,13 +25,12 @@
 //!   Section III-B (used for the "estimated" column of Table I, in unit
 //!   tests, and when planning must be deterministic and fast).
 
-use crate::dft::DftPlan;
+use crate::dft::{DftPlan, DftViews};
 use crate::measure::time_per_call;
 use crate::model::CacheModel;
 use crate::obs::{Candidate, Counter, NullSink, Sink, SpanInfo, SpanKind};
 use crate::tree::Tree;
-use crate::wht::WhtPlan;
-use ddl_cachesim::NullTracer;
+use crate::wht::{WhtPlan, WhtView};
 use ddl_kernels::{MAX_LEAF_DFT, MAX_LEAF_WHT};
 use ddl_num::{factor_pairs, Complex64, DdlError, Direction};
 use std::collections::HashMap;
@@ -604,57 +603,69 @@ impl<S: Sink> Search<'_, S> {
             CostBackend::Measured { min_secs, min_reps } => match self.kind {
                 Kind::Dft => time_dft_tree(tree, n, stride, min_secs, min_reps),
                 Kind::Wht => time_wht_tree(tree, n, stride, min_secs, min_reps),
-            },
+            }
+            // ddl-lint: allow(no-panics): the planner’s own tree must compile and run; failure here is a planner bug
+            .expect("planner generated an invalid tree"),
             CostBackend::Simulated {
                 cache,
                 miss_penalty,
             } => {
                 let stats = match self.kind {
-                    Kind::Dft => {
-                        let plan = DftPlan::new(tree.clone(), Direction::Forward)
-                            // ddl-lint: allow(no-panics): the planner’s own tree must compile; failure here is a planner bug
-                            .expect("planner generated an invalid tree");
-                        crate::traced::simulate_dft_at_stride(&plan, stride, cache)
-                    }
-                    Kind::Wht => {
-                        let plan =
-                            // ddl-lint: allow(no-panics): the planner’s own tree must compile; failure here is a planner bug
-                            WhtPlan::new(tree.clone()).expect("planner generated an invalid tree");
-                        crate::traced::simulate_wht_at_stride(&plan, stride, cache)
-                    }
-                };
+                    Kind::Dft => DftPlan::new(tree.clone(), Direction::Forward)
+                        .and_then(|plan| crate::traced::simulate_dft(&plan, stride, cache)),
+                    Kind::Wht => WhtPlan::new(tree.clone())
+                        .and_then(|plan| crate::traced::simulate_wht(&plan, stride, cache)),
+                }
+                // ddl-lint: allow(no-panics): the planner’s own tree must compile and run; failure here is a planner bug
+                .expect("planner generated an invalid tree");
                 stats.accesses as f64 + miss_penalty * stats.misses as f64
             }
         }
     }
 }
 
+/// Times `run` with [`time_per_call`], stopping at (and returning) its
+/// first error.
+fn time_fallible(
+    mut run: impl FnMut() -> Result<(), DdlError>,
+    min_secs: f64,
+    min_reps: u32,
+) -> Result<f64, DdlError> {
+    let mut outcome = Ok(());
+    let secs = time_per_call(
+        || {
+            if outcome.is_ok() {
+                outcome = run();
+            }
+        },
+        min_secs,
+        min_reps,
+    );
+    outcome.map(|()| secs)
+}
+
 /// Wall-clock cost of one execution of `tree` as an `n`-point DFT whose
 /// input is read at `stride` (the paper's `Get_time`).
-pub fn time_dft_tree(tree: &Tree, n: usize, stride: usize, min_secs: f64, min_reps: u32) -> f64 {
-    let plan =
-        // ddl-lint: allow(no-panics): the planner’s own tree must compile; failure here is a planner bug
-        DftPlan::new(tree.clone(), Direction::Forward).expect("planner generated an invalid tree");
+pub fn time_dft_tree(
+    tree: &Tree,
+    n: usize,
+    stride: usize,
+    min_secs: f64,
+    min_reps: u32,
+) -> Result<f64, DdlError> {
+    let plan = DftPlan::new(tree.clone(), Direction::Forward)?;
     let span = (n - 1) * stride + 1;
     let src: Vec<Complex64> = (0..span)
         .map(|i| Complex64::new((i % 83) as f64 * 0.25, (i % 57) as f64 * -0.125))
         .collect();
     let mut dst = vec![Complex64::ZERO; n];
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-    time_per_call(
+    time_fallible(
         || {
-            plan.execute_view(
-                &src,
-                0,
-                stride,
-                &mut dst,
-                0,
-                1,
-                &mut scratch,
-                &mut NullTracer,
-                [0; 4],
-            );
+            let views = DftViews::new(&src, &mut dst).input_at(0, stride);
+            plan.try_run(views, &mut scratch, &mut NullSink)?;
             std::hint::black_box(&mut dst);
+            Ok(())
         },
         min_secs,
         min_reps,
@@ -663,16 +674,23 @@ pub fn time_dft_tree(tree: &Tree, n: usize, stride: usize, min_secs: f64, min_re
 
 /// Wall-clock cost of one in-place execution of `tree` as an `n`-point WHT
 /// on a view of the given stride.
-pub fn time_wht_tree(tree: &Tree, n: usize, stride: usize, min_secs: f64, min_reps: u32) -> f64 {
-    // ddl-lint: allow(no-panics): the planner’s own tree must compile; failure here is a planner bug
-    let plan = WhtPlan::new(tree.clone()).expect("planner generated an invalid tree");
+pub fn time_wht_tree(
+    tree: &Tree,
+    n: usize,
+    stride: usize,
+    min_secs: f64,
+    min_reps: u32,
+) -> Result<f64, DdlError> {
+    let plan = WhtPlan::new(tree.clone())?;
     let span = (n - 1) * stride + 1;
     let mut data: Vec<f64> = (0..span).map(|i| (i % 101) as f64 * 0.5 - 20.0).collect();
     let mut scratch = vec![0.0f64; plan.scratch_len()];
-    time_per_call(
+    time_fallible(
         || {
-            plan.execute_view(&mut data, 0, stride, &mut scratch, &mut NullTracer, [0; 2]);
+            let view = WhtView::new(&mut data).at(0, stride);
+            plan.try_run(view, &mut scratch, &mut NullSink)?;
             std::hint::black_box(&mut data);
+            Ok(())
         },
         min_secs,
         min_reps,
@@ -737,7 +755,7 @@ mod tests {
                 .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos()))
                 .collect();
             let mut y = vec![Complex64::ZERO; 1 << 10];
-            plan.execute(&x, &mut y);
+            plan.try_execute(&x, &mut y).unwrap();
             let want = naive_dft(&x, Direction::Forward);
             assert!(relative_rms_error(&y, &want) < 1e-10);
         }
@@ -755,7 +773,7 @@ mod tests {
             let plan = WhtPlan::new(out.tree).unwrap();
             let x: Vec<f64> = (0..1 << 10).map(|i| (i as f64 * 0.1).sin()).collect();
             let mut data = x.clone();
-            plan.execute(&mut data);
+            plan.try_execute(&mut data).unwrap();
             let want = naive_wht(&x);
             for j in 0..1 << 10 {
                 assert!((data[j] - want[j]).abs() < 1e-7 * want[j].abs().max(1.0));
@@ -796,7 +814,7 @@ mod tests {
                 .map(|i| Complex64::new(i as f64 * 0.01, -(i as f64) * 0.02))
                 .collect();
             let mut y = vec![Complex64::ZERO; n];
-            plan.execute(&x, &mut y);
+            plan.try_execute(&x, &mut y).unwrap();
             assert!(relative_rms_error(&y, &naive_dft(&x, Direction::Forward)) < 1e-9);
         }
     }
@@ -890,7 +908,7 @@ mod tests {
             .map(|i| Complex64::new((i as f64 * 0.01).sin(), 0.5))
             .collect();
         let mut y = vec![Complex64::ZERO; 1 << 14];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         assert!(relative_rms_error(&y, &naive_dft(&x, Direction::Forward)) < 1e-9);
     }
 

@@ -10,11 +10,13 @@
 //! bins of the length-`n` real DFT; [`RfftPlan::inverse`] reconstructs
 //! the real signal (exactly inverse, including the `1/n` factor).
 
-use crate::dft::{DftPlan, PlanError};
-use crate::obs::{Sink, SpanInfo, SpanKind};
+use crate::dft::{DftPlan, DftViews, PlanError};
+use crate::obs::{NullSink, Observer, SpanInfo, SpanKind};
 use crate::planner::{plan_dft, PlannerConfig};
+use crate::traced::SIM_PAGE_BYTES;
 use crate::tree::Tree;
-use ddl_cachesim::MemoryTracer;
+use crate::DFT_POINT_BYTES;
+use ddl_cachesim::AddressSpace;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
 /// A compiled real-input FFT of (even) size `n`.
@@ -84,57 +86,21 @@ impl RfftPlan {
 
     /// Fallible form of [`RfftPlan::forward`].
     pub fn try_forward(&self, x: &[f64], spectrum: &mut [Complex64]) -> Result<(), DdlError> {
-        let n = self.n;
-        let h = n / 2;
-        if x.len() < n {
-            return Err(DdlError::shape("rfft: input too short", n, x.len()));
-        }
-        if spectrum.len() < h + 1 {
-            return Err(DdlError::shape(
-                "rfft: output too short",
-                h + 1,
-                spectrum.len(),
-            ));
-        }
-
-        // pack: z[i] = x[2i] + i x[2i+1]
-        let z: Vec<Complex64> = (0..h)
-            .map(|i| Complex64::new(x[2 * i], x[2 * i + 1]))
-            .collect();
-        let mut zf = vec![Complex64::ZERO; h];
-        self.half_forward.execute(&z, &mut zf);
-
-        // untangle: E[k] = (Z[k] + conj(Z[h-k]))/2 (FFT of evens),
-        //           O[k] = -i (Z[k] - conj(Z[h-k]))/2 (FFT of odds),
-        //           X[k] = E[k] + w_n^k O[k]
-        for k in 0..=h {
-            let zk = if k == h { zf[0] } else { zf[k] };
-            let zmk = zf[(h - k) % h].conj();
-            let e = (zk + zmk).scale(0.5);
-            let o = (zk - zmk).scale(0.5).mul_neg_i();
-            let w = root_of_unity(n, k, Direction::Forward);
-            spectrum[k] = e + w * o;
-        }
-        Ok(())
+        self.forward_observed(x, spectrum, &mut NullSink)
     }
 
-    /// [`RfftPlan::try_forward`] with the executor's two observability
-    /// channels: the packed-buffer and untangle stages emit their own
-    /// node spans (labels `"pack"` / `"untangle"`) and simulated memory
-    /// traffic, and the inner half-size DFT runs through its observed
-    /// path — so a pipeline transform gets the same per-node attribution
-    /// as a bare DFT. `addrs` are the simulated base addresses of, in
-    /// order: the real input, the packed buffer, the half-size spectrum,
-    /// the output spectrum, the DFT scratch, and the twiddle table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_forward_observed<T: MemoryTracer, S: Sink>(
+    /// [`RfftPlan::try_forward`] into one [`Observer`]: the pack and
+    /// untangle stages emit their own node spans (labels `"pack"` /
+    /// `"untangle"`) and memory traffic, and the inner half-size DFT runs
+    /// through [`DftPlan::try_run`] — so a pipeline transform gets the
+    /// same per-node attribution as a bare DFT. When the observer traces,
+    /// the pipeline's buffers sit at page-aligned disjoint simulated
+    /// addresses ([`RfftPlan::sim_addrs`]).
+    pub(crate) fn forward_observed<O: Observer>(
         &self,
         x: &[f64],
         spectrum: &mut [Complex64],
-        scratch: &mut [Complex64],
-        tracer: &mut T,
-        addrs: [u64; 6],
-        sink: &mut S,
+        obs: &mut O,
     ) -> Result<(), DdlError> {
         let n = self.n;
         let h = n / 2;
@@ -148,77 +114,78 @@ impl RfftPlan {
                 spectrum.len(),
             ));
         }
-        let [xa, za, zfa, speca, sa, ta] = addrs;
-
-        sink.span_begin(SpanInfo {
+        let [xa, za, zfa, speca, sa, ta] = if O::TRACE {
+            self.sim_addrs()
+        } else {
+            Default::default()
+        };
+        let node = |label, size| SpanInfo {
             kind: SpanKind::Node,
-            label: "rfft",
-            size: n,
+            label,
+            size,
             stride: 1,
             reorg: false,
             backend: "scalar",
-        });
+        };
+        obs.span_begin(node("rfft", n));
 
         // pack: z[i] = x[2i] + i x[2i+1] — sequential reads of the real
         // signal, unit-stride complex writes.
-        sink.span_begin(SpanInfo {
-            kind: SpanKind::Node,
-            label: "pack",
-            size: h,
-            stride: 1,
-            reorg: false,
-            backend: "scalar",
-        });
+        obs.span_begin(node("pack", h));
         let mut z = vec![Complex64::ZERO; h];
         for (i, zi) in z.iter_mut().enumerate() {
-            tracer.read(xa + (2 * i) as u64 * 8, 8);
-            tracer.read(xa + (2 * i + 1) as u64 * 8, 8);
+            obs.read(xa + (2 * i) as u64 * 8, 8);
+            obs.read(xa + (2 * i + 1) as u64 * 8, 8);
             *zi = Complex64::new(x[2 * i], x[2 * i + 1]);
-            tracer.write(za + (i * 16) as u64, 16);
+            obs.write(za + (i * 16) as u64, 16);
         }
-        sink.span_end();
+        obs.span_end();
 
         let mut zf = vec![Complex64::ZERO; h];
-        self.half_forward.try_execute_view_observed(
-            &z,
-            0,
-            1,
-            &mut zf,
-            0,
-            1,
-            scratch,
-            tracer,
-            [za, zfa, sa, ta],
-            sink,
-        )?;
+        let mut views = DftViews::new(&z, &mut zf);
+        views.addrs = [za, zfa, sa, ta];
+        self.half_forward.try_run_pooled(views, obs)?;
 
-        // untangle: X[k] = E[k] + w_n^k O[k] — two half-spectrum reads
-        // (one forward, one mirrored) and a unit-stride write per bin;
-        // the twiddle is computed, not loaded.
-        sink.span_begin(SpanInfo {
-            kind: SpanKind::Node,
-            label: "untangle",
-            size: h + 1,
-            stride: 1,
-            reorg: false,
-            backend: "scalar",
-        });
+        // untangle: E[k] = (Z[k] + conj(Z[h-k]))/2 (FFT of evens),
+        //           O[k] = -i (Z[k] - conj(Z[h-k]))/2 (FFT of odds),
+        //           X[k] = E[k] + w_n^k O[k]
+        // — two half-spectrum reads (one forward, one mirrored) and a
+        // unit-stride write per bin; the twiddle is computed, not loaded.
+        obs.span_begin(node("untangle", h + 1));
         for (k, out) in spectrum.iter_mut().enumerate().take(h + 1) {
             let fwd = k % h;
             let mir = (h - k) % h;
-            tracer.read(zfa + (fwd * 16) as u64, 16);
-            tracer.read(zfa + (mir * 16) as u64, 16);
+            obs.read(zfa + (fwd * 16) as u64, 16);
+            obs.read(zfa + (mir * 16) as u64, 16);
             let zk = zf[fwd];
             let zmk = zf[mir].conj();
             let e = (zk + zmk).scale(0.5);
             let o = (zk - zmk).scale(0.5).mul_neg_i();
             let w = root_of_unity(n, k, Direction::Forward);
             *out = e + w * o;
-            tracer.write(speca + (k * 16) as u64, 16);
+            obs.write(speca + (k * 16) as u64, 16);
         }
-        sink.span_end();
-        sink.span_end();
+        obs.span_end();
+        obs.span_end();
         Ok(())
+    }
+
+    /// Simulated base addresses of, in order: the real input, the packed
+    /// buffer, the half-size spectrum, the output spectrum, the DFT
+    /// scratch, and the twiddle tables.
+    fn sim_addrs(&self) -> [u64; 6] {
+        let h = self.n / 2;
+        let half = &self.half_forward;
+        let mut space = AddressSpace::new(SIM_PAGE_BYTES);
+        [
+            self.n * 8,
+            h * DFT_POINT_BYTES,
+            h * DFT_POINT_BYTES,
+            (h + 1) * DFT_POINT_BYTES,
+            half.scratch_len().max(1) * DFT_POINT_BYTES,
+            half.twiddle_points().max(1) * DFT_POINT_BYTES,
+        ]
+        .map(|bytes| space.alloc(bytes as u64))
     }
 
     /// Inverse transform: reconstructs the real signal from `n/2 + 1`
@@ -257,7 +224,7 @@ impl RfftPlan {
             *zk = e + o.mul_i();
         }
         let mut zt = vec![Complex64::ZERO; h];
-        self.half_inverse.execute(&z, &mut zt);
+        self.half_inverse.try_execute(&z, &mut zt)?;
         let scale = 1.0 / h as f64;
         for i in 0..h {
             x[2 * i] = zt[i].re * scale;

@@ -202,7 +202,7 @@ fn worker_loop<Item, S, FS, FI>(
     run_item: &FI,
 ) where
     FS: Fn() -> S,
-    FI: Fn(usize, Item, &mut S),
+    FI: Fn(usize, Item, &mut S) -> Result<(), DdlError>,
 {
     let mut scratch: Option<S> = None;
     while let Some((index, item)) = next_task(deques, worker, steals) {
@@ -225,13 +225,18 @@ fn worker_loop<Item, S, FS, FI>(
             // expired items never pay for it.
             let scratch = scratch.get_or_insert_with(new_scratch);
             let start = Instant::now();
-            outcome = catch_unwind(AssertUnwindSafe(|| {
+            // An item that errors fails its slot exactly like one that
+            // panics: the error text becomes the payload.
+            outcome = match catch_unwind(AssertUnwindSafe(|| {
                 faultpoint::maybe_panic("batch.item.panic");
                 run_item(index, item, scratch)
-            }))
+            })) {
+                Ok(result) => result.map_err(|e| e.to_string()),
+                Err(payload) => Err(panic_payload_text(payload)),
+            }
             .map_err(|payload| DdlError::WorkerPanic {
                 item: index,
-                payload: panic_payload_text(payload),
+                payload,
             });
             run_ns = start.elapsed().as_nanos() as u64;
         }
@@ -258,9 +263,13 @@ fn past_deadline(deadline_at: Option<Instant>) -> Option<u64> {
 }
 
 /// Runs `run_item` once per item under `opts`, with work stealing across
-/// up to `opts.threads` workers (the caller included). See the module
-/// docs for the fault model; per-item outcomes land in the returned
-/// [`BatchReport`].
+/// up to `opts.threads` workers (the caller included), each with its own
+/// scratch from `new_scratch`. See the module docs for the fault model;
+/// per-item outcomes land in the returned [`BatchReport`], where an item
+/// that panics or returns an error fails with [`DdlError::WorkerPanic`].
+/// The DFT/WHT batch entry points are built on this engine, and it is
+/// public so applications can get the same containment for their own
+/// per-item work.
 pub fn execute_batch_scheduled<Item, S, FS, FI>(
     items: Vec<Item>,
     opts: &BatchOptions,
@@ -270,7 +279,7 @@ pub fn execute_batch_scheduled<Item, S, FS, FI>(
 where
     Item: Send,
     FS: Fn() -> S + Sync,
-    FI: Fn(usize, Item, &mut S) + Sync,
+    FI: Fn(usize, Item, &mut S) -> Result<(), DdlError> + Sync,
 {
     let epoch = Instant::now();
     let batch = items.len();
@@ -412,6 +421,7 @@ mod tests {
             |_idx, item, acc| {
                 *acc += item as u64;
                 std::hint::black_box(*acc);
+                Ok(())
             },
         )
     }
@@ -457,6 +467,7 @@ mod tests {
                 if item == cancel_at {
                     tok.cancel();
                 }
+                Ok(())
             },
         );
         assert_eq!(report.items(), 64);
@@ -482,12 +493,36 @@ mod tests {
                 } else {
                     other_workers_ran.fetch_add(1, Ordering::Relaxed);
                 }
+                Ok(())
             },
         );
         assert!(report.all_ok());
         // All 31 cheap items finished; with stealing, the wall clock is
         // bounded by the one slow item, not 8 sleeps in a row.
         assert_eq!(other_workers_ran.load(Ordering::Relaxed), 31);
+    }
+
+    #[test]
+    fn erroring_item_fails_only_its_slot_as_a_worker_panic() {
+        let report = execute_batch_scheduled(
+            (0..6usize).collect(),
+            &BatchOptions::with_threads(2),
+            || (),
+            |_idx, item, _| {
+                if item == 4 {
+                    return Err(DdlError::shape("injected", 1, 0));
+                }
+                Ok(())
+            },
+        );
+        let failed: Vec<(usize, &DdlError)> = report.failures().collect();
+        assert_eq!(failed.len(), 1);
+        match failed[0] {
+            (4, DdlError::WorkerPanic { item: 4, payload }) => {
+                assert!(payload.contains("injected"), "{payload}")
+            }
+            other => panic!("unexpected failure {other:?}"),
+        }
     }
 
     #[test]
@@ -511,6 +546,7 @@ mod tests {
                 if item == 0 {
                     std::thread::sleep(Duration::from_millis(20));
                 }
+                Ok(())
             },
         );
         assert!(report.all_ok());

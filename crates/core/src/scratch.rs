@@ -4,7 +4,7 @@
 //! set up once, and the Eq. (2)/(3) cost has no allocation term. A
 //! [`ScratchPool`] gives a compiled plan (and every clone of it) a free
 //! list of scratch buffers, so the internally-allocating entry points
-//! (`try_execute`, `try_execute_inplace`, `try_profile*`) reuse memory
+//! (`try_execute`, `try_execute_inplace`, `try_profile_with`) reuse memory
 //! instead of zero-allocating — and, at paper sizes, page-faulting in —
 //! a fresh buffer per call.
 //!

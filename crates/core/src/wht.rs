@@ -22,12 +22,12 @@
 //! `ScratchPool`, as [`crate::dft`] does.
 
 use crate::obs::{
-    stage_end, stage_start, ExecutionMetrics, NullSink, Recorder, Sink, SpanInfo, SpanKind, Stage,
+    stage_end, stage_start, ExecutionMetrics, NullSink, Observer, Recorder, Sink, SpanInfo,
+    SpanKind, Stage,
 };
 use crate::scratch::ScratchPool;
 use crate::tree::Tree;
 use crate::WHT_POINT_BYTES;
-use ddl_cachesim::{MemoryTracer, NullTracer};
 use ddl_kernels::wht_leaf_strided;
 use ddl_num::DdlError;
 
@@ -99,75 +99,33 @@ impl WhtPlan {
     }
 
     /// Executes in place on `data[..n]`, on the plan's own scratch.
-    ///
-    /// Panics if `data` is shorter than the transform; see
-    /// [`WhtPlan::try_execute`] for the fallible form.
-    pub fn execute(&self, data: &mut [f64]) {
-        if let Err(e) = self.try_execute(data) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`WhtPlan::execute`].
     pub fn try_execute(&self, data: &mut [f64]) -> Result<(), DdlError> {
         self.scratch.with(self.scratch_need, |scratch| {
-            self.try_execute_view(data, 0, 1, scratch, &mut NullTracer, [0; 2])
+            self.try_run(WhtView::new(data), scratch, &mut NullSink)
         })
     }
 
-    /// Full-control entry: in-place on the strided view `(base, stride)`
-    /// of `data`, with explicit scratch, tracer and simulated base
-    /// addresses `[data, scratch]`.
-    ///
-    /// Panics on an out-of-bounds view or undersized scratch; see
-    /// [`WhtPlan::try_execute_view`] for the fallible form.
-    pub fn execute_view<T: MemoryTracer>(
+    /// Full-control entry: in place on a strided view of `data`, with
+    /// explicit scratch (at least [`Self::scratch_len`] points) and one
+    /// [`Observer`]. Its sink half times the leaf and reorganization
+    /// spans (the WHT form of the paper's Eq. (2) breakdown — there is no
+    /// twiddle term); its tracing half receives every point load and
+    /// store at the simulated addresses the simulation harness
+    /// ([`crate::traced`]) assigned to the view. With [`NullSink`] both
+    /// halves compile away. A malformed view or undersized scratch is a
+    /// [`DdlError`], never a panic.
+    pub fn try_run<O: Observer>(
         &self,
-        data: &mut [f64],
-        base: usize,
-        stride: usize,
+        view: WhtView<'_>,
         scratch: &mut [f64],
-        tracer: &mut T,
-        addrs: [u64; 2],
-    ) {
-        if let Err(e) = self.try_execute_view(data, base, stride, scratch, tracer, addrs) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`WhtPlan::execute_view`]: validates the view and
-    /// scratch instead of asserting, so malformed shapes surface as
-    /// [`DdlError`] values rather than panics.
-    pub fn try_execute_view<T: MemoryTracer>(
-        &self,
-        data: &mut [f64],
-        base: usize,
-        stride: usize,
-        scratch: &mut [f64],
-        tracer: &mut T,
-        addrs: [u64; 2],
+        obs: &mut O,
     ) -> Result<(), DdlError> {
-        self.try_execute_view_observed(data, base, stride, scratch, tracer, addrs, &mut NullSink)
-    }
-
-    /// [`WhtPlan::try_execute_view`] with an observability sink: leaf and
-    /// reorganization spans are timed into `sink` (the WHT form of the
-    /// paper's Eq. (2) breakdown — there is no twiddle term). With
-    /// [`NullSink`] this *is* `try_execute_view` — the stage timers
-    /// compile away.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_execute_view_observed<T: MemoryTracer, S: Sink>(
-        &self,
-        data: &mut [f64],
-        base: usize,
-        stride: usize,
-        scratch: &mut [f64],
-        tracer: &mut T,
-        addrs: [u64; 2],
-        sink: &mut S,
-    ) -> Result<(), DdlError> {
+        let WhtView {
+            data,
+            base,
+            stride,
+            addrs,
+        } = view;
         if self.n > 1 && stride == 0 {
             return Err(DdlError::InvalidStride {
                 detail: format!(
@@ -199,23 +157,16 @@ impl WhtPlan {
             ));
         }
         exec(
-            &self.tree, data, base, stride, addrs[0], scratch, addrs[1], tracer, sink,
+            &self.tree, data, base, stride, addrs[0], scratch, addrs[1], obs,
         );
         Ok(())
     }
 
-    /// Executes once with a fresh [`Recorder`] attached and returns the
-    /// per-stage breakdown: wall-clock total plus the leaf/reorg split of
-    /// the paper's Eq. (2) (the WHT has no twiddle term), stage
-    /// call/point counts and a leaf op estimate. Runs on the plan's own
-    /// scratch.
-    pub fn try_profile(&self, data: &mut [f64]) -> Result<ExecutionMetrics, DdlError> {
-        let mut recorder = Recorder::new();
-        self.try_profile_with(data, &mut recorder)
-    }
-
-    /// [`WhtPlan::try_profile`] into a caller-provided recorder, which
-    /// additionally captures the hierarchical trace timeline (an
+    /// Executes once on the plan's own scratch with `recorder` attached
+    /// and returns the per-stage breakdown: wall-clock total plus the
+    /// leaf/reorg split of the paper's Eq. (2) (the WHT has no twiddle
+    /// term), stage call/point counts and a leaf op estimate. The
+    /// recorder also captures the hierarchical trace timeline (an
     /// `execution` span wrapping one `node` span per tree node) for
     /// export via [`crate::trace`]. The returned metrics summarize the
     /// recorder's accumulated totals, so pass a fresh recorder for
@@ -235,15 +186,7 @@ impl WhtPlan {
                 backend: "scalar",
             });
             let t0 = std::time::Instant::now();
-            let result = self.try_execute_view_observed(
-                data,
-                0,
-                1,
-                scratch,
-                &mut NullTracer,
-                [0; 2],
-                recorder,
-            );
+            let result = self.try_run(WhtView::new(data), scratch, recorder);
             let total_ns = t0.elapsed().as_nanos() as u64;
             recorder.span_end();
             result.map(|()| total_ns)
@@ -259,6 +202,38 @@ impl WhtPlan {
     }
 }
 
+/// The buffer of one [`WhtPlan::try_run`]: the `n` points
+/// `data[base + i·stride]`, transformed in place. [`WhtPlan::try_run`]
+/// validates the view against the buffer.
+pub struct WhtView<'a> {
+    data: &'a mut [f64],
+    base: usize,
+    stride: usize,
+    /// Simulated byte addresses of `[data, scratch]`, assigned by the
+    /// simulation harness and read only when the observer traces.
+    pub(crate) addrs: [u64; 2],
+}
+
+impl<'a> WhtView<'a> {
+    /// The unit-stride view of `data` from index 0.
+    pub fn new(data: &'a mut [f64]) -> WhtView<'a> {
+        WhtView {
+            data,
+            base: 0,
+            stride: 1,
+            addrs: Default::default(),
+        }
+    }
+
+    /// The view `data[base + i·stride]`.
+    #[must_use]
+    pub fn at(mut self, base: usize, stride: usize) -> WhtView<'a> {
+        self.base = base;
+        self.stride = stride;
+        self
+    }
+}
+
 fn scratch_need(tree: &Tree) -> usize {
     let own = if tree.reorg() { tree.size() } else { 0 };
     match tree {
@@ -268,7 +243,7 @@ fn scratch_need(tree: &Tree) -> usize {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn exec<T: MemoryTracer, S: Sink>(
+fn exec<O: Observer>(
     node: &Tree,
     data: &mut [f64],
     base: usize,
@@ -276,13 +251,12 @@ fn exec<T: MemoryTracer, S: Sink>(
     data_addr: u64,
     scratch: &mut [f64],
     scr_addr: u64,
-    tr: &mut T,
-    sink: &mut S,
+    obs: &mut O,
 ) {
     let n = node.size();
     let pt = WHT_POINT_BYTES as u32;
-    if S::ENABLED {
-        sink.span_begin(SpanInfo {
+    if O::SINK {
+        obs.span_begin(SpanInfo {
             kind: SpanKind::Node,
             label: "wht",
             size: n,
@@ -295,19 +269,19 @@ fn exec<T: MemoryTracer, S: Sink>(
     if node.reorg() && stride > 1 {
         // Dr: gather the strided view into contiguous scratch, transform
         // there, scatter back.
-        let t0 = stage_start::<S>();
+        let t0 = stage_start::<O>();
         let (r, rest) = scratch.split_at_mut(n);
         for (i, ri) in r.iter_mut().enumerate() {
             *ri = data[base + i * stride];
         }
-        stage_end(sink, Stage::Reorg, t0, n as u64);
-        if T::ENABLED {
+        stage_end(obs, Stage::Reorg, t0, n as u64);
+        if O::TRACE {
             for i in 0..n {
-                tr.read(
+                obs.read(
                     data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64,
                     pt,
                 );
-                tr.write(scr_addr + (i * WHT_POINT_BYTES) as u64, pt);
+                obs.write(scr_addr + (i * WHT_POINT_BYTES) as u64, pt);
             }
         }
         exec_body(
@@ -318,40 +292,37 @@ fn exec<T: MemoryTracer, S: Sink>(
             scr_addr,
             rest,
             scr_addr + (n * WHT_POINT_BYTES) as u64,
-            tr,
-            sink,
+            obs,
         );
-        let t0 = stage_start::<S>();
+        let t0 = stage_start::<O>();
         for (i, &ri) in r.iter().enumerate() {
             data[base + i * stride] = ri;
         }
-        stage_end(sink, Stage::Reorg, t0, n as u64);
-        if T::ENABLED {
+        stage_end(obs, Stage::Reorg, t0, n as u64);
+        if O::TRACE {
             for i in 0..n {
-                tr.read(scr_addr + (i * WHT_POINT_BYTES) as u64, pt);
-                tr.write(
+                obs.read(scr_addr + (i * WHT_POINT_BYTES) as u64, pt);
+                obs.write(
                     data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64,
                     pt,
                 );
             }
         }
         // The reorganized path returns here; both exits close the span.
-        if S::ENABLED {
-            sink.span_end();
+        if O::SINK {
+            obs.span_end();
         }
         return;
     }
 
-    exec_body(
-        node, data, base, stride, data_addr, scratch, scr_addr, tr, sink,
-    );
-    if S::ENABLED {
-        sink.span_end();
+    exec_body(node, data, base, stride, data_addr, scratch, scr_addr, obs);
+    if O::SINK {
+        obs.span_end();
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn exec_body<T: MemoryTracer, S: Sink>(
+fn exec_body<O: Observer>(
     node: &Tree,
     data: &mut [f64],
     base: usize,
@@ -359,23 +330,22 @@ fn exec_body<T: MemoryTracer, S: Sink>(
     data_addr: u64,
     scratch: &mut [f64],
     scr_addr: u64,
-    tr: &mut T,
-    sink: &mut S,
+    obs: &mut O,
 ) {
     let pt = WHT_POINT_BYTES as u32;
     match node {
         Tree::Leaf { n, .. } => {
-            let t0 = stage_start::<S>();
+            let t0 = stage_start::<O>();
             wht_leaf_strided(*n, data, base, stride);
-            stage_end(sink, Stage::Leaf, t0, *n as u64);
-            if T::ENABLED {
+            stage_end(obs, Stage::Leaf, t0, *n as u64);
+            if O::TRACE {
                 for i in 0..*n {
                     let a = data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64;
-                    tr.read(a, pt);
+                    obs.read(a, pt);
                 }
                 for i in 0..*n {
                     let a = data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64;
-                    tr.write(a, pt);
+                    obs.write(a, pt);
                 }
             }
         }
@@ -392,8 +362,7 @@ fn exec_body<T: MemoryTracer, S: Sink>(
                     data_addr,
                     scratch,
                     scr_addr,
-                    tr,
-                    sink,
+                    obs,
                 );
             }
             // Stage B: left child at stride n2 * stride (paper Property 1).
@@ -406,8 +375,7 @@ fn exec_body<T: MemoryTracer, S: Sink>(
                     data_addr,
                     scratch,
                     scr_addr,
-                    tr,
-                    sink,
+                    obs,
                 );
             }
         }
@@ -431,7 +399,7 @@ mod tests {
         let plan = WhtPlan::new(tree.clone()).unwrap();
         let x = sample(n);
         let mut data = x.clone();
-        plan.execute(&mut data);
+        plan.try_execute(&mut data).unwrap();
         let want = naive_wht(&x);
         for j in 0..n {
             assert!(
@@ -480,7 +448,8 @@ mod tests {
         let orig = sample(n * stride + 2);
         let mut data = orig.clone();
         let mut scratch = vec![0.0; plan.scratch_len()];
-        plan.execute_view(&mut data, 1, stride, &mut scratch, &mut NullTracer, [0; 2]);
+        let view = WhtView::new(&mut data).at(1, stride);
+        plan.try_run(view, &mut scratch, &mut NullSink).unwrap();
         let x: Vec<f64> = (0..n).map(|i| orig[1 + i * stride]).collect();
         let want = naive_wht(&x);
         for j in 0..n {
@@ -514,8 +483,8 @@ mod tests {
         let plan = WhtPlan::new(Tree::balanced(256, 8)).unwrap();
         let x = sample(256);
         let mut data = x.clone();
-        plan.execute(&mut data);
-        plan.execute(&mut data);
+        plan.try_execute(&mut data).unwrap();
+        plan.try_execute(&mut data).unwrap();
         for j in 0..256 {
             assert!((data[j] / 256.0 - x[j]).abs() < 1e-9);
         }

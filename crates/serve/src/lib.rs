@@ -78,13 +78,12 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ddl_cachesim::NullTracer;
 use ddl_core::engine::{PlanKey, TransformKind};
 use ddl_core::histo::OUTCOME_OVERLOADED;
 use ddl_core::{
     faultpoint, grammar, next_request_id, scheduler_totals, BackendKind, DdlError, Deadline,
-    DftPlan, Engine, EngineConfig, FlightRecorder, HistogramSet, RequestCapsule, RequestId,
-    Strategy, TelemetryReport, WhtPlan,
+    DftPlan, DftViews, Engine, EngineConfig, FlightRecorder, HistogramSet, NullSink,
+    RequestCapsule, RequestId, Strategy, TelemetryReport, WhtPlan, WhtView,
 };
 use ddl_num::{Complex64, Direction};
 
@@ -1057,24 +1056,14 @@ fn exec_dft_ones(plan: &DftPlan) -> Result<f64, DdlError> {
     let x = vec![Complex64::ONE; n];
     let mut y = vec![Complex64::ZERO; n];
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-    plan.try_execute_view(
-        &x,
-        0,
-        1,
-        &mut y,
-        0,
-        1,
-        &mut scratch,
-        &mut NullTracer,
-        [0; 4],
-    )?;
+    plan.try_run(DftViews::new(&x, &mut y), &mut scratch, &mut NullSink)?;
     Ok(y[0].re)
 }
 
 fn exec_wht_ones(plan: &WhtPlan) -> Result<f64, DdlError> {
     let mut data = vec![1.0f64; plan.n()];
     let mut scratch = vec![0.0f64; plan.scratch_len()];
-    plan.try_execute_view(&mut data, 0, 1, &mut scratch, &mut NullTracer, [0; 2])?;
+    plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)?;
     Ok(data[0])
 }
 

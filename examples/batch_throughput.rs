@@ -14,7 +14,7 @@
 use dynamic_data_layout::prelude::*;
 use dynamic_data_layout::workloads::noise_complex;
 
-fn main() {
+fn main() -> Result<(), DdlError> {
     let threads: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -29,18 +29,32 @@ fn main() {
 
     let tree = plan_dft(n, &PlannerConfig::ddl_analytical()).tree;
     println!("per-signal tree: {}", print_dft(&tree));
-    let plan = DftPlan::new(tree, Direction::Forward).unwrap();
+    let plan = DftPlan::new(tree, Direction::Forward)?;
 
     let inputs = noise_complex(batch * n, 1.0, 42);
     let mut seq = vec![Complex64::ZERO; batch * n];
     let mut par = vec![Complex64::ZERO; batch * n];
 
-    let t_seq = time_per_call(|| execute_dft_batch(&plan, &inputs, &mut seq, 1), 0.3, 2);
-    let t_par = time_per_call(
-        || execute_dft_batch(&plan, &inputs, &mut par, threads),
-        0.3,
-        2,
-    );
+    // Seconds per batch on `threads` workers, or the first error of the
+    // batch call or of any item in it.
+    let time_batch = |out: &mut [Complex64], threads: usize| -> Result<f64, DdlError> {
+        let opts = BatchOptions::with_threads(threads);
+        let mut failed = None;
+        let secs = time_per_call(
+            || {
+                let error = try_execute_dft_batch(&plan, &inputs, out, &opts)
+                    .map_or_else(Some, |report| {
+                        report.failures().next().map(|(_, e)| e.clone())
+                    });
+                failed = failed.take().or(error);
+            },
+            0.3,
+            2,
+        );
+        failed.map_or(Ok(secs), Err)
+    };
+    let t_seq = time_batch(&mut seq, 1)?;
+    let t_par = time_batch(&mut par, threads)?;
     assert_eq!(seq, par, "parallel batch diverged from sequential");
 
     let signals_per_sec = |t: f64| batch as f64 / t;
@@ -56,4 +70,5 @@ fn main() {
         t_seq / t_par
     );
     println!("\nresults are bit-identical across both paths.");
+    Ok(())
 }

@@ -16,30 +16,30 @@ use dynamic_data_layout::workloads::{
     circular_convolution_direct, noise_complex, pointwise_product,
 };
 
-/// One fast convolution using the given pair of compiled plans.
+/// One fast convolution using the given pair of compiled plans (each
+/// runs on its own pooled scratch).
 fn fft_convolve(
     forward: &DftPlan,
     inverse: &DftPlan,
     x: &[Complex64],
     h: &[Complex64],
-    scratch: &mut Vec<Complex64>,
-) -> Vec<Complex64> {
+) -> Result<Vec<Complex64>, DdlError> {
     let n = x.len();
     let mut fx = vec![Complex64::ZERO; n];
     let mut fh = vec![Complex64::ZERO; n];
-    forward.execute_with_scratch(x, &mut fx, scratch);
-    forward.execute_with_scratch(h, &mut fh, scratch);
+    forward.try_execute(x, &mut fx)?;
+    forward.try_execute(h, &mut fh)?;
     let prod = pointwise_product(&fx, &fh);
     let mut y = vec![Complex64::ZERO; n];
-    inverse.execute_with_scratch(&prod, &mut y, scratch);
+    inverse.try_execute(&prod, &mut y)?;
     let scale = 1.0 / n as f64;
     for v in y.iter_mut() {
         *v = v.scale(scale);
     }
-    y
+    Ok(y)
 }
 
-fn main() {
+fn main() -> Result<(), DdlError> {
     let n = 1 << 19;
     println!("== fast circular convolution, n = {n} ==\n");
 
@@ -54,8 +54,8 @@ fn main() {
     {
         let m = 512;
         let tree = plan_dft(m, &PlannerConfig::ddl_analytical()).tree;
-        let fwd = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
-        let inv = DftPlan::new(tree, Direction::Inverse).unwrap();
+        let fwd = DftPlan::new(tree.clone(), Direction::Forward)?;
+        let inv = DftPlan::new(tree, Direction::Inverse)?;
         let xs = &x[..m];
         let hs: Vec<Complex64> = h[..64]
             .iter()
@@ -63,8 +63,7 @@ fn main() {
             .chain(std::iter::repeat(Complex64::ZERO))
             .take(m)
             .collect();
-        let mut scratch = Vec::new();
-        let fast = fft_convolve(&fwd, &inv, xs, &hs, &mut scratch);
+        let fast = fft_convolve(&fwd, &inv, xs, &hs)?;
         let direct = circular_convolution_direct(xs, &hs);
         let mut worst = 0.0f64;
         for i in 0..m {
@@ -80,18 +79,21 @@ fn main() {
         ("DDL", PlannerConfig::ddl_analytical()),
     ] {
         let tree = plan_dft(n, &cfg).tree;
-        let fwd = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
-        let inv = DftPlan::new(tree.clone(), Direction::Inverse).unwrap();
-        let mut scratch = Vec::new();
+        let fwd = DftPlan::new(tree.clone(), Direction::Forward)?;
+        let inv = DftPlan::new(tree.clone(), Direction::Inverse)?;
         let mut sink = Complex64::ZERO;
+        let mut failed = None;
         let t = time_per_call(
-            || {
-                let y = fft_convolve(&fwd, &inv, &x, &h, &mut scratch);
-                sink += y[0];
+            || match fft_convolve(&fwd, &inv, &x, &h) {
+                Ok(y) => sink += y[0],
+                Err(e) => failed = Some(e),
             },
             0.4,
             2,
         );
+        if let Some(e) = failed {
+            return Err(e);
+        }
         std::hint::black_box(sink);
         println!(
             "{label}: {:8.2} ms per convolution  (tree {})",
@@ -100,4 +102,5 @@ fn main() {
         );
     }
     println!("\n(speedups compound: each convolution runs three large transforms)");
+    Ok(())
 }

@@ -63,8 +63,8 @@ fn main() {
 
         let sdl_plan = DftPlan::new(sdl.tree.clone(), Direction::Forward).unwrap();
         let ddl_plan = DftPlan::new(ddl.tree.clone(), Direction::Forward).unwrap();
-        let sdl_stats = simulate_dft(&sdl_plan, cache);
-        let ddl_stats = simulate_dft(&ddl_plan, cache);
+        let sdl_stats = simulate_dft(&sdl_plan, 1, cache).unwrap();
+        let ddl_stats = simulate_dft(&ddl_plan, 1, cache).unwrap();
 
         println!(
             "{:>6} | {:>8} {:>8} | {:>9.2} {:>9.2} | {:>7} {:>7} | sdl={} ddl={}",

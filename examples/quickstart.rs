@@ -15,7 +15,7 @@ use dynamic_data_layout::num::relative_rms_error;
 use dynamic_data_layout::prelude::*;
 use dynamic_data_layout::workloads::{noise_complex, tone_mixture, Tone};
 
-fn main() {
+fn main() -> Result<(), DdlError> {
     let n = 1 << 18;
     println!("== dynamic-data-layout quickstart: {n}-point FFT ==\n");
 
@@ -33,7 +33,7 @@ fn main() {
     );
 
     // 2. Compile and execute on a three-tone signal plus noise.
-    let plan = DftPlan::new(ddl.tree.clone(), Direction::Forward).expect("valid plan");
+    let plan = DftPlan::new(ddl.tree.clone(), Direction::Forward)?;
     let mut x = tone_mixture(
         n,
         &[
@@ -46,7 +46,7 @@ fn main() {
         *xi += ni;
     }
     let mut y = vec![Complex64::ZERO; n];
-    plan.execute(&x, &mut y);
+    plan.try_execute(&x, &mut y)?;
 
     // 3. Verify against an independent implementation.
     let reference = fft_radix2(&x, Direction::Forward);
@@ -63,18 +63,20 @@ fn main() {
     }
 
     // 4. Time SDL vs DDL trees on this machine.
-    let time_tree = |tree: &Tree| {
-        let p = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
+    // The plan owns its scratch, so repeated calls allocate nothing.
+    let time_tree = |tree: &Tree| -> Result<f64, DdlError> {
+        let p = DftPlan::new(tree.clone(), Direction::Forward)?;
         let mut out = vec![Complex64::ZERO; n];
-        let mut scratch = Vec::new();
-        time_per_call(
-            || p.execute_with_scratch(&x, &mut out, &mut scratch),
+        let mut failed = None;
+        let secs = time_per_call(
+            || failed = failed.take().or(p.try_execute(&x, &mut out).err()),
             0.2,
             3,
-        )
+        );
+        failed.map_or(Ok(secs), Err)
     };
-    let t_sdl = time_tree(&sdl.tree);
-    let t_ddl = time_tree(&ddl.tree);
+    let t_sdl = time_tree(&sdl.tree)?;
+    let t_ddl = time_tree(&ddl.tree)?;
     println!(
         "\nSDL: {:8.3} ms  ({:7.1} pseudo-MFLOPS)",
         t_sdl * 1e3,
@@ -86,4 +88,5 @@ fn main() {
         fft_mflops(n, t_ddl)
     );
     println!("speedup: {:.2}x", t_sdl / t_ddl);
+    Ok(())
 }

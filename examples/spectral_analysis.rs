@@ -15,7 +15,7 @@ use dynamic_data_layout::num::max_abs;
 use dynamic_data_layout::prelude::*;
 use dynamic_data_layout::workloads::{chirp, noise_complex, tone_mixture, Tone};
 
-fn main() {
+fn main() -> Result<(), DdlError> {
     let n = 1 << 20;
     println!("== spectral analysis of a {n}-point recording ==\n");
 
@@ -38,18 +38,22 @@ fn main() {
     // Plan with DDL and execute the forward transform.
     let outcome = plan_dft(n, &PlannerConfig::ddl_analytical());
     println!("planned tree: {}", print_dft(&outcome.tree));
-    let forward = DftPlan::new(outcome.tree.clone(), Direction::Forward).unwrap();
+    let forward = DftPlan::new(outcome.tree.clone(), Direction::Forward)?;
     let mut spectrum = vec![Complex64::ZERO; n];
+    // The plan owns its scratch: repeated calls allocate nothing.
+    let mut failed = None;
     let t = time_per_call(
-        {
-            let x = &x;
-            let spectrum = &mut spectrum;
-            let mut scratch = Vec::new();
-            move || forward.execute_with_scratch(x, spectrum, &mut scratch)
+        || {
+            failed = failed
+                .take()
+                .or(forward.try_execute(&x, &mut spectrum).err())
         },
         0.3,
         3,
     );
+    if let Some(e) = failed {
+        return Err(e);
+    }
     println!(
         "forward FFT: {:.2} ms ({:.0} pseudo-MFLOPS)\n",
         t * 1e3,
@@ -85,9 +89,9 @@ fn main() {
     }
 
     // Round trip: inverse transform and compare.
-    let inverse = DftPlan::new(outcome.tree, Direction::Inverse).unwrap();
+    let inverse = DftPlan::new(outcome.tree, Direction::Inverse)?;
     let mut back = vec![Complex64::ZERO; n];
-    inverse.execute(&spectrum, &mut back);
+    inverse.try_execute(&spectrum, &mut back)?;
     let scale = 1.0 / n as f64;
     let mut worst = 0.0f64;
     for i in 0..n {
@@ -99,4 +103,5 @@ fn main() {
     );
     assert!(worst < 1e-9, "inverse FFT failed to reconstruct the signal");
     println!("all planted tones recovered; round trip verified.");
+    Ok(())
 }

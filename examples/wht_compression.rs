@@ -33,7 +33,7 @@ fn test_signal(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), DdlError> {
     let n = 1 << 20;
     println!("== WHT transform coding, n = {n} ==\n");
 
@@ -46,28 +46,28 @@ fn main() {
     };
     let outcome = plan_wht(n, &cfg);
     println!("planned WHT tree: {}\n", print_wht(&outcome.tree));
-    let plan = WhtPlan::new(outcome.tree).unwrap();
+    let plan = WhtPlan::new(outcome.tree)?;
 
     let original = test_signal(n);
     let peak = original.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
 
     // Forward transform (in place).
     let mut coeffs = original.clone();
-    let t_fwd = {
-        let mut work = original.clone();
-        let plan = &plan;
-        let original = &original;
-        time_per_call(
-            move || {
-                work.copy_from_slice(original);
-                plan.execute(&mut work);
-                std::hint::black_box(&mut work);
-            },
-            0.3,
-            2,
-        )
-    };
-    plan.execute(&mut coeffs);
+    let mut work = original.clone();
+    let mut failed = None;
+    let t_fwd = time_per_call(
+        || {
+            work.copy_from_slice(&original);
+            failed = failed.take().or(plan.try_execute(&mut work).err());
+            std::hint::black_box(&mut work);
+        },
+        0.3,
+        2,
+    );
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    plan.try_execute(&mut coeffs)?;
     println!(
         "forward WHT: {:.2} ms ({:.2} ns/point)\n",
         t_fwd * 1e3,
@@ -86,7 +86,7 @@ fn main() {
         }
 
         // Inverse: the WHT is its own inverse up to 1/n.
-        plan.execute(&mut kept);
+        plan.try_execute(&mut kept)?;
         for v in kept.iter_mut() {
             *v /= n as f64;
         }
@@ -100,4 +100,5 @@ fn main() {
     }
 
     println!("\nhigher retention -> higher PSNR; the transform pipeline is lossless at 100%.");
+    Ok(())
 }

@@ -141,12 +141,12 @@ run cargo run --release -q -p ddl-bench --bin bench_suite -- \
 # TLB ablation regeneration: emit the ddl-attribution v2 artifact for
 # the table-sized plans (--quick: 2^14..2^16), validate it, render the
 # table purely from the stored counters, and diff the overlapping rows
-# against the committed results/tlb_ablation.txt. Soft gate: the
-# committed table was produced by a full run; simulated counters are
-# host-independent, so a mismatch means the attribution changed — warn
-# loudly but let doc-only drift be fixed in-tree.
+# against the committed results/tlb_ablation.txt. Hard gate: the
+# committed table was produced by a full run, and simulated counters
+# are host-independent, so any mismatch means a simulated address or
+# access moved.
 echo
-echo "==> TLB ablation regeneration (soft gate)"
+echo "==> TLB ablation regeneration"
 run cargo run --release -q -p ddl-bench --bin tlb_ablation -- --quick \
     --artifact target/tlb-ablation-ci.json --out target/tlb_ablation_ci.txt
 run cargo run --release -q -p ddl-bench --bin bench_suite -- \
@@ -155,7 +155,8 @@ run cargo run --release -q -p ddl-bench --bin bench_suite -- \
 # lines with the committed full table.
 if ! diff <(head -n 5 results/tlb_ablation.txt) \
           <(head -n 5 target/tlb_ablation_ci.txt); then
-    echo "warning: regenerated TLB ablation rows differ from results/tlb_ablation.txt (soft gate)"
+    echo "error: regenerated TLB ablation rows differ from results/tlb_ablation.txt"
+    exit 1
 fi
 run cargo run --release -q -p ddl-bench --bin bench_suite -- \
     --compare target/BENCH_ci.json target/BENCH_ci.json

@@ -25,9 +25,10 @@
 //!   shared engine, bounded admission, deadline-aware workers.
 //!
 //! Every fallible operation is available in a `try_*` form returning
-//! `Result<_, DdlError>` (re-exported in the [`prelude`]); the
-//! panicking entry points are thin wrappers kept for ergonomic use in
-//! examples and tests.
+//! `Result<_, DdlError>` (re-exported in the [`prelude`]). Plans execute
+//! on their own pooled scratch (`try_execute`) or through the one
+//! full-control entry point `try_run` (strided views, explicit scratch,
+//! one observer).
 //!
 //! ## Quickstart
 //!
@@ -36,15 +37,16 @@
 //!
 //! // Plan a 4096-point FFT with the DDL search (analytical backend for
 //! // determinism; use PlannerConfig::ddl_measured() for real tuning).
-//! let outcome = plan_dft(4096, &PlannerConfig::ddl_analytical());
-//! let plan = DftPlan::new(outcome.tree, Direction::Forward).unwrap();
+//! let outcome = try_plan_dft(4096, &PlannerConfig::ddl_analytical())?;
+//! let plan = DftPlan::new(outcome.tree, Direction::Forward)?;
 //!
 //! let x = vec![Complex64::new(1.0, 0.0); 4096];
 //! let mut y = vec![Complex64::ZERO; 4096];
-//! plan.execute(&x, &mut y);
+//! plan.try_execute(&x, &mut y)?;
 //!
 //! // DFT of a constant concentrates in bin 0.
 //! assert!((y[0].re - 4096.0).abs() < 1e-6);
+//! # Ok::<(), DdlError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,13 +76,10 @@ pub mod prelude {
     pub use ddl_core::grammar::{parse as parse_tree, print_dft, print_wht};
     pub use ddl_core::measure::{fft_mflops, time_per_call, time_per_point_ns};
     pub use ddl_core::obs::{
-        BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, PlannerRunMetrics,
-        Recorder, Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+        BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, Observer,
+        PlannerRunMetrics, Recorder, Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
     };
-    pub use ddl_core::parallel::{
-        execute_dft_batch, execute_wht_batch, try_execute_dft_batch, try_execute_dft_batch_opts,
-        try_execute_wht_batch, try_execute_wht_batch_opts, BatchReport,
-    };
+    pub use ddl_core::parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport};
     pub use ddl_core::planner::{
         plan_dft, plan_wht, try_plan_dft, try_plan_wht, CostBackend, PlannerConfig, Strategy,
     };
@@ -89,7 +88,9 @@ pub mod prelude {
     pub use ddl_core::traced::{simulate_dft, simulate_wht};
     pub use ddl_core::tree::Tree;
     pub use ddl_core::wisdom::Wisdom;
-    pub use ddl_core::{CacheModel, DctPlan, Dft2dPlan, DftPlan, RfftPlan, SixStepPlan, WhtPlan};
+    pub use ddl_core::{
+        CacheModel, DctPlan, Dft2dPlan, DftPlan, DftViews, RfftPlan, SixStepPlan, WhtPlan, WhtView,
+    };
     pub use ddl_num::{Complex64, DdlError, Direction};
     pub use ddl_serve::{Service, ServiceConfig};
 }

@@ -4,19 +4,28 @@
 //! conservation at every level of the simulated L1/L2/d-TLB hierarchy
 //! under a property-based sweep, and the three-way empirical/model/
 //! static agreement on the paper's canonical Case III plans at both
-//! line and page granularity.
+//! line and page granularity. Attribution and plain simulation run
+//! through one harness, so their totals must agree exactly, and the
+//! attributing observer must see exactly the node spans a profiling
+//! recorder sees.
 
 use dynamic_data_layout::analyze::{annotate_static, annotated_leaves, crosscheck};
 use dynamic_data_layout::cachesim::CacheStats;
 use dynamic_data_layout::core::attrib::AttributionRun;
+use dynamic_data_layout::core::traced::{simulate_dft, simulate_wht};
 use dynamic_data_layout::core::{DFT_POINT_BYTES, WHT_POINT_BYTES};
 use dynamic_data_layout::prelude::*;
+use std::collections::BTreeMap;
 // Disambiguate from proptest's `Strategy` trait, also in scope via glob.
 use dynamic_data_layout::prelude::Strategy;
 use proptest::prelude::*;
 
 /// Sizes spanning in-cache through well-out-of-cache on the paper cache.
 const SWEEP_LOGS: [u32; 4] = [4, 8, 12, 16];
+
+/// Root strides paired with [`SWEEP_LOGS`]: unit stride, plus one strided
+/// root so the harness's strided input layout is swept too.
+const SWEEP_ROOT_STRIDES: [usize; 4] = [1, 1, 4, 1];
 
 /// Reorganization-threshold regimes: a threshold below every sweep size
 /// (reorg considered everywhere), one in the middle, the paper value,
@@ -58,17 +67,20 @@ fn assert_conserved(run: &AttributionRun, what: &str) {
 fn dft_attribution_conserves_across_strategies_and_thresholds() {
     let cache = CacheConfig::paper_default(64);
     for cfg in configs() {
-        for log in SWEEP_LOGS {
+        for (log, stride) in SWEEP_LOGS.into_iter().zip(SWEEP_ROOT_STRIDES) {
             let n = 1usize << log;
             let tree = plan_dft(n, &cfg).tree;
             let what = format!(
-                "dft n=2^{log} {:?} cache_points={} tree={tree}",
+                "dft n=2^{log} @{stride} {:?} cache_points={} tree={tree}",
                 cfg.strategy, cfg.cache_points
             );
             let plan = DftPlan::new(tree, Direction::Forward).unwrap();
-            let run = attribute_dft(&plan, 1, cache).unwrap();
+            let run = attribute_dft(&plan, stride, cache).unwrap();
             assert_conserved(&run, &what);
             assert_eq!(run.point_bytes, DFT_POINT_BYTES);
+            // One harness: attribution collapses to the plain simulation.
+            let plain = simulate_dft(&plan, stride, cache).unwrap();
+            assert_eq!(run.totals, plain, "{what}: attributed vs plain totals");
         }
     }
 }
@@ -77,19 +89,78 @@ fn dft_attribution_conserves_across_strategies_and_thresholds() {
 fn wht_attribution_conserves_across_strategies_and_thresholds() {
     let cache = CacheConfig::paper_default(64);
     for cfg in configs() {
-        for log in SWEEP_LOGS {
+        for (log, stride) in SWEEP_LOGS.into_iter().zip(SWEEP_ROOT_STRIDES) {
             let n = 1usize << log;
             let tree = plan_wht(n, &cfg).tree;
             let what = format!(
-                "wht n=2^{log} {:?} cache_points={}",
+                "wht n=2^{log} @{stride} {:?} cache_points={}",
                 cfg.strategy, cfg.cache_points
             );
             let plan = WhtPlan::new(tree).unwrap();
-            let run = attribute_wht(&plan, 1, cache).unwrap();
+            let run = attribute_wht(&plan, stride, cache).unwrap();
             assert_conserved(&run, &what);
             assert_eq!(run.point_bytes, WHT_POINT_BYTES);
+            let plain = simulate_wht(&plan, stride, cache).unwrap();
+            assert_eq!(run.totals, plain, "{what}: attributed vs plain totals");
         }
     }
+}
+
+/// Node spans as a multiset: `(size, stride, reorg)` to visit count.
+type SpanCounts = BTreeMap<(usize, usize, bool), u64>;
+
+/// The node spans a profiling recorder collected.
+fn recorded_node_spans(rec: &Recorder) -> SpanCounts {
+    let mut counts = SpanCounts::new();
+    for event in rec.trace_events() {
+        if let TraceEvent::Begin { info, .. } = event {
+            if info.kind == SpanKind::Node {
+                *counts
+                    .entry((info.size, info.stride, info.reorg))
+                    .or_default() += 1;
+            }
+        }
+    }
+    counts
+}
+
+/// The node spans an attributed run aggregated.
+fn attributed_node_spans(run: &AttributionRun) -> SpanCounts {
+    let mut counts = SpanCounts::new();
+    run.walk(&mut |node, _| {
+        *counts
+            .entry((node.size, node.stride, node.reorg))
+            .or_default() += node.calls;
+    });
+    counts
+}
+
+#[test]
+fn profile_and_attribution_observe_the_same_node_spans() {
+    // The executor hands one observer both the spans and the address
+    // stream; each half is gated by its own flag. A recorder (spans
+    // only) and the attributing cache (spans and addresses) must
+    // therefore see the same node spans, node for node.
+    let cache = CacheConfig::paper_default(64);
+
+    let dft = DftPlan::from_expr("ctddl(ctddl(8, 8), ct(8, 8))", Direction::Forward).unwrap();
+    let x = vec![Complex64::ONE; dft.n()];
+    let mut y = vec![Complex64::ZERO; dft.n()];
+    let mut rec = Recorder::new();
+    dft.try_profile_with(&x, &mut y, &mut rec).unwrap();
+    let run = attribute_dft(&dft, 1, cache).unwrap();
+    let spans = recorded_node_spans(&rec);
+    assert!(spans.keys().any(|&(_, _, reorg)| reorg), "no reorg span");
+    assert_eq!(spans, attributed_node_spans(&run), "dft {}", dft.tree());
+
+    let wht = WhtPlan::from_expr("split(splitddl(8, 8), split(8, 4))").unwrap();
+    let mut data = vec![1.0; wht.n()];
+    let mut rec = Recorder::new();
+    wht.try_profile_with(&mut data, &mut rec).unwrap();
+    let run = attribute_wht(&wht, 1, cache).unwrap();
+    let spans = recorded_node_spans(&rec);
+    assert!(spans.keys().any(|&(_, _, reorg)| reorg), "no reorg span");
+    assert_eq!(spans, attributed_node_spans(&run), "wht {}", wht.tree());
 }
 
 /// Asserts the hierarchy invariants the tentpole promises: per-level

@@ -23,7 +23,6 @@
 //! geometry, worst ulp distance) — CI uploads this as the conformance
 //! artifact.
 
-use dynamic_data_layout::cachesim::NullTracer;
 use dynamic_data_layout::core::{simd_active_isa, BackendKind};
 use dynamic_data_layout::prelude::*;
 use proptest::prelude::*;
@@ -135,8 +134,8 @@ fn check_contiguous(
     let x = signal(n, 0x5eed ^ n as u64);
     let mut oracle = vec![Complex64::ZERO; n];
     let mut got = vec![Complex64::ZERO; n];
-    oracle_plan.execute(&x, &mut oracle);
-    plan.execute(&x, &mut got);
+    oracle_plan.try_execute(&x, &mut oracle).unwrap();
+    plan.try_execute(&x, &mut got).unwrap();
 
     let label = format!("{regime} n={n} {dir:?}");
     let worst = assert_close(kind, &label, &got, &oracle);
@@ -175,18 +174,11 @@ fn check_strided(
     let run = |p: &DftPlan| -> Vec<Complex64> {
         let mut out = vec![sentinel; out_len];
         let mut scratch = vec![Complex64::ZERO; p.scratch_len()];
-        p.try_execute_view(
-            &input,
-            in_base,
-            in_stride,
-            &mut out,
-            out_base,
-            out_stride,
-            &mut scratch,
-            &mut NullTracer,
-            [0; 4],
-        )
-        .unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
+        let views = DftViews::new(&input, &mut out)
+            .input_at(in_base, in_stride)
+            .output_at(out_base, out_stride);
+        p.try_run(views, &mut scratch, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
         out
     };
 

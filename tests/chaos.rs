@@ -148,6 +148,7 @@ fn noisy_batch(count: usize, opts: BatchOptions) -> BatchReport {
         |_idx, item, acc| {
             *acc = acc.wrapping_add(item as u64);
             std::hint::black_box(*acc);
+            Ok(())
         },
     )
 }
@@ -501,8 +502,9 @@ fn chaos_backend_dispatch_falls_back_to_scalar() {
         let plan = simd.clone();
         let mut out = std::mem::take(&mut degraded);
         let (report, out) = with_watchdog("backend-fallback", move || {
-            let report = try_execute_dft_batch(&plan, &moved, &mut out, 2)
-                .expect("degraded batch still executes");
+            let report =
+                try_execute_dft_batch(&plan, &moved, &mut out, &BatchOptions::with_threads(2))
+                    .expect("degraded batch still executes");
             (report, out)
         });
         degraded = out;
@@ -529,8 +531,13 @@ fn chaos_backend_dispatch_falls_back_to_scalar() {
 
     // Degraded output is the scalar oracle's output: correctness intact.
     let mut expected = vec![Complex64::ZERO; items * n];
-    let oracle =
-        try_execute_dft_batch(&scalar, &inputs, &mut expected, 1).expect("scalar oracle batch");
+    let oracle = try_execute_dft_batch(
+        &scalar,
+        &inputs,
+        &mut expected,
+        &BatchOptions::with_threads(1),
+    )
+    .expect("scalar oracle batch");
     assert!(oracle.all_ok());
     assert_eq!(
         oracle.backend_fallbacks(),
@@ -546,7 +553,8 @@ fn chaos_backend_dispatch_falls_back_to_scalar() {
 
     // Disarmed, the same plan dispatches SIMD again without residue.
     let mut clean = vec![Complex64::ZERO; items * n];
-    let after = try_execute_dft_batch(&simd, &inputs, &mut clean, 2).expect("clean run");
+    let after = try_execute_dft_batch(&simd, &inputs, &mut clean, &BatchOptions::with_threads(2))
+        .expect("clean run");
     assert!(after.all_ok());
     assert_eq!(after.backend_fallbacks(), 0, "no fallback once disarmed");
     report_line(

@@ -61,7 +61,7 @@ fn check_dft_plan(n: usize, cfg: &PlannerConfig, dir: Direction, label: &str) {
         .unwrap_or_else(|e| panic!("{label} n={n}: invalid tree {}: {e}", outcome.tree));
     let x = signal(n, n as u64);
     let mut y = vec![Complex64::ZERO; n];
-    plan.execute(&x, &mut y);
+    plan.try_execute(&x, &mut y).unwrap();
     let want = dft_reference(&x, dir);
     let err = relative_rms_error(&y, &want);
     assert!(
@@ -77,7 +77,7 @@ fn check_wht_plan(n: usize, cfg: &PlannerConfig, label: &str) {
         .unwrap_or_else(|e| panic!("{label} n={n}: invalid tree: {e}"));
     let x = real_signal(n, n as u64);
     let mut data = x.clone();
-    plan.execute(&mut data);
+    plan.try_execute(&mut data).unwrap();
     let want = wht_reference(&x);
     for j in 0..n {
         assert!(

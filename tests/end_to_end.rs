@@ -12,7 +12,7 @@ fn check_dft_tree(tree: &Tree) {
     let plan = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
     let x = noise_complex(n, 1.0, n as u64);
     let mut y = vec![Complex64::ZERO; n];
-    plan.execute(&x, &mut y);
+    plan.try_execute(&x, &mut y).unwrap();
     let want = if n <= 2048 {
         naive_dft(&x, Direction::Forward)
     } else {
@@ -58,7 +58,7 @@ fn sdl_and_ddl_trees_agree_numerically() {
     let run = |tree: &Tree| {
         let plan = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
         let mut y = vec![Complex64::ZERO; n];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         y
     };
     let a = run(&sdl.tree);
@@ -78,8 +78,8 @@ fn forward_inverse_round_trip_with_different_trees() {
     let x = noise_complex(n, 2.0, 5);
     let mut f = vec![Complex64::ZERO; n];
     let mut b = vec![Complex64::ZERO; n];
-    fwd.execute(&x, &mut f);
-    inv.execute(&f, &mut b);
+    fwd.try_execute(&x, &mut f).unwrap();
+    inv.try_execute(&f, &mut b).unwrap();
     let back: Vec<Complex64> = b.iter().map(|v| v.scale(1.0 / n as f64)).collect();
     assert!(relative_rms_error(&back, &x) < 1e-10);
 }
@@ -99,7 +99,7 @@ fn planned_whts_match_reference() {
         let plan = WhtPlan::new(out.tree.clone()).unwrap();
         let x = noise_real(n, 1.0, log_n as u64);
         let mut data = x.clone();
-        plan.execute(&mut data);
+        plan.try_execute(&mut data).unwrap();
         let want = naive_wht(&x);
         for j in 0..n {
             assert!(
@@ -153,8 +153,11 @@ fn batch_parallel_matches_single_threaded() {
     let inputs = noise_complex(batch * n, 1.0, 77);
     let mut seq = vec![Complex64::ZERO; batch * n];
     let mut par = vec![Complex64::ZERO; batch * n];
-    execute_dft_batch(&plan, &inputs, &mut seq, 1);
-    execute_dft_batch(&plan, &inputs, &mut par, 4);
+    for (out, threads) in [(&mut seq, 1), (&mut par, 4)] {
+        let opts = BatchOptions::with_threads(threads);
+        let report = try_execute_dft_batch(&plan, &inputs, out, &opts).unwrap();
+        assert!(report.all_ok());
+    }
     assert_eq!(seq, par);
 }
 
@@ -166,8 +169,18 @@ fn simulated_ddl_beats_sdl_above_cache_size() {
     let cache = CacheConfig::paper_default(64);
     let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
     let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
-    let sdl_stats = simulate_dft(&DftPlan::new(sdl.tree, Direction::Forward).unwrap(), cache);
-    let ddl_stats = simulate_dft(&DftPlan::new(ddl.tree, Direction::Forward).unwrap(), cache);
+    let sdl_stats = simulate_dft(
+        &DftPlan::new(sdl.tree, Direction::Forward).unwrap(),
+        1,
+        cache,
+    )
+    .unwrap();
+    let ddl_stats = simulate_dft(
+        &DftPlan::new(ddl.tree, Direction::Forward).unwrap(),
+        1,
+        cache,
+    )
+    .unwrap();
     assert!(
         ddl_stats.miss_rate() < sdl_stats.miss_rate(),
         "ddl {:.4} !< sdl {:.4}",

@@ -1,5 +1,5 @@
 //! The disabled-sink guarantee: executing a plan through the default
-//! [`NullSink`]/`NullTracer` path performs **zero heap allocations** once
+//! [`NullSink`] observer path performs **zero heap allocations** once
 //! buffers exist. This is the "zero-cost when disabled" half of the
 //! observability layer's contract, checked with a counting global
 //! allocator. The executors below recurse through every span site
@@ -8,7 +8,6 @@
 //! test lives in its own integration-test binary so no concurrently
 //! running test can contribute allocations.
 
-use dynamic_data_layout::cachesim::NullTracer;
 use dynamic_data_layout::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,7 +63,7 @@ fn null_sink_execution_allocates_nothing() {
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
 
     let run = |output: &mut [Complex64], scratch: &mut [Complex64]| {
-        plan.try_execute_view(&input, 0, 1, output, 0, 1, scratch, &mut NullTracer, [0; 4])
+        plan.try_run(DftViews::new(&input, output), scratch, &mut NullSink)
             .unwrap();
     };
 
@@ -92,12 +91,12 @@ fn null_sink_wht_execution_allocates_nothing() {
     let mut data: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let mut scratch = vec![0.0f64; plan.scratch_len()];
 
-    plan.try_execute_view(&mut data, 0, 1, &mut scratch, &mut NullTracer, [0; 2])
+    plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
         .unwrap();
 
     let before = local_allocations();
     for _ in 0..8 {
-        plan.try_execute_view(&mut data, 0, 1, &mut scratch, &mut NullTracer, [0; 2])
+        plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
             .unwrap();
     }
     let after = local_allocations();

@@ -5,7 +5,6 @@
 //! metrics report that round-trips through its JSON schema byte-for-byte.
 
 use dynamic_data_layout::core::obs::merge_counters;
-use dynamic_data_layout::core::parallel::execute_batch_with;
 use dynamic_data_layout::core::planner::{try_plan_dft_with, try_plan_wht_with};
 use dynamic_data_layout::prelude::*;
 
@@ -22,7 +21,8 @@ fn dft_profile(tree: Tree) -> ExecutionMetrics {
         .map(|i| Complex64::new((i % 13) as f64, (i % 11) as f64 * -0.25))
         .collect();
     let mut output = vec![Complex64::ZERO; n];
-    plan.try_profile(&input, &mut output).unwrap()
+    plan.try_profile_with(&input, &mut output, &mut Recorder::new())
+        .unwrap()
 }
 
 #[test]
@@ -73,7 +73,9 @@ fn wht_profile_times_leaf_and_reorg_stages() {
     // on strided views.
     let plan = WhtPlan::new(Tree::split(Tree::leaf_ddl(32), Tree::leaf(32))).unwrap();
     let mut data: Vec<f64> = (0..plan.n()).map(|i| (i % 9) as f64 - 4.0).collect();
-    let m = plan.try_profile(&mut data).unwrap();
+    let m = plan
+        .try_profile_with(&mut data, &mut Recorder::new())
+        .unwrap();
     assert_eq!(m.transform, "wht");
     assert!(m.stages.leaf_ns > 0);
     assert!(
@@ -121,15 +123,16 @@ fn candidate_log_stays_consistent_with_its_counter() {
 
 #[test]
 fn batch_metrics_survive_an_injected_worker_panic() {
-    let report = execute_batch_with(
+    let report = execute_batch_scheduled(
         vec![0u32, 1, 2, 3, 4, 5],
-        2,
+        &BatchOptions::with_threads(2),
         || (),
         |index, item, _scratch| {
             assert_eq!(index as u32, item);
             if item == 3 {
                 panic!("injected failure for item 3");
             }
+            Ok(())
         },
     );
     let m = report.metrics("panic-test");
@@ -189,7 +192,12 @@ fn metrics_report_round_trips_through_its_json_schema() {
         tree: out.tree.to_string(),
     });
     report.executions.push(dft_profile(reorg_dft_tree()));
-    let batch = execute_batch_with(vec![0u8; 4], 2, || (), |_, _, _| {});
+    let batch = execute_batch_scheduled(
+        vec![0u8; 4],
+        &BatchOptions::with_threads(2),
+        || (),
+        |_, _, _| Ok(()),
+    );
     report.batches.push(batch.metrics("round-trip"));
     merge_counters(&mut report.counters, &rec);
 

@@ -8,9 +8,9 @@
 //! returns `Err` (never panics) on malformed input, and the wisdom store
 //! quarantines corrupt entries instead of refusing the whole file.
 
-use dynamic_data_layout::cachesim::NullTracer;
-use dynamic_data_layout::core::dft::DftPlan;
+use dynamic_data_layout::core::dft::{DftPlan, DftViews};
 use dynamic_data_layout::core::grammar;
+use dynamic_data_layout::core::obs::NullSink;
 use dynamic_data_layout::core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use dynamic_data_layout::core::wisdom::Wisdom;
 use dynamic_data_layout::num::{Complex64, DdlError, Direction};
@@ -77,10 +77,10 @@ proptest! {
         let input = vec![Complex64::ONE; buf_len];
         let mut output = vec![Complex64::ZERO; buf_len];
         let mut scratch = vec![Complex64::ZERO; scratch_len];
-        let res = plan.try_execute_view(
-            &input, base, stride, &mut output, base, stride,
-            &mut scratch, &mut NullTracer, [0; 4],
-        );
+        let views = DftViews::new(&input, &mut output)
+            .input_at(base, stride)
+            .output_at(base, stride);
+        let res = plan.try_run(views, &mut scratch, &mut NullSink);
         // A view that fits with adequate scratch must succeed; anything
         // else must be a structured error, not a panic.
         let n = plan.n();
@@ -99,10 +99,8 @@ proptest! {
         let input = vec![Complex64::ONE; 16];
         let mut output = vec![Complex64::ZERO; 16];
         let mut scratch = Vec::new();
-        let res = plan.try_execute_view(
-            &input, base, stride, &mut output, 0, 1,
-            &mut scratch, &mut NullTracer, [0; 4],
-        );
+        let views = DftViews::new(&input, &mut output).input_at(base, stride);
+        let res = plan.try_run(views, &mut scratch, &mut NullSink);
         prop_assert!(res.is_err());
     }
 }

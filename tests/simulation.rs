@@ -30,12 +30,16 @@ fn fig9_shape_miss_rates_cross_at_cache_size() {
     // below the cache (2^13 < 2^15): identical trees, identical rates
     let small_s = simulate_dft(
         &DftPlan::new(sdl_tree(1 << 13), Direction::Forward).unwrap(),
+        1,
         cache,
-    );
+    )
+    .unwrap();
     let small_d = simulate_dft(
         &DftPlan::new(ddl_tree(1 << 13), Direction::Forward).unwrap(),
+        1,
         cache,
-    );
+    )
+    .unwrap();
     assert_eq!(small_s, small_d, "below the cache the plans must coincide");
 
     // Above the cache, with both searches optimizing *for the simulated
@@ -49,8 +53,8 @@ fn fig9_shape_miss_rates_cross_at_cache_size() {
     let n = 1 << 14;
     let s_tree = plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16)).tree;
     let d_tree = plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16)).tree;
-    let big_s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), cache);
-    let big_d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), cache);
+    let big_s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
+    let big_d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     let cost = |st: &dynamic_data_layout::cachesim::CacheStats| {
         st.accesses as f64 + 30.0 * st.misses as f64
     };
@@ -70,8 +74,8 @@ fn fig10_shape_ddl_gains_grow_with_line_size() {
     let mut reductions = Vec::new();
     for line in [16usize, 64, 256] {
         let cache = CacheConfig::paper_default(line);
-        let s = simulate_dft(&s_plan, cache).miss_rate();
-        let d = simulate_dft(&d_plan, cache).miss_rate();
+        let s = simulate_dft(&s_plan, 1, cache).unwrap().miss_rate();
+        let d = simulate_dft(&d_plan, 1, cache).unwrap().miss_rate();
         reductions.push((s - d) / s.max(1e-12));
     }
     // longer lines reward unit-stride access more
@@ -90,8 +94,8 @@ fn table2_shape_access_overhead_is_bounded() {
     let n = 1 << 14;
     let s_tree = plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16)).tree;
     let d_tree = plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16)).tree;
-    let s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), cache);
-    let d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), cache);
+    let s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
+    let d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     assert!(
         (d.accesses as f64) < 1.5 * s.accesses as f64,
         "access overhead too large ({} vs {})",
@@ -118,7 +122,7 @@ fn miss_rates_respect_the_compulsory_floor() {
     let cache = CacheConfig::paper_default(64);
     for tree in [sdl_tree(1 << 14), ddl_tree(1 << 16)] {
         let plan = DftPlan::new(tree, Direction::Forward).unwrap();
-        let stats = simulate_dft(&plan, cache);
+        let stats = simulate_dft(&plan, 1, cache).unwrap();
         assert!(stats.compulsory_misses > 0);
         assert!(stats.misses >= stats.compulsory_misses);
     }
@@ -135,7 +139,7 @@ fn two_level_hierarchy_processes_full_traces() {
         },
         CacheConfig::paper_default(64),
     );
-    simulate_dft_into(&plan, &mut hierarchy);
+    simulate_dft_into(&plan, &mut hierarchy).unwrap();
     let l1 = hierarchy.l1_stats();
     let l2 = hierarchy.l2_stats();
     assert!(l1.line_lookups > 0);
@@ -156,8 +160,8 @@ fn wht_simulation_follows_the_same_shape() {
     let n = 1 << 19; // 4 MB of f64 >> 512 KB
     let s_tree = plan_wht(n, &cfg(Strategy::Sdl)).tree;
     let d_tree = plan_wht(n, &cfg(Strategy::Ddl)).tree;
-    let s = simulate_wht(&WhtPlan::new(s_tree).unwrap(), cache);
-    let d = simulate_wht(&WhtPlan::new(d_tree).unwrap(), cache);
+    let s = simulate_wht(&WhtPlan::new(s_tree).unwrap(), 1, cache).unwrap();
+    let d = simulate_wht(&WhtPlan::new(d_tree).unwrap(), 1, cache).unwrap();
     assert!(
         d.miss_rate() <= s.miss_rate() * 1.001,
         "WHT DDL rate {:.4} vs SDL {:.4}",

@@ -6,7 +6,6 @@
 //! scratch and demands bit-identical output: a single stale read would
 //! turn an output point into NaN.
 
-use dynamic_data_layout::cachesim::NullTracer;
 use dynamic_data_layout::prelude::*;
 
 /// SDL trees, reorganizing splits at several depths, and reorganizing
@@ -46,7 +45,7 @@ fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
     v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
 }
 
-/// The `n` output points of `try_execute_view` reading `x` at stride `ss`
+/// The `n` output points of `try_run` reading `x` at stride `ss`
 /// and writing at stride `ds`, with scratch and output pre-filled with
 /// `fill`.
 fn view_run(
@@ -58,18 +57,8 @@ fn view_run(
 ) -> Vec<(u64, u64)> {
     let mut scratch = vec![fill; plan.scratch_len()];
     let mut y = vec![fill; plan.n() * ds];
-    plan.try_execute_view(
-        x,
-        0,
-        ss,
-        &mut y,
-        0,
-        ds,
-        &mut scratch,
-        &mut NullTracer,
-        [0; 4],
-    )
-    .unwrap();
+    let views = DftViews::new(x, &mut y).input_at(0, ss).output_at(0, ds);
+    plan.try_run(views, &mut scratch, &mut NullSink).unwrap();
     let out: Vec<Complex64> = y.into_iter().step_by(ds).collect();
     bits(&out)
 }
@@ -127,8 +116,9 @@ fn dft_pooled_entry_points_ignore_a_poisoned_pool() {
 
         plan.try_execute(&nan_in, &mut y).unwrap();
         y.fill(NAN);
-        plan.try_profile(&x, &mut y).unwrap();
-        assert_eq!(bits(&y), want, "{} try_profile", plan.tree());
+        plan.try_profile_with(&x, &mut y, &mut Recorder::new())
+            .unwrap();
+        assert_eq!(bits(&y), want, "{} try_profile_with", plan.tree());
         assert_eq!(plan.pooled_scratch(), 1, "{}", plan.tree());
     }
 }
@@ -154,7 +144,7 @@ fn wht_output_ignores_scratch_contents() {
         let view = |fill: f64| {
             let mut data = x.clone();
             let mut scratch = vec![fill; plan.scratch_len()];
-            plan.try_execute_view(&mut data, 0, 1, &mut scratch, &mut NullTracer, [0; 2])
+            plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
                 .unwrap();
             data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
@@ -170,8 +160,9 @@ fn wht_output_ignores_scratch_contents() {
 
         plan.try_execute(&mut poison).unwrap();
         let mut data = x.clone();
-        plan.try_profile(&mut data).unwrap();
+        plan.try_profile_with(&mut data, &mut Recorder::new())
+            .unwrap();
         let got: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "{} try_profile", plan.tree());
+        assert_eq!(got, want, "{} try_profile_with", plan.tree());
     }
 }

@@ -17,8 +17,8 @@ fn sixstep_agrees_with_planned_fft() {
     let x = noise_complex(n, 1.0, 9);
     let mut a = vec![Complex64::ZERO; n];
     let mut b = vec![Complex64::ZERO; n];
-    six.execute(&x, &mut a);
-    planned.execute(&x, &mut b);
+    six.try_execute(&x, &mut a).unwrap();
+    planned.try_execute(&x, &mut b).unwrap();
     assert!(relative_rms_error(&a, &b) < 1e-10);
 }
 
@@ -36,7 +36,7 @@ fn dft2d_row_column_vs_flat_1d_equivalence() {
         .map(|i| u[i / cols] * v[i % cols])
         .collect();
     let mut f2d = vec![Complex64::ZERO; rows * cols];
-    plan.execute(&outer, &mut f2d);
+    plan.try_execute(&outer, &mut f2d).unwrap();
 
     let fu = fft_radix2(&u, Direction::Forward);
     let fv = fft_radix2(&v, Direction::Forward);
@@ -110,7 +110,7 @@ fn trace_profile_distinguishes_sdl_from_ddl_intermediates() {
 
     let stage1_writes = |plan: &DftPlan| -> Vec<u64> {
         let mut tracer = RecordingTracer::default();
-        simulate_dft_into(plan, &mut tracer);
+        simulate_dft_into(plan, &mut tracer).unwrap();
         tracer
             .events
             .iter()

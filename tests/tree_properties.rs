@@ -71,7 +71,7 @@ proptest! {
         let plan = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
         let x = signal(n, seed);
         let mut y = vec![Complex64::ZERO; n];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = fft_radix2(&x, Direction::Forward);
         let err = relative_rms_error(&y, &want);
         prop_assert!(err < 1e-9, "tree {} err {err:e}", tree);
@@ -85,8 +85,8 @@ proptest! {
         let x = signal(n, seed);
         let mut a = vec![Complex64::ZERO; n];
         let mut b = vec![Complex64::ZERO; n];
-        with.execute(&x, &mut a);
-        without.execute(&x, &mut b);
+        with.try_execute(&x, &mut a).unwrap();
+        without.try_execute(&x, &mut b).unwrap();
         prop_assert!(relative_rms_error(&a, &b) < 1e-11);
     }
 
@@ -98,7 +98,7 @@ proptest! {
             .map(|i| ((i as u64).wrapping_mul(seed | 1) % 1000) as f64 / 29.0 - 17.0)
             .collect();
         let mut data = x.clone();
-        plan.execute(&mut data);
+        plan.try_execute(&mut data).unwrap();
         let want = naive_wht(&x);
         for j in 0..n {
             prop_assert!(
@@ -120,8 +120,8 @@ proptest! {
     fn simulation_is_deterministic_for_any_tree(tree in arb_tree(10)) {
         let plan = DftPlan::new(tree, Direction::Forward).unwrap();
         let cfg = CacheConfig::paper_default(64);
-        let a = simulate_dft(&plan, cfg);
-        let b = simulate_dft(&plan, cfg);
+        let a = simulate_dft(&plan, 1, cfg).unwrap();
+        let b = simulate_dft(&plan, 1, cfg).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -137,8 +137,8 @@ proptest! {
         let x = signal(n, seed);
         let mut f = vec![Complex64::ZERO; n];
         let mut b = vec![Complex64::ZERO; n];
-        fwd.execute(&x, &mut f);
-        inv.execute(&f, &mut b);
+        fwd.try_execute(&x, &mut f).unwrap();
+        inv.try_execute(&f, &mut b).unwrap();
         let back: Vec<Complex64> = b.iter().map(|v| v.scale(1.0 / n as f64)).collect();
         prop_assert!(relative_rms_error(&back, &x) < 1e-9);
     }
