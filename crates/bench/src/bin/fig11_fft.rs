@@ -109,9 +109,9 @@ fn main() {
         let ddl_tree = &ddl[(log_n - 1) as usize].1.tree;
         let proxy_tree = Tree::rightmost(n, 64);
 
-        let t_sdl = time_dft_tree(sdl_tree, n, 1, floor, 3).expect("time sdl tree");
-        let t_ddl = time_dft_tree(ddl_tree, n, 1, floor, 3).expect("time ddl tree");
-        let t_proxy = time_dft_tree(&proxy_tree, n, 1, floor, 3).expect("time proxy tree");
+        let t_sdl = time_dft_tree(sdl_tree, 1, floor, 3).expect("time sdl tree");
+        let t_ddl = time_dft_tree(ddl_tree, 1, floor, 3).expect("time ddl tree");
+        let t_proxy = time_dft_tree(&proxy_tree, 1, floor, 3).expect("time proxy tree");
 
         if metrics_out.is_some() {
             // One instrumented execution per tree: the per-stage

@@ -102,8 +102,8 @@ fn main() {
         let n = 1usize << log_n;
         let sdl_tree = &sdl[(log_n - 1) as usize].1.tree;
         let ddl_tree = &ddl[(log_n - 1) as usize].1.tree;
-        let t_sdl = time_wht_tree(sdl_tree, n, 1, floor, 3).expect("time sdl tree");
-        let t_ddl = time_wht_tree(ddl_tree, n, 1, floor, 3).expect("time ddl tree");
+        let t_sdl = time_wht_tree(sdl_tree, 1, floor, 3).expect("time sdl tree");
+        let t_ddl = time_wht_tree(ddl_tree, 1, floor, 3).expect("time ddl tree");
 
         if metrics_out.is_some() {
             // One instrumented execution per tree: the per-stage

@@ -484,7 +484,7 @@ impl<S: Sink> Search<'_, S> {
 
         let mut best: Option<(f64, Tree)> = None;
         let mut consider = |this: &mut Self, tree: Tree| {
-            let cost = this.price(&tree, n, stride);
+            let cost = this.price(&tree, stride);
             this.candidates += 1;
             if S::ENABLED {
                 this.sink.counter(Counter::PlannerCandidates, 1);
@@ -551,7 +551,7 @@ impl<S: Sink> Search<'_, S> {
             // No factorization and too big for a codelet (e.g. a large
             // prime): fall back to a naive leaf.
             let tree = Tree::leaf(n);
-            let cost = self.price(&tree, n, stride);
+            let cost = self.price(&tree, stride);
             self.candidates += 1;
             if S::ENABLED {
                 self.sink.counter(Counter::PlannerCandidates, 1);
@@ -594,15 +594,15 @@ impl<S: Sink> Search<'_, S> {
         }
     }
 
-    fn price(&mut self, tree: &Tree, n: usize, stride: usize) -> f64 {
+    fn price(&mut self, tree: &Tree, stride: usize) -> f64 {
         match self.cfg.backend {
             CostBackend::Analytical(model) => match self.kind {
                 Kind::Dft => model.tree_cost_ns(tree, stride),
                 Kind::Wht => model.wht_tree_cost_ns(tree, stride),
             },
             CostBackend::Measured { min_secs, min_reps } => match self.kind {
-                Kind::Dft => time_dft_tree(tree, n, stride, min_secs, min_reps),
-                Kind::Wht => time_wht_tree(tree, n, stride, min_secs, min_reps),
+                Kind::Dft => time_dft_tree(tree, stride, min_secs, min_reps),
+                Kind::Wht => time_wht_tree(tree, stride, min_secs, min_reps),
             }
             // ddl-lint: allow(no-panics): the planner’s own tree must compile and run; failure here is a planner bug
             .expect("planner generated an invalid tree"),
@@ -644,17 +644,28 @@ fn time_fallible(
     outcome.map(|()| secs)
 }
 
-/// Wall-clock cost of one execution of `tree` as an `n`-point DFT whose
-/// input is read at `stride` (the paper's `Get_time`).
+/// Buffer length a view of `n` points at `stride` needs, or
+/// [`DdlError::InvalidStride`] when that overflows `usize`.
+fn view_span(n: usize, stride: usize) -> Result<usize, DdlError> {
+    n.saturating_sub(1)
+        .checked_mul(stride)
+        .and_then(|off| off.checked_add(1))
+        .ok_or_else(|| DdlError::InvalidStride {
+            detail: format!("a {n}-point view at stride {stride} overflows usize"),
+        })
+}
+
+/// Wall-clock cost of one execution of `tree` as a DFT whose input is
+/// read at `stride` (the paper's `Get_time`).
 pub fn time_dft_tree(
     tree: &Tree,
-    n: usize,
     stride: usize,
     min_secs: f64,
     min_reps: u32,
 ) -> Result<f64, DdlError> {
     let plan = DftPlan::new(tree.clone(), Direction::Forward)?;
-    let span = (n - 1) * stride + 1;
+    let n = plan.n();
+    let span = view_span(n, stride)?;
     let src: Vec<Complex64> = (0..span)
         .map(|i| Complex64::new((i % 83) as f64 * 0.25, (i % 57) as f64 * -0.125))
         .collect();
@@ -672,17 +683,16 @@ pub fn time_dft_tree(
     )
 }
 
-/// Wall-clock cost of one in-place execution of `tree` as an `n`-point WHT
-/// on a view of the given stride.
+/// Wall-clock cost of one in-place execution of `tree` as a WHT on a
+/// view of the given stride.
 pub fn time_wht_tree(
     tree: &Tree,
-    n: usize,
     stride: usize,
     min_secs: f64,
     min_reps: u32,
 ) -> Result<f64, DdlError> {
     let plan = WhtPlan::new(tree.clone())?;
-    let span = (n - 1) * stride + 1;
+    let span = view_span(plan.n(), stride)?;
     let mut data: Vec<f64> = (0..span).map(|i| (i % 101) as f64 * 0.5 - 20.0).collect();
     let mut scratch = vec![0.0f64; plan.scratch_len()];
     time_fallible(
@@ -918,5 +928,20 @@ mod tests {
         let out = plan_dft(1 << 16, &cfg);
         // every memo key has stride 1
         assert!(out.states <= 17, "SDL states: {}", out.states);
+    }
+
+    #[test]
+    fn subtree_timers_reject_a_view_span_that_overflows() {
+        let tree = Tree::split(Tree::leaf(4), Tree::leaf(4));
+        let stride = usize::MAX / 2;
+        for result in [
+            time_dft_tree(&tree, stride, 0.0, 1),
+            time_wht_tree(&tree, stride, 0.0, 1),
+        ] {
+            assert!(
+                matches!(result, Err(DdlError::InvalidStride { .. })),
+                "{result:?}"
+            );
+        }
     }
 }

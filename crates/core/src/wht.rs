@@ -15,6 +15,24 @@
 //! memory operations, the WHT version of the paper's `Dr` reorganization.
 //! Data points are `f64` (8 bytes), as in the paper's WHT experiments.
 //!
+//! **Lane batches (the vector loop).** Stage B of a split whose view has
+//! unit stride and whose left child is a plain (not `reorg`) leaf of at
+//! most [`MAX_LEAF_WHT`] points, with `n2 ≥` [`WHT_LANES`], runs its
+//! leaves eight at a time: eight adjacent leaves are `n1` unit-stride
+//! rows of one 64-byte line each, transformed together by [`wht_lanes`].
+//! One leaf at a time, a 2^20 root's 32-point leaves each read 32 lines
+//! 256 KiB apart, all in one L1 set, and refetch each line for each of
+//! its 8 columns. Every other node runs leaf at a time.
+//!
+//! **Observation contract.** A batch is one `Node` span (size `n1`,
+//! stride `n2`, not `reorg`) and one [`Stage::Leaf`] call of `8·n1`
+//! points. Its trace is its leaves' reads and writes lane after lane,
+//! exactly as leaf-at-a-time execution emits them: the simulator keeps
+//! modelling the paper's leaf-at-a-time executor, as it abstracts the
+//! codelets' register order ([`crate::dft`]). The executed order would
+//! cut `split(64,split(64,64))`'s simulated misses at 2^18 from 557,056
+//! to 98,304, which neither the model nor the planner knows about yet.
+//!
 //! Scratch is only ever a reorganized node's gather target, filled from
 //! the data view before the subtree runs in it, so the executor writes
 //! every scratch point before reading it. The plan's internally
@@ -28,7 +46,7 @@ use crate::obs::{
 use crate::scratch::ScratchPool;
 use crate::tree::Tree;
 use crate::WHT_POINT_BYTES;
-use ddl_kernels::wht_leaf_strided;
+use ddl_kernels::{wht_lanes, wht_leaf_strided, MAX_LEAF_WHT, WHT_LANES};
 use ddl_num::DdlError;
 
 pub use crate::dft::PlanError;
@@ -167,10 +185,10 @@ impl WhtPlan {
     /// leaf/reorg split of the paper's Eq. (2) (the WHT has no twiddle
     /// term), stage call/point counts and a leaf op estimate. The
     /// recorder also captures the hierarchical trace timeline (an
-    /// `execution` span wrapping one `node` span per tree node) for
-    /// export via [`crate::trace`]. The returned metrics summarize the
-    /// recorder's accumulated totals, so pass a fresh recorder for
-    /// single-run numbers.
+    /// `execution` span wrapping one `node` span per node call, a lane
+    /// batch being one) for export via [`crate::trace`]. The returned
+    /// metrics summarize the recorder's accumulated totals, so pass a
+    /// fresh recorder for single-run numbers.
     pub fn try_profile_with(
         &self,
         data: &mut [f64],
@@ -332,21 +350,13 @@ fn exec_body<O: Observer>(
     scr_addr: u64,
     obs: &mut O,
 ) {
-    let pt = WHT_POINT_BYTES as u32;
     match node {
         Tree::Leaf { n, .. } => {
             let t0 = stage_start::<O>();
             wht_leaf_strided(*n, data, base, stride);
             stage_end(obs, Stage::Leaf, t0, *n as u64);
             if O::TRACE {
-                for i in 0..*n {
-                    let a = data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64;
-                    obs.read(a, pt);
-                }
-                for i in 0..*n {
-                    let a = data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64;
-                    obs.write(a, pt);
-                }
+                trace_leaf(obs, data_addr, base, stride, *n);
             }
         }
         Tree::Split { left, right, .. } => {
@@ -365,20 +375,75 @@ fn exec_body<O: Observer>(
                     obs,
                 );
             }
-            // Stage B: left child at stride n2 * stride (paper Property 1).
-            for i2 in 0..n2 {
-                exec(
-                    left,
-                    data,
-                    base + i2 * stride,
-                    n2 * stride,
-                    data_addr,
-                    scratch,
-                    scr_addr,
-                    obs,
-                );
+            // Stage B: left child at stride n2 * stride (paper Property 1),
+            // in lane batches where the module docs' rule allows.
+            if stride == 1
+                && n2 >= WHT_LANES
+                && matches!(**left, Tree::Leaf { n, reorg: false } if n <= MAX_LEAF_WHT)
+            {
+                exec_lanes(n1, n2, data, base, data_addr, obs);
+            } else {
+                for i2 in 0..n2 {
+                    exec(
+                        left,
+                        data,
+                        base + i2 * stride,
+                        n2 * stride,
+                        data_addr,
+                        scratch,
+                        scr_addr,
+                        obs,
+                    );
+                }
             }
         }
+    }
+}
+
+/// Stage B in lane batches (module docs): the `n2` left leaves of `n1`
+/// points, [`WHT_LANES`] adjacent ones per batch.
+fn exec_lanes<O: Observer>(
+    n1: usize,
+    n2: usize,
+    data: &mut [f64],
+    base: usize,
+    data_addr: u64,
+    obs: &mut O,
+) {
+    for b in (base..base + n2).step_by(WHT_LANES) {
+        if O::SINK {
+            obs.span_begin(SpanInfo {
+                kind: SpanKind::Node,
+                label: "wht",
+                size: n1,
+                stride: n2,
+                reorg: false,
+                backend: "scalar",
+            });
+        }
+        let t0 = stage_start::<O>();
+        wht_lanes(n1, data, b, n2);
+        stage_end(obs, Stage::Leaf, t0, (WHT_LANES * n1) as u64);
+        if O::TRACE {
+            for lane in b..b + WHT_LANES {
+                trace_leaf(obs, data_addr, lane, n2, n1);
+            }
+        }
+        if O::SINK {
+            obs.span_end();
+        }
+    }
+}
+
+/// Traces one `n`-point leaf at `(base, stride)`: every point read, then
+/// every point written.
+fn trace_leaf<O: Observer>(obs: &mut O, data_addr: u64, base: usize, stride: usize, n: usize) {
+    let addr = |i: usize| data_addr + ((base + i * stride) * WHT_POINT_BYTES) as u64;
+    for i in 0..n {
+        obs.read(addr(i), WHT_POINT_BYTES as u32);
+    }
+    for i in 0..n {
+        obs.write(addr(i), WHT_POINT_BYTES as u32);
     }
 }
 

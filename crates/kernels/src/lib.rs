@@ -22,7 +22,7 @@
 //! * [`naive`] — `O(n^2)` reference DFT used to validate everything else.
 //! * [`iterative`] — classic in-place radix-2 FFT baseline.
 //! * [`wht`] — Walsh–Hadamard counterparts (unrolled, leaf dispatcher,
-//!   naive and iterative references) on `f64` data.
+//!   lane batches, naive and iterative references) on `f64` data.
 
 #![forbid(unsafe_code)]
 
@@ -40,6 +40,6 @@ pub use leaf::{dft_leaf_flops_est, dft_leaf_strided, MAX_LEAF_DFT};
 pub use naive::{naive_dft, naive_dft_strided};
 pub use twiddle_stage::{apply_twiddles, apply_twiddles_strided, twiddle_flops_est};
 pub use wht::{
-    naive_wht, try_fwht_inplace, try_naive_wht, try_wht_leaf_strided, wht_leaf_ops_est,
-    wht_leaf_strided, MAX_LEAF_WHT,
+    naive_wht, try_fwht_inplace, try_naive_wht, try_wht_leaf_strided, wht_lanes, wht_leaf_ops_est,
+    wht_leaf_strided, MAX_LEAF_WHT, WHT_LANES,
 };

@@ -9,11 +9,40 @@
 //! Kernels here are in-place — the CMU WHT package the paper modifies
 //! computes in place, and the factorized stages of a WHT read and write
 //! the same strided locations.
+//!
+//! One butterfly loop serves every transform above 8 points but strided
+//! leaves above [`MAX_LEAF_WHT`], over rows of `[f64; W]`: one transform
+//! (`W = 1`) or [`WHT_LANES`] side by side (FFTW's vector loop). It is
+//! slice iteration only, so LLVM vectorizes it, and every kernel applies
+//! the same butterflies in the same order, so all agree bit for bit.
 
 use ddl_num::DdlError;
 
 /// Largest WHT leaf the composite kernel and the planners use.
 pub const MAX_LEAF_WHT: usize = 64;
+
+/// Transforms per lane batch ([`wht_lanes`]): one 64-byte cache line of
+/// 8-byte points.
+pub const WHT_LANES: usize = 8;
+
+/// The in-place fast WHT of `W` transforms side by side, one point of
+/// each per row (`W = 1` is a single transform): butterfly spans 1, 2,
+/// 4, … in turn, each pairing the two halves of every block.
+#[inline]
+fn butterflies<const W: usize>(rows: &mut [[f64; W]]) {
+    let mut span = 1;
+    while span < rows.len() {
+        for block in rows.chunks_exact_mut(2 * span) {
+            let (lo, hi) = block.split_at_mut(span);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let (x, y) = (*a, *b);
+                *a = std::array::from_fn(|j| x[j] + y[j]);
+                *b = std::array::from_fn(|j| x[j] - y[j]);
+            }
+        }
+        span *= 2;
+    }
+}
 
 /// Reference `O(n^2)` WHT: `y[j] = Σ_i x[i] · (-1)^{popcount(i & j)}`.
 ///
@@ -129,28 +158,17 @@ pub fn try_fwht_inplace(data: &mut [f64]) -> Result<(), DdlError> {
             "length must be a power of two",
         ));
     }
-    let mut span = 1;
-    while span < n {
-        let step = span * 2;
-        for start in (0..n).step_by(step) {
-            for k in 0..span {
-                let a = data[start + k];
-                let b = data[start + k + span];
-                data[start + k] = a + b;
-                data[start + k + span] = a - b;
-            }
-        }
-        span = step;
-    }
+    butterflies(data.as_chunks_mut::<1>().0);
     Ok(())
 }
 
 /// In-place leaf WHT of `n` points at `(base, stride)`.
 ///
-/// `n ∈ {1, 2, 4, 8}` run unrolled directly on the strided locations;
+/// `n ∈ {1, 2, 4, 8}` run unrolled directly on the strided locations.
+/// Larger leaves at unit stride run the butterflies in place; strided
 /// `16..=64` load once into a stack buffer (strided loads), transform, and
 /// store back (strided stores) — the same codelet memory model as the DFT
-/// leaves; larger powers of two fall back to strided butterflies in place.
+/// leaves; larger strided powers of two run strided butterflies in place.
 ///
 /// Panics on a non-power-of-two size; see [`try_wht_leaf_strided`] for
 /// the fallible form.
@@ -173,14 +191,22 @@ pub fn try_wht_leaf_strided(
         2 => wht2(data, base, stride),
         4 => wht4(data, base, stride),
         8 => wht8(data, base, stride),
-        16 | 32 | 64 => {
+        _ if !n.is_power_of_two() => {
+            return Err(DdlError::invalid_size(
+                "wht_leaf_strided",
+                n,
+                "size must be a power of two",
+            ));
+        }
+        _ if stride == 1 => butterflies(data[base..base + n].as_chunks_mut::<1>().0),
+        _ if n <= MAX_LEAF_WHT => {
             let mut buf = [0.0f64; MAX_LEAF_WHT];
             let mut idx = base;
             for b in buf[..n].iter_mut() {
                 *b = data[idx];
                 idx += stride;
             }
-            fwht_inplace(&mut buf[..n]);
+            butterflies(buf[..n].as_chunks_mut::<1>().0);
             let mut idx = base;
             for &b in buf[..n].iter() {
                 data[idx] = b;
@@ -188,13 +214,6 @@ pub fn try_wht_leaf_strided(
             }
         }
         _ => {
-            if !n.is_power_of_two() {
-                return Err(DdlError::invalid_size(
-                    "wht_leaf_strided",
-                    n,
-                    "size must be a power of two",
-                ));
-            }
             // strided butterfly cascade, no local buffer
             let mut span = 1;
             while span < n {
@@ -216,6 +235,42 @@ pub fn try_wht_leaf_strided(
         }
     }
     Ok(())
+}
+
+/// [`WHT_LANES`] in-place `n`-point WHTs side by side: transform `j`
+/// runs on the points `data[base + j + i·stride]`, `i < n`, so its `n`
+/// rows are each `WHT_LANES` adjacent points. Up to [`MAX_LEAF_WHT`]
+/// points the rows are copied into a stack tile of at most 4 KiB,
+/// transformed together, and copied back, so each row is fetched once
+/// for all its lanes however the strided rows collide in the cache;
+/// larger sizes run lane by lane. Bit-identical to [`wht_leaf_strided`]
+/// on each lane, and like it panics on a non-power-of-two `n`.
+pub fn wht_lanes(n: usize, data: &mut [f64], base: usize, stride: usize) {
+    match n {
+        2 => lane_tile::<2>(data, base, stride),
+        4 => lane_tile::<4>(data, base, stride),
+        8 => lane_tile::<8>(data, base, stride),
+        16 => lane_tile::<16>(data, base, stride),
+        32 => lane_tile::<32>(data, base, stride),
+        64 => lane_tile::<64>(data, base, stride),
+        _ => (0..WHT_LANES).for_each(|j| wht_leaf_strided(n, data, base + j, stride)),
+    }
+}
+
+/// [`wht_lanes`] for `N` rows; the tile is built from the rows, never
+/// zero-filled first.
+#[inline]
+fn lane_tile<const N: usize>(data: &mut [f64], base: usize, stride: usize) {
+    let row = |i: usize| base + i * stride..base + i * stride + WHT_LANES;
+    let mut tile: [[f64; WHT_LANES]; N] = std::array::from_fn(|i| {
+        let mut r = [0.0; WHT_LANES];
+        r.copy_from_slice(&data[row(i)]);
+        r
+    });
+    butterflies(&mut tile);
+    for (i, r) in tile.iter().enumerate() {
+        data[row(i)].copy_from_slice(r);
+    }
 }
 
 /// Estimated arithmetic operations of one `n`-point WHT leaf: the fast
@@ -326,6 +381,22 @@ mod tests {
             for j in 0..n {
                 assert!((a[j] - b[j]).abs() < 1e-12, "n={n} j={j}");
             }
+        }
+    }
+
+    #[test]
+    fn lanes_match_leaf_at_a_time_bit_for_bit() {
+        for &n in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
+            let (base, stride) = (3, WHT_LANES + 5);
+            let orig = sample(base + n * stride);
+            let mut lanes = orig.clone();
+            wht_lanes(n, &mut lanes, base, stride);
+            let mut leaves = orig.clone();
+            for j in 0..WHT_LANES {
+                wht_leaf_strided(n, &mut leaves, base + j, stride);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lanes), bits(&leaves), "n={n}");
         }
     }
 

@@ -182,6 +182,89 @@ fn simulated_plans_match_references() {
     }
 }
 
+/// The butterflies of the leaf-at-a-time executor: the index loop the
+/// WHT kernels ran before they shared one slice loop.
+fn index_loop_fwht(data: &mut [f64]) {
+    let n = data.len();
+    let mut span = 1;
+    while span < n {
+        for start in (0..n).step_by(2 * span) {
+            for k in 0..span {
+                let a = data[start + k];
+                let b = data[start + k + span];
+                data[start + k] = a + b;
+                data[start + k + span] = a - b;
+            }
+        }
+        span *= 2;
+    }
+}
+
+/// The WHT executor one leaf at a time: stage A then stage B at every
+/// node, each leaf gathered and transformed by [`index_loop_fwht`]. A
+/// `reorg` flag only moves points, so the walk ignores it.
+fn leaf_at_a_time_wht(tree: &Tree, data: &mut [f64], base: usize, stride: usize) {
+    match tree {
+        Tree::Leaf { n, .. } => {
+            let mut leaf: Vec<f64> = (0..*n).map(|i| data[base + i * stride]).collect();
+            index_loop_fwht(&mut leaf);
+            for (i, v) in leaf.into_iter().enumerate() {
+                data[base + i * stride] = v;
+            }
+        }
+        Tree::Split { left, right, .. } => {
+            let (n1, n2) = (left.size(), right.size());
+            for i1 in 0..n1 {
+                leaf_at_a_time_wht(right, data, base + i1 * n2 * stride, stride);
+            }
+            for i2 in 0..n2 {
+                leaf_at_a_time_wht(left, data, base + i2 * stride, n2 * stride);
+            }
+        }
+    }
+}
+
+/// Lane batches and in-place unit-stride leaves change how the WHT
+/// executor walks memory, never a single bit of its output: every path
+/// (batched stage B, contiguous leaves, `n2 < 8`, reorganized and split
+/// left children, strided inner nodes, leaves above `MAX_LEAF_WHT`, a
+/// strided root view) matches the leaf-at-a-time walk exactly.
+#[test]
+fn wht_execution_is_bit_identical_to_leaf_at_a_time() {
+    let assert_bits = |got: &[f64], want: &[f64], label: &str| {
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label} at {j}: {g} vs {w}");
+        }
+    };
+    for expr in [
+        "split(16, split(64, 64))",
+        "split(64, 64)",
+        "split(64, 4)",
+        "split(ddl(32), 32)",
+        "split(split(64, 64), 16)",
+        "splitddl(splitddl(8, 8), split(4, 4))",
+        "split(128, 64)",
+    ] {
+        let plan = WhtPlan::from_expr(expr).unwrap();
+        let x = real_signal(plan.n(), 7);
+        let mut got = x.clone();
+        plan.try_execute(&mut got).unwrap();
+        let mut want = x;
+        leaf_at_a_time_wht(plan.tree(), &mut want, 0, 1);
+        assert_bits(&got, &want, expr);
+    }
+
+    let plan = WhtPlan::from_expr("split(16, split(64, 64))").unwrap();
+    let (base, stride) = (1, 3);
+    let x = real_signal(base + plan.n() * stride + 1, 11);
+    let mut got = x.clone();
+    let view = WhtView::new(&mut got).at(base, stride);
+    plan.try_run(view, &mut [], &mut NullSink).unwrap();
+    let mut want = x;
+    leaf_at_a_time_wht(plan.tree(), &mut want, base, stride);
+    assert_bits(&got, &want, "strided root view");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -84,27 +84,32 @@ fn null_sink_execution_allocates_nothing() {
 
 #[test]
 fn null_sink_wht_execution_allocates_nothing() {
-    // Reorg on the left (strided) child so the gather/scatter path runs.
-    let tree = Tree::split(Tree::leaf_ddl(32), Tree::leaf(32));
-    let plan = WhtPlan::new(tree).unwrap();
-    let n = plan.n();
-    let mut data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let mut scratch = vec![0.0f64; plan.scratch_len()];
+    // Reorg on the left (strided) child so the gather/scatter path runs;
+    // a plain left leaf so stage B runs in lane batches.
+    for tree in [
+        Tree::split(Tree::leaf_ddl(32), Tree::leaf(32)),
+        Tree::split(Tree::leaf(64), Tree::leaf(64)),
+    ] {
+        let plan = WhtPlan::new(tree).unwrap();
+        let n = plan.n();
+        let mut data: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let mut scratch = vec![0.0f64; plan.scratch_len()];
 
-    plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
-        .unwrap();
-
-    let before = local_allocations();
-    for _ in 0..8 {
         plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
             .unwrap();
+
+        let before = local_allocations();
+        for _ in 0..8 {
+            plan.try_run(WhtView::new(&mut data), &mut scratch, &mut NullSink)
+                .unwrap();
+        }
+        let after = local_allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "uninstrumented WHT execution must not allocate"
+        );
     }
-    let after = local_allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "uninstrumented WHT execution must not allocate"
-    );
 }
 
 #[test]
@@ -120,11 +125,15 @@ fn plan_owned_scratch_makes_public_entry_points_allocation_free() {
     let wht = WhtPlan::from_expr("split(ddl(32), splitddl(ddl(8), 4))").unwrap();
     assert!(wht.scratch_len() > 0);
     let mut wdata: Vec<f64> = (0..wht.n()).map(|i| i as f64).collect();
+    // A plain left leaf: stage B runs in lane batches.
+    let batched = WhtPlan::from_expr("split(64, 64)").unwrap();
+    let mut bdata: Vec<f64> = (0..batched.n()).map(|i| i as f64).collect();
 
     // One warm call per entry point sizes the pooled buffers.
     dft.try_execute(&input, &mut output).unwrap();
     dft.try_execute_inplace(&mut data).unwrap();
     wht.try_execute(&mut wdata).unwrap();
+    batched.try_execute(&mut bdata).unwrap();
 
     let before = local_allocations();
     for _ in 0..8 {
@@ -132,6 +141,7 @@ fn plan_owned_scratch_makes_public_entry_points_allocation_free() {
         data.copy_from_slice(&input);
         dft.try_execute_inplace(&mut data).unwrap();
         wht.try_execute(&mut wdata).unwrap();
+        batched.try_execute(&mut bdata).unwrap();
     }
     let after = local_allocations();
     assert_eq!(

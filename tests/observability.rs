@@ -88,6 +88,21 @@ fn wht_profile_times_leaf_and_reorg_stages() {
 }
 
 #[test]
+fn wht_lane_batches_are_one_leaf_stage_call_each() {
+    let leaf_stage = |expr: &str| {
+        let plan = WhtPlan::from_expr(expr).unwrap();
+        let mut data: Vec<f64> = (0..plan.n()).map(|i| (i % 7) as f64).collect();
+        let mut rec = Recorder::new();
+        plan.try_profile_with(&mut data, &mut rec).unwrap();
+        (rec.stage_calls(Stage::Leaf), rec.stage_points(Stage::Leaf))
+    };
+    // 64 contiguous stage-A leaves plus 8 batches of 8 stage-B leaves.
+    assert_eq!(leaf_stage("split(64, 64)"), (72, 8192));
+    // n2 = 4 < 8: stage B runs leaf at a time.
+    assert_eq!(leaf_stage("split(64, 4)"), (68, 512));
+}
+
+#[test]
 fn counters_are_monotonic_as_work_accumulates() {
     let mut rec = Recorder::new();
     try_plan_dft_with(1 << 10, &PlannerConfig::ddl_analytical(), &mut rec).unwrap();

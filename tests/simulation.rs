@@ -169,3 +169,15 @@ fn wht_simulation_follows_the_same_shape() {
         s.miss_rate()
     );
 }
+
+/// Lane batches run `split(64, split(64, 64))`'s stage B eight leaves at
+/// a time, row by row, but trace it leaf by leaf: the simulated stream is
+/// the leaf-at-a-time executor's, pinned exactly. (Traced in the executed
+/// row order, the same plan would miss 98,304 times.)
+#[test]
+fn wht_simulated_stream_stays_leaf_ordered_under_lane_batches() {
+    let plan = WhtPlan::from_expr("split(64, split(64, 64))").unwrap();
+    let stats = simulate_wht(&plan, 1, CacheConfig::paper_default(64)).unwrap();
+    assert_eq!(stats.accesses, 1_572_864);
+    assert_eq!(stats.misses, 557_056);
+}
