@@ -173,26 +173,14 @@ fn run_demo(root: &std::path::Path, which: &str) -> ExitCode {
             }
         }
         "lock-inversion" => {
-            let fixture = root.join("crates/analyze/fixtures/locks/inversion.rs");
-            let source = match std::fs::read_to_string(&fixture) {
+            let source = match std::fs::read_to_string(root.join(locks::INVERSION_FIXTURE)) {
                 Ok(s) => s,
                 Err(e) => {
-                    eprintln!("ddl-cert: cannot read {}: {e}", fixture.display());
+                    eprintln!("ddl-cert: cannot read {}: {e}", locks::INVERSION_FIXTURE);
                     return ExitCode::from(2);
                 }
             };
-            let mut report = AnalysisReport::new();
-            let files = vec![(
-                "crates/analyze/fixtures/locks/inversion.rs".to_string(),
-                source,
-            )];
-            let cert = locks::analyze_lock_sources(&files, &mut report);
-            let cycle_found = cert.is_none()
-                && report
-                    .findings
-                    .iter()
-                    .any(|f| f.severity == Severity::Error && f.message.contains("cycle"));
-            if cycle_found {
+            if locks::inversion_caught(&source) {
                 eprintln!("ddl-cert: seeded lock-order inversion was caught as a cycle");
                 ExitCode::SUCCESS
             } else {

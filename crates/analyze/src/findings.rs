@@ -5,7 +5,7 @@
 //! through one [`AnalysisReport`]: a flat list of [`Finding`]s plus a
 //! count of checks that ran (so "no findings" is distinguishable from
 //! "nothing was checked"). Reports serialize through the in-tree JSON
-//! module with the same versioned-schema discipline as `ddl-metrics`:
+//! module with the same versioned-schema discipline as `ddl-report`:
 //! a `schema`/`version` pair up front, strict parsing, and refusal of
 //! documents newer than this library understands.
 

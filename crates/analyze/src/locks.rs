@@ -728,6 +728,24 @@ pub fn analyze_lock_sources(
     }
 }
 
+/// Workspace-relative path of the seeded lock-order inversion the
+/// self-test must refuse.
+pub const INVERSION_FIXTURE: &str = "crates/analyze/fixtures/locks/inversion.rs";
+
+/// The lock-order self-test: analyzes `source` (the
+/// [`INVERSION_FIXTURE`]) and returns whether the analysis refused to
+/// certify it with a cycle error — proof the cycle check can fail.
+pub fn inversion_caught(source: &str) -> bool {
+    let mut report = AnalysisReport::new();
+    let files = [(INVERSION_FIXTURE.to_string(), source.to_string())];
+    let cert = analyze_lock_sources(&files, &mut report);
+    cert.is_none()
+        && report
+            .findings
+            .iter()
+            .any(|f| f.severity == Severity::Error && f.message.contains("cycle"))
+}
+
 /// Reads and analyzes the workspace's concurrent sources under `root`.
 pub fn analyze_locks(root: &Path, report: &mut AnalysisReport) -> Option<LockCertificate> {
     let mut files = Vec::new();

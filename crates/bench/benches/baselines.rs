@@ -65,7 +65,7 @@ fn bench_baselines(c: &mut Criterion) {
         let mut out6 = vec![Complex64::ZERO; n];
         group.bench_with_input(BenchmarkId::new("six_step", log_n), &n, |b, _| {
             b.iter(|| {
-                six.execute(&x, &mut out6);
+                six.try_execute(&x, &mut out6).unwrap();
                 std::hint::black_box(&mut out6);
             });
         });

@@ -37,7 +37,7 @@ fn bench_extensions(c: &mut Criterion) {
         let mut spec = vec![Complex64::ZERO; rplan.bins()];
         group.bench_with_input(BenchmarkId::new("real_fft", log_n), &n, |b, _| {
             b.iter(|| {
-                rplan.forward(&rx, &mut spec);
+                rplan.try_forward(&rx, &mut spec).unwrap();
                 std::hint::black_box(&mut spec);
             });
         });
@@ -47,7 +47,7 @@ fn bench_extensions(c: &mut Criterion) {
         let mut dy = vec![0.0f64; n];
         group.bench_with_input(BenchmarkId::new("dct2", log_n), &n, |b, _| {
             b.iter(|| {
-                dplan.dct2(&rx, &mut dy);
+                dplan.try_dct2(&rx, &mut dy).unwrap();
                 std::hint::black_box(&mut dy);
             });
         });
@@ -63,7 +63,7 @@ fn bench_extensions(c: &mut Criterion) {
     group.throughput(Throughput::Elements((rows * cols) as u64));
     group.bench_function("fft2d_512x512", |b| {
         b.iter(|| {
-            plan2d.execute(&img, &mut out);
+            plan2d.try_execute(&img, &mut out).unwrap();
             std::hint::black_box(&mut out);
         });
     });

@@ -1,8 +1,8 @@
 //! Performance-trajectory harness: runs the pinned benchmark suite,
 //! writes a versioned `ddl-bench` report, and optionally compares it
-//! against a stored baseline, emits cost-model calibration, per-node
-//! cache-miss attribution and a Chrome trace of one instrumented run,
-//! and maintains the longitudinal trajectory ledger.
+//! against a stored baseline, emits a `ddl-report` of per-plan records
+//! and a Chrome trace of one instrumented run, and maintains the
+//! longitudinal trajectory ledger.
 //!
 //! Modes:
 //!
@@ -10,19 +10,21 @@
 //!   and writes `BENCH_<label>.json`. With `--baseline <path>` the run
 //!   is compared case-by-case against the stored report: regressions
 //!   beyond `--tolerance` (or a vanished case) exit non-zero. With
-//!   `--ledger <path>` the run (plus an attribution digest for the
-//!   pinned sizes) is appended as one line to the JSONL ledger. With
-//!   `--hierarchy-out <path>` the attribution runs (which simulate
-//!   L1, L2 and the d-TLB simultaneously) are distilled into the
-//!   per-plan `ddl-scorecard` table.
+//!   `--report-out <path>` the pinned plans (DFT/WHT at 2^10 and 2^16,
+//!   both strategies, plus the DDL real FFT) are written as one
+//!   `ddl-report`: each record carries the cost model's per-stage
+//!   prediction, the median measured run and the per-node L1/L2/d-TLB
+//!   attribution of the same tree. The calibration error lines and the
+//!   hierarchy scorecard are printed from those records. With
+//!   `--ledger <path>` the run (plus an attribution digest of each
+//!   simulated record) is appended as one line to the JSONL ledger.
 //! * **`--check <path>`** (repeatable) — validates a previously emitted
-//!   artifact through `ddl_core::check_report`: `ddl-metrics`,
-//!   `ddl-calibration`, `ddl-attribution`, `ddl-telemetry` and
-//!   `ddl-flight` reports (JSONL artifacts line by line) and Chrome
-//!   traces are dispatched by the shared validator; the `ddl-bench` and
-//!   `ddl-scorecard` schemas this crate owns are layered on its
-//!   `Unknown` passthrough.
-//!   Violations print the offending JSON path and exit non-zero.
+//!   artifact through `ddl_core::check_report`: `ddl-report`,
+//!   `ddl-telemetry` and `ddl-flight` documents (JSONL artifacts line by
+//!   line) and Chrome traces are dispatched by the shared validator; the
+//!   `ddl-bench` schema this crate owns is layered on its `Unknown`
+//!   passthrough. Violations print the offending JSON path and exit
+//!   non-zero.
 //! * **`--compare <current> <baseline>`** — compares two stored reports
 //!   without re-running the suite.
 //! * **`--ledger-check <path>`** — validates every line of a trajectory
@@ -38,10 +40,9 @@
 //!
 //! ```sh
 //! cargo run --release -p ddl-bench --bin bench_suite -- --quick --label ci \
-//!     --out target/BENCH_ci.json --calibrate-out target/calibration.json \
-//!     --trace-out target/trace.json --attribution-out target/attribution.json \
-//!     --ledger results/trajectory.jsonl
-//! cargo run --release -p ddl-bench --bin bench_suite -- --check target/BENCH_ci.json
+//!     --out target/BENCH_ci.json --report-out target/report-ci.json \
+//!     --trace-out target/trace.json --ledger results/trajectory.jsonl
+//! cargo run --release -p ddl-bench --bin bench_suite -- --check target/report-ci.json
 //! cargo run --release -p ddl-bench --bin bench_suite -- \
 //!     --compare target/BENCH_ci.json results/bench_baseline.json
 //! cargo run --release -p ddl-bench --bin bench_suite -- \
@@ -49,35 +50,26 @@
 //! ```
 
 use ddl_analyze::{annotate_static, crosscheck};
-use ddl_bench::ledger::{
-    append_entry, check_ledger, read_ledger, render_report, AttributionSummary, LedgerEntry,
-};
-use ddl_bench::scorecard::Scorecard;
+use ddl_bench::ledger::{append_entry, check_ledger, read_ledger, render_report, LedgerEntry};
 use ddl_bench::suite::{
     compare, default_repeats, dft_case, run_suite, BenchReport, Comparison, SuiteConfig,
     DEFAULT_TOLERANCE,
 };
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
-use ddl_core::attrib::{
-    attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier, AttributionReport, AttributionRun,
-};
+use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
 use ddl_core::planner::{plan_dft, plan_wht, try_plan_dft_with, PlannerConfig, Strategy};
 use ddl_core::{
     calibrate_dft, calibrate_wht, check_report, simd_active_isa, validate_chrome_trace,
-    write_chrome_trace, BackendKind, CalibrationConfig, CalibrationReport, CheckedReport, DftPlan,
-    Recorder, RfftPlan, WhtPlan,
+    write_chrome_trace, BackendKind, CalibrationConfig, CheckedReport, DftPlan, PlanRecord,
+    Recorder, Report, RfftPlan, WhtPlan,
 };
 use ddl_num::{Complex64, Direction};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Sizes the calibration report always covers (the acceptance pair: one
-/// in-cache, one out-of-cache on paper-default geometry).
-const CALIBRATION_LOGS: [u32; 2] = [10, 16];
-/// Sizes the attribution report and ledger digest always cover: the same
-/// in-cache/out-of-cache pair as calibration, so the three artifacts
-/// describe the same runs.
-const ATTRIBUTION_LOGS: [u32; 2] = [10, 16];
+/// Sizes of the plan records behind `--report-out` and the ledger
+/// digest: one in-cache, one out-of-cache on paper-default geometry.
+const REPORT_LOGS: [u32; 2] = [10, 16];
 /// Cache line size (bytes) for the attribution simulations.
 const ATTRIBUTION_LINE_BYTES: usize = 64;
 /// Size of the traced run behind `--trace-out`.
@@ -100,10 +92,8 @@ struct Args {
     repeats: Option<u32>,
     check: Vec<PathBuf>,
     compare: Option<(PathBuf, PathBuf)>,
-    calibrate_out: Option<PathBuf>,
+    report_out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
-    attribution_out: Option<PathBuf>,
-    hierarchy_out: Option<PathBuf>,
     ledger: Option<PathBuf>,
     ledger_check: Option<PathBuf>,
     ledger_report: Option<PathBuf>,
@@ -125,10 +115,8 @@ fn parse_args() -> Args {
         repeats: None,
         check: Vec::new(),
         compare: None,
-        calibrate_out: None,
+        report_out: None,
         trace_out: None,
-        attribution_out: None,
-        hierarchy_out: None,
         ledger: None,
         ledger_check: None,
         ledger_report: None,
@@ -170,16 +158,8 @@ fn parse_args() -> Args {
                 let base = next_path(&mut args, "--compare");
                 parsed.compare = Some((cur, base));
             }
-            "--calibrate-out" => {
-                parsed.calibrate_out = Some(next_path(&mut args, "--calibrate-out"));
-            }
+            "--report-out" => parsed.report_out = Some(next_path(&mut args, "--report-out")),
             "--trace-out" => parsed.trace_out = Some(next_path(&mut args, "--trace-out")),
-            "--attribution-out" => {
-                parsed.attribution_out = Some(next_path(&mut args, "--attribution-out"));
-            }
-            "--hierarchy-out" => {
-                parsed.hierarchy_out = Some(next_path(&mut args, "--hierarchy-out"));
-            }
             "--ledger" => parsed.ledger = Some(next_path(&mut args, "--ledger")),
             "--ledger-check" => {
                 parsed.ledger_check = Some(next_path(&mut args, "--ledger-check"));
@@ -191,9 +171,8 @@ fn parse_args() -> Args {
             other => die(&format!(
                 "unknown argument {other} (expected --quick | --label <s> | --out <path> | \
                  --baseline <path> | --tolerance <f> | --repeats <k> | --check <path> | \
-                 --compare <current> <baseline> | --calibrate-out <path> | --trace-out <path> | \
-                 --attribution-out <path> | --hierarchy-out <path> | --ledger <path> | \
-                 --ledger-check <path> | --ledger-report <path> | --simd-check)"
+                 --compare <current> <baseline> | --report-out <path> | --trace-out <path> | \
+                 --ledger <path> | --ledger-check <path> | --ledger-report <path> | --simd-check)"
             )),
         }
     }
@@ -281,55 +260,36 @@ fn main() -> ExitCode {
     }
     eprintln!("bench report written to {}", out.display());
 
-    if let Some(path) = &args.calibrate_out {
-        if let Err(e) = emit_calibration(&args.label, path) {
-            die(&format!("calibration failed: {e}"));
-        }
-    }
     if let Some(path) = &args.trace_out {
         if let Err(e) = emit_trace(path) {
             die(&format!("trace export failed: {e}"));
         }
     }
 
-    // Attribution runs feed the standalone report, the hierarchy
-    // scorecard and the ledger digest; compute them once when any
-    // consumer is enabled.
-    if args.attribution_out.is_some() || args.hierarchy_out.is_some() || args.ledger.is_some() {
-        let (attribution, summaries) = match attribution_runs(&args.label) {
-            Ok(pair) => pair,
-            Err(e) => die(&format!("attribution failed: {e}")),
+    // The plan records feed both the report artifact and the ledger
+    // digest; compute them once when either consumer is enabled.
+    if args.report_out.is_some() || args.ledger.is_some() {
+        let plans = match plan_records(&args.label) {
+            Ok(r) => r,
+            Err(e) => die(&format!("plan records failed: {e}")),
         };
-        if let Some(path) = &args.attribution_out {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).ok();
-            }
-            if let Err(e) = attribution.write(path) {
-                die(&format!("attribution report: {e}"));
-            }
-            eprintln!(
-                "attribution report written to {} ({} runs)",
-                path.display(),
-                attribution.runs.len()
-            );
+        print!("{}", plans.render_calibration());
+        match plans.render_scorecard() {
+            Ok(table) => print!("{table}"),
+            Err(e) => die(&format!("hierarchy scorecard: {e}")),
         }
-        if let Some(path) = &args.hierarchy_out {
-            let card = match Scorecard::from_report(&attribution) {
-                Ok(c) => c,
-                Err(e) => die(&format!("hierarchy scorecard: {e}")),
-            };
-            if let Err(e) = card.write(path) {
-                die(&format!("hierarchy scorecard: {e}"));
+        if let Some(path) = &args.report_out {
+            if let Err(e) = plans.write(path) {
+                die(&format!("plan report: {e}"));
             }
-            print!("{}", card.render());
             eprintln!(
-                "hierarchy scorecard written to {} ({} rows)",
+                "plan report written to {} ({} records)",
                 path.display(),
-                card.rows.len()
+                plans.plans.len()
             );
         }
         if let Some(path) = &args.ledger {
-            let entry = LedgerEntry::from_report(&report, summaries);
+            let entry = LedgerEntry::from_report(&report, &plans);
             if let Err(e) = append_entry(path, &entry) {
                 die(&format!("ledger append: {e}"));
             }
@@ -368,86 +328,52 @@ fn warn_mode_mismatch(current: &BenchReport, baseline: &BenchReport) {
     }
 }
 
-/// Attributes cache misses per plan node for the pinned transform sizes
-/// (both strategies), simultaneously at L1/L2/d-TLB via the hierarchy
-/// attributor, prints any three-way classification disagreements, and
-/// returns the full report plus the per-run ledger digests. The real
-/// FFT pipeline rides along under the DDL strategy so its pack/dft/
-/// untangle stages get the same per-node scorecard.
-fn attribution_runs(
-    label: &str,
-) -> Result<(AttributionReport, Vec<AttributionSummary>), ddl_num::DdlError> {
+/// One record per pinned plan: DFT and WHT at [`REPORT_LOGS`] under both
+/// strategies, each with its model prediction, median measured run and
+/// per-node L1/L2/d-TLB attribution (statically annotated, with any
+/// three-way classification disagreement printed), plus the DDL real
+/// FFT pipeline, simulated only, so its pack/dft/untangle stages get the
+/// same per-node scorecard.
+fn plan_records(label: &str) -> Result<Report, ddl_num::DdlError> {
     let cache = CacheConfig::paper_default(ATTRIBUTION_LINE_BYTES);
     let hier = HierarchyConfig::typical(cache);
-    let mut report = AttributionReport {
-        label: label.to_string(),
-        runs: Vec::new(),
-    };
-    let mut summaries = Vec::new();
-    for log in ATTRIBUTION_LOGS {
+    let cal = CalibrationConfig::paper_default();
+    let mut report = Report::new(label);
+    for log in REPORT_LOGS {
         let n = 1usize << log;
         for strategy in [Strategy::Sdl, Strategy::Ddl] {
             let cfg = match strategy {
                 Strategy::Sdl => PlannerConfig::sdl_analytical(),
                 Strategy::Ddl => PlannerConfig::ddl_analytical(),
             };
-            let strategy_name = match strategy {
-                Strategy::Sdl => "sdl",
-                Strategy::Ddl => "ddl",
-            };
+            let name = strategy.label();
             let dft = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward)?;
+            let mut record = calibrate_dft(&dft, name, &cal)?;
+            record.sim = Some(attribute_dft_hier(&dft, 1, cache, hier)?);
+            report.plans.push(record);
             let wht = WhtPlan::new(plan_wht(n, &cfg).tree)?;
-            let mut runs = vec![
-                attribute_dft_hier(&dft, 1, cache, hier)?,
-                attribute_wht_hier(&wht, 1, cache, hier)?,
-            ];
+            let mut record = calibrate_wht(&wht, name, &cal)?;
+            record.sim = Some(attribute_wht_hier(&wht, 1, cache, hier)?);
+            report.plans.push(record);
             if strategy == Strategy::Ddl {
                 let rfft = RfftPlan::plan(n, &cfg)?;
-                runs.push(attribute_rfft_hier(&rfft, cache, hier)?);
-            }
-            for mut run in runs {
-                run.strategy = Some(strategy_name.to_string());
-                annotate_static(&mut run);
-                for d in crosscheck(&run) {
-                    eprintln!(
-                        "attribution disagreement ({} n={} {}): {d}",
-                        run.transform, run.n, strategy_name
-                    );
-                }
-                summaries.push(summarize_run(&run, strategy_name));
-                report.runs.push(run);
+                let mut record = PlanRecord::rfft(&rfft, name);
+                record.sim = Some(attribute_rfft_hier(&rfft, cache, hier)?);
+                report.plans.push(record);
             }
         }
     }
-    for s in &summaries {
-        println!(
-            "attribution {:<4} n={:<7} {:<4} miss rate {:>6.3}%  tlb {:>6.3}%  ({} of {} leaves Case III)",
-            s.transform,
-            s.n,
-            s.strategy,
-            s.miss_rate * 100.0,
-            s.tlb_miss_rate.unwrap_or(0.0) * 100.0,
-            s.case3_leaves,
-            s.leaves
-        );
+    for record in &mut report.plans {
+        let Some(sim) = &mut record.sim else { continue };
+        annotate_static(sim);
+        for d in crosscheck(sim) {
+            eprintln!(
+                "attribution disagreement ({} n={} {}): {d}",
+                record.transform, record.n, record.strategy
+            );
+        }
     }
-    Ok((report, summaries))
-}
-
-fn summarize_run(run: &AttributionRun, strategy: &str) -> AttributionSummary {
-    let (leaves, case3_leaves) = run.case3_leaf_counts();
-    AttributionSummary {
-        transform: run.transform.clone(),
-        n: run.n,
-        strategy: strategy.to_string(),
-        miss_rate: run.totals.miss_rate(),
-        misses: run.totals.misses,
-        accesses: run.totals.accesses,
-        leaves,
-        case3_leaves,
-        tlb_miss_rate: run.tlb_miss_rate(),
-        case3_leaves_page: run.case3_leaf_counts_page().map(|(_, c)| c),
-    }
+    Ok(report)
 }
 
 /// Measures scalar vs SIMD medians on the DDL DFT at [`SIMD_CHECK_N`]
@@ -527,38 +453,6 @@ fn run_ledger_check(path: &Path, tolerance: f64) -> ExitCode {
         );
         ExitCode::from(1)
     }
-}
-
-/// Calibrates DFT and WHT at the pinned sizes and writes the report.
-fn emit_calibration(label: &str, path: &Path) -> Result<(), ddl_num::DdlError> {
-    let cal = CalibrationConfig::paper_default();
-    let cfg = PlannerConfig::ddl_analytical();
-    let mut report = CalibrationReport {
-        label: label.to_string(),
-        cases: Vec::new(),
-    };
-    for log in CALIBRATION_LOGS {
-        let n = 1usize << log;
-        report.cases.push(calibrate_dft(n, &cfg, &cal)?);
-        report.cases.push(calibrate_wht(n, &cfg, &cal)?);
-    }
-    for case in &report.cases {
-        let total = case.total.rel_error() * 100.0;
-        println!(
-            "calibration {:<4} n={:<7} total err {total:>+7.1}%  (leaf {:+.1}%, twiddle {:+.1}%, reorg {:+.1}%)",
-            case.transform,
-            case.n,
-            case.leaf.rel_error() * 100.0,
-            case.twiddle.rel_error() * 100.0,
-            case.reorg.rel_error() * 100.0,
-        );
-    }
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    report.write(path)?;
-    eprintln!("calibration report written to {}", path.display());
-    Ok(())
 }
 
 /// Plans and profiles one instrumented DFT, exporting the recorded
@@ -654,21 +548,12 @@ fn check_artifact(path: &Path) -> Result<String, String> {
             "ddl-trace: {} events ({} begin/end pairs, {} completes, depth {}, {} dropped)",
             s.events, s.begins, s.completes, s.max_depth, s.events_dropped
         )),
-        CheckedReport::Metrics(r) => Ok(format!(
-            "ddl-metrics: {} planner runs, {} executions, {} batches",
-            r.planner.len(),
-            r.executions.len(),
+        CheckedReport::Report(r) => Ok(format!(
+            "ddl-report: label {:?}, {} plan records ({} simulated, all conserved), {} batches",
+            r.label,
+            r.plans.len(),
+            r.plans.iter().filter(|p| p.sim.is_some()).count(),
             r.batches.len()
-        )),
-        CheckedReport::Calibration(r) => Ok(format!(
-            "ddl-calibration: label {:?}, {} cases",
-            r.label,
-            r.cases.len()
-        )),
-        CheckedReport::Attribution(r) => Ok(format!(
-            "ddl-attribution: label {:?}, {} runs, all conserved",
-            r.label,
-            r.runs.len()
         )),
         CheckedReport::Telemetry(r) => {
             let (admitted, shed) = r.outcome_totals();
@@ -697,16 +582,6 @@ fn check_artifact(path: &Path) -> Result<String, String> {
                 r.cases.len(),
                 if r.quick { "quick" } else { "full" },
                 r.env.cpu
-            ))
-        }
-        CheckedReport::Unknown { schema } if schema == "ddl-scorecard" => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read file: {e}"))?;
-            let card = Scorecard::parse(&text).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "ddl-scorecard: label {:?}, {} rows",
-                card.label,
-                card.rows.len()
             ))
         }
         CheckedReport::Unknown { schema } => Err(format!("$.schema: unknown schema {schema:?}")),

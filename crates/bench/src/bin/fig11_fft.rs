@@ -21,11 +21,11 @@
 
 use ddl_bench::{measure_floor, measured_cfg, parse_sweep_args, wisdom_path, SweepArgs};
 use ddl_core::measure::fft_mflops;
-use ddl_core::obs::{merge_counters, Counter, PlannerRunMetrics};
+use ddl_core::obs::{merge_counters, PlannerRunMetrics};
 use ddl_core::planner::{time_dft_tree, try_plan_dft_sweep_with, Strategy};
 use ddl_core::tree::Tree;
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{DftPlan, MetricsReport, Recorder};
+use ddl_core::{DftPlan, PlanRecord, Recorder, Report};
 use ddl_num::{Complex64, Direction};
 
 fn main() {
@@ -37,10 +37,11 @@ fn main() {
     let max_log = if quick { max_log.min(16) } else { max_log };
     let max_n = 1usize << max_log;
     let floor = measure_floor(quick);
-    let mut report = MetricsReport::new();
+    let mut report = Report::new("fig11_fft");
 
-    // One recorder per planning sweep: its counters become a planner-run
-    // entry in the metrics report.
+    // One recorder per planning sweep: its counters become the planner
+    // section of the largest size's plan record.
+    let mut searches = Vec::new();
     let mut observed_sweep = |label: Strategy| {
         let cfg = measured_cfg(label, quick);
         let mut rec = Recorder::new();
@@ -48,18 +49,12 @@ fn main() {
         let out = try_plan_dft_sweep_with(max_n, &cfg, &mut rec).unwrap_or_else(|e| panic!("{e}"));
         let plan_seconds = t0.elapsed().as_secs_f64();
         let best = &out.last().expect("non-empty sweep").1;
-        report.planner.push(PlannerRunMetrics {
-            transform: "dft".into(),
-            n: max_n,
-            strategy: label.label().into(),
-            backend: cfg.backend.label().into(),
-            states: rec.counter_value(Counter::PlannerStates),
-            candidates: rec.counter_value(Counter::PlannerCandidates),
-            memo_hits: rec.counter_value(Counter::PlannerMemoHits),
-            cost: best.cost,
+        searches.push(PlannerRunMetrics::from_recorder(
+            cfg.backend.label(),
+            best.cost,
             plan_seconds,
-            tree: best.tree.to_string(),
-        });
+            &rec,
+        ));
         merge_counters(&mut report.counters, &rec);
         out
     };
@@ -113,21 +108,6 @@ fn main() {
         let t_ddl = time_dft_tree(ddl_tree, 1, floor, 3).expect("time ddl tree");
         let t_proxy = time_dft_tree(&proxy_tree, 1, floor, 3).expect("time proxy tree");
 
-        if metrics_out.is_some() {
-            // One instrumented execution per tree: the per-stage
-            // (leaf/twiddle/reorg) breakdown of Eq. (2)/(3).
-            for tree in [sdl_tree, ddl_tree] {
-                let plan = DftPlan::new(tree.clone(), Direction::Forward)
-                    .expect("planner generated an invalid tree");
-                let input = vec![Complex64::ONE; n];
-                let mut output = vec![Complex64::ZERO; n];
-                match plan.try_profile_with(&input, &mut output, &mut Recorder::new()) {
-                    Ok(m) => report.executions.push(m),
-                    Err(e) => eprintln!("warning: could not profile n={n}: {e}"),
-                }
-            }
-        }
-
         println!(
             "{:>8} {:>10.1} {:>10.1} {:>10.1} {:>9.2} {:>9.2}",
             log_n,
@@ -146,6 +126,32 @@ fn main() {
     println!("# it (paper: up to 2.2x over FFT SDL, up to ~2x over FFTW)");
 
     if let Some(path) = metrics_out {
-        ddl_bench::write_metrics_report(&report, &path);
+        // One record per tree with one instrumented execution: the
+        // per-stage (leaf/twiddle/reorg) breakdown of Eq. (2)/(3). The
+        // largest size's records also carry their search, even when the
+        // table above stops short of 2^10.
+        for log_n in max_log.min(10)..=max_log {
+            let n = 1usize << log_n;
+            for (strategy, sweep, search) in [
+                (Strategy::Sdl, &sdl, &searches[0]),
+                (Strategy::Ddl, &ddl, &searches[1]),
+            ] {
+                let plan = DftPlan::new(
+                    sweep[(log_n - 1) as usize].1.tree.clone(),
+                    Direction::Forward,
+                )
+                .expect("planner generated an invalid tree");
+                let input = vec![Complex64::ONE; n];
+                let mut output = vec![Complex64::ZERO; n];
+                let mut record = PlanRecord::dft(&plan, strategy.label());
+                record.planner = (n == max_n).then(|| search.clone());
+                match plan.try_profile_with(&input, &mut output, &mut Recorder::new()) {
+                    Ok(m) => record.measured = Some(m),
+                    Err(e) => eprintln!("warning: could not profile n={n}: {e}"),
+                }
+                report.plans.push(record);
+            }
+        }
+        ddl_bench::write_report(&report, &path);
     }
 }

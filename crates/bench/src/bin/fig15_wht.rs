@@ -12,10 +12,10 @@
 use ddl_bench::host;
 use ddl_bench::{measure_floor, measured_cfg, parse_sweep_args, wisdom_path, SweepArgs};
 use ddl_core::measure::time_per_point_ns;
-use ddl_core::obs::{merge_counters, Counter, PlannerRunMetrics};
+use ddl_core::obs::{merge_counters, PlannerRunMetrics};
 use ddl_core::planner::{time_wht_tree, try_plan_wht_sweep_with, PlannerConfig, Strategy};
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{MetricsReport, Recorder, WhtPlan};
+use ddl_core::{PlanRecord, Recorder, Report, WhtPlan};
 
 fn main() {
     let SweepArgs {
@@ -26,7 +26,7 @@ fn main() {
     let max_log = if quick { max_log.min(16) } else { max_log };
     let max_n = 1usize << max_log;
     let floor = measure_floor(quick);
-    let mut report = MetricsReport::new();
+    let mut report = Report::new("fig15_wht");
 
     // WHT points are 8 bytes: the planner threshold doubles in points.
     let wht_cfg = |s: Strategy| PlannerConfig {
@@ -34,8 +34,9 @@ fn main() {
         ..measured_cfg(s, quick)
     };
 
-    // One recorder per planning sweep: its counters become a planner-run
-    // entry in the metrics report.
+    // One recorder per planning sweep: its counters become the planner
+    // section of the largest size's plan record.
+    let mut searches = Vec::new();
     let mut observed_sweep = |label: Strategy| {
         let cfg = wht_cfg(label);
         let mut rec = Recorder::new();
@@ -43,18 +44,12 @@ fn main() {
         let out = try_plan_wht_sweep_with(max_n, &cfg, &mut rec).unwrap_or_else(|e| panic!("{e}"));
         let plan_seconds = t0.elapsed().as_secs_f64();
         let best = &out.last().expect("non-empty sweep").1;
-        report.planner.push(PlannerRunMetrics {
-            transform: "wht".into(),
-            n: max_n,
-            strategy: label.label().into(),
-            backend: cfg.backend.label().into(),
-            states: rec.counter_value(Counter::PlannerStates),
-            candidates: rec.counter_value(Counter::PlannerCandidates),
-            memo_hits: rec.counter_value(Counter::PlannerMemoHits),
-            cost: best.cost,
+        searches.push(PlannerRunMetrics::from_recorder(
+            cfg.backend.label(),
+            best.cost,
             plan_seconds,
-            tree: ddl_core::grammar::print_wht(&best.tree),
-        });
+            &rec,
+        ));
         merge_counters(&mut report.counters, &rec);
         out
     };
@@ -105,18 +100,6 @@ fn main() {
         let t_sdl = time_wht_tree(sdl_tree, 1, floor, 3).expect("time sdl tree");
         let t_ddl = time_wht_tree(ddl_tree, 1, floor, 3).expect("time ddl tree");
 
-        if metrics_out.is_some() {
-            // One instrumented execution per tree: the per-stage
-            // (leaf/reorg) breakdown of the WHT recursion.
-            for tree in [sdl_tree, ddl_tree] {
-                let plan = WhtPlan::new(tree.clone()).expect("planner generated an invalid tree");
-                let mut data: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
-                match plan.try_profile_with(&mut data, &mut Recorder::new()) {
-                    Ok(m) => report.executions.push(m),
-                    Err(e) => eprintln!("warning: could not profile n={n}: {e}"),
-                }
-            }
-        }
         println!(
             "{:>8} {:>12.3} {:>12.3} {:>9.2}",
             log_n,
@@ -139,6 +122,28 @@ fn main() {
     println!("# DDL staying flat longer (paper: up to 3.52x on UltraSPARC III)");
 
     if let Some(path) = metrics_out {
-        ddl_bench::write_metrics_report(&report, &path);
+        // One record per tree with one instrumented execution: the
+        // per-stage (leaf/reorg) breakdown of the WHT recursion. The
+        // largest size's records also carry their search, even when the
+        // table above stops short of 2^10.
+        for log_n in max_log.min(10)..=max_log {
+            let n = 1usize << log_n;
+            for (strategy, sweep, search) in [
+                (Strategy::Sdl, &sdl, &searches[0]),
+                (Strategy::Ddl, &ddl, &searches[1]),
+            ] {
+                let plan = WhtPlan::new(sweep[(log_n - 1) as usize].1.tree.clone())
+                    .expect("planner generated an invalid tree");
+                let mut data: Vec<f64> = (0..n).map(|i| (i % 17) as f64 - 8.0).collect();
+                let mut record = PlanRecord::wht(&plan, strategy.label());
+                record.planner = (n == max_n).then(|| search.clone());
+                match plan.try_profile_with(&mut data, &mut Recorder::new()) {
+                    Ok(m) => record.measured = Some(m),
+                    Err(e) => eprintln!("warning: could not profile n={n}: {e}"),
+                }
+                report.plans.push(record);
+            }
+        }
+        ddl_bench::write_report(&report, &path);
     }
 }

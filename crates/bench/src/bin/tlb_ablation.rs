@@ -8,12 +8,12 @@
 //! the paper cache and an L1/L2/d-TLB hierarchy and reports line and
 //! page miss sources side by side.
 //!
-//! The table is derived end-to-end from the `ddl-attribution` v2
-//! artifact, not from ad-hoc counters: **emit** attributes each plan
-//! once through the hierarchy attributor and writes the artifact;
-//! **render** reads it back — re-verifying per-node conservation at
-//! every level in the parse — and prints the table from the stored
-//! counters. The committed `results/tlb_ablation.txt` regenerates with:
+//! The table is derived end-to-end from a `ddl-report` artifact, not
+//! from ad-hoc counters: **emit** attributes each plan once through the
+//! hierarchy attributor and writes one plan record per tree; **render**
+//! reads it back — re-verifying per-node conservation at every level in
+//! the parse — and prints the table from the records' `sim` sections.
+//! The committed `results/tlb_ablation.txt` regenerates with:
 //!
 //! ```sh
 //! cargo run --release -p ddl-bench --bin tlb_ablation -- \
@@ -26,9 +26,9 @@
 use ddl_analyze::annotate_static;
 use ddl_bench::die;
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
-use ddl_core::attrib::{attribute_dft_hier, AttributionReport, AttributionRun};
+use ddl_core::attrib::{attribute_dft_hier, AttributionRun};
 use ddl_core::planner::{plan_dft_sweep, PlannerConfig};
-use ddl_core::DftPlan;
+use ddl_core::{DftPlan, PlanRecord, Report};
 use ddl_num::Direction;
 use std::path::{Path, PathBuf};
 
@@ -119,7 +119,7 @@ fn main() {
 
 /// Plans both sweeps against the simulated cache, attributes every
 /// table-sized plan once through the L1/L2/d-TLB hierarchy attributor,
-/// and writes the `ddl-attribution` v2 artifact.
+/// and writes the `ddl-report` artifact.
 fn emit(path: &Path, max_log: u32) {
     let cache = CacheConfig::paper_default(64);
     let hier = HierarchyConfig::typical(cache);
@@ -128,10 +128,7 @@ fn emit(path: &Path, max_log: u32) {
     let sdl = plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16));
     let ddl = plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16));
 
-    let mut report = AttributionReport {
-        label: "tlb-ablation".to_string(),
-        runs: Vec::new(),
-    };
+    let mut report = Report::new("tlb-ablation");
     for log_n in FIRST_LOG..=max_log {
         let idx = (log_n - 1) as usize;
         for (name, sweep) in [("sdl", &sdl), ("ddl", &ddl)] {
@@ -143,22 +140,20 @@ fn emit(path: &Path, max_log: u32) {
                 Ok(r) => r,
                 Err(e) => die(&format!("attributing {name} 2^{log_n}: {e}")),
             };
-            run.strategy = Some(name.to_string());
             annotate_static(&mut run);
-            report.runs.push(run);
+            let mut record = PlanRecord::dft(&plan, name);
+            record.sim = Some(run);
+            report.plans.push(record);
             eprintln!("attributed {name} 2^{log_n}");
         }
-    }
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
     }
     if let Err(e) = report.write(path) {
         die(&format!("writing artifact: {e}"));
     }
     eprintln!(
-        "attribution artifact written to {} ({} runs)",
+        "report written to {} ({} plan records)",
         path.display(),
-        report.runs.len()
+        report.plans.len()
     );
 }
 
@@ -170,42 +165,40 @@ fn render(path: &Path) -> String {
         Ok(t) => t,
         Err(e) => die(&format!("reading {}: {e}", path.display())),
     };
-    let report = match AttributionReport::parse(&text) {
+    let report = match Report::parse(&text) {
         Ok(r) => r,
         Err(e) => die(&format!("{}: {e}", path.display())),
     };
 
     let pick = |strategy: &str, n: usize| -> &AttributionRun {
         report
-            .runs
-            .iter()
-            .find(|r| r.transform == "dft" && r.n == n && r.strategy.as_deref() == Some(strategy))
+            .find("dft", n, strategy)
+            .and_then(|p| p.sim.as_ref())
             .unwrap_or_else(|| {
                 die(&format!(
-                    "artifact has no {strategy} dft run at n={n}; re-run --emit"
+                    "artifact has no simulated {strategy} dft record at n={n}; re-run --emit"
                 ))
             })
     };
-    let tlb_rate = |run: &AttributionRun| -> f64 {
+    let tlb_rate = |run: &AttributionRun, n: usize| -> f64 {
         run.tlb_miss_rate().unwrap_or_else(|| {
             die(&format!(
-                "run {} n={} has no hierarchy attribution; re-run --emit",
-                run.transform, run.n
+                "dft record n={n} has no hierarchy attribution; re-run --emit"
             ))
         })
     };
 
     let mut logs: Vec<u32> = report
-        .runs
+        .plans
         .iter()
-        .filter(|r| r.transform == "dft")
-        .map(|r| r.n.trailing_zeros())
+        .filter(|p| p.transform == "dft")
+        .map(|p| p.n.trailing_zeros())
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
     logs.sort_unstable();
     if logs.is_empty() {
-        die("artifact has no dft runs");
+        die("artifact has no dft records");
     }
 
     // The d-TLB geometry in the header comes from the artifact, so the
@@ -213,7 +206,7 @@ fn render(path: &Path) -> String {
     let hier = pick("sdl", 1 << logs[0])
         .hierarchy
         .as_ref()
-        .unwrap_or_else(|| die("artifact runs lack hierarchy attribution; re-run --emit"));
+        .unwrap_or_else(|| die("artifact records lack hierarchy attribution; re-run --emit"));
     let mut out = format!(
         "# TLB ablation: {}-entry {}-way dTLB, {} KiB pages, + paper cache\n",
         hier.config.tlb_entries,
@@ -230,8 +223,8 @@ fn render(path: &Path) -> String {
         out.push_str(&format!(
             "{:>8} {:>12.2} {:>12.2} {:>14.2} {:>14.2}\n",
             log_n,
-            tlb_rate(s) * 100.0,
-            tlb_rate(d) * 100.0,
+            tlb_rate(s, n) * 100.0,
+            tlb_rate(d, n) * 100.0,
             s.totals.miss_rate() * 100.0,
             d.totals.miss_rate() * 100.0
         ));

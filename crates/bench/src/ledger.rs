@@ -5,8 +5,8 @@
 //! PR N" — needs runs to *accumulate*. This module implements that as an
 //! append-only JSONL file: one [`LedgerEntry`] per suite run, each a
 //! single compact line carrying the environment fingerprint (git sha,
-//! rustc, cpu), the per-case medians, and a per-node attribution summary
-//! for the pinned simulation sizes. CI appends an entry every run and
+//! rustc, cpu), the per-case medians, and an attribution digest of each
+//! simulated plan record in the run's `ddl-report`. CI appends an entry every run and
 //! then validates the whole file with [`check_ledger`], which flags
 //! consecutive same-environment entries whose medians regressed beyond
 //! tolerance.
@@ -17,6 +17,7 @@
 
 use crate::suite::BenchReport;
 use ddl_core::json::{self, Json};
+use ddl_core::{PlanRecord, Report};
 use ddl_num::DdlError;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -63,6 +64,27 @@ pub struct AttributionSummary {
     pub case3_leaves_page: Option<u64>,
 }
 
+impl AttributionSummary {
+    /// The digest of a plan record's `sim` section; `None` for a record
+    /// that was not simulated.
+    pub fn of(record: &PlanRecord) -> Option<AttributionSummary> {
+        let sim = record.sim.as_ref()?;
+        let (leaves, case3_leaves) = sim.case3_leaf_counts();
+        Some(AttributionSummary {
+            transform: record.transform.clone(),
+            n: record.n,
+            strategy: record.strategy.clone(),
+            miss_rate: sim.totals.miss_rate(),
+            misses: sim.totals.misses,
+            accesses: sim.totals.accesses,
+            leaves,
+            case3_leaves,
+            tlb_miss_rate: sim.tlb_miss_rate(),
+            case3_leaves_page: sim.case3_leaf_counts_page().map(|(_, c)| c),
+        })
+    }
+}
+
 /// One run of the suite, as a single ledger line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LedgerEntry {
@@ -83,8 +105,9 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
-    /// Builds an entry from a suite report plus attribution digests.
-    pub fn from_report(report: &BenchReport, attribution: Vec<AttributionSummary>) -> LedgerEntry {
+    /// Builds an entry from a suite report plus the digests of the
+    /// simulated records in `plans`.
+    pub fn from_report(report: &BenchReport, plans: &Report) -> LedgerEntry {
         LedgerEntry {
             label: report.label.clone(),
             quick: report.quick,
@@ -96,7 +119,11 @@ impl LedgerEntry {
                 .iter()
                 .map(|c| (c.id.clone(), c.median_ns))
                 .collect(),
-            attribution,
+            attribution: plans
+                .plans
+                .iter()
+                .filter_map(AttributionSummary::of)
+                .collect(),
         }
     }
 
@@ -798,6 +825,37 @@ mod tests {
         assert!(report.contains("| solo | — | 5.0 ns | — |"));
         assert!(report.contains("different environments"));
         assert!(render_report(&[]).contains("(ledger is empty)"));
+    }
+
+    #[test]
+    fn digests_render_simulated_records_only() {
+        use ddl_cachesim::{CacheConfig, HierarchyConfig};
+        use ddl_core::attrib::attribute_dft_hier;
+        use ddl_core::DftPlan;
+        let plan = DftPlan::from_expr("ct(64, 32)", ddl_num::Direction::Forward).unwrap();
+        let cache = CacheConfig::paper_default(64);
+        let mut simulated = PlanRecord::dft(&plan, "sdl");
+        let sim = attribute_dft_hier(&plan, 1, cache, HierarchyConfig::typical(cache)).unwrap();
+        simulated.sim = Some(sim.clone());
+        let mut plans = Report::new("digest");
+        plans.plans = vec![PlanRecord::dft(&plan, "ddl"), simulated];
+        let digests: Vec<_> = plans
+            .plans
+            .iter()
+            .filter_map(AttributionSummary::of)
+            .collect();
+        assert_eq!(digests.len(), 1);
+        let d = &digests[0];
+        assert_eq!(
+            (d.transform.as_str(), d.n, d.strategy.as_str()),
+            ("dft", 2048, "sdl")
+        );
+        assert_eq!(
+            (d.misses, d.accesses),
+            (sim.totals.misses, sim.totals.accesses)
+        );
+        assert_eq!((d.leaves, d.case3_leaves), sim.case3_leaf_counts());
+        assert_eq!(d.tlb_miss_rate, sim.tlb_miss_rate());
     }
 
     #[test]

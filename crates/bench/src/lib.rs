@@ -15,12 +15,13 @@
 //! | `table5`    | Table V — optimal WHT factorizations per size |
 //! | `table6`    | Table VI — optimal FFT factorizations per size |
 //!
-//! Beyond the paper, `obs_smoke` emits and validates the `ddl-metrics`
-//! observability report, and `bench_suite` (backed by [`suite`]) runs
-//! the pinned performance-trajectory suite with baseline comparison,
-//! cost-model calibration, Chrome-trace export, per-node cache-miss
-//! attribution (L1/L2/d-TLB, distilled into the per-plan [`scorecard`])
-//! and the longitudinal [`ledger`].
+//! Beyond the paper, `obs_smoke` emits and validates a `ddl-report`
+//! from an instrumented run, and `bench_suite` (backed by [`suite`])
+//! runs the pinned performance-trajectory suite with baseline
+//! comparison, Chrome-trace export, a `ddl-report` of per-plan records
+//! (cost-model calibration and per-node L1/L2/d-TLB cache-miss
+//! attribution, rendered as calibration lines and a hierarchy
+//! scorecard) and the longitudinal [`ledger`].
 //!
 //! This library provides the pieces they share: measured planning with a
 //! wisdom cache (so one planning pass serves every binary), timing
@@ -35,7 +36,6 @@ use std::path::PathBuf;
 
 pub mod host;
 pub mod ledger;
-pub mod scorecard;
 pub mod suite;
 
 /// Default size sweep for the performance figures: `2^10 .. 2^22`.
@@ -114,7 +114,7 @@ pub struct SweepArgs {
     pub max_log: u32,
     /// `--quick` shrinks measurement floors for a fast smoke run.
     pub quick: bool,
-    /// `--metrics-out <path>`: where to write a `ddl-metrics` JSON report
+    /// `--metrics-out <path>`: where to write a `ddl-report` JSON document
     /// (defaults to the `DDL_METRICS_OUT` environment variable; `None`
     /// disables export).
     pub metrics_out: Option<PathBuf>,
@@ -158,19 +158,16 @@ pub fn parse_sweep_args() -> SweepArgs {
     parsed
 }
 
-/// Writes a metrics report, creating parent directories and reporting
-/// failure as a warning rather than aborting the benchmark that produced
-/// the data.
-pub fn write_metrics_report(report: &ddl_core::MetricsReport, path: &std::path::Path) {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
+/// Writes a `ddl-report`, reporting failure as a warning rather than
+/// aborting the benchmark that produced the data.
+pub fn write_report(report: &ddl_core::Report, path: &std::path::Path) {
     match report.write(path) {
-        Ok(()) => eprintln!("metrics report written to {}", path.display()),
-        Err(e) => eprintln!(
-            "warning: could not write metrics report to {}: {e}",
-            path.display()
+        Ok(()) => eprintln!(
+            "report written to {} ({} plan records)",
+            path.display(),
+            report.plans.len()
         ),
+        Err(e) => eprintln!("warning: could not write report to {}: {e}", path.display()),
     }
 }
 

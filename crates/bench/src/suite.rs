@@ -73,7 +73,7 @@ pub struct BenchCase {
     pub transform: String,
     /// `sdl` | `ddl`.
     pub strategy: String,
-    /// Execution backend the case ran on: `scalar` | `interp` | `simd`.
+    /// Execution backend the case ran on: `scalar` | `simd`.
     /// Additive in schema version 1; absent in older reports (= scalar).
     pub backend: String,
     /// Transform size in points.
@@ -144,17 +144,10 @@ pub fn suite_log_sizes(quick: bool) -> Vec<u32> {
     }
 }
 
-/// Largest size the interpreter backend is benchmarked at in full mode:
-/// evaluating the expression network is orders slower than compiled
-/// leaves, so the big out-of-cache sizes would dominate suite wall time
-/// without adding information.
-const INTERP_MAX_N: usize = 1 << 12;
-
 /// Runs the pinned suite: every `(transform, strategy, size)` triple
 /// from [`suite_log_sizes`] on the scalar backend, the DDL DFT column
-/// repeated on the `simd` and `interp` backends (interpreter capped at
-/// [`INTERP_MAX_N`]), plus one batch-engine case and one wisdom-hit
-/// case. Plans use the analytical model so the *measured* quantity is
+/// repeated on the `simd` backend, plus one batch-engine case and one
+/// wisdom-hit case. Plans use the analytical model so the *measured* quantity is
 /// execution, not planner noise.
 pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
     let mut cases = Vec::new();
@@ -165,14 +158,6 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
             cases.push(wht_case(n, strategy, cfg.repeats)?);
         }
         cases.push(dft_case(n, Strategy::Ddl, BackendKind::Simd, cfg.repeats)?);
-        if n <= INTERP_MAX_N {
-            cases.push(dft_case(
-                n,
-                Strategy::Ddl,
-                BackendKind::Interp,
-                cfg.repeats,
-            )?);
-        }
     }
     cases.push(batch_case(cfg.repeats)?);
     cases.push(wisdom_case(cfg.repeats)?);
@@ -423,9 +408,9 @@ impl BenchCase {
             .and_then(Json::as_str)
             .unwrap_or("scalar")
             .to_string();
-        if !matches!(backend.as_str(), "scalar" | "interp" | "simd") {
+        if !matches!(backend.as_str(), "scalar" | "simd") {
             return Err(bench_err(format!(
-                "{path}.backend: unknown backend \"{backend}\" (want scalar|interp|simd)"
+                "{path}.backend: unknown backend \"{backend}\" (want scalar|simd)"
             )));
         }
         let case = BenchCase {
@@ -754,15 +739,14 @@ mod tests {
         };
         let report = run_suite(&cfg).unwrap();
         assert!(report.quick);
-        // 3 sizes x (2 transforms x 2 strategies + simd + interp)
-        // + batch + wisdom
-        assert_eq!(report.cases.len(), 20);
+        // 3 sizes x (2 transforms x 2 strategies + simd) + batch + wisdom
+        assert_eq!(report.cases.len(), 17);
         assert!(report.cases.iter().all(|c| c.median_ns > 0.0));
         assert!(report
             .cases
             .iter()
             .any(|c| c.transform == "dft-batch" || c.transform == "wisdom"));
-        for backend in ["scalar", "interp", "simd"] {
+        for backend in ["scalar", "simd"] {
             assert!(
                 report.cases.iter().any(|c| c.backend == backend),
                 "suite must cover the {backend} backend"
@@ -771,7 +755,6 @@ mod tests {
         // Backend-tagged ids stay distinct from the scalar baseline ids.
         assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256"));
         assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256-simd"));
-        assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256-interp"));
         let parsed = BenchReport::parse(&report.to_pretty_json()).unwrap();
         assert_eq!(parsed.cases.len(), report.cases.len());
     }

@@ -24,30 +24,25 @@
 //!    fills the `static_*` fields post-hoc; `ddl-core` cannot depend on
 //!    it).
 //!
-//! Since v2 the same address stream can additionally be attributed to a
-//! full memory hierarchy — an inclusive L1/L2 pair plus a d-TLB
+//! The same address stream can additionally be attributed to a full
+//! memory hierarchy — an inclusive L1/L2 pair plus a d-TLB
 //! (`ddl_cachesim::HierarchyAttributingCache`) — giving every node an
-//! exclusive `(l1, l2, tlb)` delta triple alongside its v1 counters, and
-//! leaves a second, page-granularity Case classification: the TLB is
-//! just a cache whose line is the page, so the paper's Sec. III-B closed
-//! form applies verbatim at 4 KiB-line geometry. The v1 single-level
-//! counters are computed from the *raw* stream exactly as before, so
-//! `totals` stay byte-identical with and without hierarchy attribution.
+//! exclusive `(l1, l2, tlb)` delta triple alongside its single-level
+//! counters, and leaves a second, page-granularity Case classification:
+//! the TLB is just a cache whose line is the page, so the paper's
+//! Sec. III-B closed form applies verbatim at 4 KiB-line geometry. The
+//! single-level counters are computed from the *raw* stream either way,
+//! so `totals` are identical with and without hierarchy attribution.
 //!
-//! The result serializes as the versioned `ddl-attribution` v2 schema
-//! (v1 documents, which lack the additive hierarchy blocks, still
-//! parse); parsing re-verifies conservation — at the single level, and
-//! when hierarchy data is present at L1, L2 and TLB independently, plus
-//! the structural `L2 accesses ≡ L1 misses` identity per node — so a
-//! schema check is also an invariant check.
+//! An [`AttributionRun`] is the `sim` section of a `ddl-report` plan
+//! record ([`crate::reports`]); parsing re-verifies conservation — at
+//! the single level, and when hierarchy data is present at L1, L2 and
+//! TLB independently, plus the structural `L2 accesses ≡ L1 misses`
+//! identity per node — so a schema check is also an invariant check.
 
 use crate::dft::DftPlan;
-use crate::json::{self, Json};
 use crate::model::CacheModel;
-use crate::obs::{
-    get_bool, get_str, get_u64, metrics_err, obj, Candidate, Counter, Sink, SpanInfo, SpanKind,
-    Stage,
-};
+use crate::obs::{Candidate, Counter, Sink, SpanInfo, SpanKind, Stage};
 use crate::rfft::RfftPlan;
 use crate::traced;
 use crate::tree::Tree;
@@ -57,15 +52,7 @@ use ddl_cachesim::{
     AttributedNode, AttributingCache, BucketStats, Cache, CacheConfig, CacheStats, HierStats,
     HierarchyAttributingCache, HierarchyConfig, MemoryTracer, NodeKey,
 };
-use ddl_num::{Complex64, DdlError};
-use std::collections::BTreeMap;
-
-/// Schema identifier of attribution reports.
-pub const ATTRIBUTION_SCHEMA: &str = "ddl-attribution";
-/// Current attribution schema version; readers refuse newer. v2 adds
-/// the additive per-node `levels` triples, page-granularity Case
-/// classifications, and the per-run `hierarchy` block.
-pub const ATTRIBUTION_VERSION: u32 = 2;
+use ddl_num::DdlError;
 
 /// The paper's Sec. III-B taxonomy, as a per-leaf verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,16 +124,15 @@ pub struct NodeAttribution {
     /// Worst per-set conflict degree from the static analyzer.
     pub static_degree: Option<u64>,
     /// Exclusive per-level `(l1, l2, tlb)` counters from hierarchy
-    /// attribution (v2; present iff the run carries a `hierarchy`
-    /// block).
+    /// attribution (present iff the run carries a `hierarchy` block).
     pub levels: Option<HierStats>,
     /// Empirical classification of the node's exclusive TLB traffic at
-    /// page granularity (v2).
+    /// page granularity.
     pub empirical_page: Option<CaseClass>,
     /// Analytical Sec. III-B classification evaluated against the TLB's
-    /// page geometry (leaves only; v2).
+    /// page geometry (leaves only).
     pub model_page: Option<CaseClass>,
-    /// Static conflict-analyzer verdict at page geometry (v2, filled by
+    /// Static conflict-analyzer verdict at page geometry (filled by
     /// `ddl-analyze`).
     pub static_pathological_page: Option<bool>,
     /// Worst per-set conflict degree at page geometry.
@@ -197,7 +183,7 @@ impl NodeAttribution {
     }
 }
 
-/// Whole-run memory-hierarchy attribution (v2): the geometry simulated
+/// Whole-run memory-hierarchy attribution: the geometry simulated
 /// and the per-level totals/outside buckets that the per-node `levels`
 /// triples must sum to.
 #[derive(Clone, Debug, PartialEq)]
@@ -211,15 +197,10 @@ pub struct HierarchyAttribution {
 }
 
 /// One attributed simulation: a plan executed once at a root stride
-/// against a fresh cache.
+/// against a fresh cache. The plan record holding it names the
+/// transform, size, strategy and tree.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AttributionRun {
-    /// `"dft"`, `"wht"` or `"rfft"`.
-    pub transform: String,
-    /// Transform size.
-    pub n: usize,
-    /// Factorization-tree expression (`Tree` display form).
-    pub tree: String,
     /// Root input stride in points.
     pub root_stride: usize,
     /// Bytes per data point (16 for the complex DFT, 8 for the WHT).
@@ -231,11 +212,7 @@ pub struct AttributionRun {
     /// Events charged to no node span (buffer setup/teardown; zero for
     /// the executors, which span their entire recursion).
     pub outside: CacheStats,
-    /// Planner strategy that produced the tree (`"sdl"` / `"ddl"`),
-    /// when the caller recorded it (v2; lets artifact consumers group
-    /// runs without re-parsing tree expressions).
-    pub strategy: Option<String>,
-    /// Memory-hierarchy attribution of the same address stream (v2).
+    /// Memory-hierarchy attribution of the same address stream.
     pub hierarchy: Option<HierarchyAttribution>,
     /// Attributed root nodes (one per top-level execution).
     pub roots: Vec<NodeAttribution>,
@@ -325,7 +302,7 @@ impl AttributionRun {
         Some(total)
     }
 
-    /// Verifies the v2 hierarchy invariants (vacuously true without
+    /// Verifies the hierarchy invariants (vacuously true without
     /// hierarchy data): every node carries a `levels` triple, per-node
     /// and outside `l2.accesses == l1.misses` (an L2 access *is* an L1
     /// miss, observed through the same flush window), and node-sums +
@@ -378,21 +355,11 @@ impl AttributionRun {
     }
 }
 
-/// A set of attributed runs under one label — the `ddl-attribution` v1
-/// document.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AttributionReport {
-    /// Free-form label (e.g. `"ci"`).
-    pub label: String,
-    /// The attributed runs.
-    pub runs: Vec<AttributionRun>,
-}
-
 // ---------------------------------------------------------------------------
 // The attributing observer and its drivers.
 // ---------------------------------------------------------------------------
 
-/// The attributors one run drives together, as one [`Observer`]: the v1
+/// The attributors one run drives together, as one [`Observer`]: the
 /// single-level [`AttributingCache`] over the raw stream (so `totals`
 /// stay identical to the unattributed simulators) and, optionally, the
 /// [`HierarchyAttributingCache`]. Both receive the same access stream
@@ -513,14 +480,7 @@ fn attribute_dft_with(
 ) -> Result<AttributionRun, DdlError> {
     let mut bundle = AttribBundle::new(config, hier);
     traced::run_dft(plan, root_stride, &mut bundle)?;
-    let mut run = finish_run(
-        bundle.finish(),
-        "dft",
-        plan.n(),
-        plan.tree().to_string(),
-        root_stride,
-        DFT_POINT_BYTES,
-    );
+    let mut run = finish_run(bundle.finish(), root_stride, DFT_POINT_BYTES);
     let model =
         CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, DFT_POINT_BYTES);
     for root in &mut run.roots {
@@ -560,14 +520,7 @@ fn attribute_wht_with(
 ) -> Result<AttributionRun, DdlError> {
     let mut bundle = AttribBundle::new(config, hier);
     traced::run_wht(plan, root_stride, &mut bundle)?;
-    let mut run = finish_run(
-        bundle.finish(),
-        "wht",
-        plan.n(),
-        plan.tree().to_string(),
-        root_stride,
-        WHT_POINT_BYTES,
-    );
+    let mut run = finish_run(bundle.finish(), root_stride, WHT_POINT_BYTES);
     let model =
         CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, WHT_POINT_BYTES);
     for root in &mut run.roots {
@@ -601,22 +554,10 @@ fn attribute_rfft_with(
     config: CacheConfig,
     hier: Option<HierarchyConfig>,
 ) -> Result<AttributionRun, DdlError> {
-    let n = plan.n();
-    let half = plan.half_forward();
-    let x = vec![0.75f64; n];
-    let mut spectrum = vec![Complex64::ZERO; plan.bins()];
     let mut bundle = AttribBundle::new(config, hier);
-    plan.forward_observed(&x, &mut spectrum, &mut bundle)?;
-    std::hint::black_box(&mut spectrum);
-
-    let mut run = finish_run(
-        bundle.finish(),
-        "rfft",
-        n,
-        format!("rfft({})", half.tree()),
-        1,
-        DFT_POINT_BYTES,
-    );
+    traced::run_rfft(plan, &mut bundle)?;
+    let mut run = finish_run(bundle.finish(), 1, DFT_POINT_BYTES);
+    let half = plan.half_forward();
     let model =
         CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, DFT_POINT_BYTES);
     for root in &mut run.roots {
@@ -631,14 +572,7 @@ fn attribute_rfft_with(
     Ok(run)
 }
 
-fn finish_run(
-    bundle: AttribBundle,
-    transform: &str,
-    n: usize,
-    tree: String,
-    root_stride: usize,
-    point_bytes: usize,
-) -> AttributionRun {
+fn finish_run(bundle: AttribBundle, root_stride: usize, point_bytes: usize) -> AttributionRun {
     let attrib = &bundle.line;
     let arena = attrib.nodes();
     // Both attributors saw the same enter/exit sequence, so their arenas
@@ -650,15 +584,11 @@ fn finish_run(
         .map(|&i| build_node(arena, hier_arena, i))
         .collect();
     AttributionRun {
-        transform: transform.to_string(),
-        n,
-        tree,
         root_stride,
         point_bytes,
         cache: attrib.cache().config(),
         totals: attrib.totals(),
         outside: attrib.outside(),
-        strategy: None,
         hierarchy: bundle.hier.as_ref().map(|h| HierarchyAttribution {
             config: h.config(),
             totals: h.totals(),
@@ -849,419 +779,6 @@ fn annotate_wht(tree: &Tree, stride: usize, node: &mut NodeAttribution, model: &
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serialization (ddl-attribution v2; v1 documents still parse).
-// ---------------------------------------------------------------------------
-
-fn stats_to_json(s: &CacheStats) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("accesses".into(), Json::Num(s.accesses as f64));
-    m.insert("reads".into(), Json::Num(s.reads as f64));
-    m.insert("writes".into(), Json::Num(s.writes as f64));
-    m.insert("line_lookups".into(), Json::Num(s.line_lookups as f64));
-    m.insert("hits".into(), Json::Num(s.hits as f64));
-    m.insert("misses".into(), Json::Num(s.misses as f64));
-    m.insert(
-        "compulsory_misses".into(),
-        Json::Num(s.compulsory_misses as f64),
-    );
-    m.insert("evictions".into(), Json::Num(s.evictions as f64));
-    Json::Obj(m)
-}
-
-fn stats_from_json(v: &Json, path: &str) -> Result<CacheStats, DdlError> {
-    let m = obj(v, path)?;
-    Ok(CacheStats {
-        accesses: get_u64(m, path, "accesses")?,
-        reads: get_u64(m, path, "reads")?,
-        writes: get_u64(m, path, "writes")?,
-        line_lookups: get_u64(m, path, "line_lookups")?,
-        hits: get_u64(m, path, "hits")?,
-        misses: get_u64(m, path, "misses")?,
-        compulsory_misses: get_u64(m, path, "compulsory_misses")?,
-        evictions: get_u64(m, path, "evictions")?,
-    })
-}
-
-fn hier_stats_to_json(h: &HierStats) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("l1".into(), stats_to_json(&h.l1));
-    m.insert("l2".into(), stats_to_json(&h.l2));
-    m.insert("tlb".into(), stats_to_json(&h.tlb));
-    Json::Obj(m)
-}
-
-fn hier_stats_from_json(v: &Json, path: &str) -> Result<HierStats, DdlError> {
-    let m = obj(v, path)?;
-    let level = |key: &str| -> Result<CacheStats, DdlError> {
-        stats_from_json(
-            m.get(key)
-                .ok_or_else(|| metrics_err(format!("{path}: missing {key}")))?,
-            &format!("{path}.{key}"),
-        )
-    };
-    Ok(HierStats {
-        l1: level("l1")?,
-        l2: level("l2")?,
-        tlb: level("tlb")?,
-    })
-}
-
-fn cache_config_to_json(c: &CacheConfig) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("capacity_bytes".into(), Json::Num(c.capacity_bytes as f64));
-    m.insert("line_bytes".into(), Json::Num(c.line_bytes as f64));
-    m.insert("associativity".into(), Json::Num(c.associativity as f64));
-    Json::Obj(m)
-}
-
-fn cache_config_from_json(v: &Json, path: &str) -> Result<CacheConfig, DdlError> {
-    let m = obj(v, path)?;
-    Ok(CacheConfig {
-        capacity_bytes: get_u64(m, path, "capacity_bytes")? as usize,
-        line_bytes: get_u64(m, path, "line_bytes")? as usize,
-        associativity: get_u64(m, path, "associativity")? as usize,
-    })
-}
-
-fn hierarchy_to_json(h: &HierarchyAttribution) -> Json {
-    let mut cfg = BTreeMap::new();
-    cfg.insert("l1".into(), cache_config_to_json(&h.config.l1));
-    cfg.insert("l2".into(), cache_config_to_json(&h.config.l2));
-    cfg.insert("tlb_entries".into(), Json::Num(h.config.tlb_entries as f64));
-    cfg.insert(
-        "tlb_page_bytes".into(),
-        Json::Num(h.config.tlb_page_bytes as f64),
-    );
-    cfg.insert("tlb_ways".into(), Json::Num(h.config.tlb_ways as f64));
-    let mut m = BTreeMap::new();
-    m.insert("config".into(), Json::Obj(cfg));
-    m.insert("totals".into(), hier_stats_to_json(&h.totals));
-    m.insert("outside".into(), hier_stats_to_json(&h.outside));
-    Json::Obj(m)
-}
-
-fn hierarchy_from_json(v: &Json, path: &str) -> Result<HierarchyAttribution, DdlError> {
-    let m = obj(v, path)?;
-    let cfg_path = format!("{path}.config");
-    let cm = obj(
-        m.get("config")
-            .ok_or_else(|| metrics_err(format!("{path}: missing config")))?,
-        &cfg_path,
-    )?;
-    let config = HierarchyConfig {
-        l1: cache_config_from_json(
-            cm.get("l1")
-                .ok_or_else(|| metrics_err(format!("{cfg_path}: missing l1")))?,
-            &format!("{cfg_path}.l1"),
-        )?,
-        l2: cache_config_from_json(
-            cm.get("l2")
-                .ok_or_else(|| metrics_err(format!("{cfg_path}: missing l2")))?,
-            &format!("{cfg_path}.l2"),
-        )?,
-        tlb_entries: get_u64(cm, &cfg_path, "tlb_entries")? as usize,
-        tlb_page_bytes: get_u64(cm, &cfg_path, "tlb_page_bytes")? as usize,
-        tlb_ways: get_u64(cm, &cfg_path, "tlb_ways")? as usize,
-    };
-    Ok(HierarchyAttribution {
-        config,
-        totals: hier_stats_from_json(
-            m.get("totals")
-                .ok_or_else(|| metrics_err(format!("{path}: missing totals")))?,
-            &format!("{path}.totals"),
-        )?,
-        outside: hier_stats_from_json(
-            m.get("outside")
-                .ok_or_else(|| metrics_err(format!("{path}: missing outside")))?,
-            &format!("{path}.outside"),
-        )?,
-    })
-}
-
-fn node_to_json(n: &NodeAttribution) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("label".into(), Json::Str(n.label.clone()));
-    m.insert("size".into(), Json::Num(n.size as f64));
-    m.insert("stride".into(), Json::Num(n.stride as f64));
-    m.insert("reorg".into(), Json::Bool(n.reorg));
-    m.insert("calls".into(), Json::Num(n.calls as f64));
-    m.insert("stats".into(), stats_to_json(&n.stats));
-    if let Some(ws) = n.write_stride {
-        m.insert("write_stride".into(), Json::Num(ws as f64));
-    }
-    if let Some(c) = n.empirical {
-        m.insert("empirical".into(), Json::Str(c.as_str().into()));
-    }
-    if let Some(c) = n.model {
-        m.insert("model".into(), Json::Str(c.as_str().into()));
-    }
-    if let Some(p) = n.static_pathological {
-        m.insert("static_pathological".into(), Json::Bool(p));
-    }
-    if let Some(d) = n.static_degree {
-        m.insert("static_degree".into(), Json::Num(d as f64));
-    }
-    if let Some(l) = &n.levels {
-        m.insert("levels".into(), hier_stats_to_json(l));
-    }
-    if let Some(c) = n.empirical_page {
-        m.insert("empirical_page".into(), Json::Str(c.as_str().into()));
-    }
-    if let Some(c) = n.model_page {
-        m.insert("model_page".into(), Json::Str(c.as_str().into()));
-    }
-    if let Some(p) = n.static_pathological_page {
-        m.insert("static_pathological_page".into(), Json::Bool(p));
-    }
-    if let Some(d) = n.static_degree_page {
-        m.insert("static_degree_page".into(), Json::Num(d as f64));
-    }
-    m.insert(
-        "children".into(),
-        Json::Arr(n.children.iter().map(node_to_json).collect()),
-    );
-    Json::Obj(m)
-}
-
-fn case_from_json(
-    m: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<CaseClass>, DdlError> {
-    match m.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| metrics_err(format!("{path}.{key}: not a string")))?;
-            CaseClass::parse_token(s)
-                .map(Some)
-                .ok_or_else(|| metrics_err(format!("{path}.{key}: unknown class {s:?}")))
-        }
-    }
-}
-
-fn node_from_json(v: &Json, path: &str) -> Result<NodeAttribution, DdlError> {
-    let m = obj(v, path)?;
-    let children = match m.get("children") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .enumerate()
-            .map(|(i, c)| node_from_json(c, &format!("{path}.children[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err(metrics_err(format!("{path}.children: not an array"))),
-        None => Vec::new(),
-    };
-    Ok(NodeAttribution {
-        label: get_str(m, path, "label")?,
-        size: get_u64(m, path, "size")? as usize,
-        stride: get_u64(m, path, "stride")? as usize,
-        reorg: get_bool(m, path, "reorg")?,
-        calls: get_u64(m, path, "calls")?,
-        stats: stats_from_json(
-            m.get("stats")
-                .ok_or_else(|| metrics_err(format!("{path}: missing stats")))?,
-            &format!("{path}.stats"),
-        )?,
-        write_stride: match m.get("write_stride") {
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| metrics_err(format!("{path}.write_stride: not an integer")))?
-                    as usize,
-            ),
-            None => None,
-        },
-        empirical: case_from_json(m, path, "empirical")?,
-        model: case_from_json(m, path, "model")?,
-        static_pathological: match m.get("static_pathological") {
-            Some(Json::Bool(b)) => Some(*b),
-            Some(_) => {
-                return Err(metrics_err(format!(
-                    "{path}.static_pathological: not a boolean"
-                )))
-            }
-            None => None,
-        },
-        static_degree: match m.get("static_degree") {
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| metrics_err(format!("{path}.static_degree: not an integer")))?,
-            ),
-            None => None,
-        },
-        levels: match m.get("levels") {
-            Some(v) => Some(hier_stats_from_json(v, &format!("{path}.levels"))?),
-            None => None,
-        },
-        empirical_page: case_from_json(m, path, "empirical_page")?,
-        model_page: case_from_json(m, path, "model_page")?,
-        static_pathological_page: match m.get("static_pathological_page") {
-            Some(Json::Bool(b)) => Some(*b),
-            Some(_) => {
-                return Err(metrics_err(format!(
-                    "{path}.static_pathological_page: not a boolean"
-                )))
-            }
-            None => None,
-        },
-        static_degree_page: match m.get("static_degree_page") {
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                metrics_err(format!("{path}.static_degree_page: not an integer"))
-            })?),
-            None => None,
-        },
-        children,
-    })
-}
-
-fn run_to_json(r: &AttributionRun) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("transform".into(), Json::Str(r.transform.clone()));
-    m.insert("n".into(), Json::Num(r.n as f64));
-    m.insert("tree".into(), Json::Str(r.tree.clone()));
-    m.insert("root_stride".into(), Json::Num(r.root_stride as f64));
-    m.insert("point_bytes".into(), Json::Num(r.point_bytes as f64));
-    m.insert("cache".into(), cache_config_to_json(&r.cache));
-    m.insert("totals".into(), stats_to_json(&r.totals));
-    m.insert("outside".into(), stats_to_json(&r.outside));
-    m.insert("conserved".into(), Json::Bool(r.conserved()));
-    if let Some(s) = &r.strategy {
-        m.insert("strategy".into(), Json::Str(s.clone()));
-    }
-    if let Some(h) = &r.hierarchy {
-        m.insert("hierarchy".into(), hierarchy_to_json(h));
-    }
-    m.insert(
-        "nodes".into(),
-        Json::Arr(r.roots.iter().map(node_to_json).collect()),
-    );
-    Json::Obj(m)
-}
-
-fn run_from_json(v: &Json, path: &str) -> Result<AttributionRun, DdlError> {
-    let m = obj(v, path)?;
-    let roots = match m.get("nodes") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .enumerate()
-            .map(|(i, n)| node_from_json(n, &format!("{path}.nodes[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(metrics_err(format!("{path}.nodes: not an array"))),
-    };
-    let run = AttributionRun {
-        transform: get_str(m, path, "transform")?,
-        n: get_u64(m, path, "n")? as usize,
-        tree: get_str(m, path, "tree")?,
-        root_stride: get_u64(m, path, "root_stride")? as usize,
-        point_bytes: get_u64(m, path, "point_bytes")? as usize,
-        cache: cache_config_from_json(
-            m.get("cache")
-                .ok_or_else(|| metrics_err(format!("{path}: missing cache")))?,
-            &format!("{path}.cache"),
-        )?,
-        totals: stats_from_json(
-            m.get("totals")
-                .ok_or_else(|| metrics_err(format!("{path}: missing totals")))?,
-            &format!("{path}.totals"),
-        )?,
-        outside: stats_from_json(
-            m.get("outside")
-                .ok_or_else(|| metrics_err(format!("{path}: missing outside")))?,
-            &format!("{path}.outside"),
-        )?,
-        strategy: match m.get("strategy") {
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| metrics_err(format!("{path}.strategy: not a string")))?
-                    .to_string(),
-            ),
-            None => None,
-        },
-        hierarchy: match m.get("hierarchy") {
-            Some(v) => Some(hierarchy_from_json(v, &format!("{path}.hierarchy"))?),
-            None => None,
-        },
-        roots,
-    };
-    // A schema check is also an invariant check: conservation must hold
-    // in any document claiming this schema.
-    if !run.conserved() {
-        return Err(metrics_err(format!(
-            "{path}: conservation violated (attributed {:?} != totals {:?})",
-            run.attributed_total(),
-            run.totals
-        )));
-    }
-    // Same at every hierarchy level, plus the L2-access ≡ L1-miss
-    // structural identity per node.
-    if let Err(e) = run.check_hierarchy() {
-        return Err(metrics_err(format!("{path}: {e}")));
-    }
-    Ok(run)
-}
-
-impl AttributionReport {
-    /// Serializes under the `ddl-attribution` v2 schema.
-    pub fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("schema".into(), Json::Str(ATTRIBUTION_SCHEMA.into()));
-        m.insert("version".into(), Json::Num(ATTRIBUTION_VERSION as f64));
-        m.insert("label".into(), Json::Str(self.label.clone()));
-        m.insert(
-            "runs".into(),
-            Json::Arr(self.runs.iter().map(run_to_json).collect()),
-        );
-        Json::Obj(m)
-    }
-
-    /// Pretty-printed JSON document.
-    pub fn to_text(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Strict parse: schema/version gate, field validation, and
-    /// conservation re-verification per run.
-    pub fn parse(text: &str) -> Result<AttributionReport, DdlError> {
-        let doc = json::parse(text).map_err(|e| metrics_err(format!("attribution: {e}")))?;
-        let m = obj(&doc, "attribution")?;
-        let schema = get_str(m, "attribution", "schema")?;
-        if schema != ATTRIBUTION_SCHEMA {
-            return Err(metrics_err(format!(
-                "attribution.schema: expected {ATTRIBUTION_SCHEMA:?}, got {schema:?}"
-            )));
-        }
-        let version = get_u64(m, "attribution", "version")? as u32;
-        if version > ATTRIBUTION_VERSION {
-            return Err(metrics_err(format!(
-                "attribution.version: {version} is newer than supported {ATTRIBUTION_VERSION}"
-            )));
-        }
-        let runs = match m.get("runs") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .enumerate()
-                .map(|(i, r)| run_from_json(r, &format!("attribution.runs[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(metrics_err("attribution.runs: not an array".into())),
-        };
-        Ok(AttributionReport {
-            label: get_str(m, "attribution", "label")?,
-            runs,
-        })
-    }
-
-    /// Writes the pretty JSON document to `path`.
-    pub fn write(&self, path: &std::path::Path) -> Result<(), DdlError> {
-        std::fs::write(path, self.to_text()).map_err(|e| {
-            metrics_err(format!(
-                "writing attribution report {}: {e}",
-                path.display()
-            ))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1349,58 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_and_parse_checks_conservation() {
-        let dft = DftPlan::from_expr("ct(ddl(8), 8)", Direction::Forward).unwrap();
-        let wht = WhtPlan::from_expr("split(8, 8)").unwrap();
-        let report = AttributionReport {
-            label: "test".into(),
-            runs: vec![
-                attribute_dft(&dft, 2, paper_cache()).unwrap(),
-                attribute_wht(&wht, 1, paper_cache()).unwrap(),
-            ],
-        };
-        let text = report.to_text();
-        let back = AttributionReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-
-        // Corrupting a counter must fail the parse-time conservation
-        // re-check, not round-trip silently.
-        let broken = text.replacen(
-            &format!("\"misses\": {}", report.runs[0].totals.misses),
-            "\"misses\": 999999999",
-            1,
-        );
-        assert_ne!(broken, text, "corruption did not apply");
-        let err = AttributionReport::parse(&broken).unwrap_err();
-        assert!(
-            err.to_string().contains("conservation"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn parse_refuses_newer_versions_and_wrong_schema() {
-        let report = AttributionReport {
-            label: "v".into(),
-            runs: vec![],
-        };
-        let newer = report
-            .to_text()
-            .replace("\"version\": 2", "\"version\": 99");
-        assert!(AttributionReport::parse(&newer).is_err());
-        // The next version up specifically must be refused too.
-        let v3 = report.to_text().replace("\"version\": 2", "\"version\": 3");
-        assert!(AttributionReport::parse(&v3).is_err());
-        // A v1 document (no hierarchy blocks) must still parse.
-        let v1 = report.to_text().replace("\"version\": 2", "\"version\": 1");
-        assert!(AttributionReport::parse(&v1).is_ok());
-        let wrong = report
-            .to_text()
-            .replace("ddl-attribution", "ddl-somethingelse");
-        assert!(AttributionReport::parse(&wrong).is_err());
-    }
-
-    #[test]
     fn hierarchy_attribution_conserves_and_matches_single_level_simulators() {
         use crate::traced::simulate_dft_into;
         use ddl_cachesim::{CacheWithTlb, Tlb};
@@ -1410,7 +875,7 @@ mod tests {
         let run = attribute_dft_hier(&plan, 1, cache, hier).unwrap();
         assert!(run.conserved());
         run.check_hierarchy().unwrap();
-        // The extra observers must not perturb the v1 single-level view.
+        // The extra observers must not perturb the single-level view.
         assert_eq!(run.totals, simulate_dft(&plan, 1, cache).unwrap());
         // The TLB sees the raw (undecomposed) stream, so its totals match
         // the classic CacheWithTlb pairing byte for byte — this is what
@@ -1457,43 +922,6 @@ mod tests {
             }
         });
         assert!(model_leaves >= 1, "inner DFT leaves must carry the model");
-    }
-
-    #[test]
-    fn hierarchy_report_round_trips_and_parse_rechecks_level_invariants() {
-        use crate::planner::PlannerConfig;
-        let cache = paper_cache();
-        let hier = HierarchyConfig::typical(cache);
-        let dft = DftPlan::from_expr("ct(ddl(8), 8)", Direction::Forward).unwrap();
-        let rfft = RfftPlan::plan(64, &PlannerConfig::sdl_analytical()).unwrap();
-        let mut report = AttributionReport {
-            label: "hier".into(),
-            runs: vec![
-                attribute_dft_hier(&dft, 2, cache, hier).unwrap(),
-                attribute_rfft_hier(&rfft, cache, hier).unwrap(),
-            ],
-        };
-        report.runs[0].strategy = Some("ddl".into());
-        let back = AttributionReport::parse(&report.to_text()).unwrap();
-        assert_eq!(back, report);
-
-        // Breaking TLB-level conservation must fail the parse re-check.
-        let mut bad = report.clone();
-        bad.runs[0].hierarchy.as_mut().unwrap().totals.tlb.misses += 1;
-        let err = AttributionReport::parse(&bad.to_text()).unwrap_err();
-        assert!(
-            err.to_string().contains("conservation"),
-            "unexpected error: {err}"
-        );
-
-        // Decoupling a node's L2 accesses from its L1 misses must too.
-        let mut bad = report.clone();
-        bad.runs[0].roots[0].levels.as_mut().unwrap().l2.accesses += 1;
-        let err = AttributionReport::parse(&bad.to_text()).unwrap_err();
-        assert!(
-            err.to_string().contains("L2/L1 coupling"),
-            "unexpected error: {err}"
-        );
     }
 
     #[test]

@@ -10,24 +10,23 @@
 //! [`crate::obs::Counter::BackendFallback`] telemetry counter and
 //! [`crate::BatchReport`].
 //!
-//! The three lowerings of a verified codelet DAG:
+//! The two lowerings of a verified codelet DAG:
 //!
 //! - [`BackendKind::Scalar`] — the generated straight-line Rust in
-//!   `ddl-kernels` (the oracle every other backend must agree with),
-//! - [`BackendKind::Interp`] — the `ddl-codegen` DAG interpreter
-//!   evaluating the symbolic network directly (any leaf size),
+//!   `ddl-kernels` (the oracle the SIMD backend must agree with),
 //! - [`BackendKind::Simd`] — `ddl-backend-simd`: AVX2 on x86_64 / NEON
 //!   on aarch64 picked by `target_feature` detection at dispatch time,
-//!   with a portable chunked path so every target runs all three.
+//!   with a portable chunked path so every target runs both.
+//!
+//! The `ddl-codegen` DAG interpreter is not a backend: it stays the test
+//! oracle of the codelet generator (`crates/codegen/tests`).
 //!
 //! Per-leaf sizes a backend does not lower (e.g. non-pow2 leaves under
 //! `Simd`) silently take the scalar kernel for that leaf; only a
 //! whole-backend runtime refusal counts as a dispatch fallback.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
-use ddl_codegen::{evaluate, expr::CVal, generate_dft, Graph};
 use ddl_kernels::dft_leaf_strided;
 use ddl_num::{Complex64, Direction};
 
@@ -41,22 +40,19 @@ pub enum BackendKind {
     /// Generated scalar Rust codelets (`ddl-kernels`) — the oracle.
     #[default]
     Scalar,
-    /// The `ddl-codegen` DAG interpreter.
-    Interp,
     /// Runtime-dispatched SIMD (`ddl-backend-simd`).
     Simd,
 }
 
 impl BackendKind {
     /// Every backend, in wire/report order.
-    pub const ALL: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Interp, BackendKind::Simd];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
 
     /// Stable lowercase name used in the wire grammar, bench reports,
     /// span tags and the `DDL_BACKEND` environment variable.
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Interp => "interp",
             BackendKind::Simd => "simd",
         }
     }
@@ -65,7 +61,6 @@ impl BackendKind {
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "scalar" => Some(BackendKind::Scalar),
-            "interp" => Some(BackendKind::Interp),
             "simd" => Some(BackendKind::Simd),
             _ => None,
         }
@@ -88,7 +83,6 @@ impl BackendKind {
     pub(crate) fn mix(self) -> u64 {
         match self {
             BackendKind::Scalar => 1,
-            BackendKind::Interp => 2,
             BackendKind::Simd => 3,
         }
     }
@@ -164,53 +158,6 @@ impl ExecBackend for ScalarBackend {
     }
 }
 
-/// Memoized symbolic networks for the interpreter: one generated
-/// `(Graph, outputs)` per `(n, direction)`, shared process-wide.
-type NetKey = (usize, bool);
-type NetMap = HashMap<NetKey, &'static (Graph, Vec<CVal>)>;
-
-fn interp_network(n: usize, dir: Direction) -> &'static (Graph, Vec<CVal>) {
-    static NETS: OnceLock<Mutex<NetMap>> = OnceLock::new();
-    let forward = matches!(dir, Direction::Forward);
-    let mut nets = NETS
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    nets.entry((n, forward))
-        .or_insert_with(|| Box::leak(Box::new(generate_dft(n, dir))))
-}
-
-struct InterpBackend;
-
-impl ExecBackend for InterpBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Interp
-    }
-    fn supports_leaf(&self, _n: usize) -> bool {
-        // The generator factorizes any n >= 1 down to direct DFTs.
-        true
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn leaf_dft(
-        &self,
-        n: usize,
-        dir: Direction,
-        src: &[Complex64],
-        src_base: usize,
-        src_stride: usize,
-        dst: &mut [Complex64],
-        dst_base: usize,
-        dst_stride: usize,
-    ) {
-        let (graph, outputs) = interp_network(n, dir);
-        let gathered: Vec<Complex64> = (0..n).map(|i| src[src_base + i * src_stride]).collect();
-        let out = evaluate(graph, outputs, &gathered);
-        for (k, v) in out.into_iter().enumerate() {
-            dst[dst_base + k * dst_stride] = v;
-        }
-    }
-}
-
 struct SimdBackend;
 
 impl ExecBackend for SimdBackend {
@@ -260,7 +207,6 @@ impl ExecBackend for SimdBackend {
 pub fn backend_for(kind: BackendKind) -> &'static dyn ExecBackend {
     match kind {
         BackendKind::Scalar => &ScalarBackend,
-        BackendKind::Interp => &InterpBackend,
         BackendKind::Simd => &SimdBackend,
     }
 }
@@ -293,6 +239,7 @@ mod tests {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(BackendKind::parse("avx2"), None);
+        assert_eq!(BackendKind::parse("interp"), None);
         assert_eq!(BackendKind::parse(""), None);
     }
 
@@ -303,8 +250,7 @@ mod tests {
 
     #[test]
     fn shard_mix_constants_are_distinct() {
-        assert_ne!(BackendKind::Scalar.mix(), BackendKind::Interp.mix());
-        assert_ne!(BackendKind::Interp.mix(), BackendKind::Simd.mix());
+        assert_ne!(BackendKind::Scalar.mix(), BackendKind::Simd.mix());
     }
 
     fn leaf_out(kind: BackendKind, n: usize, dir: Direction, x: &[Complex64]) -> Vec<Complex64> {
@@ -314,21 +260,19 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_on_leaves() {
+    fn simd_agrees_with_scalar_on_leaves() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 16, 32, 64] {
             let x: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
                 .collect();
             for dir in [Direction::Forward, Direction::Inverse] {
                 let oracle = leaf_out(BackendKind::Scalar, n, dir, &x);
-                for kind in [BackendKind::Interp, BackendKind::Simd] {
-                    let got = leaf_out(kind, n, dir, &x);
-                    for (a, b) in got.iter().zip(&oracle) {
-                        assert!(
-                            (a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9,
-                            "{kind:?} n={n} {dir:?}: {a:?} vs {b:?}"
-                        );
-                    }
+                let got = leaf_out(BackendKind::Simd, n, dir, &x);
+                for (a, b) in got.iter().zip(&oracle) {
+                    assert!(
+                        (a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9,
+                        "simd n={n} {dir:?}: {a:?} vs {b:?}"
+                    );
                 }
             }
         }
@@ -351,7 +295,6 @@ mod tests {
         );
         assert_eq!(resolve(BackendKind::Scalar), (BackendKind::Scalar, false));
         assert_eq!(resolve(BackendKind::Simd), (BackendKind::Scalar, true));
-        assert_eq!(resolve(BackendKind::Interp), (BackendKind::Scalar, true));
     }
 
     #[test]

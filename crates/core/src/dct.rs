@@ -47,14 +47,6 @@ impl DctPlan {
     }
 
     /// DCT-II: `y[k] = 2 Σ_i x[i] cos(π k (2i+1) / 2n)`.
-    pub fn dct2(&self, x: &[f64], y: &mut [f64]) {
-        if let Err(e) = self.try_dct2(x, y) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`DctPlan::dct2`].
     pub fn try_dct2(&self, x: &[f64], y: &mut [f64]) -> Result<(), DdlError> {
         let n = self.n;
         if x.len() < n || y.len() < n {
@@ -82,18 +74,10 @@ impl DctPlan {
         Ok(())
     }
 
-    /// DCT-III (the inverse of [`Self::dct2`] up to a factor `2n`, with
-    /// the usual half-weight on coefficient 0):
+    /// DCT-III (the inverse of [`Self::try_dct2`] up to a factor `2n`,
+    /// with the usual half-weight on coefficient 0):
     /// `x[i] = (1/n) * ( y[0]/2 + Σ_{k>=1} y[k] cos(π k (2i+1) / 2n) )`
-    /// recovers the original input of `dct2`.
-    pub fn dct3(&self, y: &[f64], x: &mut [f64]) {
-        if let Err(e) = self.try_dct3(y, x) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`DctPlan::dct3`].
+    /// recovers the original input of `try_dct2`.
     pub fn try_dct3(&self, y: &[f64], x: &mut [f64]) -> Result<(), DdlError> {
         let n = self.n;
         if y.len() < n || x.len() < n {
@@ -128,7 +112,7 @@ impl DctPlan {
 }
 
 /// Reference `O(n^2)` DCT-II with the same convention as
-/// [`DctPlan::dct2`].
+/// [`DctPlan::try_dct2`].
 pub fn naive_dct2(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     (0..n)
@@ -162,7 +146,7 @@ mod tests {
             let plan = DctPlan::plan(n, &PlannerConfig::sdl_analytical()).unwrap();
             let x = sample(n);
             let mut y = vec![0.0; n];
-            plan.dct2(&x, &mut y);
+            plan.try_dct2(&x, &mut y).unwrap();
             let want = naive_dct2(&x);
             for k in 0..n {
                 assert!(
@@ -182,8 +166,8 @@ mod tests {
             let x = sample(n);
             let mut y = vec![0.0; n];
             let mut back = vec![0.0; n];
-            plan.dct2(&x, &mut y);
-            plan.dct3(&y, &mut back);
+            plan.try_dct2(&x, &mut y).unwrap();
+            plan.try_dct3(&y, &mut back).unwrap();
             for i in 0..n {
                 assert!(
                     (back[i] - x[i]).abs() < 1e-9,
@@ -201,7 +185,7 @@ mod tests {
         let plan = DctPlan::plan(n, &PlannerConfig::sdl_analytical()).unwrap();
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
-        plan.dct2(&x, &mut y);
+        plan.try_dct2(&x, &mut y).unwrap();
         assert!((y[0] - 2.0 * n as f64).abs() < 1e-9);
         for (k, yk) in y.iter().enumerate().skip(1) {
             assert!(yk.abs() < 1e-9, "leak at {k}");
@@ -217,7 +201,7 @@ mod tests {
         let plan = DctPlan::plan(n, &PlannerConfig::sdl_analytical()).unwrap();
         let x: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
         let mut y = vec![0.0; n];
-        plan.dct2(&x, &mut y);
+        plan.try_dct2(&x, &mut y).unwrap();
         let total: f64 = y.iter().map(|v| v * v).sum();
         let low: f64 = y[..8].iter().map(|v| v * v).sum();
         assert!(low / total > 0.99, "low-frequency share {}", low / total);
@@ -231,8 +215,8 @@ mod tests {
         let x = sample(n);
         let mut ya = vec![0.0; n];
         let mut yb = vec![0.0; n];
-        a.dct2(&x, &mut ya);
-        b.dct2(&x, &mut yb);
+        a.try_dct2(&x, &mut ya).unwrap();
+        b.try_dct2(&x, &mut yb).unwrap();
         for k in 0..n {
             assert!((ya[k] - yb[k]).abs() < 1e-8 * ya[k].abs().max(1.0));
         }

@@ -520,9 +520,6 @@ impl DftPlan {
             result.map(|()| total_ns)
         })?;
         Ok(ExecutionMetrics::from_recorder(
-            "dft",
-            self.n(),
-            self.tree.to_string(),
             total_ns,
             recorder,
             crate::obs::tree_leaf_flops(&self.tree, true),

@@ -88,16 +88,8 @@ impl Dft2dPlan {
 
     /// Executes out of place:
     /// `output[r*cols + c] = Σ_{i,j} input[i*cols + j] w_rows^{ri} w_cols^{cj}`.
-    /// Both slices must hold `rows*cols` points.
-    pub fn execute(&self, input: &[Complex64], output: &mut [Complex64]) {
-        if let Err(e) = self.try_execute(input, output) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`Dft2dPlan::execute`]: undersized buffers surface
-    /// as [`DdlError::ShapeMismatch`] instead of a panic.
+    /// Both slices must hold `rows*cols` points; undersized buffers
+    /// surface as [`DdlError::ShapeMismatch`].
     pub fn try_execute(
         &self,
         input: &[Complex64],
@@ -179,7 +171,7 @@ mod tests {
         .unwrap();
         let x = sample(rows * cols);
         let mut y = vec![Complex64::ZERO; rows * cols];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = naive_dft2d(&x, rows, cols, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-10);
     }
@@ -196,7 +188,7 @@ mod tests {
         .unwrap();
         let x = sample(rows * cols);
         let mut y = vec![Complex64::ZERO; rows * cols];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = naive_dft2d(&x, rows, cols, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-10);
     }
@@ -210,8 +202,8 @@ mod tests {
         let x = sample(rows * cols);
         let mut f = vec![Complex64::ZERO; rows * cols];
         let mut b = vec![Complex64::ZERO; rows * cols];
-        fwd.execute(&x, &mut f);
-        inv.execute(&f, &mut b);
+        fwd.try_execute(&x, &mut f).unwrap();
+        inv.try_execute(&f, &mut b).unwrap();
         let scale = 1.0 / (rows * cols) as f64;
         let back: Vec<Complex64> = b.iter().map(|v| v.scale(scale)).collect();
         assert!(relative_rms_error(&back, &x) < 1e-10);
@@ -230,7 +222,7 @@ mod tests {
         let mut x = vec![Complex64::ZERO; 64];
         x[0] = Complex64::ONE;
         let mut y = vec![Complex64::ZERO; 64];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         for v in &y {
             assert!((*v - Complex64::ONE).abs() < 1e-12);
         }

@@ -76,14 +76,11 @@ pub mod wht;
 pub mod wisdom;
 
 pub use attrib::{
-    attribute_dft, attribute_wht, classify_empirical, classify_model, AttributionReport,
-    AttributionRun, CaseClass, NodeAttribution, ATTRIBUTION_SCHEMA, ATTRIBUTION_VERSION,
+    attribute_dft, attribute_wht, classify_empirical, classify_model, AttributionRun, CaseClass,
+    NodeAttribution,
 };
 pub use backend::{backend_for, simd_active_isa, BackendKind, ExecBackend};
-pub use calibrate::{
-    calibrate_dft, calibrate_wht, CalibrationCase, CalibrationConfig, CalibrationReport,
-    StageCalibration, CALIBRATION_SCHEMA, CALIBRATION_VERSION,
-};
+pub use calibrate::{calibrate_dft, calibrate_wht, CalibrationConfig};
 pub use dct::DctPlan;
 pub use ddl_num::DdlError;
 pub use dft::{DftPlan, DftViews};
@@ -100,15 +97,18 @@ pub use histo::{
 pub use measure::Deadline;
 pub use model::{CacheModel, StageCost};
 pub use obs::{
-    BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, Observer, PlannerRunMetrics,
-    Recorder, Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+    BatchMetrics, Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder, Sink,
+    SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
 };
 pub use parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport, ItemTiming};
 pub use planner::{
     plan_dft, plan_wht, try_plan_dft, try_plan_dft_with, try_plan_wht, try_plan_wht_with,
     CostBackend, PlannerConfig, Strategy,
 };
-pub use reports::{check_report, check_report_text, CheckedReport};
+pub use reports::{
+    check_report, check_report_text, CheckedReport, PlanRecord, Report, REPORT_SCHEMA,
+    REPORT_VERSION,
+};
 pub use rfft::RfftPlan;
 pub use scheduler::{
     execute_batch_scheduled, scheduler_totals, BatchOptions, CancelToken, SchedulerTotals,

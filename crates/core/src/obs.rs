@@ -15,10 +15,11 @@
 //! * [`Recorder`] — the standard in-memory sink: monotonic [`Counter`]s,
 //!   per-[`Stage`] span accumulation (the Eq. (2)/(3) split), and a
 //!   bounded log of planner candidates.
-//! * [`MetricsReport`] — the serializable aggregate: planner search
-//!   stats, per-execution stage breakdowns, batch reports and raw
-//!   counters, round-tripping through [`crate::json`] under the stable
-//!   `ddl-metrics` schema (see DESIGN.md's "Observability" section).
+//! * [`PlannerRunMetrics`], [`ExecutionMetrics`], [`BatchMetrics`] — what
+//!   a recorder distils from one search, one profiled execution or one
+//!   batch. They are the `planner` and `measured` sections of a plan
+//!   record and the `batches` of the `ddl-report` envelope
+//!   ([`crate::reports`], DESIGN.md's "Observability" section).
 //!
 //! * [`Observer`] — what one executor run takes: a [`Sink`] and a
 //!   [`MemoryTracer`] in one value, so measurement and simulation share
@@ -28,29 +29,20 @@
 //! `DftPlan::try_profile_with`, `Wisdom::load_with`, … sit next to their
 //! uninstrumented originals, which delegate with [`NullSink`].
 //!
-//! Benchmark binaries write reports behind a `--metrics-out <path>` flag;
-//! library users can export the same JSON by setting the
-//! [`METRICS_OUT_ENV`] environment variable (see [`env_metrics_out`]).
+//! Benchmark binaries write reports behind a `--metrics-out <path>` flag,
+//! which defaults to the [`METRICS_OUT_ENV`] environment variable (see
+//! [`env_metrics_out`]).
 
-use crate::json::{self, Json};
 use crate::tree::Tree;
 use ddl_cachesim::MemoryTracer;
 use ddl_num::DdlError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// Name of the environment variable library users set to a file path to
-/// request a metrics report without touching any API: code that already
-/// writes reports (the bench binaries) treats it as a default for
+/// Name of the environment variable that names a file to write a
+/// `ddl-report` to: the bench binaries treat it as the default for
 /// `--metrics-out`.
 pub const METRICS_OUT_ENV: &str = "DDL_METRICS_OUT";
-
-/// Schema identifier carried by every report.
-pub const METRICS_SCHEMA: &str = "ddl-metrics";
-
-/// Current schema version; readers refuse anything newer. Version 2
-/// adds the additive per-batch `steals` field (work-stealing telemetry).
-pub const METRICS_VERSION: u32 = 2;
 
 /// Execution stage classification, mirroring the terms of the paper's
 /// Eq. (2)/(3): leaf computation (`T_left`/`T_right` bottom out in leaf
@@ -608,15 +600,11 @@ impl StageBreakdown {
     }
 }
 
-/// Planner search statistics for one planning run.
+/// Planner search statistics for one planning run: the `planner`
+/// section of a plan record, which names the transform, size, strategy
+/// and winning tree.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannerRunMetrics {
-    /// `"dft"` or `"wht"`.
-    pub transform: String,
-    /// Transform size planned.
-    pub n: usize,
-    /// `"sdl"` or `"ddl"`.
-    pub strategy: String,
     /// Cost backend description (e.g. `"analytical"`, `"measured"`).
     pub backend: String,
     /// Distinct `(size, stride)` DP states explored.
@@ -629,19 +617,35 @@ pub struct PlannerRunMetrics {
     pub cost: f64,
     /// Wall-clock seconds the search took.
     pub plan_seconds: f64,
-    /// Winning tree, as a grammar expression.
-    pub tree: String,
 }
 
-/// One profiled plan execution with its stage breakdown.
+impl PlannerRunMetrics {
+    /// Builds the section from the recorder one search reported into.
+    pub fn from_recorder(
+        backend: &str,
+        cost: f64,
+        plan_seconds: f64,
+        recorder: &Recorder,
+    ) -> PlannerRunMetrics {
+        PlannerRunMetrics {
+            backend: backend.to_string(),
+            states: recorder.counter_value(Counter::PlannerStates),
+            candidates: recorder.counter_value(Counter::PlannerCandidates),
+            memo_hits: recorder.counter_value(Counter::PlannerMemoHits),
+            cost,
+            plan_seconds,
+        }
+    }
+}
+
+/// One profiled plan execution with its stage breakdown: the `measured`
+/// section of a plan record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExecutionMetrics {
-    /// `"dft"` or `"wht"`.
-    pub transform: String,
-    /// Transform size executed.
-    pub n: usize,
-    /// The executed tree, as a grammar expression.
-    pub tree: String,
+    /// Profiled executions behind this one: 1 for a single run, `k` when
+    /// this is the median-wall-clock run of `k` (see
+    /// [`crate::calibrate`]).
+    pub repeats: u32,
     /// Wall-clock nanoseconds for the whole execution.
     pub total_ns: u64,
     /// Per-stage split of `total_ns` (plus untimed recursion glue).
@@ -660,17 +664,12 @@ pub struct ExecutionMetrics {
 impl ExecutionMetrics {
     /// Builds the section from a profiled run's recorder.
     pub fn from_recorder(
-        transform: &str,
-        n: usize,
-        tree: String,
         total_ns: u64,
         recorder: &Recorder,
         leaf_flops_est: u64,
     ) -> ExecutionMetrics {
         ExecutionMetrics {
-            transform: transform.to_string(),
-            n,
-            tree,
+            repeats: 1,
             total_ns,
             stages: recorder.breakdown(),
             leaf_calls: recorder.stage_calls(Stage::Leaf),
@@ -736,134 +735,6 @@ pub fn tree_leaf_flops(tree: &Tree, dft: bool) -> u64 {
     }
 }
 
-/// The serializable aggregate: everything one instrumented run learned.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsReport {
-    /// One entry per planning run.
-    pub planner: Vec<PlannerRunMetrics>,
-    /// One entry per profiled execution.
-    pub executions: Vec<ExecutionMetrics>,
-    /// One entry per batch execution.
-    pub batches: Vec<BatchMetrics>,
-    /// Raw monotonic counters by dotted name.
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl MetricsReport {
-    /// An empty report.
-    pub fn new() -> MetricsReport {
-        MetricsReport::default()
-    }
-
-    /// Serializes to the versioned `ddl-metrics` JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut top = BTreeMap::new();
-        top.insert("schema".into(), Json::Str(METRICS_SCHEMA.into()));
-        top.insert("version".into(), Json::Num(METRICS_VERSION as f64));
-        top.insert(
-            "planner".into(),
-            Json::Arr(self.planner.iter().map(planner_to_json).collect()),
-        );
-        top.insert(
-            "executions".into(),
-            Json::Arr(self.executions.iter().map(execution_to_json).collect()),
-        );
-        top.insert(
-            "batches".into(),
-            Json::Arr(self.batches.iter().map(batch_to_json).collect()),
-        );
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-            .collect();
-        top.insert("counters".into(), Json::Obj(counters));
-        Json::Obj(top)
-    }
-
-    /// Serializes to pretty-printed JSON text.
-    pub fn to_pretty_json(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Parses and validates a `ddl-metrics` document.
-    pub fn parse(text: &str) -> Result<MetricsReport, DdlError> {
-        let doc = json::parse(text).map_err(|e| metrics_err(format!("not JSON: {e}")))?;
-        MetricsReport::from_json(&doc)
-    }
-
-    /// Decodes from a parsed JSON value, validating the schema.
-    pub fn from_json(doc: &Json) -> Result<MetricsReport, DdlError> {
-        let top = doc
-            .as_obj()
-            .ok_or_else(|| metrics_err("top level is not a JSON object".into()))?;
-        match top.get("schema").and_then(Json::as_str) {
-            Some(METRICS_SCHEMA) => {}
-            Some(other) => {
-                return Err(metrics_err(format!(
-                    "$.schema: unknown schema {other:?} (expected {METRICS_SCHEMA:?})"
-                )))
-            }
-            None => return Err(metrics_err("$.schema: missing or non-string".into())),
-        }
-        let version = top
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| metrics_err("$.version: missing or non-integer".into()))?;
-        if version > METRICS_VERSION as u64 {
-            return Err(metrics_err(format!(
-                "$.version: report version {version} is newer than supported version {METRICS_VERSION}"
-            )));
-        }
-        let arr = |key: &str| -> Result<&[Json], DdlError> {
-            match top.get(key) {
-                None => Ok(&[]),
-                Some(Json::Arr(items)) => Ok(items),
-                Some(_) => Err(metrics_err(format!("$.{key}: not an array"))),
-            }
-        };
-        let planner = arr("planner")?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| planner_from_json(v, i))
-            .collect::<Result<_, _>>()?;
-        let executions = arr("executions")?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| execution_from_json(v, i))
-            .collect::<Result<_, _>>()?;
-        let batches = arr("batches")?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| batch_from_json(v, i))
-            .collect::<Result<_, _>>()?;
-        let mut counters = BTreeMap::new();
-        if let Some(v) = top.get("counters") {
-            let obj = v
-                .as_obj()
-                .ok_or_else(|| metrics_err("$.counters: not an object".into()))?;
-            for (k, v) in obj {
-                let v = v.as_u64().ok_or_else(|| {
-                    metrics_err(format!("$.counters.{k}: not a non-negative integer"))
-                })?;
-                counters.insert(k.clone(), v);
-            }
-        }
-        Ok(MetricsReport {
-            planner,
-            executions,
-            batches,
-            counters,
-        })
-    }
-
-    /// Writes the pretty-printed report to `path`.
-    pub fn write(&self, path: &std::path::Path) -> Result<(), DdlError> {
-        std::fs::write(path, self.to_pretty_json())
-            .map_err(|e| metrics_err(format!("cannot write {}: {e}", path.display())))
-    }
-}
-
 /// The metrics output path requested through the environment, if any
 /// (the [`METRICS_OUT_ENV`] variable, ignored when empty).
 pub fn env_metrics_out() -> Option<PathBuf> {
@@ -877,293 +748,9 @@ pub(crate) fn metrics_err(detail: String) -> DdlError {
     DdlError::Metrics { detail }
 }
 
-/// Decode helpers shared by every report schema in the workspace
-/// (`ddl-metrics`, `ddl-trace`, `ddl-calibration`, `ddl-bench`). Each
-/// takes the JSON-path of the enclosing object (e.g. `$.planner[2]`) so
-/// validation failures name the offending field, not just the file.
-pub(crate) fn obj<'j>(v: &'j Json, path: &str) -> Result<&'j BTreeMap<String, Json>, DdlError> {
-    v.as_obj()
-        .ok_or_else(|| metrics_err(format!("{path}: not an object")))
-}
-
-pub(crate) fn get_str(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<String, DdlError> {
-    map.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| metrics_err(format!("{path}.{key}: missing or non-string")))
-}
-
-pub(crate) fn get_u64(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<u64, DdlError> {
-    map.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| metrics_err(format!("{path}.{key}: missing or non-integer")))
-}
-
-pub(crate) fn get_f64(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<f64, DdlError> {
-    map.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| metrics_err(format!("{path}.{key}: missing or non-numeric")))
-}
-
-pub(crate) fn get_bool(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<bool, DdlError> {
-    match map.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(metrics_err(format!("{path}.{key}: missing or non-boolean"))),
-    }
-}
-
-fn planner_to_json(p: &PlannerRunMetrics) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("transform".into(), Json::Str(p.transform.clone()));
-    m.insert("n".into(), Json::Num(p.n as f64));
-    m.insert("strategy".into(), Json::Str(p.strategy.clone()));
-    m.insert("backend".into(), Json::Str(p.backend.clone()));
-    m.insert("states".into(), Json::Num(p.states as f64));
-    m.insert("candidates".into(), Json::Num(p.candidates as f64));
-    m.insert("memo_hits".into(), Json::Num(p.memo_hits as f64));
-    m.insert("cost".into(), Json::Num(p.cost));
-    m.insert("plan_seconds".into(), Json::Num(p.plan_seconds));
-    m.insert("tree".into(), Json::Str(p.tree.clone()));
-    Json::Obj(m)
-}
-
-fn planner_from_json(v: &Json, i: usize) -> Result<PlannerRunMetrics, DdlError> {
-    let path = format!("$.planner[{i}]");
-    let m = obj(v, &path)?;
-    Ok(PlannerRunMetrics {
-        transform: get_str(m, &path, "transform")?,
-        n: get_u64(m, &path, "n")? as usize,
-        strategy: get_str(m, &path, "strategy")?,
-        backend: get_str(m, &path, "backend")?,
-        states: get_u64(m, &path, "states")?,
-        candidates: get_u64(m, &path, "candidates")?,
-        memo_hits: get_u64(m, &path, "memo_hits")?,
-        cost: get_f64(m, &path, "cost")?,
-        plan_seconds: get_f64(m, &path, "plan_seconds")?,
-        tree: get_str(m, &path, "tree")?,
-    })
-}
-
-fn execution_to_json(e: &ExecutionMetrics) -> Json {
-    let mut stages = BTreeMap::new();
-    stages.insert("leaf_ns".into(), Json::Num(e.stages.leaf_ns as f64));
-    stages.insert("twiddle_ns".into(), Json::Num(e.stages.twiddle_ns as f64));
-    stages.insert("reorg_ns".into(), Json::Num(e.stages.reorg_ns as f64));
-    let mut m = BTreeMap::new();
-    m.insert("transform".into(), Json::Str(e.transform.clone()));
-    m.insert("n".into(), Json::Num(e.n as f64));
-    m.insert("tree".into(), Json::Str(e.tree.clone()));
-    m.insert("total_ns".into(), Json::Num(e.total_ns as f64));
-    m.insert("stages".into(), Json::Obj(stages));
-    m.insert("leaf_calls".into(), Json::Num(e.leaf_calls as f64));
-    m.insert("twiddle_points".into(), Json::Num(e.twiddle_points as f64));
-    m.insert("reorg_points".into(), Json::Num(e.reorg_points as f64));
-    m.insert("leaf_flops_est".into(), Json::Num(e.leaf_flops_est as f64));
-    Json::Obj(m)
-}
-
-fn execution_from_json(v: &Json, i: usize) -> Result<ExecutionMetrics, DdlError> {
-    let path = format!("$.executions[{i}]");
-    let m = obj(v, &path)?;
-    let stages_path = format!("{path}.stages");
-    let stages = m
-        .get("stages")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| metrics_err(format!("{stages_path}: missing or non-object")))?;
-    Ok(ExecutionMetrics {
-        transform: get_str(m, &path, "transform")?,
-        n: get_u64(m, &path, "n")? as usize,
-        tree: get_str(m, &path, "tree")?,
-        total_ns: get_u64(m, &path, "total_ns")?,
-        stages: StageBreakdown {
-            leaf_ns: get_u64(stages, &stages_path, "leaf_ns")?,
-            twiddle_ns: get_u64(stages, &stages_path, "twiddle_ns")?,
-            reorg_ns: get_u64(stages, &stages_path, "reorg_ns")?,
-        },
-        leaf_calls: get_u64(m, &path, "leaf_calls")?,
-        twiddle_points: get_u64(m, &path, "twiddle_points")?,
-        reorg_points: get_u64(m, &path, "reorg_points")?,
-        leaf_flops_est: get_u64(m, &path, "leaf_flops_est")?,
-    })
-}
-
-fn batch_to_json(b: &BatchMetrics) -> Json {
-    let mut m = BTreeMap::new();
-    m.insert("label".into(), Json::Str(b.label.clone()));
-    m.insert("items".into(), Json::Num(b.items as f64));
-    m.insert("ok".into(), Json::Num(b.ok as f64));
-    m.insert("panicked".into(), Json::Num(b.panicked as f64));
-    m.insert(
-        "deadline_expired".into(),
-        Json::Num(b.deadline_expired as f64),
-    );
-    m.insert("cancelled".into(), Json::Num(b.cancelled as f64));
-    m.insert(
-        "backend_fallbacks".into(),
-        Json::Num(b.backend_fallbacks as f64),
-    );
-    m.insert("steals".into(), Json::Num(b.steals as f64));
-    m.insert(
-        "degraded_to_sequential".into(),
-        Json::Bool(b.degraded_to_sequential),
-    );
-    m.insert("wall_ns".into(), Json::Num(b.wall_ns as f64));
-    m.insert("queue_ns_max".into(), Json::Num(b.queue_ns_max as f64));
-    m.insert("run_ns_total".into(), Json::Num(b.run_ns_total as f64));
-    m.insert("run_ns_max".into(), Json::Num(b.run_ns_max as f64));
-    Json::Obj(m)
-}
-
-fn batch_from_json(v: &Json, i: usize) -> Result<BatchMetrics, DdlError> {
-    let path = format!("$.batches[{i}]");
-    let m = obj(v, &path)?;
-    Ok(BatchMetrics {
-        label: get_str(m, &path, "label")?,
-        items: get_u64(m, &path, "items")?,
-        ok: get_u64(m, &path, "ok")?,
-        panicked: get_u64(m, &path, "panicked")?,
-        // Additive in PR 6; absent in documents written by older
-        // libraries, which simply had nothing to shed.
-        deadline_expired: m
-            .get("deadline_expired")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        cancelled: m.get("cancelled").and_then(Json::as_u64).unwrap_or(0),
-        // Additive in PR 7 (execution backends); older documents never
-        // dispatched anything that could fall back.
-        backend_fallbacks: m
-            .get("backend_fallbacks")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        // Additive in PR 9 (service telemetry); older documents were
-        // written before steals were counted.
-        steals: m.get("steals").and_then(Json::as_u64).unwrap_or(0),
-        degraded_to_sequential: get_bool(m, &path, "degraded_to_sequential")?,
-        wall_ns: get_u64(m, &path, "wall_ns")?,
-        queue_ns_max: get_u64(m, &path, "queue_ns_max")?,
-        run_ns_total: get_u64(m, &path, "run_ns_total")?,
-        run_ns_max: get_u64(m, &path, "run_ns_max")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_report() -> MetricsReport {
-        let mut counters = BTreeMap::new();
-        counters.insert("planner.states".to_string(), 42u64);
-        counters.insert("wisdom.hits".to_string(), 3u64);
-        MetricsReport {
-            planner: vec![PlannerRunMetrics {
-                transform: "dft".into(),
-                n: 1024,
-                strategy: "ddl".into(),
-                backend: "analytical".into(),
-                states: 42,
-                candidates: 130,
-                memo_hits: 88,
-                cost: 1234.5,
-                plan_seconds: 0.002,
-                tree: "ct(32, 32)".into(),
-            }],
-            executions: vec![ExecutionMetrics {
-                transform: "wht".into(),
-                n: 4096,
-                tree: "split(64, 64)".into(),
-                total_ns: 100_000,
-                stages: StageBreakdown {
-                    leaf_ns: 70_000,
-                    twiddle_ns: 0,
-                    reorg_ns: 20_000,
-                },
-                leaf_calls: 128,
-                twiddle_points: 0,
-                reorg_points: 4096,
-                leaf_flops_est: 49_152,
-            }],
-            batches: vec![BatchMetrics {
-                label: "dft:1024".into(),
-                items: 8,
-                ok: 7,
-                panicked: 1,
-                deadline_expired: 0,
-                cancelled: 0,
-                backend_fallbacks: 0,
-                steals: 0,
-                degraded_to_sequential: false,
-                wall_ns: 500_000,
-                queue_ns_max: 1_000,
-                run_ns_total: 1_800_000,
-                run_ns_max: 260_000,
-            }],
-            counters,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = sample_report();
-        let text = report.to_pretty_json();
-        let back = MetricsReport::parse(&text).unwrap();
-        assert_eq!(back, report);
-        // serialize → parse → serialize is a fixed point
-        assert_eq!(back.to_pretty_json(), text);
-    }
-
-    #[test]
-    fn schema_violations_are_rejected() {
-        // The future-version probe is derived from the real constant so
-        // this test keeps refusing *newer* documents (not merely
-        // "version 99") after every schema bump.
-        let future = format!(
-            r#"{{"schema": "ddl-metrics", "version": {}}}"#,
-            METRICS_VERSION + 1
-        );
-        for (doc, why) in [
-            ("{}", "missing schema"),
-            (r#"{"schema": "other", "version": 1}"#, "wrong schema"),
-            (r#"{"schema": "ddl-metrics"}"#, "missing version"),
-            (future.as_str(), "future"),
-            (
-                r#"{"schema": "ddl-metrics", "version": 1, "planner": 7}"#,
-                "planner not array",
-            ),
-            (
-                r#"{"schema": "ddl-metrics", "version": 1, "counters": {"x": -1}}"#,
-                "negative counter",
-            ),
-        ] {
-            let got = MetricsReport::parse(doc);
-            assert!(
-                matches!(got, Err(DdlError::Metrics { .. })),
-                "{why}: {got:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        let text = MetricsReport::new().to_pretty_json();
-        let back = MetricsReport::parse(&text).unwrap();
-        assert_eq!(back, MetricsReport::new());
-    }
 
     #[test]
     fn recorder_accumulates_monotonically() {

@@ -6,17 +6,15 @@
 //! more importantly here — the working set that must stream through the
 //! cache, so the DDL machinery applies to half-size plans.
 //!
-//! Convention: [`RfftPlan::forward`] returns the `n/2 + 1` nonredundant
-//! bins of the length-`n` real DFT; [`RfftPlan::inverse`] reconstructs
-//! the real signal (exactly inverse, including the `1/n` factor).
+//! Convention: [`RfftPlan::try_forward`] returns the `n/2 + 1`
+//! nonredundant bins of the length-`n` real DFT; [`RfftPlan::try_inverse`]
+//! reconstructs the real signal (exactly inverse, including the `1/n`
+//! factor).
 
 use crate::dft::{DftPlan, DftViews, PlanError};
 use crate::obs::{NullSink, Observer, SpanInfo, SpanKind};
 use crate::planner::{plan_dft, PlannerConfig};
-use crate::traced::SIM_PAGE_BYTES;
 use crate::tree::Tree;
-use crate::DFT_POINT_BYTES;
-use ddl_cachesim::AddressSpace;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
 /// A compiled real-input FFT of (even) size `n`.
@@ -77,29 +75,24 @@ impl RfftPlan {
 
     /// Forward transform: `spectrum[k] = Σ_i x[i] e^{-2πi ik/n}` for
     /// `k = 0 ..= n/2`.
-    pub fn forward(&self, x: &[f64], spectrum: &mut [Complex64]) {
-        if let Err(e) = self.try_forward(x, spectrum) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`RfftPlan::forward`].
     pub fn try_forward(&self, x: &[f64], spectrum: &mut [Complex64]) -> Result<(), DdlError> {
-        self.forward_observed(x, spectrum, &mut NullSink)
+        self.forward_observed(x, spectrum, [0; 6], &mut NullSink)
     }
 
     /// [`RfftPlan::try_forward`] into one [`Observer`]: the pack and
     /// untangle stages emit their own node spans (labels `"pack"` /
     /// `"untangle"`) and memory traffic, and the inner half-size DFT runs
     /// through [`DftPlan::try_run`] — so a pipeline transform gets the
-    /// same per-node attribution as a bare DFT. When the observer traces,
-    /// the pipeline's buffers sit at page-aligned disjoint simulated
-    /// addresses ([`RfftPlan::sim_addrs`]).
+    /// same per-node attribution as a bare DFT. `addrs` are the simulated
+    /// base addresses of, in order: the real input, the packed buffer,
+    /// the half-size spectrum, the output spectrum, the DFT scratch and
+    /// the twiddle tables; the simulation harness
+    /// ([`crate::traced`]) lays them out.
     pub(crate) fn forward_observed<O: Observer>(
         &self,
         x: &[f64],
         spectrum: &mut [Complex64],
+        addrs: [u64; 6],
         obs: &mut O,
     ) -> Result<(), DdlError> {
         let n = self.n;
@@ -114,11 +107,7 @@ impl RfftPlan {
                 spectrum.len(),
             ));
         }
-        let [xa, za, zfa, speca, sa, ta] = if O::TRACE {
-            self.sim_addrs()
-        } else {
-            Default::default()
-        };
+        let [xa, za, zfa, speca, sa, ta] = addrs;
         let node = |label, size| SpanInfo {
             kind: SpanKind::Node,
             label,
@@ -170,34 +159,8 @@ impl RfftPlan {
         Ok(())
     }
 
-    /// Simulated base addresses of, in order: the real input, the packed
-    /// buffer, the half-size spectrum, the output spectrum, the DFT
-    /// scratch, and the twiddle tables.
-    fn sim_addrs(&self) -> [u64; 6] {
-        let h = self.n / 2;
-        let half = &self.half_forward;
-        let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-        [
-            self.n * 8,
-            h * DFT_POINT_BYTES,
-            h * DFT_POINT_BYTES,
-            (h + 1) * DFT_POINT_BYTES,
-            half.scratch_len().max(1) * DFT_POINT_BYTES,
-            half.twiddle_points().max(1) * DFT_POINT_BYTES,
-        ]
-        .map(|bytes| space.alloc(bytes as u64))
-    }
-
     /// Inverse transform: reconstructs the real signal from `n/2 + 1`
-    /// bins (normalized — `inverse(forward(x)) == x`).
-    pub fn inverse(&self, spectrum: &[Complex64], x: &mut [f64]) {
-        if let Err(e) = self.try_inverse(spectrum, x) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`RfftPlan::inverse`].
+    /// bins (normalized — `try_inverse(try_forward(x)) == x`).
     pub fn try_inverse(&self, spectrum: &[Complex64], x: &mut [f64]) -> Result<(), DdlError> {
         let n = self.n;
         let h = n / 2;
@@ -252,7 +215,7 @@ mod tests {
             let plan = RfftPlan::plan(n, &PlannerConfig::sdl_analytical()).unwrap();
             let x = sample(n);
             let mut spec = vec![Complex64::ZERO; plan.bins()];
-            plan.forward(&x, &mut spec);
+            plan.try_forward(&x, &mut spec).unwrap();
             let cx: Vec<Complex64> = x.iter().map(|&v| Complex64::from_re(v)).collect();
             let want = naive_dft(&cx, Direction::Forward);
             for k in 0..=n / 2 {
@@ -273,8 +236,8 @@ mod tests {
             let x = sample(n);
             let mut spec = vec![Complex64::ZERO; plan.bins()];
             let mut back = vec![0.0; n];
-            plan.forward(&x, &mut spec);
-            plan.inverse(&spec, &mut back);
+            plan.try_forward(&x, &mut spec).unwrap();
+            plan.try_inverse(&spec, &mut back).unwrap();
             for i in 0..n {
                 assert!((back[i] - x[i]).abs() < 1e-9, "n={n} i={i}");
             }
@@ -287,7 +250,7 @@ mod tests {
         let plan = RfftPlan::plan(n, &PlannerConfig::sdl_analytical()).unwrap();
         let x = sample(n);
         let mut spec = vec![Complex64::ZERO; plan.bins()];
-        plan.forward(&x, &mut spec);
+        plan.try_forward(&x, &mut spec).unwrap();
         assert!(spec[0].im.abs() < 1e-10);
         assert!(spec[n / 2].im.abs() < 1e-10);
         let sum: f64 = x.iter().sum();

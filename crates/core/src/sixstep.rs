@@ -91,14 +91,6 @@ impl SixStepPlan {
     }
 
     /// Executes out of place.
-    pub fn execute(&self, input: &[Complex64], output: &mut [Complex64]) {
-        if let Err(e) = self.try_execute(input, output) {
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible form of [`SixStepPlan::execute`].
     pub fn try_execute(
         &self,
         input: &[Complex64],
@@ -173,7 +165,7 @@ mod tests {
             let n = n1 * n2;
             let x = sample(n);
             let mut y = vec![Complex64::ZERO; n];
-            plan.execute(&x, &mut y);
+            plan.try_execute(&x, &mut y).unwrap();
             let want = naive_dft(&x, Direction::Forward);
             assert!(
                 relative_rms_error(&y, &want) < 1e-10,
@@ -190,7 +182,7 @@ mod tests {
             SixStepPlan::balanced(n, Direction::Forward, &PlannerConfig::ddl_analytical()).unwrap();
         let x = sample(n);
         let mut y = vec![Complex64::ZERO; n];
-        plan.execute(&x, &mut y);
+        plan.try_execute(&x, &mut y).unwrap();
         let want = fft_radix2(&x, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-10);
     }
@@ -204,8 +196,8 @@ mod tests {
         let x = sample(n);
         let mut f = vec![Complex64::ZERO; n];
         let mut b = vec![Complex64::ZERO; n];
-        fwd.execute(&x, &mut f);
-        inv.execute(&f, &mut b);
+        fwd.try_execute(&x, &mut f).unwrap();
+        inv.try_execute(&f, &mut b).unwrap();
         let back: Vec<Complex64> = b.iter().map(|v| v.scale(1.0 / n as f64)).collect();
         assert!(relative_rms_error(&back, &x) < 1e-10);
     }

@@ -6,7 +6,7 @@
 //! scratch buffers are laid out at page-aligned disjoint addresses in one
 //! simulated address space, so conflicts between buffers are modelled.
 //!
-//! One harness per executor family lays that space out and runs the plan
+//! One harness per plan type lays that space out and runs the plan
 //! at a root stride into any [`Observer`]: plain simulation feeds it a
 //! cache wrapped as a trace-only observer, and per-node attribution
 //! ([`crate::attrib`]) feeds it an attributing cache that also consumes
@@ -14,6 +14,7 @@
 
 use crate::dft::{DftPlan, DftViews};
 use crate::obs::{Candidate, Counter, Observer, Sink, Stage};
+use crate::rfft::RfftPlan;
 use crate::wht::{WhtPlan, WhtView};
 use crate::{DFT_POINT_BYTES, WHT_POINT_BYTES};
 use ddl_cachesim::{AddressSpace, Cache, CacheConfig, CacheStats, MemoryTracer};
@@ -70,6 +71,32 @@ pub(crate) fn run_wht<O: Observer>(
     view.addrs = [da, sa];
     plan.try_run(view, &mut scratch, obs)?;
     std::hint::black_box(&mut data);
+    Ok(())
+}
+
+/// Runs one forward real-input FFT of `plan` (unit stride) into `obs`,
+/// with the real input, the packed buffer, the half-size spectrum, the
+/// output spectrum, and the inner DFT's scratch and twiddle regions at
+/// page-aligned disjoint simulated addresses.
+pub(crate) fn run_rfft<O: Observer>(plan: &RfftPlan, obs: &mut O) -> Result<(), DdlError> {
+    let n = plan.n();
+    let h = n / 2;
+    let half = plan.half_forward();
+    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
+    let addrs = [
+        n * std::mem::size_of::<f64>(),
+        h * DFT_POINT_BYTES,
+        h * DFT_POINT_BYTES,
+        plan.bins() * DFT_POINT_BYTES,
+        half.scratch_len().max(1) * DFT_POINT_BYTES,
+        half.twiddle_points().max(1) * DFT_POINT_BYTES,
+    ]
+    .map(|bytes| space.alloc(bytes as u64));
+
+    let x = vec![0.75f64; n];
+    let mut spectrum = vec![Complex64::ZERO; plan.bins()];
+    plan.forward_observed(&x, &mut spectrum, addrs, obs)?;
+    std::hint::black_box(&mut spectrum);
     Ok(())
 }
 

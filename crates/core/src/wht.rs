@@ -210,9 +210,6 @@ impl WhtPlan {
             result.map(|()| total_ns)
         })?;
         Ok(ExecutionMetrics::from_recorder(
-            "wht",
-            self.n,
-            crate::grammar::print_wht(&self.tree),
             total_ns,
             recorder,
             crate::obs::tree_leaf_flops(&self.tree, false),

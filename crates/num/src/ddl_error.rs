@@ -124,8 +124,9 @@ pub enum DdlError {
         /// Where cancellation was detected.
         context: &'static str,
     },
-    /// A metrics report could not be written, read, or did not conform
-    /// to the documented `ddl-metrics` JSON schema.
+    /// A report (a `ddl-report` envelope or any other versioned report
+    /// document) could not be written or read, did not conform to its
+    /// JSON schema, or broke an invariant its parse re-verifies.
     Metrics {
         /// What was wrong (I/O error text or schema diagnostic).
         detail: String,

@@ -24,7 +24,7 @@
 //! telemetry text                        → Prometheus-style text exposition
 //! ```
 //!
-//! The optional trailing `backend=<scalar|interp|simd>` token selects
+//! The optional trailing `backend=<scalar|simd>` token selects
 //! the DFT leaf execution backend (see [`ddl_core::backend`]); absent,
 //! requests use the process default (`DDL_BACKEND` or `scalar`). It
 //! combines with `deadline_ms=` in either order.
@@ -202,15 +202,11 @@ fn parse_strategy(tok: &str) -> Result<Strategy, DdlError> {
 }
 
 fn parse_backend(tok: &str) -> Result<BackendKind, DdlError> {
-    BackendKind::parse(tok).ok_or_else(|| {
-        parse_err(
-            0,
-            format!("unknown backend {tok:?} (want scalar|interp|simd)"),
-        )
-    })
+    BackendKind::parse(tok)
+        .ok_or_else(|| parse_err(0, format!("unknown backend {tok:?} (want scalar|simd)")))
 }
 
-/// Pops a trailing `backend=<scalar|interp|simd>` token, if present.
+/// Pops a trailing `backend=<scalar|simd>` token, if present.
 /// Absent, callers fall back to the process-default backend
 /// ([`BackendKind::selected`]), keeping old clients byte-compatible.
 fn pop_backend(toks: &mut Vec<&str>) -> Result<Option<BackendKind>, DdlError> {
@@ -1123,8 +1119,8 @@ mod tests {
             })
         );
         for line in [
-            "exec dft 64 ddl deadline_ms=50 backend=interp",
-            "exec dft 64 ddl backend=interp deadline_ms=50",
+            "exec dft 64 ddl deadline_ms=50 backend=simd",
+            "exec dft 64 ddl backend=simd deadline_ms=50",
         ] {
             assert_eq!(
                 parse_request(line),
@@ -1133,7 +1129,7 @@ mod tests {
                     n: 64,
                     strategy: Strategy::Ddl,
                     deadline: Some(Duration::from_millis(50)),
-                    backend: BackendKind::Interp,
+                    backend: BackendKind::Simd,
                 }),
                 "line {line:?}"
             );
@@ -1145,10 +1141,17 @@ mod tests {
             }
             other => panic!("want ExecExpr, got {other:?}"),
         }
-        assert!(matches!(
-            parse_request("plan dft 256 sdl backend=avx2"),
-            Err(DdlError::Parse { .. })
-        ));
+        // The codegen DAG interpreter is a test oracle, not a backend:
+        // `interp` is an unknown backend like any other.
+        for line in [
+            "plan dft 256 sdl backend=avx2",
+            "exec dft 64 ddl backend=interp",
+        ] {
+            assert!(
+                matches!(parse_request(line), Err(DdlError::Parse { .. })),
+                "line {line:?}"
+            );
+        }
         assert!(matches!(
             parse_request("frobnicate"),
             Err(DdlError::Parse { .. })

@@ -48,11 +48,11 @@ fn main() {
 
     let (img, (fr, fc)) = scene();
     let mut spectrum = vec![Complex64::ZERO; ROWS * COLS];
-    forward.execute(&img, &mut spectrum);
+    forward.try_execute(&img, &mut spectrum).unwrap();
 
     // Round-trip sanity first.
     let mut back = vec![Complex64::ZERO; ROWS * COLS];
-    inverse.execute(&spectrum, &mut back);
+    inverse.try_execute(&spectrum, &mut back).unwrap();
     let scale = 1.0 / (ROWS * COLS) as f64;
     let mut rt_err = 0.0f64;
     for i in 0..ROWS * COLS {
@@ -79,7 +79,7 @@ fn main() {
         }
     }
     let mut cleaned = vec![Complex64::ZERO; ROWS * COLS];
-    inverse.execute(&filtered, &mut cleaned);
+    inverse.try_execute(&filtered, &mut cleaned).unwrap();
 
     // Measure the residual interference by projecting onto the pattern.
     let project = |data: &[Complex64]| -> f64 {

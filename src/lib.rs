@@ -67,21 +67,22 @@ pub mod prelude {
     };
     pub use ddl_core::attrib::{
         attribute_dft, attribute_dft_hier, attribute_rfft, attribute_rfft_hier, attribute_wht,
-        attribute_wht_hier, AttributionReport, AttributionRun, CaseClass, HierarchyAttribution,
+        attribute_wht_hier, AttributionRun, CaseClass, HierarchyAttribution,
     };
-    pub use ddl_core::calibrate::{
-        calibrate_dft, calibrate_wht, CalibrationConfig, CalibrationReport,
-    };
+    pub use ddl_core::calibrate::{calibrate_dft, calibrate_wht, CalibrationConfig};
     pub use ddl_core::engine::{Engine, EngineConfig, PlanKey, Session, TransformKind};
     pub use ddl_core::grammar::{parse as parse_tree, print_dft, print_wht};
     pub use ddl_core::measure::{fft_mflops, time_per_call, time_per_point_ns};
     pub use ddl_core::obs::{
-        BatchMetrics, Counter, ExecutionMetrics, MetricsReport, NullSink, Observer,
-        PlannerRunMetrics, Recorder, Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+        BatchMetrics, Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder,
+        Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
     };
     pub use ddl_core::parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport};
     pub use ddl_core::planner::{
         plan_dft, plan_wht, try_plan_dft, try_plan_wht, CostBackend, PlannerConfig, Strategy,
+    };
+    pub use ddl_core::reports::{
+        check_report, check_report_text, CheckedReport, PlanRecord, Report,
     };
     pub use ddl_core::scheduler::{execute_batch_scheduled, BatchOptions, CancelToken};
     pub use ddl_core::trace::{chrome_trace_json, validate_chrome_trace, write_chrome_trace};

@@ -395,14 +395,14 @@ fn attribution_report_survives_serialization_with_static_annotations() {
     let plan = DftPlan::from_expr("ctddl(64, 32)", Direction::Forward).unwrap();
     let mut run = attribute_dft(&plan, 64, small_cache()).unwrap();
     annotate_static(&mut run);
-    let report = AttributionReport {
-        label: "integration".into(),
-        runs: vec![run],
-    };
-    let back = AttributionReport::parse(&report.to_text()).unwrap();
-    assert_eq!(back.runs.len(), 1);
-    let before = annotated_leaves(&report.runs[0]);
-    let after = annotated_leaves(&back.runs[0]);
+    let mut report = Report::new("integration");
+    let mut record = PlanRecord::dft(&plan, "ddl");
+    record.sim = Some(run);
+    report.plans.push(record);
+    let back = Report::parse(&report.to_text()).unwrap();
+    assert_eq!(back.plans.len(), 1);
+    let before = annotated_leaves(report.plans[0].sim.as_ref().unwrap());
+    let after = annotated_leaves(back.plans[0].sim.as_ref().unwrap());
     assert_eq!(before.len(), after.len());
     for ((path_a, a), (path_b, b)) in before.iter().zip(after.iter()) {
         assert_eq!(path_a, path_b);

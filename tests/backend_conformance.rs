@@ -1,9 +1,9 @@
 //! Cross-backend conformance: every execution backend must agree with
 //! the `Scalar` oracle on every plan shape the planner emits.
 //!
-//! The tentpole contract (DESIGN.md §11): `Interp` and `Simd` are
-//! alternative lowerings of the same verified codelet DAGs, so their
-//! output may differ from the generated scalar codelets only by
+//! The tentpole contract (DESIGN.md §11): `Simd` is an alternative
+//! lowering of the same verified codelet DAGs, so its output may differ
+//! from the generated scalar codelets only by
 //! floating-point reassociation — bounded here by a ulp-scaled
 //! per-element tolerance, not a loose RMS norm. The suite sweeps
 //!
@@ -250,9 +250,7 @@ fn all_backends_match_scalar_across_sizes_and_regimes() {
         for log_n in 1..=12 {
             let n = 1usize << log_n;
             for dir in [Direction::Forward, Direction::Inverse] {
-                for kind in [BackendKind::Interp, BackendKind::Simd] {
-                    check_contiguous(n, &cfg, dir, kind, regime);
-                }
+                check_contiguous(n, &cfg, dir, BackendKind::Simd, regime);
             }
         }
     }
@@ -281,10 +279,9 @@ fn backends_match_on_misaligned_strided_views() {
         ("sdl", PlannerConfig::sdl_analytical()),
     ] {
         for n in [8usize, 64, 256, 1024] {
-            for kind in [BackendKind::Interp, BackendKind::Simd] {
-                check_strided(n, &cfg, Direction::Forward, kind, 3, 2, 5, 3, regime);
-                check_strided(n, &cfg, Direction::Inverse, kind, 1, 3, 7, 2, regime);
-            }
+            let kind = BackendKind::Simd;
+            check_strided(n, &cfg, Direction::Forward, kind, 3, 2, 5, 3, regime);
+            check_strided(n, &cfg, Direction::Inverse, kind, 1, 3, 7, 2, regime);
         }
     }
 }
@@ -313,7 +310,7 @@ fn simd_isa_is_one_of_the_known_lowerings() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random planner configuration x backend x view geometry: the
+    /// Random planner configuration x view geometry: the SIMD
     /// conformance bound holds for any tree the planner can emit, on
     /// any supported view.
     #[test]
@@ -322,7 +319,6 @@ proptest! {
         max_leaf in prop::sample::select(vec![4usize, 16, 32, 64]),
         ddl in any::<bool>(),
         cache_points in prop::sample::select(vec![64usize, 1024, 16384]),
-        backend_simd in any::<bool>(),
         in_base in 0usize..4,
         in_stride in 1usize..4,
         out_base in 0usize..4,
@@ -336,8 +332,7 @@ proptest! {
             PlannerConfig::sdl_analytical()
         };
         let cfg = PlannerConfig { max_leaf, cache_points, ..base };
-        let kind = if backend_simd { BackendKind::Simd } else { BackendKind::Interp };
         let dir = if inverse { Direction::Inverse } else { Direction::Forward };
-        check_strided(n, &cfg, dir, kind, in_base, in_stride, out_base, out_stride, "prop");
+        check_strided(n, &cfg, dir, BackendKind::Simd, in_base, in_stride, out_base, out_stride, "prop");
     }
 }

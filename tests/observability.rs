@@ -2,7 +2,7 @@
 //! for (and never exceed) wall-clock time, monotonic counters, a bounded
 //! candidate log that stays consistent with its counter, batch metrics
 //! that survive injected worker panics, wisdom lifecycle counters, and a
-//! metrics report that round-trips through its JSON schema byte-for-byte.
+//! `ddl-report` that round-trips through its JSON schema byte-for-byte.
 
 use dynamic_data_layout::core::obs::merge_counters;
 use dynamic_data_layout::core::planner::{try_plan_dft_with, try_plan_wht_with};
@@ -14,22 +14,29 @@ fn reorg_dft_tree() -> Tree {
     Tree::split_ddl(Tree::leaf(64), Tree::leaf(64))
 }
 
-fn dft_profile(tree: Tree) -> ExecutionMetrics {
+/// A plan record for `tree` carrying one profiled execution.
+fn dft_profile(tree: Tree) -> PlanRecord {
     let plan = DftPlan::new(tree, Direction::Forward).unwrap();
     let n = plan.n();
     let input: Vec<Complex64> = (0..n)
         .map(|i| Complex64::new((i % 13) as f64, (i % 11) as f64 * -0.25))
         .collect();
     let mut output = vec![Complex64::ZERO; n];
-    plan.try_profile_with(&input, &mut output, &mut Recorder::new())
-        .unwrap()
+    let mut record = PlanRecord::dft(&plan, "ddl");
+    record.measured = Some(
+        plan.try_profile_with(&input, &mut output, &mut Recorder::new())
+            .unwrap(),
+    );
+    record
 }
 
 #[test]
 fn stage_breakdown_accounts_for_the_execution_without_exceeding_it() {
-    let m = dft_profile(reorg_dft_tree());
-    assert_eq!(m.transform, "dft");
-    assert_eq!(m.n, 4096);
+    let record = dft_profile(reorg_dft_tree());
+    assert_eq!(record.transform, "dft");
+    assert_eq!(record.n, 4096);
+    let m = record.measured.unwrap();
+    assert_eq!(m.repeats, 1);
     assert!(m.total_ns > 0);
     assert!(m.stages.leaf_ns > 0, "leaf stage never timed");
     assert!(m.stages.twiddle_ns > 0, "twiddle stage never timed");
@@ -54,14 +61,16 @@ fn stage_breakdown_accounts_for_the_execution_without_exceeding_it() {
 fn stage_volumes_are_exact_for_a_known_tree() {
     // ctddl(64,64): 64 + 64 leaf calls, one 4096-point twiddle pass, one
     // 4096-point transpose. These are structural, not timing, facts.
-    let m = dft_profile(reorg_dft_tree());
+    let m = dft_profile(reorg_dft_tree()).measured.unwrap();
     assert_eq!(m.leaf_calls, 128);
     assert_eq!(m.twiddle_points, 4096);
     assert_eq!(m.reorg_points, 4096);
     assert!(m.leaf_flops_est > 0);
 
     // The same tree without the reorg flag must report no reorg points.
-    let m = dft_profile(Tree::split(Tree::leaf(64), Tree::leaf(64)));
+    let m = dft_profile(Tree::split(Tree::leaf(64), Tree::leaf(64)))
+        .measured
+        .unwrap();
     assert_eq!(m.reorg_points, 0);
     assert_eq!(m.stages.reorg_ns, 0);
 }
@@ -76,7 +85,8 @@ fn wht_profile_times_leaf_and_reorg_stages() {
     let m = plan
         .try_profile_with(&mut data, &mut Recorder::new())
         .unwrap();
-    assert_eq!(m.transform, "wht");
+    assert_eq!(PlanRecord::wht(&plan, "ddl").tree, "split(ddl(32),32)");
+    assert_eq!(m.repeats, 1);
     assert!(m.stages.leaf_ns > 0);
     assert!(
         m.stages.reorg_ns > 0,
@@ -190,23 +200,20 @@ fn wisdom_lifecycle_reports_through_the_counters() {
 
 #[test]
 fn metrics_report_round_trips_through_its_json_schema() {
-    // Build a report with every section populated from real runs.
-    let mut report = MetricsReport::new();
+    // Build a report with every instrumented section populated from real
+    // runs: one record carrying both its search and its execution.
     let mut rec = Recorder::new();
     let out = try_plan_dft_with(1 << 10, &PlannerConfig::ddl_analytical(), &mut rec).unwrap();
-    report.planner.push(PlannerRunMetrics {
-        transform: "dft".into(),
-        n: 1 << 10,
-        strategy: "ddl".into(),
-        backend: "analytical".into(),
-        states: rec.counter_value(Counter::PlannerStates),
-        candidates: rec.counter_value(Counter::PlannerCandidates),
-        memo_hits: rec.counter_value(Counter::PlannerMemoHits),
-        cost: out.cost,
-        plan_seconds: 0.015625,
-        tree: out.tree.to_string(),
-    });
-    report.executions.push(dft_profile(reorg_dft_tree()));
+    let mut record = dft_profile(out.tree);
+    record.planner = Some(PlannerRunMetrics::from_recorder(
+        "analytical",
+        out.cost,
+        0.015625,
+        &rec,
+    ));
+    let mut report = Report::new("round-trip");
+    report.plans.push(record);
+    report.plans.push(dft_profile(reorg_dft_tree()));
     let batch = execute_batch_scheduled(
         vec![0u8; 4],
         &BatchOptions::with_threads(2),
@@ -216,15 +223,19 @@ fn metrics_report_round_trips_through_its_json_schema() {
     report.batches.push(batch.metrics("round-trip"));
     merge_counters(&mut report.counters, &rec);
 
-    let text = report.to_pretty_json();
-    let parsed = MetricsReport::parse(&text).unwrap();
+    let text = report.to_text();
+    let parsed = Report::parse(&text).unwrap();
     assert_eq!(
-        parsed.to_pretty_json(),
+        parsed.to_text(),
         text,
         "parse(serialize(report)) must serialize identically"
     );
-    assert_eq!(parsed.planner.len(), 1);
-    assert_eq!(parsed.executions.len(), 1);
+    assert_eq!(parsed.plans.len(), 2);
+    assert!(parsed.plans[0].planner.is_some() && parsed.plans[0].measured.is_some());
+    assert_eq!(
+        parsed.plans[0].planner.as_ref().unwrap().states,
+        rec.counter_value(Counter::PlannerStates)
+    );
     assert_eq!(parsed.batches.len(), 1);
     assert_eq!(parsed.counters, report.counters);
 }

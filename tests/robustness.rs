@@ -393,14 +393,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Attribution-report fault injection: `ddl-attribution` documents.
+// Report fault injection: `ddl-report` documents carrying attribution.
 // ---------------------------------------------------------------------------
 
 use dynamic_data_layout::cachesim::CacheConfig;
-use dynamic_data_layout::core::attrib::{attribute_dft, AttributionReport};
-use dynamic_data_layout::core::reports::{check_report_text, CheckedReport};
+use dynamic_data_layout::core::attrib::attribute_dft;
+use dynamic_data_layout::core::reports::{check_report_text, CheckedReport, PlanRecord, Report};
 
-/// A real attributed run serialized to the v1 document text.
+/// A real attributed run serialized as a one-record report.
 fn sample_attribution_text() -> String {
     let plan = DftPlan::from_expr("ct(ddl(8), 8)", Direction::Forward).unwrap();
     let cache = CacheConfig {
@@ -408,25 +408,24 @@ fn sample_attribution_text() -> String {
         line_bytes: 64,
         associativity: 1,
     };
-    let run = attribute_dft(&plan, 2, cache).unwrap();
-    AttributionReport {
-        label: "robustness".into(),
-        runs: vec![run],
-    }
-    .to_text()
+    let mut record = PlanRecord::dft(&plan, "ddl");
+    record.sim = Some(attribute_dft(&plan, 2, cache).unwrap());
+    let mut report = Report::new("robustness");
+    report.plans.push(record);
+    report.to_text()
 }
 
 #[test]
 fn truncated_attribution_reports_are_typed_errors() {
     let text = sample_attribution_text();
-    assert!(AttributionReport::parse(&text).is_ok());
+    assert!(Report::parse(&text).is_ok());
     // Sampling every 7th boundary keeps the sweep fast while still
     // covering cuts inside every structural region of the document.
     for cut in (0..text.len()).step_by(7) {
         if !text.is_char_boundary(cut) {
             continue;
         }
-        let err = AttributionReport::parse(&text[..cut])
+        let err = Report::parse(&text[..cut])
             .map(|_| ())
             .expect_err(&format!("prefix of {cut} bytes parsed as a report"));
         assert!(
@@ -440,14 +439,14 @@ fn truncated_attribution_reports_are_typed_errors() {
 fn malformed_attribution_reports_are_typed_errors() {
     let text = sample_attribution_text();
     let garbles: Vec<String> = vec![
-        text.replace("ddl-attribution", "ddl-imposter"), // wrong schema
-        text.replace("\"version\": 2", "\"version\": 99"), // future version
-        text.replace("\"label\"", "\"lebal\""),          // missing field
-        text.replace("\"hits\"", "\"htis\""),            // missing counter
+        text.replace("ddl-report", "ddl-imposter"), // wrong schema
+        text.replace("\"version\": 1", "\"version\": 99"), // future version
+        text.replace("\"label\"", "\"lebal\""),     // missing field
+        text.replace("\"hits\"", "\"htis\""),       // missing counter
     ];
     for (i, garbled) in garbles.iter().enumerate() {
         assert_ne!(garbled, &text, "garble {i} did not apply");
-        let err = AttributionReport::parse(garbled)
+        let err = Report::parse(garbled)
             .map(|_| ())
             .expect_err(&format!("garble {i} was accepted"));
         assert!(
@@ -463,11 +462,11 @@ fn attribution_conservation_violations_fail_the_parse() {
     // producer) must be refused at parse time, not propagated into the
     // trajectory ledger.
     let text = sample_attribution_text();
-    let report = AttributionReport::parse(&text).unwrap();
-    let misses = report.runs[0].totals.misses;
+    let report = Report::parse(&text).unwrap();
+    let misses = report.plans[0].sim.as_ref().unwrap().totals.misses;
     let broken = text.replacen(&format!("\"misses\": {misses}"), "\"misses\": 987654321", 1);
     assert_ne!(broken, text, "corruption did not apply");
-    let err = AttributionReport::parse(&broken).unwrap_err();
+    let err = Report::parse(&broken).unwrap_err();
     assert!(
         err.to_string().contains("conservation"),
         "unexpected error: {err}"
@@ -478,7 +477,7 @@ fn attribution_conservation_violations_fail_the_parse() {
 fn report_checker_routes_attribution_docs_and_rejects_garbage() {
     let text = sample_attribution_text();
     match check_report_text(&text).unwrap() {
-        CheckedReport::Attribution(report) => assert_eq!(report.label, "robustness"),
+        CheckedReport::Report(report) => assert_eq!(report.label, "robustness"),
         other => panic!("sniffed wrong schema: {}", other.schema()),
     }
     // A recognized schema with a corrupt body is an error, not Unknown.
