@@ -62,8 +62,8 @@ fn static_verdict(geom: &CacheGeometry, point_bytes: usize, node: &NodeAttributi
 
 /// Fills `static_pathological`/`static_degree` on every annotated leaf of
 /// the run, from [`conflict_degree`] over both the read stream (span
-/// stride) and the write stream (`write_stride`, recovered by the model
-/// walk). A base address of 0 is representative: for the line-multiple
+/// stride) and the write stream (`write_stride`, from the plan's layout
+/// record). A base address of 0 is representative: for the line-multiple
 /// strides that matter the degree is base-invariant.
 ///
 /// On hierarchy-attributed runs (v2) the same analysis additionally runs

@@ -5,8 +5,8 @@
 //! * **analyze** (default) — plans every size `2^1..2^max` with both
 //!   strategies under a sweep of reorganization thresholds (analytical
 //!   backend, fully deterministic), statically proves each emitted plan
-//!   in-bounds and alias-free at several root strides, cross-checks the
-//!   scratch/twiddle accounting against the compiled plans, computes
+//!   in-bounds and alias-free at several root strides through the
+//!   execution layouts the compiled plans export, computes
 //!   cache-conflict summaries under the paper's cache geometry, and
 //!   structurally verifies every generated codelet DAG. The findings
 //!   report is written to `--out <path>` (stdout when omitted) in the
@@ -22,7 +22,9 @@
 //! ```
 
 use ddl_analyze::conflict::conflict_findings;
-use ddl_analyze::{verify_generated, AnalysisReport, CacheGeometry, Severity};
+use ddl_analyze::{
+    analyze_dft_plan, analyze_wht_plan, verify_generated, AnalysisReport, CacheGeometry, Severity,
+};
 use ddl_cachesim::CacheConfig;
 use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::{CacheModel, DftPlan, WhtPlan};
@@ -33,9 +35,6 @@ use std::process::ExitCode;
 /// Root strides the executor contract must hold at (1 is the batch/API
 /// default; the odd stride exercises non-unit, non-power-of-two views).
 const ROOT_STRIDES: &[usize] = &[1, 7];
-
-/// Complex point size in bytes (DFT).
-const POINT_BYTES: usize = 16;
 
 fn main() -> ExitCode {
     let mut max_log: u32 = 16;
@@ -111,18 +110,12 @@ fn analyze(max_log: u32, out: Option<&Path>) -> ExitCode {
                     .and_then(|outcome| DftPlan::new(outcome.tree, Direction::Forward))
                 {
                     Ok(plan) => {
-                        let mut analysis = None;
+                        let mut layout = None;
                         for &stride in ROOT_STRIDES {
-                            analysis = Some(ddl_analyze::analyze_dft_plan(
-                                &plan,
-                                stride,
-                                &subject,
-                                &mut report,
-                            ));
+                            layout = analyze_dft_plan(&plan, stride, &subject, &mut report);
                         }
-                        if let Some(a) = analysis {
-                            let _ =
-                                conflict_findings(&a, &geom, POINT_BYTES, &subject, &mut report);
+                        if let Some(layout) = layout {
+                            let _ = conflict_findings(&layout, &geom, &subject, &mut report);
                         }
                     }
                     Err(e) => report.push(
@@ -136,17 +129,12 @@ fn analyze(max_log: u32, out: Option<&Path>) -> ExitCode {
                 let subject = format!("wht:{n}:{}:{tag}", strategy.label());
                 match try_plan_wht(n, &cfg).and_then(|outcome| WhtPlan::new(outcome.tree)) {
                     Ok(plan) => {
-                        let mut analysis = None;
+                        let mut layout = None;
                         for &stride in ROOT_STRIDES {
-                            analysis = Some(ddl_analyze::analyze_wht_plan(
-                                &plan,
-                                stride,
-                                &subject,
-                                &mut report,
-                            ));
+                            layout = analyze_wht_plan(&plan, stride, &subject, &mut report);
                         }
-                        if let Some(a) = analysis {
-                            let _ = conflict_findings(&a, &geom, 8, &subject, &mut report);
+                        if let Some(layout) = layout {
+                            let _ = conflict_findings(&layout, &geom, &subject, &mut report);
                         }
                     }
                     Err(e) => report.push(

@@ -16,9 +16,9 @@
 //! the static conflict summary agrees with ranking them by simulated
 //! non-compulsory misses.
 
-use crate::access::StaticAnalysis;
 use crate::findings::{AnalysisReport, Severity};
 use ddl_cachesim::CacheConfig;
+use ddl_core::layout::PlanLayout;
 use std::collections::{HashMap, HashSet};
 
 /// Cache geometry the static analysis needs: line size, set count and
@@ -197,20 +197,17 @@ pub struct ConflictSummary {
     pub worst: Option<WorstFamily>,
 }
 
-/// Computes the conflict summary of a statically analyzed plan under a
-/// cache geometry.
+/// Computes the conflict summary of a plan layout's step families under
+/// a cache geometry.
 ///
 /// Region base addresses are taken as 0: for line-multiple strides the
 /// degree is invariant under shifting the whole family (all line indices
 /// shift by a constant, permuting sets), so a representative base is
 /// exact for the regimes that matter.
-pub fn conflict_summary(
-    analysis: &StaticAnalysis,
-    geom: &CacheGeometry,
-    point_bytes: usize,
-) -> ConflictSummary {
+pub fn conflict_summary(layout: &PlanLayout, geom: &CacheGeometry) -> ConflictSummary {
+    let point_bytes = layout.point_bytes;
     let mut summary = ConflictSummary::default();
-    for family in &analysis.leaves {
+    for family in layout.steps() {
         for set in [&family.read, &family.write] {
             let info = conflict_degree(
                 geom,
@@ -229,7 +226,7 @@ pub fn conflict_summary(
             };
             if outranks {
                 summary.worst = Some(WorstFamily {
-                    n: family.n,
+                    n: set.len,
                     stride: set.stride,
                     info,
                 });
@@ -246,13 +243,12 @@ pub fn conflict_summary(
 /// `warning`-level findings (they are performance hazards, not
 /// correctness errors, so they never gate CI).
 pub fn conflict_findings(
-    analysis: &StaticAnalysis,
+    layout: &PlanLayout,
     geom: &CacheGeometry,
-    point_bytes: usize,
     subject: &str,
     report: &mut AnalysisReport,
 ) -> ConflictSummary {
-    let summary = conflict_summary(analysis, geom, point_bytes);
+    let summary = conflict_summary(layout, geom);
     report.check();
     if let Some(worst) = summary.worst {
         if worst.info.is_pathological(geom) {

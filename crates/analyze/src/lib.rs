@@ -4,15 +4,15 @@
 //! `(size, stride)` decomposition alone it predicts which leaf accesses
 //! conflict in a set-associative cache and when a dynamic layout
 //! reorganization pays off. This crate turns that style of reasoning
-//! into correctness tooling with three independent passes:
+//! into correctness tooling, in nine modules:
 //!
-//! * [`access`] — walks any planner-emitted tree symbolically and proves
-//!   every strided view in-bounds, every primitive step alias-free, and
-//!   the scratch/twiddle accounting consistent with the compiled plan;
-//!   it also derives the exact access count, cross-checked against
-//!   `ddl-cachesim` traces.
-//! * [`conflict`] — closed-form cache-set conflict degrees per access
-//!   family (the static counterpart to simulated conflict misses).
+//! * [`access`] — proves the execution layout a compiled plan exports
+//!   (`ddl_core::layout`, built from the nodes the executor runs on):
+//!   every view in-bounds, every primitive step alias-free, every scratch
+//!   interval inside the plan's scratch.
+//! * [`conflict`] — closed-form cache-set conflict degrees per step
+//!   family of that layout (the static counterpart to simulated conflict
+//!   misses).
 //! * [`attrib`] — static enrichment of `ddl-core` attribution runs and
 //!   the three-way empirical/model/static Case III cross-check.
 //! * [`dag`] — structural verification of `ddl-codegen` codelet DAGs:
@@ -52,10 +52,7 @@ pub mod locks;
 pub mod ptr;
 mod tok;
 
-pub use access::{
-    analyze_dft_plan, analyze_dft_tree, analyze_wht_plan, analyze_wht_tree, AccessSet, LeafFamily,
-    Region, StaticAnalysis,
-};
+pub use access::{analyze_dft_plan, analyze_wht_plan};
 pub use attrib::{annotate_static, annotated_leaves, crosscheck, Disagreement};
 pub use cert::{build_certificate, check_cert_text, CertSummary, CERT_SCHEMA, CERT_VERSION};
 pub use conflict::{

@@ -20,7 +20,7 @@
 //! * every offset is a whole number of `f64`s, so the address inherits
 //!   the slice's 8-byte alignment — the precondition of the unaligned
 //!   intrinsics used; aligned-variant intrinsics are rejected outright;
-//! * buffer coverage equals the stride-1 [`crate::access::AccessSet`]
+//! * buffer coverage equals the stride-1 [`ddl_core::layout::AccessSet`]
 //!   family the plan-level analyzer assumes for leaf nodes.
 //!
 //! What it trusts: `rustc`'s type checking (a `&[Complex64]` really is
@@ -34,10 +34,10 @@
 //! region — at each site and demands the pipeline notices: either a
 //! hard bounds/writability violation or a changed access fingerprint.
 
-use crate::access::{AccessSet, Region};
 use crate::findings::{AnalysisReport, Severity};
 use crate::lint;
 use crate::tok::{self, Kind, Token};
+use ddl_core::layout::{AccessSet, Region};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;

@@ -54,14 +54,14 @@ fn to_plan(tree: Tree) -> DftPlan {
 /// closed-form analysis.
 fn static_score(plan: &DftPlan, stride: usize, cache: &CacheConfig) -> u64 {
     let mut report = AnalysisReport::new();
-    let analysis = analyze_dft_plan(plan, stride, "rank", &mut report);
+    let layout = analyze_dft_plan(plan, stride, "rank", &mut report);
     assert!(
         report.passes(),
         "analysis must prove the plan clean before ranking: {:?}",
         report.findings
     );
     let geom = CacheGeometry::from_config(cache);
-    conflict_summary(&analysis, &geom, POINT_BYTES).pathological_accesses
+    conflict_summary(&layout.unwrap(), &geom).pathological_accesses
 }
 
 /// Simulated *conflict* misses: the direct-mapped miss count minus the

@@ -7,7 +7,7 @@
 //! planner's per-node decisions)?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ddl_core::planner::{plan_dft, PlannerConfig};
+use ddl_core::planner::{try_plan_dft, PlannerConfig};
 use ddl_core::sixstep::SixStepPlan;
 use ddl_core::{DftPlan, Tree};
 use ddl_kernels::iterative::fft_radix2_inplace;
@@ -49,7 +49,8 @@ fn bench_baselines(c: &mut Criterion) {
             ("planned_sdl", PlannerConfig::sdl_analytical()),
             ("planned_ddl", PlannerConfig::ddl_analytical()),
         ] {
-            let plan = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
+            let plan =
+                DftPlan::new(try_plan_dft(n, &cfg).unwrap().tree, Direction::Forward).unwrap();
             let mut out = vec![Complex64::ZERO; n];
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {
                 b.iter(|| {

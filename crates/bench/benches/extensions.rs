@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ddl_core::dft2d::Dft2dPlan;
-use ddl_core::planner::{plan_dft, PlannerConfig};
+use ddl_core::planner::{try_plan_dft, PlannerConfig};
 use ddl_core::rfft::RfftPlan;
 use ddl_core::{DctPlan, DftPlan};
 use ddl_num::{Complex64, Direction};
@@ -19,7 +19,7 @@ fn bench_extensions(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
 
         // complex FFT reference point
-        let cplan = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
+        let cplan = DftPlan::new(try_plan_dft(n, &cfg).unwrap().tree, Direction::Forward).unwrap();
         let cx: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new((i % 83) as f64, (i % 47) as f64))
             .collect();

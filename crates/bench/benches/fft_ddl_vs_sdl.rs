@@ -5,7 +5,7 @@
 //! is reproducible; run the binary for measured-planner results.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ddl_core::planner::{plan_dft, PlannerConfig};
+use ddl_core::planner::{try_plan_dft, PlannerConfig};
 use ddl_core::DftPlan;
 use ddl_num::{Complex64, Direction};
 
@@ -23,7 +23,7 @@ fn bench_fft(c: &mut Criterion) {
             ("sdl", PlannerConfig::sdl_analytical()),
             ("ddl", PlannerConfig::ddl_analytical()),
         ] {
-            let tree = plan_dft(n, &cfg).tree;
+            let tree = try_plan_dft(n, &cfg).unwrap().tree;
             let plan = DftPlan::new(tree, Direction::Forward).unwrap();
             let mut y = vec![Complex64::ZERO; n];
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {

@@ -2,7 +2,7 @@
 //! companion to the `fig15_wht` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ddl_core::planner::{plan_wht, CostBackend, PlannerConfig, Strategy};
+use ddl_core::planner::{try_plan_wht, CostBackend, PlannerConfig, Strategy};
 use ddl_core::{CacheModel, WhtPlan};
 
 fn wht_cfg(strategy: Strategy) -> PlannerConfig {
@@ -24,7 +24,7 @@ fn bench_wht(c: &mut Criterion) {
         let base: Vec<f64> = (0..n).map(|i| (i % 251) as f64 - 125.0).collect();
 
         for (label, strategy) in [("sdl", Strategy::Sdl), ("ddl", Strategy::Ddl)] {
-            let tree = plan_wht(n, &wht_cfg(strategy)).tree;
+            let tree = try_plan_wht(n, &wht_cfg(strategy)).unwrap().tree;
             let plan = WhtPlan::new(tree).unwrap();
             let mut data = base.clone();
             group.bench_with_input(BenchmarkId::new(label, log_n), &n, |b, _| {

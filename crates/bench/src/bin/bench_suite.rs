@@ -57,7 +57,7 @@ use ddl_bench::suite::{
 };
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
-use ddl_core::planner::{plan_dft, plan_wht, try_plan_dft_with, PlannerConfig, Strategy};
+use ddl_core::planner::{try_plan_dft, try_plan_dft_with, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::{
     calibrate_dft, calibrate_wht, check_report, simd_active_isa, validate_chrome_trace,
     write_chrome_trace, BackendKind, CalibrationConfig, CheckedReport, DftPlan, PlanRecord,
@@ -347,11 +347,11 @@ fn plan_records(label: &str) -> Result<Report, ddl_num::DdlError> {
                 Strategy::Ddl => PlannerConfig::ddl_analytical(),
             };
             let name = strategy.label();
-            let dft = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward)?;
+            let dft = DftPlan::new(try_plan_dft(n, &cfg)?.tree, Direction::Forward)?;
             let mut record = calibrate_dft(&dft, name, &cal)?;
             record.sim = Some(attribute_dft_hier(&dft, 1, cache, hier)?);
             report.plans.push(record);
-            let wht = WhtPlan::new(plan_wht(n, &cfg).tree)?;
+            let wht = WhtPlan::new(try_plan_wht(n, &cfg)?.tree)?;
             let mut record = calibrate_wht(&wht, name, &cal)?;
             record.sim = Some(attribute_wht_hier(&wht, 1, cache, hier)?);
             report.plans.push(record);

@@ -13,7 +13,7 @@
 
 use ddl_bench::{parse_sweep_args, SweepArgs};
 use ddl_cachesim::CacheConfig;
-use ddl_core::planner::{plan_dft, PlannerConfig};
+use ddl_core::planner::{try_plan_dft, PlannerConfig};
 use ddl_core::traced::simulate_dft;
 use ddl_core::DftPlan;
 use ddl_num::Direction;
@@ -27,8 +27,8 @@ fn main() {
     // size (64 B); the same trees are then evaluated at every line size
     let reference = CacheConfig::paper_default(64);
     eprintln!("planning SDL/DDL against the simulated cache ...");
-    let sdl = plan_dft(n, &PlannerConfig::sdl_simulated(reference, 16));
-    let ddl = plan_dft(n, &PlannerConfig::ddl_simulated(reference, 16));
+    let sdl = try_plan_dft(n, &PlannerConfig::sdl_simulated(reference, 16)).unwrap();
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_simulated(reference, 16)).unwrap();
     let sdl_plan = DftPlan::new(sdl.tree, Direction::Forward).unwrap();
     let ddl_plan = DftPlan::new(ddl.tree, Direction::Forward).unwrap();
 

@@ -12,7 +12,7 @@
 //!   for FFTW 2.1.3 (not buildable here; see DESIGN.md substitutions) as
 //!   a static-layout cache-oblivious divide-and-conquer baseline.
 //!
-//! Planning uses one DP sweep per strategy (`plan_dft_sweep`), so the
+//! Planning uses one DP sweep per strategy (`try_plan_dft_sweep`), so the
 //! whole figure costs two searches plus the final measurements.
 //!
 //! ```sh

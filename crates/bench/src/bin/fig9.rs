@@ -15,7 +15,7 @@
 
 use ddl_bench::{parse_sweep_args, SweepArgs};
 use ddl_cachesim::CacheConfig;
-use ddl_core::planner::{plan_dft_sweep, PlannerConfig};
+use ddl_core::planner::{try_plan_dft_sweep, PlannerConfig};
 use ddl_core::traced::simulate_dft;
 use ddl_core::DftPlan;
 use ddl_num::Direction;
@@ -30,9 +30,9 @@ fn main() {
     let cache = CacheConfig::paper_default(64);
 
     eprintln!("planning SDL sweep against the simulated cache ...");
-    let sdl = plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16));
+    let sdl = try_plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16)).unwrap();
     eprintln!("planning DDL sweep against the simulated cache ...");
-    let ddl = plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16));
+    let ddl = try_plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16)).unwrap();
 
     println!("# Fig. 9: miss rate vs FFT size (512 KB direct-mapped, 64 B lines)");
     println!("# cache capacity = 2^15 complex points");

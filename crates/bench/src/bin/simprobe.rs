@@ -1,6 +1,6 @@
 use ddl_cachesim::CacheConfig;
 use ddl_core::grammar::parse;
-use ddl_core::planner::{plan_dft, PlannerConfig};
+use ddl_core::planner::{try_plan_dft, PlannerConfig};
 use ddl_core::traced::simulate_dft;
 use ddl_core::DftPlan;
 use ddl_num::Direction;
@@ -8,8 +8,8 @@ use ddl_num::Direction;
 fn main() {
     let cache = CacheConfig::paper_default(64);
     let n = 1usize << 18;
-    let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-    let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical()).unwrap();
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
     println!("SDL-planned: {}", sdl.tree);
     println!("DDL-planned: {}", ddl.tree);
     for (label, expr) in [

@@ -11,7 +11,7 @@
 
 use ddl_bench::{parse_sweep_args, SweepArgs};
 use ddl_cachesim::CacheConfig;
-use ddl_core::planner::{plan_dft_sweep, PlannerConfig};
+use ddl_core::planner::{try_plan_dft_sweep, PlannerConfig};
 use ddl_core::traced::simulate_dft;
 use ddl_core::DftPlan;
 use ddl_num::Direction;
@@ -26,8 +26,10 @@ fn main() {
     let cache = CacheConfig::paper_default(64);
 
     eprintln!("planning SDL/DDL sweeps against the simulated cache ...");
-    let sdl_sweep = plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16));
-    let ddl_sweep = plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16));
+    let sdl_sweep =
+        try_plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16)).unwrap();
+    let ddl_sweep =
+        try_plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16)).unwrap();
 
     println!("# Table II: cache accesses and misses (512 KB direct-mapped, 64 B lines)");
     println!(

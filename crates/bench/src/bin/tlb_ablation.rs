@@ -27,7 +27,7 @@ use ddl_analyze::annotate_static;
 use ddl_bench::die;
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, AttributionRun};
-use ddl_core::planner::{plan_dft_sweep, PlannerConfig};
+use ddl_core::planner::{try_plan_dft_sweep, PlannerConfig};
 use ddl_core::{DftPlan, PlanRecord, Report};
 use ddl_num::Direction;
 use std::path::{Path, PathBuf};
@@ -125,8 +125,8 @@ fn emit(path: &Path, max_log: u32) {
     let hier = HierarchyConfig::typical(cache);
 
     eprintln!("planning SDL/DDL sweeps against the simulated cache ...");
-    let sdl = plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16));
-    let ddl = plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16));
+    let sdl = try_plan_dft_sweep(1 << max_log, &PlannerConfig::sdl_simulated(cache, 16)).unwrap();
+    let ddl = try_plan_dft_sweep(1 << max_log, &PlannerConfig::ddl_simulated(cache, 16)).unwrap();
 
     let mut report = Report::new("tlb-ablation");
     for log_n in FIRST_LOG..=max_log {

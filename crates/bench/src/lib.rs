@@ -29,7 +29,7 @@
 
 #![forbid(unsafe_code)]
 
-use ddl_core::planner::{plan_dft, plan_wht, PlannerConfig, Strategy};
+use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::tree::Tree;
 use ddl_core::wisdom::Wisdom;
 use std::path::PathBuf;
@@ -86,10 +86,11 @@ pub fn plan_cached(transform: &str, n: usize, cfg: &PlannerConfig) -> Tree {
         return tree;
     }
     let outcome = match transform {
-        "dft" => plan_dft(n, cfg),
-        "wht" => plan_wht(n, cfg),
+        "dft" => try_plan_dft(n, cfg),
+        "wht" => try_plan_wht(n, cfg),
         other => die(&format!("unknown transform {other}")),
-    };
+    }
+    .unwrap_or_else(|e| die(&format!("cannot plan {transform} {n}: {e}")));
     wisdom.put(
         transform,
         n,

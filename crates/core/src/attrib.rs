@@ -18,8 +18,8 @@
 //!
 //! 1. **empirically** from its simulated exclusive miss rate,
 //! 2. **analytically** from [`CacheModel::leaf_miss_per_point`] over both
-//!    its read and write streams (write strides are recovered by walking
-//!    the plan tree with the executor's stride propagation), and
+//!    its read and write streams, taken from the node's record in the
+//!    plan's execution layout ([`crate::layout`]), and
 //! 3. **statically** by the conflict analyzer in `ddl-analyze` (which
 //!    fills the `static_*` fields post-hoc; `ddl-core` cannot depend on
 //!    it).
@@ -41,13 +41,12 @@
 //! identity per node — so a schema check is also an invariant check.
 
 use crate::dft::DftPlan;
+use crate::layout::PlanLayout;
 use crate::model::CacheModel;
 use crate::obs::{Candidate, Counter, Sink, SpanInfo, SpanKind, Stage};
 use crate::rfft::RfftPlan;
 use crate::traced;
-use crate::tree::Tree;
 use crate::wht::WhtPlan;
-use crate::{DFT_POINT_BYTES, WHT_POINT_BYTES};
 use ddl_cachesim::{
     AttributedNode, AttributingCache, BucketStats, Cache, CacheConfig, CacheStats, HierStats,
     HierarchyAttributingCache, HierarchyConfig, MemoryTracer, NodeKey,
@@ -110,8 +109,8 @@ pub struct NodeAttribution {
     pub calls: u64,
     /// Exclusive simulated counters (this node minus its children).
     pub stats: CacheStats,
-    /// Output (write) stride in points, recovered from the plan-tree
-    /// walk (the span only carries the read stride).
+    /// Output (write) stride in points, from the node's layout record
+    /// (the span only carries the read stride).
     pub write_stride: Option<usize>,
     /// Empirical classification from the exclusive miss rate; `None`
     /// when the node generated no memory events of its own.
@@ -457,7 +456,9 @@ pub fn attribute_dft(
     root_stride: usize,
     config: CacheConfig,
 ) -> Result<AttributionRun, DdlError> {
-    attribute_dft_with(plan, root_stride, config, None)
+    attribute(config, None, root_stride, |obs| {
+        traced::run_dft(plan, root_stride, obs)
+    })
 }
 
 /// [`attribute_dft`] plus simultaneous L1/L2/TLB attribution of the
@@ -469,26 +470,9 @@ pub fn attribute_dft_hier(
     config: CacheConfig,
     hier: HierarchyConfig,
 ) -> Result<AttributionRun, DdlError> {
-    attribute_dft_with(plan, root_stride, config, Some(hier))
-}
-
-fn attribute_dft_with(
-    plan: &DftPlan,
-    root_stride: usize,
-    config: CacheConfig,
-    hier: Option<HierarchyConfig>,
-) -> Result<AttributionRun, DdlError> {
-    let mut bundle = AttribBundle::new(config, hier);
-    traced::run_dft(plan, root_stride, &mut bundle)?;
-    let mut run = finish_run(bundle.finish(), root_stride, DFT_POINT_BYTES);
-    let model =
-        CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, DFT_POINT_BYTES);
-    for root in &mut run.roots {
-        annotate_dft(plan.tree(), root_stride, 1, root, &model);
-    }
-    classify_empirical_tree(&mut run.roots, model.line_points);
-    annotate_page_classes(&mut run);
-    Ok(run)
+    attribute(config, Some(hier), root_stride, |obs| {
+        traced::run_dft(plan, root_stride, obs)
+    })
 }
 
 /// Runs one in-place WHT execution on a view of `root_stride` against a
@@ -499,7 +483,9 @@ pub fn attribute_wht(
     root_stride: usize,
     config: CacheConfig,
 ) -> Result<AttributionRun, DdlError> {
-    attribute_wht_with(plan, root_stride, config, None)
+    attribute(config, None, root_stride, |obs| {
+        traced::run_wht(plan, root_stride, obs)
+    })
 }
 
 /// [`attribute_wht`] plus simultaneous L1/L2/TLB attribution.
@@ -509,26 +495,9 @@ pub fn attribute_wht_hier(
     config: CacheConfig,
     hier: HierarchyConfig,
 ) -> Result<AttributionRun, DdlError> {
-    attribute_wht_with(plan, root_stride, config, Some(hier))
-}
-
-fn attribute_wht_with(
-    plan: &WhtPlan,
-    root_stride: usize,
-    config: CacheConfig,
-    hier: Option<HierarchyConfig>,
-) -> Result<AttributionRun, DdlError> {
-    let mut bundle = AttribBundle::new(config, hier);
-    traced::run_wht(plan, root_stride, &mut bundle)?;
-    let mut run = finish_run(bundle.finish(), root_stride, WHT_POINT_BYTES);
-    let model =
-        CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, WHT_POINT_BYTES);
-    for root in &mut run.roots {
-        annotate_wht(plan.tree(), root_stride, root, &model);
-    }
-    classify_empirical_tree(&mut run.roots, model.line_points);
-    annotate_page_classes(&mut run);
-    Ok(run)
+    attribute(config, Some(hier), root_stride, |obs| {
+        traced::run_wht(plan, root_stride, obs)
+    })
 }
 
 /// Runs one forward real-input FFT (unit stride) against a fresh cache,
@@ -537,7 +506,7 @@ fn attribute_wht_with(
 /// same per-node scorecard as a bare DFT. The inner DFT subtree carries
 /// model classifications; the wrapper stages are classified empirically.
 pub fn attribute_rfft(plan: &RfftPlan, config: CacheConfig) -> Result<AttributionRun, DdlError> {
-    attribute_rfft_with(plan, config, None)
+    attribute(config, None, 1, |obs| traced::run_rfft(plan, obs))
 }
 
 /// [`attribute_rfft`] plus simultaneous L1/L2/TLB attribution.
@@ -546,25 +515,32 @@ pub fn attribute_rfft_hier(
     config: CacheConfig,
     hier: HierarchyConfig,
 ) -> Result<AttributionRun, DdlError> {
-    attribute_rfft_with(plan, config, Some(hier))
+    attribute(config, Some(hier), 1, |obs| traced::run_rfft(plan, obs))
 }
 
-fn attribute_rfft_with(
-    plan: &RfftPlan,
+/// Runs `harness` (a simulation harness of [`crate::traced`]) into one
+/// fresh attributing observer, then classifies the attributed nodes. The
+/// write strides and model classes come from the layout the harness
+/// returns, whose root record is the run's root node or, under a real
+/// FFT, its inner `dft` stage.
+fn attribute(
     config: CacheConfig,
     hier: Option<HierarchyConfig>,
+    root_stride: usize,
+    harness: impl FnOnce(&mut AttribBundle) -> Result<PlanLayout, DdlError>,
 ) -> Result<AttributionRun, DdlError> {
     let mut bundle = AttribBundle::new(config, hier);
-    traced::run_rfft(plan, &mut bundle)?;
-    let mut run = finish_run(bundle.finish(), 1, DFT_POINT_BYTES);
-    let half = plan.half_forward();
-    let model =
-        CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, DFT_POINT_BYTES);
+    let layout = harness(&mut bundle)?;
+    let point_bytes = layout.point_bytes;
+    let mut run = finish_run(bundle.finish(), root_stride, point_bytes);
+    let model = CacheModel::from_geometry(config.capacity_bytes, config.line_bytes, point_bytes);
     for root in &mut run.roots {
-        for child in &mut root.children {
-            if child.label == "dft" {
-                annotate_dft(half.tree(), 1, 1, child, &model);
+        if root.label == "rfft" {
+            for child in root.children.iter_mut().filter(|c| c.label == "dft") {
+                annotate(&layout, 0, child, &model);
             }
+        } else {
+            annotate(&layout, 0, root, &model);
         }
     }
     classify_empirical_tree(&mut run.roots, model.line_points);
@@ -712,69 +688,23 @@ fn classify_empirical_tree(nodes: &mut [NodeAttribution], line_points: usize) {
     }
 }
 
-/// Walks the plan tree alongside the attributed tree with the DFT
-/// executor's stride propagation (the same recurrence as
-/// `CacheModel::dft_node_cost`): the left child reads at `n2 · rs` and
-/// writes at `n2` (unit when reorganized), the right child reads at unit
-/// stride and writes at `n1 · ws`. Fills `write_stride` everywhere and
-/// the model classification at leaves.
-fn annotate_dft(tree: &Tree, rs: usize, ws: usize, node: &mut NodeAttribution, model: &CacheModel) {
-    debug_assert_eq!(node.size, tree.size());
-    debug_assert_eq!(node.stride, rs);
-    node.write_stride = Some(ws);
-    match tree {
-        Tree::Leaf { n, .. } => {
-            node.model = Some(classify_model(model, *n, rs, ws));
-        }
-        Tree::Split { left, right, reorg } => {
-            let n1 = left.size();
-            let n2 = right.size();
-            let (l_rs, l_ws) = (n2 * rs, if *reorg { 1 } else { n2 });
-            let (r_rs, r_ws) = (1, n1 * ws);
-            for child in &mut node.children {
-                if child.size == n1 && child.stride == l_rs && child.reorg == left.reorg() {
-                    annotate_dft(left, l_rs, l_ws, child, model);
-                } else if child.size == n2 && child.stride == r_rs && child.reorg == right.reorg() {
-                    annotate_dft(right, r_rs, r_ws, child, model);
-                }
-            }
-        }
+/// Fills `write_stride` on an attributed node, and the model class on a
+/// leaf, from layout record `rec`, then descends: each attributed child
+/// takes the record under `rec` with its `(size, stride, reorg)`, the
+/// identity its node span carries.
+fn annotate(layout: &PlanLayout, rec: usize, node: &mut NodeAttribution, model: &CacheModel) {
+    let r = &layout.nodes[rec];
+    node.write_stride = Some(r.write.stride);
+    if r.leaf {
+        node.model = Some(classify_model(model, r.size, r.read.stride, r.write.stride));
     }
-}
-
-/// WHT analogue of [`annotate_dft`]: the executor is in place (write
-/// stride equals read stride), a reorganizing node runs its body at unit
-/// stride, the right child inherits the node's stride and the left child
-/// runs at `n2 ·` it.
-fn annotate_wht(tree: &Tree, stride: usize, node: &mut NodeAttribution, model: &CacheModel) {
-    debug_assert_eq!(node.size, tree.size());
-    debug_assert_eq!(node.stride, stride);
-    node.write_stride = Some(stride);
-    // A reorganized node gathers/scatters at `stride` itself but hands
-    // its body (and children) a unit-stride view.
-    let body_stride = if tree.reorg() && stride > 1 {
-        1
-    } else {
-        stride
-    };
-    match tree {
-        Tree::Leaf { n, .. } => {
-            // The gather/scatter of a reorganized leaf still pays the
-            // strided traffic, so classify on the span's own stride.
-            node.model = Some(classify_model(model, *n, stride, stride));
-        }
-        Tree::Split { left, right, .. } => {
-            let n1 = left.size();
-            let n2 = right.size();
-            let l_s = n2 * body_stride;
-            let r_s = body_stride;
-            for child in &mut node.children {
-                if child.size == n1 && child.stride == l_s && child.reorg == left.reorg() {
-                    annotate_wht(left, l_s, child, model);
-                } else if child.size == n2 && child.stride == r_s && child.reorg == right.reorg() {
-                    annotate_wht(right, r_s, child, model);
-                }
-            }
+    for child in &mut node.children {
+        let key = (child.size, child.stride, child.reorg);
+        if let Some((c, _)) = layout
+            .children(rec)
+            .find(|(_, c)| (c.size, c.read.stride, c.reorg) == key)
+        {
+            annotate(layout, c, child, model);
         }
     }
 }
@@ -783,6 +713,7 @@ fn annotate_wht(tree: &Tree, stride: usize, node: &mut NodeAttribution, model: &
 mod tests {
     use super::*;
     use crate::traced::{simulate_dft, simulate_wht};
+    use crate::DFT_POINT_BYTES;
     use ddl_num::Direction;
 
     fn paper_cache() -> CacheConfig {

@@ -13,7 +13,7 @@
 //! `C2[k] = 2 Σ_i x[i] cos(π k (2i+1) / 2n)`.
 
 use crate::dft::{DftPlan, PlanError};
-use crate::planner::{plan_dft, PlannerConfig};
+use crate::planner::{try_plan_dft, PlannerConfig};
 use crate::tree::Tree;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
@@ -38,7 +38,7 @@ impl DctPlan {
 
     /// Plans the underlying FFT with the given configuration.
     pub fn plan(n: usize, cfg: &PlannerConfig) -> Result<DctPlan, PlanError> {
-        DctPlan::new(plan_dft(n, cfg).tree)
+        DctPlan::new(try_plan_dft(n, cfg)?.tree)
     }
 
     /// Transform size.

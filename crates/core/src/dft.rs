@@ -47,9 +47,12 @@
 //!
 //! # Scratch ownership
 //!
-//! A node of size `n` uses `scratch[..n]` (`t`), or `scratch[..2n]`
+//! Each compiled node fixes its scratch carving when the plan is built:
+//! a split of size `n` holds `scratch[..n]` (`t`), or `scratch[..2n]`
 //! (`t2` then `t`) when it reorganizes, and hands the rest to its
-//! children; a reorganizing leaf uses `scratch[..n]` (`r`). The
+//! children; a reorganizing leaf holds `scratch[..n]` (`r`). The
+//! executor and [`DftPlan::layout`] both read that carving, so the
+//! exported layout is the one execution uses. The
 //! executor **writes every scratch point before reading it**: stage 1
 //! fills all of `t` (or `t2`), the transpose fills all of `t`, and the
 //! leaf gather fills all of `r`, each before anything reads them. So the
@@ -75,6 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::backend::{self, BackendKind};
+use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind, REORG_TILE};
 use crate::obs::{
     stage_end, stage_start, Counter, ExecutionMetrics, NullSink, Observer, Recorder, Sink,
     SpanInfo, SpanKind, Stage,
@@ -95,11 +99,15 @@ use ddl_num::{Complex64, DdlError, Direction, TwiddleTable};
 pub type PlanError = DdlError;
 
 /// A compiled node: the tree shape plus per-split twiddle tables and
-/// scratch accounting.
+/// scratch carving.
 #[derive(Clone, Debug)]
 struct Compiled {
     n: usize,
     reorg: bool,
+    /// Scratch points this node holds for itself at the front of the
+    /// scratch it is handed (module docs); its children carve the rest.
+    held: usize,
+    /// `held` plus the larger child's need.
     scratch_need: usize,
     /// Point offset of this node's twiddle table within the plan's table
     /// region of the simulated address space (tables are data too — the
@@ -125,13 +133,17 @@ enum CompiledKind {
 impl Compiled {
     fn build(tree: &Tree, dir: Direction, tw_cursor: &mut usize) -> Compiled {
         match tree {
-            Tree::Leaf { n, reorg } => Compiled {
-                n: *n,
-                reorg: *reorg,
-                scratch_need: if *reorg { *n } else { 0 },
-                tw_offset: *tw_cursor,
-                kind: CompiledKind::Leaf,
-            },
+            Tree::Leaf { n, reorg } => {
+                let held = if *reorg { *n } else { 0 };
+                Compiled {
+                    n: *n,
+                    reorg: *reorg,
+                    held,
+                    scratch_need: held,
+                    tw_offset: *tw_cursor,
+                    kind: CompiledKind::Leaf,
+                }
+            }
             Tree::Split { left, right, reorg } => {
                 let cl = Compiled::build(left, dir, tw_cursor);
                 let cr = Compiled::build(right, dir, tw_cursor);
@@ -151,12 +163,13 @@ impl Compiled {
                 } else {
                     TwiddleTable::new(n2, n1, dir)
                 };
-                let child_need = cl.scratch_need.max(cr.scratch_need);
                 // reorg splits hold both layouts (t2 and t) at once
+                let held = if *reorg { 2 * n } else { n };
                 Compiled {
                     n,
                     reorg: *reorg,
-                    scratch_need: if *reorg { 2 * n } else { n } + child_need,
+                    held,
+                    scratch_need: held + cl.scratch_need.max(cr.scratch_need),
                     tw_offset,
                     kind: CompiledKind::Split {
                         n1,
@@ -168,6 +181,95 @@ impl Compiled {
                 }
             }
         }
+    }
+
+    /// Whether a leaf whose input has `stride` gathers it into `r` first.
+    fn gathers(&self, stride: usize) -> bool {
+        self.reorg && stride > 1
+    }
+
+    /// Where stage 1 leaves sub-DFT `i2`'s output: `(step, stride)` for
+    /// base `i2·step` in scratch. The static layout interleaves it
+    /// (`t[j1·n2 + i2]`), the dynamic one writes it contiguously
+    /// (`t2[i2·n1 + j1]`).
+    fn stage1_out(&self, n1: usize, n2: usize) -> (usize, usize) {
+        if self.reorg {
+            (n1, 1)
+        } else {
+            (1, n2)
+        }
+    }
+
+    /// Appends this node's record, then its subtree's, to `out`: `read`
+    /// and `write` are the last instance's views, `scr` the offset of the
+    /// scratch it is handed, `calls` its instance count.
+    fn layout(
+        &self,
+        read: AccessSet,
+        write: AccessSet,
+        scr: usize,
+        calls: u64,
+        parent: Option<usize>,
+        out: &mut Vec<NodeLayout>,
+    ) {
+        let n = self.n;
+        let idx = out.len();
+        let leaf = matches!(self.kind, CompiledKind::Leaf);
+        let mut node = NodeLayout::new(n, self.reorg, leaf, parent, calls, read, write);
+        let CompiledKind::Split {
+            n1,
+            n2,
+            left,
+            right,
+            ..
+        } = &self.kind
+        else {
+            let mut src = read;
+            if self.gathers(read.stride) {
+                src = node.carve("r", scr, n);
+                node.step(StepKind::Gather, calls, read, src);
+            }
+            node.step(StepKind::Leaf, calls, src, write);
+            out.push(node);
+            return;
+        };
+        let (n1, n2) = (*n1, *n2);
+        // Stage 1 fills the first n points held; stage 2 reads t, the
+        // last n (the same points unless the node reorganizes).
+        let staged = node.carve(if self.reorg { "t2" } else { "t" }, scr, n);
+        let t = if self.reorg {
+            node.carve("t", scr + n, n)
+        } else {
+            staged
+        };
+        let rest = scr + self.held;
+        let _ = node.carve("rest", rest, self.scratch_need - self.held);
+        let table = AccessSet::new(Region::Twiddle, self.tw_offset, 1, n);
+        node.step(StepKind::Twiddle, calls, table, staged);
+        if self.reorg {
+            // The transpose copies each of t2's n2 rows in tile rows of
+            // up to REORG_TILE points: `full` whole ones, then the tail.
+            // Each family records its tile row of t2's row 0.
+            let row = REORG_TILE.min(n1);
+            let full = n1 / row;
+            for (c0, len, count) in [(0, row, full), (full * row, n1 % row, 1)] {
+                let rows = calls * (n2 * count) as u64;
+                if len > 0 {
+                    let (src, dst) = (staged.sub(c0, 1, len), t.sub(c0 * n2, n2, len));
+                    node.step(StepKind::TransposeRow, rows, src, dst);
+                }
+            }
+        }
+        out.push(node);
+        // The last instance of each stage: i2 = n2 - 1, j1 = n1 - 1.
+        let (step, stride) = self.stage1_out(n1, n2);
+        let (lr, lw) = (
+            read.sub(n2 - 1, n2, n1),
+            staged.sub((n2 - 1) * step, stride, n1),
+        );
+        left.layout(lr, lw, rest, calls * n2 as u64, Some(idx), out);
+        let (rr, rw) = (t.sub(n2 * (n1 - 1), 1, n2), write.sub(n1 - 1, n1, n2));
+        right.layout(rr, rw, rest, calls * n1 as u64, Some(idx), out);
     }
 }
 
@@ -324,6 +426,33 @@ impl DftPlan {
     /// Scratch requirement in points for [`Self::try_run`].
     pub fn scratch_len(&self) -> usize {
         self.root.scratch_need
+    }
+
+    /// The execution layout ([`crate::layout`]) of one run with the input
+    /// read at `root_stride` and the output written at unit stride, from
+    /// index 0 of buffers of the minimal spans. Returns
+    /// [`DdlError::InvalidStride`] when those spans overflow the address
+    /// space.
+    pub fn layout(&self, root_stride: usize) -> Result<PlanLayout, DdlError> {
+        let n = self.n();
+        let mut layout = PlanLayout::new(
+            DFT_POINT_BYTES,
+            vec![
+                (Region::Input, layout::span(n, root_stride)?),
+                (Region::Output, n),
+                (Region::Scratch, self.scratch_len()),
+                (Region::Twiddle, self.twiddle_points),
+            ],
+        )?;
+        self.root.layout(
+            AccessSet::new(Region::Input, 0, root_stride, n),
+            AccessSet::new(Region::Output, 0, 1, n),
+            0,
+            1,
+            None,
+            &mut layout.nodes,
+        );
+        Ok(layout)
     }
 
     /// Scratch buffers this plan and its clones currently hold for reuse
@@ -556,7 +685,7 @@ fn exec<O: Observer>(
     }
     match &node.kind {
         CompiledKind::Leaf => {
-            if node.reorg && sv.stride > 1 {
+            if node.gathers(sv.stride) {
                 // Leaf reorganization: compact the strided input into
                 // contiguous scratch, then run the codelet at unit stride.
                 let t0 = stage_start::<O>();
@@ -597,16 +726,12 @@ fn exec<O: Observer>(
             // DDL removes. Dynamic data layout (paper Fig. 5) writes each
             // sub-DFT contiguously (t2[i2*n1 + j1]) and a tiled transpose
             // reorganizes t2 into t between the stages, so a reorganizing
-            // node holds both layouts at once.
-            let (staged, after) = scratch.split_at_mut(n);
-            let (t, rest, held) = if node.reorg {
-                let (t, rest) = after.split_at_mut(n);
-                (Some(t), rest, 2 * n)
-            } else {
-                (None, after, n)
-            };
-            let rest_addr = scr_addr + (held * DFT_POINT_BYTES) as u64;
-            let (step, stride) = if node.reorg { (n1, 1) } else { (1, n2) };
+            // node holds both layouts at once: t is the last n points
+            // held, the first n unless the node reorganizes.
+            let (own, rest) = scratch.split_at_mut(node.held);
+            let (staged, t) = own.split_at_mut(n);
+            let rest_addr = scr_addr + (node.held * DFT_POINT_BYTES) as u64;
+            let (step, stride) = node.stage1_out(n1, n2);
 
             // Stage 1: left child reads x at stride n2*s (Property 1).
             for i2 in 0..n2 {
@@ -641,15 +766,14 @@ fn exec<O: Observer>(
 
             // The reorganization Dr: tiled transpose of the n2 x n1
             // row-major t2 into t[j1*n2 + i2].
-            let (t, t_addr): (&[Complex64], u64) = match t {
-                Some(t) => {
-                    let t_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
-                    let t0 = stage_start::<O>();
-                    transpose_traced(staged, t, n2, n1, scr_addr, t_addr, obs);
-                    stage_end(obs, Stage::Reorg, t0, n as u64);
-                    (t, t_addr)
-                }
-                None => (staged, scr_addr),
+            let (t, t_addr): (&[Complex64], u64) = if node.reorg {
+                let t_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
+                let t0 = stage_start::<O>();
+                transpose_traced(staged, t, n2, n1, scr_addr, t_addr, obs);
+                stage_end(obs, Stage::Reorg, t0, n as u64);
+                (t, t_addr)
+            } else {
+                (staged, scr_addr)
             };
 
             // Stage 2: right child reads t at unit stride.
@@ -729,10 +853,6 @@ fn trace_twiddle<T: MemoryTracer>(n: usize, addr: u64, table_addr: u64, tr: &mut
         tr.write(a, DFT_POINT_BYTES as u32);
     }
 }
-
-/// Tile edge (in points) of the reorganization transpose: 32 complex
-/// points = 512 B per tile row, a few KiB per tile — resident in any L1.
-const REORG_TILE: usize = 32;
 
 /// Tiled out-of-place transpose of the `rows x cols` row-major `src` into
 /// `dst` (so `dst[c*rows + r] = src[r*cols + c]`), emitting the trace in

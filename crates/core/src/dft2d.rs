@@ -12,7 +12,7 @@
 //! automatically yields a cache-conscious 2-D transform.
 
 use crate::dft::{DftPlan, PlanError};
-use crate::planner::{plan_dft, PlannerConfig};
+use crate::planner::{try_plan_dft, PlannerConfig};
 use ddl_layout::transpose_blocked;
 use ddl_num::{Complex64, DdlError, Direction};
 
@@ -61,8 +61,8 @@ impl Dft2dPlan {
         dir: Direction,
         cfg: &PlannerConfig,
     ) -> Result<Dft2dPlan, PlanError> {
-        let row_tree = plan_dft(cols, cfg).tree;
-        let col_tree = plan_dft(rows, cfg).tree;
+        let row_tree = try_plan_dft(cols, cfg)?.tree;
+        let col_tree = try_plan_dft(rows, cfg)?.tree;
         Dft2dPlan::from_plans(
             rows,
             cols,
@@ -231,10 +231,10 @@ mod tests {
     #[test]
     fn mismatched_plans_are_rejected() {
         let cfg = PlannerConfig::sdl_analytical();
-        let p8 = DftPlan::new(plan_dft(8, &cfg).tree, Direction::Forward).unwrap();
-        let p16 = DftPlan::new(plan_dft(16, &cfg).tree, Direction::Forward).unwrap();
+        let p8 = DftPlan::new(try_plan_dft(8, &cfg).unwrap().tree, Direction::Forward).unwrap();
+        let p16 = DftPlan::new(try_plan_dft(16, &cfg).unwrap().tree, Direction::Forward).unwrap();
         assert!(Dft2dPlan::from_plans(8, 8, p16.clone(), p8.clone()).is_err());
-        let p8i = DftPlan::new(plan_dft(8, &cfg).tree, Direction::Inverse).unwrap();
+        let p8i = DftPlan::new(try_plan_dft(8, &cfg).unwrap().tree, Direction::Inverse).unwrap();
         assert!(Dft2dPlan::from_plans(8, 8, p8.clone(), p8i).is_err());
         assert!(Dft2dPlan::from_plans(8, 8, p8.clone(), p8).is_ok());
     }

@@ -14,9 +14,11 @@
 //!    [`model`].
 //! 3. The chosen tree compiles into a [`dft::DftPlan`] or
 //!    [`wht::WhtPlan`] with precomputed twiddle tables and scratch
-//!    requirements, and executes through stride-explicit recursion that
-//!    can optionally emit its exact memory-access stream into the
-//!    `ddl-cachesim` simulator ([`traced`]).
+//!    carving, and executes through stride-explicit recursion that can
+//!    optionally emit its exact memory-access stream into the
+//!    `ddl-cachesim` simulator ([`traced`]). The plan exports the
+//!    layout that recursion runs on ([`layout`]) for the static analyzer
+//!    and per-node attribution.
 //!
 //! Supporting modules: [`grammar`] (the `ct`/`ctddl`/`split` tree
 //! expression language mirroring the CMU WHT package), [`measure`]
@@ -59,6 +61,7 @@ pub mod flight;
 pub mod grammar;
 pub mod histo;
 pub mod json;
+pub mod layout;
 pub mod measure;
 pub mod model;
 pub mod obs;
@@ -102,8 +105,8 @@ pub use obs::{
 };
 pub use parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport, ItemTiming};
 pub use planner::{
-    plan_dft, plan_wht, try_plan_dft, try_plan_dft_with, try_plan_wht, try_plan_wht_with,
-    CostBackend, PlannerConfig, Strategy,
+    try_plan_dft, try_plan_dft_with, try_plan_wht, try_plan_wht_with, CostBackend, PlannerConfig,
+    Strategy,
 };
 pub use reports::{
     check_report, check_report_text, CheckedReport, PlanRecord, Report, REPORT_SCHEMA,

@@ -239,17 +239,6 @@ pub fn try_plan_dft_with<S: Sink>(
     })
 }
 
-/// Searches for an optimal DFT factorization tree of size `n`.
-///
-/// Panicking wrapper over [`try_plan_dft`].
-pub fn plan_dft(n: usize, cfg: &PlannerConfig) -> PlanOutcome {
-    match try_plan_dft(n, cfg) {
-        Ok(out) => out,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Fallible search for an optimal WHT factorization tree of size `n`.
 ///
 /// Returns [`DdlError::InvalidSize`] unless `n` is a power of two.
@@ -295,18 +284,6 @@ pub fn try_plan_wht_with<S: Sink>(
     })
 }
 
-/// Searches for an optimal WHT factorization tree of size `n` (a power of
-/// two).
-///
-/// Panicking wrapper over [`try_plan_wht`].
-pub fn plan_wht(n: usize, cfg: &PlannerConfig) -> PlanOutcome {
-    match try_plan_wht(n, cfg) {
-        Ok(out) => out,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Plans every power-of-two size up to `max_n` in one dynamic-programming
 /// pass (the memo table of the `max_n` search already contains the
 /// optimal unit-stride tree of every smaller power of two, since each
@@ -315,15 +292,6 @@ pub fn plan_wht(n: usize, cfg: &PlannerConfig) -> PlanOutcome {
 ///
 /// With the measured backend this amortizes the planning cost of a whole
 /// size sweep into a single search.
-pub fn plan_dft_sweep(max_n: usize, cfg: &PlannerConfig) -> Vec<(usize, PlanOutcome)> {
-    match try_plan_dft_sweep(max_n, cfg) {
-        Ok(out) => out,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible version of [`plan_dft_sweep`].
 pub fn try_plan_dft_sweep(
     max_n: usize,
     cfg: &PlannerConfig,
@@ -341,16 +309,7 @@ pub fn try_plan_dft_sweep_with<S: Sink>(
     plan_sweep(max_n, cfg, Kind::Dft, sink)
 }
 
-/// WHT version of [`plan_dft_sweep`].
-pub fn plan_wht_sweep(max_n: usize, cfg: &PlannerConfig) -> Vec<(usize, PlanOutcome)> {
-    match try_plan_wht_sweep(max_n, cfg) {
-        Ok(out) => out,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible version of [`plan_wht_sweep`].
+/// WHT version of [`try_plan_dft_sweep`].
 pub fn try_plan_wht_sweep(
     max_n: usize,
     cfg: &PlannerConfig,
@@ -715,7 +674,7 @@ mod tests {
     fn sdl_plan_is_reorg_free_and_valid() {
         let cfg = PlannerConfig::sdl_analytical();
         for log_n in [4u32, 8, 12, 16, 20] {
-            let out = plan_dft(1 << log_n, &cfg);
+            let out = try_plan_dft(1 << log_n, &cfg).unwrap();
             assert_eq!(out.tree.size(), 1 << log_n);
             assert_eq!(out.tree.reorg_count(), 0, "SDL must not reorganize");
             assert!(out.tree.validate().is_ok());
@@ -727,10 +686,10 @@ mod tests {
     fn ddl_plan_reorganizes_large_transforms_only() {
         let cfg = PlannerConfig::ddl_analytical();
         // Below the cache (2^15 points): no reorganization pays off.
-        let small = plan_dft(1 << 12, &cfg);
+        let small = try_plan_dft(1 << 12, &cfg).unwrap();
         assert_eq!(small.tree.reorg_count(), 0);
         // Well above the cache: the optimal tree must reorganize.
-        let large = plan_dft(1 << 20, &cfg);
+        let large = try_plan_dft(1 << 20, &cfg).unwrap();
         assert!(
             large.tree.reorg_count() > 0,
             "expected reorgs in {}",
@@ -741,8 +700,8 @@ mod tests {
     #[test]
     fn ddl_beats_sdl_in_the_model_above_cache() {
         let model = CacheModel::paper_default();
-        let sdl = plan_dft(1 << 20, &PlannerConfig::sdl_analytical());
-        let ddl = plan_dft(1 << 20, &PlannerConfig::ddl_analytical());
+        let sdl = try_plan_dft(1 << 20, &PlannerConfig::sdl_analytical()).unwrap();
+        let ddl = try_plan_dft(1 << 20, &PlannerConfig::ddl_analytical()).unwrap();
         let sdl_cost = model.tree_cost_ns(&sdl.tree, 1);
         let ddl_cost = model.tree_cost_ns(&ddl.tree, 1);
         assert!(
@@ -759,7 +718,7 @@ mod tests {
             PlannerConfig::sdl_analytical(),
             PlannerConfig::ddl_analytical(),
         ] {
-            let out = plan_dft(1 << 10, &cfg);
+            let out = try_plan_dft(1 << 10, &cfg).unwrap();
             let plan = DftPlan::new(out.tree, Direction::Forward).unwrap();
             let x: Vec<Complex64> = (0..1 << 10)
                 .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos()))
@@ -778,7 +737,7 @@ mod tests {
             PlannerConfig::sdl_analytical(),
             PlannerConfig::ddl_analytical(),
         ] {
-            let out = plan_wht(1 << 10, &cfg);
+            let out = try_plan_wht(1 << 10, &cfg).unwrap();
             assert_eq!(out.tree.size(), 1 << 10);
             let plan = WhtPlan::new(out.tree).unwrap();
             let x: Vec<f64> = (0..1 << 10).map(|i| (i as f64 * 0.1).sin()).collect();
@@ -805,9 +764,9 @@ mod tests {
         // (gather + scatter), so it only pays once a subtree would
         // otherwise run >= 2 pathological strided stages — which needs
         // n >> C (here 2^24 points vs C = 2^16 points).
-        let out = plan_wht(1 << 24, &cfg);
+        let out = try_plan_wht(1 << 24, &cfg).unwrap();
         assert!(out.tree.reorg_count() > 0, "tree: {}", out.tree);
-        let small = plan_wht(1 << 12, &cfg);
+        let small = try_plan_wht(1 << 12, &cfg).unwrap();
         assert_eq!(small.tree.reorg_count(), 0);
     }
 
@@ -817,7 +776,7 @@ mod tests {
         use ddl_num::relative_rms_error;
         let cfg = PlannerConfig::ddl_analytical();
         for n in [60usize, 100, 360, 1000] {
-            let out = plan_dft(n, &cfg);
+            let out = try_plan_dft(n, &cfg).unwrap();
             assert_eq!(out.tree.size(), n);
             let plan = DftPlan::new(out.tree, Direction::Forward).unwrap();
             let x: Vec<Complex64> = (0..n)
@@ -832,14 +791,14 @@ mod tests {
     #[test]
     fn prime_size_falls_back_to_naive_leaf() {
         let cfg = PlannerConfig::ddl_analytical();
-        let out = plan_dft(97, &cfg);
+        let out = try_plan_dft(97, &cfg).unwrap();
         assert_eq!(out.tree, Tree::leaf(97));
     }
 
     #[test]
     fn search_space_is_polynomial() {
         let cfg = PlannerConfig::ddl_analytical();
-        let out = plan_dft(1 << 20, &cfg);
+        let out = try_plan_dft(1 << 20, &cfg).unwrap();
         // (size, stride) states: at most ~p^2/2 for p = 20, plus strides
         // introduced by reorgs
         assert!(
@@ -861,7 +820,7 @@ mod tests {
             max_leaf: 8,
             cache_points: 1 << 15,
         };
-        let out = plan_dft(64, &cfg);
+        let out = try_plan_dft(64, &cfg).unwrap();
         assert_eq!(out.tree.size(), 64);
         assert!(out.cost > 0.0);
     }
@@ -869,10 +828,10 @@ mod tests {
     #[test]
     fn sweep_matches_individual_planning() {
         let cfg = PlannerConfig::ddl_analytical();
-        let sweep = plan_dft_sweep(1 << 12, &cfg);
+        let sweep = try_plan_dft_sweep(1 << 12, &cfg).unwrap();
         assert_eq!(sweep.len(), 12);
         for (n, outcome) in &sweep {
-            let single = plan_dft(*n, &cfg);
+            let single = try_plan_dft(*n, &cfg).unwrap();
             assert_eq!(
                 outcome.cost, single.cost,
                 "sweep and single plans disagree at n = {n}"
@@ -884,7 +843,7 @@ mod tests {
     #[test]
     fn wht_sweep_covers_all_sizes() {
         let cfg = PlannerConfig::sdl_analytical();
-        let sweep = plan_wht_sweep(1 << 10, &cfg);
+        let sweep = try_plan_wht_sweep(1 << 10, &cfg).unwrap();
         let sizes: Vec<usize> = sweep.iter().map(|(n, _)| *n).collect();
         assert_eq!(sizes, vec![2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
     }
@@ -899,8 +858,8 @@ mod tests {
             line_bytes: 64,
             associativity: 1,
         };
-        let ddl = plan_dft(1 << 14, &PlannerConfig::ddl_simulated(cache, 16));
-        let sdl = plan_dft(1 << 14, &PlannerConfig::sdl_simulated(cache, 16));
+        let ddl = try_plan_dft(1 << 14, &PlannerConfig::ddl_simulated(cache, 16)).unwrap();
+        let sdl = try_plan_dft(1 << 14, &PlannerConfig::sdl_simulated(cache, 16)).unwrap();
         // DP local optimality does not strictly order the two searches
         // (their memoized subtrees differ), but the DDL result should
         // never be meaningfully worse.
@@ -925,7 +884,7 @@ mod tests {
     #[test]
     fn sdl_memoizes_by_size_only() {
         let cfg = PlannerConfig::sdl_analytical();
-        let out = plan_dft(1 << 16, &cfg);
+        let out = try_plan_dft(1 << 16, &cfg).unwrap();
         // every memo key has stride 1
         assert!(out.states <= 17, "SDL states: {}", out.states);
     }

@@ -13,7 +13,7 @@
 
 use crate::dft::{DftPlan, DftViews, PlanError};
 use crate::obs::{NullSink, Observer, SpanInfo, SpanKind};
-use crate::planner::{plan_dft, PlannerConfig};
+use crate::planner::{try_plan_dft, PlannerConfig};
 use crate::tree::Tree;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
@@ -54,7 +54,7 @@ impl RfftPlan {
                 "real FFT size must be even and positive, got {n}"
             )));
         }
-        RfftPlan::new(n, plan_dft(n / 2, cfg).tree)
+        RfftPlan::new(n, try_plan_dft(n / 2, cfg)?.tree)
     }
 
     /// Transform size (length of the real signal).

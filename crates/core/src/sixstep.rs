@@ -18,7 +18,7 @@
 //! by reorganizing only where it pays (an ablation the benches exercise).
 
 use crate::dft::{DftPlan, PlanError};
-use crate::planner::{plan_dft, PlannerConfig};
+use crate::planner::{try_plan_dft, PlannerConfig};
 use ddl_layout::transpose_blocked;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
@@ -46,8 +46,8 @@ impl SixStepPlan {
         let n = n1
             .checked_mul(n2)
             .ok_or_else(|| PlanError::InvalidTree("six-step size overflow".into()))?;
-        let col_plan = DftPlan::new(plan_dft(n1, cfg).tree, dir)?;
-        let row_plan = DftPlan::new(plan_dft(n2, cfg).tree, dir)?;
+        let col_plan = DftPlan::new(try_plan_dft(n1, cfg)?.tree, dir)?;
+        let row_plan = DftPlan::new(try_plan_dft(n2, cfg)?.tree, dir)?;
         let mut twiddles = Vec::with_capacity(n);
         for i1 in 0..n1 {
             for i2 in 0..n2 {

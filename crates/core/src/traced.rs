@@ -10,13 +10,17 @@
 //! at a root stride into any [`Observer`]: plain simulation feeds it a
 //! cache wrapped as a trace-only observer, and per-node attribution
 //! ([`crate::attrib`]) feeds it an attributing cache that also consumes
-//! the node spans — so both see the same addresses by construction.
+//! the node spans — so both see the same addresses by construction. The
+//! regions are sized from the plan's execution layout
+//! ([`crate::layout`]), whose checked spans turn a root stride too large
+//! for the address space into [`DdlError::InvalidStride`].
 
 use crate::dft::{DftPlan, DftViews};
+use crate::layout::{PlanLayout, Region};
 use crate::obs::{Candidate, Counter, Observer, Sink, Stage};
 use crate::rfft::RfftPlan;
 use crate::wht::{WhtPlan, WhtView};
-use crate::{DFT_POINT_BYTES, WHT_POINT_BYTES};
+use crate::DFT_POINT_BYTES;
 use ddl_cachesim::{AddressSpace, Cache, CacheConfig, CacheStats, MemoryTracer};
 use ddl_num::{Complex64, DdlError};
 
@@ -25,71 +29,73 @@ use ddl_num::{Complex64, DdlError};
 /// (conflict-friendly) choice for power-of-two working sets.
 pub const SIM_PAGE_BYTES: u64 = 4096;
 
+/// Page-aligned disjoint simulated addresses for the layout's regions,
+/// in its order, each at least one point long.
+fn region_addrs<const R: usize>(layout: &PlanLayout) -> [u64; R] {
+    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
+    let mut lens = layout.regions.iter().map(|&(_, len)| len);
+    std::array::from_fn(|_| {
+        let len = lens.next().unwrap_or(0).max(1);
+        space.alloc((len * layout.point_bytes) as u64)
+    })
+}
+
 /// Runs one out-of-place execution of `plan`, its input read at
 /// `root_stride`, into `obs`, with the input, output, scratch and
-/// twiddle-table regions at page-aligned disjoint simulated addresses.
+/// twiddle-table regions of its layout at page-aligned disjoint
+/// simulated addresses. Returns that layout.
 pub(crate) fn run_dft<O: Observer>(
     plan: &DftPlan,
     root_stride: usize,
     obs: &mut O,
-) -> Result<(), DdlError> {
-    let n = plan.n();
-    let span = (n - 1) * root_stride + 1;
-    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-    let xa = space.alloc((span * DFT_POINT_BYTES) as u64);
-    let ya = space.alloc((n * DFT_POINT_BYTES) as u64);
-    let sa = space.alloc((plan.scratch_len().max(1) * DFT_POINT_BYTES) as u64);
-    let ta = space.alloc((plan.twiddle_points().max(1) * DFT_POINT_BYTES) as u64);
-
-    let x = vec![Complex64::new(1.0, -1.0); span];
-    let mut y = vec![Complex64::ZERO; n];
-    let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+) -> Result<PlanLayout, DdlError> {
+    let layout = plan.layout(root_stride)?;
+    let len = |region| layout.region_len(region);
+    let x = vec![Complex64::new(1.0, -1.0); len(Region::Input)];
+    let mut y = vec![Complex64::ZERO; len(Region::Output)];
+    let mut scratch = vec![Complex64::ZERO; len(Region::Scratch)];
     let mut views = DftViews::new(&x, &mut y).input_at(0, root_stride);
-    views.addrs = [xa, ya, sa, ta];
+    views.addrs = region_addrs(&layout);
     plan.try_run(views, &mut scratch, obs)?;
     std::hint::black_box(&mut y);
-    Ok(())
+    Ok(layout)
 }
 
 /// Runs one in-place execution of `plan` on a view of `root_stride` into
-/// `obs`, with the data and scratch regions at page-aligned disjoint
-/// simulated addresses.
+/// `obs`, with the data and scratch regions of its layout at page-aligned
+/// disjoint simulated addresses. Returns that layout.
 pub(crate) fn run_wht<O: Observer>(
     plan: &WhtPlan,
     root_stride: usize,
     obs: &mut O,
-) -> Result<(), DdlError> {
-    let n = plan.n();
-    let span = (n - 1) * root_stride + 1;
-    let mut space = AddressSpace::new(SIM_PAGE_BYTES);
-    let da = space.alloc((span * WHT_POINT_BYTES) as u64);
-    let sa = space.alloc((plan.scratch_len().max(1) * WHT_POINT_BYTES) as u64);
-
-    let mut data = vec![1.5f64; span];
-    let mut scratch = vec![0.0f64; plan.scratch_len()];
+) -> Result<PlanLayout, DdlError> {
+    let layout = plan.layout(root_stride)?;
+    let mut data = vec![1.5f64; layout.region_len(Region::Data)];
+    let mut scratch = vec![0.0f64; layout.region_len(Region::Scratch)];
     let mut view = WhtView::new(&mut data).at(0, root_stride);
-    view.addrs = [da, sa];
+    view.addrs = region_addrs(&layout);
     plan.try_run(view, &mut scratch, obs)?;
     std::hint::black_box(&mut data);
-    Ok(())
+    Ok(layout)
 }
 
 /// Runs one forward real-input FFT of `plan` (unit stride) into `obs`,
 /// with the real input, the packed buffer, the half-size spectrum, the
-/// output spectrum, and the inner DFT's scratch and twiddle regions at
-/// page-aligned disjoint simulated addresses.
-pub(crate) fn run_rfft<O: Observer>(plan: &RfftPlan, obs: &mut O) -> Result<(), DdlError> {
+/// output spectrum, and the scratch and twiddle regions of the inner
+/// DFT's layout at page-aligned disjoint simulated addresses. Returns
+/// that inner layout.
+pub(crate) fn run_rfft<O: Observer>(plan: &RfftPlan, obs: &mut O) -> Result<PlanLayout, DdlError> {
     let n = plan.n();
     let h = n / 2;
-    let half = plan.half_forward();
+    let inner = plan.half_forward().layout(1)?;
     let mut space = AddressSpace::new(SIM_PAGE_BYTES);
     let addrs = [
         n * std::mem::size_of::<f64>(),
         h * DFT_POINT_BYTES,
         h * DFT_POINT_BYTES,
         plan.bins() * DFT_POINT_BYTES,
-        half.scratch_len().max(1) * DFT_POINT_BYTES,
-        half.twiddle_points().max(1) * DFT_POINT_BYTES,
+        inner.region_len(Region::Scratch).max(1) * DFT_POINT_BYTES,
+        inner.region_len(Region::Twiddle).max(1) * DFT_POINT_BYTES,
     ]
     .map(|bytes| space.alloc(bytes as u64));
 
@@ -97,7 +103,7 @@ pub(crate) fn run_rfft<O: Observer>(plan: &RfftPlan, obs: &mut O) -> Result<(), 
     let mut spectrum = vec![Complex64::ZERO; plan.bins()];
     plan.forward_observed(&x, &mut spectrum, addrs, obs)?;
     std::hint::black_box(&mut spectrum);
-    Ok(())
+    Ok(inner)
 }
 
 /// A plain tracer as an observer: the address half only.
@@ -144,7 +150,7 @@ pub fn simulate_dft(
 /// Simulates one unit-stride execution of a DFT plan into an existing
 /// cache/tracer (e.g. a [`ddl_cachesim::TwoLevelCache`] or a warm cache).
 pub fn simulate_dft_into<T: MemoryTracer>(plan: &DftPlan, tracer: &mut T) -> Result<(), DdlError> {
-    run_dft(plan, 1, &mut TraceOnly(tracer))
+    run_dft(plan, 1, &mut TraceOnly(tracer)).map(drop)
 }
 
 /// Simulates one in-place execution of a WHT plan on a view of
@@ -161,7 +167,7 @@ pub fn simulate_wht(
 
 /// Simulates one unit-stride WHT execution into an existing cache/tracer.
 pub fn simulate_wht_into<T: MemoryTracer>(plan: &WhtPlan, tracer: &mut T) -> Result<(), DdlError> {
-    run_wht(plan, 1, &mut TraceOnly(tracer))
+    run_wht(plan, 1, &mut TraceOnly(tracer)).map(drop)
 }
 
 #[cfg(test)]

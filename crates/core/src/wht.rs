@@ -37,8 +37,13 @@
 //! the data view before the subtree runs in it, so the executor writes
 //! every scratch point before reading it. The plan's internally
 //! scratched entry points therefore reuse dirty buffers from its
-//! `ScratchPool`, as [`crate::dft`] does.
+//! `ScratchPool`, as [`crate::dft`] does. Each compiled node fixes its
+//! scratch need when the plan is built; a gathering node holds the first
+//! `n` points it is handed and its children carve the rest. The executor
+//! and [`WhtPlan::layout`] read the same nodes and the same gather and
+//! lane-batch rules.
 
+use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind};
 use crate::obs::{
     stage_end, stage_start, ExecutionMetrics, NullSink, Observer, Recorder, Sink, SpanInfo,
     SpanKind, Stage,
@@ -55,8 +60,7 @@ pub use crate::dft::PlanError;
 #[derive(Clone, Debug)]
 pub struct WhtPlan {
     tree: Tree,
-    n: usize,
-    scratch_need: usize,
+    root: Node,
     /// Scratch for the internally-allocating entry points, shared
     /// across clones and allocated on first use.
     scratch: ScratchPool<f64>,
@@ -79,11 +83,9 @@ impl WhtPlan {
                 )));
             }
         }
-        let scratch_need = scratch_need(&tree);
         Ok(WhtPlan {
-            n: tree.size(),
+            root: Node::build(&tree),
             tree,
-            scratch_need,
             scratch: ScratchPool::new(),
         })
     }
@@ -96,7 +98,7 @@ impl WhtPlan {
 
     /// Transform size.
     pub fn n(&self) -> usize {
-        self.n
+        self.root.n
     }
 
     /// The factorization tree.
@@ -106,7 +108,24 @@ impl WhtPlan {
 
     /// Scratch requirement in points (zero for SDL trees).
     pub fn scratch_len(&self) -> usize {
-        self.scratch_need
+        self.root.need
+    }
+
+    /// The execution layout ([`crate::layout`]) of one run on the view
+    /// `data[i·root_stride]` of a buffer of the minimal span. Returns
+    /// [`DdlError::InvalidStride`] when that span overflows the address
+    /// space.
+    pub fn layout(&self, root_stride: usize) -> Result<PlanLayout, DdlError> {
+        let mut layout = PlanLayout::new(
+            WHT_POINT_BYTES,
+            vec![
+                (Region::Data, layout::span(self.root.n, root_stride)?),
+                (Region::Scratch, self.root.need),
+            ],
+        )?;
+        let view = AccessSet::new(Region::Data, 0, root_stride, self.root.n);
+        self.root.layout(view, 0, 1, None, &mut layout.nodes);
+        Ok(layout)
     }
 
     /// Scratch buffers this plan and its clones currently hold for reuse
@@ -118,7 +137,7 @@ impl WhtPlan {
 
     /// Executes in place on `data[..n]`, on the plan's own scratch.
     pub fn try_execute(&self, data: &mut [f64]) -> Result<(), DdlError> {
-        self.scratch.with(self.scratch_need, |scratch| {
+        self.scratch.with(self.root.need, |scratch| {
             self.try_run(WhtView::new(data), scratch, &mut NullSink)
         })
     }
@@ -144,15 +163,15 @@ impl WhtPlan {
             stride,
             addrs,
         } = view;
-        if self.n > 1 && stride == 0 {
+        if self.root.n > 1 && stride == 0 {
             return Err(DdlError::InvalidStride {
                 detail: format!(
                     "data view out of bounds: stride 0 on a {}-point WHT aliases every point",
-                    self.n
+                    self.root.n
                 ),
             });
         }
-        let view_end = (self.n - 1)
+        let view_end = (self.root.n - 1)
             .checked_mul(stride)
             .and_then(|off| off.checked_add(base));
         match view_end {
@@ -167,15 +186,15 @@ impl WhtPlan {
                 });
             }
         }
-        if scratch.len() < self.scratch_need {
+        if scratch.len() < self.root.need {
             return Err(DdlError::shape(
                 "scratch too small",
-                self.scratch_need,
+                self.root.need,
                 scratch.len(),
             ));
         }
         exec(
-            &self.tree, data, base, stride, addrs[0], scratch, addrs[1], obs,
+            &self.root, data, base, stride, addrs[0], scratch, addrs[1], obs,
         );
         Ok(())
     }
@@ -194,11 +213,11 @@ impl WhtPlan {
         data: &mut [f64],
         recorder: &mut Recorder,
     ) -> Result<ExecutionMetrics, DdlError> {
-        let total_ns = self.scratch.with(self.scratch_need, |scratch| {
+        let total_ns = self.scratch.with(self.root.need, |scratch| {
             recorder.span_begin(SpanInfo {
                 kind: SpanKind::Execution,
                 label: "wht",
-                size: self.n,
+                size: self.root.n,
                 stride: 1,
                 reorg: self.tree.reorg(),
                 backend: "scalar",
@@ -249,17 +268,99 @@ impl<'a> WhtView<'a> {
     }
 }
 
-fn scratch_need(tree: &Tree) -> usize {
-    let own = if tree.reorg() { tree.size() } else { 0 };
-    match tree {
-        Tree::Leaf { .. } => own,
-        Tree::Split { left, right, .. } => own + scratch_need(left).max(scratch_need(right)),
+/// A compiled node: the tree shape with its scratch need fixed at build
+/// time.
+#[derive(Clone, Debug)]
+struct Node {
+    n: usize,
+    reorg: bool,
+    /// Scratch points for this subtree: a reorganizing node reserves its
+    /// gather target (`n`, even when it runs at unit stride and does not
+    /// gather), plus the larger child's need.
+    need: usize,
+    /// `(left, right)` of a split.
+    split: Option<Box<(Node, Node)>>,
+}
+
+impl Node {
+    fn build(tree: &Tree) -> Node {
+        let own = if tree.reorg() { tree.size() } else { 0 };
+        let (n, split) = match tree {
+            Tree::Leaf { n, .. } => (*n, None),
+            Tree::Split { left, right, .. } => {
+                let (l, r) = (Node::build(left), Node::build(right));
+                (l.n * r.n, Some(Box::new((l, r))))
+            }
+        };
+        let child_need = split.as_ref().map_or(0, |s| s.0.need.max(s.1.need));
+        Node {
+            n,
+            reorg: tree.reorg(),
+            need: own + child_need,
+            split,
+        }
     }
+
+    /// Whether the node, on a view of `stride`, gathers it into scratch
+    /// (the module docs' `Dr`).
+    fn gathers(&self, stride: usize) -> bool {
+        self.reorg && stride > 1
+    }
+
+    /// Appends this node's record, then its subtree's, to `out`: `view`
+    /// is the last instance's, `scr` the offset of the scratch it is
+    /// handed, `calls` its instance count.
+    fn layout(
+        &self,
+        view: AccessSet,
+        scr: usize,
+        calls: u64,
+        parent: Option<usize>,
+        out: &mut Vec<NodeLayout>,
+    ) {
+        let (idx, n) = (out.len(), self.n);
+        let leaf = self.split.is_none();
+        let mut node = NodeLayout::new(n, self.reorg, leaf, parent, calls, view, view);
+        let (body, scr) = if self.gathers(view.stride) {
+            let r = node.carve("r", scr, n);
+            let _ = node.carve("rest", scr + n, self.need - n);
+            node.step(StepKind::GatherScatter, calls, view, r);
+            (r, scr + n)
+        } else {
+            (view, scr)
+        };
+        let Some((left, right)) = self.split.as_deref() else {
+            node.step(StepKind::Leaf, calls, body, body);
+            out.push(node);
+            return;
+        };
+        out.push(node);
+        // The last instance of each stage: i1 = n1 - 1, i2 = n2 - 1.
+        let (n1, n2) = (left.n, right.n);
+        let rv = body.sub((n1 - 1) * n2, 1, n2);
+        right.layout(rv, scr, calls * n1 as u64, Some(idx), out);
+        let lv = body.sub(n2 - 1, n2, n1);
+        if lane_batched(body.stride, n2, left) {
+            // One node call per batch, one codelet per lane.
+            let batches = calls * (n2 / WHT_LANES) as u64;
+            let mut batch = NodeLayout::new(n1, false, true, Some(idx), batches, lv, lv);
+            batch.step(StepKind::Leaf, calls * n2 as u64, lv, lv);
+            out.push(batch);
+        } else {
+            left.layout(lv, scr, calls * n2 as u64, Some(idx), out);
+        }
+    }
+}
+
+/// Whether stage B of a split on a view of `stride` runs its `n2` left
+/// leaves in lane batches (module docs).
+fn lane_batched(stride: usize, n2: usize, left: &Node) -> bool {
+    stride == 1 && n2 >= WHT_LANES && left.split.is_none() && !left.reorg && left.n <= MAX_LEAF_WHT
 }
 
 #[allow(clippy::too_many_arguments)]
 fn exec<O: Observer>(
-    node: &Tree,
+    node: &Node,
     data: &mut [f64],
     base: usize,
     stride: usize,
@@ -268,7 +369,7 @@ fn exec<O: Observer>(
     scr_addr: u64,
     obs: &mut O,
 ) {
-    let n = node.size();
+    let n = node.n;
     let pt = WHT_POINT_BYTES as u32;
     if O::SINK {
         obs.span_begin(SpanInfo {
@@ -276,12 +377,12 @@ fn exec<O: Observer>(
             label: "wht",
             size: n,
             stride,
-            reorg: node.reorg(),
+            reorg: node.reorg,
             backend: "scalar",
         });
     }
 
-    if node.reorg() && stride > 1 {
+    if node.gathers(stride) {
         // Dr: gather the strided view into contiguous scratch, transform
         // there, scatter back.
         let t0 = stage_start::<O>();
@@ -338,7 +439,7 @@ fn exec<O: Observer>(
 
 #[allow(clippy::too_many_arguments)]
 fn exec_body<O: Observer>(
-    node: &Tree,
+    node: &Node,
     data: &mut [f64],
     base: usize,
     stride: usize,
@@ -347,18 +448,18 @@ fn exec_body<O: Observer>(
     scr_addr: u64,
     obs: &mut O,
 ) {
-    match node {
-        Tree::Leaf { n, .. } => {
+    match node.split.as_deref() {
+        None => {
+            let n = node.n;
             let t0 = stage_start::<O>();
-            wht_leaf_strided(*n, data, base, stride);
-            stage_end(obs, Stage::Leaf, t0, *n as u64);
+            wht_leaf_strided(n, data, base, stride);
+            stage_end(obs, Stage::Leaf, t0, n as u64);
             if O::TRACE {
-                trace_leaf(obs, data_addr, base, stride, *n);
+                trace_leaf(obs, data_addr, base, stride, n);
             }
         }
-        Tree::Split { left, right, .. } => {
-            let n1 = left.size();
-            let n2 = right.size();
+        Some((left, right)) => {
+            let (n1, n2) = (left.n, right.n);
             // Stage A: right child on n1 contiguous chunks.
             for i1 in 0..n1 {
                 exec(
@@ -374,10 +475,7 @@ fn exec_body<O: Observer>(
             }
             // Stage B: left child at stride n2 * stride (paper Property 1),
             // in lane batches where the module docs' rule allows.
-            if stride == 1
-                && n2 >= WHT_LANES
-                && matches!(**left, Tree::Leaf { n, reorg: false } if n <= MAX_LEAF_WHT)
-            {
+            if lane_batched(stride, n2, left) {
                 exec_lanes(n1, n2, data, base, data_addr, obs);
             } else {
                 for i2 in 0..n2 {

@@ -27,7 +27,7 @@ fn main() -> Result<(), DdlError> {
     let batch = 64;
     println!("== batched FFT: {batch} x {n}-point, {threads} thread(s) ==\n");
 
-    let tree = plan_dft(n, &PlannerConfig::ddl_analytical()).tree;
+    let tree = try_plan_dft(n, &PlannerConfig::ddl_analytical())?.tree;
     println!("per-signal tree: {}", print_dft(&tree));
     let plan = DftPlan::new(tree, Direction::Forward)?;
 

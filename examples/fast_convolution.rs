@@ -53,7 +53,7 @@ fn main() -> Result<(), DdlError> {
     // Correctness first, on a small prefix problem.
     {
         let m = 512;
-        let tree = plan_dft(m, &PlannerConfig::ddl_analytical()).tree;
+        let tree = try_plan_dft(m, &PlannerConfig::ddl_analytical())?.tree;
         let fwd = DftPlan::new(tree.clone(), Direction::Forward)?;
         let inv = DftPlan::new(tree, Direction::Inverse)?;
         let xs = &x[..m];
@@ -78,7 +78,7 @@ fn main() -> Result<(), DdlError> {
         ("SDL", PlannerConfig::sdl_analytical()),
         ("DDL", PlannerConfig::ddl_analytical()),
     ] {
-        let tree = plan_dft(n, &cfg).tree;
+        let tree = try_plan_dft(n, &cfg)?.tree;
         let fwd = DftPlan::new(tree.clone(), Direction::Forward)?;
         let inv = DftPlan::new(tree.clone(), Direction::Inverse)?;
         let mut sink = Complex64::ZERO;

@@ -58,8 +58,8 @@ fn main() {
 
     for log_n in (10..=max_log).step_by(2) {
         let n = 1usize << log_n;
-        let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-        let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+        let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical()).unwrap();
+        let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
 
         let sdl_plan = DftPlan::new(sdl.tree.clone(), Direction::Forward).unwrap();
         let ddl_plan = DftPlan::new(ddl.tree.clone(), Direction::Forward).unwrap();
@@ -98,7 +98,7 @@ fn attribution_trees(log_n: u32, cache: CacheConfig) {
         ("sdl", PlannerConfig::sdl_analytical()),
         ("ddl", PlannerConfig::ddl_analytical()),
     ] {
-        let plan = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
+        let plan = DftPlan::new(try_plan_dft(n, &cfg).unwrap().tree, Direction::Forward).unwrap();
         let mut run = attribute_dft_hier(&plan, 1, cache, HierarchyConfig::typical(cache)).unwrap();
         annotate_static(&mut run);
         let h = run.hierarchy.as_ref().unwrap();
@@ -182,7 +182,7 @@ fn render_node(node: &NodeAttribution, depth: usize) {
 /// where the execution time went, node by node.
 fn span_breakdown(log_n: u32, trace_out: Option<&std::path::Path>) {
     let n = 1usize << log_n;
-    let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
     let plan = DftPlan::new(ddl.tree, Direction::Forward).unwrap();
     let input: Vec<Complex64> = (0..n)
         .map(|i| Complex64::new((i % 7) as f64, (i % 3) as f64 * 0.5))

@@ -21,8 +21,8 @@ fn main() -> Result<(), DdlError> {
 
     // 1. Plan. The analytical backend is instant and deterministic; swap
     //    in PlannerConfig::ddl_measured() to tune on real timings.
-    let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-    let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical())?;
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical())?;
     println!("SDL tree: {}", print_dft(&sdl.tree));
     println!("DDL tree: {}", print_dft(&ddl.tree));
     println!(

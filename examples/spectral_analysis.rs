@@ -36,7 +36,7 @@ fn main() -> Result<(), DdlError> {
     }
 
     // Plan with DDL and execute the forward transform.
-    let outcome = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let outcome = try_plan_dft(n, &PlannerConfig::ddl_analytical())?;
     println!("planned tree: {}", print_dft(&outcome.tree));
     let forward = DftPlan::new(outcome.tree.clone(), Direction::Forward)?;
     let mut spectrum = vec![Complex64::ZERO; n];

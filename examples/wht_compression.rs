@@ -44,7 +44,7 @@ fn main() -> Result<(), DdlError> {
         max_leaf: 64,
         cache_points: wht_model.capacity_points,
     };
-    let outcome = plan_wht(n, &cfg);
+    let outcome = try_plan_wht(n, &cfg)?;
     println!("planned WHT tree: {}\n", print_wht(&outcome.tree));
     let plan = WhtPlan::new(outcome.tree)?;
 

@@ -160,6 +160,26 @@ if ! diff <(head -n 5 results/tlb_ablation.txt) \
     echo "error: regenerated TLB ablation rows differ from results/tlb_ablation.txt"
     exit 1
 fi
+
+# Simulated paper tables, same hard gate: the --quick sweeps of Fig. 9
+# and Table II (2^12..2^16) must reproduce the header and first rows of
+# the committed tables, and the associativity ablation all of its table.
+echo
+echo "==> simulated paper tables regeneration"
+run cargo build --release -q -p ddl-bench --bin fig9 --bin table2 --bin assoc
+if ! diff <(head -n 8 results/fig9.txt) <(target/release/fig9 --quick | head -n 8); then
+    echo "error: regenerated Fig. 9 rows differ from results/fig9.txt"
+    exit 1
+fi
+if ! diff <(head -n 7 results/table2.txt) <(target/release/table2 --quick | head -n 7); then
+    echo "error: regenerated Table II rows differ from results/table2.txt"
+    exit 1
+fi
+if ! diff results/assoc.txt <(target/release/assoc); then
+    echo "error: regenerated associativity ablation differs from results/assoc.txt"
+    exit 1
+fi
+
 run cargo run --release -q -p ddl-bench --bin bench_suite -- \
     --compare target/BENCH_ci.json target/BENCH_ci.json
 

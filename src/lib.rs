@@ -78,9 +78,7 @@ pub mod prelude {
         Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
     };
     pub use ddl_core::parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport};
-    pub use ddl_core::planner::{
-        plan_dft, plan_wht, try_plan_dft, try_plan_wht, CostBackend, PlannerConfig, Strategy,
-    };
+    pub use ddl_core::planner::{try_plan_dft, try_plan_wht, CostBackend, PlannerConfig, Strategy};
     pub use ddl_core::reports::{
         check_report, check_report_text, CheckedReport, PlanRecord, Report,
     };

@@ -69,7 +69,7 @@ fn dft_attribution_conserves_across_strategies_and_thresholds() {
     for cfg in configs() {
         for (log, stride) in SWEEP_LOGS.into_iter().zip(SWEEP_ROOT_STRIDES) {
             let n = 1usize << log;
-            let tree = plan_dft(n, &cfg).tree;
+            let tree = try_plan_dft(n, &cfg).unwrap().tree;
             let what = format!(
                 "dft n=2^{log} @{stride} {:?} cache_points={} tree={tree}",
                 cfg.strategy, cfg.cache_points
@@ -91,7 +91,7 @@ fn wht_attribution_conserves_across_strategies_and_thresholds() {
     for cfg in configs() {
         for (log, stride) in SWEEP_LOGS.into_iter().zip(SWEEP_ROOT_STRIDES) {
             let n = 1usize << log;
-            let tree = plan_wht(n, &cfg).tree;
+            let tree = try_plan_wht(n, &cfg).unwrap().tree;
             let what = format!(
                 "wht n=2^{log} @{stride} {:?} cache_points={}",
                 cfg.strategy, cfg.cache_points
@@ -228,10 +228,10 @@ proptest! {
             cfg.cache_points
         );
         let run = if wht {
-            let plan = WhtPlan::new(plan_wht(n, &cfg).tree).unwrap();
+            let plan = WhtPlan::new(try_plan_wht(n, &cfg).unwrap().tree).unwrap();
             attribute_wht_hier(&plan, 1, cache, hier).unwrap()
         } else {
-            let plan = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
+            let plan = DftPlan::new(try_plan_dft(n, &cfg).unwrap().tree, Direction::Forward).unwrap();
             attribute_dft_hier(&plan, 1, cache, hier).unwrap()
         };
         assert_conserved(&run, &what);

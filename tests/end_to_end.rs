@@ -29,7 +29,7 @@ fn planned_dfts_match_references_across_sizes() {
         PlannerConfig::ddl_analytical(),
     ] {
         for log_n in [4u32, 7, 10, 13, 16, 18] {
-            let out = plan_dft(1 << log_n, &cfg);
+            let out = try_plan_dft(1 << log_n, &cfg).unwrap();
             check_dft_tree(&out.tree);
         }
     }
@@ -52,8 +52,8 @@ fn every_grammar_tree_shape_executes_correctly() {
 #[test]
 fn sdl_and_ddl_trees_agree_numerically() {
     let n = 1 << 16;
-    let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-    let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical()).unwrap();
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
     let x = tone_mixture(n, &[Tone::at_bin(513, n, 1.0), Tone::at_bin(9000, n, 2.0)]);
     let run = |tree: &Tree| {
         let plan = DftPlan::new(tree.clone(), Direction::Forward).unwrap();
@@ -95,7 +95,7 @@ fn planned_whts_match_reference() {
     };
     for log_n in [4u32, 8, 12] {
         let n = 1usize << log_n;
-        let out = plan_wht(n, &cfg);
+        let out = try_plan_wht(n, &cfg).unwrap();
         let plan = WhtPlan::new(out.tree.clone()).unwrap();
         let x = noise_real(n, 1.0, log_n as u64);
         let mut data = x.clone();
@@ -118,7 +118,7 @@ fn wisdom_persists_plans_between_sessions() {
 
     // session 1: plan and store
     let n = 1 << 14;
-    let out = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let out = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
     let mut w = Wisdom::new();
     w.put("dft", n, Strategy::Ddl, &out.tree, out.cost, "integration");
     w.save(&path).unwrap();
@@ -137,7 +137,7 @@ fn grammar_round_trips_planner_output() {
         PlannerConfig::sdl_analytical(),
         PlannerConfig::ddl_analytical(),
     ] {
-        let out = plan_dft(1 << 18, &cfg);
+        let out = try_plan_dft(1 << 18, &cfg).unwrap();
         let expr = print_dft(&out.tree);
         let back = parse_tree(&expr).unwrap();
         assert_eq!(back, out.tree, "round trip failed for {expr}");
@@ -147,7 +147,9 @@ fn grammar_round_trips_planner_output() {
 #[test]
 fn batch_parallel_matches_single_threaded() {
     let n = 1 << 10;
-    let tree = plan_dft(n, &PlannerConfig::ddl_analytical()).tree;
+    let tree = try_plan_dft(n, &PlannerConfig::ddl_analytical())
+        .unwrap()
+        .tree;
     let plan = DftPlan::new(tree, Direction::Forward).unwrap();
     let batch = 9;
     let inputs = noise_complex(batch * n, 1.0, 77);
@@ -167,8 +169,8 @@ fn simulated_ddl_beats_sdl_above_cache_size() {
     // DDL-planned tree's simulated miss rate is lower than the SDL one's.
     let n = 1 << 18;
     let cache = CacheConfig::paper_default(64);
-    let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-    let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+    let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical()).unwrap();
+    let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
     let sdl_stats = simulate_dft(
         &DftPlan::new(sdl.tree, Direction::Forward).unwrap(),
         1,
@@ -202,8 +204,8 @@ fn below_cache_sdl_and_ddl_plans_coincide() {
     // selects the same tree as the tree used in the SDL approach."
     for log_n in [8u32, 10, 12] {
         let n = 1 << log_n;
-        let sdl = plan_dft(n, &PlannerConfig::sdl_analytical());
-        let ddl = plan_dft(n, &PlannerConfig::ddl_analytical());
+        let sdl = try_plan_dft(n, &PlannerConfig::sdl_analytical()).unwrap();
+        let ddl = try_plan_dft(n, &PlannerConfig::ddl_analytical()).unwrap();
         assert_eq!(ddl.tree.reorg_count(), 0, "n = 2^{log_n}");
         assert_eq!(
             ddl.tree.without_reorgs(),

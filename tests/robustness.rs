@@ -105,6 +105,22 @@ proptest! {
     }
 }
 
+/// Composite plans plan their inner DFTs through the fallible planner, so
+/// a zero-length dimension is a typed size error, not a panic.
+#[test]
+fn zero_sized_composite_plans_are_invalid_size_errors() {
+    use dynamic_data_layout::core::{DctPlan, Dft2dPlan, SixStepPlan};
+    let cfg = PlannerConfig::ddl_analytical();
+    let invalid = |r: Result<(), DdlError>| matches!(r, Err(DdlError::InvalidSize { .. }));
+    assert!(invalid(DctPlan::plan(0, &cfg).map(drop)));
+    assert!(invalid(
+        Dft2dPlan::new(0, 8, Direction::Forward, &cfg).map(drop)
+    ));
+    assert!(invalid(
+        SixStepPlan::new(4, 0, Direction::Forward, &cfg).map(drop)
+    ));
+}
+
 // ---------------------------------------------------------------------------
 // Wisdom-store fault injection.
 // ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ use dynamic_data_layout::core::traced::{simulate_dft, simulate_dft_into, simulat
 use dynamic_data_layout::prelude::*;
 
 fn sdl_tree(n: usize) -> Tree {
-    plan_dft(n, &PlannerConfig::sdl_analytical()).tree
+    try_plan_dft(n, &PlannerConfig::sdl_analytical())
+        .unwrap()
+        .tree
 }
 
 fn ddl_tree(n: usize) -> Tree {
-    plan_dft(n, &PlannerConfig::ddl_analytical()).tree
+    try_plan_dft(n, &PlannerConfig::ddl_analytical())
+        .unwrap()
+        .tree
 }
 
 /// A small simulated machine so the simulation-driven planner stays fast
@@ -51,8 +55,12 @@ fn fig9_shape_miss_rates_cross_at_cache_size() {
     // fig9 binary exercises.)
     let cache = tiny_cache();
     let n = 1 << 14;
-    let s_tree = plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16)).tree;
-    let d_tree = plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16)).tree;
+    let s_tree = try_plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16))
+        .unwrap()
+        .tree;
+    let d_tree = try_plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16))
+        .unwrap()
+        .tree;
     let big_s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     let big_d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     let cost = |st: &dynamic_data_layout::cachesim::CacheStats| {
@@ -92,8 +100,12 @@ fn table2_shape_access_overhead_is_bounded() {
     // movement (the paper's Table II observation).
     let cache = tiny_cache();
     let n = 1 << 14;
-    let s_tree = plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16)).tree;
-    let d_tree = plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16)).tree;
+    let s_tree = try_plan_dft(n, &PlannerConfig::sdl_simulated(cache, 16))
+        .unwrap()
+        .tree;
+    let d_tree = try_plan_dft(n, &PlannerConfig::ddl_simulated(cache, 16))
+        .unwrap()
+        .tree;
     let s = simulate_dft(&DftPlan::new(s_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     let d = simulate_dft(&DftPlan::new(d_tree, Direction::Forward).unwrap(), 1, cache).unwrap();
     assert!(
@@ -158,8 +170,8 @@ fn wht_simulation_follows_the_same_shape() {
         cache_points: model.capacity_points,
     };
     let n = 1 << 19; // 4 MB of f64 >> 512 KB
-    let s_tree = plan_wht(n, &cfg(Strategy::Sdl)).tree;
-    let d_tree = plan_wht(n, &cfg(Strategy::Ddl)).tree;
+    let s_tree = try_plan_wht(n, &cfg(Strategy::Sdl)).unwrap().tree;
+    let d_tree = try_plan_wht(n, &cfg(Strategy::Ddl)).unwrap().tree;
     let s = simulate_wht(&WhtPlan::new(s_tree).unwrap(), 1, cache).unwrap();
     let d = simulate_wht(&WhtPlan::new(d_tree).unwrap(), 1, cache).unwrap();
     assert!(

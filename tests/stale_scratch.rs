@@ -70,7 +70,9 @@ fn dft_plans() -> Vec<DftPlan> {
             plans.push(DftPlan::from_expr(expr, dir).unwrap());
         }
         for log_n in [12, 14] {
-            let tree = plan_dft(1 << log_n, &PlannerConfig::ddl_analytical()).tree;
+            let tree = try_plan_dft(1 << log_n, &PlannerConfig::ddl_analytical())
+                .unwrap()
+                .tree;
             plans.push(DftPlan::new(tree, dir).unwrap());
         }
     }
@@ -128,7 +130,9 @@ fn wht_plans() -> Vec<WhtPlan> {
         .iter()
         .map(|e| WhtPlan::from_expr(e).unwrap())
         .collect();
-    let tree = plan_wht(1 << 14, &PlannerConfig::ddl_analytical()).tree;
+    let tree = try_plan_wht(1 << 14, &PlannerConfig::ddl_analytical())
+        .unwrap()
+        .tree;
     plans.push(WhtPlan::new(tree).unwrap());
     plans
 }

@@ -13,7 +13,7 @@ fn sixstep_agrees_with_planned_fft() {
     let n = 1 << 12;
     let cfg = PlannerConfig::ddl_analytical();
     let six = SixStepPlan::balanced(n, Direction::Forward, &cfg).unwrap();
-    let planned = DftPlan::new(plan_dft(n, &cfg).tree, Direction::Forward).unwrap();
+    let planned = DftPlan::new(try_plan_dft(n, &cfg).unwrap().tree, Direction::Forward).unwrap();
     let x = noise_complex(n, 1.0, 9);
     let mut a = vec![Complex64::ZERO; n];
     let mut b = vec![Complex64::ZERO; n];
