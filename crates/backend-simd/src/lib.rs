@@ -1,4 +1,8 @@
-//! Runtime-dispatched SIMD leaf kernels for the DFT executor.
+//! Runtime-dispatched SIMD leaf and twiddle kernels for the DFT
+//! executor, which runs them where they were measured faster than the
+//! scalar codelets: on AVX2+FMA hosts, for 32- and 64-point leaves and
+//! every twiddle pass ([`profitable_isa`], [`profitable_size`],
+//! DESIGN.md §11).
 //!
 //! This crate lowers the same pow2 leaf sizes the scalar codelets in
 //! `ddl-kernels` cover (n ≤ 64) to an iterative radix-2 DIT network with
@@ -40,18 +44,30 @@ pub fn supported_size(n: usize) -> bool {
 }
 
 /// Smallest leaf where the vector network beats the straight-line scalar
-/// codelets. Below this the bit-reversal gather and per-stage passes
-/// cost more than the codelets' fully unrolled register schedules, so a
-/// profit-aware dispatcher should route tiny leaves to the scalar
-/// kernels even when a vector unit exists (measured on AVX2: ~0.2x at
-/// n=8, ~0.65x at n=16, break-even at n=32, ~1.6x at n=64).
+/// codelets, so the DFT executor runs the scalar kernels below it even
+/// on an AVX2 host: the bit-reversal gather and per-stage passes cost
+/// more than the codelets' fully unrolled register schedules. Measured
+/// on AVX2+FMA as vector time over scalar time (the break-even table of
+/// DESIGN.md §11): 1.14–1.71× at n = 16 in cache; at n = 32, 0.69–1.03×
+/// in cache and 0.84–0.91× inside the planner's trees; at n = 64,
+/// 0.65–1.22× in cache (most 0.71–0.96×) and 0.67–0.77× in the trees.
 pub const MIN_PROFITABLE_LEAF: usize = 32;
+
+/// Whether the DFT executor runs this crate's kernels on this host at
+/// all: only when the AVX2+FMA lowering is active, the one lowering
+/// measured faster than the scalar codelets (DESIGN.md §11). The NEON
+/// lowering has not been measured on aarch64 hardware, so aarch64 hosts
+/// run the scalar codelets, as do hosts with no vector unit.
+pub fn profitable_isa() -> bool {
+    active_isa() == "avx2"
+}
 
 /// Whether routing an `n`-point leaf through the vector network is
 /// expected to be a *win* on this host — supported, at or above
-/// [`MIN_PROFITABLE_LEAF`], and with a real vector unit present.
+/// [`MIN_PROFITABLE_LEAF`], and on a [`profitable_isa`] host. The DFT
+/// executor's leaf kernel choice.
 pub fn profitable_size(n: usize) -> bool {
-    supported_size(n) && n >= MIN_PROFITABLE_LEAF && vector_unit_available()
+    supported_size(n) && n >= MIN_PROFITABLE_LEAF && profitable_isa()
 }
 
 /// The instruction set the dispatcher resolved on this host: `"avx2"`,
@@ -59,12 +75,6 @@ pub fn profitable_size(n: usize) -> bool {
 pub fn active_isa() -> &'static str {
     static ISA: OnceLock<&'static str> = OnceLock::new();
     ISA.get_or_init(arch::detect_isa)
-}
-
-/// True when a vector unit (AVX2+FMA or NEON) is actually available at
-/// runtime; the portable fallback still runs everywhere when not.
-pub fn vector_unit_available() -> bool {
-    active_isa() != "portable"
 }
 
 /// Bit-reversal permutation and per-stage twiddle tables for one leaf

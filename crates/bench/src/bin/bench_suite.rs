@@ -32,11 +32,6 @@
 //!   regressed beyond `--tolerance`.
 //! * **`--ledger-report <path>`** — renders the trajectory ledger as a
 //!   per-case markdown trend table on stdout (no gating).
-//! * **`--simd-check`** — measures the scalar and SIMD backends on the
-//!   DDL DFT at the acceptance size (2^16) and exits non-zero when the
-//!   SIMD median speedup is below the pinned floor while a vector unit
-//!   is active. CI treats a failure as a soft gate (warning) because
-//!   shared runners throttle; the number is still printed and archived.
 //!
 //! ```sh
 //! cargo run --release -p ddl-bench --bin bench_suite -- --quick --label ci \
@@ -52,16 +47,14 @@
 use ddl_analyze::{annotate_static, crosscheck};
 use ddl_bench::ledger::{append_entry, check_ledger, read_ledger, render_report, LedgerEntry};
 use ddl_bench::suite::{
-    compare, default_repeats, dft_case, run_suite, BenchReport, Comparison, SuiteConfig,
-    DEFAULT_TOLERANCE,
+    compare, default_repeats, run_suite, BenchReport, Comparison, SuiteConfig, DEFAULT_TOLERANCE,
 };
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
 use ddl_core::planner::{try_plan_dft, try_plan_dft_with, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::{
-    calibrate_dft, calibrate_wht, check_report, simd_active_isa, validate_chrome_trace,
-    write_chrome_trace, BackendKind, CalibrationConfig, CheckedReport, DftPlan, PlanRecord,
-    Recorder, Report, RfftPlan, WhtPlan,
+    calibrate_dft, calibrate_wht, check_report, validate_chrome_trace, write_chrome_trace,
+    CalibrationConfig, CheckedReport, DftPlan, PlanRecord, Recorder, Report, RfftPlan, WhtPlan,
 };
 use ddl_num::{Complex64, Direction};
 use std::path::{Path, PathBuf};
@@ -74,14 +67,6 @@ const REPORT_LOGS: [u32; 2] = [10, 16];
 const ATTRIBUTION_LINE_BYTES: usize = 64;
 /// Size of the traced run behind `--trace-out`.
 const TRACE_N: usize = 1 << 10;
-/// Transform size of the `--simd-check` acceptance measurement.
-const SIMD_CHECK_N: usize = 1 << 16;
-/// Minimum scalar/SIMD median speedup `--simd-check` accepts when a
-/// vector unit is active (the PR's acceptance floor).
-const SIMD_CHECK_FLOOR: f64 = 1.5;
-/// Repeats for the `--simd-check` medians: more than the full suite's
-/// default because a single ratio gates on it.
-const SIMD_CHECK_REPEATS: u32 = 9;
 
 struct Args {
     quick: bool,
@@ -97,7 +82,6 @@ struct Args {
     ledger: Option<PathBuf>,
     ledger_check: Option<PathBuf>,
     ledger_report: Option<PathBuf>,
-    simd_check: bool,
 }
 
 fn die(msg: &str) -> ! {
@@ -120,7 +104,6 @@ fn parse_args() -> Args {
         ledger: None,
         ledger_check: None,
         ledger_report: None,
-        simd_check: false,
     };
     let mut args = std::env::args().skip(1);
     let next_path = |args: &mut dyn Iterator<Item = String>, flag: &str| -> PathBuf {
@@ -167,12 +150,11 @@ fn parse_args() -> Args {
             "--ledger-report" => {
                 parsed.ledger_report = Some(next_path(&mut args, "--ledger-report"));
             }
-            "--simd-check" => parsed.simd_check = true,
             other => die(&format!(
                 "unknown argument {other} (expected --quick | --label <s> | --out <path> | \
                  --baseline <path> | --tolerance <f> | --repeats <k> | --check <path> | \
                  --compare <current> <baseline> | --report-out <path> | --trace-out <path> | \
-                 --ledger <path> | --ledger-check <path> | --ledger-report <path> | --simd-check)"
+                 --ledger <path> | --ledger-check <path> | --ledger-report <path>)"
             )),
         }
     }
@@ -220,10 +202,6 @@ fn main() -> ExitCode {
         };
         print!("{}", render_report(&entries));
         return ExitCode::SUCCESS;
-    }
-
-    if args.simd_check {
-        return run_simd_check(args.repeats.unwrap_or(SIMD_CHECK_REPEATS));
     }
 
     // --- run mode ---
@@ -374,45 +352,6 @@ fn plan_records(label: &str) -> Result<Report, ddl_num::DdlError> {
         }
     }
     Ok(report)
-}
-
-/// Measures scalar vs SIMD medians on the DDL DFT at [`SIMD_CHECK_N`]
-/// and gates on [`SIMD_CHECK_FLOOR`]. On hosts without a vector unit
-/// (the portable fallback is active) the ratio is printed but never
-/// gates: there is nothing to accept.
-fn run_simd_check(repeats: u32) -> ExitCode {
-    use ddl_core::planner::Strategy;
-    let isa = simd_active_isa();
-    let scalar = match dft_case(SIMD_CHECK_N, Strategy::Ddl, BackendKind::Scalar, repeats) {
-        Ok(c) => c,
-        Err(e) => die(&format!("simd-check scalar case failed: {e}")),
-    };
-    let simd = match dft_case(SIMD_CHECK_N, Strategy::Ddl, BackendKind::Simd, repeats) {
-        Ok(c) => c,
-        Err(e) => die(&format!("simd-check simd case failed: {e}")),
-    };
-    let speedup = if simd.median_ns > 0.0 {
-        scalar.median_ns / simd.median_ns
-    } else {
-        f64::INFINITY
-    };
-    println!(
-        "simd-check n={SIMD_CHECK_N} isa={isa} scalar {:>12.0} ns  simd {:>12.0} ns  speedup {speedup:.2}x (floor {SIMD_CHECK_FLOOR:.1}x)",
-        scalar.median_ns, simd.median_ns
-    );
-    if isa == "portable" {
-        println!("simd-check skipped: no vector unit on this host (portable fallback)");
-        return ExitCode::SUCCESS;
-    }
-    if speedup >= SIMD_CHECK_FLOOR {
-        println!("simd-check passed");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "simd-check FAILED: speedup {speedup:.2}x below the {SIMD_CHECK_FLOOR:.1}x floor"
-        );
-        ExitCode::from(1)
-    }
 }
 
 /// Reads and validates a trajectory ledger; regressions between

@@ -13,7 +13,9 @@ use crate::host;
 use ddl_core::json::{self, Json};
 use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{try_execute_dft_batch, BackendKind, BatchOptions, DftPlan, WhtPlan};
+use ddl_core::{
+    kernel_set_for, try_execute_dft_batch, BatchOptions, DftPlan, TransformKind, WhtPlan,
+};
 use ddl_num::{Complex64, DdlError, Direction};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -66,15 +68,17 @@ pub fn collect_env() -> BenchEnv {
 /// summarized as median / min / max nanoseconds per execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCase {
-    /// Stable identifier baselines are matched on, e.g. `dft-ddl-n4096`
-    /// (scalar) or `dft-ddl-n4096-simd` (non-default backend).
+    /// Stable identifier baselines are matched on, e.g. `dft-ddl-n4096`.
     pub id: String,
     /// `dft` | `wht` | `dft-batch` | `wisdom`.
     pub transform: String,
     /// `sdl` | `ddl`.
     pub strategy: String,
-    /// Execution backend the case ran on: `scalar` | `simd`.
-    /// Additive in schema version 1; absent in older reports (= scalar).
+    /// Kernel set the case ran on: `scalar` | `avx2`
+    /// ([`ddl_core::kernel_set_for`] the case's transform; `scalar` for
+    /// the wisdom case, which runs no kernel). Additive in schema
+    /// version 1; absent in older reports (= scalar); `simd` in v1
+    /// reports written while the vector kernels were opt-in.
     pub backend: String,
     /// Transform size in points.
     pub n: usize,
@@ -145,8 +149,7 @@ pub fn suite_log_sizes(quick: bool) -> Vec<u32> {
 }
 
 /// Runs the pinned suite: every `(transform, strategy, size)` triple
-/// from [`suite_log_sizes`] on the scalar backend, the DDL DFT column
-/// repeated on the `simd` backend, plus one batch-engine case and one
+/// from [`suite_log_sizes`], plus one batch-engine case and one
 /// wisdom-hit case. Plans use the analytical model so the *measured* quantity is
 /// execution, not planner noise.
 pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
@@ -154,10 +157,9 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<BenchReport, DdlError> {
     for &log in &suite_log_sizes(cfg.quick) {
         let n = 1usize << log;
         for strategy in [Strategy::Sdl, Strategy::Ddl] {
-            cases.push(dft_case(n, strategy, BackendKind::Scalar, cfg.repeats)?);
+            cases.push(dft_case(n, strategy, cfg.repeats)?);
             cases.push(wht_case(n, strategy, cfg.repeats)?);
         }
-        cases.push(dft_case(n, Strategy::Ddl, BackendKind::Simd, cfg.repeats)?);
     }
     cases.push(batch_case(cfg.repeats)?);
     cases.push(wisdom_case(cfg.repeats)?);
@@ -217,30 +219,19 @@ fn summary(samples: &mut [f64]) -> (f64, f64, f64) {
     (median, min, max)
 }
 
-/// Measures one DFT case on an explicit execution backend. Scalar keeps
-/// the historical un-suffixed case id so stored baselines keep matching;
-/// other backends suffix the id with their label.
-pub fn dft_case(
-    n: usize,
-    strategy: Strategy,
-    backend: BackendKind,
-    repeats: u32,
-) -> Result<BenchCase, DdlError> {
+/// Measures one DFT case.
+fn dft_case(n: usize, strategy: Strategy, repeats: u32) -> Result<BenchCase, DdlError> {
     let outcome = try_plan_dft(n, &planner_cfg(strategy))?;
-    let plan = DftPlan::with_backend(outcome.tree, Direction::Forward, backend)?;
+    let plan = DftPlan::new(outcome.tree, Direction::Forward)?;
     let input = dft_input(n);
     let mut output = vec![Complex64::ZERO; n];
     let (median_ns, min_ns, max_ns) =
         time_median_ns(repeats, || plan.try_execute(&input, &mut output))?;
-    let id = match backend {
-        BackendKind::Scalar => format!("dft-{}-n{n}", strategy.label()),
-        other => format!("dft-{}-n{n}-{}", strategy.label(), other.label()),
-    };
     Ok(BenchCase {
-        id,
+        id: format!("dft-{}-n{n}", strategy.label()),
         transform: "dft".into(),
         strategy: strategy.label().into(),
-        backend: backend.label().into(),
+        backend: kernel_set_for(TransformKind::Dft(Direction::Forward)).into(),
         n,
         repeats,
         median_ns,
@@ -264,7 +255,7 @@ fn wht_case(n: usize, strategy: Strategy, repeats: u32) -> Result<BenchCase, Ddl
         id: format!("wht-{}-n{n}", strategy.label()),
         transform: "wht".into(),
         strategy: strategy.label().into(),
-        backend: BackendKind::Scalar.label().into(),
+        backend: kernel_set_for(TransformKind::Wht).into(),
         n,
         repeats,
         median_ns,
@@ -290,7 +281,7 @@ fn batch_case(repeats: u32) -> Result<BenchCase, DdlError> {
         id: format!("dft-batch-n{n}-s{BATCH_SIGNALS}-t{BATCH_THREADS}"),
         transform: "dft-batch".into(),
         strategy: Strategy::Ddl.label().into(),
-        backend: BackendKind::Scalar.label().into(),
+        backend: kernel_set_for(TransformKind::Dft(Direction::Forward)).into(),
         n,
         repeats,
         median_ns,
@@ -312,7 +303,8 @@ fn wisdom_case(repeats: u32) -> Result<BenchCase, DdlError> {
         id: format!("wisdom-hit-dft-n{n}"),
         transform: "wisdom".into(),
         strategy: Strategy::Ddl.label().into(),
-        backend: BackendKind::Scalar.label().into(),
+        // A plan recall runs no kernel.
+        backend: "scalar".into(),
         n,
         repeats,
         median_ns,
@@ -401,16 +393,18 @@ impl BenchCase {
 
     fn from_json(v: &Json, path: &str) -> Result<BenchCase, DdlError> {
         let m = obj(v, path)?;
-        // `backend` is additive (execution backends landed after v1
-        // reports existed): absent means the only backend of that era.
+        // `backend` is additive (it landed after v1 reports existed):
+        // absent means the scalar codelets, the only kernels of that era.
+        // `simd` is the label v1 reports wrote while the vector kernels
+        // were an opt-in backend; it still parses.
         let backend = m
             .get("backend")
             .and_then(Json::as_str)
             .unwrap_or("scalar")
             .to_string();
-        if !matches!(backend.as_str(), "scalar" | "simd") {
+        if !matches!(backend.as_str(), "scalar" | "avx2" | "simd") {
             return Err(bench_err(format!(
-                "{path}.backend: unknown backend \"{backend}\" (want scalar|simd)"
+                "{path}.backend: unknown kernel set \"{backend}\" (want scalar|avx2, or legacy simd)"
             )));
         }
         let case = BenchCase {
@@ -739,22 +733,22 @@ mod tests {
         };
         let report = run_suite(&cfg).unwrap();
         assert!(report.quick);
-        // 3 sizes x (2 transforms x 2 strategies + simd) + batch + wisdom
-        assert_eq!(report.cases.len(), 17);
+        // 3 sizes x 2 transforms x 2 strategies + batch + wisdom
+        assert_eq!(report.cases.len(), 14);
         assert!(report.cases.iter().all(|c| c.median_ns > 0.0));
         assert!(report
             .cases
             .iter()
             .any(|c| c.transform == "dft-batch" || c.transform == "wisdom"));
-        for backend in ["scalar", "simd"] {
-            assert!(
-                report.cases.iter().any(|c| c.backend == backend),
-                "suite must cover the {backend} backend"
-            );
+        // DFT cases carry the kernel set this process runs.
+        for c in report
+            .cases
+            .iter()
+            .filter(|c| c.transform.starts_with("dft"))
+        {
+            assert_eq!(c.backend, ddl_core::kernel_set(), "case {}", c.id);
         }
-        // Backend-tagged ids stay distinct from the scalar baseline ids.
         assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256"));
-        assert!(report.cases.iter().any(|c| c.id == "dft-ddl-n256-simd"));
         let parsed = BenchReport::parse(&report.to_pretty_json()).unwrap();
         assert_eq!(parsed.cases.len(), report.cases.len());
     }
@@ -769,9 +763,22 @@ mod tests {
         assert!(!legacy.contains("backend"), "field removed: {legacy}");
         let parsed = BenchReport::parse(&legacy).unwrap();
         assert_eq!(parsed.cases[0].backend, "scalar");
-        // An unknown backend label is a schema violation, with the path.
-        let bad = text.replace("\"backend\": \"scalar\"", "\"backend\": \"avx512\"");
-        let err = BenchReport::parse(&bad).unwrap_err().to_string();
-        assert!(err.contains("$.cases[0].backend"), "got: {err}");
+        // The vector kernel set and the legacy v1 `simd` backend label
+        // parse; an unknown label is a schema violation, with the path.
+        for isa in ["avx2", "simd"] {
+            let vector = text.replace(
+                "\"backend\": \"scalar\"",
+                &format!("\"backend\": \"{isa}\""),
+            );
+            assert_eq!(BenchReport::parse(&vector).unwrap().cases[0].backend, isa);
+        }
+        for bad in ["avx512", "neon"] {
+            let bad = text.replace(
+                "\"backend\": \"scalar\"",
+                &format!("\"backend\": \"{bad}\""),
+            );
+            let err = BenchReport::parse(&bad).unwrap_err().to_string();
+            assert!(err.contains("$.cases[0].backend"), "got: {err}");
+        }
     }
 }

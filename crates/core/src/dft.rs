@@ -73,15 +73,24 @@
 //! index, which can differ from the register-level order of the unrolled
 //! codelet; the touched line set per leaf is identical, which is the
 //! granularity the cache model observes.
+//!
+//! # Kernels
+//!
+//! Each leaf and each twiddle pass runs the kernel measured fastest for
+//! its size on the host (DESIGN.md §11), chosen from what the code
+//! observes and nothing a caller sets: on an AVX2+FMA host, 32- and
+//! 64-point leaves run the vector network of `ddl-backend-simd` and
+//! twiddle passes its vector multiply; every other leaf, and every leaf
+//! on any other host (no vector unit, or NEON, which is not measured),
+//! runs the scalar codelets of `ddl-kernels`. Both kernels read and
+//! write the same points, so the emitted trace does not depend on which
+//! one ran.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use crate::backend::{self, BackendKind};
+use crate::engine::TransformKind;
 use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind, REORG_TILE};
 use crate::obs::{
-    stage_end, stage_start, Counter, ExecutionMetrics, NullSink, Observer, Recorder, Sink,
-    SpanInfo, SpanKind, Stage,
+    stage_end, stage_start, ExecutionMetrics, NullSink, Observer, Recorder, Sink, SpanInfo,
+    SpanKind, Stage,
 };
 use crate::scratch::ScratchPool;
 use crate::tree::Tree;
@@ -345,29 +354,14 @@ pub struct DftPlan {
     dir: Direction,
     root: Compiled,
     twiddle_points: usize,
-    backend: BackendKind,
-    /// Dispatch-time fallbacks to `Scalar` observed by this plan, shared
-    /// across clones so batch executors can diff it around a run.
-    backend_fallbacks: Arc<AtomicU64>,
     /// Scratch for the internally-allocating entry points, shared
     /// across clones and allocated on first use.
     scratch: ScratchPool<Complex64>,
 }
 
 impl DftPlan {
-    /// Compiles `tree` for the given direction with the process-default
-    /// execution backend ([`BackendKind::selected`]).
+    /// Compiles `tree` for the given direction.
     pub fn new(tree: Tree, dir: Direction) -> Result<DftPlan, PlanError> {
-        DftPlan::with_backend(tree, dir, BackendKind::selected())
-    }
-
-    /// Compiles `tree` for the given direction and an explicit leaf
-    /// execution backend.
-    pub fn with_backend(
-        tree: Tree,
-        dir: Direction,
-        backend: BackendKind,
-    ) -> Result<DftPlan, PlanError> {
         tree.validate().map_err(PlanError::InvalidTree)?;
         let mut tw_cursor = 0usize;
         let root = Compiled::build(&tree, dir, &mut tw_cursor);
@@ -376,21 +370,8 @@ impl DftPlan {
             dir,
             root,
             twiddle_points: tw_cursor,
-            backend,
-            backend_fallbacks: Arc::new(AtomicU64::new(0)),
             scratch: ScratchPool::new(),
         })
-    }
-
-    /// The leaf execution backend this plan was compiled for.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// How many executions of this plan (and its clones) degraded to the
-    /// `Scalar` backend at dispatch time.
-    pub fn backend_fallbacks(&self) -> u64 {
-        self.backend_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Total twiddle-factor points across all split nodes — the size of
@@ -584,20 +565,9 @@ impl DftPlan {
                 scratch.len(),
             ));
         }
-        // Resolve the backend once per execution, not per leaf: the
-        // dispatch probe (feature detection / fault point) happens here
-        // and the whole recursion runs on the effective backend.
-        let (effective, fell_back) = backend::resolve(self.backend);
-        if fell_back {
-            self.backend_fallbacks.fetch_add(1, Ordering::Relaxed);
-            if O::SINK {
-                obs.counter(Counter::BackendFallback, 1);
-            }
-        }
         exec(
             &self.root,
             self.dir,
-            effective,
             input,
             View {
                 base: in_base,
@@ -640,7 +610,7 @@ impl DftPlan {
                 size: self.n(),
                 stride: 1,
                 reorg: self.root.reorg,
-                backend: self.backend.label(),
+                backend: kernel_set(),
             });
             let t0 = std::time::Instant::now();
             let result = self.try_run(DftViews::new(input, output), scratch, recorder);
@@ -662,7 +632,6 @@ impl DftPlan {
 fn exec<O: Observer>(
     node: &Compiled,
     dir: Direction,
-    be: BackendKind,
     x: &[Complex64],
     sv: View,
     y: &mut [Complex64],
@@ -680,7 +649,7 @@ fn exec<O: Observer>(
             size: n,
             stride: sv.stride,
             reorg: node.reorg,
-            backend: be.label(),
+            backend: kernel_set(),
         });
     }
     match &node.kind {
@@ -708,9 +677,9 @@ fn exec<O: Observer>(
                     stride: 1,
                     addr: scr_addr,
                 };
-                leaf(n, dir, be, r, rv, y, dv, obs);
+                leaf(n, dir, r, rv, y, dv, obs);
             } else {
-                leaf(n, dir, be, x, sv, y, dv, obs);
+                leaf(n, dir, x, sv, y, dv, obs);
             }
         }
         CompiledKind::Split {
@@ -745,15 +714,13 @@ fn exec<O: Observer>(
                     stride,
                     addr: scr_addr,
                 };
-                exec(
-                    left, dir, be, x, lv, staged, sv1, rest, rest_addr, tw_addr, obs,
-                );
+                exec(left, dir, x, lv, staged, sv1, rest, rest_addr, tw_addr, obs);
             }
 
             // Twiddle pass over the stage-1 buffer (table laid out to
             // match).
             let t0 = stage_start::<O>();
-            twiddle_pass(be, staged, tw);
+            twiddle_pass(staged, tw);
             stage_end(obs, Stage::Twiddle, t0, n as u64);
             if O::TRACE {
                 trace_twiddle(
@@ -788,7 +755,7 @@ fn exec<O: Observer>(
                     stride: n1 * dv.stride,
                     addr: dv.addr,
                 };
-                exec(right, dir, be, t, rv, y, yv, rest, rest_addr, tw_addr, obs);
+                exec(right, dir, t, rv, y, yv, rest, rest_addr, tw_addr, obs);
             }
         }
     }
@@ -797,14 +764,34 @@ fn exec<O: Observer>(
     }
 }
 
-/// Executes one leaf codelet through the effective backend and emits
-/// its trace. The scalar path keeps its direct (statically dispatched)
-/// call so the default backend costs nothing extra per leaf.
-#[allow(clippy::too_many_arguments)]
+/// The DFT kernel set this process runs (module docs, *Kernels*):
+/// `"avx2"` when the vector kernels run, else `"scalar"`.
+pub fn kernel_set() -> &'static str {
+    if ddl_backend_simd::profitable_isa() {
+        ddl_backend_simd::active_isa()
+    } else {
+        "scalar"
+    }
+}
+
+/// The kernel set a transform kind runs on: [`kernel_set`] for the DFT
+/// (and the real FFT built on it), `"scalar"` for the WHT, which has no
+/// vector kernels. The `backend` label of spans, flight capsules,
+/// service histograms and replies, and bench cases.
+pub fn kernel_set_for(kind: TransformKind) -> &'static str {
+    match kind {
+        TransformKind::Dft(_) => kernel_set(),
+        TransformKind::Wht => "scalar",
+    }
+}
+
+/// Executes one leaf codelet and emits its trace. The vector network
+/// runs where it beats the scalar codelets on this host (32 and 64
+/// points on AVX2, `ddl_backend_simd::profitable_size`); the scalar
+/// codelets run everywhere else.
 fn leaf<O: Observer>(
     n: usize,
     dir: Direction,
-    be: BackendKind,
     x: &[Complex64],
     sv: View,
     y: &mut [Complex64],
@@ -812,12 +799,12 @@ fn leaf<O: Observer>(
     obs: &mut O,
 ) {
     let t0 = stage_start::<O>();
-    match be {
-        BackendKind::Scalar => {
-            dft_leaf_strided(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride)
-        }
-        other => backend::backend_for(other)
-            .leaf_dft(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride),
+    if !(ddl_backend_simd::profitable_size(n)
+        && ddl_backend_simd::dft_leaf_strided_simd(
+            n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride,
+        ))
+    {
+        dft_leaf_strided(n, dir, x, sv.base, sv.stride, y, dv.base, dv.stride);
     }
     stage_end(obs, Stage::Leaf, t0, n as u64);
     if O::TRACE {
@@ -830,12 +817,14 @@ fn leaf<O: Observer>(
     }
 }
 
-/// Applies the inter-stage twiddle pass through the effective backend.
-/// Like [`leaf`], the scalar path keeps its direct kernel call.
-fn twiddle_pass(be: BackendKind, buf: &mut [Complex64], tw: &TwiddleTable) {
-    match be {
-        BackendKind::Scalar => apply_twiddles(buf, 0, tw),
-        other => backend::backend_for(other).apply_twiddles(buf, 0, tw.as_slice()),
+/// Applies the inter-stage twiddle pass through the vector multiply on
+/// an AVX2 host (`ddl_backend_simd::profitable_isa`), or the scalar
+/// loop elsewhere.
+fn twiddle_pass(buf: &mut [Complex64], tw: &TwiddleTable) {
+    if !(ddl_backend_simd::profitable_isa()
+        && ddl_backend_simd::apply_twiddles_simd(buf, 0, tw.as_slice()))
+    {
+        apply_twiddles(buf, 0, tw);
     }
 }
 

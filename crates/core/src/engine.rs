@@ -35,7 +35,6 @@ use std::time::{Duration, Instant};
 
 use ddl_num::{Complex64, DdlError, Direction};
 
-use crate::backend::BackendKind;
 use crate::dft::DftPlan;
 use crate::faultpoint;
 use crate::flight::RequestId;
@@ -73,36 +72,24 @@ pub struct PlanKey {
     pub n: usize,
     /// Planner search strategy that produced the tree.
     pub strategy: Strategy,
-    /// Leaf execution backend the compiled plan dispatches to. Part of
-    /// the key: the same tree compiled for different backends is a
-    /// different artifact.
-    pub backend: BackendKind,
 }
 
 impl PlanKey {
-    /// Forward-DFT key with the process-default backend.
+    /// Forward-DFT key.
     pub fn dft(n: usize, strategy: Strategy) -> PlanKey {
-        PlanKey::dft_with(n, strategy, BackendKind::selected())
-    }
-
-    /// Forward-DFT key with an explicit execution backend.
-    pub fn dft_with(n: usize, strategy: Strategy, backend: BackendKind) -> PlanKey {
         PlanKey {
             kind: TransformKind::Dft(Direction::Forward),
             n,
             strategy,
-            backend,
         }
     }
 
-    /// WHT key. The WHT executor has no backend dispatch; the field is
-    /// pinned to `Scalar` so equivalent keys stay equal.
+    /// WHT key.
     pub fn wht(n: usize, strategy: Strategy) -> PlanKey {
         PlanKey {
             kind: TransformKind::Wht,
             n,
             strategy,
-            backend: BackendKind::Scalar,
         }
     }
 
@@ -123,7 +110,6 @@ impl PlanKey {
             Strategy::Sdl => 1,
             Strategy::Ddl => 2,
         });
-        mix(self.backend.mix());
         (h % shards as u64) as usize
     }
 }
@@ -300,26 +286,12 @@ impl Engine {
                 "wht" => TransformKind::Wht,
                 _ => continue,
             };
-            // Wisdom records trees, which are backend-independent; warm
-            // the cache for the process-default backend (WHT plans have
-            // no backend dispatch and pin `Scalar`).
-            let backend = match kind {
-                TransformKind::Dft(_) => BackendKind::selected(),
-                TransformKind::Wht => BackendKind::Scalar,
-            };
-            let key = PlanKey {
-                kind,
-                n,
-                strategy,
-                backend,
-            };
+            let key = PlanKey { kind, n, strategy };
             let Some((tree, _cost)) = wisdom.get(&transform, n, strategy) else {
                 continue;
             };
             let artifact = match kind {
-                TransformKind::Dft(dir) => {
-                    DftPlan::with_backend(tree, dir, backend).map(PlanArtifact::Dft)
-                }
+                TransformKind::Dft(dir) => DftPlan::new(tree, dir).map(PlanArtifact::Dft),
                 TransformKind::Wht => WhtPlan::new(tree).map(PlanArtifact::Wht),
             };
             if let Ok(artifact) = artifact {
@@ -401,7 +373,7 @@ impl Engine {
         match key.kind {
             TransformKind::Dft(dir) => {
                 let outcome = try_plan_dft(key.n, &cfg)?;
-                DftPlan::with_backend(outcome.tree, dir, key.backend).map(PlanArtifact::Dft)
+                DftPlan::new(outcome.tree, dir).map(PlanArtifact::Dft)
             }
             TransformKind::Wht => {
                 let outcome = try_plan_wht(key.n, &cfg)?;

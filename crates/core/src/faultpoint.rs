@@ -37,7 +37,6 @@
 //! | `serve.queue.full`      | admission control sheds the request        |
 //! | `serve.worker.panic`    | service worker panics on a request         |
 //! | `serve.dequeue.slow`    | request's deadline treated as spent in queue |
-//! | `backend.dispatch.fallback` | requested execution backend degrades to scalar |
 //!
 //! Arming is process-global and last-wins; [`FaultGuard`] disarms on
 //! drop. Tests that arm faults must serialize with each other (the chaos

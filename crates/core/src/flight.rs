@@ -86,7 +86,8 @@ pub struct RequestCapsule {
     pub op: String,
     /// Transform kind, `-` when the op has none.
     pub kind: String,
-    /// Backend label, `-` when the op has none.
+    /// Kernel-set label ([`crate::kernel_set_for`] its transform),
+    /// `-` when the op has none.
     pub backend: String,
     /// Outcome label (`ok` | `overloaded` | `deadline_expired` |
     /// `panicked` | `error`).

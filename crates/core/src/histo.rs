@@ -1,8 +1,8 @@
 //! Log-bucketed, mergeable latency histograms and the versioned
 //! `ddl-telemetry` snapshot they aggregate into (DESIGN.md §13).
 //!
-//! The service needs to answer "what is the p99 of `exec` requests on
-//! the SIMD backend that hit their deadline" without locking the hot
+//! The service needs to answer "what is the p99 of `exec dft` requests
+//! that hit their deadline" without locking the hot
 //! path. The histogram here is the standard log2-bucketed fixed layout:
 //! 64 buckets, bucket `i >= 1` covering `[2^i, 2^(i+1))` nanoseconds
 //! and bucket 0 covering `{0, 1}`, so every `u64` latency maps to

@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub mod attrib;
-pub mod backend;
 pub mod calibrate;
 pub mod dct;
 pub mod dft;
@@ -82,11 +81,10 @@ pub use attrib::{
     attribute_dft, attribute_wht, classify_empirical, classify_model, AttributionRun, CaseClass,
     NodeAttribution,
 };
-pub use backend::{backend_for, simd_active_isa, BackendKind, ExecBackend};
 pub use calibrate::{calibrate_dft, calibrate_wht, CalibrationConfig};
 pub use dct::DctPlan;
 pub use ddl_num::DdlError;
-pub use dft::{DftPlan, DftViews};
+pub use dft::{kernel_set, kernel_set_for, DftPlan, DftViews};
 pub use dft2d::Dft2dPlan;
 pub use engine::{Engine, EngineConfig, EngineStats, PlanKey, Session, TransformKind};
 pub use flight::{

@@ -96,14 +96,11 @@ pub enum Counter {
     WisdomQuarantinedEntries,
     /// Entries written by wisdom saves.
     WisdomSavedEntries,
-    /// Executions whose requested backend degraded to `Scalar` at
-    /// dispatch time (see [`crate::backend::resolve`]).
-    BackendFallback,
 }
 
 impl Counter {
     /// Every counter, in serialization order.
-    pub const ALL: [Counter; 9] = [
+    pub const ALL: [Counter; 8] = [
         Counter::PlannerStates,
         Counter::PlannerMemoHits,
         Counter::PlannerCandidates,
@@ -112,7 +109,6 @@ impl Counter {
         Counter::WisdomLoadedEntries,
         Counter::WisdomQuarantinedEntries,
         Counter::WisdomSavedEntries,
-        Counter::BackendFallback,
     ];
 
     /// Stable dotted name used in reports.
@@ -126,7 +122,6 @@ impl Counter {
             Counter::WisdomLoadedEntries => "wisdom.loaded_entries",
             Counter::WisdomQuarantinedEntries => "wisdom.quarantined_entries",
             Counter::WisdomSavedEntries => "wisdom.saved_entries",
-            Counter::BackendFallback => "backend.fallbacks",
         }
     }
 
@@ -190,9 +185,9 @@ pub struct SpanInfo {
     pub stride: usize,
     /// Whether the covered node carries a reorganization.
     pub reorg: bool,
-    /// The execution backend tag of the covered node/run (a
-    /// [`crate::backend::BackendKind`] label; `"scalar"` for spans the
-    /// backend machinery does not reach, e.g. planner states).
+    /// The kernel-set tag of the covered node/run: the kernel set of its
+    /// transform ([`crate::kernel_set_for`]) on DFT, real-FFT and WHT
+    /// spans, `"scalar"` on planner spans, which run no kernel.
     pub backend: &'static str,
 }
 
@@ -705,9 +700,6 @@ pub struct BatchMetrics {
     pub run_ns_total: u64,
     /// Longest single item run time.
     pub run_ns_max: u64,
-    /// Executions in the batch whose requested backend degraded to
-    /// `Scalar` at dispatch time.
-    pub backend_fallbacks: u64,
     /// Items executed by a scheduler worker other than the one whose
     /// deque they were dealt to (work-stealing migrations).
     pub steals: u64,

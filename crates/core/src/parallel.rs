@@ -51,7 +51,6 @@ pub struct BatchReport {
     timings: Vec<ItemTiming>,
     wall_ns: u64,
     degraded_to_sequential: bool,
-    backend_fallbacks: u64,
     steals: u64,
     request: Option<RequestId>,
 }
@@ -94,18 +93,6 @@ impl BatchReport {
     /// to sequential execution on the calling thread.
     pub fn degraded_to_sequential(&self) -> bool {
         self.degraded_to_sequential
-    }
-
-    /// Executions in this batch whose requested backend degraded to
-    /// `Scalar` at dispatch time (see [`crate::backend::resolve`]).
-    pub fn backend_fallbacks(&self) -> u64 {
-        self.backend_fallbacks
-    }
-
-    /// Records the dispatch-fallback count observed around the batch
-    /// (batch executor internal).
-    pub(crate) fn set_backend_fallbacks(&mut self, fallbacks: u64) {
-        self.backend_fallbacks = fallbacks;
     }
 
     /// Tasks this batch's workers took from a sibling's deque: how much
@@ -155,7 +142,6 @@ impl BatchReport {
             timings,
             wall_ns,
             degraded_to_sequential,
-            backend_fallbacks: 0,
             steals,
             request: None,
         }
@@ -181,7 +167,6 @@ impl BatchReport {
             queue_ns_max: self.timings.iter().map(|t| t.queue_ns).max().unwrap_or(0),
             run_ns_total: self.timings.iter().map(|t| t.run_ns).sum(),
             run_ns_max: self.timings.iter().map(|t| t.run_ns).max().unwrap_or(0),
-            backend_fallbacks: self.backend_fallbacks,
             steals: self.steals,
         }
     }
@@ -231,17 +216,12 @@ pub fn try_execute_dft_batch(
         .chunks_exact(n)
         .zip(outputs.chunks_exact_mut(n))
         .collect();
-    // Diff the plan's dispatch-fallback counter around the run so the
-    // report records how many executions degraded to the scalar backend.
-    let fallbacks_before = plan.backend_fallbacks();
-    let mut report = execute_batch_scheduled(
+    Ok(execute_batch_scheduled(
         items,
         opts,
         || vec![Complex64::ZERO; plan.scratch_len()],
         |_idx, (src, dst), scratch| plan.try_run(DftViews::new(src, dst), scratch, &mut NullSink),
-    );
-    report.set_backend_fallbacks(plan.backend_fallbacks().saturating_sub(fallbacks_before));
-    Ok(report)
+    ))
 }
 
 /// Batch WHT over `data`, a concatenation of signals of `plan.n()`

@@ -457,7 +457,6 @@ fn batch_to_json(b: &BatchMetrics) -> Json {
         ("panicked", num(b.panicked)),
         ("deadline_expired", num(b.deadline_expired)),
         ("cancelled", num(b.cancelled)),
-        ("backend_fallbacks", num(b.backend_fallbacks)),
         ("steals", num(b.steals)),
         (
             "degraded_to_sequential",
@@ -739,7 +738,6 @@ fn batch_from_json(v: &Json, path: &str) -> Result<BatchMetrics, DdlError> {
         panicked: get_u64(m, path, "panicked")?,
         deadline_expired: get_u64(m, path, "deadline_expired")?,
         cancelled: get_u64(m, path, "cancelled")?,
-        backend_fallbacks: get_u64(m, path, "backend_fallbacks")?,
         steals: get_u64(m, path, "steals")?,
         degraded_to_sequential: get_bool(m, path, "degraded_to_sequential")?,
         wall_ns: get_u64(m, path, "wall_ns")?,

@@ -11,7 +11,7 @@
 //! reconstructs the real signal (exactly inverse, including the `1/n`
 //! factor).
 
-use crate::dft::{DftPlan, DftViews, PlanError};
+use crate::dft::{kernel_set, DftPlan, DftViews, PlanError};
 use crate::obs::{NullSink, Observer, SpanInfo, SpanKind};
 use crate::planner::{try_plan_dft, PlannerConfig};
 use crate::tree::Tree;
@@ -114,7 +114,7 @@ impl RfftPlan {
             size,
             stride: 1,
             reorg: false,
-            backend: "scalar",
+            backend: kernel_set(),
         };
         obs.span_begin(node("rfft", n));
 

@@ -43,6 +43,8 @@
 //! and [`WhtPlan::layout`] read the same nodes and the same gather and
 //! lane-batch rules.
 
+use crate::dft::kernel_set_for;
+use crate::engine::TransformKind;
 use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind};
 use crate::obs::{
     stage_end, stage_start, ExecutionMetrics, NullSink, Observer, Recorder, Sink, SpanInfo,
@@ -220,7 +222,7 @@ impl WhtPlan {
                 size: self.root.n,
                 stride: 1,
                 reorg: self.tree.reorg(),
-                backend: "scalar",
+                backend: kernel_set_for(TransformKind::Wht),
             });
             let t0 = std::time::Instant::now();
             let result = self.try_run(WhtView::new(data), scratch, recorder);
@@ -378,7 +380,7 @@ fn exec<O: Observer>(
             size: n,
             stride,
             reorg: node.reorg,
-            backend: "scalar",
+            backend: kernel_set_for(TransformKind::Wht),
         });
     }
 
@@ -513,7 +515,7 @@ fn exec_lanes<O: Observer>(
                 size: n1,
                 stride: n2,
                 reorg: false,
-                backend: "scalar",
+                backend: kernel_set_for(TransformKind::Wht),
             });
         }
         let t0 = stage_start::<O>();

@@ -5,9 +5,12 @@
 //!
 //! * `n ∈ {1, 2, 4, 8}` — fully unrolled codelets reading/writing memory
 //!   at the given strides.
-//! * `n ∈ {16, 32, 64}` — composite codelets: the `n` strided points are
-//!   loaded once into a stack buffer, a constant-twiddle Cooley–Tukey
-//!   network runs on the stack, and results are stored once. This is the
+//! * `n ∈ {3, 5, 7, 16, 32}` — the straight-line codelets `ddl-codegen`
+//!   generates (`generated.rs`), also reading and writing at the given
+//!   strides.
+//! * `n = 64` — a composite codelet: the 64 strided points are loaded
+//!   once into a stack buffer, one constant-twiddle `8×8` Cooley–Tukey
+//!   level runs on the stack, and results are stored once. This is the
 //!   register/codelet model of FFTW — the *memory* traffic is still `n`
 //!   strided loads and `n` strided stores, so the cache behaviour of the
 //!   leaf remains exactly the paper's `(size, stride)` model; the 1 KiB
@@ -21,8 +24,8 @@ use crate::naive::naive_dft_strided;
 use ddl_num::{Complex64, Direction, TwiddleTable};
 use std::sync::OnceLock;
 
-/// Largest leaf size the composite codelets support (and the largest leaf
-/// the planners will generate).
+/// Largest leaf size the codelets cover (and the largest leaf the
+/// planners will generate).
 pub const MAX_LEAF_DFT: usize = 64;
 
 /// Computes one `n`-point DFT: `dst[db + j*ds] = Σ_i src[sb + i*ss] w^{ij}`.
@@ -47,7 +50,7 @@ pub fn dft_leaf_strided(
         2 => dft2(src, sb, ss, dst, db, ds),
         4 => dft4(src, sb, ss, dst, db, ds, dir),
         8 => dft8(src, sb, ss, dst, db, ds, dir),
-        64 => composite_leaf(n, dir, src, sb, ss, dst, db, ds),
+        64 => composite_leaf(dir, src, sb, ss, dst, db, ds),
         // generated straight-line codelets cover 3, 5, 7, 16, 32
         _ => {
             if !crate::generated::generated_dft_leaf(n, dir, src, sb, ss, dst, db, ds) {
@@ -57,11 +60,9 @@ pub fn dft_leaf_strided(
     }
 }
 
-/// Composite codelet for `n ∈ {16, 32, 64}`: strided load → stack DFT →
-/// strided store.
-#[allow(clippy::too_many_arguments)] // the codelet calling convention
+/// Composite codelet for `n = 64`: strided load → stack DFT → strided
+/// store.
 fn composite_leaf(
-    n: usize,
     dir: Direction,
     src: &[Complex64],
     sb: usize,
@@ -72,96 +73,52 @@ fn composite_leaf(
 ) {
     let mut buf = [Complex64::ZERO; MAX_LEAF_DFT];
     let mut idx = sb;
-    for b in buf[..n].iter_mut() {
+    for b in buf.iter_mut() {
         *b = src[idx];
         idx += ss;
     }
-    dft_stack(&mut buf, n, dir);
+    dft_stack(&mut buf, dir);
     let mut idx = db;
-    for &b in buf[..n].iter() {
+    for &b in buf.iter() {
         dst[idx] = b;
         idx += ds;
     }
 }
 
-/// Unit-stride DFT of `n ∈ {16, 32, 64}` points on a stack buffer, via one
-/// Cooley–Tukey level (`16 = 4×4`, `32 = 4×8`, `64 = 8×8`) with cached
-/// constant twiddles.
-fn dft_stack(buf: &mut [Complex64; MAX_LEAF_DFT], n: usize, dir: Direction) {
-    let (n1, n2) = match n {
-        16 => (4, 4),
-        32 => (4, 8),
-        64 => (8, 8),
-        // ddl-lint: allow(no-panics): leaf dispatch covers exactly the generated codelet sizes
-        _ => unreachable!("dft_stack: unsupported size {n}"),
-    };
-    let tw = cached_twiddles(n, dir);
+/// Unit-stride 64-point DFT on a stack buffer, via one `8×8`
+/// Cooley–Tukey level with cached constant twiddles.
+fn dft_stack(buf: &mut [Complex64; MAX_LEAF_DFT], dir: Direction) {
+    const N1: usize = 8;
+    const N2: usize = 8;
+    let tw = cached_twiddles(dir);
 
     let mut t = [Complex64::ZERO; MAX_LEAF_DFT];
     // Stage 1: n2 DFTs of size n1, input stride n2, output contiguous
     // columns t[j1 + n1*i2].
-    for i2 in 0..n2 {
-        small(n1, dir, &buf[..], i2, n2, &mut t, n1 * i2, 1);
+    for i2 in 0..N2 {
+        dft8(&buf[..], i2, N2, &mut t, N1 * i2, 1, dir);
     }
     // Twiddle: t[i2*n1 + j1] *= w^{i2*j1}.
-    for (ti, &wi) in t[..n].iter_mut().zip(tw.iter()) {
+    for (ti, &wi) in t.iter_mut().zip(tw.iter()) {
         *ti *= wi;
     }
     // Stage 2: n1 DFTs of size n2, input stride n1, output stride n1.
-    for j1 in 0..n1 {
-        small(n2, dir, &t[..], j1, n1, &mut buf[..], j1, n1);
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // the codelet calling convention
-    fn small(
-        n: usize,
-        dir: Direction,
-        src: &[Complex64],
-        sb: usize,
-        ss: usize,
-        dst: &mut [Complex64],
-        db: usize,
-        ds: usize,
-    ) {
-        match n {
-            4 => dft4(src, sb, ss, dst, db, ds, dir),
-            8 => dft8(src, sb, ss, dst, db, ds, dir),
-            // ddl-lint: allow(no-panics): leaf dispatch covers exactly the generated codelet sizes
-            _ => unreachable!("composite sub-DFT of size {n}"),
-        }
+    for j1 in 0..N1 {
+        dft8(&t[..], j1, N1, &mut buf[..], j1, N1, dir);
     }
 }
 
-/// Lazily built twiddle tables for the composite codelets, one per
-/// (size, direction).
-fn cached_twiddles(n: usize, dir: Direction) -> &'static [Complex64] {
-    static TABLES: [OnceLock<Box<[Complex64]>>; 6] = [
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-        OnceLock::new(),
-    ];
-    let slot = match (n, dir) {
-        (16, Direction::Forward) => 0,
-        (16, Direction::Inverse) => 1,
-        (32, Direction::Forward) => 2,
-        (32, Direction::Inverse) => 3,
-        (64, Direction::Forward) => 4,
-        (64, Direction::Inverse) => 5,
-        // ddl-lint: allow(no-panics): leaf dispatch covers exactly the generated codelet sizes
-        _ => unreachable!("cached_twiddles: unsupported size {n}"),
-    };
-    let (n1, n2) = match n {
-        16 => (4, 4),
-        32 => (4, 8),
-        _ => (8, 8),
+/// Lazily built twiddle table of the 64-point composite codelet, one
+/// per direction.
+fn cached_twiddles(dir: Direction) -> &'static [Complex64] {
+    static TABLES: [OnceLock<Box<[Complex64]>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let slot = match dir {
+        Direction::Forward => 0,
+        Direction::Inverse => 1,
     };
     TABLES[slot]
         .get_or_init(|| {
-            TwiddleTable::new(n1, n2, dir)
+            TwiddleTable::new(8, 8, dir)
                 .as_slice()
                 .to_vec()
                 .into_boxed_slice()

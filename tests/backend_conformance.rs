@@ -1,10 +1,13 @@
-//! Cross-backend conformance: every execution backend must agree with
-//! the `Scalar` oracle on every plan shape the planner emits.
+//! Kernel conformance: the DFT executor runs each leaf and twiddle pass
+//! on the kernel measured fastest for its size on the host (DESIGN.md
+//! §11) — the vector network of `ddl-backend-simd` for 32- and 64-point
+//! leaves and for twiddle passes on an AVX2+FMA host, the scalar
+//! codelets of `ddl-kernels` everywhere else. Every plan shape the
+//! planner emits must agree with [`scalar_walk`], a walk of the same
+//! tree that runs only the scalar kernels.
 //!
-//! The tentpole contract (DESIGN.md §11): `Simd` is an alternative
-//! lowering of the same verified codelet DAGs, so its output may differ
-//! from the generated scalar codelets only by
-//! floating-point reassociation — bounded here by a ulp-scaled
+//! The vector kernels may differ from the scalar codelets only by
+//! floating-point reassociation, bounded here by a ulp-scaled
 //! per-element tolerance, not a loose RMS norm. The suite sweeps
 //!
 //! * sizes `2^1 .. 2^12` (and a larger spot check) under both layout
@@ -15,15 +18,16 @@
 //!   non-unit input/output strides,
 //! * random planner configurations via proptest (leaf caps below,
 //!   at and above the SIMD profitability threshold),
-//! * the `DDL_BACKEND` environment selection contract used by the CI
-//!   forced-path jobs.
+//! * and pins which kernel a single leaf runs at each size.
 //!
 //! When `DDL_CONFORMANCE_REPORT` names a file, every checked case
-//! appends one JSON line (`backend`, `isa`, `n`, `regime`, view
-//! geometry, worst ulp distance) — CI uploads this as the conformance
+//! appends one JSON line (`backend` — the kernel set —, `isa`, `n`,
+//! `regime`, view geometry, worst ulp distance): the CI conformance
 //! artifact.
 
-use dynamic_data_layout::core::{simd_active_isa, BackendKind};
+use dynamic_data_layout::core::kernel_set;
+use dynamic_data_layout::kernels::{apply_twiddles, dft_leaf_strided};
+use dynamic_data_layout::num::TwiddleTable;
 use dynamic_data_layout::prelude::*;
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -36,6 +40,40 @@ fn signal(n: usize, seed: u64) -> Vec<Complex64> {
             Complex64::new((t * 1e-9).sin(), (t * 3e-9).cos() - 0.25)
         })
         .collect()
+}
+
+/// The DFT executor's arithmetic on the scalar kernels alone: per split,
+/// stage 1 into an interleaved intermediate `t[j1·n2 + i2]`, the twiddle
+/// pass, then stage 2 reading `t` at unit stride (the scheme in
+/// `ddl_core::dft`). `reorg` flags only move points, so the walk
+/// ignores them.
+#[allow(clippy::too_many_arguments)]
+fn scalar_walk(
+    tree: &Tree,
+    dir: Direction,
+    x: &[Complex64],
+    x_base: usize,
+    x_stride: usize,
+    y: &mut [Complex64],
+    y_base: usize,
+    y_stride: usize,
+) {
+    match tree {
+        Tree::Leaf { n, .. } => dft_leaf_strided(*n, dir, x, x_base, x_stride, y, y_base, y_stride),
+        Tree::Split { left, right, .. } => {
+            let (n1, n2) = (left.size(), right.size());
+            let mut t = vec![Complex64::ZERO; n1 * n2];
+            for i2 in 0..n2 {
+                let base = x_base + i2 * x_stride;
+                scalar_walk(left, dir, x, base, n2 * x_stride, &mut t, i2, n2);
+            }
+            apply_twiddles(&mut t, 0, &TwiddleTable::new(n2, n1, dir));
+            for j1 in 0..n1 {
+                let base = y_base + j1 * y_stride;
+                scalar_walk(right, dir, &t, n2 * j1, 1, y, base, n1 * y_stride);
+            }
+        }
+    }
 }
 
 /// Distance in units-in-the-last-place between two finite doubles
@@ -56,32 +94,37 @@ fn ulp_distance(a: f64, b: f64) -> u64 {
     key(a).abs_diff(key(b))
 }
 
-/// Magnitudes below this are compared absolutely instead of in ulps:
-/// near-cancellation outputs land denormal-adjacent where ulp spacing
-/// is meaninglessly fine.
-const TINY: f64 = 1e-9;
+/// Points whose magnitude is below this fraction of the output's largest
+/// component sit near a cancellation, where their own ulp spacing is
+/// meaninglessly fine; they are measured in ulps of that largest
+/// component instead, the scale a DFT's rounding error follows.
+const TINY: f64 = 1e-3;
 
-/// The conformance bound: backends may reassociate (FMA contraction,
-/// vector-lane reordering), which perturbs each output point by a few
-/// ulps per arithmetic level. Historically this was a flat 4096 ulps
-/// for every size; the bound is now derived per size by the `ddl-cert`
-/// error-bound pass from the actual generated codelet DAGs (96 ulps at
-/// n=2 up to 945 at n=4096), so a regression that would have hidden
-/// under the folklore number now fails the suite.
-fn assert_close(kind: BackendKind, label: &str, got: &[Complex64], oracle: &[Complex64]) -> u64 {
+/// The conformance bound: the vector kernels may reassociate (FMA
+/// contraction, vector-lane reordering), which perturbs each output
+/// point by a few ulps per arithmetic level. The bound is derived per
+/// size by the `ddl-cert` error-bound pass from the actual generated
+/// codelet DAGs (96 ulps at n=2 up to 945 at n=4096).
+fn assert_close(label: &str, got: &[Complex64], oracle: &[Complex64]) -> u64 {
     let max_ulps = dynamic_data_layout::analyze::static_ulp_bound(got.len());
+    let scale = oracle
+        .iter()
+        .map(|c| c.re.abs().max(c.im.abs()))
+        .fold(0.0, f64::max);
     let mut worst = 0u64;
     for (i, (g, o)) in got.iter().zip(oracle.iter()).enumerate() {
         for (gv, ov) in [(g.re, o.re), (g.im, o.im)] {
-            if (gv - ov).abs() < TINY {
-                continue;
-            }
-            let d = ulp_distance(gv, ov);
+            let d = if ov.abs() < TINY * scale {
+                ((gv - ov).abs() / (scale * f64::EPSILON)).ceil() as u64
+            } else {
+                ulp_distance(gv, ov)
+            };
             worst = worst.max(d);
             assert!(
                 d <= max_ulps,
-                "{label}: backend {kind} diverges from scalar oracle at point {i}: \
-                 {gv:e} vs {ov:e} ({d} ulps > {max_ulps})"
+                "{label}: kernel set {} diverges from the scalar walk at point {i}: \
+                 {gv:e} vs {ov:e} ({d} ulps > {max_ulps})",
+                kernel_set()
             );
         }
     }
@@ -90,7 +133,7 @@ fn assert_close(kind: BackendKind, label: &str, got: &[Complex64], oracle: &[Com
 
 /// Appends one JSON line per checked case when
 /// `DDL_CONFORMANCE_REPORT` is set (the CI artifact).
-fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, worst_ulps: u64) {
+fn report_case(n: usize, regime: &str, geometry: &str, worst_ulps: u64) {
     let Ok(path) = std::env::var("DDL_CONFORMANCE_REPORT") else {
         return;
     };
@@ -99,8 +142,8 @@ fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, wor
     }
     let line = format!(
         "{{\"backend\":\"{}\",\"isa\":\"{}\",\"n\":{},\"regime\":\"{}\",\"geometry\":\"{}\",\"worst_ulps\":{},\"ok\":true}}\n",
-        backend,
-        simd_active_isa(),
+        kernel_set(),
+        ddl_backend_simd::active_isa(),
         n,
         regime,
         geometry,
@@ -115,41 +158,31 @@ fn report_case(backend: BackendKind, n: usize, regime: &str, geometry: &str, wor
     }
 }
 
-/// Plans `n` under `cfg`, runs the same tree through the scalar oracle
-/// and `kind`, and pins agreement on a contiguous view.
-fn check_contiguous(
-    n: usize,
-    cfg: &PlannerConfig,
-    dir: Direction,
-    kind: BackendKind,
-    regime: &str,
-) {
+/// Plans `n` under `cfg` and pins the plan's output against the scalar
+/// walk of the same tree on a contiguous view.
+fn check_contiguous(n: usize, cfg: &PlannerConfig, dir: Direction, regime: &str) {
     let outcome = try_plan_dft(n, cfg).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
-    let oracle_plan = DftPlan::with_backend(outcome.tree.clone(), dir, BackendKind::Scalar)
-        .unwrap_or_else(|e| panic!("{regime} n={n} scalar: {e}"));
-    let plan = DftPlan::with_backend(outcome.tree, dir, kind)
-        .unwrap_or_else(|e| panic!("{regime} n={n} {kind}: {e}"));
-    assert_eq!(plan.backend(), kind);
+    let plan =
+        DftPlan::new(outcome.tree.clone(), dir).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
 
     let x = signal(n, 0x5eed ^ n as u64);
     let mut oracle = vec![Complex64::ZERO; n];
     let mut got = vec![Complex64::ZERO; n];
-    oracle_plan.try_execute(&x, &mut oracle).unwrap();
+    scalar_walk(&outcome.tree, dir, &x, 0, 1, &mut oracle, 0, 1);
     plan.try_execute(&x, &mut got).unwrap();
 
     let label = format!("{regime} n={n} {dir:?}");
-    let worst = assert_close(kind, &label, &got, &oracle);
-    report_case(kind, n, regime, "base=0 stride=1", worst);
+    let worst = assert_close(&label, &got, &oracle);
+    report_case(n, regime, "base=0 stride=1", worst);
 }
 
-/// Same tree through oracle and `kind`, but on misaligned strided
-/// views: odd bases and non-unit strides on both sides.
+/// The same comparison on misaligned strided views: odd bases and
+/// non-unit strides on both sides.
 #[allow(clippy::too_many_arguments)]
 fn check_strided(
     n: usize,
     cfg: &PlannerConfig,
     dir: Direction,
-    kind: BackendKind,
     in_base: usize,
     in_stride: usize,
     out_base: usize,
@@ -157,10 +190,8 @@ fn check_strided(
     regime: &str,
 ) {
     let outcome = try_plan_dft(n, cfg).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
-    let oracle_plan = DftPlan::with_backend(outcome.tree.clone(), dir, BackendKind::Scalar)
-        .unwrap_or_else(|e| panic!("{regime} n={n} scalar: {e}"));
-    let plan = DftPlan::with_backend(outcome.tree, dir, kind)
-        .unwrap_or_else(|e| panic!("{regime} n={n} {kind}: {e}"));
+    let plan =
+        DftPlan::new(outcome.tree.clone(), dir).unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
 
     let in_len = in_base + (n - 1) * in_stride + 1;
     let out_len = out_base + (n - 1) * out_stride + 1;
@@ -171,35 +202,35 @@ fn check_strided(
     }
 
     let sentinel = Complex64::new(-99.0, 99.0);
-    let run = |p: &DftPlan| -> Vec<Complex64> {
-        let mut out = vec![sentinel; out_len];
-        let mut scratch = vec![Complex64::ZERO; p.scratch_len()];
-        let views = DftViews::new(&input, &mut out)
-            .input_at(in_base, in_stride)
-            .output_at(out_base, out_stride);
-        p.try_run(views, &mut scratch, &mut NullSink)
-            .unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
-        out
-    };
-
-    let oracle = run(&oracle_plan);
-    let got = run(&plan);
+    let mut oracle = vec![sentinel; out_len];
+    scalar_walk(
+        &outcome.tree,
+        dir,
+        &input,
+        in_base,
+        in_stride,
+        &mut oracle,
+        out_base,
+        out_stride,
+    );
+    let mut got = vec![sentinel; out_len];
+    let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+    let views = DftViews::new(&input, &mut got)
+        .input_at(in_base, in_stride)
+        .output_at(out_base, out_stride);
+    plan.try_run(views, &mut scratch, &mut NullSink)
+        .unwrap_or_else(|e| panic!("{regime} n={n}: {e}"));
 
     // Gather the strided outputs; everything off-stride must be the
-    // untouched sentinel (no backend may write outside its view).
-    let mut on_oracle = Vec::with_capacity(n);
-    let mut on_got = Vec::with_capacity(n);
-    let stride_hits: std::collections::HashSet<usize> =
-        (0..n).map(|i| out_base + i * out_stride).collect();
-    for i in 0..n {
-        on_oracle.push(oracle[out_base + i * out_stride]);
-        on_got.push(got[out_base + i * out_stride]);
-    }
+    // untouched sentinel (no kernel may write outside its view).
+    let on_stride: Vec<usize> = (0..n).map(|i| out_base + i * out_stride).collect();
+    let on_oracle: Vec<Complex64> = on_stride.iter().map(|&i| oracle[i]).collect();
+    let on_got: Vec<Complex64> = on_stride.iter().map(|&i| got[i]).collect();
     for (idx, v) in got.iter().enumerate() {
-        if !stride_hits.contains(&idx) {
+        if !on_stride.contains(&idx) {
             assert_eq!(
                 *v, sentinel,
-                "{regime} n={n} {kind}: backend wrote outside its strided view at {idx}"
+                "{regime} n={n}: the executor wrote outside its strided view at {idx}"
             );
         }
     }
@@ -207,9 +238,8 @@ fn check_strided(
     let label = format!(
         "{regime} n={n} {dir:?} view in=({in_base},{in_stride}) out=({out_base},{out_stride})"
     );
-    let worst = assert_close(kind, &label, &on_got, &on_oracle);
+    let worst = assert_close(&label, &on_got, &on_oracle);
     report_case(
-        kind,
         n,
         regime,
         &format!(
@@ -232,8 +262,8 @@ fn regimes() -> Vec<(&'static str, PlannerConfig)> {
             },
         ),
         // Leaf cap below the SIMD profitability threshold: every leaf
-        // takes the per-leaf scalar completion path inside the SIMD
-        // backend, which must still conform.
+        // runs the scalar codelets and only the twiddle passes can take
+        // the vector multiply, which must still conform.
         (
             "ddl-tinyleaf",
             PlannerConfig {
@@ -250,7 +280,7 @@ fn all_backends_match_scalar_across_sizes_and_regimes() {
         for log_n in 1..=12 {
             let n = 1usize << log_n;
             for dir in [Direction::Forward, Direction::Inverse] {
-                check_contiguous(n, &cfg, dir, BackendKind::Simd, regime);
+                check_contiguous(n, &cfg, dir, regime);
             }
         }
     }
@@ -264,7 +294,7 @@ fn simd_matches_scalar_at_transition_sizes() {
     let cfg = PlannerConfig::ddl_analytical();
     for n in [1usize << 13, 1 << 14, 1 << 16] {
         for dir in [Direction::Forward, Direction::Inverse] {
-            check_contiguous(n, &cfg, dir, BackendKind::Simd, "ddl-large");
+            check_contiguous(n, &cfg, dir, "ddl-large");
         }
     }
 }
@@ -279,40 +309,67 @@ fn backends_match_on_misaligned_strided_views() {
         ("sdl", PlannerConfig::sdl_analytical()),
     ] {
         for n in [8usize, 64, 256, 1024] {
-            let kind = BackendKind::Simd;
-            check_strided(n, &cfg, Direction::Forward, kind, 3, 2, 5, 3, regime);
-            check_strided(n, &cfg, Direction::Inverse, kind, 1, 3, 7, 2, regime);
+            check_strided(n, &cfg, Direction::Forward, 3, 2, 5, 3, regime);
+            check_strided(n, &cfg, Direction::Inverse, 1, 3, 7, 2, regime);
+        }
+    }
+}
+
+/// Which kernel a leaf runs is the host's and the leaf size's choice:
+/// on an AVX2+FMA host, 32- and 64-point leaves run the vector network
+/// and 16-point leaves the scalar codelets; on any other host (no
+/// vector unit, or NEON, which is not measured), every leaf runs the
+/// scalar codelets. A single-leaf plan's output equals that kernel's
+/// bit for bit, on a unit-stride view and on an odd-base, stride-3 one.
+#[test]
+fn default_plan_runs_the_host_kernel_for_each_leaf_size() {
+    let vector = ddl_backend_simd::active_isa() == "avx2";
+    for (n, vector_size) in [(16usize, false), (32, true), (64, true)] {
+        let simd = vector && vector_size;
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let plan = DftPlan::new(Tree::leaf(n), dir).unwrap();
+            for (base, stride) in [(0usize, 1usize), (1, 3)] {
+                let len = base + (n - 1) * stride + 1;
+                let x = signal(len, 0x91 ^ n as u64);
+                let mut got = vec![Complex64::ZERO; len];
+                let views = DftViews::new(&x, &mut got)
+                    .input_at(base, stride)
+                    .output_at(base, stride);
+                plan.try_run(views, &mut [], &mut NullSink).unwrap();
+                let mut want = vec![Complex64::ZERO; len];
+                if simd {
+                    assert!(ddl_backend_simd::dft_leaf_strided_simd(
+                        n, dir, &x, base, stride, &mut want, base, stride
+                    ));
+                } else {
+                    dft_leaf_strided(n, dir, &x, base, stride, &mut want, base, stride);
+                }
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                        "n={n} {dir:?} view ({base},{stride}) at {j}: {g:?} vs the {} kernel's {w:?}",
+                        if simd { "vector" } else { "scalar" }
+                    );
+                }
+            }
         }
     }
 }
 
 #[test]
-fn selected_backend_honors_ddl_backend_env() {
-    // The CI forced-path jobs run this suite with DDL_BACKEND set to
-    // each label; in those processes the cached selection must be the
-    // forced backend. Unset (the default dev run) must mean Scalar.
-    let expect = match std::env::var("DDL_BACKEND") {
-        Ok(v) => BackendKind::parse(v.trim()).unwrap_or(BackendKind::Scalar),
-        Err(_) => BackendKind::Scalar,
-    };
-    assert_eq!(BackendKind::selected(), expect);
-    // And the default constructor routes through the selection.
-    let outcome = try_plan_dft(64, &PlannerConfig::ddl_analytical()).unwrap();
-    let plan = DftPlan::new(outcome.tree, Direction::Forward).unwrap();
-    assert_eq!(plan.backend(), expect);
-}
-
-#[test]
 fn simd_isa_is_one_of_the_known_lowerings() {
-    assert!(matches!(simd_active_isa(), "avx2" | "neon" | "portable"));
+    let isa = ddl_backend_simd::active_isa();
+    assert!(matches!(isa, "avx2" | "neon" | "portable"));
+    let expect = if isa == "avx2" { "avx2" } else { "scalar" };
+    assert_eq!(kernel_set(), expect);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random planner configuration x view geometry: the SIMD
-    /// conformance bound holds for any tree the planner can emit, on
-    /// any supported view.
+    /// Random planner configuration x view geometry: the conformance
+    /// bound holds for any tree the planner can emit, on any supported
+    /// view.
     #[test]
     fn random_plans_conform_on_random_views(
         log_n in 1u32..=10,
@@ -333,6 +390,6 @@ proptest! {
         };
         let cfg = PlannerConfig { max_leaf, cache_points, ..base };
         let dir = if inverse { Direction::Inverse } else { Direction::Forward };
-        check_strided(n, &cfg, dir, BackendKind::Simd, in_base, in_stride, out_base, out_stride, "prop");
+        check_strided(n, &cfg, dir, in_base, in_stride, out_base, out_stride, "prop");
     }
 }

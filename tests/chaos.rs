@@ -14,9 +14,8 @@
 //!
 //! Fault classes covered: item panics, worker-spawn failure, deadline
 //! expiry, corrupt wisdom loads, admission-queue saturation, engine
-//! shard poisoning, service-worker panics, execution-backend dispatch
-//! fallback, and deadline budgets burned entirely in the admission
-//! queue (`serve.dequeue.slow`).
+//! shard poisoning, service-worker panics, and deadline budgets burned
+//! entirely in the admission queue (`serve.dequeue.slow`).
 //!
 //! Service fault classes additionally assert the flight recorder: each
 //! dump-triggering fault (queue shed, worker panic, queue-wait expiry)
@@ -29,17 +28,14 @@
 //! is set, each test appends one JSONL line describing what it injected
 //! and observed — CI uploads the file as the fault-injection artifact.
 
-use dynamic_data_layout::core::backend::BackendKind;
-use dynamic_data_layout::core::dft::DftPlan;
 use dynamic_data_layout::core::engine::{Engine, EngineConfig, PlanKey};
 use dynamic_data_layout::core::faultpoint::{self, FaultMode};
-use dynamic_data_layout::core::parallel::try_execute_dft_batch;
 use dynamic_data_layout::core::planner::{PlannerConfig, Strategy};
 use dynamic_data_layout::core::scheduler::{execute_batch_scheduled, BatchOptions};
 use dynamic_data_layout::core::tree::Tree;
 use dynamic_data_layout::core::wisdom::Wisdom;
 use dynamic_data_layout::core::{BatchReport, FlightDump};
-use dynamic_data_layout::num::{Complex64, DdlError, Direction};
+use dynamic_data_layout::num::DdlError;
 use dynamic_data_layout::serve::{Service, ServiceConfig, Ticket};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -476,95 +472,7 @@ fn chaos_service_worker_panics_conserve_responses() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 8: execution-backend dispatch degrades to scalar, never corrupts.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn chaos_backend_dispatch_falls_back_to_scalar() {
-    let _x = faultpoint::exclusive();
-    let n = 64usize;
-    let items = 8usize;
-    let tree = Tree::split(Tree::leaf(8), Tree::leaf(8));
-    let simd = DftPlan::with_backend(tree.clone(), Direction::Forward, BackendKind::Simd)
-        .expect("simd plan compiles");
-    let scalar = DftPlan::with_backend(tree, Direction::Forward, BackendKind::Scalar)
-        .expect("scalar plan compiles");
-
-    // A deterministic non-trivial batch: item k is a shifted ramp.
-    let inputs: Vec<Complex64> = (0..items * n)
-        .map(|i| Complex64::new((i % 17) as f64 - 8.0, (i % 5) as f64))
-        .collect();
-
-    let mut degraded = vec![Complex64::ZERO; items * n];
-    let report = {
-        let _g = faultpoint::arm(seed(), &[("backend.dispatch.fallback", FaultMode::Always)]);
-        let moved = inputs.clone();
-        let plan = simd.clone();
-        let mut out = std::mem::take(&mut degraded);
-        let (report, out) = with_watchdog("backend-fallback", move || {
-            let report =
-                try_execute_dft_batch(&plan, &moved, &mut out, &BatchOptions::with_threads(2))
-                    .expect("degraded batch still executes");
-            (report, out)
-        });
-        degraded = out;
-        report
-    };
-
-    // Invariants: nothing lost, everything completed, conservation holds.
-    assert_eq!(report.items(), items, "no lost item");
-    assert!(report.all_ok(), "fallback must not fail any item");
-    assert_batch_conservation(&report);
-
-    // Every execution degraded, and the report says so.
-    assert_eq!(
-        report.backend_fallbacks() as usize,
-        items,
-        "each item's dispatch must record one fallback"
-    );
-    assert_eq!(
-        report.metrics("chaos-backend").backend_fallbacks as usize,
-        items
-    );
-    assert_eq!(simd.backend(), BackendKind::Simd, "requested kind is kept");
-    assert_eq!(simd.backend_fallbacks() as usize, items);
-
-    // Degraded output is the scalar oracle's output: correctness intact.
-    let mut expected = vec![Complex64::ZERO; items * n];
-    let oracle = try_execute_dft_batch(
-        &scalar,
-        &inputs,
-        &mut expected,
-        &BatchOptions::with_threads(1),
-    )
-    .expect("scalar oracle batch");
-    assert!(oracle.all_ok());
-    assert_eq!(
-        oracle.backend_fallbacks(),
-        0,
-        "scalar requests never fall back"
-    );
-    for (i, (got, want)) in degraded.iter().zip(&expected).enumerate() {
-        assert!(
-            (got.re - want.re).abs() < 1e-12 && (got.im - want.im).abs() < 1e-12,
-            "fallback output diverged from scalar at {i}: {got:?} vs {want:?}"
-        );
-    }
-
-    // Disarmed, the same plan dispatches SIMD again without residue.
-    let mut clean = vec![Complex64::ZERO; items * n];
-    let after = try_execute_dft_batch(&simd, &inputs, &mut clean, &BatchOptions::with_threads(2))
-        .expect("clean run");
-    assert!(after.all_ok());
-    assert_eq!(after.backend_fallbacks(), 0, "no fallback once disarmed");
-    report_line(
-        "backend.dispatch.fallback",
-        &format!("\"items\":{items},\"fallbacks\":{items},\"matched_scalar\":true"),
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Class 9: the whole deadline budget burns in the admission queue.
+// Class 8: the whole deadline budget burns in the admission queue.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -63,7 +63,6 @@ fn full_report() -> Report {
             panicked: 1,
             deadline_expired: 0,
             cancelled: 0,
-            backend_fallbacks: 0,
             steals: 2,
             degraded_to_sequential: false,
             wall_ns: 500_000,
