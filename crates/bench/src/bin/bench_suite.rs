@@ -1,54 +1,52 @@
-//! Performance-trajectory harness: runs the pinned benchmark suite,
-//! writes a versioned `ddl-bench` report, and optionally compares it
-//! against a stored baseline, emits a `ddl-report` of per-plan records
-//! and a Chrome trace of one instrumented run, and maintains the
-//! longitudinal trajectory ledger.
+//! `bench_suite`, the one binary of `ddl-bench`: its first argument names a
+//! subcommand (see the crate docs for the experiment table).
 //!
-//! Modes:
+//! Besides the paper's experiments, it runs the performance-trajectory
+//! suite and its gates:
 //!
-//! * **run** (default) — executes the suite (see [`ddl_bench::suite`])
-//!   and writes `BENCH_<label>.json`. With `--baseline <path>` the run
-//!   is compared case-by-case against the stored report: regressions
-//!   beyond `--tolerance` (or a vanished case) exit non-zero. With
-//!   `--report-out <path>` the pinned plans (DFT/WHT at 2^10 and 2^16,
-//!   both strategies, plus the DDL real FFT) are written as one
-//!   `ddl-report`: each record carries the cost model's per-stage
-//!   prediction, the median measured run and the per-node L1/L2/d-TLB
-//!   attribution of the same tree. The calibration error lines and the
-//!   hierarchy scorecard are printed from those records. With
-//!   `--ledger <path>` the run (plus an attribution digest of each
-//!   simulated record) is appended as one line to the JSONL ledger.
-//! * **`--check <path>`** (repeatable) — validates a previously emitted
-//!   artifact through `ddl_core::check_report`: `ddl-report`,
-//!   `ddl-telemetry` and `ddl-flight` documents (JSONL artifacts line by
-//!   line) and Chrome traces are dispatched by the shared validator; the
-//!   `ddl-bench` schema this crate owns is layered on its `Unknown`
-//!   passthrough. Violations print the offending JSON path and exit
+//! * **`run`** — executes the suite (see [`ddl_bench::suite`]) and writes
+//!   `target/BENCH_<label>.json` (or `--out`). With `--report-out <path>`
+//!   the pinned plans (DFT/WHT at 2^10 and 2^16, both strategies, plus the
+//!   DDL real FFT) are written as one `ddl-report`: each record carries
+//!   the cost model's per-stage prediction, the median measured run and
+//!   the per-node L1/L2/d-TLB attribution of the same tree. The
+//!   calibration error lines and the hierarchy scorecard are printed from
+//!   those records. With `--ledger <path>` the run (plus an attribution
+//!   digest of each simulated record) is appended as one line to the
+//!   JSONL ledger. `--trace-out <path>` writes a Chrome trace of one
+//!   instrumented run.
+//! * **`check <path>...`** — validates previously emitted artifacts
+//!   through `ddl_core::check_report`: `ddl-report`, `ddl-telemetry` and
+//!   `ddl-flight` documents (JSONL artifacts line by line) and Chrome
+//!   traces are dispatched by the shared validator; the `ddl-bench`
+//!   schema this crate owns is layered on its `Unknown` passthrough.
+//!   Violations print the offending JSON path and exit non-zero.
+//! * **`compare <current> <baseline>`** — compares two stored reports;
+//!   regressions beyond [`DEFAULT_TOLERANCE`] (or a vanished case) exit
 //!   non-zero.
-//! * **`--compare <current> <baseline>`** — compares two stored reports
-//!   without re-running the suite.
-//! * **`--ledger-check <path>`** — validates every line of a trajectory
+//! * **`ledger-check <path>`** — validates every line of a trajectory
 //!   ledger and exits non-zero if any consecutive same-environment pair
-//!   regressed beyond `--tolerance`.
-//! * **`--ledger-report <path>`** — renders the trajectory ledger as a
+//!   regressed beyond [`DEFAULT_TOLERANCE`].
+//! * **`ledger-report <path>`** — renders the trajectory ledger as a
 //!   per-case markdown trend table on stdout (no gating).
 //!
 //! ```sh
-//! cargo run --release -p ddl-bench --bin bench_suite -- --quick --label ci \
+//! cargo run --release -p ddl-bench --bin bench_suite -- run --quick --label ci \
 //!     --out target/BENCH_ci.json --report-out target/report-ci.json \
 //!     --trace-out target/trace.json --ledger results/trajectory.jsonl
-//! cargo run --release -p ddl-bench --bin bench_suite -- --check target/report-ci.json
+//! cargo run --release -p ddl-bench --bin bench_suite -- check target/report-ci.json
 //! cargo run --release -p ddl-bench --bin bench_suite -- \
-//!     --compare target/BENCH_ci.json results/bench_baseline.json
-//! cargo run --release -p ddl-bench --bin bench_suite -- \
-//!     --ledger-check results/trajectory.jsonl
+//!     compare target/BENCH_ci.json results/bench_baseline.json
+//! cargo run --release -p ddl-bench --bin bench_suite -- fig9 --quick
 //! ```
 
 use ddl_analyze::{annotate_static, crosscheck};
+use ddl_bench::cli::{parse, Args, Command, Outcome, Usage};
 use ddl_bench::ledger::{append_entry, check_ledger, read_ledger, render_report, LedgerEntry};
 use ddl_bench::suite::{
-    compare, default_repeats, run_suite, BenchReport, Comparison, SuiteConfig, DEFAULT_TOLERANCE,
+    compare, run_suite, BenchReport, Comparison, SuiteConfig, DEFAULT_TOLERANCE,
 };
+use ddl_bench::{paper, smoke, Transform};
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
 use ddl_core::planner::{try_plan_dft, try_plan_dft_with, try_plan_wht, PlannerConfig, Strategy};
@@ -68,157 +66,84 @@ const ATTRIBUTION_LINE_BYTES: usize = 64;
 /// Size of the traced run behind `--trace-out`.
 const TRACE_N: usize = 1 << 10;
 
-struct Args {
-    quick: bool,
-    label: String,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    tolerance: f64,
-    repeats: Option<u32>,
-    check: Vec<PathBuf>,
-    compare: Option<(PathBuf, PathBuf)>,
-    report_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    ledger: Option<PathBuf>,
-    ledger_check: Option<PathBuf>,
-    ledger_report: Option<PathBuf>,
-}
+const SWEEP: &[&str] = &["--quick", "--max-log-n"];
+const TIMED: &[&str] = &["--quick", "--max-log-n", "--metrics-out"];
+const RUN: &[&str] = &[
+    "--quick",
+    "--label",
+    "--out",
+    "--report-out",
+    "--trace-out",
+    "--ledger",
+];
+const TLB: &[&str] = &["--quick", "--max-log-n", "--artifact", "--out"];
+const MANY: usize = usize::MAX;
 
-fn die(msg: &str) -> ! {
-    eprintln!("bench_suite: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        quick: false,
-        label: "local".into(),
-        out: None,
-        baseline: None,
-        tolerance: DEFAULT_TOLERANCE,
-        repeats: None,
-        check: Vec::new(),
-        compare: None,
-        report_out: None,
-        trace_out: None,
-        ledger: None,
-        ledger_check: None,
-        ledger_report: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let next_path = |args: &mut dyn Iterator<Item = String>, flag: &str| -> PathBuf {
-        PathBuf::from(
-            args.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a path"))),
-        )
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => parsed.quick = true,
-            "--label" => {
-                parsed.label = args.next().unwrap_or_else(|| die("--label needs a value"));
-            }
-            "--out" => parsed.out = Some(next_path(&mut args, "--out")),
-            "--baseline" => parsed.baseline = Some(next_path(&mut args, "--baseline")),
-            "--tolerance" => {
-                parsed.tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| die("--tolerance needs a non-negative number"));
-            }
-            "--repeats" => {
-                parsed.repeats = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| *r >= 1)
-                        .unwrap_or_else(|| die("--repeats needs a positive integer")),
-                );
-            }
-            "--check" => parsed.check.push(next_path(&mut args, "--check")),
-            "--compare" => {
-                let cur = next_path(&mut args, "--compare");
-                let base = next_path(&mut args, "--compare");
-                parsed.compare = Some((cur, base));
-            }
-            "--report-out" => parsed.report_out = Some(next_path(&mut args, "--report-out")),
-            "--trace-out" => parsed.trace_out = Some(next_path(&mut args, "--trace-out")),
-            "--ledger" => parsed.ledger = Some(next_path(&mut args, "--ledger")),
-            "--ledger-check" => {
-                parsed.ledger_check = Some(next_path(&mut args, "--ledger-check"));
-            }
-            "--ledger-report" => {
-                parsed.ledger_report = Some(next_path(&mut args, "--ledger-report"));
-            }
-            other => die(&format!(
-                "unknown argument {other} (expected --quick | --label <s> | --out <path> | \
-                 --baseline <path> | --tolerance <f> | --repeats <k> | --check <path> | \
-                 --compare <current> <baseline> | --report-out <path> | --trace-out <path> | \
-                 --ledger <path> | --ledger-check <path> | --ledger-report <path>)"
-            )),
-        }
+const fn cmd(
+    name: &'static str,
+    flags: &'static [&'static str],
+    positional: std::ops::RangeInclusive<usize>,
+    run: fn(&Args) -> Outcome,
+) -> Command {
+    Command {
+        name,
+        flags,
+        positional,
+        run,
     }
-    parsed
 }
+
+/// Every subcommand: its name, the flags it reads, how many positional
+/// arguments it takes, and what it runs.
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    cmd("run", RUN, 0..=0, run),
+    cmd("check", &[], 1..=MANY, check),
+    cmd("compare", &[], 2..=2, compare_reports),
+    cmd("ledger-check", &[], 1..=1, ledger_check),
+    cmd("ledger-report", &[], 1..=1, ledger_report),
+    cmd("fig9", SWEEP, 0..=0, paper::fig9),
+    cmd("table2", SWEEP, 0..=0, paper::table2),
+    cmd("fig10", &["--quick"], 0..=0, paper::fig10),
+    cmd("assoc", SWEEP, 0..=0, paper::assoc),
+    cmd("tlb_ablation", TLB, 0..=0, paper::tlb_ablation),
+    cmd("table1", SWEEP, 0..=0, paper::table1),
+    cmd("fig11_fft", TIMED, 0..=0, |a| paper::measured_sweep(a, Transform::Dft)),
+    cmd("fig15_wht", TIMED, 0..=0, |a| paper::measured_sweep(a, Transform::Wht)),
+    cmd("table5", SWEEP, 0..=0, |a| paper::optimal_trees(a, Transform::Wht)),
+    cmd("table6", SWEEP, 0..=0, |a| paper::optimal_trees(a, Transform::Dft)),
+    cmd("platform", &[], 0..=0, paper::platform),
+    cmd("obs_smoke", &["--metrics-out", "--check"], 0..=0, smoke::obs_smoke),
+    cmd("probe", &[], 1..=MANY, paper::probe),
+];
 
 fn main() -> ExitCode {
-    let args = parse_args();
-
-    if !args.check.is_empty() {
-        let mut code = ExitCode::SUCCESS;
-        for path in &args.check {
-            match check_artifact(path) {
-                Ok(summary) => println!("ok: {}: {summary}", path.display()),
-                Err(msg) => {
-                    eprintln!("check failed: {}: {msg}", path.display());
-                    code = ExitCode::from(1);
-                }
-            }
+    let (command, args) = match parse(std::env::args().skip(1), COMMANDS) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("bench_suite: {e}");
+            return ExitCode::from(2);
         }
-        return code;
-    }
-
-    if let Some((current, baseline)) = &args.compare {
-        let cur = match load_report(current) {
-            Ok(r) => r,
-            Err(msg) => die(&msg),
-        };
-        let base = match load_report(baseline) {
-            Ok(r) => r,
-            Err(msg) => die(&msg),
-        };
-        warn_mode_mismatch(&cur, &base);
-        return report_comparison(&compare(&cur, &base, args.tolerance), args.tolerance);
-    }
-
-    if let Some(path) = &args.ledger_check {
-        return run_ledger_check(path, args.tolerance);
-    }
-
-    if let Some(path) = &args.ledger_report {
-        let entries = match read_ledger(path) {
-            Ok(e) => e,
-            Err(e) => die(&format!("{e}")),
-        };
-        print!("{}", render_report(&entries));
-        return ExitCode::SUCCESS;
-    }
-
-    // --- run mode ---
-    let cfg = SuiteConfig {
-        label: args.label.clone(),
-        quick: args.quick,
-        repeats: args.repeats.unwrap_or_else(|| default_repeats(args.quick)),
     };
+    match (command.run)(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("bench_suite {}: {e}", command.name);
+            ExitCode::from(if e.is::<Usage>() { 2 } else { 1 })
+        }
+    }
+}
+
+/// `run`: the suite, its report, and the optional trace, plan records and
+/// ledger line.
+fn run(args: &Args) -> Outcome {
+    let cfg = SuiteConfig::new(&args.label, args.quick);
     eprintln!(
         "running {} suite ({} repeats per case)...",
         if cfg.quick { "quick" } else { "full" },
         cfg.repeats
     );
-    let report = match run_suite(&cfg) {
-        Ok(r) => r,
-        Err(e) => die(&format!("suite failed: {e}")),
-    };
+    let report = run_suite(&cfg)?;
     for case in &report.cases {
         println!(
             "{:<28} median {:>12.0} ns  (min {:.0}, max {:.0})",
@@ -233,33 +158,21 @@ fn main() -> ExitCode {
     if let Some(parent) = out.parent() {
         std::fs::create_dir_all(parent).ok();
     }
-    if let Err(e) = report.write(&out) {
-        die(&format!("{e}"));
-    }
+    report.write(&out)?;
     eprintln!("bench report written to {}", out.display());
 
     if let Some(path) = &args.trace_out {
-        if let Err(e) = emit_trace(path) {
-            die(&format!("trace export failed: {e}"));
-        }
+        emit_trace(path)?;
     }
 
     // The plan records feed both the report artifact and the ledger
     // digest; compute them once when either consumer is enabled.
     if args.report_out.is_some() || args.ledger.is_some() {
-        let plans = match plan_records(&args.label) {
-            Ok(r) => r,
-            Err(e) => die(&format!("plan records failed: {e}")),
-        };
+        let plans = plan_records(&args.label)?;
         print!("{}", plans.render_calibration());
-        match plans.render_scorecard() {
-            Ok(table) => print!("{table}"),
-            Err(e) => die(&format!("hierarchy scorecard: {e}")),
-        }
+        print!("{}", plans.render_scorecard()?);
         if let Some(path) = &args.report_out {
-            if let Err(e) = plans.write(path) {
-                die(&format!("plan report: {e}"));
-            }
+            plans.write(path)?;
             eprintln!(
                 "plan report written to {} ({} records)",
                 path.display(),
@@ -268,9 +181,7 @@ fn main() -> ExitCode {
         }
         if let Some(path) = &args.ledger {
             let entry = LedgerEntry::from_report(&report, &plans);
-            if let Err(e) = append_entry(path, &entry) {
-                die(&format!("ledger append: {e}"));
-            }
+            append_entry(path, &entry)?;
             eprintln!(
                 "ledger entry appended to {} ({} cases, {} attribution digests)",
                 path.display(),
@@ -279,21 +190,47 @@ fn main() -> ExitCode {
             );
         }
     }
+    Ok(())
+}
 
-    if let Some(baseline) = &args.baseline {
-        let base = match load_report(baseline) {
-            Ok(r) => r,
-            Err(msg) => die(&msg),
-        };
-        warn_mode_mismatch(&report, &base);
-        return report_comparison(&compare(&report, &base, args.tolerance), args.tolerance);
+/// `check`: validates each artifact, failing if any is invalid.
+fn check(args: &Args) -> Outcome {
+    let mut failed = 0;
+    for path in &args.positional {
+        match check_artifact(Path::new(path)) {
+            Ok(summary) => println!("ok: {path}: {summary}"),
+            Err(msg) => {
+                eprintln!("check failed: {path}: {msg}");
+                failed += 1;
+            }
+        }
     }
-    ExitCode::SUCCESS
+    match failed {
+        0 => Ok(()),
+        _ => Err(format!("{failed} of {} artifacts failed", args.positional.len()).into()),
+    }
+}
+
+/// `compare <current> <baseline>`: two stored `ddl-bench` reports.
+fn compare_reports(args: &Args) -> Outcome {
+    let current = load_report(Path::new(&args.positional[0]))?;
+    let baseline = load_report(Path::new(&args.positional[1]))?;
+    warn_mode_mismatch(&current, &baseline);
+    report_comparison(&compare(&current, &baseline, DEFAULT_TOLERANCE))
+}
+
+/// `ledger-report <path>`: the ledger's per-case trend table.
+fn ledger_report(args: &Args) -> Outcome {
+    print!(
+        "{}",
+        render_report(&read_ledger(Path::new(&args.positional[0]))?)
+    );
+    Ok(())
 }
 
 /// Comparing a quick run against a full baseline (or vice versa) is
 /// usually a CI misconfiguration: the case sets only partially overlap
-/// and the repeat counts differ. Warn, but still compare — `--compare`
+/// and the repeat counts differ. Warn, but still compare — `compare`
 /// stays usable for ad-hoc questions.
 fn warn_mode_mismatch(current: &BenchReport, baseline: &BenchReport) {
     if current.quick != baseline.quick {
@@ -354,14 +291,11 @@ fn plan_records(label: &str) -> Result<Report, ddl_num::DdlError> {
     Ok(report)
 }
 
-/// Reads and validates a trajectory ledger; regressions between
-/// consecutive comparable entries fail the process.
-fn run_ledger_check(path: &Path, tolerance: f64) -> ExitCode {
-    let entries = match read_ledger(path) {
-        Ok(e) => e,
-        Err(e) => die(&format!("{e}")),
-    };
-    let check = check_ledger(&entries, tolerance);
+/// `ledger-check <path>`: reads and validates a trajectory ledger;
+/// regressions between consecutive comparable entries fail the process.
+fn ledger_check(args: &Args) -> Outcome {
+    let path = Path::new(&args.positional[0]);
+    let check = check_ledger(&read_ledger(path)?, DEFAULT_TOLERANCE);
     for r in &check.regressions {
         println!(
             "LEDGER REGRESSION {:<28} {:>12.0} ns -> {:>12.0} ns  ({:+.1}%, host drift {:.2}x)  [{} -> {}]",
@@ -381,17 +315,15 @@ fn run_ledger_check(path: &Path, tolerance: f64) -> ExitCode {
         check.compared,
         check.skipped
     );
-    if check.passed() {
-        println!("ledger check passed (tolerance {:.0}%)", tolerance * 100.0);
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "ledger check FAILED: {} regressions (tolerance {:.0}%)",
-            check.regressions.len(),
-            tolerance * 100.0
+    let tolerance = DEFAULT_TOLERANCE * 100.0;
+    if !check.passed() {
+        let n = check.regressions.len();
+        return Err(
+            format!("ledger check FAILED: {n} regressions (tolerance {tolerance:.0}%)").into(),
         );
-        ExitCode::from(1)
     }
+    println!("ledger check passed (tolerance {tolerance:.0}%)");
+    Ok(())
 }
 
 /// Plans and profiles one instrumented DFT, exporting the recorded
@@ -431,8 +363,8 @@ fn load_report(path: &Path) -> Result<BenchReport, String> {
     BenchReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Prints a comparison and converts it to the process exit code.
-fn report_comparison(cmp: &Comparison, tolerance: f64) -> ExitCode {
+/// Prints a comparison; regressions or missing cases fail it.
+fn report_comparison(cmp: &Comparison) -> Outcome {
     for r in &cmp.regressions {
         println!(
             "REGRESSION {:<28} {:>12.0} ns -> {:>12.0} ns  ({:+.1}%)",
@@ -457,23 +389,21 @@ fn report_comparison(cmp: &Comparison, tolerance: f64) -> ExitCode {
     for id in &cmp.added {
         println!("added      {id} (not in baseline)");
     }
-    if cmp.passed() {
-        println!(
-            "baseline comparison passed (tolerance {:.0}%, {} improvements, {} new cases)",
-            tolerance * 100.0,
-            cmp.improvements.len(),
-            cmp.added.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "baseline comparison FAILED: {} regressions, {} missing cases (tolerance {:.0}%)",
+    let tolerance = DEFAULT_TOLERANCE * 100.0;
+    if !cmp.passed() {
+        return Err(format!(
+            "baseline comparison FAILED: {} regressions, {} missing cases (tolerance {tolerance:.0}%)",
             cmp.regressions.len(),
             cmp.missing.len(),
-            tolerance * 100.0
-        );
-        ExitCode::from(1)
+        )
+        .into());
     }
+    println!(
+        "baseline comparison passed (tolerance {tolerance:.0}%, {} improvements, {} new cases)",
+        cmp.improvements.len(),
+        cmp.added.len()
+    );
+    Ok(())
 }
 
 /// Validates one artifact through the shared `ddl-core` dispatcher
@@ -524,5 +454,117 @@ fn check_artifact(path: &Path) -> Result<String, String> {
             ))
         }
         CheckedReport::Unknown { schema } => Err(format!("$.schema: unknown schema {schema:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<(&'static Command, Args), Usage> {
+        parse(line.split_whitespace().map(String::from), COMMANDS)
+    }
+
+    fn refused(line: &str) -> String {
+        match parse_line(line) {
+            Err(Usage(msg)) => msg,
+            Ok(_) => panic!("{line:?} parsed"),
+        }
+    }
+
+    #[test]
+    fn every_flag_each_subcommand_lists_parses() {
+        for command in COMMANDS {
+            assert_eq!(
+                COMMANDS.iter().filter(|c| c.name == command.name).count(),
+                1,
+                "{} is listed twice",
+                command.name
+            );
+            let operands = " x".repeat(*command.positional.start());
+            for flag in command.flags {
+                let line = match *flag {
+                    "--quick" => format!("{} {flag}{operands}", command.name),
+                    _ => format!("{} {flag} 12{operands}", command.name),
+                };
+                let (parsed, _) = parse_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(parsed.name, command.name);
+            }
+        }
+        let (_, args) = parse_line("tlb_ablation --quick --max-log-n 15 --out t.txt").unwrap();
+        assert!(args.quick);
+        assert_eq!(args.max_log, Some(15));
+        assert_eq!(args.out, Some(PathBuf::from("t.txt")));
+        let (_, args) = parse_line("check a.json b.jsonl").unwrap();
+        assert_eq!(args.positional, ["a.json", "b.jsonl"]);
+    }
+
+    #[test]
+    fn unknown_subcommands_are_usage_errors() {
+        assert!(refused("").contains("missing subcommand"));
+        assert!(refused("fig12").contains("unknown subcommand"));
+        assert!(refused("--check x").contains("unknown subcommand"));
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_refused() {
+        for line in [
+            "fig9 --metrics-out x",
+            "table1 --metrics-out x",
+            "fig10 --max-log-n 12",
+            "platform --quick",
+            "check --quick a.json",
+        ] {
+            assert!(refused(line).contains("does not take"), "{line}");
+        }
+    }
+
+    #[test]
+    fn removed_settings_are_refused() {
+        for line in [
+            "tlb_ablation --emit",
+            "tlb_ablation --render",
+            "run --tolerance 0.1",
+            "run --repeats 3",
+            "run --baseline results/bench_baseline.json",
+        ] {
+            assert!(refused(line).contains("does not take"), "{line}");
+        }
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_refused() {
+        assert!(refused("fig9 --max-log-n").contains("needs a value"));
+        assert!(refused("run --label --quick").contains("needs a value"));
+        assert!(refused("obs_smoke --check").contains("needs a value"));
+        for k in ["0", "27", "-3", "twelve"] {
+            assert!(refused(&format!("table2 --max-log-n {k}")).contains("1..=26"));
+        }
+    }
+
+    #[test]
+    fn positional_counts_are_checked() {
+        assert!(refused("compare a.json").contains("takes 2"));
+        assert!(refused("compare a b c").contains("takes 2"));
+        assert!(refused("check").contains("at least 1"));
+        assert!(refused("probe").contains("at least 1"));
+        assert!(refused("fig9 extra").contains("takes 0"));
+    }
+
+    #[test]
+    fn values_a_subcommand_cannot_run_are_usage_errors() {
+        // table1 has no candidate trees and the TLB ablation no rows
+        // below 2^14; obs_smoke either emits or checks a report; probe
+        // refuses a malformed tree before timing anything.
+        for line in [
+            "table1 --max-log-n 13",
+            "tlb_ablation --max-log-n 13",
+            "obs_smoke --metrics-out a.json --check b.json",
+            "probe ct(64,",
+        ] {
+            let (command, args) = parse_line(line).unwrap();
+            let err = (command.run)(&args).unwrap_err();
+            assert!(err.is::<Usage>(), "{line}: {err}");
+        }
     }
 }

@@ -499,6 +499,10 @@ mod tests {
     use crate::faultpoint::FaultMode;
     use std::thread;
 
+    // Planning a miss probes `engine.shard.poison`, so every test that
+    // plans holds the fault-point lock: a test that consumed another
+    // test's armed fault would quarantine its own shard.
+
     fn engine() -> Engine {
         Engine::new(EngineConfig {
             shards: 4,
@@ -508,6 +512,7 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_after_first_compile() {
+        let _faults = faultpoint::exclusive();
         let eng = engine();
         let a = eng.plan(PlanKey::dft(256, Strategy::Ddl)).unwrap();
         let b = eng.plan(PlanKey::dft(256, Strategy::Ddl)).unwrap();
@@ -523,6 +528,7 @@ mod tests {
 
     #[test]
     fn sessions_share_one_engine_cache() {
+        let _faults = faultpoint::exclusive();
         let eng = engine();
         let x = vec![Complex64::ONE; 64];
         let mut y = vec![Complex64::ZERO; 64];
@@ -540,6 +546,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_agree_and_cache_once() {
+        let _faults = faultpoint::exclusive();
         let eng = engine();
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -591,10 +598,10 @@ mod tests {
 
     #[test]
     fn poisoned_shard_quarantines_and_engine_keeps_serving() {
+        let _faults = faultpoint::exclusive();
         let eng = engine();
         let key = PlanKey::dft(64, Strategy::Ddl);
         {
-            let _guard = faultpoint::exclusive();
             let _fault = faultpoint::arm(7, &[("engine.shard.poison", FaultMode::Once(0))]);
             // First plan: insert panics inside the write guard → shard
             // poisoned → quarantined. The plan call itself still succeeds
@@ -620,6 +627,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_reported() {
+        let _faults = faultpoint::exclusive();
         let eng = engine();
         let mut s = eng.session();
         let x = vec![Complex64::ONE; 16];

@@ -28,21 +28,11 @@
 //! Instrumented entry points are additive: `try_plan_dft_with`,
 //! `DftPlan::try_profile_with`, `Wisdom::load_with`, … sit next to their
 //! uninstrumented originals, which delegate with [`NullSink`].
-//!
-//! Benchmark binaries write reports behind a `--metrics-out <path>` flag,
-//! which defaults to the [`METRICS_OUT_ENV`] environment variable (see
-//! [`env_metrics_out`]).
 
 use crate::tree::Tree;
 use ddl_cachesim::MemoryTracer;
 use ddl_num::DdlError;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-
-/// Name of the environment variable that names a file to write a
-/// `ddl-report` to: the bench binaries treat it as the default for
-/// `--metrics-out`.
-pub const METRICS_OUT_ENV: &str = "DDL_METRICS_OUT";
 
 /// Execution stage classification, mirroring the terms of the paper's
 /// Eq. (2)/(3): leaf computation (`T_left`/`T_right` bottom out in leaf
@@ -724,15 +714,6 @@ pub fn tree_leaf_flops(tree: &Tree, dft: bool) -> u64 {
             l.saturating_mul(right.size() as u64)
                 .saturating_add(r.saturating_mul(left.size() as u64))
         }
-    }
-}
-
-/// The metrics output path requested through the environment, if any
-/// (the [`METRICS_OUT_ENV`] variable, ignored when empty).
-pub fn env_metrics_out() -> Option<PathBuf> {
-    match std::env::var_os(METRICS_OUT_ENV) {
-        Some(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => None,
     }
 }
 

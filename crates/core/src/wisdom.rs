@@ -486,6 +486,10 @@ impl Wisdom {
 mod tests {
     use super::*;
 
+    // `load` and `save` probe `wisdom.load.corrupt` and `wisdom.save.io`,
+    // so every test that reads or writes a store file holds the
+    // fault-point lock the injected-fault tests arm under.
+
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ddl-wisdom-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -507,6 +511,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
+        let _x = crate::faultpoint::exclusive();
         let dir = temp_dir("test");
         let path = dir.join("wisdom.json");
 
@@ -544,6 +549,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_an_error() {
+        let _x = crate::faultpoint::exclusive();
         let dir = temp_dir("bad");
         let path = dir.join("bad.json");
         std::fs::write(&path, "{ not json").unwrap();
@@ -643,6 +649,7 @@ mod tests {
 
     #[test]
     fn save_is_atomic_under_failed_rename() {
+        let _x = crate::faultpoint::exclusive();
         // Renaming onto a directory fails; the original temp must be
         // cleaned up and no partial target produced.
         let dir = temp_dir("atomic");
@@ -680,6 +687,7 @@ mod tests {
     #[test]
     fn racing_saves_never_corrupt_the_store() {
         use std::sync::Arc;
+        let _x = crate::faultpoint::exclusive();
 
         let dir = temp_dir("race");
         let path = Arc::new(dir.join("wisdom.json"));

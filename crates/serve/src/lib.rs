@@ -1003,6 +1003,12 @@ mod tests {
     use super::*;
     use ddl_core::faultpoint::FaultMode;
 
+    // Submitting, dequeuing, executing and planning all pass fault points
+    // (`serve.queue.full`, `serve.dequeue.slow`, `serve.worker.panic`,
+    // `engine.shard.poison`, `scheduler.spawn`), so every test that
+    // serves a request holds the fault-point lock: otherwise it can
+    // consume a one-shot fault another test armed, and both fail.
+
     fn small(workers: usize, capacity: usize) -> ServiceConfig {
         ServiceConfig {
             workers,
@@ -1065,8 +1071,6 @@ mod tests {
 
     #[test]
     fn saturated_queue_sheds_with_typed_overload() {
-        // Serialize with the tests that arm `serve.queue.full`: an armed
-        // fault would shed this test's first submissions.
         let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 2));
         let t1 = svc.submit("exec dft 64 sdl").expect("slot 1");
@@ -1089,6 +1093,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_shed_at_dequeue() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         let t = svc
             .submit("exec dft 64 sdl deadline_ms=0")
@@ -1103,6 +1108,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_never_take_a_queue_slot() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 1));
         assert!(svc.submit("exec dft ct(").is_err());
         assert!(svc.submit("plan dft ten ddl").is_err());
@@ -1144,6 +1150,7 @@ mod tests {
 
     #[test]
     fn worker_pool_serves_and_conserves() {
+        let _x = faultpoint::exclusive();
         let svc = Service::start(small(2, 32));
         let tickets: Vec<Ticket> = (0..16)
             .map(|i| {
@@ -1166,6 +1173,7 @@ mod tests {
 
     #[test]
     fn degraded_zero_worker_mode_serves_inline() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         let line = svc.handle("exec wht 128 sdl");
         assert!(line.starts_with("ok exec wht n=128 dc=128"), "got {line}");
@@ -1175,6 +1183,7 @@ mod tests {
 
     #[test]
     fn plan_command_caches_in_the_engine() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         let first = svc.handle("plan dft 256 ddl");
         assert!(first.contains("cached=false"), "got {first}");
@@ -1185,6 +1194,7 @@ mod tests {
 
     #[test]
     fn exec_expr_runs_the_given_tree() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         let line = svc.handle("exec dft ct(16, ct(16, 16))");
         assert!(line.starts_with("ok exec dft n=4096 dc=4096"), "got {line}");
@@ -1208,6 +1218,7 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_conserves_outcomes_when_quiesced() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         for line in ["plan dft 64 sdl", "exec dft 64 sdl", "exec wht 32 sdl"] {
             assert!(svc.handle(line).starts_with("ok "), "line {line:?}");
@@ -1244,13 +1255,13 @@ mod tests {
 
     #[test]
     fn flight_capsules_attribute_phases_to_the_request() {
+        let _x = faultpoint::exclusive();
         let svc = Service::without_workers(small(0, 8));
         let dir = std::env::temp_dir().join(format!("ddl-serve-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let out = dir.join("flight.jsonl");
         svc.set_flight_out(Some(out.clone()));
         {
-            let _x = faultpoint::exclusive();
             let _g = faultpoint::arm(5, &[("serve.worker.panic", FaultMode::Once(0))]);
             let t = svc.submit("exec dft 64 sdl").expect("admitted");
             assert!(svc.process_one());

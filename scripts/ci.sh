@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable locally and offline (the workspace has no
 # registry dependencies — rand/proptest/criterion are vendored path
-# crates). This is the same sequence .github/workflows/ci.yml runs.
+# crates). .github/workflows/ci.yml runs this script as its gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +9,11 @@ run() {
     echo
     echo "==> $*"
     "$@"
+}
+
+# `bench <subcommand> [flags]` runs the one binary of ddl-bench.
+bench() {
+    cargo run --release -q -p ddl-bench --bin bench_suite -- "$@"
 }
 
 run cargo fmt --all -- --check
@@ -47,8 +52,7 @@ if [ "$triggers" -lt 3 ]; then
     echo "error: flight recorder covers only $triggers dump triggers (need >= 3)"
     exit 1
 fi
-run cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --check target/flight-chaos.jsonl
+run bench check target/flight-chaos.jsonl
 
 # Kernel conformance (DESIGN.md §11): every planned tree, on the
 # kernels the executor picks for this host, against a walk of the same
@@ -69,8 +73,8 @@ fi
 
 # Observability smoke: emit a ddl-report from an instrumented run, then
 # validate the schema and its structural invariants.
-run cargo run --release -q -p ddl-bench --bin obs_smoke -- --metrics-out target/metrics-smoke.json
-run cargo run --release -q -p ddl-bench --bin obs_smoke -- --check target/metrics-smoke.json
+run bench obs_smoke --metrics-out target/metrics-smoke.json
+run bench obs_smoke --check target/metrics-smoke.json
 
 # Service telemetry smoke: drive a scripted mixed plan/exec session
 # through the oneshot server with a worker panic and a slow dequeue
@@ -99,8 +103,7 @@ printf '%s\n' \
 grep -q '"trigger":"panic"' target/flight-serve.jsonl
 grep -q '"trigger":"deadline"' target/flight-serve.jsonl
 grep -q '^ddl_serve_accepted' target/serve-smoke.out
-telemetry_check=$(cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --check target/telemetry-serve.json --check target/flight-serve.jsonl)
+telemetry_check=$(bench check target/telemetry-serve.json target/flight-serve.jsonl)
 echo "$telemetry_check"
 echo "$telemetry_check" | grep -q 'quiesced=1'
 # One response line per request, except `telemetry text`, whose response
@@ -122,13 +125,10 @@ fi
 # schema-validated, the self-comparison is a hard gate (it must always
 # pass), and the committed baseline comparison is a soft gate:
 # cross-host timing drift warns instead of failing the build.
-run cargo run --release -q -p ddl-bench --bin bench_suite -- --quick --label ci \
+run bench run --quick --label ci \
     --out target/BENCH_ci.json --report-out target/report-ci.json \
     --trace-out target/trace-ci.json --ledger results/trajectory.jsonl
-run cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --check target/BENCH_ci.json \
-    --check target/report-ci.json \
-    --check target/trace-ci.json
+run bench check target/BENCH_ci.json target/report-ci.json target/trace-ci.json
 
 # TLB ablation regeneration: emit the ddl-report artifact for the
 # table-sized plans (--quick: 2^14..2^16), validate it, render the
@@ -139,10 +139,9 @@ run cargo run --release -q -p ddl-bench --bin bench_suite -- \
 # access moved.
 echo
 echo "==> TLB ablation regeneration"
-run cargo run --release -q -p ddl-bench --bin tlb_ablation -- --quick \
+run bench tlb_ablation --quick \
     --artifact target/tlb-ablation-ci.json --out target/tlb_ablation_ci.txt
-run cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --check target/tlb-ablation-ci.json
+run bench check target/tlb-ablation-ci.json
 # --quick renders 2^14..2^16: header (2 lines) + 3 rows = 5 overlapping
 # lines with the committed full table.
 if ! diff <(head -n 5 results/tlb_ablation.txt) \
@@ -156,37 +155,46 @@ fi
 # the committed tables, and the associativity ablation all of its table.
 echo
 echo "==> simulated paper tables regeneration"
-run cargo build --release -q -p ddl-bench --bin fig9 --bin table2 --bin assoc
-if ! diff <(head -n 8 results/fig9.txt) <(target/release/fig9 --quick | head -n 8); then
+if ! diff <(head -n 8 results/fig9.txt) <(bench fig9 --quick | head -n 8); then
     echo "error: regenerated Fig. 9 rows differ from results/fig9.txt"
     exit 1
 fi
-if ! diff <(head -n 7 results/table2.txt) <(target/release/table2 --quick | head -n 7); then
+if ! diff <(head -n 7 results/table2.txt) <(bench table2 --quick | head -n 7); then
     echo "error: regenerated Table II rows differ from results/table2.txt"
     exit 1
 fi
-if ! diff results/assoc.txt <(target/release/assoc); then
+if ! diff results/assoc.txt <(bench assoc); then
     echo "error: regenerated associativity ablation differs from results/assoc.txt"
     exit 1
 fi
 
-run cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --compare target/BENCH_ci.json target/BENCH_ci.json
+# Every other subcommand, once each at a small size: each must exit 0,
+# and the Fig. 11 plan report must validate.
+echo
+echo "==> remaining bench subcommands"
+run bench fig10 --quick
+run bench table1 --quick --max-log-n 14
+run bench fig11_fft --quick --max-log-n 12 --metrics-out target/fig11-ci.json
+run bench check target/fig11-ci.json
+run bench fig15_wht --quick --max-log-n 12
+run bench table5 --quick --max-log-n 10
+run bench table6 --quick --max-log-n 10
+run bench platform
+run bench probe 'ctddl(64,64)'
+
+run bench compare target/BENCH_ci.json target/BENCH_ci.json
 
 # Longitudinal ledger: every entry (including the one just appended) must
 # parse, and no consecutive same-environment pair may have regressed. The
 # rendered trend table is archived as a human-readable artifact.
-run cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --ledger-check results/trajectory.jsonl
+run bench ledger-check results/trajectory.jsonl
 echo
 echo "==> trajectory trend report"
-cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --ledger-report results/trajectory.jsonl | tee target/trajectory-report.md | head -n 6
+bench ledger-report results/trajectory.jsonl | tee target/trajectory-report.md | head -n 6
 
 echo
 echo "==> bench baseline comparison (soft gate)"
-cargo run --release -q -p ddl-bench --bin bench_suite -- \
-    --compare target/BENCH_ci.json results/bench_baseline.json \
+bench compare target/BENCH_ci.json results/bench_baseline.json \
     || echo "warning: benchmark trajectory drifted from results/bench_baseline.json (soft gate)"
 
 # Static analysis gate: workspace lint (panic discipline, forbid(unsafe),

@@ -11,12 +11,12 @@ MAX_LOG_N="${1:-22}"
 QUICK="${2:-}"
 
 mkdir -p results
-cargo build --release -p ddl-bench --bins
+cargo build --release -p ddl-bench --bin bench_suite
 
 run() {
     local name="$1"; shift
     echo "== $name =="
-    ./target/release/"$name" "$@" | tee "results/$name.txt"
+    ./target/release/bench_suite "$name" "$@" | tee "results/$name.txt"
     echo
 }
 
