@@ -24,7 +24,8 @@
 //! accumulate only down the left spine — exactly the stride structure of
 //! the paper's factorization trees (Fig. 4), with the final stride
 //! permutation of Eq. (1) folded into stage 2's strided writes
-//! (self-sorting) instead of a separate pass.
+//! (self-sorting) instead of a separate pass, except where an untraced
+//! run reorganizes (below).
 //!
 //! # Dynamic data layout
 //!
@@ -36,14 +37,21 @@
 //!   (`t2[i2·n1 + j1]`) instead of interleaved at stride `n2`;
 //! * after the twiddle pass, one **tiled (blocked) transpose** converts
 //!   `t2` into the `t[j1·n2 + i2]` layout stage 2 consumes at unit
-//!   stride.
+//!   stride;
+//! * in an untraced run (see *Observation*), the output permutation is
+//!   explicit too: stage 2 writes each of its `n1` sub-DFTs contiguously
+//!   into the spent `t2` (`t2[j1·n2 + j2]`), and a second tiled
+//!   transpose stores `t2` into `y[base + (j1 + n1·j2)·stride]`.
 //!
-//! The tiled transpose moves the same `n` points the interleaved writes
+//! A tiled transpose moves the same `n` points the interleaved accesses
 //! would, but touches each cache line `O(1)` times instead of once per
 //! point — it is the `Dr` term of the paper's Eq. (2), implemented with
-//! the `ddl-layout` primitives. A *leaf* flagged `reorg` gathers its
-//! strided input into contiguous scratch first (the paper's Fig. 6
-//! picture at leaf granularity).
+//! the `ddl-layout` primitives. Folded into stage 2's stores, the output
+//! permutation fetches and writes back each output line once per
+//! sub-DFT with a point on it; the tiled store does so once. Both
+//! transposes copy with the destination index innermost. A *leaf*
+//! flagged `reorg` gathers its strided input into contiguous scratch
+//! first (the paper's Fig. 6 picture at leaf granularity).
 //!
 //! # Scratch ownership
 //!
@@ -52,14 +60,17 @@
 //! (`t2` then `t`) when it reorganizes, and hands the rest to its
 //! children; a reorganizing leaf holds `scratch[..n]` (`r`). The
 //! executor and [`DftPlan::layout`] both read that carving, so the
-//! exported layout is the one execution uses. The
-//! executor **writes every scratch point before reading it**: stage 1
-//! fills all of `t` (or `t2`), the transpose fills all of `t`, and the
-//! leaf gather fills all of `r`, each before anything reads them. So the
-//! contents of the scratch passed in never reach the output, and the
-//! plan can hand its internally-allocating entry points a reused, dirty
-//! buffer from its `ScratchPool`. [`DftPlan::try_run`] remains the
-//! explicit-buffer API.
+//! exported layout is the one the traced executor uses. `t2` is dead
+//! once the transpose into `t` has read it, so an untraced run's output
+//! store reuses it: one more store, inside regions the layout already
+//! carves. The executor **writes every scratch point before reading
+//! it**: stage 1 fills all of `t` (or `t2`), the transpose fills all of
+//! `t`, stage 2 fills all of `t2` before the output transpose reads it,
+//! and the leaf gather fills all of `r`, each before anything reads
+//! them. So the contents of the scratch passed in never reach the
+//! output, and the plan can hand its internally-allocating entry points
+//! a reused, dirty buffer from its `ScratchPool`. [`DftPlan::try_run`]
+//! remains the explicit-buffer API.
 //!
 //! # Observation
 //!
@@ -73,6 +84,16 @@
 //! index, which can differ from the register-level order of the unrolled
 //! codelet; the touched line set per leaf is identical, which is the
 //! granularity the cache model observes.
+//!
+//! A traced run executes the paper's schedule: a reorganizing split's
+//! stage 2 stores straight into the output at stride `n1`, with no output
+//! transpose. The simulator, per-node attribution and
+//! [`DftPlan::layout`] therefore keep describing the paper's executor,
+//! as they keep the WHT's leaf order under lane batches; the two
+//! schedules write bit-identical outputs. Untraced runs, profiled ones
+//! included, add the output transpose: one more [`Stage::Reorg`] span of
+//! `n` points per reorganizing split. Each transpose emits its trace
+//! source row by source row within a tile, whatever order it copies in.
 //!
 //! # Kernels
 //!
@@ -409,9 +430,10 @@ impl DftPlan {
         self.root.scratch_need
     }
 
-    /// The execution layout ([`crate::layout`]) of one run with the input
-    /// read at `root_stride` and the output written at unit stride, from
-    /// index 0 of buffers of the minimal spans. Returns
+    /// The execution layout ([`crate::layout`]) of one traced run (module
+    /// docs, *Observation*) with the input read at `root_stride` and the
+    /// output written at unit stride, from index 0 of buffers of the
+    /// minimal spans. Returns
     /// [`DdlError::InvalidStride`] when those spans overflow the address
     /// space.
     pub fn layout(&self, root_stride: usize) -> Result<PlanLayout, DdlError> {
@@ -732,30 +754,54 @@ fn exec<O: Observer>(
             }
 
             // The reorganization Dr: tiled transpose of the n2 x n1
-            // row-major t2 into t[j1*n2 + i2].
-            let (t, t_addr): (&[Complex64], u64) = if node.reorg {
-                let t_addr = scr_addr + (n * DFT_POINT_BYTES) as u64;
+            // row-major t2 into t[j1*n2 + i2]. Past it t2 is spent: an
+            // untraced run takes it back as stage 2's output buffer.
+            let t_addr = scr_addr + ((node.held - n) * DFT_POINT_BYTES) as u64;
+            let (t, mut t2): (&[Complex64], Option<&mut [Complex64]>) = if node.reorg {
                 let t0 = stage_start::<O>();
-                transpose_traced(staged, t, n2, n1, scr_addr, t_addr, obs);
+                let tv = View {
+                    base: 0,
+                    stride: 1,
+                    addr: t_addr,
+                };
+                transpose(staged, scr_addr, t, tv, n2, n1, obs);
                 stage_end(obs, Stage::Reorg, t0, n as u64);
-                (t, t_addr)
+                (t, (!O::TRACE).then_some(staged))
             } else {
-                (staged, scr_addr)
+                (staged, None)
             };
 
-            // Stage 2: right child reads t at unit stride.
+            // Stage 2: right child reads t at unit stride and writes
+            // y[base + (j1 + n1*j2)*stride] — or, into t2, each sub-DFT
+            // contiguously (t2[j1*n2 + j2]).
             for j1 in 0..n1 {
                 let rv = View {
                     base: n2 * j1,
                     stride: 1,
                     addr: t_addr,
                 };
-                let yv = View {
-                    base: dv.base + j1 * dv.stride,
-                    stride: n1 * dv.stride,
-                    addr: dv.addr,
-                };
-                exec(right, dir, t, rv, y, yv, rest, rest_addr, tw_addr, obs);
+                if let Some(t2) = t2.as_deref_mut() {
+                    let wv = View {
+                        addr: scr_addr,
+                        ..rv
+                    };
+                    exec(right, dir, t, rv, t2, wv, rest, rest_addr, tw_addr, obs);
+                } else {
+                    let yv = View {
+                        base: dv.base + j1 * dv.stride,
+                        stride: n1 * dv.stride,
+                        addr: dv.addr,
+                    };
+                    exec(right, dir, t, rv, y, yv, rest, rest_addr, tw_addr, obs);
+                }
+            }
+
+            // The output permutation: tiled transpose of the n1 x n2
+            // row-major t2 into y[base + (j1 + n1*j2)*stride].
+            if let Some(t2) = t2 {
+                let t0 = stage_start::<O>();
+                transpose(t2, scr_addr, y, dv, n1, n2, obs);
+                stage_end(obs, Stage::Reorg, t0, n as u64);
             }
         }
     }
@@ -844,15 +890,17 @@ fn trace_twiddle<T: MemoryTracer>(n: usize, addr: u64, table_addr: u64, tr: &mut
 }
 
 /// Tiled out-of-place transpose of the `rows x cols` row-major `src` into
-/// `dst` (so `dst[c*rows + r] = src[r*cols + c]`), emitting the trace in
-/// the exact tile order the copy performs.
-fn transpose_traced<T: MemoryTracer>(
+/// the view `dv` of `dst` (so `dst[dv.base + (c*rows + r)*dv.stride] =
+/// src[r*cols + c]`). Each tile copies with the destination index
+/// innermost; the trace visits the tile's points source row by source
+/// row, the paper's order, which the simulator models.
+fn transpose<T: MemoryTracer>(
     src: &[Complex64],
+    src_addr: u64,
     dst: &mut [Complex64],
+    dv: View,
     rows: usize,
     cols: usize,
-    src_addr: u64,
-    dst_addr: u64,
     tr: &mut T,
 ) {
     let mut r0 = 0;
@@ -861,9 +909,9 @@ fn transpose_traced<T: MemoryTracer>(
         let mut c0 = 0;
         while c0 < cols {
             let c1 = (c0 + REORG_TILE).min(cols);
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    dst[c * rows + r] = src[r * cols + c];
+            for c in c0..c1 {
+                for r in r0..r1 {
+                    dst[dv.base + (c * rows + r) * dv.stride] = src[r * cols + c];
                 }
             }
             if T::ENABLED {
@@ -873,10 +921,7 @@ fn transpose_traced<T: MemoryTracer>(
                             src_addr + ((r * cols + c) * DFT_POINT_BYTES) as u64,
                             DFT_POINT_BYTES as u32,
                         );
-                        tr.write(
-                            dst_addr + ((c * rows + r) * DFT_POINT_BYTES) as u64,
-                            DFT_POINT_BYTES as u32,
-                        );
+                        tr.write(dv.elem_addr(c * rows + r), DFT_POINT_BYTES as u32);
                     }
                 }
             }

@@ -15,6 +15,11 @@
 //!   stride and model class from its record;
 //! * the simulation harness ([`crate::traced`]) sizes its regions from it.
 //!
+//! A DFT layout describes the traced executor, the paper's schedule. An
+//! untraced run of a reorganizing split adds one store inside regions
+//! the layout already carves: its output transpose from the node's `t2`
+//! into its write view (`dft.rs` module docs, *Observation*).
+//!
 //! A layout holds one [`NodeLayout`] per tree node, in executor order: a
 //! node before its subtree, DFT children left (stage 1) then right (stage
 //! 2), WHT children right (stage A) then left (stage B). A node that runs

@@ -44,7 +44,8 @@ pub enum Stage {
     /// The diagonal twiddle multiplication between DFT stages.
     Twiddle,
     /// Data reorganization: leaf gathers, WHT gather/scatter passes and
-    /// the DFT inter-stage tiled transpose.
+    /// the DFT tiled transposes (inter-stage, and output in untraced
+    /// runs).
     Reorg,
 }
 

@@ -38,7 +38,7 @@ pub use ddl_num::DdlError;
 pub use iterative::{try_fft_radix2, try_fft_radix2_inplace};
 pub use leaf::{dft_leaf_flops_est, dft_leaf_strided, MAX_LEAF_DFT};
 pub use naive::{naive_dft, naive_dft_strided};
-pub use twiddle_stage::{apply_twiddles, apply_twiddles_strided, twiddle_flops_est};
+pub use twiddle_stage::{apply_twiddles, twiddle_flops_est};
 pub use wht::{
     naive_wht, try_fwht_inplace, try_naive_wht, try_wht_leaf_strided, wht_lanes, wht_leaf_ops_est,
     wht_leaf_strided, MAX_LEAF_WHT, WHT_LANES,

@@ -21,29 +21,6 @@ pub fn apply_twiddles(buf: &mut [Complex64], base: usize, table: &TwiddleTable) 
     }
 }
 
-/// Strided variant: multiplies `buf[base + i*stride]` by factor `i`.
-///
-/// Used when a DDL plan keeps the intermediate in its original (strided)
-/// layout instead of compacting it.
-#[inline]
-pub fn apply_twiddles_strided(
-    buf: &mut [Complex64],
-    base: usize,
-    stride: usize,
-    table: &TwiddleTable,
-) {
-    if stride == 1 {
-        apply_twiddles(buf, base, table);
-        return;
-    }
-    let factors = table.as_slice();
-    let mut idx = base;
-    for &w in factors.iter() {
-        buf[idx] *= w;
-        idx += stride;
-    }
-}
-
 /// Estimated floating-point operations of a twiddle pass over `points`
 /// complex points: one complex multiply (6 flops) per point.
 pub fn twiddle_flops_est(points: usize) -> u64 {
@@ -81,27 +58,6 @@ mod tests {
         apply_twiddles(&mut buf, 0, &table);
         for b in &buf[..8] {
             assert_eq!(*b, Complex64::new(3.0, 4.0));
-        }
-    }
-
-    #[test]
-    fn strided_matches_contiguous() {
-        let table = TwiddleTable::new(4, 4, Direction::Inverse);
-        let values: Vec<Complex64> = (0..16)
-            .map(|i| Complex64::new((i as f64).sin(), (i as f64).cos()))
-            .collect();
-
-        let mut contiguous = values.clone();
-        apply_twiddles(&mut contiguous, 0, &table);
-
-        // lay the same values out at stride 3
-        let mut strided = vec![Complex64::ZERO; 16 * 3];
-        for (i, &v) in values.iter().enumerate() {
-            strided[i * 3] = v;
-        }
-        apply_twiddles_strided(&mut strided, 0, 3, &table);
-        for i in 0..16 {
-            assert!((strided[i * 3] - contiguous[i]).abs() < 1e-15);
         }
     }
 

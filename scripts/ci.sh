@@ -20,10 +20,11 @@ run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --workspace --release
 run cargo test --workspace -q
-# LLVM vectorizes the WHT butterfly loop and lane batches only in
-# optimized builds: pin their outputs bit for bit, and the simulated
-# stream exactly, there too.
+# LLVM vectorizes the WHT butterfly loop and lane batches, and the AVX2
+# DFT kernels run, only in optimized builds: pin their outputs bit for
+# bit, and the simulated stream exactly, there too.
 run cargo test --release -q --test differential wht_execution_is_bit_identical_to_leaf_at_a_time
+run cargo test --release -q --test differential dft_untraced_execution_is_bit_identical_to_the_traced_schedule
 run cargo test --release -q --test simulation wht_simulated_stream_stays_leaf_ordered_under_lane_batches
 
 # Chaos suite: the deterministic fault-injection harness under a pinned

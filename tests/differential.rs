@@ -12,6 +12,8 @@
 //! References: the O(n^2) naive DFT where affordable, the iterative
 //! radix-2 FFT above it, and the in-place fast WHT.
 
+use dynamic_data_layout::cachesim::{CountingTracer, MemoryTracer};
+use dynamic_data_layout::core::obs::Candidate;
 use dynamic_data_layout::kernels::iterative::fft_radix2;
 use dynamic_data_layout::kernels::naive_dft;
 use dynamic_data_layout::kernels::wht::fwht_inplace;
@@ -263,6 +265,84 @@ fn wht_execution_is_bit_identical_to_leaf_at_a_time() {
     let mut want = x;
     leaf_at_a_time_wht(plan.tree(), &mut want, base, stride);
     assert_bits(&got, &want, "strided root view");
+}
+
+/// A counting tracer as an observer: its trace half turns on the traced
+/// executor, which keeps the paper's stage-2 stores.
+#[derive(Default)]
+struct Counting(CountingTracer);
+
+impl MemoryTracer for Counting {
+    fn read(&mut self, addr: u64, bytes: u32) {
+        self.0.read(addr, bytes);
+    }
+
+    fn write(&mut self, addr: u64, bytes: u32) {
+        self.0.write(addr, bytes);
+    }
+}
+
+impl Sink for Counting {
+    const ENABLED: bool = false;
+
+    fn counter(&mut self, _counter: Counter, _delta: u64) {}
+
+    fn stage(&mut self, _stage: Stage, _nanos: u64, _points: u64) {}
+
+    fn candidate(&mut self, _candidate: Candidate) {}
+}
+
+/// The whole output buffer of one run reading `x[1 + 3i]` and writing
+/// `y[1 + 2j]`, with output and scratch NaN-filled beforehand.
+fn strided_dft_bits<O: Observer>(plan: &DftPlan, x: &[Complex64], obs: &mut O) -> Vec<(u64, u64)> {
+    let nan = Complex64::new(f64::NAN, f64::NAN);
+    let mut y = vec![nan; 2 + 2 * plan.n()];
+    let mut scratch = vec![nan; plan.scratch_len()];
+    let views = DftViews::new(x, &mut y).input_at(1, 3).output_at(1, 2);
+    plan.try_run(views, &mut scratch, obs).unwrap();
+    for j in 0..plan.n() {
+        assert!(y[1 + 2 * j].re.is_finite(), "{} at {j}", plan.tree());
+    }
+    y.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
+/// An untraced run stores a reorganizing split's stage 2 contiguously
+/// into its spent `t2` and transposes that into the output; a traced run
+/// stores it at stride `n1`. Both write the same bits, and no others, on
+/// every tree of `tests/stale_scratch.rs` and the planner's 2^16 DDL
+/// tree, in both directions, on offset and strided views.
+#[test]
+fn dft_untraced_execution_is_bit_identical_to_the_traced_schedule() {
+    let mut trees: Vec<Tree> = [
+        "ct(16, ct(8, 8))",
+        "ct(ct(4, 4), ct(4, 8))",
+        "ctddl(16, 16)",
+        "ct(ddl(8), ct(8, 4))",
+        "ct(ctddl(4, 8), ddl(8))",
+        "ctddl(ctddl(8, 8), ct(4, 4))",
+        "ctddl(ctddl(ctddl(ddl(4), 4), ddl(4)), ddl(8))",
+        "ctddl(ddl(16), ctddl(ddl(8), ctddl(4, 4)))",
+        "ctddl(ddl(6), ct(5, 4))",
+    ]
+    .iter()
+    .map(|e| parse_tree(e).unwrap())
+    .collect();
+    let planned = try_plan_dft(1 << 16, &PlannerConfig::ddl_analytical())
+        .unwrap()
+        .tree;
+    assert!(planned.reorg(), "{planned}");
+    trees.push(planned);
+    for tree in trees {
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let plan = DftPlan::new(tree.clone(), dir).unwrap();
+            let x = signal(3 * plan.n(), 5);
+            let mut traced = Counting::default();
+            let want = strided_dft_bits(&plan, &x, &mut traced);
+            assert!(traced.0.total() > 0, "{tree}: nothing traced");
+            let got = strided_dft_bits(&plan, &x, &mut NullSink);
+            assert!(got == want, "{tree} {dir:?}: untraced output differs");
+        }
+    }
 }
 
 proptest! {
