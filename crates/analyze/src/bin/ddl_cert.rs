@@ -1,11 +1,10 @@
 //! `ddl-cert`: machine-checkable certificate gate (xtask-style).
 //!
-//! Default mode runs all three verification passes (unsafe-pointer
-//! proof over `arch.rs`, lock-order graph vs. the pinned golden,
-//! static ulp error bounds) plus the seeded-mutation self-test, writes
-//! the versioned `ddl-cert` document, and exits non-zero if any pass
-//! fails. `--check` re-validates an existing document without
-//! re-running the proofs. `--demo-mutation` seeds one known violation
+//! Default mode runs both verification passes (lock-order graph vs.
+//! the pinned golden, static ulp error bounds), writes the versioned
+//! `ddl-cert` document, and exits non-zero if either pass fails.
+//! `--check` re-validates an existing document without re-running the
+//! proofs. `--demo-mutation lock-inversion` seeds one known violation
 //! and exits zero only if the verifier catches it — CI runs it
 //! expecting *failure to certify*, proving the gate can fail.
 //!
@@ -13,13 +12,11 @@
 //! cargo run --release -p ddl-analyze --bin ddl_cert
 //! cargo run --release -p ddl-analyze --bin ddl_cert -- --out target/cert-report.json
 //! cargo run --release -p ddl-analyze --bin ddl_cert -- --check target/cert-report.json
-//! cargo run --release -p ddl-analyze --bin ddl_cert -- --demo-mutation ptr-off-by-one
 //! cargo run --release -p ddl-analyze --bin ddl_cert -- --demo-mutation lock-inversion
 //! ```
 
 use ddl_analyze::cert;
 use ddl_analyze::locks;
-use ddl_analyze::ptr::{self, MutationKind, PtrMutation};
 use ddl_analyze::{AnalysisReport, Severity};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +43,7 @@ fn main() -> ExitCode {
             },
             "--demo-mutation" => match args.next() {
                 Some(v) => demo = Some(v),
-                None => return usage("--demo-mutation needs ptr-off-by-one | lock-inversion"),
+                None => return usage("--demo-mutation needs lock-inversion"),
             },
             other => return usage(&format!("unknown argument {other}")),
         }
@@ -86,16 +83,11 @@ fn main() -> ExitCode {
         return match cert::check_cert_text(&text) {
             Ok(s) => {
                 eprintln!(
-                    "ddl-cert: {} valid — {} sites / {} kernels certified, \
-                     {} lock classes / {} edges acyclic, {} bounds, \
-                     {} mutations caught",
+                    "ddl-cert: {} valid — {} lock classes / {} edges acyclic, {} bounds",
                     path.display(),
-                    s.sites,
-                    s.kernels,
                     s.classes,
                     s.edges,
-                    s.bounds,
-                    s.mutations
+                    s.bounds
                 );
                 ExitCode::SUCCESS
             }
@@ -152,26 +144,6 @@ fn main() -> ExitCode {
 /// under the same seeded defect.
 fn run_demo(root: &std::path::Path, which: &str) -> ExitCode {
     match which {
-        "ptr-off-by-one" => {
-            let source = match std::fs::read_to_string(root.join(ptr::PTR_TARGET)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ddl-cert: cannot read {}: {e}", ptr::PTR_TARGET);
-                    return ExitCode::from(2);
-                }
-            };
-            let mutation = PtrMutation {
-                site: 0,
-                kind: MutationKind::OffsetByOne,
-            };
-            if ptr::demo_mutation_caught(&source, mutation) {
-                eprintln!("ddl-cert: seeded off-by-one pointer offset was caught");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("ddl-cert: seeded off-by-one pointer offset was NOT caught");
-                ExitCode::from(1)
-            }
-        }
         "lock-inversion" => {
             let source = match std::fs::read_to_string(root.join(locks::INVERSION_FIXTURE)) {
                 Ok(s) => s,
@@ -189,7 +161,7 @@ fn run_demo(root: &std::path::Path, which: &str) -> ExitCode {
             }
         }
         other => usage(&format!(
-            "unknown demo mutation {other} (want ptr-off-by-one | lock-inversion)"
+            "unknown demo mutation {other} (want lock-inversion)"
         )),
     }
 }
@@ -198,7 +170,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("ddl-cert: {msg}");
     eprintln!(
         "usage: ddl_cert [--root DIR] [--out FILE] [--check FILE] \
-         [--demo-mutation ptr-off-by-one|lock-inversion]"
+         [--demo-mutation lock-inversion]"
     );
     ExitCode::from(2)
 }

@@ -1,31 +1,28 @@
 //! The `ddl-cert` certificate: one versioned, machine-checkable
-//! artifact binding together the three static-verification passes.
+//! artifact binding together the two static-verification passes.
 //!
 //! A lint tells you the code *looks* fine; a certificate states *what
 //! was proven* in a form another program can re-validate without
 //! re-running the proofs:
 //!
-//! * `pointer` — the [`crate::ptr`] unsafe-pointer verification of
-//!   every SIMD intrinsic access in `arch.rs` (per-site bounds,
-//!   alignment, the access-trace fingerprint);
 //! * `locks` — the [`crate::locks`] lock-order graph with its
 //!   acyclicity verdict and topological order;
 //! * `errbound` — the [`crate::errbound`] per-size static ulp bounds
-//!   with the model constants that produced them;
-//! * `mutations` — the seeded-mutation self-test: how many injected
-//!   violations were applied to the pointer verifier and how many it
-//!   caught (anything but 100% voids the certificate).
+//!   with the model constants that produced them.
 //!
-//! The document is versioned (`schema: "ddl-cert", version: 1`) and
+//! The SIMD kernels need no section: they index bounds-checked slices,
+//! so there is no raw-pointer access left to prove (`lint/no-ptr-arith`
+//! keeps it that way).
+//!
+//! The document is versioned (`schema: "ddl-cert", version: 2`) and
 //! validated by [`check_cert_text`], which refuses newer versions and
-//! re-checks the internal invariants (caught == applied, acyclic lock
-//! graph, in-bounds sites, monotone bounds). `ddl_core::check_report`
-//! routes the document here via its `Unknown`-schema escape hatch.
+//! re-checks the internal invariants (acyclic lock graph, monotone
+//! bounds). `ddl_core::check_report` routes the document here via its
+//! `Unknown`-schema escape hatch.
 
 use crate::errbound;
 use crate::findings::{AnalysisReport, Severity};
 use crate::locks::{self, LockCertificate};
-use crate::ptr::{self, MutationSummary, PtrCertificate};
 use ddl_core::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -34,7 +31,7 @@ use std::path::Path;
 pub const CERT_SCHEMA: &str = "ddl-cert";
 
 /// Current certificate version; [`check_cert_text`] refuses newer.
-pub const CERT_VERSION: u32 = 1;
+pub const CERT_VERSION: u32 = 2;
 
 /// Rule id for certificate-assembly findings.
 pub const RULE_CERT: &str = "cert/emit";
@@ -42,18 +39,12 @@ pub const RULE_CERT: &str = "cert/emit";
 /// Counts reported back by [`check_cert_text`] for display.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CertSummary {
-    /// Certified pointer sites.
-    pub sites: usize,
-    /// Verified kernels.
-    pub kernels: usize,
     /// Lock classes.
     pub classes: usize,
     /// Lock-order edges.
     pub edges: usize,
     /// Per-size error bounds recorded.
     pub bounds: usize,
-    /// Seeded mutations applied (and necessarily caught).
-    pub mutations: usize,
 }
 
 fn num(x: usize) -> Json {
@@ -66,49 +57,6 @@ fn obj(entries: Vec<(&str, Json)>) -> Json {
         m.insert(k.to_string(), v);
     }
     Json::Obj(m)
-}
-
-fn pointer_json(cert: &PtrCertificate) -> Json {
-    obj(vec![
-        ("file", Json::Str(cert.file.clone())),
-        (
-            "sizes",
-            Json::Arr(cert.sizes.iter().map(|&n| num(n)).collect()),
-        ),
-        (
-            "kernels",
-            Json::Arr(cert.kernels.iter().map(|k| Json::Str(k.clone())).collect()),
-        ),
-        (
-            "fingerprint",
-            Json::Str(format!("{:016x}", cert.fingerprint)),
-        ),
-        (
-            "sites",
-            Json::Arr(
-                cert.sites
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("id", num(s.id)),
-                            ("kernel", Json::Str(s.kernel.clone())),
-                            ("module", Json::Str(s.module.clone())),
-                            ("line", num(s.line)),
-                            ("intrinsic", Json::Str(s.intrinsic.clone())),
-                            ("is_store", Json::Bool(s.is_store)),
-                            ("region", Json::Str(s.region.clone())),
-                            ("lanes", num(s.lanes)),
-                            ("min_index", Json::Num(s.min_index as f64)),
-                            ("max_end", Json::Num(s.max_end as f64)),
-                            ("region_len_at_max", Json::Num(s.region_len_at_max as f64)),
-                            ("align_bytes", num(s.align_bytes as usize)),
-                            ("executions", Json::Num(s.executions as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 fn locks_json(cert: &LockCertificate) -> Json {
@@ -175,46 +123,11 @@ fn errbound_json() -> Json {
     ])
 }
 
-fn mutations_json(m: &MutationSummary) -> Json {
-    obj(vec![
-        ("applied", num(m.applied)),
-        ("caught", num(m.caught)),
-        ("hard_oob", num(m.hard_violations)),
-    ])
-}
-
-/// Runs all three passes plus the mutation self-test against the
-/// workspace at `root` and assembles the certificate document.
-/// Returns `None` (with error findings in `report`) when any pass
-/// fails — a failing workspace gets no certificate.
+/// Runs both passes against the workspace at `root` and assembles the
+/// certificate document. Returns `None` (with error findings in
+/// `report`) when any pass fails — a failing workspace gets no
+/// certificate.
 pub fn build_certificate(root: &Path, report: &mut AnalysisReport) -> Option<Json> {
-    let arch_path = root.join(ptr::PTR_TARGET);
-    let source = match std::fs::read_to_string(&arch_path) {
-        Ok(s) => s,
-        Err(e) => {
-            report.push(
-                RULE_CERT,
-                Severity::Error,
-                ptr::PTR_TARGET,
-                format!("cannot read pointer-verification target: {e}"),
-            );
-            return None;
-        }
-    };
-    let pointer = ptr::verify_arch_text(ptr::PTR_TARGET, &source, report)?;
-    let mutations = ptr::mutation_sweep(ptr::PTR_TARGET, &source, report)?;
-    if mutations.caught != mutations.applied {
-        report.push(
-            RULE_CERT,
-            Severity::Error,
-            ptr::PTR_TARGET,
-            format!(
-                "mutation self-test: only {}/{} seeded violations caught — verifier blind spot",
-                mutations.caught, mutations.applied
-            ),
-        );
-        return None;
-    }
     let lock_cert = locks::analyze_locks(root, report)?;
     let golden_path = root.join(locks::LOCK_GOLDEN_FIXTURE);
     match std::fs::read_to_string(&golden_path) {
@@ -245,10 +158,8 @@ pub fn build_certificate(root: &Path, report: &mut AnalysisReport) -> Option<Jso
     Some(obj(vec![
         ("schema", Json::Str(CERT_SCHEMA.into())),
         ("version", Json::Num(CERT_VERSION as f64)),
-        ("pointer", pointer_json(&pointer)),
         ("locks", locks_json(&lock_cert)),
         ("errbound", errbound_json()),
-        ("mutations", mutations_json(&mutations)),
         ("findings_summary", findings),
     ]))
 }
@@ -297,66 +208,6 @@ pub fn check_cert_text(text: &str) -> Result<CertSummary, String> {
         return Err(format!(
             "certificate version {version} is newer than supported version {CERT_VERSION}"
         ));
-    }
-
-    // Pointer certificate.
-    let pointer = get_obj(top, "pointer")?;
-    let file = get(pointer, "file")?
-        .as_str()
-        .ok_or("`pointer.file` is not a string")?;
-    if file != ptr::PTR_TARGET {
-        return Err(format!(
-            "pointer certificate covers {file:?}, expected {:?}",
-            ptr::PTR_TARGET
-        ));
-    }
-    let fp = get(pointer, "fingerprint")?
-        .as_str()
-        .ok_or("`pointer.fingerprint` is not a string")?;
-    if fp.len() != 16 || u64::from_str_radix(fp, 16).is_err() {
-        return Err(format!(
-            "`pointer.fingerprint` {fp:?} is not a 64-bit hex digest"
-        ));
-    }
-    let kernels = get_arr(pointer, "kernels")?;
-    let sites = get_arr(pointer, "sites")?;
-    if sites.is_empty() {
-        return Err("pointer certificate certifies zero sites".into());
-    }
-    for (i, s) in sites.iter().enumerate() {
-        let s = s
-            .as_obj()
-            .ok_or_else(|| format!("pointer site {i} is not an object"))?;
-        let max_end = get(s, "max_end")?
-            .as_f64()
-            .ok_or("site `max_end` is not numeric")?;
-        let region_len = get(s, "region_len_at_max")?
-            .as_f64()
-            .ok_or("site `region_len_at_max` is not numeric")?;
-        let min_index = get(s, "min_index")?
-            .as_f64()
-            .ok_or("site `min_index` is not numeric")?;
-        if min_index < 0.0 || max_end > region_len {
-            return Err(format!(
-                "pointer site {i} records an out-of-bounds access window \
-                 [{min_index}, {max_end}) in a region of {region_len}"
-            ));
-        }
-        let lanes = get_u64(s, "lanes")?;
-        if !(1..=8).contains(&lanes) {
-            return Err(format!(
-                "pointer site {i} has implausible lane count {lanes}"
-            ));
-        }
-        let align = get_u64(s, "align_bytes")?;
-        if align != 8 && align != 16 {
-            return Err(format!(
-                "pointer site {i} has implausible alignment {align}"
-            ));
-        }
-        if get_u64(s, "executions")? == 0 {
-            return Err(format!("pointer site {i} was never executed"));
-        }
     }
 
     // Lock certificate.
@@ -420,29 +271,10 @@ pub fn check_cert_text(text: &str) -> Result<CertSummary, String> {
         prev = (n, ulps);
     }
 
-    // Mutation self-test.
-    let muts = get_obj(top, "mutations")?;
-    let applied = get_u64(muts, "applied")?;
-    let caught = get_u64(muts, "caught")?;
-    if applied == 0 {
-        return Err("mutation self-test applied zero mutations".into());
-    }
-    if caught != applied {
-        return Err(format!(
-            "mutation self-test caught {caught}/{applied} seeded violations"
-        ));
-    }
-    if get_u64(muts, "hard_oob")? == 0 {
-        return Err("mutation self-test produced no hard out-of-bounds demonstration".into());
-    }
-
     Ok(CertSummary {
-        sites: sites.len(),
-        kernels: kernels.len(),
         classes: classes.len(),
         edges: edges.len(),
         bounds: bounds.len(),
-        mutations: applied as usize,
     })
 }
 
@@ -465,12 +297,9 @@ mod tests {
         assert!(report.passes(), "{:#?}", report.findings);
         let text = doc.pretty();
         let summary = check_cert_text(&text).expect("self-validation");
-        assert!(summary.sites >= 20, "{summary:?}");
-        assert_eq!(summary.kernels, 4);
-        assert_eq!(summary.classes, 8);
+        assert_eq!(summary.classes, 8, "{summary:?}");
         assert_eq!(summary.edges, 2);
         assert!(summary.bounds >= 10);
-        assert!(summary.mutations >= 50);
     }
 
     #[test]
@@ -489,7 +318,7 @@ mod tests {
     fn newer_versions_are_refused() {
         let mut report = AnalysisReport::new();
         let doc = build_certificate(&root(), &mut report).expect("certificate");
-        let text = doc.pretty().replace("\"version\": 1", "\"version\": 2");
+        let text = doc.pretty().replace("\"version\": 2", "\"version\": 3");
         let err = check_cert_text(&text).expect_err("must refuse newer");
         assert!(err.contains("newer"), "{err}");
     }
@@ -501,15 +330,6 @@ mod tests {
         let text = doc.pretty().replace("\"ulps\": 96", "\"ulps\": 99999");
         let err = check_cert_text(&text).expect_err("must reject tampered bound");
         assert!(err.contains("4096"), "{err}");
-    }
-
-    #[test]
-    fn tampered_mutation_counts_fail_validation() {
-        let mut report = AnalysisReport::new();
-        let doc = build_certificate(&root(), &mut report).expect("certificate");
-        let text = doc.pretty().replace("\"caught\": 81", "\"caught\": 80");
-        let err = check_cert_text(&text).expect_err("must reject partial catches");
-        assert!(err.contains("81") || err.contains("caught"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `(size, stride)` decomposition alone it predicts which leaf accesses
 //! conflict in a set-associative cache and when a dynamic layout
 //! reorganization pays off. This crate turns that style of reasoning
-//! into correctness tooling, in nine modules:
+//! into correctness tooling, in eight modules:
 //!
 //! * [`access`] — proves the execution layout a compiled plan exports
 //!   (`ddl_core::layout`, built from the nodes the executor runs on):
@@ -19,18 +19,15 @@
 //!   store coverage, load reachability, constant sanity, op budgets.
 //! * [`lint`] — workspace source lints (`ddl-lint`): no panics in
 //!   library code, no clocks in pure planning code,
-//!   `#![forbid(unsafe_code)]` everywhere, no dead `allow` markers.
-//! * [`ptr`] — the unsafe-pointer verifier: parses the SIMD kernels in
-//!   `arch.rs` into a small pointer IR and proves every intrinsic
-//!   load/store in-bounds and aligned for every supported shape, with
-//!   a seeded-mutation self-test.
+//!   `#![forbid(unsafe_code)]` everywhere, no raw-pointer arithmetic,
+//!   no dead `allow` markers.
 //! * [`locks`] — the lock-order analyzer: acquisition sites, guard
 //!   extents, the inter-procedural lock-order graph, cycle and
 //!   held-across-unwind checks, pinned golden order.
 //! * [`errbound`] — static per-size ulp error bounds derived from the
 //!   verified codelet DAGs, replacing the legacy flat tolerance.
-//! * [`cert`] — binds the three passes into the versioned, machine-
-//!   checkable `ddl-cert` certificate artifact.
+//! * [`cert`] — binds the lock-order and error-bound passes into the
+//!   versioned, machine-checkable `ddl-cert` certificate artifact.
 //!
 //! All passes report through [`findings::AnalysisReport`], which
 //! serializes to the versioned `ddl-analyze` JSON schema; CI gates on
@@ -49,7 +46,6 @@ pub mod errbound;
 pub mod findings;
 pub mod lint;
 pub mod locks;
-pub mod ptr;
 mod tok;
 
 pub use access::{analyze_dft_plan, analyze_wht_plan};
@@ -63,4 +59,3 @@ pub use errbound::{static_ulp_bound, SizeBound};
 pub use findings::{AnalysisReport, Finding, Severity, ANALYZE_SCHEMA, ANALYZE_VERSION};
 pub use lint::{lint_source, lint_workspace, RuleSet, RULE_DEAD_ALLOW};
 pub use locks::{analyze_locks, LockCertificate, LockEdge};
-pub use ptr::{mutation_sweep, verify_arch, MutationKind, PtrCertificate, PtrMutation};

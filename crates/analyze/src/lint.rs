@@ -20,6 +20,15 @@
 //!   must not unwrap lock results (one poisoned lock would cascade into
 //!   a dead scheduler) and must not construct unbounded channels
 //!   (overload must shed with `DdlError::Overloaded`, not grow memory).
+//! * **`lint/no-ptr-arith`** (always on) — no raw-pointer arithmetic:
+//!   `as *const` / `as *mut` casts are banned in every scanned file, and
+//!   the pointer methods `.add(` / `.offset(` wherever `unsafe` is
+//!   allowed. Elsewhere a pointer's `add`/`offset` cannot be called at
+//!   all (both are `unsafe` fns, and `lint/no-unsafe` bans `unsafe`), so
+//!   `.add(` there is another type's method (`CacheStats::add`). The
+//!   SIMD kernels index slices and array references, whose bounds the
+//!   compiler checks; their loads and stores pass a reference's own
+//!   pointer straight to the intrinsic.
 //! * **`lint/dead-allow`** — suppressions must stay earned: an allow
 //!   marker that no longer sits on or directly above a banned token, or
 //!   that names an unknown rule, is itself an error, as is an
@@ -146,6 +155,20 @@ fn unbounded_queue_tokens() -> Vec<String> {
         .collect()
 }
 
+/// Banned raw-pointer arithmetic, stored in halves so this file does
+/// not flag itself: `as` casts to raw pointers, plus, when `methods` is
+/// set (only where `unsafe` is allowed), the pointer offset methods.
+fn ptr_arith_tokens(methods: bool) -> Vec<String> {
+    let casts = [("as *con", "st"), ("as *m", "ut")];
+    let offsets = [(".ad", "d("), (".offs", "et(")];
+    let extra: &[(&str, &str)] = if methods { &offsets } else { &[] };
+    casts
+        .iter()
+        .chain(extra)
+        .map(|(a, b)| format!("{a}{b}"))
+        .collect()
+}
+
 fn allow_marker(rule: &str) -> String {
     // rule is "lint/<name>"; the marker spells just the short name.
     let short = rule.rsplit('/').next().unwrap_or(rule);
@@ -163,6 +186,7 @@ fn rule_tokens(short: &str) -> Option<(Vec<String>, bool)> {
         "no-bare-lock" => Some((bare_lock_tokens(), false)),
         "no-unbounded-queue" => Some((unbounded_queue_tokens(), false)),
         "no-unsafe" => Some((vec![unsafe_token()], true)),
+        "no-ptr-arith" => Some((ptr_arith_tokens(true), false)),
         _ => None,
     }
 }
@@ -362,6 +386,7 @@ pub fn lint_source(label: &str, source: &str, rules: RuleSet, report: &mut Analy
     let unsafe_tok = unsafe_token();
     let lock_toks = bare_lock_tokens();
     let queue_toks = unbounded_queue_tokens();
+    let ptr_toks = ptr_arith_tokens(!rules.no_unsafe);
     let raw: Vec<&str> = source.lines().collect();
     for (idx, code) in scrubbed.iter().enumerate() {
         report.check();
@@ -434,6 +459,21 @@ pub fn lint_source(label: &str, source: &str, rules: RuleSet, report: &mut Analy
                     UNSAFE_AUDITED.join(", ")
                 ),
             );
+        }
+        for tok in &ptr_toks {
+            if code.contains(tok.as_str()) && !allowed("lint/no-ptr-arith") {
+                report.push(
+                    "lint/no-ptr-arith",
+                    Severity::Error,
+                    &format!("{label}:{}", idx + 1),
+                    format!(
+                        "`{tok}` is raw-pointer arithmetic: index a slice or array \
+                         reference instead, whose bounds the compiler checks, or add \
+                         `// {}: <reason>`",
+                        allow_marker("lint/no-ptr-arith")
+                    ),
+                );
+            }
         }
         if rules.no_std_time && code.contains(time_tok.as_str()) && !allowed("lint/no-std-time") {
             report.push(
@@ -895,6 +935,27 @@ mod tests {
     }
 
     #[test]
+    fn ptr_offsets_are_flagged_where_unsafe_is_allowed() {
+        let src = "fn f(v: &mut [f64]) -> *mut f64 {\n    v.as_mut_ptr().add(2)\n}\n";
+        let audited = RuleSet {
+            no_unsafe: false,
+            ..ALL
+        };
+        let mut report = AnalysisReport::new();
+        lint_source("crates/backend-simd/src/arch.rs", src, audited, &mut report);
+        assert_eq!(report.error_count(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].rule, "lint/no-ptr-arith");
+        assert_eq!(
+            report.findings[0].subject,
+            "crates/backend-simd/src/arch.rs:2"
+        );
+        // Where `unsafe` is banned, `.add(` cannot be a pointer's.
+        let mut report = AnalysisReport::new();
+        lint_source("crates/cachesim/src/attrib.rs", src, ALL, &mut report);
+        assert!(report.passes(), "{:?}", report.findings);
+    }
+
+    #[test]
     fn bare_lock_flagged_in_hot_paths() {
         let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n    *m.lock().unwrap()\n}\n";
         let mut report = AnalysisReport::new();
@@ -1057,6 +1118,7 @@ mod tests {
             "no-bare-lock",
             "no-unbounded-queue",
             "no-unsafe",
+            "no-ptr-arith",
             "dead-allow",
             "forbid-unsafe",
         ];

@@ -1,7 +1,7 @@
-//! A tiny shared Rust tokenizer for the certificate passes.
+//! A tiny Rust tokenizer for the lock-order pass.
 //!
-//! [`crate::ptr`] and [`crate::locks`] both need to look at real source
-//! structure (statements, receiver chains, brace nesting), which the
+//! [`crate::locks`] needs to look at real source structure
+//! (statements, receiver chains, brace nesting), which the
 //! line-oriented lint scanner cannot provide. This module lexes
 //! *scrubbed* source (string/char literals blanked, comments removed —
 //! see `lint::scrub`) into a flat token stream with line numbers. It is
@@ -16,7 +16,7 @@ use std::fmt;
 pub(crate) enum Kind {
     /// Identifier or keyword.
     Ident,
-    /// Integer literal (value in [`Token::int`], suffix stripped).
+    /// Integer literal (suffix stripped).
     Int,
     /// Float literal (value irrelevant to the passes).
     Float,
@@ -33,10 +33,8 @@ pub(crate) enum Kind {
 pub(crate) struct Token {
     /// Category.
     pub kind: Kind,
-    /// Literal text (for `Int`, without any type suffix).
+    /// Literal text (for numbers, without any type suffix).
     pub text: String,
-    /// Integer value for `Int` tokens.
-    pub int: u64,
     /// 1-based source line.
     pub line: usize,
 }
@@ -85,7 +83,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Ident,
                     text: line[start..i].to_string(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -103,7 +100,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Str,
                     text: String::new(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -118,7 +114,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                 out.push(Token {
                     kind: Kind::Lifetime,
                     text: line[start..i].to_string(),
-                    int: 0,
                     line: lineno,
                 });
                 continue;
@@ -136,7 +131,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                     out.push(Token {
                         kind: Kind::Punct,
                         text: op.to_string(),
-                        int: 0,
                         line: lineno,
                     });
                     i += op.len();
@@ -145,7 +139,6 @@ pub(crate) fn tokenize(scrubbed: &[String]) -> Vec<Token> {
                     out.push(Token {
                         kind: Kind::Punct,
                         text: (c as char).to_string(),
-                        int: 0,
                         line: lineno,
                     });
                     i += 1;
@@ -163,22 +156,15 @@ fn lex_number(line: &str, start: usize, lineno: usize, out: &mut Vec<Token>) -> 
     let b = line.as_bytes();
     let mut i = start;
     let mut is_float = false;
-    let mut value: u64 = 0;
     let mut digits_end;
     if b[i] == b'0' && i + 1 < b.len() && (b[i + 1] == b'x' || b[i + 1] == b'X') {
         i += 2;
         while i < b.len() && (b[i].is_ascii_hexdigit() || b[i] == b'_') {
-            if b[i] != b'_' {
-                value = value.wrapping_mul(16) + u64::from(hex_digit(b[i]));
-            }
             i += 1;
         }
         digits_end = i;
     } else {
         while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'_') {
-            if b[i] != b'_' {
-                value = value.wrapping_mul(10) + u64::from(b[i] - b'0');
-            }
             i += 1;
         }
         digits_end = i;
@@ -218,19 +204,9 @@ fn lex_number(line: &str, start: usize, lineno: usize, out: &mut Vec<Token>) -> 
     out.push(Token {
         kind: if is_float { Kind::Float } else { Kind::Int },
         text: line[start..digits_end].to_string(),
-        int: value,
         line: lineno,
     });
     j
-}
-
-fn hex_digit(b: u8) -> u8 {
-    match b {
-        b'0'..=b'9' => b - b'0',
-        b'a'..=b'f' => b - b'a' + 10,
-        b'A'..=b'F' => b - b'A' + 10,
-        _ => 0,
-    }
 }
 
 #[cfg(test)]
@@ -247,8 +223,7 @@ mod tests {
         let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert!(texts.contains(&"4"));
         assert!(texts.contains(&".."));
-        let hex = toks.iter().find(|t| t.text == "0x6").map(|t| t.int);
-        assert_eq!(hex, Some(6));
+        assert!(texts.contains(&"0x6"));
         let float = toks.iter().find(|t| t.kind == Kind::Float).map(|t| &t.text);
         assert_eq!(float.map(String::as_str), Some("1.0"));
     }

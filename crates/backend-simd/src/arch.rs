@@ -1,21 +1,24 @@
 //! The single audited `unsafe` module of the workspace.
 //!
 //! Everything `unsafe` in the SIMD backend lives here and nowhere else
-//! (`ddl_lint` pins the allow-list to exactly this file). The safety
-//! argument is local and small:
+//! (`ddl_lint` pins the allow-list to exactly this file, and
+//! `lint/no-ptr-arith` keeps pointer arithmetic out of it). There are
+//! four `unsafe` blocks, and the safety argument is local:
 //!
-//! - The `#[target_feature]` kernels are only reachable through
-//!   [`dft_inplace_vector`], which gates them behind cached
-//!   `is_x86_feature_detected!` probes, so the required ISA is proven
-//!   present before the first vector instruction executes.
-//! - All loads/stores go through unaligned intrinsics
-//!   (`_mm256_loadu_pd` / `vld1q_f64`) over pointers derived from the
-//!   caller's slices; index arithmetic mirrors the portable loop in
-//!   `lib.rs`, whose bounds are `buf.len() = n` and `tw.len() = n - 1`
-//!   with `b + j + half < n` and `tw_off + j < n - 1` by construction
-//!   of the radix-2 schedule.
-//! - `ddl_num::Complex64` is `#[repr(C)] { re: f64, im: f64 }`, so a
-//!   `&[Complex64]` region reinterprets soundly as `2 * len` doubles.
+//! - The AVX2 kernels are safe `#[target_feature]` fns. Calling one is
+//!   `unsafe` only from code compiled without those features, which is
+//!   [`dft_inplace_vector`] and [`twiddles_vector`]; both call it only
+//!   after the cached `is_x86_feature_detected!` probe has found AVX2
+//!   and FMA, so the ISA is present before the first vector instruction
+//!   runs.
+//! - Every vector load and store goes through `x86::load` and
+//!   `x86::store`, which take a `&[Complex64; 2]` or
+//!   `&mut [Complex64; 2]`. `ddl_num::Complex64` is
+//!   `#[repr(C)] { re: f64, im: f64 }`, so such a reference covers
+//!   exactly the four doubles one unaligned 256-bit access touches. The
+//!   kernels reach those references only through slice chunking and
+//!   splitting, so every bound is checked by the compiler; a buffer or
+//!   twiddle table of the wrong length panics at a slice bound.
 //!
 //! The kernels implement the same bit-reversed-input radix-2 DIT
 //! network as `dft_inplace_portable`; the only permitted numerical
@@ -31,12 +34,6 @@ pub(crate) fn detect_isa() -> &'static str {
             return "avx2";
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON (asimd) is baseline on aarch64.
-        return "neon";
-    }
-    #[allow(unreachable_code)]
     "portable"
 }
 
@@ -44,11 +41,12 @@ pub(crate) fn detect_isa() -> &'static str {
 /// `false` when no suitable unit exists so the caller can take the
 /// portable path instead; never touches `buf` in that case.
 pub(crate) fn dft_inplace_vector(buf: &mut [Complex64], tw: &[Complex64]) -> bool {
-    // Shadow assertions for the preconditions the `ddl-cert` pointer
-    // verifier proves the unsafe kernels rely on: a power-of-two
-    // length within the leaf cap, and a twiddle table with exactly one
-    // factor per butterfly (`n - 1` across all levels). Debug builds
-    // fail fast at the safe boundary instead of inside an intrinsic.
+    // The network's preconditions: a power-of-two length within the
+    // leaf cap, and a twiddle table with exactly one factor per
+    // butterfly (`n - 1` across all levels). Debug builds stop here. In
+    // release builds a table too short for the network (always the case
+    // for a length that is not a power of two) panics at a slice bound
+    // inside the kernel.
     debug_assert!(buf.len() <= 1 || buf.len().is_power_of_two());
     debug_assert!(buf.len() <= crate::MAX_SIMD_LEAF);
     debug_assert_eq!(tw.len(), buf.len().saturating_sub(1));
@@ -61,16 +59,8 @@ pub(crate) fn dft_inplace_vector(buf: &mut [Complex64], tw: &[Complex64]) -> boo
             return true;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::dft_inplace_neon(buf, tw);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = (buf, tw);
-        false
-    }
+    let _ = (buf, tw);
+    false
 }
 
 /// Pointwise complex multiply `buf[i] *= factors[i]` through the vector
@@ -80,23 +70,14 @@ pub(crate) fn twiddles_vector(buf: &mut [Complex64], factors: &[Complex64]) -> b
     #[cfg(target_arch = "x86_64")]
     {
         if crate::active_isa() == "avx2" {
-            // SAFETY: AVX2/FMA verified at runtime by `detect_isa`
-            // (cached in `active_isa`); the length contract is asserted
-            // above and upheld by the safe caller in `lib.rs`.
+            // SAFETY: the AVX2 and FMA target features were verified at
+            // runtime by `detect_isa` (cached in `active_isa`).
             unsafe { x86::apply_twiddles_avx2(buf, factors) };
             return true;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::apply_twiddles_neon(buf, factors);
-        return true;
-    }
-    #[allow(unreachable_code)]
-    {
-        let _ = (buf, factors);
-        false
-    }
+    let _ = (buf, factors);
+    false
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -104,23 +85,36 @@ mod x86 {
     use super::Complex64;
     use std::arch::x86_64::*;
 
+    /// Loads two complex points as `[re0, im0, re1, im1]`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn load(v: &[Complex64; 2]) -> __m256d {
+        // SAFETY: `v` borrows two `#[repr(C)]` `Complex64`s, i.e. four
+        // contiguous initialized doubles, and the load is unaligned.
+        unsafe { _mm256_loadu_pd(v.as_ptr().cast()) }
+    }
+
+    /// Stores `x` as two complex points.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn store(v: &mut [Complex64; 2], x: __m256d) {
+        // SAFETY: `v` exclusively borrows two `#[repr(C)]` `Complex64`s,
+        // i.e. four contiguous doubles, and the store is unaligned.
+        unsafe { _mm256_storeu_pd(v.as_mut_ptr().cast(), x) }
+    }
+
     /// Radix-2 DIT over bit-reversed input, two complex points per
     /// 256-bit vector, FMA butterflies. The first two stages (unit
     /// twiddles and `{1, ∓i}`) are fused into a single in-register pass
     /// over each block of four points; the remaining stages run the
     /// general twiddled loop four points per iteration.
     ///
-    /// # Safety
-    /// Caller must have verified the `avx2` and `fma` target features
-    /// at runtime.
+    /// Panics at a slice bound when `tw` holds fewer than the network's
+    /// `n - 1` factors, which is always the case for a length that is
+    /// not a power of two.
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn dft_inplace_avx2(buf: &mut [Complex64], tw: &[Complex64]) {
+    pub(crate) fn dft_inplace_avx2(buf: &mut [Complex64], tw: &[Complex64]) {
         let n = buf.len();
-        // `Complex64` is `#[repr(C)] { re, im }`: the buffer is exactly
-        // `2 * n` contiguous doubles.
-        let p = buf.as_mut_ptr() as *mut f64;
-        let twp = tw.as_ptr() as *const f64;
-
         if n == 2 {
             let lo = buf[0];
             let hi = buf[1];
@@ -144,158 +138,81 @@ mod x86 {
         let s1 = _mm256_set_pd(-1.0, -1.0, 1.0, 1.0);
         let w1_im = tw[2].im;
         let s2 = _mm256_set_pd(w1_im, -w1_im, 1.0, 1.0);
-        let mut b = 0;
-        while b < n {
-            let va = _mm256_loadu_pd(p.add(2 * b));
-            let vb = _mm256_loadu_pd(p.add(2 * b + 4));
+        let pairs = buf.as_chunks_mut::<2>().0;
+        for [a, b] in pairs.as_chunks_mut::<2>().0 {
+            let va = load(a);
+            let vb = load(b);
             // Stage 1 butterflies within each vector.
             let ua = _mm256_fmadd_pd(va, s1, _mm256_permute2f128_pd(va, va, 0x01));
             let ub = _mm256_fmadd_pd(vb, s1, _mm256_permute2f128_pd(vb, vb, 0x01));
             // Stage 2: hi' = [ub0, ub1 * w1] via high-half lane swap + sign.
             let t = _mm256_mul_pd(_mm256_permute_pd(ub, 0x6), s2);
-            _mm256_storeu_pd(p.add(2 * b), _mm256_add_pd(ua, t));
-            _mm256_storeu_pd(p.add(2 * b + 4), _mm256_sub_pd(ua, t));
-            b += 4;
+            store(a, _mm256_add_pd(ua, t));
+            store(b, _mm256_sub_pd(ua, t));
         }
 
         // General stages: half = 4, 8, ... with the full twiddle table,
         // four points (two independent butterfly pairs) per iteration.
+        // Each block of `2 * half` points is `half` pairs; its low and
+        // high halves and the stage's `half` factors are walked as
+        // two-pair chunks in lockstep.
+        let mut rest = &tw[3..]; // 1 + 2 factors consumed by the fused pass
         let mut half = 4usize;
-        let mut tw_off = 3usize; // 1 + 2 factors consumed by the fused pass
         while half < n {
-            let len = half * 2;
-            let mut b = 0;
-            while b < n {
-                let mut j = 0;
-                while j < half {
+            let (w, next) = rest.split_at(half);
+            rest = next;
+            let w = w.as_chunks::<2>().0.as_chunks::<2>().0;
+            for block in pairs.chunks_exact_mut(half) {
+                let (lo, hi) = block.split_at_mut(half / 2);
+                let lo = lo.as_chunks_mut::<2>().0;
+                let hi = hi.as_chunks_mut::<2>().0;
+                for (([lo_a, lo_b], [hi_a, hi_b]), [w_a, w_b]) in lo.iter_mut().zip(hi).zip(w) {
                     // Lanes hold [re0, im0, re1, im1].
-                    let w_a = _mm256_loadu_pd(twp.add(2 * (tw_off + j)));
-                    let w_b = _mm256_loadu_pd(twp.add(2 * (tw_off + j + 2)));
-                    let lo_a = _mm256_loadu_pd(p.add(2 * (b + j)));
-                    let lo_b = _mm256_loadu_pd(p.add(2 * (b + j + 2)));
-                    let hi_a = _mm256_loadu_pd(p.add(2 * (b + j + half)));
-                    let hi_b = _mm256_loadu_pd(p.add(2 * (b + j + half + 2)));
+                    let w_a = load(w_a);
+                    let w_b = load(w_b);
+                    let (l_a, l_b) = (load(lo_a), load(lo_b));
+                    let (h_a, h_b) = (load(hi_a), load(hi_b));
                     // even lanes: hi.re*w.re - hi.im*w.im
                     // odd  lanes: hi.im*w.re + hi.re*w.im
                     let t_a = _mm256_fmaddsub_pd(
-                        hi_a,
+                        h_a,
                         _mm256_movedup_pd(w_a),
-                        _mm256_mul_pd(_mm256_permute_pd(hi_a, 0x5), _mm256_permute_pd(w_a, 0xF)),
+                        _mm256_mul_pd(_mm256_permute_pd(h_a, 0x5), _mm256_permute_pd(w_a, 0xF)),
                     );
                     let t_b = _mm256_fmaddsub_pd(
-                        hi_b,
+                        h_b,
                         _mm256_movedup_pd(w_b),
-                        _mm256_mul_pd(_mm256_permute_pd(hi_b, 0x5), _mm256_permute_pd(w_b, 0xF)),
+                        _mm256_mul_pd(_mm256_permute_pd(h_b, 0x5), _mm256_permute_pd(w_b, 0xF)),
                     );
-                    _mm256_storeu_pd(p.add(2 * (b + j)), _mm256_add_pd(lo_a, t_a));
-                    _mm256_storeu_pd(p.add(2 * (b + j + 2)), _mm256_add_pd(lo_b, t_b));
-                    _mm256_storeu_pd(p.add(2 * (b + j + half)), _mm256_sub_pd(lo_a, t_a));
-                    _mm256_storeu_pd(p.add(2 * (b + j + half + 2)), _mm256_sub_pd(lo_b, t_b));
-                    j += 4;
+                    store(lo_a, _mm256_add_pd(l_a, t_a));
+                    store(lo_b, _mm256_add_pd(l_b, t_b));
+                    store(hi_a, _mm256_sub_pd(l_a, t_a));
+                    store(hi_b, _mm256_sub_pd(l_b, t_b));
                 }
-                b += len;
             }
-            tw_off += half;
-            half = len;
+            half *= 2;
         }
     }
 
     /// Pointwise complex multiply `buf[i] *= factors[i]`, two points per
-    /// vector, with a scalar tail for odd lengths.
-    ///
-    /// # Safety
-    /// Caller must have verified the `avx2` and `fma` target features
-    /// at runtime, and `buf.len() >= factors.len()`.
+    /// vector, with a scalar tail for odd lengths. Panics when `buf` is
+    /// shorter than `factors`.
     #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn apply_twiddles_avx2(buf: &mut [Complex64], factors: &[Complex64]) {
-        let n = factors.len();
-        let p = buf.as_mut_ptr() as *mut f64;
-        let fp = factors.as_ptr() as *const f64;
-        let pairs = n / 2 * 2;
-        let mut i = 0;
-        while i < pairs {
-            let z = _mm256_loadu_pd(p.add(2 * i));
-            let w = _mm256_loadu_pd(fp.add(2 * i));
+    pub(crate) fn apply_twiddles_avx2(buf: &mut [Complex64], factors: &[Complex64]) {
+        let (zs, z_tail) = buf[..factors.len()].as_chunks_mut::<2>();
+        let (ws, w_tail) = factors.as_chunks::<2>();
+        for (z, w) in zs.iter_mut().zip(ws) {
+            let vz = load(z);
+            let vw = load(w);
             let t = _mm256_fmaddsub_pd(
-                z,
-                _mm256_movedup_pd(w),
-                _mm256_mul_pd(_mm256_permute_pd(z, 0x5), _mm256_permute_pd(w, 0xF)),
+                vz,
+                _mm256_movedup_pd(vw),
+                _mm256_mul_pd(_mm256_permute_pd(vz, 0x5), _mm256_permute_pd(vw, 0xF)),
             );
-            _mm256_storeu_pd(p.add(2 * i), t);
-            i += 2;
+            store(z, t);
         }
-        if pairs < n {
-            buf[pairs] *= factors[pairs];
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::Complex64;
-    use std::arch::aarch64::*;
-
-    /// Radix-2 DIT over bit-reversed input, one complex point per
-    /// 128-bit vector. NEON is baseline on aarch64, so no runtime
-    /// probe is needed and the entry point stays safe.
-    pub(crate) fn dft_inplace_neon(buf: &mut [Complex64], tw: &[Complex64]) {
-        let n = buf.len();
-        let p = buf.as_mut_ptr() as *mut f64;
-        let twp = tw.as_ptr() as *const f64;
-        let sign: [f64; 2] = [-1.0, 1.0];
-        // SAFETY: index arithmetic mirrors the portable loop
-        // (`b + j + half < n`, `tw_off + j < n - 1`); `Complex64` is
-        // `#[repr(C)]` so the region is `2 * n` doubles; NEON is a
-        // baseline aarch64 feature.
-        unsafe {
-            let vsign = vld1q_f64(sign.as_ptr());
-            let mut half = 1usize;
-            let mut tw_off = 0usize;
-            while half < n {
-                let len = half * 2;
-                let mut b = 0;
-                while b < n {
-                    for j in 0..half {
-                        let w = vld1q_f64(twp.add(2 * (tw_off + j)));
-                        let lo = vld1q_f64(p.add(2 * (b + j)));
-                        let hi = vld1q_f64(p.add(2 * (b + j + half)));
-                        let w_re = vdupq_laneq_f64(w, 0);
-                        let w_im = vdupq_laneq_f64(w, 1);
-                        let hi_sw = vextq_f64(hi, hi, 1);
-                        // [-hi.im*w.im, hi.re*w.im] + [hi.re, hi.im]*w.re
-                        let cross = vmulq_f64(vmulq_f64(hi_sw, w_im), vsign);
-                        let t = vfmaq_f64(cross, hi, w_re);
-                        vst1q_f64(p.add(2 * (b + j)), vaddq_f64(lo, t));
-                        vst1q_f64(p.add(2 * (b + j + half)), vsubq_f64(lo, t));
-                    }
-                    b += len;
-                }
-                tw_off += half;
-                half = len;
-            }
-        }
-    }
-
-    /// Pointwise complex multiply `buf[i] *= factors[i]`, one point per
-    /// 128-bit vector.
-    pub(crate) fn apply_twiddles_neon(buf: &mut [Complex64], factors: &[Complex64]) {
-        let p = buf.as_mut_ptr() as *mut f64;
-        let fp = factors.as_ptr() as *const f64;
-        let sign: [f64; 2] = [-1.0, 1.0];
-        // SAFETY: the caller guarantees `buf.len() >= factors.len()`;
-        // `Complex64` is `#[repr(C)]` so both regions are contiguous
-        // doubles; NEON is a baseline aarch64 feature.
-        unsafe {
-            let vsign = vld1q_f64(sign.as_ptr());
-            for i in 0..factors.len() {
-                let z = vld1q_f64(p.add(2 * i));
-                let w = vld1q_f64(fp.add(2 * i));
-                let w_re = vdupq_laneq_f64(w, 0);
-                let w_im = vdupq_laneq_f64(w, 1);
-                let z_sw = vextq_f64(z, z, 1);
-                let cross = vmulq_f64(vmulq_f64(z_sw, w_im), vsign);
-                vst1q_f64(p.add(2 * i), vfmaq_f64(cross, z, w_re));
-            }
+        for (z, w) in z_tail.iter_mut().zip(w_tail) {
+            *z *= *w;
         }
     }
 }

@@ -102,8 +102,8 @@
 //! observes and nothing a caller sets: on an AVX2+FMA host, 32- and
 //! 64-point leaves run the vector network of `ddl-backend-simd` and
 //! twiddle passes its vector multiply; every other leaf, and every leaf
-//! on any other host (no vector unit, or NEON, which is not measured),
-//! runs the scalar codelets of `ddl-kernels`. Both kernels read and
+//! on any other host, runs the scalar codelets of `ddl-kernels`. Both
+//! kernels index bounds-checked slices, and both read and
 //! write the same points, so the emitted trace does not depend on which
 //! one ran.
 

@@ -26,6 +26,9 @@ run cargo test --workspace -q
 run cargo test --release -q --test differential wht_execution_is_bit_identical_to_leaf_at_a_time
 run cargo test --release -q --test differential dft_untraced_execution_is_bit_identical_to_the_traced_schedule
 run cargo test --release -q --test simulation wht_simulated_stream_stays_leaf_ordered_under_lane_batches
+# The AVX2 kernels index checked slices: a kernel precondition
+# violation must panic at a slice bound in release too.
+run cargo test --release -q -p ddl-backend-simd
 
 # Chaos suite: the deterministic fault-injection harness under a pinned
 # seed, re-run explicitly so it emits the JSONL fault report artifact
@@ -207,20 +210,18 @@ run cargo run --release -q -p ddl-analyze --bin ddl_lint -- --out target/lint-re
 run cargo run --release -q -p ddl-analyze --bin ddl_analyze -- --out target/analyze-report.json
 run cargo run --release -q -p ddl-analyze --bin ddl_analyze -- --check target/analyze-report.json
 
-# Certificate gate (DESIGN.md §12): prove every SIMD intrinsic access
-# in-bounds and aligned, the inter-procedural lock-order graph acyclic
-# and matching the pinned golden, and the per-size ulp bounds derived
-# and monotone; emit the versioned ddl-cert artifact and re-validate it
-# through --check. Hard gate: any error-severity finding fails the
-# build.
+# Certificate gate (DESIGN.md §12): prove the inter-procedural
+# lock-order graph acyclic and matching the pinned golden, and the
+# per-size ulp bounds derived and monotone; emit the versioned ddl-cert
+# artifact and re-validate it through --check. Hard gate: any
+# error-severity finding fails the build.
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --out target/cert-report.json
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --check target/cert-report.json
 
-# The gate must be able to fail: seed one known violation of each class
-# and require the verifier to catch it. Each demo exits zero only when
-# the seeded defect IS caught, so a silently-weakened verifier breaks
-# the build here.
-run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --demo-mutation ptr-off-by-one
+# The gate must be able to fail: seed a known lock-order inversion and
+# require the verifier to catch it. The demo exits zero only when the
+# seeded defect IS caught, so a silently-weakened verifier breaks the
+# build here.
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --demo-mutation lock-inversion
 
 echo

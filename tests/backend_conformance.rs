@@ -317,10 +317,10 @@ fn backends_match_on_misaligned_strided_views() {
 
 /// Which kernel a leaf runs is the host's and the leaf size's choice:
 /// on an AVX2+FMA host, 32- and 64-point leaves run the vector network
-/// and 16-point leaves the scalar codelets; on any other host (no
-/// vector unit, or NEON, which is not measured), every leaf runs the
-/// scalar codelets. A single-leaf plan's output equals that kernel's
-/// bit for bit, on a unit-stride view and on an odd-base, stride-3 one.
+/// and 16-point leaves the scalar codelets; on any other host, every
+/// leaf runs the scalar codelets. A single-leaf plan's output equals
+/// that kernel's bit for bit, on a unit-stride view and on an
+/// odd-base, stride-3 one.
 #[test]
 fn default_plan_runs_the_host_kernel_for_each_leaf_size() {
     let vector = ddl_backend_simd::active_isa() == "avx2";
@@ -359,7 +359,7 @@ fn default_plan_runs_the_host_kernel_for_each_leaf_size() {
 #[test]
 fn simd_isa_is_one_of_the_known_lowerings() {
     let isa = ddl_backend_simd::active_isa();
-    assert!(matches!(isa, "avx2" | "neon" | "portable"));
+    assert!(matches!(isa, "avx2" | "portable"));
     let expect = if isa == "avx2" { "avx2" } else { "scalar" };
     assert_eq!(kernel_set(), expect);
 }
