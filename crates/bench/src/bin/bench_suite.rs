@@ -46,7 +46,7 @@ use ddl_bench::ledger::{append_entry, check_ledger, read_ledger, render_report, 
 use ddl_bench::suite::{
     compare, run_suite, BenchReport, Comparison, SuiteConfig, DEFAULT_TOLERANCE,
 };
-use ddl_bench::{paper, smoke, Transform};
+use ddl_bench::{fit, paper, smoke, Transform};
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
 use ddl_core::planner::{try_plan_dft, try_plan_dft_with, try_plan_wht, PlannerConfig, Strategy};
@@ -115,6 +115,7 @@ static COMMANDS: &[Command] = &[
     cmd("platform", &[], 0..=0, paper::platform),
     cmd("obs_smoke", &["--metrics-out", "--check"], 0..=0, smoke::obs_smoke),
     cmd("probe", &[], 1..=MANY, paper::probe),
+    cmd("fit", &["--quick", "--out", "--check"], 0..=0, fit::fit),
 ];
 
 fn main() -> ExitCode {
@@ -252,7 +253,7 @@ fn warn_mode_mismatch(current: &BenchReport, baseline: &BenchReport) {
 fn plan_records(label: &str) -> Result<Report, ddl_num::DdlError> {
     let cache = CacheConfig::paper_default(ATTRIBUTION_LINE_BYTES);
     let hier = HierarchyConfig::typical(cache);
-    let cal = CalibrationConfig::paper_default();
+    let cal = CalibrationConfig::host();
     let mut report = Report::new(label);
     for log in REPORT_LOGS {
         let n = 1usize << log;
@@ -554,13 +555,14 @@ mod tests {
     #[test]
     fn values_a_subcommand_cannot_run_are_usage_errors() {
         // table1 has no candidate trees and the TLB ablation no rows
-        // below 2^14; obs_smoke either emits or checks a report; probe
-        // refuses a malformed tree before timing anything.
+        // below 2^14; obs_smoke and fit either emit or check a report;
+        // probe refuses a malformed tree before timing anything.
         for line in [
             "table1 --max-log-n 13",
             "tlb_ablation --max-log-n 13",
             "obs_smoke --metrics-out a.json --check b.json",
             "probe ct(64,",
+            "fit --check a.json --out b.json",
         ] {
             let (command, args) = parse_line(line).unwrap();
             let err = (command.run)(&args).unwrap_err();

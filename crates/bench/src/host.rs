@@ -94,6 +94,14 @@ pub fn parse_size(s: &str) -> Option<usize> {
     }
 }
 
+/// The page size in bytes (`getconf PAGESIZE`), or 4 KiB, the base page
+/// of the usual hosts, when it cannot be read.
+pub fn page_bytes() -> usize {
+    command_line("getconf", &["PAGESIZE"])
+        .parse()
+        .unwrap_or(4096)
+}
+
 /// The L2 capacity in points of `point_bytes` each, defaulting to 2 MiB
 /// when undiscoverable. Used as the planner's DDL threshold on this host.
 pub fn l2_points(point_bytes: usize) -> usize {

@@ -18,6 +18,7 @@
 //! | `assoc`        | ablation — associativity vs the SDL–DDL miss gap |
 //! | `tlb_ablation` | ablation — d-TLB and cache miss rates, from a `ddl-report` |
 //! | `probe`        | measured time, model estimate and simulated misses of given trees |
+//! | `fit`          | the host cost model's per-point costs, measured once and committed ([`fit`]) |
 //!
 //! [`paper`] implements those. Beyond the paper, `obs_smoke` ([`smoke`])
 //! emits and validates a `ddl-report` from an instrumented run, and
@@ -45,6 +46,7 @@ use ddl_num::{Complex64, DdlError, Direction};
 use std::path::{Path, PathBuf};
 
 pub mod cli;
+pub mod fit;
 pub mod host;
 pub mod ledger;
 pub mod paper;

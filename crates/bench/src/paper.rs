@@ -23,7 +23,7 @@ use ddl_core::measure::{fft_mflops, time_per_point_ns};
 use ddl_core::obs::{merge_counters, PlannerRunMetrics};
 use ddl_core::planner::{try_plan_dft, try_plan_dft_sweep, PlannerConfig, Strategy};
 use ddl_core::traced::simulate_dft;
-use ddl_core::{CacheModel, DftPlan, PlanRecord, Recorder, Report, Tree};
+use ddl_core::{kendall_tau_b, CacheModel, DftPlan, PlanRecord, Recorder, Report, Tree};
 use ddl_num::{DdlError, Direction};
 use std::error::Error;
 use std::fmt::Write;
@@ -292,9 +292,50 @@ fn render_tlb_table(path: &Path, logs: RangeInclusive<u32>) -> Result<String, Bo
 /// `ct(64,ct(64,ct(a,b)))` need `n >= 2^14`.
 const TABLE1_MIN_LOG: u32 = 14;
 
+/// Rounds Table I times every tree in, in turn: each tree's time is the
+/// median of its rounds, so host drift hits all trees alike.
+const TABLE1_ROUNDS: usize = 7;
+
+/// Trees beyond the paper's shapes that Table I also measures at `2^p`:
+/// the alternatives to the analytical planner's choices that were timed
+/// against them when the host model was introduced (EXPERIMENTS.md).
+fn table1_pinned(p: u32) -> &'static [&'static str] {
+    match p {
+        16 => &[
+            "ctddl(16,ct(64,64))",
+            "ctddl(64,ct(16,64))",
+            "ctddl(16,ctddl(64,64))",
+            "ctddl(64,ct(64,16))",
+            "ctddl(64,ctddl(16,64))",
+            "ctddl(32,ctddl(32,64))",
+            "ctddl(32,ct(32,64))",
+            "ct(4,ctddl(16,ct(16,64)))",
+            "ctddl(ct(4,16),ct(16,64))",
+        ],
+        18 => &[
+            "ctddl(64,ct(64,64))",
+            "ctddl(64,ctddl(64,64))",
+            "ctddl(16,ct(16,ct(16,64)))",
+            "ctddl(64,ct(64,ct(4,16)))",
+            "ctddl(16,ctddl(16,ct(16,64)))",
+            "ctddl(64,ctddl(16,ct(4,64)))",
+        ],
+        20 => &[
+            "ctddl(32,ct(8,ct(64,64)))",
+            "ctddl(32,ct(8,ctddl(64,64)))",
+            "ctddl(32,ctddl(32,ct(16,64)))",
+            "ctddl(64,ct(16,ct(16,64)))",
+            "ctddl(32,ctddl(8,ct(64,64)))",
+            "ctddl(64,ctddl(16,ct(16,64)))",
+        ],
+        _ => &[],
+    }
+}
+
 /// Representative tree expressions for size `2^p`, mirroring the paper's
 /// Table I structure: right-most, balanced, and DDL variants with one or
-/// two reorganized nodes. Needs `p >= TABLE1_MIN_LOG`.
+/// two reorganized nodes, then the pinned alternatives of
+/// [`table1_pinned`]. Needs `p >= TABLE1_MIN_LOG`.
 fn table1_candidates(p: u32) -> Vec<String> {
     let n = 1u64 << p;
     let a = 1u64 << ((p - 12) / 2);
@@ -302,7 +343,7 @@ fn table1_candidates(p: u32) -> Vec<String> {
     let quarter = 1u64 << (p / 4);
     let left = format!("{quarter},{}", (1u64 << (p / 2)) / quarter);
     let right = format!("{quarter},{}", (n >> (p / 2)) / quarter);
-    vec![
+    let mut out = vec![
         // right-most SDL and its root-DDL variant
         format!("ct(64,ct(64,{tail}))"),
         format!("ctddl(64,ct(64,{tail}))"),
@@ -312,14 +353,13 @@ fn table1_candidates(p: u32) -> Vec<String> {
         // reorganization applied at two nodes (the paper's double-ctddl rows)
         format!("ctddl(ctddl({left}),ct({right}))"),
         format!("ctddl(ctddl({left}),ctddl({right}))"),
-    ]
-}
-
-/// Table I's two columns for `tree` as a DFT: seconds per execution,
-/// measured for at least `floor` seconds, and the cost model's estimate.
-fn measure_and_price(tree: &Tree, floor: f64) -> Result<(f64, f64), DdlError> {
-    let estimated = CacheModel::paper_default().tree_cost_ns(tree, 1) * 1e-9;
-    Ok((Dft.time(tree, floor)?, estimated))
+    ];
+    for expr in table1_pinned(p) {
+        if !out.iter().any(|e| e == expr) {
+            out.push(expr.to_string());
+        }
+    }
+    out
 }
 
 /// Table I — alternate factorization trees: SDL vs DDL, measured vs
@@ -329,7 +369,11 @@ fn measure_and_price(tree: &Tree, floor: f64) -> Result<(f64, f64), DdlError> {
 /// point FFT on Alpha 21264 with measured SDL and DDL times and the time
 /// the cost model of Eq. (3) *estimates*, validating that the model ranks
 /// trees like reality does. The host run measures a spread of
-/// representative trees and prints each tree's estimate alongside.
+/// representative trees, plus the analytical planner's own, in
+/// [`TABLE1_ROUNDS`] interleaved rounds, and prints each tree's median
+/// time beside the host model's estimate ([`CacheModel::host`]), then the
+/// Kendall τ-b between the two orders and the planned tree's gap to the
+/// fastest.
 pub fn table1(args: &Args) -> Outcome {
     let p = args.max_log(18, 20);
     if p < TABLE1_MIN_LOG {
@@ -337,21 +381,40 @@ pub fn table1(args: &Args) -> Outcome {
         return Err(Usage(msg).into());
     }
     let floor = measure_floor(args.quick);
+    let model = CacheModel::host();
+    let planned = try_plan_dft(1 << p, &PlannerConfig::ddl_analytical())?.tree;
+    let mut trees = table1_candidates(p)
+        .iter()
+        .map(|e| parse(e))
+        .collect::<Result<Vec<Tree>, _>>()?;
+    if !trees.contains(&planned) {
+        trees.push(planned.clone());
+    }
+    let mut times = vec![Vec::new(); trees.len()];
+    for _ in 0..TABLE1_ROUNDS {
+        for (tree, t) in trees.iter().zip(&mut times) {
+            t.push(Dft.time(tree, floor)?);
+        }
+    }
+    let rows: Vec<(f64, f64, &Tree)> = trees
+        .iter()
+        .zip(&mut times)
+        .map(|(tree, t)| {
+            t.sort_by(f64::total_cmp);
+            (t[t.len() / 2], model.tree_cost_ns(tree, 1) * 1e-9, tree)
+        })
+        .collect();
     println!("# Table I: alternate factorization trees for a 2^{p}-point FFT");
     println!(" measured ms      est. ms   reorgs | tree");
-    let mut rows = Vec::new();
-    for expr in table1_candidates(p) {
-        let tree = parse(&expr)?;
-        let (measured, estimated) = measure_and_price(&tree, floor)?;
-        rows.push((measured, estimated, tree));
-    }
     let best_measured = rows.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    for (measured, estimated, tree) in &rows {
-        let marker = if *measured == best_measured {
-            " <- best"
-        } else {
-            ""
-        };
+    for &(measured, estimated, tree) in &rows {
+        let mut marker = String::new();
+        if measured == best_measured {
+            marker += " <- best";
+        }
+        if *tree == planned {
+            marker += " <- planned";
+        }
         println!(
             "{:>12.3} {:>12.3} {:>8} | {}{}",
             measured * 1e3,
@@ -363,12 +426,31 @@ pub fn table1(args: &Args) -> Outcome {
     }
     // Rank agreement between model and measurement (the point of the
     // paper's estimated column); ties go to the earlier row.
-    let fastest = |key: fn(&(f64, f64, Tree)) -> f64| {
+    let fastest = |key: fn(&(f64, f64, &Tree)) -> f64| {
         let best = rows.iter().min_by(|a, b| key(a).total_cmp(&key(b)));
-        best.map(|r| print_dft(&r.2)).unwrap_or_default()
+        best.map(|r| print_dft(r.2)).unwrap_or_default()
     };
-    println!("\n# fastest tree by measurement: {}", fastest(|r| r.0));
+    let [measured, estimated] = [0, 1].map(|i| {
+        rows.iter()
+            .map(|r| if i == 0 { r.0 } else { r.1 })
+            .collect::<Vec<_>>()
+    });
+    let planned_ms = rows.iter().find(|r| *r.2 == planned).map_or(0.0, |r| r.0);
+    println!(
+        "
+# fastest tree by measurement: {}",
+        fastest(|r| r.0)
+    );
     println!("# fastest tree by model:       {}", fastest(|r| r.1));
+    println!(
+        "# planned tree: {} ({:+.1}% against the fastest)",
+        print_dft(&planned),
+        (planned_ms / best_measured - 1.0) * 100.0
+    );
+    println!(
+        "# Kendall tau-b, model against measurement: {:.3}",
+        kendall_tau_b(&estimated, &measured)
+    );
     println!("# paper shape: the estimate tracks measurement closely enough to rank");
     println!("# trees (Table I validates Eq. (3) the same way)");
     Ok(())
@@ -394,7 +476,8 @@ pub fn probe(args: &Args) -> Outcome {
     }
     println!("        ms    MFLOPS    est. ms   miss%     misses   accesses | tree");
     for tree in &trees {
-        let (secs, estimated) = measure_and_price(tree, PROBE_FLOOR_SECS)?;
+        let secs = Dft.time(tree, PROBE_FLOOR_SECS)?;
+        let estimated = CacheModel::host().tree_cost_ns(tree, 1) * 1e-9;
         let sim = simulate(tree, paper_cache())?;
         println!(
             "{:>10.3} {:>9.1} {:>10.3} {:>7.2} {:>10} {:>10} | {}",
@@ -587,6 +670,29 @@ pub fn platform(_: &Args) -> Outcome {
             size / 8
         );
     }
+
+    let fit = ddl_core::HostFit::committed();
+    let matches = host::caches().iter().any(|&(level, size, line, ways)| {
+        level == 1
+            && (size, line, ways) == {
+                let l1 = fit.levels[0];
+                (l1.capacity_bytes, l1.line_bytes, l1.ways)
+            }
+    });
+    println!(
+        "\nhost cost model: fitted on {} (L1 {} KiB {}-way, L2 {} KiB {}-way, {} B pages); {}",
+        fit.cpu,
+        fit.levels[0].capacity_bytes / 1024,
+        fit.levels[0].ways,
+        fit.levels[1].capacity_bytes / 1024,
+        fit.levels[1].ways,
+        fit.page_bytes,
+        if matches {
+            "this host's L1 matches"
+        } else {
+            "this host's L1 differs: refit with `bench_suite fit --out crates/core/data/host-fit.json`"
+        }
+    );
 
     println!("\ntoolchain:");
     println!("  compiler:   rustc (see `rustc --version` of the build)");

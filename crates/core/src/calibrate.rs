@@ -45,6 +45,15 @@ impl CalibrationConfig {
             model: CacheModel::paper_default(),
         }
     }
+
+    /// The host model the analytical planner prices with
+    /// ([`CacheModel::host`]), 5 profiled repeats.
+    pub fn host() -> Self {
+        CalibrationConfig {
+            model: CacheModel::host(),
+            ..CalibrationConfig::paper_default()
+        }
+    }
 }
 
 /// Profiles `repeats` (at least one) executions and keeps the run with
@@ -95,11 +104,15 @@ pub fn calibrate_wht(
     strategy: &str,
     cal: &CalibrationConfig,
 ) -> Result<PlanRecord, DdlError> {
-    // WHT points are 8-byte f64s: widen the model geometry accordingly.
-    let model = CacheModel {
-        capacity_points: cal.model.capacity_points * 2,
-        line_points: cal.model.line_points * 2,
-        ..cal.model
+    // WHT points are 8-byte f64s. The host model converts its geometry
+    // per kind; the paper model's is in 16-byte points, so widen it.
+    let model = match cal.model.fit {
+        Some(_) => cal.model,
+        None => CacheModel {
+            capacity_points: cal.model.capacity_points * 2,
+            line_points: cal.model.line_points * 2,
+            ..cal.model
+        },
     };
     let base: Vec<f64> = (0..plan.n())
         .map(|i| (i % 101) as f64 * 0.5 - 20.0)
@@ -116,6 +129,40 @@ pub fn calibrate_wht(
     Ok(record)
 }
 
+/// Kendall's τ-b between two rankings of the same items: `+1` when
+/// `a` and `b` order every pair alike, `-1` when they order every pair
+/// oppositely, with ties in either corrected for (Table I's check that
+/// the cost model ranks trees as the clock does). Zero when either side
+/// is all ties.
+pub fn kendall_tau_b(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "kendall_tau_b: rankings of different lengths"
+    );
+    let (mut concordant, mut discordant, mut ties_a, mut ties_b) = (0i64, 0i64, 0i64, 0i64);
+    for i in 0..a.len() {
+        for j in i + 1..a.len() {
+            let (da, db) = (a[i].total_cmp(&a[j]), b[i].total_cmp(&b[j]));
+            use std::cmp::Ordering::Equal;
+            match (da, db) {
+                (Equal, Equal) => {}
+                (Equal, _) => ties_a += 1,
+                (_, Equal) => ties_b += 1,
+                _ if da == db => concordant += 1,
+                _ => discordant += 1,
+            }
+        }
+    }
+    let n0 = (concordant + discordant) as f64;
+    let denom = ((n0 + ties_a as f64) * (n0 + ties_b as f64)).sqrt();
+    if denom == 0.0 {
+        0.0
+    } else {
+        (concordant - discordant) as f64 / denom
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +174,19 @@ mod tests {
             repeats: 3,
             ..CalibrationConfig::paper_default()
         }
+    }
+
+    #[test]
+    fn kendall_tau_b_counts_pairs_and_ties() {
+        assert_eq!(kendall_tau_b(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]), 1.0);
+        assert_eq!(kendall_tau_b(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]), -1.0);
+        // 2 concordant, 1 discordant of 3 pairs
+        let tau = kendall_tau_b(&[1.0, 2.0, 3.0], &[1.0, 3.0, 2.0]);
+        assert!((tau - 1.0 / 3.0).abs() < 1e-12);
+        // a tie in one ranking: (1 - 0) / sqrt((1 + 2) * (1 + 2 - 2 + ...))
+        let tau = kendall_tau_b(&[1.0, 1.0, 2.0], &[1.0, 2.0, 3.0]);
+        assert!((tau - 2.0 / (2.0f64 * 3.0).sqrt()).abs() < 1e-12, "{tau}");
+        assert_eq!(kendall_tau_b(&[5.0, 5.0], &[1.0, 2.0]), 0.0);
     }
 
     #[test]

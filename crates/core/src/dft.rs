@@ -831,6 +831,45 @@ pub fn kernel_set_for(kind: TransformKind) -> &'static str {
     }
 }
 
+/// One leaf of `n` points on the kernel the executor runs for that size,
+/// reading `x` from `xb` at stride `xs` and writing `y` from `yb` at
+/// stride `ys`: what `bench_suite fit` times to fit the host model's leaf
+/// costs.
+#[allow(clippy::too_many_arguments)]
+pub fn run_leaf(
+    n: usize,
+    dir: Direction,
+    x: &[Complex64],
+    xb: usize,
+    xs: usize,
+    y: &mut [Complex64],
+    yb: usize,
+    ys: usize,
+) {
+    let view = |base, stride| View {
+        base,
+        stride,
+        addr: 0,
+    };
+    leaf(n, dir, x, view(xb, xs), y, view(yb, ys), &mut NullSink);
+}
+
+/// The executor's twiddle pass over `buf` (`bench_suite fit`).
+pub fn run_twiddle_pass(buf: &mut [Complex64], tw: &TwiddleTable) {
+    twiddle_pass(buf, tw);
+}
+
+/// The executor's tiled transpose of the `rows x cols` row-major `src`
+/// into `dst` (`bench_suite fit`).
+pub fn run_transpose(src: &[Complex64], dst: &mut [Complex64], rows: usize, cols: usize) {
+    let dv = View {
+        base: 0,
+        stride: 1,
+        addr: 0,
+    };
+    transpose(src, 0, dst, dv, rows, cols, &mut NullSink);
+}
+
 /// Executes one leaf codelet and emits its trace. The vector network
 /// runs where it beats the scalar codelets on this host (32 and 64
 /// points on AVX2, `ddl_backend_simd::profitable_size`); the scalar

@@ -81,7 +81,7 @@ pub use attrib::{
     attribute_dft, attribute_wht, classify_empirical, classify_model, AttributionRun, CaseClass,
     NodeAttribution,
 };
-pub use calibrate::{calibrate_dft, calibrate_wht, CalibrationConfig};
+pub use calibrate::{calibrate_dft, calibrate_wht, kendall_tau_b, CalibrationConfig};
 pub use dct::DctPlan;
 pub use ddl_num::DdlError;
 pub use dft::{kernel_set, kernel_set_for, DftPlan, DftViews};
@@ -96,7 +96,7 @@ pub use histo::{
     HISTO_BUCKETS, TELEMETRY_SCHEMA, TELEMETRY_VERSION,
 };
 pub use measure::Deadline;
-pub use model::{CacheModel, StageCost};
+pub use model::{CacheModel, HostFit, StageCost};
 pub use obs::{
     BatchMetrics, Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder, Sink,
     SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,

@@ -15,6 +15,36 @@
 //!   unit stride after reorganization, giving the paper's
 //!   `O(p^2 q^2)`-state search.
 //!
+//! Under the host model ([`CacheModel::host`], the model of
+//! [`PlannerConfig::ddl_analytical`]) a state is *(size, read stride,
+//! write stride)*: a subtree's cost depends on where it writes as much
+//! as on where it reads, and each child is priced at the strides it runs
+//! at. The paper applies DDL to transforms at least the cache size; on a
+//! two-level host that rule is applied at each level. A transform whose
+//! footprint (input, output and scratch,
+//! [`crate::model::HostFit::dft_footprint`]) fits the host's L2 is planned
+//! without reorganization: nothing it touches leaves L2, and at 2^12 and
+//! 2^14 points the clock finds its reorganized trees no faster, while a
+//! reorganizing root holds `n` more scratch points (EXPERIMENTS.md). In
+//! a transform that outgrows L2, a reorganization is considered at every
+//! node whose footprint exceeds `cache_points`, which `ddl_analytical`
+//! sets to the host's L1: a 1,024-point node, whose input, output and
+//! scratch fill L1 exactly, runs as planned. The other backends price a tree as a root that
+//! writes at unit stride and keep the paper's `size · stride` rule.
+//!
+//! # Left children
+//!
+//! Under the host model a split's left child is at most the largest
+//! codelet ([`ddl_kernels::MAX_LEAF_DFT`], [`ddl_kernels::MAX_LEAF_WHT`]):
+//! the search covers the right-expanded trees of the paper's Fig. 4 and
+//! of codelet-based planners, `ctddl(64,ct(16,64))` and the like. A left
+//! child that is a large subtree reruns itself once per call over a
+//! strided view whose lines and pages come back only with the parent's
+//! next call, which the fitted leaf batches do not measure: the model
+//! priced `ctddl(ct(64,16),64)` at 2^16 below every radix tree while the
+//! clock put it 10–20% behind them (EXPERIMENTS.md). The other backends
+//! keep the paper's full search.
+//!
 //! Costs come from a pluggable [`CostBackend`]:
 //!
 //! * [`CostBackend::Measured`] — the paper's `Get_time`: each candidate
@@ -27,7 +57,7 @@
 
 use crate::dft::{DftPlan, DftViews};
 use crate::measure::time_per_call;
-use crate::model::CacheModel;
+use crate::model::{CacheModel, HostFit};
 use crate::obs::{Candidate, Counter, NullSink, Sink, SpanInfo, SpanKind};
 use crate::tree::Tree;
 use crate::wht::{WhtPlan, WhtView};
@@ -111,24 +141,42 @@ pub struct PlannerConfig {
     /// Largest leaf size the search may choose.
     pub max_leaf: usize,
     /// Cache size in points: reorganization is only considered at nodes
-    /// with `size * stride >= cache_points` (paper Section IV-B: "we
-    /// apply the DDL approach only to transforms whose sizes are equal to
-    /// or larger than the cache size").
+    /// whose working set reaches it (paper Section IV-B: "we apply the DDL
+    /// approach only to transforms whose sizes are equal to or larger than
+    /// the cache size"). The working set is `size * stride`, or the
+    /// node's footprint under the host model (module docs).
     pub cache_points: usize,
 }
 
 impl PlannerConfig {
-    /// DDL with the analytical paper-default model — deterministic.
+    /// DDL with the host model ([`CacheModel::host`]) — deterministic:
+    /// the fitted costs are committed data, so planning reads no clock
+    /// and no file. Reorganization is considered at nodes whose
+    /// footprint reaches the host's L1.
     pub fn ddl_analytical() -> Self {
+        let model = CacheModel::host();
         PlannerConfig {
             strategy: Strategy::Ddl,
-            backend: CostBackend::Analytical(CacheModel::paper_default()),
+            backend: CostBackend::Analytical(model),
             max_leaf: MAX_LEAF_DFT,
-            cache_points: CacheModel::paper_default().capacity_points,
+            cache_points: model.capacity_points,
         }
     }
 
-    /// SDL with the analytical paper-default model.
+    /// DDL with the paper's analytical model
+    /// ([`CacheModel::paper_default`]): the paper's machine, for paper
+    /// reproduction.
+    pub fn ddl_paper_analytical() -> Self {
+        let model = CacheModel::paper_default();
+        PlannerConfig {
+            strategy: Strategy::Ddl,
+            backend: CostBackend::Analytical(model),
+            max_leaf: MAX_LEAF_DFT,
+            cache_points: model.capacity_points,
+        }
+    }
+
+    /// SDL with the host model.
     pub fn sdl_analytical() -> Self {
         PlannerConfig {
             strategy: Strategy::Sdl,
@@ -221,11 +269,12 @@ pub fn try_plan_dft_with<S: Sink>(
     let mut search = Search {
         cfg: *cfg,
         kind: Kind::Dft,
+        outgrows_l2: true,
         memo: HashMap::new(),
         candidates: 0,
         sink,
     };
-    let (cost, tree) = search.best(n, 1);
+    let (cost, tree) = search.root(n);
     let states = search.memo.len();
     let candidates = search.candidates;
     if S::ENABLED {
@@ -266,11 +315,12 @@ pub fn try_plan_wht_with<S: Sink>(
     let mut search = Search {
         cfg: *cfg,
         kind: Kind::Wht,
+        outgrows_l2: true,
         memo: HashMap::new(),
         candidates: 0,
         sink,
     };
-    let (cost, tree) = search.best(n, 1);
+    let (cost, tree) = search.root(n);
     let states = search.memo.len();
     let candidates = search.candidates;
     if S::ENABLED {
@@ -346,17 +396,18 @@ fn plan_sweep<S: Sink>(
     let mut search = Search {
         cfg: *cfg,
         kind,
+        outgrows_l2: true,
         memo: HashMap::new(),
         candidates: 0,
         sink,
     };
-    search.best(max_n, 1);
+    search.root(max_n);
     let mut out = Vec::new();
     let mut n = 2usize;
     while n <= max_n {
         // all unit-stride states for smaller powers were filled during
         // the max_n search; compute any stragglers explicitly
-        let (cost, tree) = search.best(n, 1);
+        let (cost, tree) = search.root(n);
         out.push((
             n,
             PlanOutcome {
@@ -404,25 +455,81 @@ impl Kind {
     }
 }
 
+/// A planner state: size, `[rs, ws, ro, wo]` and the L2 gate
+/// ([`Search::state`]).
+type State = (usize, [usize; 4], bool);
+
 struct Search<'s, S: Sink> {
     cfg: PlannerConfig,
     kind: Kind,
-    memo: HashMap<(usize, usize), (f64, Tree)>,
+    /// Whether the transform being planned outgrows the host's L2, so
+    /// that reorganization is considered in it at all (module docs); true
+    /// off the host model.
+    outgrows_l2: bool,
+    memo: HashMap<State, (f64, Tree)>,
     candidates: usize,
     sink: &'s mut S,
 }
 
 impl<S: Sink> Search<'_, S> {
-    /// Optimal (cost, tree) for an `n`-point transform read at `stride`.
-    ///
-    /// Under `Strategy::Sdl` the stride is forced to 1 before memoization,
-    /// reproducing the size-only search of the prior packages.
-    fn best(&mut self, n: usize, stride: usize) -> (f64, Tree) {
-        let stride = match self.cfg.strategy {
-            Strategy::Sdl => 1,
-            Strategy::Ddl => stride,
+    /// The host model's fit, when the backend prices with it.
+    fn host(&self) -> Option<&'static HostFit> {
+        match self.cfg.backend {
+            CostBackend::Analytical(model) => model.fit,
+            _ => None,
+        }
+    }
+
+    /// Optimal (cost, tree) for a whole `n`-point transform at unit
+    /// strides, with the L2 gate (module docs) set for it.
+    fn root(&mut self, n: usize) -> (f64, Tree) {
+        self.outgrows_l2 = match (self.host(), self.kind) {
+            (Some(fit), Kind::Dft) => {
+                fit.dft_footprint(n, 1, 1) > fit.level(1, crate::DFT_POINT_BYTES).capacity
+            }
+            (Some(fit), Kind::Wht) => {
+                fit.wht_footprint(n, 1) > fit.level(1, crate::WHT_POINT_BYTES).capacity
+            }
+            (None, _) => true,
         };
-        if let Some(hit) = self.memo.get(&(n, stride)) {
+        self.best(n, [1, 1, 1, 1])
+    }
+
+    /// The state of an `n`-point subtree whose calls read at `rs` and
+    /// write at `ws`, successive calls starting `ro` and `wo` apart.
+    ///
+    /// Under `Strategy::Sdl` both strides are forced to 1, reproducing
+    /// the size-only search of the prior packages; backends other than
+    /// the host model price every tree as a root that writes at unit
+    /// stride, so they key by `(n, rs)` alone.
+    fn state(&self, n: usize, [rs, ws, ro, wo]: [usize; 4]) -> State {
+        let point_bytes = match self.kind {
+            Kind::Dft => crate::DFT_POINT_BYTES,
+            Kind::Wht => crate::WHT_POINT_BYTES,
+        };
+        match (self.cfg.strategy, self.host()) {
+            (Strategy::Sdl, _) => (n, [1, 1, 1, 1], true),
+            (Strategy::Ddl, None) => (n, [rs, 1, 1, 1], true),
+            (Strategy::Ddl, Some(fit)) => (
+                n,
+                [
+                    rs,
+                    ws,
+                    fit.offset_key(point_bytes, ro),
+                    fit.offset_key(point_bytes, wo),
+                ],
+                self.outgrows_l2,
+            ),
+        }
+    }
+
+    /// Optimal (cost, tree) for an `n`-point transform in the context
+    /// `[rs, ws, ro, wo]` ([`Search::state`]).
+    fn best(&mut self, n: usize, ctx: [usize; 4]) -> (f64, Tree) {
+        let key = self.state(n, ctx);
+        let ctx = key.1;
+        let [stride, ws, _, _] = ctx;
+        if let Some(hit) = self.memo.get(&key) {
             if S::ENABLED {
                 self.sink.counter(Counter::PlannerMemoHits, 1);
             }
@@ -443,7 +550,7 @@ impl<S: Sink> Search<'_, S> {
 
         let mut best: Option<(f64, Tree)> = None;
         let mut consider = |this: &mut Self, tree: Tree| {
-            let cost = this.price(&tree, stride);
+            let cost = this.price(&tree, ctx);
             this.candidates += 1;
             if S::ENABLED {
                 this.sink.counter(Counter::PlannerCandidates, 1);
@@ -468,38 +575,71 @@ impl<S: Sink> Search<'_, S> {
         // stride to act on.
         if n <= max_leaf {
             consider(self, Tree::leaf(n));
-            if self.cfg.strategy == Strategy::Ddl
-                && stride > 1
-                && n.saturating_mul(stride) >= self.cfg.cache_points
-            {
+            if self.cfg.strategy == Strategy::Ddl && stride > 1 && self.outgrows(n, stride, ws) {
                 consider(self, Tree::leaf_ddl(n));
             }
         }
 
-        // Split candidates, from memoized optimal children.
-        for (n1, n2) in factor_pairs(n, 2) {
+        // Split candidates, from memoized optimal children. Under the
+        // host model a left child is at most a codelet's size (module
+        // docs, *Left children*).
+        let left_cap = if self.host().is_some() { max_leaf } else { n };
+        for (n1, n2) in factor_pairs(n, 2)
+            .into_iter()
+            .filter(|&(n1, _)| n1 <= left_cap)
+        {
             // Natural-stride candidate: children per the executor's stride
             // propagation.
-            let (_, left) = self.best(n1, n2 * stride);
-            let (_, right) = self.best(n2, self.right_child_stride(stride));
+            // (Stage 1's calls start `stride` apart in the input, stage
+            // 2's `ws` apart in the output.)
+            let (left, right) = match self.kind {
+                // out-of-place: stage 1 writes the intermediate buffer at
+                // stride n2, stage 2 reads it at unit stride and writes
+                // the node's output at n1 * ws
+                Kind::Dft => (
+                    self.best(n1, [n2 * stride, n2, stride, 1]),
+                    self.best(n2, [1, n1 * ws, 1, ws]),
+                ),
+                // in place: stage A keeps the view's stride
+                Kind::Wht => (
+                    self.best(n1, [n2 * stride, 1, stride, 1]),
+                    self.best(n2, [stride, 1, ctx[2], 1]),
+                ),
+            };
+            let (left, right) = (left.1, right.1);
             consider(self, Tree::split(left.clone(), right.clone()));
 
+            // Under the host model a WHT stage B of plain leaves runs in
+            // lane batches, which the leaf-at-a-time left state does not
+            // price: offer the plain leaf whenever it would batch.
+            if self.kind == Kind::Wht
+                && self.host().is_some()
+                && n1 <= max_leaf
+                && !matches!(left, Tree::Leaf { reorg: false, .. })
+                && crate::wht::lane_batched_shape(stride, n2, true, n1)
+            {
+                consider(self, Tree::split(Tree::leaf(n1), right.clone()));
+            }
+
             // Reorganized candidate (`ctddl`).
-            if self.ddl_applicable(n, stride) {
+            if self.ddl_applicable(n, stride, ws) {
                 match self.kind {
                     Kind::Dft => {
                         // The DFT reorganization changes the node's
                         // intermediate layout (contiguous stage-1 writes +
-                        // tiled transpose); children read exactly as in
+                        // tiled transpose) and, untraced, stores stage 2
+                        // contiguously too; children read exactly as in
                         // the natural candidate.
+                        let (_, left) = self.best(n1, [n2 * stride, 1, stride, 1]);
+                        let (_, right) = self.best(n2, [1, 1, 1, 1]);
                         consider(self, Tree::split_ddl(left, right));
                     }
                     Kind::Wht => {
                         // The in-place WHT reorganization compacts the
                         // node's view to unit stride: children derive
                         // their strides from 1.
-                        let (_, left) = self.best(n1, n2);
-                        let (_, right) = self.best(n2, 1);
+                        let (_, left) = self.best(n1, [n2, 1, 1, 1]);
+                        let (_, right) = self.best(n2, [1, 1, 1, 1]);
                         consider(self, Tree::split_ddl(left, right));
                     }
                 }
@@ -510,7 +650,7 @@ impl<S: Sink> Search<'_, S> {
             // No factorization and too big for a codelet (e.g. a large
             // prime): fall back to a naive leaf.
             let tree = Tree::leaf(n);
-            let cost = self.price(&tree, stride);
+            let cost = self.price(&tree, ctx);
             self.candidates += 1;
             if S::ENABLED {
                 self.sink.counter(Counter::PlannerCandidates, 1);
@@ -527,37 +667,46 @@ impl<S: Sink> Search<'_, S> {
             self.sink.counter(Counter::PlannerStates, 1);
             self.sink.span_end();
         }
-        self.memo.insert((n, stride), result.clone());
+        self.memo.insert(key, result.clone());
         result
     }
 
+    /// Whether a node of `n` points read at `stride` and written at `ws`
+    /// outgrows the cache: under the host model, in a transform that
+    /// outgrows L2, its footprint (module docs) exceeds `cache_points`;
+    /// otherwise `n · stride` reaches it (the paper's "equal to or
+    /// larger than the cache size").
+    fn outgrows(&self, n: usize, stride: usize, ws: usize) -> bool {
+        match (self.host(), self.kind) {
+            (Some(fit), kind) => {
+                let footprint = match kind {
+                    Kind::Dft => fit.dft_footprint(n, stride, ws),
+                    Kind::Wht => fit.wht_footprint(n, stride),
+                };
+                self.outgrows_l2 && footprint > self.cfg.cache_points
+            }
+            (None, _) => n.saturating_mul(stride) >= self.cfg.cache_points,
+        }
+    }
+
     /// Whether a reorganization candidate is considered at a split of
-    /// `(n, stride)`. Per the paper (Section IV-B), only nodes whose
+    /// `(n, stride, ws)`. Per the paper (Section IV-B), only nodes whose
     /// working set reaches the cache size are candidates. The DFT's
     /// between-stage reorganization is meaningful even at unit input
     /// stride (the intermediate writes are what it fixes); the in-place
     /// WHT compaction needs a strided view to act on.
-    fn ddl_applicable(&self, n: usize, stride: usize) -> bool {
+    fn ddl_applicable(&self, n: usize, stride: usize, ws: usize) -> bool {
         self.cfg.strategy == Strategy::Ddl
-            && n.saturating_mul(stride) >= self.cfg.cache_points
+            && self.outgrows(n, stride, ws)
             && (self.kind == Kind::Dft || stride > 1)
     }
 
-    /// Input stride of the right child given the parent's.
-    fn right_child_stride(&self, parent: usize) -> usize {
-        match self.kind {
-            // out-of-place executor: stage 2 reads scratch at unit stride
-            Kind::Dft => 1,
-            // in-place executor: stage A inherits the parent's stride
-            Kind::Wht => parent,
-        }
-    }
-
-    fn price(&mut self, tree: &Tree, stride: usize) -> f64 {
+    fn price(&mut self, tree: &Tree, ctx: [usize; 4]) -> f64 {
+        let stride = ctx[0];
         match self.cfg.backend {
             CostBackend::Analytical(model) => match self.kind {
-                Kind::Dft => model.tree_cost_ns(tree, stride),
-                Kind::Wht => model.wht_tree_cost_ns(tree, stride),
+                Kind::Dft => model.dft_cost_at(tree, ctx).total_ns(),
+                Kind::Wht => model.wht_cost_at(tree, stride, ctx[2]).total_ns(),
             },
             CostBackend::Measured { min_secs, min_reps } => match self.kind {
                 Kind::Dft => time_dft_tree(tree, stride, min_secs, min_reps),
@@ -699,7 +848,7 @@ mod tests {
 
     #[test]
     fn ddl_beats_sdl_in_the_model_above_cache() {
-        let model = CacheModel::paper_default();
+        let model = CacheModel::host();
         let sdl = try_plan_dft(1 << 20, &PlannerConfig::sdl_analytical()).unwrap();
         let ddl = try_plan_dft(1 << 20, &PlannerConfig::ddl_analytical()).unwrap();
         let sdl_cost = model.tree_cost_ns(&sdl.tree, 1);
@@ -797,7 +946,7 @@ mod tests {
 
     #[test]
     fn search_space_is_polynomial() {
-        let cfg = PlannerConfig::ddl_analytical();
+        let cfg = PlannerConfig::ddl_paper_analytical();
         let out = try_plan_dft(1 << 20, &cfg).unwrap();
         // (size, stride) states: at most ~p^2/2 for p = 20, plus strides
         // introduced by reorgs
@@ -807,6 +956,34 @@ mod tests {
             out.states
         );
         assert!(out.candidates <= 20 * out.states.max(1));
+        // The host model's states add a write stride and two offset
+        // classes (module docs): at most ~p^2/2 strides, times 4.
+        let out = try_plan_dft(1 << 20, &PlannerConfig::ddl_analytical()).unwrap();
+        assert!(
+            out.states <= 4 * 20 * 21,
+            "state explosion: {} states",
+            out.states
+        );
+        assert!(out.candidates <= 20 * out.states.max(1));
+    }
+
+    #[test]
+    fn host_model_plans_are_pinned() {
+        // The trees the committed fit plans (re-pin after a refit, with
+        // results/table1*.txt regenerated).
+        let cfg = PlannerConfig::ddl_analytical();
+        let dft = |n: usize| try_plan_dft(n, &cfg).unwrap().tree.to_string();
+        assert_eq!(dft(1 << 12), "ct(64,64)");
+        assert_eq!(dft(1 << 16), "ctddl(64,ct(64,16))");
+        assert_eq!(dft(1 << 18), "ctddl(64,ctddl(64,64))");
+        assert_eq!(dft(1 << 20), "ctddl(64,ctddl(32,ct(8,64)))");
+        // a transform that fits L2 is planned without reorganization
+        assert_eq!(try_plan_dft(1 << 14, &cfg).unwrap().tree.reorg_count(), 0);
+        let wht = crate::grammar::print_wht(&try_plan_wht(1 << 20, &cfg).unwrap().tree);
+        assert_eq!(
+            wht,
+            "split(4,split(8,split(8,split(8,split(8,split(8,8))))))"
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   ([`ExecutionMetrics`]);
 //! * `model` — the Eq. (2)/(3) per-stage prediction ([`StageCost`]);
 //! * `sim` — the per-node simulated L1/L2/TLB counters and Case classes
-//!   ([`AttributionRun`]).
+//!   ([`AttributionRun`]);
+//! * `fit` — the host's L1/L2 and the per-point costs `bench_suite fit`
+//!   measured ([`HostFit`]), the data the host cost model prices with.
+//!   Its record names no plan (`transform` `"host"`, `n` 0).
 //!
 //! Batch summaries and raw counters ride in the same envelope. The
 //! calibration error lines and the hierarchy scorecard are renderings of
@@ -34,7 +37,7 @@ use crate::dft::DftPlan;
 use crate::flight::{FlightDump, FLIGHT_SCHEMA};
 use crate::histo::{TelemetryReport, TELEMETRY_SCHEMA};
 use crate::json::{self, Json};
-use crate::model::StageCost;
+use crate::model::{CacheLevel, HostFit, StageCost, RESIDENCY_LEVELS, STRIDE_CLASSES};
 use crate::obs::{metrics_err, BatchMetrics, ExecutionMetrics, PlannerRunMetrics, StageBreakdown};
 use crate::rfft::RfftPlan;
 use crate::trace::{validate_chrome_trace, TraceSummary};
@@ -82,6 +85,8 @@ pub struct PlanRecord {
     pub model: Option<StageCost>,
     /// One simulated execution, attributed per tree node.
     pub sim: Option<AttributionRun>,
+    /// The host cost model's fitted data.
+    pub fit: Option<HostFit>,
 }
 
 impl PlanRecord {
@@ -96,7 +101,15 @@ impl PlanRecord {
             measured: None,
             model: None,
             sim: None,
+            fit: None,
         }
+    }
+
+    /// A record carrying `fit`, the host cost model's data.
+    pub fn host_fit(fit: HostFit) -> PlanRecord {
+        let mut record = PlanRecord::new("host", 0, "fit", String::new());
+        record.fit = Some(fit);
+        record
     }
 
     /// An empty record naming a compiled DFT plan.
@@ -352,7 +365,53 @@ fn record_to_json(p: &PlanRecord) -> Json {
     if let Some(r) = &p.sim {
         fields.push(("sim", sim_to_json(r)));
     }
+    if let Some(f) = &p.fit {
+        fields.push(("fit", fit_to_json(f)));
+    }
     object(fields)
+}
+
+fn nums(values: &[f64]) -> Json {
+    Json::Arr(values.iter().map(|v| Json::Num(*v)).collect())
+}
+
+fn fit_to_json(f: &HostFit) -> Json {
+    let level = |l: &CacheLevel| {
+        object(vec![
+            ("capacity_bytes", num(l.capacity_bytes as u64)),
+            ("line_bytes", num(l.line_bytes as u64)),
+            ("ways", num(l.ways as u64)),
+        ])
+    };
+    let rows = |rows: Vec<Json>| Json::Arr(rows);
+    object(vec![
+        ("cpu", Json::Str(f.cpu.clone())),
+        ("levels", Json::Arr(f.levels.iter().map(level).collect())),
+        ("page_bytes", num(f.page_bytes as u64)),
+        (
+            "dft_leaf",
+            rows(
+                f.dft_leaf
+                    .iter()
+                    .map(|m| Json::Arr(m.iter().map(|r| nums(r)).collect()))
+                    .collect(),
+            ),
+        ),
+        (
+            "wht_leaf",
+            rows(f.wht_leaf.iter().map(|r| nums(r)).collect()),
+        ),
+        (
+            "wht_lanes",
+            rows(f.wht_lanes.iter().map(|r| nums(r)).collect()),
+        ),
+        ("twiddle", nums(&f.twiddle)),
+        ("transpose", nums(&f.transpose)),
+        ("wht_reorg", nums(&f.wht_reorg)),
+        ("dft_call_ns", Json::Num(f.dft_call_ns)),
+        ("wht_call_ns", Json::Num(f.wht_call_ns)),
+        ("unit_stream", nums(&f.unit_stream)),
+    ])
 }
 
 fn stats_to_json(s: &CacheStats) -> Json {
@@ -579,7 +638,76 @@ fn record_from_json(v: &Json, path: &str) -> Result<PlanRecord, DdlError> {
             })
         })?,
         sim: section(m, path, "sim", sim_from_json)?,
+        fit: section(m, path, "fit", fit_from_json)?,
     })
+}
+
+/// The fixed-length number array `key`.
+fn get_nums<const N: usize>(v: &Json, path: &str) -> Result<[f64; N], DdlError> {
+    let items = match v {
+        Json::Arr(items) if items.len() == N => items,
+        _ => return Err(metrics_err(format!("{path}: not an array of {N} numbers"))),
+    };
+    let mut out = [0.0; N];
+    for (i, (o, v)) in out.iter_mut().zip(items).enumerate() {
+        *o = v
+            .as_f64()
+            .ok_or_else(|| metrics_err(format!("{path}[{i}]: not a number")))?;
+    }
+    Ok(out)
+}
+
+fn fit_row(v: &Json, path: &str) -> Result<[f64; STRIDE_CLASSES], DdlError> {
+    get_nums(v, path)
+}
+
+fn fit_matrix(v: &Json, path: &str) -> Result<[[f64; STRIDE_CLASSES]; STRIDE_CLASSES], DdlError> {
+    let Json::Arr(rows) = v else {
+        return Err(metrics_err(format!("{path}: not an array")));
+    };
+    if rows.len() != STRIDE_CLASSES {
+        return Err(metrics_err(format!("{path}: want {STRIDE_CLASSES} rows")));
+    }
+    let mut out = [[0.0; STRIDE_CLASSES]; STRIDE_CLASSES];
+    for (i, (o, r)) in out.iter_mut().zip(rows).enumerate() {
+        *o = fit_row(r, &format!("{path}[{i}]"))?;
+    }
+    Ok(out)
+}
+
+fn fit_level(v: &Json, path: &str) -> Result<CacheLevel, DdlError> {
+    let m = obj(v, path)?;
+    Ok(CacheLevel {
+        capacity_bytes: get_u64(m, path, "capacity_bytes")? as usize,
+        line_bytes: get_u64(m, path, "line_bytes")? as usize,
+        ways: get_u64(m, path, "ways")? as usize,
+    })
+}
+
+fn fit_from_json(m: &Map, path: &str) -> Result<HostFit, DdlError> {
+    let levels = items(m, path, "levels", fit_level)?;
+    let [l1, l2] = levels[..] else {
+        return Err(metrics_err(format!("{path}.levels: want L1 and L2")));
+    };
+    let per_level =
+        |key: &str| get_nums::<RESIDENCY_LEVELS>(field(m, path, key)?, &format!("{path}.{key}"));
+    let fit = HostFit {
+        cpu: get_str(m, path, "cpu")?,
+        levels: [l1, l2],
+        page_bytes: get_u64(m, path, "page_bytes")? as usize,
+        dft_leaf: items(m, path, "dft_leaf", fit_matrix)?,
+        wht_leaf: items(m, path, "wht_leaf", fit_row)?,
+        wht_lanes: items(m, path, "wht_lanes", fit_row)?,
+        twiddle: per_level("twiddle")?,
+        transpose: per_level("transpose")?,
+        wht_reorg: per_level("wht_reorg")?,
+        dft_call_ns: get_f64(m, path, "dft_call_ns")?,
+        wht_call_ns: get_f64(m, path, "wht_call_ns")?,
+        unit_stream: per_level("unit_stream")?,
+    };
+    fit.validate()
+        .map_err(|e| metrics_err(format!("{path}: {e}")))?;
+    Ok(fit)
 }
 
 fn planner_from_json(m: &Map, path: &str) -> Result<PlannerRunMetrics, DdlError> {

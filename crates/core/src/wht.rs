@@ -357,7 +357,14 @@ impl Node {
 /// Whether stage B of a split on a view of `stride` runs its `n2` left
 /// leaves in lane batches (module docs).
 fn lane_batched(stride: usize, n2: usize, left: &Node) -> bool {
-    stride == 1 && n2 >= WHT_LANES && left.split.is_none() && !left.reorg && left.n <= MAX_LEAF_WHT
+    lane_batched_shape(stride, n2, left.split.is_none() && !left.reorg, left.n)
+}
+
+/// [`lane_batched`] by shape: `plain_leaf` when the left child is a leaf
+/// without `reorg`, of `n1` points. The host cost model prices stage B
+/// by the same rule.
+pub(crate) fn lane_batched_shape(stride: usize, n2: usize, plain_leaf: bool, n1: usize) -> bool {
+    stride == 1 && n2 >= WHT_LANES && plain_leaf && n1 <= MAX_LEAF_WHT
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -40,25 +40,33 @@ pub fn ceil_log2(n: usize) -> u32 {
     }
 }
 
-/// All ordered two-way factorizations `n = a * b` with `a, b >= min_part`.
+/// All ordered two-way factorizations `n = a * b` with `a, b >= min_part`,
+/// in ascending `a`.
 ///
 /// For power-of-two `n` these are exactly the splits the planner's search in
-/// Fig. 8 of the paper enumerates. Works for general `n` too (trial
-/// division), matching the paper's remark that Cooley–Tukey applies to any
-/// composite size.
+/// Fig. 8 of the paper enumerates. Works for general `n` too, matching the
+/// paper's remark that Cooley–Tukey applies to any composite size. Divisors
+/// are found by trial division up to `√n` only, each paired with its
+/// cofactor, so one call costs `O(√n)` rather than `O(n)`.
 pub fn factor_pairs(n: usize, min_part: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut a = min_part.max(1);
-    while a <= n / min_part.max(1) {
+    let min_part = min_part.max(1);
+    let mut low = Vec::new();
+    let mut a = 1;
+    while a <= n / a {
         if n.is_multiple_of(a) {
-            let b = n / a;
-            if b >= min_part {
-                out.push((a, b));
-            }
+            low.push(a);
         }
         a += 1;
     }
-    out
+    // Divisors ascending: those up to √n, then their cofactors (a
+    // perfect square's root only once).
+    let high = low.iter().rev().filter(|&&a| a != n / a).map(|&a| n / a);
+    let divisors: Vec<usize> = low.iter().copied().chain(high).collect();
+    divisors
+        .into_iter()
+        .filter(|&a| a >= min_part && n / a >= min_part)
+        .map(|a| (a, n / a))
+        .collect()
 }
 
 #[cfg(test)]
@@ -110,6 +118,34 @@ mod tests {
     fn factor_pairs_min_part_one_includes_trivial() {
         let pairs = factor_pairs(6, 1);
         assert_eq!(pairs, vec![(1, 6), (2, 3), (3, 2), (6, 1)]);
+    }
+
+    /// The trial division of every `a` up to `n / min_part` that
+    /// [`factor_pairs`] replaced.
+    fn factor_pairs_by_full_trial_division(n: usize, min_part: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut a = min_part.max(1);
+        while a <= n / min_part.max(1) {
+            if n.is_multiple_of(a) && n / a >= min_part {
+                out.push((a, n / a));
+            }
+            a += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn factor_pairs_match_full_trial_division_in_order() {
+        let pow2 = (0..=20).map(|k| 1usize << k);
+        for n in (0..2000).chain(pow2).chain([3600, 65536 * 3, 1 << 21]) {
+            for min_part in 0..=4 {
+                assert_eq!(
+                    factor_pairs(n, min_part),
+                    factor_pairs_by_full_trial_division(n, min_part),
+                    "n = {n}, min_part = {min_part}"
+                );
+            }
+        }
     }
 
     #[test]

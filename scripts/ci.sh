@@ -44,14 +44,18 @@ run env DDL_CHAOS_SEED=42 DDL_CHAOS_REPORT=target/chaos-report.jsonl \
     cargo test -q --test chaos
 echo
 echo "==> chaos report fault-class coverage"
-classes=$(grep -o '"class":"[^"]*"' target/chaos-report.jsonl | sort -u | tee /dev/stderr | wc -l)
+found=$(grep -o '"class":"[^"]*"' target/chaos-report.jsonl | sort -u)
+echo "$found" >&2
+classes=$(echo "$found" | wc -l)
 if [ "$classes" -lt 5 ]; then
     echo "error: chaos report covers only $classes fault classes (need >= 5)"
     exit 1
 fi
 echo
 echo "==> flight recorder trigger coverage"
-triggers=$(grep -o '"trigger":"[^"]*"' target/flight-chaos.jsonl | sort -u | tee /dev/stderr | wc -l)
+found=$(grep -o '"trigger":"[^"]*"' target/flight-chaos.jsonl | sort -u)
+echo "$found" >&2
+triggers=$(echo "$found" | wc -l)
 if [ "$triggers" -lt 3 ]; then
     echo "error: flight recorder covers only $triggers dump triggers (need >= 3)"
     exit 1
@@ -185,6 +189,8 @@ run bench table5 --quick --max-log-n 10
 run bench table6 --quick --max-log-n 10
 run bench platform
 run bench probe 'ctddl(64,64)'
+# The host cost model's committed fit parses and validates (no timing).
+run bench fit --check crates/core/data/host-fit.json
 
 run bench compare target/BENCH_ci.json target/BENCH_ci.json
 
