@@ -193,7 +193,7 @@ fn planner_plans_rank_consistently() {
         for strategy in [Strategy::Sdl, Strategy::Ddl] {
             let mut cfg = match strategy {
                 Strategy::Sdl => PlannerConfig::sdl_analytical(),
-                Strategy::Ddl => PlannerConfig::ddl_analytical(),
+                Strategy::Ddl => PlannerConfig::ddl_paper_analytical(),
             };
             cfg.cache_points = cache.capacity_bytes / POINT_BYTES;
             let outcome = try_plan_dft(n, &cfg).expect("planner failed");

@@ -115,7 +115,7 @@ static COMMANDS: &[Command] = &[
     cmd("platform", &[], 0..=0, paper::platform),
     cmd("obs_smoke", &["--metrics-out", "--check"], 0..=0, smoke::obs_smoke),
     cmd("probe", &[], 1..=MANY, paper::probe),
-    cmd("fit", &["--quick", "--out", "--check"], 0..=0, fit::fit),
+    cmd("fit", &["--out", "--check"], 0..=0, fit::fit),
 ];
 
 fn main() -> ExitCode {

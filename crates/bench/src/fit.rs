@@ -17,9 +17,7 @@
 //! * a WHT leaf for each size and class (in place, one stride), and a
 //!   stage-B lane batch for each size and class of its rows;
 //! * the DFT twiddle pass and tiled transpose, and the WHT gather plus
-//!   scatter-back, with their working set in L1, in L2 and in memory;
-//! * whole right-most and balanced trees, on which the per-call overhead
-//!   and the DFT's unit-stride stage-stream costs are regressed.
+//!   scatter-back, with their working set in L1, in L2 and in memory.
 //!
 //! A class a leaf size cannot reach (a 2-point leaf never conflicts in a
 //! 12-way L1) takes the cost of the class below it.
@@ -27,15 +25,15 @@
 //! [`CacheModel::host`]: ddl_core::CacheModel::host
 
 use crate::cli::{Args, Outcome, Usage};
-use crate::{host, Transform};
+use crate::host;
 use ddl_core::dft::{run_leaf, run_transpose, run_twiddle_pass};
 use ddl_core::measure::time_per_call;
 use ddl_core::model::{CacheLevel, HostFit, RESIDENCY_LEVELS, STRIDE_CLASSES};
-use ddl_core::{PlanRecord, Report, Tree, DFT_POINT_BYTES, WHT_POINT_BYTES};
+use ddl_core::{PlanRecord, Report, DFT_POINT_BYTES, WHT_POINT_BYTES};
 use ddl_kernels::{wht_lanes, wht_leaf_strided, MAX_LEAF_DFT, MAX_LEAF_WHT, WHT_LANES};
 use ddl_num::{Complex64, Direction, TwiddleTable};
 
-/// Timings per cost; the median is kept.
+/// Timings per cost; the lower quartile is kept.
 const ROUNDS: usize = 11;
 /// Largest buffer a leaf batch spans, in points.
 const MAX_SPAN: usize = 1 << 21;
@@ -45,10 +43,8 @@ const MAX_SPAN: usize = 1 << 21;
 /// a written fit.
 pub fn fit(args: &Args) -> Outcome {
     if let Some(path) = &args.check {
-        if args.out.is_some() || args.quick {
-            return Err(
-                Usage("fit --check reads a fit; it takes no --out or --quick".into()).into(),
-            );
+        if args.out.is_some() {
+            return Err(Usage("fit --check reads a fit; it takes no --out".into()).into());
         }
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -64,7 +60,7 @@ pub fn fit(args: &Args) -> Outcome {
         );
         return Ok(());
     }
-    let fit = measure(args.quick)?;
+    let fit = measure()?;
     print!("{}", render(&fit));
     if let Some(path) = &args.out {
         let mut report = Report::new("host-fit");
@@ -292,7 +288,7 @@ fn fill_down(row: [Option<f64>; STRIDE_CLASSES]) -> [f64; STRIDE_CLASSES] {
     out
 }
 
-/// Where each probe's median goes.
+/// Where each probe's lower quartile goes.
 enum Slot {
     DftLeaf(usize, usize, usize),
     WhtLeaf(usize, usize),
@@ -300,7 +296,6 @@ enum Slot {
     Twiddle(usize),
     Transpose(usize),
     WhtReorg(usize),
-    Tree(Transform, Tree),
 }
 
 /// Every kernel and pass probe of `fit`'s geometry, with its slot.
@@ -342,142 +337,12 @@ fn probes(fit: &HostFit) -> Vec<(Slot, Probe)> {
     out
 }
 
-/// Least squares with every coefficient non-negative, for a handful of
-/// features: `rows` are `(features, target)`. Each subset of features is
-/// solved unconstrained; the best subset whose solution is non-negative
-/// wins (zero for the features left out).
-fn nonnegative_least_squares<const K: usize>(rows: &[([f64; K], f64)]) -> [f64; K] {
-    let mut best = ([0.0; K], f64::INFINITY);
-    for mask in 0u32..(1 << K) {
-        let idx: Vec<usize> = (0..K).filter(|i| mask & (1 << i) != 0).collect();
-        let m = idx.len();
-        // normal equations A x = b over the subset
-        let mut a = vec![vec![0.0; m + 1]; m];
-        for (f, t) in rows {
-            for (r, &i) in idx.iter().enumerate() {
-                for (c, &j) in idx.iter().enumerate() {
-                    a[r][c] += f[i] * f[j];
-                }
-                a[r][m] += f[i] * t;
-            }
-        }
-        let Some(x) = solve(a) else { continue };
-        let mut coef = [0.0; K];
-        for (&i, v) in idx.iter().zip(&x) {
-            coef[i] = *v;
-        }
-        if coef.iter().any(|c| *c < 0.0) {
-            continue;
-        }
-        let err: f64 = rows
-            .iter()
-            .map(|(f, t)| (t - f.iter().zip(&coef).map(|(a, b)| a * b).sum::<f64>()).powi(2))
-            .sum();
-        if err < best.1 {
-            best = (coef, err);
-        }
-    }
-    best.0
-}
-
-/// Gaussian elimination with partial pivoting on the augmented matrix
-/// `a` (`m` rows of `m + 1`); `None` when it is singular.
-fn solve(mut a: Vec<Vec<f64>>) -> Option<Vec<f64>> {
-    let m = a.len();
-    for col in 0..m {
-        let pivot = (col..m).max_by(|&x, &y| a[x][col].abs().total_cmp(&a[y][col].abs()))?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        let pivot_row = a[col].clone();
-        for (row, r) in a.iter_mut().enumerate() {
-            if row != col {
-                let f = r[col] / pivot_row[col];
-                for (x, p) in r[col..].iter_mut().zip(&pivot_row[col..]) {
-                    *x -= f * p;
-                }
-            }
-        }
-    }
-    Some((0..m).map(|r| a[r][m] / a[r][r]).collect())
-}
-
-/// Sizes of the whole trees the executor terms are fitted on: from 2^10,
-/// where one execution's fixed entry cost is small, to 2^18, whose data
-/// outgrows L2.
-const WHOLE_TREE_LOGS: [u32; 5] = [10, 12, 14, 16, 18];
-
-/// The whole trees the executor terms of `transform` are fitted on:
-/// right-most and balanced trees of every leaf size, and for the DFT the
-/// same with a reorganizing root.
-fn whole_trees(transform: Transform) -> Vec<Tree> {
-    let mut trees = Vec::new();
-    for log_n in WHOLE_TREE_LOGS {
-        for leaf in [4, 8, 16, 32, 64] {
-            for tree in [
-                Tree::rightmost(1 << log_n, leaf),
-                Tree::balanced(1 << log_n, leaf),
-            ] {
-                if transform == Transform::Dft && log_n >= 12 {
-                    trees.push(tree.clone().with_reorg(true));
-                }
-                trees.push(tree);
-            }
-        }
-    }
-    trees
-}
-
-/// One execution of `tree` as `transform`.
-fn tree_probe(transform: Transform, tree: Tree) -> Probe {
-    // the planner's own tree shapes always compile and run
-    Box::new(move |floor| transform.time(&tree, floor).map_or(f64::NAN, |s| s * 1e9))
-}
-
-/// The terms only whole trees show: what the kernels and passes priced
-/// by `fit` leave unexplained in the `timed` trees' nanoseconds is
-/// regressed (non-negative least squares, on relative error) on their
-/// node calls and, for the DFT, on the points their unit-stride stage
-/// streams move in nodes held by L2 and by memory. Returns the per-call
-/// overhead and the per-level unit-stream costs.
-fn whole_tree_terms(fit: &HostFit, transform: Transform, timed: &[(Tree, f64)]) -> (f64, [f64; 3]) {
-    let cost = |fit: &HostFit, tree: &Tree| match transform {
-        Transform::Dft => fit.dft_node_cost(tree, 1, 1).total_ns() * tree.size() as f64,
-        Transform::Wht => fit.wht_node_cost(tree, 1).total_ns() * tree.size() as f64,
-    };
-    let with = |call: f64, unit_stream: [f64; 3]| HostFit {
-        dft_call_ns: call,
-        wht_call_ns: call,
-        unit_stream,
-        ..fit.clone()
-    };
-    let bare = with(0.0, [0.0; 3]);
-    let units = [
-        with(1.0, [0.0; 3]),
-        with(0.0, [0.0, 1.0, 0.0]),
-        with(0.0, [0.0, 0.0, 1.0]),
-    ];
-    let rows: Vec<([f64; 3], f64)> = timed
-        .iter()
-        .map(|(tree, t)| {
-            let base = cost(&bare, tree);
-            let features = units.each_ref().map(|u| cost(u, tree) - base);
-            // relative error, so large trees do not drown small ones
-            let scale = t.max(1.0);
-            (features.map(|f| f / scale), (t - base) / scale)
-        })
-        .collect();
-    let [call, l2, mem] = nonnegative_least_squares(&rows);
-    (call, [0.0, l2, mem])
-}
+/// Timing floor of one probe call, in seconds.
+const FLOOR: f64 = 1e-2;
 
 /// Measures every cost of the host model on this host: the kernel and
-/// pass probes and the whole trees, all in the same interleaved rounds,
-/// so the regression of the whole trees' times on the kernels' costs
-/// compares measurements taken under the same load.
-pub fn measure(quick: bool) -> Result<HostFit, String> {
-    let floor = if quick { 1e-3 } else { 1e-2 };
+/// pass probes, all in the same interleaved rounds.
+pub fn measure() -> Result<HostFit, String> {
     // The stride classes need only the geometry.
     let mut fit = HostFit {
         cpu: host::cpu_model(),
@@ -492,22 +357,12 @@ pub fn measure(quick: bool) -> Result<HostFit, String> {
         twiddle: [0.0; RESIDENCY_LEVELS],
         transpose: [0.0; RESIDENCY_LEVELS],
         wht_reorg: [0.0; RESIDENCY_LEVELS],
-        dft_call_ns: 0.0,
-        wht_call_ns: 0.0,
-        unit_stream: [0.0; RESIDENCY_LEVELS],
     };
-    let (mut slots, mut probes): (Vec<Slot>, Vec<Probe>) = probes(&fit).into_iter().unzip();
-    for transform in [Transform::Dft, Transform::Wht] {
-        for tree in whole_trees(transform) {
-            probes.push(tree_probe(transform, tree.clone()));
-            slots.push(Slot::Tree(transform, tree));
-        }
-    }
+    let (slots, probes): (Vec<Slot>, Vec<Probe>) = probes(&fit).into_iter().unzip();
     let mut dft = vec![[[None; STRIDE_CLASSES]; STRIDE_CLASSES]; fit.dft_leaf.len()];
     let mut wht = vec![[None; STRIDE_CLASSES]; fit.wht_leaf.len()];
     let mut lanes = vec![[None; STRIDE_CLASSES]; fit.wht_lanes.len()];
-    let mut timed: [Vec<(Tree, f64)>; 2] = [Vec::new(), Vec::new()];
-    for (slot, ns) in slots.into_iter().zip(interleaved(&probes, floor)) {
+    for (slot, ns) in slots.into_iter().zip(interleaved(&probes, FLOOR)) {
         match slot {
             Slot::DftLeaf(k, rc, wc) => dft[k][rc][wc] = Some(ns),
             Slot::WhtLeaf(k, c) => wht[k][c] = Some(ns),
@@ -515,7 +370,6 @@ pub fn measure(quick: bool) -> Result<HostFit, String> {
             Slot::Twiddle(l) => fit.twiddle[l] = ns,
             Slot::Transpose(l) => fit.transpose[l] = ns,
             Slot::WhtReorg(l) => fit.wht_reorg[l] = ns,
-            Slot::Tree(transform, tree) => timed[transform as usize].push((tree, ns)),
         }
     }
     for (out, rows) in fit.dft_leaf.iter_mut().zip(dft) {
@@ -537,9 +391,6 @@ pub fn measure(quick: bool) -> Result<HostFit, String> {
         row[0] = row[1];
         *out = fill_down(row);
     }
-    let [dft_trees, wht_trees] = timed;
-    (fit.dft_call_ns, fit.unit_stream) = whole_tree_terms(&fit, Transform::Dft, &dft_trees);
-    fit.wht_call_ns = whole_tree_terms(&fit, Transform::Wht, &wht_trees).0;
     fit.validate()?;
     Ok(fit)
 }
@@ -573,14 +424,6 @@ pub fn render(fit: &HostFit) -> String {
     };
     out += &table("WHT leaf", &fit.wht_leaf);
     out += &table("WHT lane batch", &fit.wht_lanes);
-    out += &format!(
-        "\n# overhead per node call: dft {:.1} ns, wht {:.1} ns\n",
-        fit.dft_call_ns, fit.wht_call_ns
-    );
-    out += &format!(
-        "# dft unit-stride stage stream ns/point: L1 {:.3} L2 {:.3} memory {:.3}\n",
-        fit.unit_stream[0], fit.unit_stream[1], fit.unit_stream[2]
-    );
     out += "\n# passes ns/point: L1 L2 memory\n";
     for (name, row) in [
         ("dft twiddle", fit.twiddle),

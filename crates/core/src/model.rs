@@ -357,8 +357,6 @@ impl CacheModel {
     }
 }
 
-use ddl_kernels::WHT_LANES;
-
 /// Stride classes of the host model (module docs).
 pub const STRIDE_CLASSES: usize = 9;
 /// Where a pass's working set resides: L1, L2 or memory.
@@ -411,16 +409,6 @@ pub struct HostFit {
     /// WHT gather plus scatter-back by residency level of the strided
     /// view's lines.
     pub wht_reorg: [f64; RESIDENCY_LEVELS],
-    /// DFT executor overhead in ns per node call (split or leaf), beyond
-    /// the kernels and passes priced above: fitted on whole small trees.
-    pub dft_call_ns: f64,
-    /// WHT executor overhead in ns per node call or lane batch.
-    pub wht_call_ns: f64,
-    /// What a DFT split's unit-stride stage stream (a stage reading or
-    /// writing its node's buffer contiguously) costs per point beyond
-    /// the in-cache leaf batches the leaf table was timed on, by the
-    /// level holding the node's `2n` points: fitted on whole trees.
-    pub unit_stream: [f64; RESIDENCY_LEVELS],
 }
 
 /// The committed fit, a `ddl-report` whose one record has a `fit`
@@ -487,14 +475,6 @@ impl HostFit {
         for c in costs {
             if !(c.is_finite() && *c > 0.0) {
                 return Err(format!("cost {c} is not a positive number"));
-            }
-        }
-        for c in [self.dft_call_ns, self.wht_call_ns]
-            .iter()
-            .chain(&self.unit_stream)
-        {
-            if !(c.is_finite() && *c >= 0.0) {
-                return Err(format!("call overhead {c} is not a non-negative number"));
             }
         }
         Ok(())
@@ -577,15 +557,11 @@ impl HostFit {
         row[self.stride_class(b, n, rs, ro)][self.stride_class(b, n, ws, wo)] * beyond
     }
 
-    /// Per-point stage costs of a DFT subtree reading at `rs` and writing
-    /// at `ws`, as a root: on the schedule [`crate::dft`] runs untraced.
-    pub fn dft_node_cost(&self, tree: &crate::tree::Tree, rs: usize, ws: usize) -> StageCost {
-        self.dft_cost_in(tree, [rs, ws, 1, 1])
-    }
-
-    /// [`HostFit::dft_node_cost`] of a subtree whose calls read at
-    /// stride `rs` and write at `ws`, successive calls starting `ro`
-    /// (reads) and `wo` (writes) points apart.
+    /// Per-point stage costs of a DFT subtree on the schedule
+    /// [`crate::dft`] runs untraced, in the context `[rs, ws, ro, wo]`:
+    /// its calls read at stride `rs` and write at `ws`, successive calls
+    /// starting `ro` (reads) and `wo` (writes) points apart (a root is
+    /// `[rs, 1, 1, 1]`).
     pub fn dft_cost_in(&self, tree: &crate::tree::Tree, ctx: [usize; 4]) -> StageCost {
         use crate::tree::Tree;
         let [rs, ws, _, wo] = ctx;
@@ -594,7 +570,6 @@ impl HostFit {
         let level = self.residency(2 * n * crate::DFT_POINT_BYTES);
         match tree {
             Tree::Leaf { reorg, .. } => {
-                cost.leaf_ns += self.dft_call_ns / n as f64;
                 if *reorg && rs > 1 {
                     // gather to unit stride, then the codelet on the copy
                     cost.reorg_ns += self.transpose[level];
@@ -605,8 +580,7 @@ impl HostFit {
             }
             Tree::Split { left, right, reorg } => {
                 let (n1, n2) = (left.size(), right.size());
-                // the split's own call rides with its twiddle pass
-                cost.twiddle_ns += self.twiddle[level] + self.dft_call_ns / n as f64;
+                cost.twiddle_ns += self.twiddle[level];
                 // stage 1's calls start rs apart in the input, stage 2's
                 // ws apart in the output
                 if *reorg {
@@ -614,17 +588,14 @@ impl HostFit {
                     // and two tiled transposes move the data: t2 into t
                     // between the stages, t2 into the output after them,
                     // whose stores at a strided output cost what a leaf's
-                    // strided stores cost beyond its unit-stride ones;
-                    // three stage streams are unit-stride
+                    // strided stores cost beyond its unit-stride ones
                     cost.add(self.dft_cost_in(left, [n2 * rs, 1, rs, 1]));
                     cost.add(self.dft_cost_in(right, [1, 1, 1, 1]));
                     cost.reorg_ns += 2.0 * self.transpose[level] + self.store_penalty(n, ws, wo);
-                    cost.leaf_ns += 3.0 * self.unit_stream[level];
                 } else {
                     // stage 2 reads the intermediate buffer contiguously
                     cost.add(self.dft_cost_in(left, [n2 * rs, n2, rs, 1]));
                     cost.add(self.dft_cost_in(right, [1, n1 * ws, 1, ws]));
-                    cost.leaf_ns += self.unit_stream[level];
                 }
             }
         }
@@ -645,15 +616,10 @@ impl HostFit {
         (row[0][class] - row[0][0]).max(0.0)
     }
 
-    /// Per-point stage costs of a WHT subtree on a view of `stride`, as
-    /// a root: on the schedule [`crate::wht`] runs untraced (lane batches
-    /// included).
-    pub fn wht_node_cost(&self, tree: &crate::tree::Tree, stride: usize) -> StageCost {
-        self.wht_cost_in(tree, stride, 1)
-    }
-
-    /// [`HostFit::wht_node_cost`] of a subtree whose successive calls
-    /// start `offset` points apart.
+    /// Per-point stage costs of a WHT subtree on a view of `stride`
+    /// whose successive calls start `offset` points apart (a root's
+    /// offset is 1), on the schedule [`crate::wht`] runs untraced (lane
+    /// batches included).
     pub fn wht_cost_in(&self, tree: &crate::tree::Tree, stride: usize, offset: usize) -> StageCost {
         use crate::tree::Tree;
         let b = crate::WHT_POINT_BYTES;
@@ -670,19 +636,14 @@ impl HostFit {
             Tree::Leaf { .. } => {
                 let (row, beyond) = Self::leaf_row(&self.wht_leaf, n);
                 cost.leaf_ns += row[self.stride_class(b, n, stride, offset)] * beyond;
-                cost.leaf_ns += self.wht_call_ns / n as f64;
             }
             Tree::Split { left, right, .. } => {
                 let (n1, n2) = (left.size(), right.size());
-                // the WHT has no twiddle term: a split's call is priced
-                // with its leaves
-                cost.leaf_ns += self.wht_call_ns / n as f64;
                 cost.add(self.wht_cost_in(right, stride, offset));
                 let plain_leaf = matches!(**left, Tree::Leaf { reorg: false, .. });
                 if crate::wht::lane_batched_shape(stride, n2, plain_leaf, n1) {
                     let (row, _) = Self::leaf_row(&self.wht_lanes, n1);
                     cost.leaf_ns += row[self.stride_class(b, n1, n2, 1)];
-                    cost.leaf_ns += self.wht_call_ns / (WHT_LANES * n1) as f64;
                 } else {
                     // stage B's calls start `stride` apart
                     cost.add(self.wht_cost_in(left, n2 * stride, stride));
@@ -906,7 +867,7 @@ mod tests {
         let t = |e: &str| crate::grammar::parse(e).unwrap();
         // a reorganizing split pays two transposes (between the stages
         // and into the output), at the level holding its 2n points
-        let ddl = fit.dft_node_cost(&t("ctddl(64,64)"), 1, 1);
+        let ddl = fit.dft_cost_in(&t("ctddl(64,64)"), [1, 1, 1, 1]);
         let level = fit.residency(2 * 4096 * crate::DFT_POINT_BYTES);
         assert!((ddl.reorg_ns - 2.0 * fit.transpose[level]).abs() < 1e-12);
         // a child is priced at the write stride it runs at: the same

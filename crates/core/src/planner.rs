@@ -27,10 +27,12 @@
 //! 2^14 points the clock finds its reorganized trees no faster, while a
 //! reorganizing root holds `n` more scratch points (EXPERIMENTS.md). In
 //! a transform that outgrows L2, a reorganization is considered at every
-//! node whose footprint exceeds `cache_points`, which `ddl_analytical`
-//! sets to the host's L1: a 1,024-point node, whose input, output and
-//! scratch fill L1 exactly, runs as planned. The other backends price a tree as a root that
-//! writes at unit stride and keep the paper's `size · stride` rule.
+//! node whose footprint exceeds the host's L1, in points of the kind
+//! being planned (16-byte DFT, 8-byte WHT points): a 1,024-point DFT
+//! node, whose input, output and scratch fill L1 exactly, runs as
+//! planned. The other backends price a tree as a root that writes at
+//! unit stride and keep the paper's `size · stride` rule against
+//! [`PlannerConfig::cache_points`].
 //!
 //! # Left children
 //!
@@ -141,10 +143,11 @@ pub struct PlannerConfig {
     /// Largest leaf size the search may choose.
     pub max_leaf: usize,
     /// Cache size in points: reorganization is only considered at nodes
-    /// whose working set reaches it (paper Section IV-B: "we apply the DDL
-    /// approach only to transforms whose sizes are equal to or larger than
-    /// the cache size"). The working set is `size * stride`, or the
-    /// node's footprint under the host model (module docs).
+    /// with `size * stride >= cache_points` (paper Section IV-B: "we
+    /// apply the DDL approach only to transforms whose sizes are equal to
+    /// or larger than the cache size"). The host model applies the rule
+    /// at each of the host's levels instead, in points of the kind being
+    /// planned, and does not read this field (module docs).
     pub cache_points: usize,
 }
 
@@ -152,7 +155,9 @@ impl PlannerConfig {
     /// DDL with the host model ([`CacheModel::host`]) — deterministic:
     /// the fitted costs are committed data, so planning reads no clock
     /// and no file. Reorganization is considered at nodes whose
-    /// footprint reaches the host's L1.
+    /// footprint exceeds the host's L1 (module docs). `cache_points`
+    /// holds that L1 in DFT points; the host model's rule does not read
+    /// it.
     pub fn ddl_analytical() -> Self {
         let model = CacheModel::host();
         PlannerConfig {
@@ -163,9 +168,11 @@ impl PlannerConfig {
         }
     }
 
-    /// DDL with the paper's analytical model
-    /// ([`CacheModel::paper_default`]): the paper's machine, for paper
-    /// reproduction.
+    /// DDL with the paper's model ([`CacheModel::paper_default`]) and
+    /// its rule, a reorganization at nodes with `size * stride >=
+    /// cache_points`: the configuration whose threshold moves the plan
+    /// at every size, so the tests that sweep `cache_points` plan with
+    /// it (the host model's rule does not read it).
     pub fn ddl_paper_analytical() -> Self {
         let model = CacheModel::paper_default();
         PlannerConfig {
@@ -673,19 +680,20 @@ impl<S: Sink> Search<'_, S> {
 
     /// Whether a node of `n` points read at `stride` and written at `ws`
     /// outgrows the cache: under the host model, in a transform that
-    /// outgrows L2, its footprint (module docs) exceeds `cache_points`;
-    /// otherwise `n · stride` reaches it (the paper's "equal to or
-    /// larger than the cache size").
+    /// outgrows L2, its footprint (module docs) exceeds the host's L1 in
+    /// points of the kind being planned; otherwise `n · stride` reaches
+    /// `cache_points` (the paper's "equal to or larger than the cache
+    /// size").
     fn outgrows(&self, n: usize, stride: usize, ws: usize) -> bool {
-        match (self.host(), self.kind) {
-            (Some(fit), kind) => {
-                let footprint = match kind {
-                    Kind::Dft => fit.dft_footprint(n, stride, ws),
-                    Kind::Wht => fit.wht_footprint(n, stride),
+        match self.host() {
+            Some(fit) => {
+                let (footprint, point_bytes) = match self.kind {
+                    Kind::Dft => (fit.dft_footprint(n, stride, ws), crate::DFT_POINT_BYTES),
+                    Kind::Wht => (fit.wht_footprint(n, stride), crate::WHT_POINT_BYTES),
                 };
-                self.outgrows_l2 && footprint > self.cfg.cache_points
+                self.outgrows_l2 && footprint > fit.level(0, point_bytes).capacity
             }
-            (None, _) => n.saturating_mul(stride) >= self.cfg.cache_points,
+            None => n.saturating_mul(stride) >= self.cfg.cache_points,
         }
     }
 
@@ -984,6 +992,36 @@ mod tests {
             wht,
             "split(4,split(8,split(8,split(8,split(8,split(8,8))))))"
         );
+    }
+
+    #[test]
+    fn host_model_reorganizes_where_a_node_outgrows_l1_of_its_kind() {
+        fn search(kind: Kind, sink: &mut NullSink) -> Search<'_, NullSink> {
+            Search {
+                cfg: PlannerConfig::ddl_analytical(),
+                kind,
+                outgrows_l2: true,
+                memo: HashMap::new(),
+                candidates: 0,
+                sink,
+            }
+        }
+        let fit = HostFit::committed();
+        let (mut sink_a, mut sink_b) = (NullSink, NullSink);
+        let dft_l1 = fit.level(0, crate::DFT_POINT_BYTES).capacity;
+        let wht_l1 = fit.level(0, crate::WHT_POINT_BYTES).capacity;
+        assert_eq!(wht_l1, 2 * dft_l1);
+        // a unit-stride WHT node of more than L1's DFT points but fewer
+        // than its WHT points fits L1: not a candidate
+        let n = (dft_l1 + wht_l1) / 2;
+        let wht = search(Kind::Wht, &mut sink_a);
+        assert!(!wht.outgrows(n, 1, 1));
+        assert!(!wht.outgrows(wht_l1, 1, 1));
+        assert!(wht.outgrows(wht_l1 + 1, 1, 1));
+        // a DFT node's footprint is input, output and scratch
+        let dft = search(Kind::Dft, &mut sink_b);
+        assert!(!dft.outgrows(dft_l1 / 3, 1, 1));
+        assert!(dft.outgrows(dft_l1 / 3 + 1, 1, 1));
     }
 
     #[test]

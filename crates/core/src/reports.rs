@@ -408,9 +408,6 @@ fn fit_to_json(f: &HostFit) -> Json {
         ("twiddle", nums(&f.twiddle)),
         ("transpose", nums(&f.transpose)),
         ("wht_reorg", nums(&f.wht_reorg)),
-        ("dft_call_ns", Json::Num(f.dft_call_ns)),
-        ("wht_call_ns", Json::Num(f.wht_call_ns)),
-        ("unit_stream", nums(&f.unit_stream)),
     ])
 }
 
@@ -701,9 +698,6 @@ fn fit_from_json(m: &Map, path: &str) -> Result<HostFit, DdlError> {
         twiddle: per_level("twiddle")?,
         transpose: per_level("transpose")?,
         wht_reorg: per_level("wht_reorg")?,
-        dft_call_ns: get_f64(m, path, "dft_call_ns")?,
-        wht_call_ns: get_f64(m, path, "wht_call_ns")?,
-        unit_stream: per_level("unit_stream")?,
     };
     fit.validate()
         .map_err(|e| metrics_err(format!("{path}: {e}")))?;

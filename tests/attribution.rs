@@ -38,7 +38,7 @@ fn configs() -> Vec<PlannerConfig> {
         for cache_points in CACHE_POINT_THRESHOLDS {
             let base = match strategy {
                 Strategy::Sdl => PlannerConfig::sdl_analytical(),
-                Strategy::Ddl => PlannerConfig::ddl_analytical(),
+                Strategy::Ddl => PlannerConfig::ddl_paper_analytical(),
             };
             out.push(PlannerConfig {
                 cache_points,
@@ -212,7 +212,7 @@ proptest! {
         let cache = CacheConfig::paper_default(64);
         let hier = HierarchyConfig::typical(cache);
         let base = if ddl {
-            PlannerConfig::ddl_analytical()
+            PlannerConfig::ddl_paper_analytical()
         } else {
             PlannerConfig::sdl_analytical()
         };

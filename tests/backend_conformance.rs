@@ -258,7 +258,7 @@ fn regimes() -> Vec<(&'static str, PlannerConfig)> {
             "ddl-smallcache",
             PlannerConfig {
                 cache_points: 64,
-                ..PlannerConfig::ddl_analytical()
+                ..PlannerConfig::ddl_paper_analytical()
             },
         ),
         // Leaf cap below the SIMD profitability threshold: every leaf
@@ -384,7 +384,7 @@ proptest! {
     ) {
         let n = 1usize << log_n;
         let base = if ddl {
-            PlannerConfig::ddl_analytical()
+            PlannerConfig::ddl_paper_analytical()
         } else {
             PlannerConfig::sdl_analytical()
         };

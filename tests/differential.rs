@@ -109,7 +109,7 @@ fn analytical_plans_match_references_across_the_full_size_range() {
             (PlannerConfig::sdl_analytical(), "sdl-analytical"),
             (PlannerConfig::ddl_analytical(), "ddl-analytical"),
             (
-                tiny_threshold(PlannerConfig::ddl_analytical()),
+                tiny_threshold(PlannerConfig::ddl_paper_analytical()),
                 "ddl-analytical-tiny-threshold",
             ),
         ] {
@@ -131,7 +131,7 @@ fn analytical_plans_match_references_in_the_inverse_direction() {
         );
         check_dft_plan(
             n,
-            &tiny_threshold(PlannerConfig::ddl_analytical()),
+            &tiny_threshold(PlannerConfig::ddl_paper_analytical()),
             Direction::Inverse,
             "ddl-tiny-inverse",
         );
@@ -359,7 +359,7 @@ proptest! {
     ) {
         let n = 1usize << log_n;
         let base = if ddl {
-            PlannerConfig::ddl_analytical()
+            PlannerConfig::ddl_paper_analytical()
         } else {
             PlannerConfig::sdl_analytical()
         };
