@@ -1,7 +1,9 @@
 //! Seeded lock-order inversion: two functions acquire `alpha` and
-//! `beta` in opposite orders. The lock-order analyzer must report a
-//! cycle for this file; `ddl_cert --demo-mutation lock-inversion` and a
-//! unit test both gate on that.
+//! `beta` in opposite orders, so two threads could deadlock. Each
+//! function takes its second lock while holding the first, and the lock
+//! rule must refuse this file for that nesting;
+//! `ddl_cert --demo-mutation lock-inversion` and
+//! `tests/certificates.rs` both gate on it.
 //!
 //! This file is a fixture, not compiled into any crate.
 

@@ -2,9 +2,10 @@
 //!
 //! Two modes:
 //!
-//! * **analyze** (default) — plans every size `2^1..2^max` with both
-//!   strategies under a sweep of reorganization thresholds (analytical
-//!   backend, fully deterministic), statically proves each emitted plan
+//! * **analyze** (default) — plans every size `2^1..2^max` with SDL,
+//!   with host-model DDL, and with the paper-model DDL rule under a sweep
+//!   of reorganization thresholds (analytical backend, fully
+//!   deterministic), statically proves each emitted plan
 //!   in-bounds and alias-free at several root strides through the
 //!   execution layouts the compiled plans export, computes
 //!   cache-conflict summaries under the paper's cache geometry, and
@@ -26,8 +27,9 @@ use ddl_analyze::{
     analyze_dft_plan, analyze_wht_plan, verify_generated, AnalysisReport, CacheGeometry, Severity,
 };
 use ddl_cachesim::CacheConfig;
-use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
-use ddl_core::{CacheModel, DftPlan, WhtPlan};
+use ddl_core::layout::PlanLayout;
+use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig};
+use ddl_core::{CacheModel, DdlError, DftPlan, WhtPlan};
 use ddl_num::Direction;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -78,73 +80,38 @@ fn analyze(max_log: u32, out: Option<&Path>) -> ExitCode {
     let mut report = AnalysisReport::new();
     let geom = CacheGeometry::from_config(&CacheConfig::paper_default(64));
 
-    // Reorganization thresholds (in points): reorg considered
+    // One subject per planner configuration that can plan a different
+    // tree. SDL and host-model DDL read no reorganization threshold, so
+    // each is analyzed once. The paper-model DDL rule reads it, so it
+    // runs under a sweep of thresholds (in points): reorg considered
     // everywhere, at several sub-cache sizes, at the paper default, and
-    // nowhere. Together with both strategies this covers every shape of
-    // tree the planner can emit.
-    let thresholds: Vec<usize> = vec![
-        1,
-        1 << 6,
-        1 << 10,
-        CacheModel::paper_default().capacity_points,
-        usize::MAX,
+    // nowhere.
+    let mut configs = vec![
+        ("sdl".to_string(), PlannerConfig::sdl_analytical()),
+        ("ddl".to_string(), PlannerConfig::ddl_analytical()),
     ];
+    let paper = CacheModel::paper_default().capacity_points;
+    for cache_points in [1, 1 << 6, 1 << 10, paper, usize::MAX] {
+        let tag = match cache_points {
+            usize::MAX => "inf".to_string(),
+            t => t.to_string(),
+        };
+        let cfg = PlannerConfig {
+            cache_points,
+            ..PlannerConfig::ddl_paper_analytical()
+        };
+        configs.push((format!("ddl-paper:t{tag}"), cfg));
+    }
 
     for k in 1..=max_log {
         let n = 1usize << k;
-        for strategy in [Strategy::Sdl, Strategy::Ddl] {
-            for &cache_points in &thresholds {
-                let mut cfg = match strategy {
-                    Strategy::Sdl => PlannerConfig::sdl_analytical(),
-                    Strategy::Ddl => PlannerConfig::ddl_analytical(),
-                };
-                cfg.cache_points = cache_points;
-                let tag = if cache_points == usize::MAX {
-                    "tinf".to_string()
-                } else {
-                    format!("t{cache_points}")
-                };
-
-                let subject = format!("dft:{n}:{}:{tag}", strategy.label());
-                match try_plan_dft(n, &cfg)
-                    .and_then(|outcome| DftPlan::new(outcome.tree, Direction::Forward))
-                {
-                    Ok(plan) => {
-                        let mut layout = None;
-                        for &stride in ROOT_STRIDES {
-                            layout = analyze_dft_plan(&plan, stride, &subject, &mut report);
-                        }
-                        if let Some(layout) = layout {
-                            let _ = conflict_findings(&layout, &geom, &subject, &mut report);
-                        }
-                    }
-                    Err(e) => report.push(
-                        "plan/build-failed",
-                        Severity::Error,
-                        &subject,
-                        format!("planner or plan construction failed: {e}"),
-                    ),
-                }
-
-                let subject = format!("wht:{n}:{}:{tag}", strategy.label());
-                match try_plan_wht(n, &cfg).and_then(|outcome| WhtPlan::new(outcome.tree)) {
-                    Ok(plan) => {
-                        let mut layout = None;
-                        for &stride in ROOT_STRIDES {
-                            layout = analyze_wht_plan(&plan, stride, &subject, &mut report);
-                        }
-                        if let Some(layout) = layout {
-                            let _ = conflict_findings(&layout, &geom, &subject, &mut report);
-                        }
-                    }
-                    Err(e) => report.push(
-                        "plan/build-failed",
-                        Severity::Error,
-                        &subject,
-                        format!("planner or plan construction failed: {e}"),
-                    ),
-                }
-            }
+        for (tag, cfg) in &configs {
+            let dft = try_plan_dft(n, cfg).and_then(|o| DftPlan::new(o.tree, Direction::Forward));
+            let subject = format!("dft:{n}:{tag}");
+            check_plan(dft, analyze_dft_plan, &subject, &geom, &mut report);
+            let wht = try_plan_wht(n, cfg).and_then(|o| WhtPlan::new(o.tree));
+            let subject = format!("wht:{n}:{tag}");
+            check_plan(wht, analyze_wht_plan, &subject, &geom, &mut report);
         }
     }
 
@@ -166,6 +133,34 @@ fn analyze(max_log: u32, out: Option<&Path>) -> ExitCode {
         println!("{text}");
     }
     finish(&report)
+}
+
+/// Proves a planned tree's execution layout at every root stride and
+/// reports its cache conflicts, or reports why it could not be planned.
+fn check_plan<P>(
+    planned: Result<P, DdlError>,
+    prove: fn(&P, usize, &str, &mut AnalysisReport) -> Option<PlanLayout>,
+    subject: &str,
+    geom: &CacheGeometry,
+    report: &mut AnalysisReport,
+) {
+    match planned {
+        Ok(plan) => {
+            let mut layout = None;
+            for &stride in ROOT_STRIDES {
+                layout = prove(&plan, stride, subject, report);
+            }
+            if let Some(layout) = layout {
+                let _ = conflict_findings(&layout, geom, subject, report);
+            }
+        }
+        Err(e) => report.push(
+            "plan/build-failed",
+            Severity::Error,
+            subject,
+            format!("planner or plan construction failed: {e}"),
+        ),
+    }
 }
 
 fn check_report(path: &Path) -> ExitCode {

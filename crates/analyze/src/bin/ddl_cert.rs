@@ -1,12 +1,13 @@
 //! `ddl-cert`: machine-checkable certificate gate (xtask-style).
 //!
-//! Default mode runs both verification passes (lock-order graph vs.
-//! the pinned golden, static ulp error bounds), writes the versioned
-//! `ddl-cert` document, and exits non-zero if either pass fails.
-//! `--check` re-validates an existing document without re-running the
-//! proofs. `--demo-mutation lock-inversion` seeds one known violation
-//! and exits zero only if the verifier catches it — CI runs it
-//! expecting *failure to certify*, proving the gate can fail.
+//! Default mode runs both verification passes (the lock rule over every
+//! lock-holding file, static ulp error bounds), writes the versioned
+//! `ddl-cert` document, and exits non-zero if either pass fails; each
+//! lock-rule error names its site. `--check` re-validates an existing
+//! document without re-running the proofs. `--demo-mutation
+//! lock-inversion` runs the rule on a seeded lock-order inversion and
+//! exits zero only if it is refused — CI runs it, proving the gate can
+//! fail.
 //!
 //! ```sh
 //! cargo run --release -p ddl-analyze --bin ddl_cert
@@ -25,7 +26,7 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut out: Option<PathBuf> = None;
     let mut check: Option<PathBuf> = None;
-    let mut demo: Option<String> = None;
+    let mut demo = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -41,9 +42,9 @@ fn main() -> ExitCode {
                 Some(v) => check = Some(PathBuf::from(v)),
                 None => return usage("--check needs a path"),
             },
-            "--demo-mutation" => match args.next() {
-                Some(v) => demo = Some(v),
-                None => return usage("--demo-mutation needs lock-inversion"),
+            "--demo-mutation" => match args.next().as_deref() {
+                Some("lock-inversion") => demo = true,
+                _ => return usage("--demo-mutation needs lock-inversion"),
             },
             other => return usage(&format!("unknown argument {other}")),
         }
@@ -83,10 +84,11 @@ fn main() -> ExitCode {
         return match cert::check_cert_text(&text) {
             Ok(s) => {
                 eprintln!(
-                    "ddl-cert: {} valid — {} lock classes / {} edges acyclic, {} bounds",
+                    "ddl-cert: {} valid — {} lock-holding files / {} acquisition sites, \
+                     none nested, {} bounds",
                     path.display(),
-                    s.classes,
-                    s.edges,
+                    s.files,
+                    s.sites,
                     s.bounds
                 );
                 ExitCode::SUCCESS
@@ -98,8 +100,8 @@ fn main() -> ExitCode {
         };
     }
 
-    if let Some(which) = demo {
-        return run_demo(&root, &which);
+    if demo {
+        return run_demo(&root);
     }
 
     let mut report = AnalysisReport::new();
@@ -138,31 +140,23 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Seeds one known violation and reports whether the verifier caught
-/// it. Exits 0 *only if caught* — so CI asserts the gate can fail by
-/// expecting this command to succeed, and the certify run to fail,
-/// under the same seeded defect.
-fn run_demo(root: &std::path::Path, which: &str) -> ExitCode {
-    match which {
-        "lock-inversion" => {
-            let source = match std::fs::read_to_string(root.join(locks::INVERSION_FIXTURE)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ddl-cert: cannot read {}: {e}", locks::INVERSION_FIXTURE);
-                    return ExitCode::from(2);
-                }
-            };
-            if locks::inversion_caught(&source) {
-                eprintln!("ddl-cert: seeded lock-order inversion was caught as a cycle");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("ddl-cert: seeded lock-order inversion was NOT caught");
-                ExitCode::from(1)
-            }
+/// Runs the lock rule on the seeded lock-order inversion. Exits 0 *only
+/// if the rule refuses it*, so CI running this command proves the gate
+/// can fail.
+fn run_demo(root: &std::path::Path) -> ExitCode {
+    match std::fs::read_to_string(root.join(locks::INVERSION_FIXTURE)) {
+        Ok(source) if locks::inversion_caught(&source) => {
+            eprintln!("ddl-cert: seeded lock-order inversion was refused as nesting");
+            ExitCode::SUCCESS
         }
-        other => usage(&format!(
-            "unknown demo mutation {other} (want lock-inversion)"
-        )),
+        Ok(_) => {
+            eprintln!("ddl-cert: seeded lock-order inversion was NOT refused");
+            ExitCode::from(1)
+        }
+        Err(e) => {
+            eprintln!("ddl-cert: cannot read {}: {e}", locks::INVERSION_FIXTURE);
+            ExitCode::from(2)
+        }
     }
 }
 

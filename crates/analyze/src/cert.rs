@@ -5,8 +5,9 @@
 //! was proven* in a form another program can re-validate without
 //! re-running the proofs:
 //!
-//! * `locks` — the [`crate::locks`] lock-order graph with its
-//!   acyclicity verdict and topological order;
+//! * `locks` — the [`crate::locks`] rule: the lock-holding files it
+//!   scanned, their acquisition sites, and `nested: 0` (no lock taken
+//!   while another is held);
 //! * `errbound` — the [`crate::errbound`] per-size static ulp bounds
 //!   with the model constants that produced them.
 //!
@@ -14,11 +15,11 @@
 //! so there is no raw-pointer access left to prove (`lint/no-ptr-arith`
 //! keeps it that way).
 //!
-//! The document is versioned (`schema: "ddl-cert", version: 2`) and
+//! The document is versioned (`schema: "ddl-cert", version: 3`) and
 //! validated by [`check_cert_text`], which refuses newer versions and
-//! re-checks the internal invariants (acyclic lock graph, monotone
-//! bounds). `ddl_core::check_report` routes the document here via its
-//! `Unknown`-schema escape hatch.
+//! re-checks the internal invariants (a non-empty scan set with no
+//! nested acquisition, monotone bounds). `ddl_core::check_report`
+//! routes the document here via its `Unknown`-schema escape hatch.
 
 use crate::errbound;
 use crate::findings::{AnalysisReport, Severity};
@@ -31,18 +32,15 @@ use std::path::Path;
 pub const CERT_SCHEMA: &str = "ddl-cert";
 
 /// Current certificate version; [`check_cert_text`] refuses newer.
-pub const CERT_VERSION: u32 = 2;
-
-/// Rule id for certificate-assembly findings.
-pub const RULE_CERT: &str = "cert/emit";
+pub const CERT_VERSION: u32 = 3;
 
 /// Counts reported back by [`check_cert_text`] for display.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CertSummary {
-    /// Lock classes.
-    pub classes: usize,
-    /// Lock-order edges.
-    pub edges: usize,
+    /// Lock-holding files the lock rule scanned.
+    pub files: usize,
+    /// Acquisition sites in them.
+    pub sites: usize,
     /// Per-size error bounds recorded.
     pub bounds: usize,
 }
@@ -62,29 +60,11 @@ fn obj(entries: Vec<(&str, Json)>) -> Json {
 fn locks_json(cert: &LockCertificate) -> Json {
     obj(vec![
         (
-            "classes",
-            Json::Arr(cert.classes.iter().map(|c| Json::Str(c.clone())).collect()),
+            "files",
+            Json::Arr(cert.files.iter().map(|f| Json::Str(f.clone())).collect()),
         ),
-        (
-            "edges",
-            Json::Arr(
-                cert.edges
-                    .iter()
-                    .map(|e| {
-                        obj(vec![
-                            ("from", Json::Str(e.from.clone())),
-                            ("to", Json::Str(e.to.clone())),
-                            ("site", Json::Str(e.site.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("acyclic", Json::Bool(cert.acyclic)),
-        (
-            "order",
-            Json::Arr(cert.order.iter().map(|c| Json::Str(c.clone())).collect()),
-        ),
+        ("sites", num(cert.sites)),
+        ("nested", num(0)),
     ])
 }
 
@@ -129,23 +109,6 @@ fn errbound_json() -> Json {
 /// certificate.
 pub fn build_certificate(root: &Path, report: &mut AnalysisReport) -> Option<Json> {
     let lock_cert = locks::analyze_locks(root, report)?;
-    let golden_path = root.join(locks::LOCK_GOLDEN_FIXTURE);
-    match std::fs::read_to_string(&golden_path) {
-        Ok(golden) => {
-            if !locks::check_golden(&lock_cert, &golden, report) {
-                return None;
-            }
-        }
-        Err(e) => {
-            report.push(
-                RULE_CERT,
-                Severity::Error,
-                locks::LOCK_GOLDEN_FIXTURE,
-                format!("cannot read golden lock order: {e}"),
-            );
-            return None;
-        }
-    }
     if !errbound::verify_bounds(report) {
         return None;
     }
@@ -210,39 +173,16 @@ pub fn check_cert_text(text: &str) -> Result<CertSummary, String> {
         ));
     }
 
-    // Lock certificate.
+    // Lock rule.
     let locks_doc = get_obj(top, "locks")?;
-    let acyclic = matches!(get(locks_doc, "acyclic")?, Json::Bool(true));
-    if !acyclic {
-        return Err("lock-order graph is not certified acyclic".into());
+    let files = get_arr(locks_doc, "files")?;
+    if files.is_empty() {
+        return Err("lock certificate scanned no file".into());
     }
-    let classes = get_arr(locks_doc, "classes")?;
-    let order = get_arr(locks_doc, "order")?;
-    if classes.is_empty() {
-        return Err("lock certificate names zero lock classes".into());
+    if get_u64(locks_doc, "nested")? != 0 {
+        return Err("lock certificate records a nested acquisition".into());
     }
-    if order.len() != classes.len() {
-        return Err(format!(
-            "lock order covers {} of {} classes",
-            order.len(),
-            classes.len()
-        ));
-    }
-    let class_set: Vec<&str> = classes.iter().filter_map(|c| c.as_str()).collect();
-    let edges = get_arr(locks_doc, "edges")?;
-    for (i, e) in edges.iter().enumerate() {
-        let e = e
-            .as_obj()
-            .ok_or_else(|| format!("lock edge {i} is not an object"))?;
-        for end in ["from", "to"] {
-            let v = get(e, end)?
-                .as_str()
-                .ok_or("edge endpoint is not a string")?;
-            if !class_set.contains(&v) {
-                return Err(format!("lock edge {i} references unknown class {v:?}"));
-            }
-        }
-    }
+    let sites = get_u64(locks_doc, "sites")?;
 
     // Error bounds: monotone, below the legacy flat bound.
     let errb = get_obj(top, "errbound")?;
@@ -272,8 +212,8 @@ pub fn check_cert_text(text: &str) -> Result<CertSummary, String> {
     }
 
     Ok(CertSummary {
-        classes: classes.len(),
-        edges: edges.len(),
+        files: files.len(),
+        sites: sites as usize,
         bounds: bounds.len(),
     })
 }
@@ -297,9 +237,18 @@ mod tests {
         assert!(report.passes(), "{:#?}", report.findings);
         let text = doc.pretty();
         let summary = check_cert_text(&text).expect("self-validation");
-        assert_eq!(summary.classes, 8, "{summary:?}");
-        assert_eq!(summary.edges, 2);
+        assert_eq!(summary.files, 7, "{summary:?}");
+        assert!(summary.sites >= summary.files);
         assert!(summary.bounds >= 10);
+        // A nested acquisition or an empty scan set does not validate.
+        let err = check_cert_text(&text.replace("\"nested\": 0", "\"nested\": 1"))
+            .expect_err("nested acquisitions");
+        assert!(err.contains("nested"), "{err}");
+        let files = text.find("\"files\": [").expect("files");
+        let end = files + text[files..].find(']').expect("end of files");
+        let emptied = format!("{}\"files\": []{}", &text[..files], &text[end + 1..]);
+        let err = check_cert_text(&emptied).expect_err("empty scan set");
+        assert!(err.contains("no file"), "{err}");
     }
 
     #[test]
@@ -318,7 +267,7 @@ mod tests {
     fn newer_versions_are_refused() {
         let mut report = AnalysisReport::new();
         let doc = build_certificate(&root(), &mut report).expect("certificate");
-        let text = doc.pretty().replace("\"version\": 2", "\"version\": 3");
+        let text = doc.pretty().replace("\"version\": 3", "\"version\": 4");
         let err = check_cert_text(&text).expect_err("must refuse newer");
         assert!(err.contains("newer"), "{err}");
     }

@@ -21,12 +21,12 @@
 //!   library code, no clocks in pure planning code,
 //!   `#![forbid(unsafe_code)]` everywhere, no raw-pointer arithmetic,
 //!   no dead `allow` markers.
-//! * [`locks`] — the lock-order analyzer: acquisition sites, guard
-//!   extents, the inter-procedural lock-order graph, cycle and
-//!   held-across-unwind checks, pinned golden order.
+//! * [`locks`] — the lock rule over every lock-holding file: no lock
+//!   acquired while another is held, none held across unwind capture,
+//!   a thread spawn or plan execution.
 //! * [`errbound`] — static per-size ulp error bounds derived from the
 //!   verified codelet DAGs, replacing the legacy flat tolerance.
-//! * [`cert`] — binds the lock-order and error-bound passes into the
+//! * [`cert`] — binds the lock rule and the error-bound pass into the
 //!   versioned, machine-checkable `ddl-cert` certificate artifact.
 //!
 //! All passes report through [`findings::AnalysisReport`], which
@@ -46,7 +46,6 @@ pub mod errbound;
 pub mod findings;
 pub mod lint;
 pub mod locks;
-mod tok;
 
 pub use access::{analyze_dft_plan, analyze_wht_plan};
 pub use attrib::{annotate_static, annotated_leaves, crosscheck, Disagreement};
@@ -58,4 +57,4 @@ pub use dag::{op_budget, verify_codelet, verify_generated, CodeletDag};
 pub use errbound::{static_ulp_bound, SizeBound};
 pub use findings::{AnalysisReport, Finding, Severity, ANALYZE_SCHEMA, ANALYZE_VERSION};
 pub use lint::{lint_source, lint_workspace, RuleSet, RULE_DEAD_ALLOW};
-pub use locks::{analyze_locks, LockCertificate, LockEdge};
+pub use locks::{analyze_locks, LockCertificate};

@@ -14,12 +14,15 @@
 //!   `measure.rs`/`parallel.rs`/`obs.rs`, which are exempt by design.
 //! * **`lint/forbid-unsafe`** — every workspace crate root must carry
 //!   `#![forbid(unsafe_code)]`.
-//! * **`lint/no-bare-lock`** / **`lint/no-unbounded-queue`** — executor
-//!   and scheduler hot paths (`parallel.rs`, `scheduler.rs`,
-//!   `engine.rs`, `faultpoint.rs`, `scratch.rs`, all of `ddl-serve`)
-//!   must not unwrap lock results (one poisoned lock would cascade into
-//!   a dead scheduler) and must not construct unbounded channels
-//!   (overload must shed with `DdlError::Overloaded`, not grow memory).
+//! * **`lint/no-bare-lock`** — a file that holds a lock
+//!   (`holds_locks`, the scan set of the `ddl-cert` lock rule) must not
+//!   unwrap lock results: one poisoned lock would cascade into a dead
+//!   scheduler.
+//! * **`lint/no-unbounded-queue`** — executor and scheduler hot paths
+//!   (`parallel.rs`, `scheduler.rs`, `engine.rs`, `faultpoint.rs`,
+//!   `scratch.rs`, all of `ddl-serve`) must not construct unbounded
+//!   channels: overload must shed with `DdlError::Overloaded`, not grow
+//!   memory.
 //! * **`lint/no-ptr-arith`** (always on) — no raw-pointer arithmetic:
 //!   `as *const` / `as *mut` casts are banned in every scanned file, and
 //!   the pointer methods `.add(` / `.offset(` wherever `unsafe` is
@@ -63,8 +66,8 @@ pub struct RuleSet {
     pub no_panics: bool,
     /// Apply `lint/no-std-time`.
     pub no_std_time: bool,
-    /// Apply the executor hot-path rules `lint/no-bare-lock` and
-    /// `lint/no-unbounded-queue`.
+    /// Apply the executor hot-path rule `lint/no-unbounded-queue`
+    /// (`lint/no-bare-lock` applies wherever `holds_locks` does).
     pub exec_hot_path: bool,
     /// Apply `lint/no-unsafe`: off only for the audited SIMD module
     /// ([`UNSAFE_AUDITED`]).
@@ -130,11 +133,11 @@ fn contains_word(code: &str, tok: &str) -> bool {
     })
 }
 
-/// Banned lock idioms in executor hot paths: a panicking worker poisons
+/// Banned lock idioms in lock-holding files: a panicking worker poisons
 /// the lock, and a bare unwrap turns the *next* worker's lock into a
-/// second panic — one fault cascades into a dead scheduler. Hot paths
-/// must recover poison (`unwrap_or_else(PoisonError::into_inner)`) or
-/// route a typed error.
+/// second panic — one fault cascades into a dead scheduler. Locks are
+/// taken through the poison-recovering `ddl_core::faultpoint::relock`,
+/// or route a typed error.
 fn bare_lock_tokens() -> Vec<String> {
     [(".lock().unw", "rap()"), (".lock().exp", "ect(")]
         .iter()
@@ -201,8 +204,8 @@ enum ScrubState {
 
 /// Returns the source line by line with string/char-literal contents and
 /// comments blanked out: what remains is pure code text, safe for token
-/// matching and brace counting. Shared with the certificate passes'
-/// tokenizer ([`crate::tok`]).
+/// matching and brace counting. Shared with the `ddl-cert` lock rule
+/// ([`crate::locks`]).
 pub(crate) fn scrub(source: &str) -> Vec<String> {
     scrub_and_comments(source).0
 }
@@ -334,9 +337,20 @@ pub(crate) fn scrub_and_comments(source: &str) -> (Vec<String>, Vec<String>) {
     (out, comments)
 }
 
+/// Whether `source`'s non-test code names `Mutex` or `RwLock`: the one
+/// definition of a lock-holding file, shared by `lint/no-bare-lock` and
+/// the `ddl-cert` lock rule ([`crate::locks`]).
+pub(crate) fn holds_locks(source: &str) -> bool {
+    let code = scrub(source);
+    let in_test = test_module_lines(&code);
+    code.iter()
+        .zip(in_test)
+        .any(|(line, test)| !test && ["Mutex", "RwLock"].iter().any(|w| contains_word(line, w)))
+}
+
 /// Which lines belong to `#[cfg(test)]` items, determined by brace
-/// counting over scrubbed code. Shared with the certificate passes so
-/// they skip test-only code the same way the lints do.
+/// counting over scrubbed code. Shared with the lock rule, so it skips
+/// test-only code the same way the lints do.
 pub(crate) fn test_module_lines(scrubbed: &[String]) -> Vec<bool> {
     let mut in_test = vec![false; scrubbed.len()];
     let mut i = 0;
@@ -381,6 +395,7 @@ pub fn lint_source(label: &str, source: &str, rules: RuleSet, report: &mut Analy
     report.subject();
     let (scrubbed, comments) = scrub_and_comments(source);
     let in_test = test_module_lines(&scrubbed);
+    let bare_lock = holds_locks(source);
     let panic_toks = panic_tokens();
     let time_tok = std_time_token();
     let unsafe_tok = unsafe_token();
@@ -415,7 +430,7 @@ pub fn lint_source(label: &str, source: &str, rules: RuleSet, report: &mut Analy
                 }
             }
         }
-        if rules.exec_hot_path {
+        if bare_lock {
             for tok in &lock_toks {
                 if code.contains(tok.as_str()) && !allowed("lint/no-bare-lock") {
                     report.push(
@@ -423,14 +438,16 @@ pub fn lint_source(label: &str, source: &str, rules: RuleSet, report: &mut Analy
                         Severity::Error,
                         &format!("{label}:{}", idx + 1),
                         format!(
-                            "`{tok}` in an executor hot path: one poisoned lock must not \
-                             cascade — recover with unwrap_or_else(PoisonError::into_inner) \
-                             or route a typed error, or add `// {}: <reason>`",
+                            "`{tok}` in a lock-holding file: one poisoned lock must not \
+                             cascade — take it through faultpoint::relock or route a typed \
+                             error, or add `// {}: <reason>`",
                             allow_marker("lint/no-bare-lock")
                         ),
                     );
                 }
             }
+        }
+        if rules.exec_hot_path {
             for tok in &queue_toks {
                 if code.contains(tok.as_str()) && !allowed("lint/no-unbounded-queue") {
                     report.push(
@@ -590,9 +607,7 @@ fn is_pure_planning(rel: &str) -> bool {
 }
 
 /// Path suffixes of the executor/scheduler hot-path files subject to
-/// `lint/no-bare-lock` and `lint/no-unbounded-queue`: code that keeps
-/// running after a worker panics and that faces unbounded request
-/// arrival.
+/// `lint/no-unbounded-queue`: code that faces unbounded request arrival.
 const EXEC_HOT_PATH: &[&str] = &[
     "crates/core/src/parallel.rs",
     "crates/core/src/scheduler.rs",
@@ -611,7 +626,7 @@ fn is_exec_hot_path(rel: &str) -> bool {
             .any(|c| rel.starts_with(&format!("{c}/")))
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -625,7 +640,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-fn rel_label(root: &Path, path: &Path) -> String {
+pub(crate) fn rel_label(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()
@@ -638,6 +653,8 @@ fn rel_label(root: &Path, path: &Path) -> String {
 ///   and `src/` (binaries under `bin/`, the machine-generated
 ///   `generated.rs`, and the vendored stand-ins are out of scope);
 /// * `lint/no-std-time` over the pure-planning subset;
+/// * `lint/no-bare-lock` over the lock-holding files, and
+///   `lint/no-unbounded-queue` over the executor hot paths;
 /// * `lint/forbid-unsafe` over every workspace crate root, vendored
 ///   stand-ins included.
 pub fn lint_workspace(root: &Path, report: &mut AnalysisReport) -> std::io::Result<()> {
@@ -958,18 +975,27 @@ mod tests {
     #[test]
     fn bare_lock_flagged_in_hot_paths() {
         let src = "fn f(m: &std::sync::Mutex<u8>) -> u8 {\n    *m.lock().unwrap()\n}\n";
+        // The file names `Mutex`, so it holds a lock and the rule applies.
+        assert!(holds_locks(src));
         let mut report = AnalysisReport::new();
         lint_source("crates/core/src/scheduler.rs", src, ALL, &mut report);
-        // Both the hot-path rule and no-panics fire on the same token.
+        // Both the lock rule and no-panics fire on the same token.
         assert!(report
             .findings
             .iter()
             .any(|f| f.rule == "lint/no-bare-lock" && f.subject.ends_with(":2")));
-        // Outside hot paths the dedicated rule stays silent.
+        // A lock named only in a string, a comment or a test module does
+        // not make a lock-holding file; where no lock is held the rule
+        // stays silent.
+        assert!(!holds_locks(
+            "// a Mutex\nfn f() -> &'static str { \"RwLock\" }\n\
+             #[cfg(test)]\nmod tests { use std::sync::Mutex; }\n"
+        ));
+        let unnamed = "fn f(m: &Shared) -> u8 {\n    *m.lock().unwrap()\n}\n";
         let mut report = AnalysisReport::new();
         lint_source(
             "crates/core/src/obs.rs",
-            src,
+            unnamed,
             RuleSet {
                 no_panics: false,
                 no_std_time: false,

@@ -7,7 +7,9 @@
 //! recursive variant — on a matrix large enough that layout matters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ddl_layout::{gather_stride, transpose, transpose_blocked, transpose_recursive};
+use ddl_layout::{
+    try_gather_stride, try_transpose, try_transpose_blocked, try_transpose_recursive,
+};
 use ddl_num::Complex64;
 
 fn bench_reorg(c: &mut Criterion) {
@@ -29,7 +31,8 @@ fn bench_reorg(c: &mut Criterion) {
             // repeated over all columns = one full permutation
             b.iter(|| {
                 for c0 in 0..cols {
-                    gather_stride(&src, c0, cols, &mut dst[c0 * rows..(c0 + 1) * rows]);
+                    try_gather_stride(&src, c0, cols, &mut dst[c0 * rows..(c0 + 1) * rows])
+                        .unwrap();
                 }
                 std::hint::black_box(&mut dst);
             });
@@ -37,14 +40,14 @@ fn bench_reorg(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("transpose_naive", log_n), &n, |b, _| {
             b.iter(|| {
-                transpose(&src, &mut dst, rows, cols);
+                try_transpose(&src, &mut dst, rows, cols).unwrap();
                 std::hint::black_box(&mut dst);
             });
         });
 
         group.bench_with_input(BenchmarkId::new("transpose_blocked", log_n), &n, |b, _| {
             b.iter(|| {
-                transpose_blocked(&src, &mut dst, rows, cols, 32);
+                try_transpose_blocked(&src, &mut dst, rows, cols, 32).unwrap();
                 std::hint::black_box(&mut dst);
             });
         });
@@ -54,7 +57,7 @@ fn bench_reorg(c: &mut Criterion) {
             &n,
             |b, _| {
                 b.iter(|| {
-                    transpose_recursive(&src, &mut dst, rows, cols);
+                    try_transpose_recursive(&src, &mut dst, rows, cols).unwrap();
                     std::hint::black_box(&mut dst);
                 });
             },

@@ -13,7 +13,7 @@
 
 use crate::dft::{DftPlan, PlanError};
 use crate::planner::{try_plan_dft, PlannerConfig};
-use ddl_layout::transpose_blocked;
+use ddl_layout::try_transpose_blocked;
 use ddl_num::{Complex64, DdlError, Direction};
 
 /// A compiled 2-D DFT over `rows x cols` row-major data.
@@ -88,8 +88,9 @@ impl Dft2dPlan {
 
     /// Executes out of place:
     /// `output[r*cols + c] = Σ_{i,j} input[i*cols + j] w_rows^{ri} w_cols^{cj}`.
-    /// Both slices must hold `rows*cols` points; undersized buffers
-    /// surface as [`DdlError::ShapeMismatch`].
+    /// Both slices must hold at least `rows*cols` points, of which the
+    /// first `rows*cols` are used; undersized buffers surface as
+    /// [`DdlError::ShapeMismatch`].
     pub fn try_execute(
         &self,
         input: &[Complex64],
@@ -114,7 +115,7 @@ impl Dft2dPlan {
         }
 
         // 2. tiled transpose: work (rows x cols) -> output (cols x rows)
-        transpose_blocked(&work, output, rows, cols, 32);
+        try_transpose_blocked(&work, &mut output[..n], rows, cols, 32)?;
 
         // 3. column FFTs, now unit stride: output rows -> work rows
         for c in 0..cols {
@@ -124,7 +125,7 @@ impl Dft2dPlan {
         }
 
         // 4. transpose back to row-major order
-        transpose_blocked(&work, output, cols, rows, 32);
+        try_transpose_blocked(&work, &mut output[..n], cols, rows, 32)?;
         Ok(())
     }
 }
@@ -191,6 +192,12 @@ mod tests {
         plan.try_execute(&x, &mut y).unwrap();
         let want = naive_dft2d(&x, rows, cols, Direction::Forward);
         assert!(relative_rms_error(&y, &want) < 1e-10);
+        // A longer output holds the transform in its first rows*cols
+        // points, as a longer input is read from its first.
+        let mut long = vec![Complex64::ONE; rows * cols + 3];
+        plan.try_execute(&x, &mut long).unwrap();
+        assert_eq!(&long[..rows * cols], &y[..]);
+        assert!(long[rows * cols..].iter().all(|v| *v == Complex64::ONE));
     }
 
     #[test]

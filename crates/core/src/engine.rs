@@ -22,10 +22,10 @@
 //! skipped from then on, and requests for its keys fall back to
 //! compiling a private, uncached plan. The service degrades — those
 //! keys lose caching — but never crashes and never blocks. The
-//! `engine.shard.poison` fault point (see [`crate::faultpoint`]) injects
-//! a panic at the exact instruction window where the write guard is
-//! held, so the chaos suite exercises the real poison path, not a
-//! simulation of it.
+//! `engine.shard.poison` fault point (see [`crate::faultpoint`]) is
+//! probed before the write lock is taken, and when it fires the insert
+//! panics inside the write-guard window, so the chaos suite exercises
+//! the real poison path, not a simulation of it.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -352,12 +352,16 @@ impl Engine {
         if shard.quarantined.load(Ordering::Acquire) {
             return;
         }
-        // The fault probe runs *inside* the write-guard window so an
-        // injected panic genuinely poisons the lock — the recovery path
-        // below then exercises real quarantine, not a simulation.
+        // The probe takes the fault registry's lock, so it runs before
+        // the write lock; the injected panic itself strikes inside the
+        // write-guard window and genuinely poisons the shard — the
+        // recovery path below then exercises real quarantine.
+        let poison = faultpoint::hit("engine.shard.poison");
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Ok(mut map) = shard.plans.write() {
-                faultpoint::maybe_panic("engine.shard.poison");
+                if poison {
+                    faultpoint::panic_at("engine.shard.poison");
+                }
                 map.insert(key, artifact);
             }
         }));

@@ -41,10 +41,27 @@
 //! Arming is process-global and last-wins; [`FaultGuard`] disarms on
 //! drop. Tests that arm faults must serialize with each other (the chaos
 //! harness holds a lock for exactly this).
+//!
+//! # Probes and locks
+//!
+//! An armed probe takes the registry lock, and no lock may be taken
+//! while another is held (the `ddl-cert` lock rule), so a probe never
+//! runs under a guard. A fault that must strike inside a lock's window
+//! (`engine.shard.poison`) is probed before the lock is taken, and the
+//! guarded code calls [`panic_at`] when the probe fired.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `lock`, recovering the guard when a holder panicked. Every
+/// mutex outside tests is taken through this one function: a panic
+/// (injected or genuine) poisons the lock it unwinds through, the data
+/// behind each lock stays structurally valid, and the next holder
+/// carries on instead of cascading the panic.
+pub fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// How an armed fault point decides whether a given hit fires.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -133,13 +150,7 @@ pub fn hit(point: &str) -> bool {
     if !REGISTRY.armed.load(Ordering::Relaxed) {
         return false;
     }
-    let mut guard = match REGISTRY.state.lock() {
-        Ok(g) => g,
-        // A panicking fault *rule evaluation* is impossible (no user
-        // code runs under the lock), but an injected panic elsewhere may
-        // poison the mutex via an unwinding probe; recover the state.
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    let mut guard = relock(&REGISTRY.state);
     let Some(armed) = guard.as_mut() else {
         return false;
     };
@@ -156,14 +167,18 @@ pub fn hit(point: &str) -> bool {
     fires
 }
 
-/// Probes `point` and panics when the fault fires. The panic payload is
-/// prefixed `ddl-fault:` so harness assertions can tell injected panics
-/// from genuine ones.
+/// Probes `point` and panics with [`panic_at`] when the fault fires.
 pub fn maybe_panic(point: &str) {
     if hit(point) {
-        // ddl-lint: allow(no-panics): the whole purpose of this helper is a controlled injected panic for the chaos harness
-        panic!("ddl-fault: injected panic at {point}");
+        panic_at(point);
     }
+}
+
+/// The injected panic at `point`. The payload is prefixed `ddl-fault:`
+/// so harness assertions can tell injected panics from genuine ones.
+pub fn panic_at(point: &str) -> ! {
+    // ddl-lint: allow(no-panics): the whole purpose of this helper is a controlled injected panic for the chaos harness
+    panic!("ddl-fault: injected panic at {point}");
 }
 
 /// Disarms everything when dropped, restoring the zero-fault state.
@@ -180,11 +195,7 @@ impl Drop for FaultGuard {
 /// Arms `rules` under `seed`, replacing any previous arming (last wins).
 /// Returns the guard that disarms on drop.
 pub fn arm(seed: u64, rules: &[(&str, FaultMode)]) -> FaultGuard {
-    let mut guard = match REGISTRY.state.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *guard = Some(Armed {
+    *relock(&REGISTRY.state) = Some(Armed {
         seed,
         rules: rules
             .iter()
@@ -212,27 +223,19 @@ pub fn arm(seed: u64, rules: &[(&str, FaultMode)]) -> FaultGuard {
 /// of the suite.
 pub fn exclusive() -> MutexGuard<'static, ()> {
     static EXCLUSIVE: Mutex<()> = Mutex::new(());
-    EXCLUSIVE.lock().unwrap_or_else(|p| p.into_inner())
+    relock(&EXCLUSIVE)
 }
 
 /// Disarms every fault point immediately (also done by [`FaultGuard`]).
 pub fn disarm() {
     REGISTRY.armed.store(false, Ordering::Relaxed);
-    let mut guard = match REGISTRY.state.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *guard = None;
+    *relock(&REGISTRY.state) = None;
 }
 
 /// Activity of every armed point: `point -> (hits, fired)`. Empty when
 /// disarmed.
 pub fn activity() -> BTreeMap<String, FaultActivity> {
-    let guard = match REGISTRY.state.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard
+    relock(&REGISTRY.state)
         .as_ref()
         .map(|armed| {
             armed

@@ -17,13 +17,14 @@
 //! validated by [`crate::check_report`], and `tests/chaos.rs` asserts
 //! that each service fault class produces a parseable capsule.
 
+use crate::faultpoint::relock;
 use crate::json::{self, Json};
 use ddl_num::DdlError;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// Schema identifier of one flight-recorder dump line.
 pub const FLIGHT_SCHEMA: &str = "ddl-flight";
@@ -43,12 +44,6 @@ const DETAIL_MAX: usize = 128;
 
 fn flight_err(detail: String) -> DdlError {
     DdlError::Metrics { detail }
-}
-
-/// Poison-recovering lock: a panicking worker must not take the flight
-/// recorder (whose whole point is surviving that panic) down with it.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Process-unique identity of one admitted service request.

@@ -20,11 +20,12 @@
 //! (also proptest-pinned). Snapshots serialize into the versioned
 //! `ddl-telemetry` report validated by [`crate::check_report`].
 
+use crate::faultpoint::relock;
 use crate::json::{self, Json};
 use ddl_num::DdlError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Number of log2 buckets; covers every `u64` nanosecond value.
 pub const HISTO_BUCKETS: usize = 64;
@@ -40,12 +41,6 @@ pub const OUTCOME_OVERLOADED: &str = "overloaded";
 
 fn telemetry_err(detail: String) -> DdlError {
     DdlError::Metrics { detail }
-}
-
-/// Poison-recovering lock: a panicking thread must not cascade into
-/// every later telemetry read panicking too.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bucket index for a recorded value: 0 for `{0, 1}`, else

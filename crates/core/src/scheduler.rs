@@ -32,14 +32,14 @@
 //!   overloaded batch drains in O(items) dequeue steps. In-flight items
 //!   are never interrupted (execution is cooperative).
 
-use crate::faultpoint;
+use crate::faultpoint::{self, relock};
 use crate::flight::RequestId;
 use crate::parallel::{panic_payload_text, BatchReport, ItemTiming};
 use ddl_num::DdlError;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Process-global scheduler outcome totals, accumulated once per
@@ -151,14 +151,6 @@ impl BatchOptions {
         self.request = Some(id);
         self
     }
-}
-
-/// Recovers a mutex guard whether or not the lock is poisoned. Poison
-/// means a holder panicked; the protected scheduler state (deques and
-/// slot tables of plain data) stays structurally valid, and dropping the
-/// batch on poison would violate the no-lost-item invariant.
-fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Completion {

@@ -18,18 +18,12 @@
 //!   write every scratch point before reading it (see the
 //!   write-before-read notes in [`crate::dft`] and [`crate::wht`]); the
 //!   stale-scratch tests pin this.
-//! * The lock covers one `pop` or one `push`, never an execution, so it
-//!   adds no lock-order edge (the `ddl-cert` lock pass scans this file).
+//! * The lock covers one `pop` or one `push`, never an execution or
+//!   another lock (the `ddl-cert` lock rule scans this file).
 
+use crate::faultpoint::relock;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Recovers the free-list guard whether or not the lock is poisoned. The
-/// guard only ever covers a `pop`/`push` of owned buffers, so the list
-/// stays structurally valid either way.
-fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// A free list of scratch buffers shared by a plan and its clones.
 #[derive(Clone)]

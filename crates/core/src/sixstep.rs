@@ -19,7 +19,7 @@
 
 use crate::dft::{DftPlan, PlanError};
 use crate::planner::{try_plan_dft, PlannerConfig};
-use ddl_layout::transpose_blocked;
+use ddl_layout::try_transpose_blocked;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
 /// A compiled six-step FFT of size `n1 * n2`.
@@ -111,7 +111,7 @@ impl SixStepPlan {
         let mut work = vec![Complex64::ZERO; n];
 
         // 1. transpose n1 x n2 -> n2 x n1 (into output as temp)
-        transpose_blocked(&input[..n], &mut output[..n], n1, n2, 32);
+        try_transpose_blocked(&input[..n], &mut output[..n], n1, n2, 32)?;
 
         // 2. n2 row FFTs of length n1: output rows -> work rows
         for r in 0..n2 {
@@ -137,7 +137,7 @@ impl SixStepPlan {
         }
 
         // 6. final transpose n1 x n2 -> n2 x n1 gives natural order
-        transpose_blocked(&work, &mut output[..n], n1, n2, 32);
+        try_transpose_blocked(&work, &mut output[..n], n1, n2, 32)?;
         Ok(())
     }
 }

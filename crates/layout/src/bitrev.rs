@@ -17,17 +17,6 @@ pub fn bit_reverse_index(i: usize, bits: u32) -> usize {
 
 /// Permutes `data` (whose length must be a power of two) into bit-reversed
 /// order in place. Involution: applying it twice restores the input.
-///
-/// Panics on a non-power-of-two length; see [`try_bit_reverse_permute`]
-/// for the fallible form.
-pub fn bit_reverse_permute<T>(data: &mut [T]) {
-    if let Err(e) = try_bit_reverse_permute(data) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`bit_reverse_permute`].
 pub fn try_bit_reverse_permute<T>(data: &mut [T]) -> Result<(), DdlError> {
     let n = data.len();
     if n <= 2 {
@@ -80,7 +69,7 @@ mod tests {
     #[test]
     fn permute_length_8() {
         let mut v: Vec<u32> = (0..8).collect();
-        bit_reverse_permute(&mut v);
+        try_bit_reverse_permute(&mut v).unwrap();
         assert_eq!(v, vec![0, 4, 2, 6, 1, 5, 3, 7]);
     }
 
@@ -88,21 +77,21 @@ mod tests {
     fn permute_is_involution() {
         let orig: Vec<u32> = (0..64).collect();
         let mut v = orig.clone();
-        bit_reverse_permute(&mut v);
+        try_bit_reverse_permute(&mut v).unwrap();
         assert_ne!(v, orig);
-        bit_reverse_permute(&mut v);
+        try_bit_reverse_permute(&mut v).unwrap();
         assert_eq!(v, orig);
     }
 
     #[test]
     fn tiny_lengths_are_noops() {
         let mut a: [u8; 0] = [];
-        bit_reverse_permute(&mut a);
+        try_bit_reverse_permute(&mut a).unwrap();
         let mut b = [5u8];
-        bit_reverse_permute(&mut b);
+        try_bit_reverse_permute(&mut b).unwrap();
         assert_eq!(b, [5]);
         let mut c = [1u8, 2];
-        bit_reverse_permute(&mut c);
+        try_bit_reverse_permute(&mut c).unwrap();
         assert_eq!(c, [1, 2]);
     }
 
@@ -110,6 +99,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_length_panics() {
         let mut v = [0u8; 6];
-        bit_reverse_permute(&mut v);
+        try_bit_reverse_permute(&mut v).unwrap();
     }
 }

@@ -26,10 +26,10 @@
 //! ```
 //! // The reorganization at the heart of DDL: a stride permutation makes
 //! // previously strided elements contiguous.
-//! use ddl_layout::stride_permutation;
+//! use ddl_layout::try_stride_permutation;
 //! let src: Vec<u32> = (0..16).collect();
 //! let mut dst = vec![0u32; 16];
-//! stride_permutation(&src, &mut dst, 16, 4);
+//! try_stride_permutation(&src, &mut dst, 16, 4).unwrap();
 //! assert_eq!(&dst[..4], &[0, 4, 8, 12]); // the old stride-4 walk, now unit
 //! ```
 
@@ -41,22 +41,12 @@ pub mod permute;
 pub mod stride;
 pub mod transpose;
 
-pub use bitrev::{bit_reverse_index, bit_reverse_permute, try_bit_reverse_permute};
+pub use bitrev::{bit_reverse_index, try_bit_reverse_permute};
 pub use ddl_num::DdlError;
-pub use padding::{
-    conflict_free_stride, pad_rows, try_conflict_free_stride, try_pad_rows, try_unpad_rows,
-    unpad_rows,
-};
-pub use permute::{
-    apply_permutation, apply_permutation_in_place, invert_permutation, try_apply_permutation,
-    try_apply_permutation_in_place, try_invert_permutation,
-};
-pub use stride::{
-    gather_stride, scatter_stride, try_gather_stride, try_scatter_stride, StridedView,
-};
+pub use padding::{try_conflict_free_stride, try_pad_rows, try_unpad_rows};
+pub use permute::{try_apply_permutation, try_apply_permutation_in_place, try_invert_permutation};
+pub use stride::{try_gather_stride, try_scatter_stride, StridedView};
 pub use transpose::{
-    stride_permutation, stride_permutation_in_place_square, transpose, transpose_blocked,
-    transpose_in_place_square, transpose_recursive, try_stride_permutation,
-    try_stride_permutation_in_place_square, try_transpose, try_transpose_blocked,
-    try_transpose_in_place_square, try_transpose_recursive,
+    try_stride_permutation, try_stride_permutation_in_place_square, try_transpose,
+    try_transpose_blocked, try_transpose_in_place_square, try_transpose_recursive,
 };

@@ -19,15 +19,6 @@ use ddl_num::DdlError;
 ///
 /// The classic recipe: make the stride in lines coprime with the set
 /// count by adding one line when the power-of-two stride would alias.
-pub fn conflict_free_stride(stride: usize, elem: usize, line: usize, sets: usize) -> usize {
-    match try_conflict_free_stride(stride, elem, line, sets) {
-        Ok(s) => s,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`conflict_free_stride`].
 pub fn try_conflict_free_stride(
     stride: usize,
     elem: usize,
@@ -67,20 +58,6 @@ pub fn try_conflict_free_stride(
 /// Copies `count` rows of `row_len` elements from a compact layout into a
 /// padded layout with `padded_stride >= row_len` elements between row
 /// starts. Returns the required destination length.
-pub fn pad_rows<T: Copy + Default>(
-    src: &[T],
-    row_len: usize,
-    count: usize,
-    padded_stride: usize,
-) -> Vec<T> {
-    match try_pad_rows(src, row_len, count, padded_stride) {
-        Ok(dst) => dst,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`pad_rows`].
 pub fn try_pad_rows<T: Copy + Default>(
     src: &[T],
     row_len: usize,
@@ -116,21 +93,7 @@ pub fn try_pad_rows<T: Copy + Default>(
     Ok(dst)
 }
 
-/// Inverse of [`pad_rows`].
-pub fn unpad_rows<T: Copy + Default>(
-    src: &[T],
-    row_len: usize,
-    count: usize,
-    padded_stride: usize,
-) -> Vec<T> {
-    match try_unpad_rows(src, row_len, count, padded_stride) {
-        Ok(dst) => dst,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`unpad_rows`].
+/// Inverse of [`try_pad_rows`].
 pub fn try_unpad_rows<T: Copy + Default>(
     src: &[T],
     row_len: usize,
@@ -174,7 +137,7 @@ mod tests {
     fn power_of_two_strides_get_padded() {
         // 4096-point stride of 16-byte points on a 8192-set, 64 B cache:
         // 64 KiB stride = 1024 lines (even) -> must change
-        let s = conflict_free_stride(4096, 16, 64, 8192);
+        let s = try_conflict_free_stride(4096, 16, 64, 8192).unwrap();
         assert_ne!(s, 4096);
         let stride_lines = s * 16 / 64;
         assert_eq!(stride_lines % 2, 1, "padded stride should be odd in lines");
@@ -184,14 +147,14 @@ mod tests {
     fn already_coprime_strides_are_kept() {
         // 5 lines of stride: odd -> untouched (stride = 20 points of 16 B
         // with 64 B lines = 5 lines)
-        let s = conflict_free_stride(20, 16, 64, 1024);
+        let s = try_conflict_free_stride(20, 16, 64, 1024).unwrap();
         assert_eq!(s, 20);
     }
 
     #[test]
     fn sub_line_strides_are_kept() {
-        assert_eq!(conflict_free_stride(2, 16, 64, 1024), 2);
-        assert_eq!(conflict_free_stride(1, 8, 64, 512), 1);
+        assert_eq!(try_conflict_free_stride(2, 16, 64, 1024).unwrap(), 2);
+        assert_eq!(try_conflict_free_stride(1, 8, 64, 512).unwrap(), 1);
     }
 
     #[test]
@@ -199,7 +162,7 @@ mod tests {
         // simulate set indices of a 64-element walk before/after padding
         let (elem, line, sets) = (16usize, 64usize, 8192usize);
         let stride = 4096usize; // points
-        let padded = conflict_free_stride(stride, elem, line, sets);
+        let padded = try_conflict_free_stride(stride, elem, line, sets).unwrap();
         let distinct = |s: usize| {
             let mut seen = std::collections::HashSet::new();
             for i in 0..64usize {
@@ -215,13 +178,13 @@ mod tests {
     #[test]
     fn pad_unpad_round_trip() {
         let src: Vec<u32> = (0..60).collect();
-        let padded = pad_rows(&src, 12, 5, 17);
+        let padded = try_pad_rows(&src, 12, 5, 17).unwrap();
         assert_eq!(padded.len(), 85);
         // padding gaps are default-initialized
         assert_eq!(padded[12], 0);
         assert_eq!(padded[16], 0);
         assert_eq!(padded[17], 12);
-        let back = unpad_rows(&padded, 12, 5, 17);
+        let back = try_unpad_rows(&padded, 12, 5, 17).unwrap();
         assert_eq!(back, src);
     }
 
@@ -229,6 +192,6 @@ mod tests {
     #[should_panic(expected = "cannot shrink")]
     fn pad_rejects_shrinking() {
         let src = [0u8; 10];
-        pad_rows(&src, 5, 2, 4);
+        try_pad_rows(&src, 5, 2, 4).unwrap();
     }
 }

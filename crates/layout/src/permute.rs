@@ -13,14 +13,6 @@ use ddl_num::DdlError;
 ///
 /// `perm` must be a permutation of `0..n`; this is checked in debug builds
 /// only (callers in hot paths pass planner-generated permutations).
-pub fn apply_permutation<T: Copy>(src: &[T], dst: &mut [T], perm: &[usize]) {
-    if let Err(e) = try_apply_permutation(src, dst, perm) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`apply_permutation`].
 pub fn try_apply_permutation<T: Copy>(
     src: &[T],
     dst: &mut [T],
@@ -55,17 +47,10 @@ pub fn try_apply_permutation<T: Copy>(
 /// Applies `perm` in place by following cycles, using a visited bitmap
 /// instead of a full scratch buffer: `data` becomes
 /// `[data[perm[0]], data[perm[1]], …]`.
-pub fn apply_permutation_in_place<T: Copy>(data: &mut [T], perm: &[usize]) {
-    if let Err(e) = try_apply_permutation_in_place(data, perm) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`apply_permutation_in_place`]: a length mismatch or
-/// a non-permutation is reported as an error instead of a panic (the
-/// permutation check here is unconditional, since cycle-following on a
-/// non-permutation would loop or corrupt data).
+///
+/// A length mismatch or a non-permutation is an error. The permutation
+/// check here is unconditional, since cycle-following on a
+/// non-permutation would loop or corrupt data.
 pub fn try_apply_permutation_in_place<T: Copy>(
     data: &mut [T],
     perm: &[usize],
@@ -110,18 +95,6 @@ pub fn try_apply_permutation_in_place<T: Copy>(
 }
 
 /// Returns the inverse permutation: `inv[perm[i]] == i`.
-///
-/// Panics when `perm` is not a permutation; see
-/// [`try_invert_permutation`] for the fallible form.
-pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
-    match try_invert_permutation(perm) {
-        Ok(inv) => inv,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`invert_permutation`].
 pub fn try_invert_permutation(perm: &[usize]) -> Result<Vec<usize>, DdlError> {
     if !is_permutation(perm) {
         return Err(DdlError::InvalidLayout {
@@ -157,7 +130,7 @@ mod tests {
         let src = [10u8, 20, 30, 40];
         let perm = [2usize, 0, 3, 1];
         let mut dst = [0u8; 4];
-        apply_permutation(&src, &mut dst, &perm);
+        try_apply_permutation(&src, &mut dst, &perm).unwrap();
         assert_eq!(dst, [30, 10, 40, 20]);
     }
 
@@ -166,9 +139,9 @@ mod tests {
         let src: Vec<u32> = (0..12).map(|i| i * i).collect();
         let perm = [5usize, 3, 0, 8, 11, 1, 2, 10, 4, 7, 9, 6];
         let mut expected = vec![0u32; 12];
-        apply_permutation(&src, &mut expected, &perm);
+        try_apply_permutation(&src, &mut expected, &perm).unwrap();
         let mut data = src.clone();
-        apply_permutation_in_place(&mut data, &perm);
+        try_apply_permutation_in_place(&mut data, &perm).unwrap();
         assert_eq!(data, expected);
     }
 
@@ -176,7 +149,7 @@ mod tests {
     fn identity_permutation_is_noop() {
         let perm: Vec<usize> = (0..8).collect();
         let mut data: Vec<u8> = (0..8).collect();
-        apply_permutation_in_place(&mut data, &perm);
+        try_apply_permutation_in_place(&mut data, &perm).unwrap();
         assert_eq!(data, (0..8).collect::<Vec<u8>>());
     }
 
@@ -186,19 +159,19 @@ mod tests {
         let n = 7;
         let perm: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
         let mut data: Vec<usize> = (0..n).collect();
-        apply_permutation_in_place(&mut data, &perm);
+        try_apply_permutation_in_place(&mut data, &perm).unwrap();
         assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 0]);
     }
 
     #[test]
     fn inverse_composes_to_identity() {
         let perm = [3usize, 1, 4, 0, 2];
-        let inv = invert_permutation(&perm);
+        let inv = try_invert_permutation(&perm).unwrap();
         let src = [7u8, 8, 9, 10, 11];
         let mut once = [0u8; 5];
         let mut back = [0u8; 5];
-        apply_permutation(&src, &mut once, &perm);
-        apply_permutation(&once, &mut back, &inv);
+        try_apply_permutation(&src, &mut once, &perm).unwrap();
+        try_apply_permutation(&once, &mut back, &inv).unwrap();
         assert_eq!(back, src);
     }
 
@@ -213,6 +186,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn invert_rejects_invalid() {
-        invert_permutation(&[1, 1]);
+        try_invert_permutation(&[1, 1]).unwrap();
     }
 }

@@ -12,7 +12,7 @@ use ddl_num::DdlError;
 ///
 /// This is the addressing scheme of a factorized-transform leaf: the
 /// `j`-th of the `m` size-`n` sub-DFTs of a `N = n·m` node views the input
-/// as `StridedView::new(x, j, m, n)`.
+/// as `StridedView::try_new(j, m, n, x.len())`.
 #[derive(Clone, Copy, Debug)]
 pub struct StridedView {
     /// Index of the first element.
@@ -25,20 +25,8 @@ pub struct StridedView {
 
 impl StridedView {
     /// Creates a view and checks that it stays in bounds of a buffer of
-    /// `buf_len` points.
-    ///
-    /// Panics when the view does not fit; see [`StridedView::try_new`]
-    /// for the fallible form.
-    pub fn new(base: usize, stride: usize, len: usize, buf_len: usize) -> Self {
-        match StridedView::try_new(base, stride, len, buf_len) {
-            Ok(v) => v,
-            // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`StridedView::new`]: an out-of-bounds view is
-    /// reported as [`DdlError::InvalidStride`] instead of a panic.
+    /// `buf_len` points; an out-of-bounds view is a
+    /// [`DdlError::InvalidStride`].
     pub fn try_new(
         base: usize,
         stride: usize,
@@ -83,18 +71,6 @@ impl StridedView {
 /// Gathers `dst.len()` elements from `src` starting at `base` with the given
 /// stride into the contiguous `dst`. This is the forward reorganization
 /// `Dr(n, s→1)`.
-///
-/// Panics if the strided range does not fit in `src`; see
-/// [`try_gather_stride`] for the fallible form.
-#[inline]
-pub fn gather_stride<T: Copy>(src: &[T], base: usize, stride: usize, dst: &mut [T]) {
-    if let Err(e) = try_gather_stride(src, base, stride, dst) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`gather_stride`].
 #[inline]
 pub fn try_gather_stride<T: Copy>(
     src: &[T],
@@ -120,18 +96,6 @@ pub fn try_gather_stride<T: Copy>(
 
 /// Scatters the contiguous `src` into `dst` starting at `base` with the
 /// given stride. This is the reverse reorganization `Dr(n, 1→s)`.
-///
-/// Panics if the strided range does not fit in `dst`; see
-/// [`try_scatter_stride`] for the fallible form.
-#[inline]
-pub fn scatter_stride<T: Copy>(src: &[T], dst: &mut [T], base: usize, stride: usize) {
-    if let Err(e) = try_scatter_stride(src, dst, base, stride) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`scatter_stride`].
 #[inline]
 pub fn try_scatter_stride<T: Copy>(
     src: &[T],
@@ -163,7 +127,7 @@ mod tests {
     fn gather_unit_stride_is_copy() {
         let src: Vec<u32> = (0..16).collect();
         let mut dst = [0u32; 4];
-        gather_stride(&src, 3, 1, &mut dst);
+        try_gather_stride(&src, 3, 1, &mut dst).unwrap();
         assert_eq!(dst, [3, 4, 5, 6]);
     }
 
@@ -171,7 +135,7 @@ mod tests {
     fn gather_strided() {
         let src: Vec<u32> = (0..16).collect();
         let mut dst = [0u32; 4];
-        gather_stride(&src, 1, 4, &mut dst);
+        try_gather_stride(&src, 1, 4, &mut dst).unwrap();
         assert_eq!(dst, [1, 5, 9, 13]);
     }
 
@@ -179,9 +143,9 @@ mod tests {
     fn scatter_then_gather_round_trips() {
         let payload = [10u32, 20, 30, 40];
         let mut buf = vec![0u32; 32];
-        scatter_stride(&payload, &mut buf, 2, 7);
+        try_scatter_stride(&payload, &mut buf, 2, 7).unwrap();
         let mut back = [0u32; 4];
-        gather_stride(&buf, 2, 7, &mut back);
+        try_gather_stride(&buf, 2, 7, &mut back).unwrap();
         assert_eq!(back, payload);
         // untouched positions remain zero
         assert_eq!(buf[0], 0);
@@ -192,7 +156,7 @@ mod tests {
     fn scatter_unit_stride_is_copy() {
         let payload = [1u8, 2, 3];
         let mut buf = vec![9u8; 6];
-        scatter_stride(&payload, &mut buf, 1, 1);
+        try_scatter_stride(&payload, &mut buf, 1, 1).unwrap();
         assert_eq!(buf, vec![9, 1, 2, 3, 9, 9]);
     }
 
@@ -206,12 +170,12 @@ mod tests {
         assert!(v.fits(0));
         let src: [u8; 0] = [];
         let mut dst: [u8; 0] = [];
-        gather_stride(&src, 100, 50, &mut dst); // must not panic
+        try_gather_stride(&src, 100, 50, &mut dst).unwrap(); // must not panic
     }
 
     #[test]
     fn view_index_arithmetic() {
-        let v = StridedView::new(5, 3, 4, 32);
+        let v = StridedView::try_new(5, 3, 4, 32).unwrap();
         assert_eq!(v.index(0), 5);
         assert_eq!(v.index(3), 14);
     }
@@ -231,6 +195,6 @@ mod tests {
     fn out_of_bounds_gather_panics() {
         let src = [0u8; 8];
         let mut dst = [0u8; 4];
-        gather_stride(&src, 0, 3, &mut dst); // last index 9 > 7
+        try_gather_stride(&src, 0, 3, &mut dst).unwrap(); // last index 9 > 7
     }
 }

@@ -11,10 +11,10 @@
 //! Three out-of-place algorithms are provided because the reorganization
 //! cost `Dr` in the paper's cost model is itself cache-sensitive:
 //!
-//! * [`transpose`] — naive double loop; the baseline.
-//! * [`transpose_blocked`] — tiled for spatial locality; both source lines
+//! * [`try_transpose`] — naive double loop; the baseline.
+//! * [`try_transpose_blocked`] — tiled for spatial locality; both source lines
 //!   and destination lines stay resident while a `B × B` tile moves.
-//! * [`transpose_recursive`] — cache-oblivious divide-and-conquer.
+//! * [`try_transpose_recursive`] — cache-oblivious divide-and-conquer.
 //!
 //! plus an in-place square transpose used when the factorization is
 //! balanced (`n1 == n2`), which avoids the scratch buffer entirely.
@@ -48,14 +48,6 @@ fn check_matrix<T>(
 ///
 /// `dst` receives the `cols × rows` transpose. Panics on size mismatch;
 /// see [`try_transpose`] for the fallible form.
-pub fn transpose<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
-    if let Err(e) = try_transpose(src, dst, rows, cols) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`transpose`].
 pub fn try_transpose<T: Copy>(
     src: &[T],
     dst: &mut [T],
@@ -76,14 +68,6 @@ pub fn try_transpose<T: Copy>(
 /// A tile of 8 complex points is 128 B — two lines on most machines — so
 /// the default tile of 32 keeps a working set of a few KiB regardless of
 /// the matrix size.
-pub fn transpose_blocked<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize, tile: usize) {
-    if let Err(e) = try_transpose_blocked(src, dst, rows, cols, tile) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`transpose_blocked`].
 pub fn try_transpose_blocked<T: Copy>(
     src: &[T],
     dst: &mut [T],
@@ -121,14 +105,6 @@ pub fn try_transpose_blocked<T: Copy>(
 /// base case, achieving `O(rc/B)` misses on an ideal cache without knowing
 /// `B` — the cache-oblivious counterpoint (FFTW's design point, per the
 /// paper's Section I) to the explicitly blocked version.
-pub fn transpose_recursive<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
-    if let Err(e) = try_transpose_recursive(src, dst, rows, cols) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`transpose_recursive`].
 pub fn try_transpose_recursive<T: Copy>(
     src: &[T],
     dst: &mut [T],
@@ -176,14 +152,6 @@ fn run_recursive<T: Copy>(src: &[T], dst: &mut [T], rows: usize, cols: usize) {
 }
 
 /// In-place transpose of a square `n × n` row-major matrix.
-pub fn transpose_in_place_square<T: Copy>(data: &mut [T], n: usize) {
-    if let Err(e) = try_transpose_in_place_square(data, n) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`transpose_in_place_square`].
 pub fn try_transpose_in_place_square<T: Copy>(data: &mut [T], n: usize) -> Result<(), DdlError> {
     let want = n.checked_mul(n).ok_or_else(|| {
         DdlError::invalid_size("transpose_in_place_square", n, "n*n overflows usize")
@@ -209,16 +177,8 @@ pub fn try_transpose_in_place_square<T: Copy>(data: &mut [T], n: usize) -> Resul
 /// `(N/s) × s` row-major matrix and written column-major.
 ///
 /// Equivalently `dst[c * (N/s) + r] = src[r * s + c]`. This is the matrix
-/// form used in Eq. (1); `stride_permutation(x, y, N, s)` makes elements
+/// form used in Eq. (1); `try_stride_permutation(x, y, N, s).unwrap()` makes elements
 /// previously at stride `s` contiguous in `y`.
-pub fn stride_permutation<T: Copy>(src: &[T], dst: &mut [T], n: usize, s: usize) {
-    if let Err(e) = try_stride_permutation(src, dst, n, s) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`stride_permutation`].
 pub fn try_stride_permutation<T: Copy>(
     src: &[T],
     dst: &mut [T],
@@ -254,14 +214,6 @@ pub fn try_stride_permutation<T: Copy>(
 }
 
 /// In-place `L^N_s` for the balanced case `s == sqrt(N)`.
-pub fn stride_permutation_in_place_square<T: Copy>(data: &mut [T], n: usize, s: usize) {
-    if let Err(e) = try_stride_permutation_in_place_square(data, n, s) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
-        panic!("{e}");
-    }
-}
-
-/// Fallible form of [`stride_permutation_in_place_square`].
 pub fn try_stride_permutation_in_place_square<T: Copy>(
     data: &mut [T],
     n: usize,
@@ -297,7 +249,7 @@ mod tests {
     fn naive_matches_reference() {
         let src = sample(5, 7);
         let mut dst = vec![0; 35];
-        transpose(&src, &mut dst, 5, 7);
+        try_transpose(&src, &mut dst, 5, 7).unwrap();
         assert_eq!(dst, reference_transpose(&src, 5, 7));
     }
 
@@ -312,7 +264,7 @@ mod tests {
         ] {
             let src = sample(r, c);
             let mut dst = vec![0; r * c];
-            transpose_blocked(&src, &mut dst, r, c, t);
+            try_transpose_blocked(&src, &mut dst, r, c, t).unwrap();
             assert_eq!(dst, reference_transpose(&src, r, c), "r={r} c={c} t={t}");
         }
     }
@@ -322,7 +274,7 @@ mod tests {
         for (r, c) in [(3, 3), (17, 64), (128, 128), (100, 37)] {
             let src = sample(r, c);
             let mut dst = vec![0; r * c];
-            transpose_recursive(&src, &mut dst, r, c);
+            try_transpose_recursive(&src, &mut dst, r, c).unwrap();
             assert_eq!(dst, reference_transpose(&src, r, c), "r={r} c={c}");
         }
     }
@@ -332,7 +284,7 @@ mod tests {
         for n in [1usize, 2, 3, 8, 31] {
             let src = sample(n, n);
             let mut inplace = src.clone();
-            transpose_in_place_square(&mut inplace, n);
+            try_transpose_in_place_square(&mut inplace, n).unwrap();
             assert_eq!(inplace, reference_transpose(&src, n, n), "n={n}");
         }
     }
@@ -342,8 +294,8 @@ mod tests {
         let src = sample(12, 20);
         let mut once = vec![0; 240];
         let mut twice = vec![0; 240];
-        transpose(&src, &mut once, 12, 20);
-        transpose(&once, &mut twice, 20, 12);
+        try_transpose(&src, &mut once, 12, 20).unwrap();
+        try_transpose(&once, &mut twice, 20, 12).unwrap();
         assert_eq!(twice, src);
     }
 
@@ -352,7 +304,7 @@ mod tests {
         // n = 12, s = 3: elements 0,3,6,9 should become the first row.
         let src: Vec<u64> = (0..12).collect();
         let mut dst = vec![0; 12];
-        stride_permutation(&src, &mut dst, 12, 3);
+        try_stride_permutation(&src, &mut dst, 12, 3).unwrap();
         assert_eq!(&dst[0..4], &[0, 3, 6, 9]);
         assert_eq!(&dst[4..8], &[1, 4, 7, 10]);
         assert_eq!(&dst[8..12], &[2, 5, 8, 11]);
@@ -364,7 +316,7 @@ mod tests {
         let s = 64;
         let src: Vec<u64> = (0..n as u64).collect();
         let mut dst = vec![0; n];
-        stride_permutation(&src, &mut dst, n, s);
+        try_stride_permutation(&src, &mut dst, n, s).unwrap();
         // spot-check: output position c*(n/s)+r must hold src[r*s+c]
         for &(r, c) in &[(0usize, 0usize), (5, 17), (127, 63), (64, 1)] {
             assert_eq!(dst[c * (n / s) + r], src[r * s + c]);
@@ -379,8 +331,8 @@ mod tests {
         let src: Vec<u64> = (100..124).collect();
         let mut mid = vec![0; n];
         let mut back = vec![0; n];
-        stride_permutation(&src, &mut mid, n, s);
-        stride_permutation(&mid, &mut back, n, n / s);
+        try_stride_permutation(&src, &mut mid, n, s).unwrap();
+        try_stride_permutation(&mid, &mut back, n, n / s).unwrap();
         assert_eq!(back, src);
     }
 
@@ -390,9 +342,9 @@ mod tests {
         let s = 4;
         let src: Vec<u64> = (0..16).collect();
         let mut a = src.clone();
-        stride_permutation_in_place_square(&mut a, n, s);
+        try_stride_permutation_in_place_square(&mut a, n, s).unwrap();
         let mut b = vec![0; n];
-        stride_permutation(&src, &mut b, n, s);
+        try_stride_permutation(&src, &mut b, n, s).unwrap();
         assert_eq!(a, b);
     }
 
@@ -401,6 +353,6 @@ mod tests {
     fn stride_permutation_rejects_nondivisor() {
         let src = vec![0u8; 10];
         let mut dst = vec![0u8; 10];
-        stride_permutation(&src, &mut dst, 10, 3);
+        try_stride_permutation(&src, &mut dst, 10, 3).unwrap();
     }
 }

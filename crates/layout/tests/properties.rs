@@ -3,9 +3,9 @@
 //! must satisfy their algebraic identities.
 
 use ddl_layout::{
-    apply_permutation, apply_permutation_in_place, bit_reverse_permute, gather_stride,
-    invert_permutation, scatter_stride, stride_permutation, transpose, transpose_blocked,
-    transpose_recursive,
+    try_apply_permutation, try_apply_permutation_in_place, try_bit_reverse_permute,
+    try_gather_stride, try_invert_permutation, try_scatter_stride, try_stride_permutation,
+    try_transpose, try_transpose_blocked, try_transpose_recursive,
 };
 use proptest::prelude::*;
 
@@ -20,9 +20,9 @@ proptest! {
         let mut a = vec![0u32; rows * cols];
         let mut b = vec![0u32; rows * cols];
         let mut c = vec![0u32; rows * cols];
-        transpose(&src, &mut a, rows, cols);
-        transpose_blocked(&src, &mut b, rows, cols, tile);
-        transpose_recursive(&src, &mut c, rows, cols);
+        try_transpose(&src, &mut a, rows, cols).unwrap();
+        try_transpose_blocked(&src, &mut b, rows, cols, tile).unwrap();
+        try_transpose_recursive(&src, &mut c, rows, cols).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &c);
     }
@@ -32,8 +32,8 @@ proptest! {
         let src: Vec<u32> = (0..rows * cols).map(|i| i as u32 ^ 0xABCD).collect();
         let mut mid = vec![0u32; rows * cols];
         let mut back = vec![0u32; rows * cols];
-        transpose(&src, &mut mid, rows, cols);
-        transpose(&mid, &mut back, cols, rows);
+        try_transpose(&src, &mut mid, rows, cols).unwrap();
+        try_transpose(&mid, &mut back, cols, rows).unwrap();
         prop_assert_eq!(back, src);
     }
 
@@ -45,8 +45,8 @@ proptest! {
         let src: Vec<u64> = (0..n as u64).collect();
         let mut mid = vec![0u64; n];
         let mut back = vec![0u64; n];
-        stride_permutation(&src, &mut mid, n, s);
-        stride_permutation(&mid, &mut back, n, n / s);
+        try_stride_permutation(&src, &mut mid, n, s).unwrap();
+        try_stride_permutation(&mid, &mut back, n, n / s).unwrap();
         prop_assert_eq!(back, src);
     }
 
@@ -56,7 +56,7 @@ proptest! {
         let s = 1usize << (log_n / 2);
         let src: Vec<u64> = (0..n as u64).collect();
         let mut dst = vec![0u64; n];
-        stride_permutation(&src, &mut dst, n, s);
+        try_stride_permutation(&src, &mut dst, n, s).unwrap();
         // Column c of the row-major (n/s) x s view lands contiguously.
         let c = pick % s;
         let rows = n / s;
@@ -70,11 +70,11 @@ proptest! {
         let buf_len = base + stride * len.max(1) + 4;
         let buf: Vec<u32> = (0..buf_len as u32).collect();
         let mut gathered = vec![0u32; len];
-        gather_stride(&buf, base, stride, &mut gathered);
+        try_gather_stride(&buf, base, stride, &mut gathered).unwrap();
         let mut buf2 = vec![u32::MAX; buf_len];
-        scatter_stride(&gathered, &mut buf2, base, stride);
+        try_scatter_stride(&gathered, &mut buf2, base, stride).unwrap();
         let mut gathered2 = vec![0u32; len];
-        gather_stride(&buf2, base, stride, &mut gathered2);
+        try_gather_stride(&buf2, base, stride, &mut gathered2).unwrap();
         prop_assert_eq!(gathered, gathered2);
     }
 
@@ -90,9 +90,9 @@ proptest! {
         }
         let src: Vec<u64> = (0..n as u64).map(|i| i * 31 + 5).collect();
         let mut oop = vec![0u64; n];
-        apply_permutation(&src, &mut oop, &perm);
+        try_apply_permutation(&src, &mut oop, &perm).unwrap();
         let mut ip = src.clone();
-        apply_permutation_in_place(&mut ip, &perm);
+        try_apply_permutation_in_place(&mut ip, &perm).unwrap();
         prop_assert_eq!(oop, ip);
     }
 
@@ -105,12 +105,12 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             perm.swap(i, j);
         }
-        let inv = invert_permutation(&perm);
+        let inv = try_invert_permutation(&perm).unwrap();
         let src: Vec<u32> = (0..n as u32).collect();
         let mut once = vec![0u32; n];
         let mut back = vec![0u32; n];
-        apply_permutation(&src, &mut once, &perm);
-        apply_permutation(&once, &mut back, &inv);
+        try_apply_permutation(&src, &mut once, &perm).unwrap();
+        try_apply_permutation(&once, &mut back, &inv).unwrap();
         prop_assert_eq!(back, src);
     }
 
@@ -119,8 +119,8 @@ proptest! {
         let n = 1usize << log_n;
         let orig: Vec<u32> = (0..n as u32).collect();
         let mut v = orig.clone();
-        bit_reverse_permute(&mut v);
-        bit_reverse_permute(&mut v);
+        try_bit_reverse_permute(&mut v).unwrap();
+        try_bit_reverse_permute(&mut v).unwrap();
         prop_assert_eq!(v, orig);
     }
 }

@@ -73,16 +73,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ddl_core::engine::{PlanKey, TransformKind};
 use ddl_core::histo::OUTCOME_OVERLOADED;
 use ddl_core::{
-    faultpoint, grammar, kernel_set_for, next_request_id, scheduler_totals, DdlError, Deadline,
-    DftPlan, DftViews, Engine, EngineConfig, FlightRecorder, HistogramSet, NullSink,
-    RequestCapsule, RequestId, Strategy, TelemetryReport, WhtPlan, WhtView,
+    faultpoint::{self, relock},
+    grammar, kernel_set_for, next_request_id, scheduler_totals, DdlError, Deadline, DftPlan,
+    DftViews, Engine, EngineConfig, FlightRecorder, HistogramSet, NullSink, RequestCapsule,
+    RequestId, Strategy, TelemetryReport, WhtPlan, WhtView,
 };
 use ddl_num::{Complex64, Direction};
 
@@ -379,13 +380,6 @@ impl Ticket {
     }
 }
 
-fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking holder already reported its failure through its own
-    // response; the queue data (plain jobs) cannot be mid-mutation in an
-    // observable way, so poison recovery is safe and keeps serving.
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The service: one shared engine, a bounded queue, a worker pool.
 /// Cloning shares the same service.
 #[derive(Clone)]
@@ -495,10 +489,13 @@ impl Service {
         let id = next_request_id();
         let labels = request_labels(&request);
         let (tx, rx) = mpsc::sync_channel(1);
+        // The probe takes the fault registry's lock, so it runs before
+        // the queue lock (and so counts every admission).
+        let forced_full = faultpoint::hit("serve.queue.full");
         let shed_at = {
             let mut q = relock(&self.inner.queue);
             let capacity = self.inner.config.queue_capacity;
-            if q.len() >= capacity || faultpoint::hit("serve.queue.full") {
+            if forced_full || q.len() >= capacity {
                 Some((q.len(), capacity))
             } else {
                 q.push_back(Job {

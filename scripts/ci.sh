@@ -216,18 +216,19 @@ run cargo run --release -q -p ddl-analyze --bin ddl_lint -- --out target/lint-re
 run cargo run --release -q -p ddl-analyze --bin ddl_analyze -- --out target/analyze-report.json
 run cargo run --release -q -p ddl-analyze --bin ddl_analyze -- --check target/analyze-report.json
 
-# Certificate gate (DESIGN.md §12): prove the inter-procedural
-# lock-order graph acyclic and matching the pinned golden, and the
+# Certificate gate (DESIGN.md §12): prove that in every lock-holding
+# file no lock is acquired while another is held and none is held
+# across catch_unwind, a thread spawn or plan execution, and the
 # per-size ulp bounds derived and monotone; emit the versioned ddl-cert
 # artifact and re-validate it through --check. Hard gate: any
 # error-severity finding fails the build.
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --out target/cert-report.json
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --check target/cert-report.json
 
-# The gate must be able to fail: seed a known lock-order inversion and
-# require the verifier to catch it. The demo exits zero only when the
-# seeded defect IS caught, so a silently-weakened verifier breaks the
-# build here.
+# The gate must be able to fail: run the lock rule on a seeded
+# lock-order inversion and require it to be refused. The demo exits zero
+# only when the seeded defect IS refused, so a silently-weakened
+# verifier breaks the build here.
 run cargo run --release -q -p ddl-analyze --bin ddl_cert -- --demo-mutation lock-inversion
 
 echo
