@@ -2,11 +2,14 @@
 //!
 //! The DDL premise (paper Section IV-A) is that the reorganization `Dr`
 //! costs less than the strided traffic it removes. This bench prices the
-//! primitives in isolation: a strided gather, a naive transpose, the
-//! tiled transpose the executor actually uses, and the cache-oblivious
-//! recursive variant — on a matrix large enough that layout matters.
+//! primitives in isolation: a strided gather, a naive transpose,
+//! `ddl-layout`'s tiled transpose (source index innermost), the tiled
+//! transpose the executor actually uses (`ddl_core::dft::run_transpose`,
+//! destination index innermost), and the cache-oblivious recursive
+//! variant — on a matrix large enough that layout matters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ddl_core::dft::run_transpose;
 use ddl_layout::{
     try_gather_stride, try_transpose, try_transpose_blocked, try_transpose_recursive,
 };
@@ -48,6 +51,13 @@ fn bench_reorg(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("transpose_blocked", log_n), &n, |b, _| {
             b.iter(|| {
                 try_transpose_blocked(&src, &mut dst, rows, cols, 32).unwrap();
+                std::hint::black_box(&mut dst);
+            });
+        });
+
+        group.bench_with_input(BenchmarkId::new("transpose_executor", log_n), &n, |b, _| {
+            b.iter(|| {
+                run_transpose(&src, &mut dst, rows, cols);
                 std::hint::black_box(&mut dst);
             });
         });

@@ -4,48 +4,49 @@
 //! Besides the paper's experiments, it runs the performance-trajectory
 //! suite and its gates:
 //!
-//! * **`run`** — executes the suite (see [`ddl_bench::suite`]) and writes
-//!   `target/BENCH_<label>.json` (or `--out`). With `--report-out <path>`
-//!   the pinned plans (DFT/WHT at 2^10 and 2^16, both strategies, plus the
-//!   DDL real FFT) are written as one `ddl-report`: each record carries
-//!   the cost model's per-stage prediction, the median measured run and
-//!   the per-node L1/L2/d-TLB attribution of the same tree. The
-//!   calibration error lines and the hierarchy scorecard are printed from
-//!   those records. With `--ledger <path>` the run (plus an attribution
-//!   digest of each simulated record) is appended as one line to the
-//!   JSONL ledger. `--trace-out <path>` writes a Chrome trace of one
+//! * **`run`** — executes the suite (see [`ddl_bench::suite`]) and prints
+//!   each case's median, min and max. With `--ledger <path>` the run (its
+//!   per-case medians, plus an attribution digest of each simulated
+//!   record) is appended as one line to the JSONL ledger, the run's one
+//!   persisted record. With `--report-out <path>` the pinned plans
+//!   (DFT/WHT at 2^10 and 2^16, both strategies, plus the DDL real FFT)
+//!   are written as one `ddl-report`: each record carries the cost
+//!   model's per-stage prediction, the median measured run and the
+//!   per-node L1/L2/d-TLB attribution of the same tree. The calibration
+//!   error lines and the hierarchy scorecard are printed from those
+//!   records. `--trace-out <path>` writes a Chrome trace of one
 //!   instrumented run.
 //! * **`check <path>...`** — validates previously emitted artifacts
 //!   through `ddl_core::check_report`: `ddl-report`, `ddl-telemetry` and
 //!   `ddl-flight` documents (JSONL artifacts line by line) and Chrome
-//!   traces are dispatched by the shared validator; the `ddl-bench`
-//!   schema this crate owns is layered on its `Unknown` passthrough.
-//!   Violations print the offending JSON path and exit non-zero.
-//! * **`compare <current> <baseline>`** — compares two stored reports;
-//!   regressions beyond [`DEFAULT_TOLERANCE`] (or a vanished case) exit
-//!   non-zero.
+//!   traces are dispatched by the shared validator; the `ddl-trajectory`
+//!   ledger this crate owns is layered on its `Unknown` passthrough.
+//!   Violations print the offending JSON path or line and exit non-zero.
 //! * **`ledger-check <path>`** — validates every line of a trajectory
 //!   ledger and exits non-zero if any consecutive same-environment pair
 //!   regressed beyond [`DEFAULT_TOLERANCE`].
 //! * **`ledger-report <path>`** — renders the trajectory ledger as a
 //!   per-case markdown trend table on stdout (no gating).
 //!
+//! Two runs are compared by appending both to one ledger:
+//!
 //! ```sh
 //! cargo run --release -p ddl-bench --bin bench_suite -- run --quick --label ci \
-//!     --out target/BENCH_ci.json --report-out target/report-ci.json \
-//!     --trace-out target/trace.json --ledger results/trajectory.jsonl
-//! cargo run --release -p ddl-bench --bin bench_suite -- check target/report-ci.json
+//!     --report-out target/report-ci.json --trace-out target/trace.json \
+//!     --ledger results/trajectory.jsonl
 //! cargo run --release -p ddl-bench --bin bench_suite -- \
-//!     compare target/BENCH_ci.json results/bench_baseline.json
+//!     check target/report-ci.json results/trajectory.jsonl
+//! cargo run --release -p ddl-bench --bin bench_suite -- ledger-report results/trajectory.jsonl
 //! cargo run --release -p ddl-bench --bin bench_suite -- fig9 --quick
 //! ```
 
 use ddl_analyze::{annotate_static, crosscheck};
 use ddl_bench::cli::{parse, Args, Command, Outcome, Usage};
-use ddl_bench::ledger::{append_entry, check_ledger, read_ledger, render_report, LedgerEntry};
-use ddl_bench::suite::{
-    compare, run_suite, BenchReport, Comparison, SuiteConfig, DEFAULT_TOLERANCE,
+use ddl_bench::ledger::{
+    append_entry, check_ledger, read_ledger, ref_name, render_report, LedgerEntry,
+    DEFAULT_TOLERANCE, TRAJECTORY_SCHEMA,
 };
+use ddl_bench::suite::{default_repeats, run_suite};
 use ddl_bench::{fit, paper, smoke, Transform};
 use ddl_cachesim::{CacheConfig, HierarchyConfig};
 use ddl_core::attrib::{attribute_dft_hier, attribute_rfft_hier, attribute_wht_hier};
@@ -55,7 +56,7 @@ use ddl_core::{
     CalibrationConfig, CheckedReport, DftPlan, PlanRecord, Recorder, Report, RfftPlan, WhtPlan,
 };
 use ddl_num::{Complex64, Direction};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Sizes of the plan records behind `--report-out` and the ledger
@@ -71,7 +72,6 @@ const TIMED: &[&str] = &["--quick", "--max-log-n", "--metrics-out"];
 const RUN: &[&str] = &[
     "--quick",
     "--label",
-    "--out",
     "--report-out",
     "--trace-out",
     "--ledger",
@@ -99,7 +99,6 @@ const fn cmd(
 static COMMANDS: &[Command] = &[
     cmd("run", RUN, 0..=0, run),
     cmd("check", &[], 1..=MANY, check),
-    cmd("compare", &[], 2..=2, compare_reports),
     cmd("ledger-check", &[], 1..=1, ledger_check),
     cmd("ledger-report", &[], 1..=1, ledger_report),
     cmd("fig9", SWEEP, 0..=0, paper::fig9),
@@ -135,32 +134,21 @@ fn main() -> ExitCode {
     }
 }
 
-/// `run`: the suite, its report, and the optional trace, plan records and
-/// ledger line.
+/// `run`: the suite, and the optional trace, plan records and ledger
+/// line.
 fn run(args: &Args) -> Outcome {
-    let cfg = SuiteConfig::new(&args.label, args.quick);
     eprintln!(
         "running {} suite ({} repeats per case)...",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.repeats
+        if args.quick { "quick" } else { "full" },
+        default_repeats(args.quick)
     );
-    let report = run_suite(&cfg)?;
+    let report = run_suite(&args.label, args.quick)?;
     for case in &report.cases {
         println!(
             "{:<28} median {:>12.0} ns  (min {:.0}, max {:.0})",
             case.id, case.median_ns, case.min_ns, case.max_ns
         );
     }
-
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(format!("target/BENCH_{}.json", args.label)));
-    if let Some(parent) = out.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    report.write(&out)?;
-    eprintln!("bench report written to {}", out.display());
 
     if let Some(path) = &args.trace_out {
         emit_trace(path)?;
@@ -212,14 +200,6 @@ fn check(args: &Args) -> Outcome {
     }
 }
 
-/// `compare <current> <baseline>`: two stored `ddl-bench` reports.
-fn compare_reports(args: &Args) -> Outcome {
-    let current = load_report(Path::new(&args.positional[0]))?;
-    let baseline = load_report(Path::new(&args.positional[1]))?;
-    warn_mode_mismatch(&current, &baseline);
-    report_comparison(&compare(&current, &baseline, DEFAULT_TOLERANCE))
-}
-
 /// `ledger-report <path>`: the ledger's per-case trend table.
 fn ledger_report(args: &Args) -> Outcome {
     print!(
@@ -227,21 +207,6 @@ fn ledger_report(args: &Args) -> Outcome {
         render_report(&read_ledger(Path::new(&args.positional[0]))?)
     );
     Ok(())
-}
-
-/// Comparing a quick run against a full baseline (or vice versa) is
-/// usually a CI misconfiguration: the case sets only partially overlap
-/// and the repeat counts differ. Warn, but still compare — `compare`
-/// stays usable for ad-hoc questions.
-fn warn_mode_mismatch(current: &BenchReport, baseline: &BenchReport) {
-    if current.quick != baseline.quick {
-        eprintln!(
-            "warning: comparing a {} run against a {} baseline; case sets will only \
-             partially overlap",
-            if current.quick { "quick" } else { "full" },
-            if baseline.quick { "quick" } else { "full" },
-        );
-    }
 }
 
 /// One record per pinned plan: DFT and WHT at [`REPORT_LOGS`] under both
@@ -358,60 +323,11 @@ fn emit_trace(path: &Path) -> Result<(), ddl_num::DdlError> {
     Ok(())
 }
 
-fn load_report(path: &Path) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    BenchReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Prints a comparison; regressions or missing cases fail it.
-fn report_comparison(cmp: &Comparison) -> Outcome {
-    for r in &cmp.regressions {
-        println!(
-            "REGRESSION {:<28} {:>12.0} ns -> {:>12.0} ns  ({:+.1}%)",
-            r.id,
-            r.baseline_ns,
-            r.current_ns,
-            (r.ratio - 1.0) * 100.0
-        );
-    }
-    for i in &cmp.improvements {
-        println!(
-            "improved   {:<28} {:>12.0} ns -> {:>12.0} ns  ({:+.1}%)",
-            i.id,
-            i.baseline_ns,
-            i.current_ns,
-            (i.ratio - 1.0) * 100.0
-        );
-    }
-    for id in &cmp.missing {
-        println!("MISSING    {id} (present in baseline, absent from current run)");
-    }
-    for id in &cmp.added {
-        println!("added      {id} (not in baseline)");
-    }
-    let tolerance = DEFAULT_TOLERANCE * 100.0;
-    if !cmp.passed() {
-        return Err(format!(
-            "baseline comparison FAILED: {} regressions, {} missing cases (tolerance {tolerance:.0}%)",
-            cmp.regressions.len(),
-            cmp.missing.len(),
-        )
-        .into());
-    }
-    println!(
-        "baseline comparison passed (tolerance {tolerance:.0}%, {} improvements, {} new cases)",
-        cmp.improvements.len(),
-        cmp.added.len()
-    );
-    Ok(())
-}
-
 /// Validates one artifact through the shared `ddl-core` dispatcher
 /// (which validates `.jsonl` artifacts line by line), layering the
-/// `ddl-bench` schema (which core does not own) on the `Unknown`
-/// passthrough; returns a short human summary or the path-bearing
-/// error message.
+/// `ddl-trajectory` ledger (which core does not own) on the `Unknown`
+/// passthrough; returns a short human summary or the path- or
+/// line-bearing error message.
 fn check_artifact(path: &Path) -> Result<String, String> {
     match check_report(path).map_err(|e| e.to_string())? {
         CheckedReport::Trace(s) => Ok(format!(
@@ -442,16 +358,12 @@ fn check_artifact(path: &Path) -> Result<String, String> {
             "ddl-flight: last dump seq {}, trigger {:?}, request {} ({})",
             d.seq, d.trigger, d.capsule.id, d.capsule.outcome
         )),
-        CheckedReport::Unknown { schema } if schema == "ddl-bench" => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read file: {e}"))?;
-            let r = BenchReport::parse(&text).map_err(|e| e.to_string())?;
+        CheckedReport::Unknown { schema } if schema == TRAJECTORY_SCHEMA => {
+            let entries = read_ledger(path).map_err(|e| e.to_string())?;
             Ok(format!(
-                "ddl-bench: label {:?}, {} cases, {} mode, host {}",
-                r.label,
-                r.cases.len(),
-                if r.quick { "quick" } else { "full" },
-                r.env.cpu
+                "{TRAJECTORY_SCHEMA}: {} entries, last ref {}",
+                entries.len(),
+                entries.last().map_or("none".into(), ref_name)
             ))
         }
         CheckedReport::Unknown { schema } => Err(format!("$.schema: unknown schema {schema:?}")),
@@ -495,7 +407,7 @@ mod tests {
         let (_, args) = parse_line("tlb_ablation --quick --max-log-n 15 --out t.txt").unwrap();
         assert!(args.quick);
         assert_eq!(args.max_log, Some(15));
-        assert_eq!(args.out, Some(PathBuf::from("t.txt")));
+        assert_eq!(args.out, Some("t.txt".into()));
         let (_, args) = parse_line("check a.json b.jsonl").unwrap();
         assert_eq!(args.positional, ["a.json", "b.jsonl"]);
     }
@@ -505,6 +417,7 @@ mod tests {
         assert!(refused("").contains("missing subcommand"));
         assert!(refused("fig12").contains("unknown subcommand"));
         assert!(refused("--check x").contains("unknown subcommand"));
+        assert!(refused("compare a b").contains("unknown subcommand"));
     }
 
     #[test]
@@ -527,7 +440,8 @@ mod tests {
             "tlb_ablation --render",
             "run --tolerance 0.1",
             "run --repeats 3",
-            "run --baseline results/bench_baseline.json",
+            "run --baseline b.json",
+            "run --out x",
         ] {
             assert!(refused(line).contains("does not take"), "{line}");
         }
@@ -545,8 +459,8 @@ mod tests {
 
     #[test]
     fn positional_counts_are_checked() {
-        assert!(refused("compare a.json").contains("takes 2"));
-        assert!(refused("compare a b c").contains("takes 2"));
+        assert!(refused("ledger-check").contains("takes 1"));
+        assert!(refused("ledger-check a b").contains("takes 1"));
         assert!(refused("check").contains("at least 1"));
         assert!(refused("probe").contains("at least 1"));
         assert!(refused("fig9 extra").contains("takes 0"));
@@ -568,5 +482,37 @@ mod tests {
             let err = (command.run)(&args).unwrap_err();
             assert!(err.is::<Usage>(), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn check_validates_the_ledger_line_by_line() {
+        let line = |label: &str| {
+            LedgerEntry {
+                label: label.into(),
+                quick: true,
+                git_sha: format!("sha-{label}"),
+                rustc: "rustc".into(),
+                cpu: "cpu0".into(),
+                cases: [("dft-ddl-n16".to_string(), 100.0)].into(),
+                attribution: Vec::new(),
+            }
+            .to_line()
+        };
+        let (a, b) = (line("a"), line("b"));
+        let path = std::env::temp_dir().join(format!("bench-check-{}.jsonl", std::process::id()));
+        std::fs::write(&path, format!("{a}\n{b}\n")).unwrap();
+        let summary = check_artifact(&path).unwrap();
+        assert!(summary.contains("2 entries, last ref sha-b"), "{summary}");
+        // A torn line fails the JSON check, a well-formed line that is
+        // no ledger entry fails the ledger parse: both name line 2.
+        for bad in [
+            &b[..b.len() / 2],
+            r#"{"schema":"ddl-trajectory","version":2}"#,
+        ] {
+            std::fs::write(&path, format!("{a}\n{bad}\n")).unwrap();
+            let err = check_artifact(&path).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -43,8 +43,8 @@ pub struct Args {
     pub max_log: Option<u32>,
     /// `--label <s>`: the suite run's label (`local` when absent).
     pub label: String,
-    /// `--out <path>`: the suite's `ddl-bench` report, or the TLB
-    /// ablation's rendered table.
+    /// `--out <path>`: the TLB ablation's rendered table, or the host
+    /// fit's `ddl-report`.
     pub out: Option<PathBuf>,
     /// `--report-out <path>`: the suite's `ddl-report` of plan records.
     pub report_out: Option<PathBuf>,

@@ -1,15 +1,17 @@
-//! The longitudinal performance ledger: `results/trajectory.jsonl`.
+//! The longitudinal performance ledger: `results/trajectory.jsonl`, the
+//! one persisted record of a suite run.
 //!
-//! Single-run `BENCH_*.json` reports answer "how fast is this commit";
-//! the ROADMAP's trajectory question — "has the repo gotten slower since
-//! PR N" — needs runs to *accumulate*. This module implements that as an
-//! append-only JSONL file: one [`LedgerEntry`] per suite run, each a
-//! single compact line carrying the environment fingerprint (git sha,
-//! rustc, cpu), the per-case medians, and an attribution digest of each
-//! simulated plan record in the run's `ddl-report`. CI appends an entry every run and
+//! "Has the repo gotten slower since an earlier commit" needs runs to
+//! *accumulate*. This module implements that as an append-only JSONL
+//! file: one [`LedgerEntry`] per suite run, each a single compact line
+//! carrying the environment fingerprint (git sha, rustc, cpu), the
+//! per-case medians, and an attribution digest of each simulated plan
+//! record in the run's `ddl-report`. CI appends an entry every run and
 //! then validates the whole file with [`check_ledger`], which flags
 //! consecutive same-environment entries whose medians regressed beyond
-//! tolerance.
+//! tolerance. Two runs are compared by appending both to one ledger:
+//! [`render_report`] prints each case's last/first ratio and
+//! [`check_ledger`] gates it.
 //!
 //! JSONL (not a JSON array) is deliberate: appending is an O(1) write
 //! that never rewrites history, concurrent readers see a prefix of valid
@@ -31,6 +33,10 @@ pub const TRAJECTORY_SCHEMA: &str = "ddl-trajectory";
 /// `case3_leaves_page` from hierarchy-attributed runs. v1 lines (no
 /// such keys) still parse; both fields stay `None`.
 pub const TRAJECTORY_VERSION: u64 = 2;
+
+/// Default relative tolerance of [`check_ledger`]: quick CI runners
+/// are noisy, so a generous band avoids false gates.
+pub const DEFAULT_TOLERANCE: f64 = 0.5;
 
 fn ledger_err(detail: String) -> DdlError {
     DdlError::Metrics { detail }
@@ -465,7 +471,9 @@ pub fn check_ledger(entries: &[LedgerEntry], tolerance: f64) -> LedgerCheck {
     out
 }
 
-fn ref_name(entry: &LedgerEntry) -> String {
+/// The name an entry is reported under: its git sha, or its label when
+/// the sha is unknown.
+pub fn ref_name(entry: &LedgerEntry) -> String {
     if entry.git_sha != "unknown" && !entry.git_sha.is_empty() {
         entry.git_sha.clone()
     } else {
@@ -599,6 +607,23 @@ mod tests {
         let line = e.to_line();
         assert!(!line.contains('\n'));
         assert_eq!(LedgerEntry::parse_line(&line).unwrap(), e);
+    }
+
+    #[test]
+    fn written_lines_keep_the_committed_record_shape() {
+        // Top-level keys and version of one JSONL line.
+        let shape = |line: &str| -> (Vec<String>, Option<u64>) {
+            let doc = json::parse(line).unwrap();
+            let m = doc.as_obj().unwrap();
+            (m.keys().cloned().collect(), m["version"].as_u64())
+        };
+        let (keys, version) = shape(&entry("a", true, "cpu0", &[("dft-ddl-n16", 1.0)]).to_line());
+        assert_eq!(version, Some(2));
+        let fixture =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/trajectory_3.jsonl");
+        for committed in std::fs::read_to_string(fixture).unwrap().lines() {
+            assert_eq!(shape(committed).0, keys);
+        }
     }
 
     #[test]

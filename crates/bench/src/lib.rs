@@ -22,11 +22,12 @@
 //!
 //! [`paper`] implements those. Beyond the paper, `obs_smoke` ([`smoke`])
 //! emits and validates a `ddl-report` from an instrumented run, and
-//! `run`, `check`, `compare`, `ledger-check` and `ledger-report` drive
-//! the pinned performance-trajectory suite ([`suite`]) with Chrome-trace
-//! export, a `ddl-report` of per-plan records (cost-model calibration and
-//! per-node L1/L2/d-TLB cache-miss attribution, rendered as calibration
-//! lines and a hierarchy scorecard) and the longitudinal [`ledger`].
+//! `run`, `check`, `ledger-check` and `ledger-report` drive the pinned
+//! performance-trajectory suite ([`suite`]) with Chrome-trace export, a
+//! `ddl-report` of per-plan records (cost-model calibration and per-node
+//! L1/L2/d-TLB cache-miss attribution, rendered as calibration lines and
+//! a hierarchy scorecard) and the longitudinal [`ledger`], the one
+//! record a run persists.
 //!
 //! This module holds what the measured experiments share: the wisdom
 //! store (so one planning pass serves every subcommand), the per-transform

@@ -20,7 +20,6 @@
 //!   a recording tracer for tests.
 //! * [`hierarchy`] — an inclusive two-level L1/L2 wrapper.
 //! * [`tlb`] — a data-TLB model (a small, page-granular LRU cache).
-//! * [`analysis`] — trace profiling: stride histograms and working sets.
 //! * [`attrib`] — per-node attribution: an [`attrib::AttributingCache`]
 //!   that segments the address stream at executor node boundaries and
 //!   charges counter deltas to an arena tree with exact conservation, and
@@ -40,14 +39,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod attrib;
 pub mod cache;
 pub mod hierarchy;
 pub mod tlb;
 pub mod trace;
 
-pub use analysis::{dominant_stride, profile, TraceProfile};
 pub use attrib::{
     AttributedNode, AttributingCache, BucketStats, HierStats, HierarchyAttributingCache,
     HierarchyConfig, NodeKey,

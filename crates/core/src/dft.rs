@@ -45,8 +45,8 @@
 //!
 //! A tiled transpose moves the same `n` points the interleaved accesses
 //! would, but touches each cache line `O(1)` times instead of once per
-//! point — it is the `Dr` term of the paper's Eq. (2), implemented with
-//! the `ddl-layout` primitives. Folded into stage 2's stores, the output
+//! point — it is the `Dr` term of the paper's Eq. (2), one copy in
+//! [`REORG_TILE`]-square tiles. Folded into stage 2's stores, the output
 //! permutation fetches and writes back each output line once per
 //! sub-DFT with a point on it; the tiled store does so once. Both
 //! transposes copy with the destination index innermost. A *leaf*
@@ -860,7 +860,8 @@ pub fn run_twiddle_pass(buf: &mut [Complex64], tw: &TwiddleTable) {
 }
 
 /// The executor's tiled transpose of the `rows x cols` row-major `src`
-/// into `dst` (`bench_suite fit`).
+/// into `dst` (`dst[c·rows + r] = src[r·cols + c]`), which the 2-D and
+/// six-step plans and `bench_suite fit` share.
 pub fn run_transpose(src: &[Complex64], dst: &mut [Complex64], rows: usize, cols: usize) {
     let dv = View {
         base: 0,
@@ -976,6 +977,26 @@ mod tests {
     use crate::tree::Tree;
     use ddl_kernels::naive_dft;
     use ddl_num::relative_rms_error;
+
+    #[test]
+    fn run_transpose_matches_the_definition_off_the_tile_grid() {
+        for (rows, cols) in [(33, 70), (1, 64), (64, 1)] {
+            let src: Vec<Complex64> = (0..rows * cols)
+                .map(|i| Complex64::new(i as f64, -(i as f64)))
+                .collect();
+            let mut dst = vec![Complex64::ZERO; rows * cols];
+            run_transpose(&src, &mut dst, rows, cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(
+                        dst[c * rows + r],
+                        src[r * cols + c],
+                        "{rows}x{cols} ({r}, {c})"
+                    );
+                }
+            }
+        }
+    }
 
     fn sample(n: usize) -> Vec<Complex64> {
         (0..n)

@@ -11,9 +11,8 @@
 //! Both passes reuse the 1-D [`DftPlan`]s, so a cache-conscious 1-D plan
 //! automatically yields a cache-conscious 2-D transform.
 
-use crate::dft::{DftPlan, PlanError};
+use crate::dft::{run_transpose, DftPlan, PlanError};
 use crate::planner::{try_plan_dft, PlannerConfig};
-use ddl_layout::try_transpose_blocked;
 use ddl_num::{Complex64, DdlError, Direction};
 
 /// A compiled 2-D DFT over `rows x cols` row-major data.
@@ -115,7 +114,7 @@ impl Dft2dPlan {
         }
 
         // 2. tiled transpose: work (rows x cols) -> output (cols x rows)
-        try_transpose_blocked(&work, &mut output[..n], rows, cols, 32)?;
+        run_transpose(&work, &mut output[..n], rows, cols);
 
         // 3. column FFTs, now unit stride: output rows -> work rows
         for c in 0..cols {
@@ -125,7 +124,7 @@ impl Dft2dPlan {
         }
 
         // 4. transpose back to row-major order
-        try_transpose_blocked(&work, &mut output[..n], cols, rows, 32)?;
+        run_transpose(&work, &mut output[..n], cols, rows);
         Ok(())
     }
 }

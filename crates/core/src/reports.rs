@@ -27,9 +27,9 @@
 //!
 //! [`check_report`] is the single entry point the CI `--check` modes
 //! use: it sniffs the schema and routes to the matching parser. Schemas
-//! owned by downstream crates (`ddl-bench`'s suite report, `ddl-cert`)
-//! come back as [`CheckedReport::Unknown`] with the schema string,
-//! letting the caller layer its own dispatch on top without
+//! owned by downstream crates (`ddl-bench`'s `ddl-trajectory` ledger,
+//! `ddl-cert`) come back as [`CheckedReport::Unknown`] with the schema
+//! string, letting the caller layer its own dispatch on top without
 //! double-parsing.
 
 use crate::attrib::{AttributionRun, CaseClass, HierarchyAttribution, NodeAttribution};
@@ -886,7 +886,7 @@ pub enum CheckedReport {
     /// JSONL artifact; file-level checks return the last line's dump).
     Flight(Box<FlightDump>),
     /// A syntactically valid document with a schema this crate does not
-    /// own (e.g. `ddl-bench`); the caller may dispatch further.
+    /// own (e.g. `ddl-trajectory`); the caller may dispatch further.
     Unknown {
         /// The document's declared schema string.
         schema: String,
@@ -1073,9 +1073,9 @@ mod tests {
 
     #[test]
     fn unknown_schemas_surface_without_error() {
-        let text = r#"{"schema": "ddl-bench", "version": 1}"#;
+        let text = r#"{"schema": "ddl-trajectory", "version": 2}"#;
         match check_report_text(text).unwrap() {
-            CheckedReport::Unknown { schema } => assert_eq!(schema, "ddl-bench"),
+            CheckedReport::Unknown { schema } => assert_eq!(schema, "ddl-trajectory"),
             other => panic!("wrong dispatch: {}", other.schema()),
         }
     }

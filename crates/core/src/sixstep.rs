@@ -17,9 +17,8 @@
 //! endpoint of the design space: the DDL planner should match or beat it
 //! by reorganizing only where it pays (an ablation the benches exercise).
 
-use crate::dft::{DftPlan, PlanError};
+use crate::dft::{run_transpose, DftPlan, PlanError};
 use crate::planner::{try_plan_dft, PlannerConfig};
-use ddl_layout::try_transpose_blocked;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
 /// A compiled six-step FFT of size `n1 * n2`.
@@ -111,7 +110,7 @@ impl SixStepPlan {
         let mut work = vec![Complex64::ZERO; n];
 
         // 1. transpose n1 x n2 -> n2 x n1 (into output as temp)
-        try_transpose_blocked(&input[..n], &mut output[..n], n1, n2, 32)?;
+        run_transpose(&input[..n], &mut output[..n], n1, n2);
 
         // 2. n2 row FFTs of length n1: output rows -> work rows
         for r in 0..n2 {
@@ -137,7 +136,7 @@ impl SixStepPlan {
         }
 
         // 6. final transpose n1 x n2 -> n2 x n1 gives natural order
-        try_transpose_blocked(&work, &mut output[..n], n1, n2, 32)?;
+        run_transpose(&work, &mut output[..n], n1, n2);
         Ok(())
     }
 }
