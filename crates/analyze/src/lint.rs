@@ -8,8 +8,8 @@
 //!   `DdlError` (the try-first rule). Documented panicking wrappers over
 //!   `try_*` functions carry an explicit allow marker (below).
 //! * **`lint/no-std-time`** — pure planning code (the planner, cost
-//!   model, tree/grammar, wisdom, JSON, and all of `ddl-num`,
-//!   `ddl-layout`, `ddl-cachesim`) must not read clocks: planning is a
+//!   model, tree/grammar, wisdom, JSON, and all of `ddl-num` and
+//!   `ddl-cachesim`) must not read clocks: planning is a
 //!   deterministic function of its inputs. Measurement lives in
 //!   `measure.rs`/`parallel.rs`/`obs.rs`, which are exempt by design.
 //! * **`lint/forbid-unsafe`** — every workspace crate root must carry
@@ -35,8 +35,10 @@
 //! * **`lint/dead-allow`** — suppressions must stay earned: an allow
 //!   marker that no longer sits on or directly above a banned token, or
 //!   that names an unknown rule, is itself an error, as is an
-//!   [`UNSAFE_AUDITED`] entry whose file is gone or no longer contains
-//!   `unsafe` code. Without this, allow-lists only ever grow.
+//!   [`UNSAFE_AUDITED`] entry that no longer contains `unsafe` code, and
+//!   an entry of any rule's path list that names nothing on disk (a
+//!   deleted or renamed file would otherwise leave its rule's scope
+//!   unnoticed). Without this, allow-lists only ever grow.
 //!
 //! A finding is suppressed by a marker on the same line or the line
 //! directly above:
@@ -597,7 +599,7 @@ const PURE_PLANNING: &[&str] = &[
 ];
 
 /// Crates whose entire source tree is subject to `lint/no-std-time`.
-const PURE_PLANNING_CRATES: &[&str] = &["crates/num", "crates/layout", "crates/cachesim"];
+const PURE_PLANNING_CRATES: &[&str] = &["crates/num", "crates/cachesim"];
 
 fn is_pure_planning(rel: &str) -> bool {
     PURE_PLANNING.contains(&rel)
@@ -625,6 +627,17 @@ fn is_exec_hot_path(rel: &str) -> bool {
             .iter()
             .any(|c| rel.starts_with(&format!("{c}/")))
 }
+
+/// Every rule's path list, by name. Each entry must name a file or
+/// directory under the workspace root (`lint/dead-allow`).
+const SCOPE_LISTS: [(&str, &[&str]); 6] = [
+    ("UNSAFE_AUDITED", UNSAFE_AUDITED),
+    ("DENY_UNSAFE_ROOTS", DENY_UNSAFE_ROOTS),
+    ("PURE_PLANNING", PURE_PLANNING),
+    ("PURE_PLANNING_CRATES", PURE_PLANNING_CRATES),
+    ("EXEC_HOT_PATH", EXEC_HOT_PATH),
+    ("EXEC_HOT_PATH_CRATES", EXEC_HOT_PATH_CRATES),
+];
 
 pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
@@ -656,7 +669,8 @@ pub(crate) fn rel_label(root: &Path, path: &Path) -> String {
 /// * `lint/no-bare-lock` over the lock-holding files, and
 ///   `lint/no-unbounded-queue` over the executor hot paths;
 /// * `lint/forbid-unsafe` over every workspace crate root, vendored
-///   stand-ins included.
+///   stand-ins included;
+/// * `lint/dead-allow` over every entry of the rules' path lists.
 pub fn lint_workspace(root: &Path, report: &mut AnalysisReport) -> std::io::Result<()> {
     // Library sources.
     let mut lib_dirs: Vec<PathBuf> = vec![root.join("src")];
@@ -703,46 +717,38 @@ pub fn lint_workspace(root: &Path, report: &mut AnalysisReport) -> std::io::Resu
         lint_crate_root(&rel, &source, report);
     }
 
-    // The unsafe allow-lists must stay earned too: an audited path that
-    // vanished, or that no longer contains any real `unsafe` code, is a
-    // dead suppression that would silently exempt a future rewrite.
-    let tok = unsafe_token();
-    for rel in UNSAFE_AUDITED {
-        report.subject();
-        report.check();
-        match fs::read_to_string(root.join(rel)) {
-            Ok(src) => {
-                let code = scrub(&src).join("\n");
-                if !contains_word(&code, &tok) {
-                    report.push(
-                        RULE_DEAD_ALLOW,
-                        Severity::Error,
-                        rel,
-                        format!(
-                            "UNSAFE_AUDITED entry no longer contains any `{tok}` code: \
-                             remove it from the allow-list"
-                        ),
-                    );
-                }
+    // The scope lists must stay earned too: an entry that names nothing
+    // on disk silently drops a renamed file out of its rule, and an
+    // audited path that no longer contains any real `unsafe` code would
+    // silently exempt a future rewrite.
+    for (list, entries) in SCOPE_LISTS {
+        for rel in entries {
+            report.check();
+            if !root.join(rel).exists() {
+                report.push(
+                    RULE_DEAD_ALLOW,
+                    Severity::Error,
+                    rel,
+                    format!("{list} entry does not exist on disk"),
+                );
             }
-            Err(_) => report.push(
-                RULE_DEAD_ALLOW,
-                Severity::Error,
-                rel,
-                "UNSAFE_AUDITED entry does not exist on disk".to_string(),
-            ),
         }
     }
-    for rel in DENY_UNSAFE_ROOTS {
-        report.subject();
-        report.check();
-        if !root.join(rel).is_file() {
-            report.push(
-                RULE_DEAD_ALLOW,
-                Severity::Error,
-                rel,
-                "DENY_UNSAFE_ROOTS entry does not exist on disk".to_string(),
-            );
+    let tok = unsafe_token();
+    for rel in UNSAFE_AUDITED {
+        if let Ok(src) = fs::read_to_string(root.join(rel)) {
+            report.check();
+            if !contains_word(&scrub(&src).join("\n"), &tok) {
+                report.push(
+                    RULE_DEAD_ALLOW,
+                    Severity::Error,
+                    rel,
+                    format!(
+                        "UNSAFE_AUDITED entry no longer contains any `{tok}` code: \
+                         remove it from the allow-list"
+                    ),
+                );
+            }
         }
     }
     Ok(())
@@ -1129,6 +1135,48 @@ mod tests {
         assert!(!is_pure_planning("crates/core/src/measure.rs"));
         assert!(!is_pure_planning("crates/core/src/parallel.rs"));
         assert!(!is_pure_planning("crates/core/src/obs.rs"));
+    }
+
+    #[test]
+    fn scope_entries_that_name_no_path_are_errors() {
+        // A root holding every scope entry but one: exactly that one is
+        // reported.
+        let root = std::env::temp_dir().join(format!("ddl-lint-scopes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let missing = "crates/core/src/wisdom.rs";
+        let entries: Vec<&str> = SCOPE_LISTS.iter().flat_map(|&(_, e)| e).copied().collect();
+        assert!(entries.contains(&missing));
+        for rel in entries.into_iter().filter(|&rel| rel != missing) {
+            let path = root.join(rel);
+            if !rel.ends_with(".rs") {
+                fs::create_dir_all(&path).unwrap();
+                continue;
+            }
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let text = if is_unsafe_audited(rel) {
+                format!("fn f() {{ {} {{}} }}\n", unsafe_token())
+            } else if DENY_UNSAFE_ROOTS.contains(&rel) {
+                "#![deny(unsafe_code)]\n".to_string()
+            } else {
+                String::new()
+            };
+            fs::write(&path, text).unwrap();
+        }
+        fs::create_dir_all(root.join("src")).unwrap();
+        fs::create_dir_all(root.join("vendor")).unwrap();
+        fs::write(root.join("src/lib.rs"), "#![forbid(unsafe_code)]\n").unwrap();
+        let mut report = AnalysisReport::new();
+        let walked = lint_workspace(&root, &mut report);
+        fs::remove_dir_all(&root).unwrap();
+        walked.unwrap();
+        assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+        let finding = &report.findings[0];
+        assert_eq!(finding.rule, RULE_DEAD_ALLOW);
+        assert_eq!(finding.subject, missing);
+        assert_eq!(
+            finding.message,
+            "PURE_PLANNING entry does not exist on disk"
+        );
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! Criterion bench — ablation of the reorganization primitives.
+//! Criterion bench — cost of the reorganization alone.
 //!
 //! The DDL premise (paper Section IV-A) is that the reorganization `Dr`
-//! costs less than the strided traffic it removes. This bench prices the
-//! primitives in isolation: a strided gather, a naive transpose,
-//! `ddl-layout`'s tiled transpose (source index innermost), the tiled
-//! transpose the executor actually uses (`ddl_core::dft::run_transpose`,
-//! destination index innermost), and the cache-oblivious recursive
-//! variant — on a matrix large enough that layout matters.
+//! costs less than the strided traffic it removes. The DFT executor's
+//! reorganizing splits and the 2-D and six-step plans perform `Dr`
+//! through one routine, the executor's tiled transpose
+//! (`ddl_core::dft::run_transpose`, destination index innermost); this
+//! bench prices it in isolation on a matrix large enough that layout
+//! matters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ddl_core::dft::run_transpose;
-use ddl_layout::{
-    try_gather_stride, try_transpose, try_transpose_blocked, try_transpose_recursive,
-};
 use ddl_num::Complex64;
 
 fn bench_reorg(c: &mut Criterion) {
@@ -29,49 +26,12 @@ fn bench_reorg(c: &mut Criterion) {
         let mut dst = vec![Complex64::ZERO; n];
         group.throughput(Throughput::Elements(n as u64));
 
-        group.bench_with_input(BenchmarkId::new("gather_stride", log_n), &n, |b, _| {
-            // gather the first column (rows elements at stride cols),
-            // repeated over all columns = one full permutation
-            b.iter(|| {
-                for c0 in 0..cols {
-                    try_gather_stride(&src, c0, cols, &mut dst[c0 * rows..(c0 + 1) * rows])
-                        .unwrap();
-                }
-                std::hint::black_box(&mut dst);
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("transpose_naive", log_n), &n, |b, _| {
-            b.iter(|| {
-                try_transpose(&src, &mut dst, rows, cols).unwrap();
-                std::hint::black_box(&mut dst);
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("transpose_blocked", log_n), &n, |b, _| {
-            b.iter(|| {
-                try_transpose_blocked(&src, &mut dst, rows, cols, 32).unwrap();
-                std::hint::black_box(&mut dst);
-            });
-        });
-
         group.bench_with_input(BenchmarkId::new("transpose_executor", log_n), &n, |b, _| {
             b.iter(|| {
                 run_transpose(&src, &mut dst, rows, cols);
                 std::hint::black_box(&mut dst);
             });
         });
-
-        group.bench_with_input(
-            BenchmarkId::new("transpose_recursive", log_n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    try_transpose_recursive(&src, &mut dst, rows, cols).unwrap();
-                    std::hint::black_box(&mut dst);
-                });
-            },
-        );
     }
     group.finish();
 }

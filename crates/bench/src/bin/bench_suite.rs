@@ -189,7 +189,7 @@ fn check(args: &Args) -> Outcome {
         match check_artifact(Path::new(path)) {
             Ok(summary) => println!("ok: {path}: {summary}"),
             Err(msg) => {
-                eprintln!("check failed: {path}: {msg}");
+                eprintln!("check failed: {msg}");
                 failed += 1;
             }
         }
@@ -326,10 +326,16 @@ fn emit_trace(path: &Path) -> Result<(), ddl_num::DdlError> {
 /// Validates one artifact through the shared `ddl-core` dispatcher
 /// (which validates `.jsonl` artifacts line by line), layering the
 /// `ddl-trajectory` ledger (which core does not own) on the `Unknown`
-/// passthrough; returns a short human summary or the path- or
-/// line-bearing error message.
+/// passthrough; returns a short human summary or an error message that
+/// names the path once (and a failing line once).
 fn check_artifact(path: &Path) -> Result<String, String> {
-    match check_report(path).map_err(|e| e.to_string())? {
+    let shown = path.display();
+    // Both readers' errors are metrics errors whose detail names the path.
+    let message = |e: ddl_num::DdlError| match e {
+        ddl_num::DdlError::Metrics { detail } => detail,
+        other => format!("{shown}: {other}"),
+    };
+    match check_report(path).map_err(message)? {
         CheckedReport::Trace(s) => Ok(format!(
             "ddl-trace: {} events ({} begin/end pairs, {} completes, depth {}, {} dropped)",
             s.events, s.begins, s.completes, s.max_depth, s.events_dropped
@@ -359,14 +365,14 @@ fn check_artifact(path: &Path) -> Result<String, String> {
             d.seq, d.trigger, d.capsule.id, d.capsule.outcome
         )),
         CheckedReport::Unknown { schema } if schema == TRAJECTORY_SCHEMA => {
-            let entries = read_ledger(path).map_err(|e| e.to_string())?;
+            let entries = read_ledger(path).map_err(message)?;
             Ok(format!(
                 "{TRAJECTORY_SCHEMA}: {} entries, last ref {}",
                 entries.len(),
                 entries.last().map_or("none".into(), ref_name)
             ))
         }
-        CheckedReport::Unknown { schema } => Err(format!("$.schema: unknown schema {schema:?}")),
+        CheckedReport::Unknown { schema } => Err(format!("{shown}: unknown schema {schema:?}")),
     }
 }
 
@@ -500,18 +506,22 @@ mod tests {
         };
         let (a, b) = (line("a"), line("b"));
         let path = std::env::temp_dir().join(format!("bench-check-{}.jsonl", std::process::id()));
+        let shown = path.display().to_string();
         std::fs::write(&path, format!("{a}\n{b}\n")).unwrap();
         let summary = check_artifact(&path).unwrap();
         assert!(summary.contains("2 entries, last ref sha-b"), "{summary}");
         // A torn line fails the JSON check, a well-formed line that is
-        // no ledger entry fails the ledger parse: both name line 2.
+        // no ledger entry fails the ledger parse: the message `check`
+        // prints after `check failed: ` names the path once, then line 2.
         for bad in [
             &b[..b.len() / 2],
             r#"{"schema":"ddl-trajectory","version":2}"#,
         ] {
             std::fs::write(&path, format!("{a}\n{bad}\n")).unwrap();
             let err = check_artifact(&path).unwrap_err();
-            assert!(err.contains("line 2"), "{err}");
+            assert!(err.starts_with(&format!("{shown}: line 2: ")), "{err}");
+            assert_eq!(err.matches(&shown).count(), 1, "{err}");
+            assert_eq!(err.matches("line 2").count(), 1, "{err}");
         }
         std::fs::remove_file(&path).unwrap();
     }

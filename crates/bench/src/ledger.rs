@@ -338,7 +338,7 @@ pub fn read_ledger(path: &Path) -> Result<Vec<LedgerEntry>, DdlError> {
         }
         entries.push(LedgerEntry::parse_line(line).map_err(|e| {
             ledger_err(format!(
-                "{} line {}: {}",
+                "{}: line {}: {}",
                 path.display(),
                 i + 1,
                 match e {

@@ -1,18 +1,15 @@
-//! Shared engine / per-request session split for a long-running
-//! transform service.
+//! Shared compiled-plan store for a long-running transform service.
 //!
 //! The paper's system is an offline planner feeding an online executor;
 //! a service wrapping it wants exactly one copy of each compiled plan
 //! (twiddle tables for a 2^20-point DFT are megabytes) shared across
-//! every concurrent request, while per-request state — deadlines,
-//! cancellation — stays private and cheap. [`Engine`] is the shared,
-//! immutable-once-published side: a sharded read-mostly cache of
+//! every concurrent request. [`Engine`] is that shared,
+//! immutable-once-published store: a sharded read-mostly cache of
 //! compiled [`PlanArtifact`]s keyed by `(transform, n, strategy)`. Each
-//! artifact owns its executor scratch (a pool shared by every session
-//! running that plan), so steady-state sessions allocate no scratch.
-//! [`Session`] is the per-request side: it borrows a handle to the
-//! engine (cloning an [`Engine`] is one `Arc` bump) and holds an
-//! optional deadline and a [`CancelToken`].
+//! artifact owns its executor scratch (a pool shared by every request
+//! running that plan), so steady-state requests allocate no scratch.
+//! Per-request state stays with the caller: `ddl-serve` times each
+//! request against its own [`crate::Deadline`].
 //!
 //! # Fault containment
 //!
@@ -31,15 +28,12 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
 
-use ddl_num::{Complex64, DdlError, Direction};
+use ddl_num::{DdlError, Direction};
 
 use crate::dft::DftPlan;
 use crate::faultpoint;
-use crate::flight::RequestId;
 use crate::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
-use crate::scheduler::CancelToken;
 use crate::wht::WhtPlan;
 use crate::wisdom::Wisdom;
 
@@ -181,8 +175,6 @@ pub struct EngineStats {
     pub plans_compiled: u64,
     /// Shards currently quarantined after lock poisoning.
     pub shards_quarantined: u64,
-    /// Sessions ever created against this engine.
-    pub sessions: u64,
 }
 
 struct Shard {
@@ -196,7 +188,6 @@ struct Inner {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plans_compiled: AtomicU64,
-    sessions: AtomicU64,
 }
 
 /// Shared, thread-safe compiled-plan store. Cloning is one `Arc` bump;
@@ -229,7 +220,6 @@ impl Engine {
                 plan_hits: AtomicU64::new(0),
                 plan_misses: AtomicU64::new(0),
                 plans_compiled: AtomicU64::new(0),
-                sessions: AtomicU64::new(0),
             }),
         }
     }
@@ -237,18 +227,6 @@ impl Engine {
     /// The planner configuration misses are compiled with.
     pub fn planner_config(&self) -> &PlannerConfig {
         &self.inner.config.planner
-    }
-
-    /// Opens a new session against this engine.
-    pub fn session(&self) -> Session {
-        self.inner.sessions.fetch_add(1, Ordering::Relaxed);
-        Session {
-            engine: self.clone(),
-            started: Instant::now(),
-            deadline: None,
-            cancel: CancelToken::new(),
-            request: None,
-        }
     }
 
     /// Returns the compiled artifact for `key`, compiling and caching it
@@ -315,7 +293,6 @@ impl Engine {
             plan_misses: self.inner.plan_misses.load(Ordering::Relaxed),
             plans_compiled: self.inner.plans_compiled.load(Ordering::Relaxed),
             shards_quarantined: quarantined,
-            sessions: self.inner.sessions.load(Ordering::Relaxed),
         }
     }
 
@@ -387,120 +364,11 @@ impl Engine {
     }
 }
 
-/// Per-request execution state: an optional deadline measured from
-/// session creation and a cancellation token. Cheap to create (no
-/// allocation; scratch belongs to the cached plan) and single-threaded;
-/// open one per request.
-pub struct Session {
-    engine: Engine,
-    started: Instant,
-    deadline: Option<Duration>,
-    cancel: CancelToken,
-    request: Option<RequestId>,
-}
-
-impl Session {
-    /// Sets the deadline, measured from when the session was opened.
-    pub fn with_deadline(mut self, deadline: Duration) -> Session {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Tags the session with the request it serves, so spans and flight
-    /// capsules emitted on its behalf attribute to one wire request.
-    pub fn with_request(mut self, id: RequestId) -> Session {
-        self.request = Some(id);
-        self
-    }
-
-    /// The request this session is serving, if tagged.
-    pub fn request_id(&self) -> Option<RequestId> {
-        self.request
-    }
-
-    /// A clone of this session's cancellation token; cancel it from any
-    /// thread to abort the session's subsequent work.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Elapsed time since the session was opened.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Errs if the session is cancelled or past its deadline.
-    pub fn check(&self, context: &'static str) -> Result<(), DdlError> {
-        if self.cancel.is_cancelled() {
-            return Err(DdlError::Cancelled { context });
-        }
-        if let Some(limit) = self.deadline {
-            let elapsed = self.started.elapsed();
-            if elapsed > limit {
-                return Err(DdlError::DeadlineExceeded {
-                    context,
-                    late_ns: (elapsed - limit).as_nanos() as u64,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Plans (or fetches) and runs a forward DFT on the plan's own
-    /// scratch. Checks deadline/cancellation before planning and before
-    /// executing.
-    pub fn execute_dft(
-        &mut self,
-        n: usize,
-        strategy: Strategy,
-        input: &[Complex64],
-        output: &mut [Complex64],
-    ) -> Result<(), DdlError> {
-        self.check("session: plan")?;
-        let artifact = self.engine.plan(PlanKey::dft(n, strategy))?;
-        let plan = artifact
-            .as_dft()
-            .ok_or_else(|| DdlError::Resource("cached artifact is not a DFT plan".into()))?;
-        if input.len() != n {
-            return Err(DdlError::shape(
-                "session execute_dft: input",
-                n,
-                input.len(),
-            ));
-        }
-        if output.len() != n {
-            return Err(DdlError::shape(
-                "session execute_dft: output",
-                n,
-                output.len(),
-            ));
-        }
-        self.check("session: execute")?;
-        plan.try_execute(input, output)
-    }
-
-    /// Plans (or fetches) and runs an in-place WHT. Checks
-    /// deadline/cancellation before planning and before executing.
-    pub fn execute_wht(
-        &mut self,
-        n: usize,
-        strategy: Strategy,
-        data: &mut [f64],
-    ) -> Result<(), DdlError> {
-        self.check("session: plan")?;
-        let artifact = self.engine.plan(PlanKey::wht(n, strategy))?;
-        let plan = artifact
-            .as_wht()
-            .ok_or_else(|| DdlError::Resource("cached artifact is not a WHT plan".into()))?;
-        self.check("session: execute")?;
-        plan.try_execute(data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faultpoint::FaultMode;
+    use ddl_num::Complex64;
     use std::thread;
 
     // Planning a miss probes `engine.shard.poison`, so every test that
@@ -530,22 +398,26 @@ mod tests {
         assert_eq!(stats.plans_compiled, 1);
     }
 
+    /// Plans `n` through `eng` and returns bin 0 of the DFT of ones.
+    fn dc_bin(eng: &Engine, n: usize) -> f64 {
+        let artifact = eng.plan(PlanKey::dft(n, Strategy::Ddl)).unwrap();
+        let x = vec![Complex64::ONE; n];
+        let mut y = vec![Complex64::ZERO; n];
+        artifact.as_dft().unwrap().try_execute(&x, &mut y).unwrap();
+        y[0].re
+    }
+
     #[test]
     fn sessions_share_one_engine_cache() {
         let _faults = faultpoint::exclusive();
         let eng = engine();
-        let x = vec![Complex64::ONE; 64];
-        let mut y = vec![Complex64::ZERO; 64];
-        let mut s1 = eng.session();
-        s1.execute_dft(64, Strategy::Ddl, &x, &mut y).unwrap();
-        assert!((y[0].re - 64.0).abs() < 1e-9);
-
-        let mut s2 = eng.session();
-        let mut y2 = vec![Complex64::ZERO; 64];
-        s2.execute_dft(64, Strategy::Ddl, &x, &mut y2).unwrap();
+        // Each clone stands for one request's handle on the engine.
+        for clone in [eng.clone(), eng.clone()] {
+            assert!((dc_bin(&clone, 64) - 64.0).abs() < 1e-9);
+        }
         let stats = eng.stats();
-        assert_eq!(stats.plan_misses, 1, "second session must hit the cache");
-        assert_eq!(stats.sessions, 2);
+        assert_eq!(stats.plan_misses, 1, "second clone must hit the cache");
+        assert_eq!(stats.plan_hits, 1);
     }
 
     #[test]
@@ -555,13 +427,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let eng = eng.clone();
-                thread::spawn(move || {
-                    let mut s = eng.session();
-                    let x = vec![Complex64::ONE; 128];
-                    let mut y = vec![Complex64::ZERO; 128];
-                    s.execute_dft(128, Strategy::Ddl, &x, &mut y).unwrap();
-                    y[0].re
-                })
+                thread::spawn(move || dc_bin(&eng, 128))
             })
             .collect();
         for h in handles {
@@ -572,32 +438,6 @@ mod tests {
         let a = eng.plan(PlanKey::dft(128, Strategy::Ddl)).unwrap();
         let b = eng.plan(PlanKey::dft(128, Strategy::Ddl)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn expired_deadline_is_a_typed_error() {
-        let eng = engine();
-        let mut s = eng.session().with_deadline(Duration::ZERO);
-        // An already-expired deadline must reject before planning.
-        std::thread::sleep(Duration::from_millis(1));
-        let x = vec![Complex64::ONE; 32];
-        let mut y = vec![Complex64::ZERO; 32];
-        match s.execute_dft(32, Strategy::Sdl, &x, &mut y) {
-            Err(DdlError::DeadlineExceeded { .. }) => {}
-            other => panic!("want DeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancelled_session_is_a_typed_error() {
-        let eng = engine();
-        let mut s = eng.session();
-        s.cancel_token().cancel();
-        let mut data = vec![1.0; 64];
-        match s.execute_wht(64, Strategy::Sdl, &mut data) {
-            Err(DdlError::Cancelled { .. }) => {}
-            other => panic!("want Cancelled, got {other:?}"),
-        }
     }
 
     #[test]
@@ -627,18 +467,5 @@ mod tests {
         let c1 = eng.plan(other).unwrap();
         let c2 = eng.plan(other).unwrap();
         assert!(Arc::ptr_eq(&c1, &c2));
-    }
-
-    #[test]
-    fn shape_mismatch_is_reported() {
-        let _faults = faultpoint::exclusive();
-        let eng = engine();
-        let mut s = eng.session();
-        let x = vec![Complex64::ONE; 16];
-        let mut y = vec![Complex64::ZERO; 8];
-        match s.execute_dft(16, Strategy::Sdl, &x, &mut y) {
-            Err(DdlError::ShapeMismatch { .. }) => {}
-            other => panic!("want ShapeMismatch, got {other:?}"),
-        }
     }
 }

@@ -86,7 +86,7 @@ pub use dct::DctPlan;
 pub use ddl_num::DdlError;
 pub use dft::{kernel_set, kernel_set_for, DftPlan, DftViews};
 pub use dft2d::Dft2dPlan;
-pub use engine::{Engine, EngineConfig, EngineStats, PlanKey, Session, TransformKind};
+pub use engine::{Engine, EngineConfig, EngineStats, PlanKey, TransformKind};
 pub use flight::{
     next_request_id, FlightDump, FlightRecorder, RequestCapsule, RequestId, FLIGHT_OUT_ENV,
     FLIGHT_SCHEMA, FLIGHT_VERSION,

@@ -35,11 +35,6 @@ impl Deadline {
         Deadline { anchor, limit }
     }
 
-    /// A deadline anchored at the current instant.
-    pub fn starting_now(limit: Duration) -> Deadline {
-        Deadline::from_admission(Instant::now(), limit)
-    }
-
     /// The admission instant the budget is measured from.
     pub fn anchor(&self) -> Instant {
         self.anchor
@@ -74,33 +69,13 @@ impl Deadline {
 /// On a clock too coarse to resolve even [`MAX_BATCH`] calls, the measured
 /// clock granularity spread over one full batch is returned as an upper
 /// bound instead of growing the batch forever.
-pub fn time_per_call<F: FnMut()>(f: F, min_total_secs: f64, min_reps: u32) -> f64 {
-    time_per_call_deadline(f, min_total_secs, min_reps, None)
-}
-
-/// [`time_per_call`] with an optional measurement budget.
-///
-/// A measured planning run prices hundreds of candidates; a service with
-/// a per-request deadline cannot let one candidate's batch growth eat
-/// the whole budget. When `deadline` is given, batch growth stops once
-/// the accumulated measuring time reaches it: the estimate computed from
-/// the repetitions finished so far is returned (after at least one timed
-/// repetition — the estimate is degraded, never absent). The deadline
-/// caps *growth*, it does not abort a batch mid-flight, so an expiring
-/// budget overshoots by at most one batch of calls.
-pub fn time_per_call_deadline<F: FnMut()>(
-    mut f: F,
-    min_total_secs: f64,
-    min_reps: u32,
-    deadline: Option<std::time::Duration>,
-) -> f64 {
+pub fn time_per_call<F: FnMut()>(mut f: F, min_total_secs: f64, min_reps: u32) -> f64 {
     // One untimed warm-up call: touches the buffers, faults pages and
     // populates twiddle caches.
     f();
     // The mean is total/reps, so at least one call must be timed even
     // when the caller asks for zero repetitions.
     let min_reps = u64::from(min_reps).max(1);
-    let budget_secs = deadline.map(|d| d.as_secs_f64());
     let mut reps: u64 = 0;
     let mut total = 0.0f64;
     let mut batch: u64 = 1;
@@ -113,11 +88,6 @@ pub fn time_per_call_deadline<F: FnMut()>(
         total += elapsed;
         reps += batch;
         if total >= min_total_secs && reps >= min_reps {
-            return total / reps as f64;
-        }
-        if budget_secs.is_some_and(|b| total >= b) {
-            // Out of measurement budget: report what we have rather
-            // than keep growing toward the quality floor.
             return total / reps as f64;
         }
         if batch >= MAX_BATCH && elapsed == 0.0 {
@@ -188,13 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_starting_now_has_full_budget() {
-        let d = Deadline::starting_now(Duration::from_secs(60));
-        assert_eq!(d.expired(), None);
-        assert!(d.remaining() > Duration::from_secs(59));
-    }
-
-    #[test]
     fn time_per_call_is_positive_and_sane() {
         let mut acc = 0u64;
         let t = time_per_call(
@@ -226,49 +189,6 @@ mod tests {
         let t = time_per_call(|| count += 1, 0.0, 0);
         assert_eq!(count, 2, "warm-up + one timed rep");
         assert!(t.is_finite() && t >= 0.0);
-    }
-
-    #[test]
-    fn deadline_clamps_batch_growth() {
-        use std::time::Duration;
-        // A 1 ms-per-call workload with a 1 s quality floor would need
-        // ~1000 reps; a 5 ms budget must cut that off early while still
-        // producing a usable estimate.
-        let mut count = 0u32;
-        let t = time_per_call_deadline(
-            || {
-                count += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            },
-            1.0,
-            1,
-            Some(Duration::from_millis(5)),
-        );
-        assert!(t > 0.0 && t.is_finite());
-        assert!((5e-4..0.1).contains(&t), "estimate {t}s is implausible");
-        // Growth stopped once the budget was spent: nowhere near the
-        // ~1000 reps the quality floor alone would demand. The cap is
-        // checked between batches, so at most one doubled batch of
-        // overshoot is possible.
-        assert!(
-            count < 40,
-            "deadline did not clamp batch growth: {count} calls"
-        );
-    }
-
-    #[test]
-    fn zero_deadline_still_times_one_call() {
-        let mut count = 0u32;
-        let t = time_per_call_deadline(|| count += 1, 1.0, 8, Some(std::time::Duration::ZERO));
-        assert_eq!(count, 2, "warm-up + exactly one timed rep");
-        assert!(t.is_finite() && t >= 0.0);
-    }
-
-    #[test]
-    fn no_deadline_behaves_like_time_per_call() {
-        let mut count = 0u32;
-        let _ = time_per_call_deadline(|| count += 1, 0.0, 5, None);
-        assert!(count > 5);
     }
 
     #[test]

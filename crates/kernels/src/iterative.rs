@@ -12,7 +12,6 @@
 //!    pattern whose cache behaviour motivates both FFTW-style recursion
 //!    and the paper's DDL.
 
-use ddl_layout::try_bit_reverse_permute;
 use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 
 /// In-place radix-2 FFT. `data.len()` must be a power of two.
@@ -41,7 +40,15 @@ pub fn try_fft_radix2_inplace(data: &mut [Complex64], dir: Direction) -> Result<
         ));
     }
 
-    try_bit_reverse_permute(data)?;
+    // Bit-reversal permutation: each swap pairs `i` with its reversed
+    // `log2 n`-bit index once.
+    let shift = usize::BITS - n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        if j > i {
+            data.swap(i, j);
+        }
+    }
 
     let mut span = 1;
     while span < n {

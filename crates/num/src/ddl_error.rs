@@ -40,13 +40,6 @@ pub enum DdlError {
     /// A factorization tree failed validation: leaf too small, product
     /// overflow, or structural inconsistency.
     InvalidTree(String),
-    /// A layout descriptor is unusable: a non-permutation where a
-    /// permutation is required, padding parameters that shrink rows, a
-    /// zero tile, and similar.
-    InvalidLayout {
-        /// Human-readable description.
-        detail: String,
-    },
     /// A grammar expression failed to parse.
     Parse {
         /// Byte offset of the failure in the input.
@@ -157,7 +150,6 @@ impl fmt::Display for DdlError {
             }
             DdlError::InvalidStride { detail } => write!(f, "{detail}"),
             DdlError::InvalidTree(msg) => write!(f, "invalid factorization tree: {msg}"),
-            DdlError::InvalidLayout { detail } => write!(f, "{detail}"),
             DdlError::Parse { pos, msg } => write!(f, "parse error at byte {pos}: {msg}"),
             DdlError::WisdomIo { path, detail } => {
                 write!(f, "wisdom I/O error for {path}: {detail}")

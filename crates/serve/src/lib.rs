@@ -611,7 +611,7 @@ impl Service {
         format!(
             "ok stats accepted={} shed={} completed={} failed={} worker_panics={} \
              deadline_expired={} queued={} workers={} plan_hits={} plan_misses={} \
-             plans_compiled={} shards_quarantined={} sessions={}",
+             plans_compiled={} shards_quarantined={}",
             s.accepted,
             s.shed,
             s.completed,
@@ -623,8 +623,7 @@ impl Service {
             e.plan_hits,
             e.plan_misses,
             e.plans_compiled,
-            e.shards_quarantined,
-            e.sessions
+            e.shards_quarantined
         )
     }
 
@@ -685,7 +684,6 @@ impl Service {
         c.insert("engine.plan_misses".into(), e.plan_misses);
         c.insert("engine.plans_compiled".into(), e.plans_compiled);
         c.insert("engine.shards_quarantined".into(), e.shards_quarantined);
-        c.insert("engine.sessions".into(), e.sessions);
         c.insert("scheduler.batches".into(), sched.batches);
         c.insert("scheduler.steals".into(), sched.steals);
         c.insert("scheduler.deadline_expired".into(), sched.deadline_expired);

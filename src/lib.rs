@@ -11,8 +11,6 @@
 //! This crate re-exports the public API of the workspace:
 //!
 //! * [`num`] — complex arithmetic and twiddle factors.
-//! * [`layout`] — stride permutations and transposes (the reorganization
-//!   primitives).
 //! * [`kernels`] — leaf codelets and reference baselines.
 //! * [`cachesim`] — the trace-driven cache simulator used for the paper's
 //!   miss-rate experiments.
@@ -55,7 +53,6 @@ pub use ddl_analyze as analyze;
 pub use ddl_cachesim as cachesim;
 pub use ddl_core as core;
 pub use ddl_kernels as kernels;
-pub use ddl_layout as layout;
 pub use ddl_num as num;
 pub use ddl_serve as serve;
 pub use ddl_workloads as workloads;
@@ -70,7 +67,7 @@ pub mod prelude {
         attribute_wht_hier, AttributionRun, CaseClass, HierarchyAttribution,
     };
     pub use ddl_core::calibrate::{calibrate_dft, calibrate_wht, CalibrationConfig};
-    pub use ddl_core::engine::{Engine, EngineConfig, PlanKey, Session, TransformKind};
+    pub use ddl_core::engine::{Engine, EngineConfig, PlanKey, TransformKind};
     pub use ddl_core::grammar::{parse as parse_tree, print_dft, print_wht};
     pub use ddl_core::measure::{fft_mflops, time_per_call, time_per_point_ns};
     pub use ddl_core::obs::{
