@@ -46,6 +46,7 @@ pub mod errbound;
 pub mod findings;
 pub mod lint;
 pub mod locks;
+mod stride;
 
 pub use access::{analyze_dft_plan, analyze_wht_plan};
 pub use attrib::{annotate_static, annotated_leaves, crosscheck, Disagreement};
