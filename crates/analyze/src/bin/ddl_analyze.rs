@@ -1,4 +1,4 @@
-//! Static plan/DAG analysis gate (the CI counterpart to `ddl-lint`).
+//! Static plan/DAG analysis gate.
 //!
 //! Two modes:
 //!

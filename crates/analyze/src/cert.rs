@@ -1,9 +1,8 @@
 //! The `ddl-cert` certificate: one versioned, machine-checkable
 //! artifact binding together the two static-verification passes.
 //!
-//! A lint tells you the code *looks* fine; a certificate states *what
-//! was proven* in a form another program can re-validate without
-//! re-running the proofs:
+//! A certificate states *what was proven* in a form another program can
+//! re-validate without re-running the proofs:
 //!
 //! * `locks` — the [`crate::locks`] rule: the lock-holding files it
 //!   scanned, their acquisition sites, and `nested: 0` (no lock taken
@@ -12,8 +11,8 @@
 //!   with the model constants that produced them.
 //!
 //! The SIMD kernels need no section: they index bounds-checked slices,
-//! so there is no raw-pointer access left to prove (`lint/no-ptr-arith`
-//! keeps it that way).
+//! so there is no raw-pointer access left to prove (the source-policy
+//! test `tests/lint_policy.rs` keeps it that way).
 //!
 //! The document is versioned (`schema: "ddl-cert", version: 3`) and
 //! validated by [`check_cert_text`], which refuses newer versions and

@@ -1,7 +1,7 @@
 //! Machine-readable analysis findings and the versioned `ddl-analyze`
 //! report schema.
 //!
-//! Every check the analyzer, DAG verifier and source linter run reports
+//! Every check the analyzer, DAG verifier and lock rule run reports
 //! through one [`AnalysisReport`]: a flat list of [`Finding`]s plus a
 //! count of checks that ran (so "no findings" is distinguishable from
 //! "nothing was checked"). Reports serialize through the in-tree JSON
@@ -54,12 +54,12 @@ impl Severity {
 
 /// One finding: a rule identifier, a severity, the subject it applies to
 /// (a plan key like `dft:1024:ddl`, a codelet like `dag:dft16_f`, or a
-/// `file:line` for source lints) and a human-readable message.
+/// `file:line` for the lock rule) and a human-readable message.
 #[derive(Clone, Debug, PartialEq)]
 #[must_use]
 pub struct Finding {
     /// Stable rule identifier, e.g. `plan/out-of-bounds` or
-    /// `lint/no-panics`.
+    /// `cert/locks`.
     pub rule: String,
     /// Severity; `Error` findings gate CI.
     pub severity: Severity,
@@ -76,7 +76,7 @@ pub struct AnalysisReport {
     /// All findings, in the order they were produced.
     pub findings: Vec<Finding>,
     /// Number of individual checks that ran (bounds proofs, aliasing
-    /// proofs, DAG checks, linted lines...). Zero checks means the run
+    /// proofs, DAG checks, lock acquisitions...). Zero checks means the run
     /// proved nothing.
     pub checks: u64,
     /// Number of subjects (plans, codelets, files) examined.

@@ -4,7 +4,7 @@
 //! `(size, stride)` decomposition alone it predicts which leaf accesses
 //! conflict in a set-associative cache and when a dynamic layout
 //! reorganization pays off. This crate turns that style of reasoning
-//! into correctness tooling, in eight modules:
+//! into correctness tooling, in seven modules:
 //!
 //! * [`access`] — proves the execution layout a compiled plan exports
 //!   (`ddl_core::layout`, built from the nodes the executor runs on):
@@ -17,10 +17,6 @@
 //!   the three-way empirical/model/static Case III cross-check.
 //! * [`dag`] — structural verification of `ddl-codegen` codelet DAGs:
 //!   store coverage, load reachability, constant sanity, op budgets.
-//! * [`lint`] — workspace source lints (`ddl-lint`): no panics in
-//!   library code, no clocks in pure planning code,
-//!   `#![forbid(unsafe_code)]` everywhere, no raw-pointer arithmetic,
-//!   no dead `allow` markers.
 //! * [`locks`] — the lock rule over every lock-holding file: no lock
 //!   acquired while another is held, none held across unwind capture,
 //!   a thread spawn or plan execution.
@@ -31,10 +27,16 @@
 //!
 //! All passes report through [`findings::AnalysisReport`], which
 //! serializes to the versioned `ddl-analyze` JSON schema; CI gates on
-//! `error`-severity findings via the `ddl_analyze`, `ddl_lint` and
-//! `ddl_cert` binaries.
+//! `error`-severity findings via the `ddl_analyze` and `ddl_cert`
+//! binaries. Source discipline (no panics in library code, no clocks
+//! outside the modules that declare one, no unbounded channel, `unsafe`
+//! only in the audited SIMD module) is rustc's and clippy's: see the
+//! lint lines at each crate root and the workspace `clippy.toml`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 
 pub mod access;
@@ -44,8 +46,8 @@ pub mod conflict;
 pub mod dag;
 pub mod errbound;
 pub mod findings;
-pub mod lint;
 pub mod locks;
+mod scrub;
 mod stride;
 
 pub use access::{analyze_dft_plan, analyze_wht_plan};
@@ -57,5 +59,4 @@ pub use conflict::{
 pub use dag::{op_budget, verify_codelet, verify_generated, CodeletDag};
 pub use errbound::{static_ulp_bound, SizeBound};
 pub use findings::{AnalysisReport, Finding, Severity, ANALYZE_SCHEMA, ANALYZE_VERSION};
-pub use lint::{lint_source, lint_workspace, RuleSet, RULE_DEAD_ALLOW};
 pub use locks::{analyze_locks, LockCertificate};

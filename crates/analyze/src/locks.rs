@@ -2,7 +2,7 @@
 //!
 //! Every lock in the workspace obeys one rule, checked over every
 //! non-test file under `crates/*/src` that names `Mutex` or `RwLock`
-//! (`lint::holds_locks`, the same test that scopes `lint/no-bare-lock`):
+//! (`scrub::holds_locks`):
 //!
 //! * no lock is acquired while another is held;
 //! * no lock is held across unwind capture, a thread spawn or plan
@@ -35,7 +35,7 @@
 //! `FaultGuard::drop`.
 
 use crate::findings::{AnalysisReport, Severity};
-use crate::lint;
+use crate::scrub;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -82,9 +82,9 @@ fn word(c: char) -> bool {
 }
 
 /// The words and the punctuation `{ } ( ) [ ] ; . , :` of the non-test
-/// lines; `lint::scrub` has already blanked strings and comments.
+/// lines; `scrub::scrub` has already blanked strings and comments.
 fn tokens(scrubbed: &[String]) -> Vec<Tok<'_>> {
-    let in_test = lint::test_module_lines(scrubbed);
+    let in_test = scrub::test_module_lines(scrubbed);
     let mut out = Vec::new();
     for (idx, line) in scrubbed.iter().enumerate().filter(|(i, _)| !in_test[*i]) {
         let mut rest = line.as_str();
@@ -169,7 +169,7 @@ struct Scan {
 /// Scans one file: records (a) and (c) violations, its functions and its
 /// guarded free calls for (b).
 fn scan_file(rel: &str, source: &str, scan: &mut Scan) {
-    let scrubbed = lint::scrub(source);
+    let scrubbed = scrub::scrub(source);
     let toks = tokens(&scrubbed);
     let text = |k: usize| toks.get(k).map_or("", |t| t.text);
     let mut depth = 0usize;
@@ -376,15 +376,16 @@ fn lock_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     for entry in std::fs::read_dir(root.join("crates"))? {
         let src = entry?.path().join("src");
         if src.is_dir() {
-            lint::collect_rs_files(&src, &mut paths)?;
+            scrub::collect_rs_files(&src, &mut paths)?;
         }
     }
     paths.sort();
     let mut files = Vec::new();
     for path in paths {
         let source = std::fs::read_to_string(&path)?;
-        if lint::holds_locks(&source) {
-            files.push((lint::rel_label(root, &path), source));
+        if scrub::holds_locks(&source) {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            files.push((rel.replace('\\', "/"), source));
         }
     }
     Ok(files)

@@ -1,9 +1,10 @@
 //! The single audited `unsafe` module of the workspace.
 //!
 //! Everything `unsafe` in the SIMD backend lives here and nowhere else
-//! (`ddl_lint` pins the allow-list to exactly this file, and
-//! `lint/no-ptr-arith` keeps pointer arithmetic out of it). There are
-//! four `unsafe` blocks, and the safety argument is local:
+//! (rustc's `unsafe_code` lint is denied everywhere else, and the
+//! source-policy test `tests/lint_policy.rs` keeps raw-pointer
+//! arithmetic out of it). There are four `unsafe` blocks, and the
+//! safety argument is local:
 //!
 //! - The AVX2 kernels are safe `#[target_feature]` fns. Calling one is
 //!   `unsafe` only from code compiled without those features, which is

@@ -13,12 +13,13 @@
 //! - **AVX2+FMA** on x86_64 (two complex points per `__m256d`),
 //! - a **portable** safe-Rust loop everywhere else.
 //!
-//! All `unsafe` lives in the single audited [`arch`] module; this crate
-//! root denies `unsafe_code` and `ddl_lint` pins the allow-list to
-//! exactly `crates/backend-simd/src/arch.rs`. The AVX2 kernels there are
-//! safe `#[target_feature]` fns that index bounds-checked slices; the
-//! module's `unsafe` is one load helper, one store helper and the two
-//! calls made after the runtime probe. Feature detection happens once
+//! All `unsafe` lives in the single audited [`arch`] module: this crate
+//! root denies `unsafe_code` and expects it on that module alone, and
+//! the source-policy test `tests/lint_policy.rs` pins that expectation
+//! to exactly `crates/backend-simd/src/arch.rs`. The AVX2 kernels there
+//! are safe `#[target_feature]` fns that index bounds-checked slices;
+//! the module's `unsafe` is one load helper, one store helper and the
+//! two calls made after the runtime probe. Feature detection happens once
 //! (cached) via `is_x86_feature_detected!`, never per butterfly.
 //!
 //! Strided access is handled outside the kernels: callers hand in
@@ -27,12 +28,19 @@
 //! free), runs the in-place contiguous network, and scatters back out.
 
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use std::sync::OnceLock;
 
 use ddl_num::{Complex64, Direction};
 
-#[allow(unsafe_code)]
+// The module's `unsafe` is x86_64-only; elsewhere it has none to expect.
+#[cfg_attr(
+    target_arch = "x86_64",
+    expect(unsafe_code, reason = "the single audited unsafe module")
+)]
 mod arch;
 
 /// Largest leaf size the SIMD backend lowers, matching the scalar

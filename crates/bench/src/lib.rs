@@ -34,6 +34,9 @@
 //! planner configs, timing and profiling.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use ddl_core::obs::{NullSink, Sink};
 use ddl_core::planner::{

@@ -12,6 +12,8 @@
 //! The measured experiments (Table I, Figs. 11–15, Tables V–VI) plan
 //! with the measured cost backend and time on the host.
 
+#![expect(clippy::disallowed_types, reason = "times each planner sweep")]
+
 use crate::cli::{Args, Outcome, Usage, MAX_LOG_N};
 use crate::Transform::{self, Dft, Wht};
 use crate::{host, load_wisdom, measure_floor, plan_cached, remember, wisdom_path, write_report};

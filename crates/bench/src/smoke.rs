@@ -17,6 +17,8 @@
 //!   execution that ran a reorganization stage, counters, and batch
 //!   outcomes that partition their items.
 
+#![expect(clippy::disallowed_types, reason = "times each planner run")]
+
 use crate::cli::{Args, Outcome, Usage};
 use crate::{write_report, Transform};
 use ddl_core::obs::{merge_counters, PlannerRunMetrics};

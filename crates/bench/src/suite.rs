@@ -6,6 +6,8 @@
 //! ([`crate::ledger`]): the per-case medians and the fingerprint. Two
 //! runs are compared by appending both to one ledger.
 
+#![expect(clippy::disallowed_types, reason = "the suite measures wall time")]
+
 use crate::host;
 use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::wisdom::Wisdom;

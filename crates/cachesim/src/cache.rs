@@ -93,13 +93,6 @@ impl CacheStats {
         }
     }
 
-    /// Misses that are not compulsory: conflict + capacity combined (the
-    /// usual three-C taxonomy needs a fully-associative twin to split
-    /// them; [`Cache::with_conflict_split`] does that).
-    pub fn non_compulsory_misses(&self) -> u64 {
-        self.misses - self.compulsory_misses
-    }
-
     /// Field-wise difference `self - earlier`. Both snapshots must come
     /// from the same monotonically-counting cache, with `earlier` taken
     /// first; attribution layers use this to carve the run total into
@@ -305,7 +298,6 @@ mod tests {
         assert_eq!(s.misses, 20);
         assert_eq!(s.hits, 0);
         assert_eq!(s.compulsory_misses, 2);
-        assert_eq!(s.non_compulsory_misses(), 18);
     }
 
     #[test]

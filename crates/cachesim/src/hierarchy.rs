@@ -83,12 +83,6 @@ impl TwoLevelCache {
         self.l1.flush();
         self.l2.flush();
     }
-
-    /// Weighted miss cost in "cycles" given per-level penalties — a simple
-    /// figure of merit for ablations.
-    pub fn cost_cycles(&self, l1_penalty: f64, l2_penalty: f64) -> f64 {
-        self.l1.stats().misses as f64 * l1_penalty + self.l2.stats().misses as f64 * l2_penalty
-    }
 }
 
 impl MemoryTracer for TwoLevelCache {
@@ -159,13 +153,6 @@ mod tests {
         }
         assert_eq!(h.l2_stats().misses, 64); // no new L2 misses in pass 2
         assert!(h.l2_stats().hits > 0);
-    }
-
-    #[test]
-    fn cost_model_weights_levels() {
-        let mut h = small_hierarchy();
-        h.read(0, 16); // one miss at each level
-        assert_eq!(h.cost_cycles(10.0, 100.0), 110.0);
     }
 
     #[test]

@@ -95,42 +95,16 @@ impl MemoryTracer for RecordingTracer {
     }
 }
 
-/// Forwards one access stream to two tracers (e.g. a direct-mapped cache
-/// and its fully-associative twin, to split conflict from capacity
-/// misses).
-pub struct TeeTracer<'a, A: MemoryTracer, B: MemoryTracer> {
-    /// First receiver.
-    pub a: &'a mut A,
-    /// Second receiver.
-    pub b: &'a mut B,
-}
-
-impl<A: MemoryTracer, B: MemoryTracer> MemoryTracer for TeeTracer<'_, A, B> {
-    #[inline]
-    fn read(&mut self, addr: u64, bytes: u32) {
-        self.a.read(addr, bytes);
-        self.b.read(addr, bytes);
-    }
-    #[inline]
-    fn write(&mut self, addr: u64, bytes: u32) {
-        self.a.write(addr, bytes);
-        self.b.write(addr, bytes);
-    }
-}
-
 /// Allocates disjoint, page-aligned base addresses for the buffers of a
 /// simulated execution.
 ///
 /// Power-of-two alignment mirrors what a real allocator does to large
 /// arrays (and is the worst case for conflict misses, which is the
-/// phenomenon under study). An optional per-buffer *offset jitter* can be
-/// enabled to study padding as a mitigation.
+/// phenomenon under study).
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     next: u64,
     align: u64,
-    jitter_lines: u64,
-    line_bytes: u64,
     allocations: Vec<(u64, u64)>,
 }
 
@@ -141,29 +115,13 @@ impl AddressSpace {
         AddressSpace {
             next: align,
             align,
-            jitter_lines: 0,
-            line_bytes: 64,
             allocations: Vec::new(),
         }
     }
 
-    /// Enables per-allocation offset jitter of `lines` cache lines of
-    /// `line_bytes` each (a padding study helper).
-    pub fn with_jitter(mut self, lines: u64, line_bytes: u64) -> Self {
-        self.jitter_lines = lines;
-        self.line_bytes = line_bytes;
-        self
-    }
-
     /// Reserves `bytes` bytes and returns the base address.
     pub fn alloc(&mut self, bytes: u64) -> u64 {
-        let jitter = if self.jitter_lines > 0 {
-            // Deterministic, allocation-order-based jitter.
-            (self.allocations.len() as u64 % self.jitter_lines) * self.line_bytes
-        } else {
-            0
-        };
-        let base = self.next + jitter;
+        let base = self.next;
         let end = base + bytes;
         self.next = end.div_ceil(self.align) * self.align;
         self.allocations.push((base, bytes));
@@ -209,22 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_feeds_both() {
-        let mut count = CountingTracer::default();
-        let mut rec = RecordingTracer::default();
-        {
-            let mut tee = TeeTracer {
-                a: &mut count,
-                b: &mut rec,
-            };
-            tee.read(0, 16);
-            tee.write(64, 16);
-        }
-        assert_eq!(count.total(), 2);
-        assert_eq!(rec.events.len(), 2);
-    }
-
-    #[test]
     fn cache_as_tracer() {
         let mut c = Cache::new(CacheConfig::paper_default(64));
         MemoryTracer::read(&mut c, 0, 16);
@@ -244,16 +186,5 @@ mod tests {
         assert!(b >= a + 1000);
         assert!(c >= b + 5000);
         assert_eq!(space.allocations().len(), 3);
-    }
-
-    #[test]
-    fn jitter_offsets_bases() {
-        let mut space = AddressSpace::new(4096).with_jitter(4, 64);
-        let a = space.alloc(100);
-        let b = space.alloc(100);
-        let c = space.alloc(100);
-        assert_eq!(a % 4096, 0);
-        assert_eq!(b % 4096, 64);
-        assert_eq!(c % 4096, 128);
     }
 }

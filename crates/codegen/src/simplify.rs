@@ -20,8 +20,11 @@ pub fn compact(g: &Graph, outputs: &[CVal]) -> (Graph, Vec<CVal>) {
     // A live node's children are live and precede it (graphs are built
     // bottom-up), so by the time a parent is rebuilt its children have
     // already been remapped; a miss means `live_set` itself is broken.
+    #[expect(
+        clippy::expect_used,
+        reason = "topological-order invariant of live_set"
+    )]
     let mapped = |remap: &[Option<ExprId>], id: ExprId| {
-        // ddl-lint: allow(no-panics): topological-order invariant of live_set
         remap[id.0 as usize].expect("compact: child of a live node not remapped")
     };
 

@@ -337,7 +337,10 @@ impl AttributionRun {
         if !decoupled.is_empty() {
             return Err(format!("L2/L1 coupling violated at: {decoupled:?}"));
         }
-        // ddl-lint: allow(no-panics): hier_attributed_total is Some whenever hierarchy is Some
+        #[expect(
+            clippy::expect_used,
+            reason = "hier_attributed_total is Some whenever hierarchy is Some"
+        )]
         let got = self.hier_attributed_total().expect("hierarchy present");
         for (level, got, want) in [
             ("l1", got.l1, h.totals.l1),

@@ -107,6 +107,8 @@
 //! write the same points, so the emitted trace does not depend on which
 //! one ran.
 
+#![expect(clippy::disallowed_types, reason = "a profiled run times itself")]
+
 use crate::engine::TransformKind;
 use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind, REORG_TILE};
 use crate::obs::{

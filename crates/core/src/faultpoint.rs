@@ -176,8 +176,11 @@ pub fn maybe_panic(point: &str) {
 
 /// The injected panic at `point`. The payload is prefixed `ddl-fault:`
 /// so harness assertions can tell injected panics from genuine ones.
+#[expect(
+    clippy::panic,
+    reason = "the whole purpose of this helper is a controlled injected panic for the chaos harness"
+)]
 pub fn panic_at(point: &str) -> ! {
-    // ddl-lint: allow(no-panics): the whole purpose of this helper is a controlled injected panic for the chaos harness
     panic!("ddl-fault: injected panic at {point}");
 }
 

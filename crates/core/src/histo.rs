@@ -250,7 +250,7 @@ pub struct TelemetryEntry {
 }
 
 /// A versioned `ddl-telemetry` snapshot: every labeled histogram plus
-/// the scalar counters (service, engine, scheduler, flight recorder).
+/// the scalar counters (service, engine, flight recorder).
 ///
 /// [`TelemetryReport::parse`] enforces the structural invariants —
 /// including the conservation the acceptance gate relies on: when the
@@ -261,8 +261,7 @@ pub struct TelemetryEntry {
 pub struct TelemetryReport {
     /// Labeled histograms, sorted by label.
     pub entries: Vec<TelemetryEntry>,
-    /// Scalar counters (`serve.*`, `engine.*`, `scheduler.*`,
-    /// `flight.*`).
+    /// Scalar counters (`serve.*`, `engine.*`, `flight.*`).
     pub counters: BTreeMap<String, u64>,
 }
 

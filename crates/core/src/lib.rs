@@ -48,6 +48,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod attrib;
 pub mod calibrate;
@@ -111,9 +114,7 @@ pub use reports::{
     REPORT_VERSION,
 };
 pub use rfft::RfftPlan;
-pub use scheduler::{
-    execute_batch_scheduled, scheduler_totals, BatchOptions, CancelToken, SchedulerTotals,
-};
+pub use scheduler::{execute_batch_scheduled, BatchOptions, CancelToken};
 pub use sixstep::SixStepPlan;
 pub use trace::{
     chrome_trace_json, validate_chrome_trace, write_chrome_trace, TraceSummary, TRACE_SCHEMA,

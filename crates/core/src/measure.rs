@@ -8,6 +8,8 @@
 //! planner backend (`Get_time` in the paper's Fig. 8) and by the benchmark
 //! harness.
 
+#![expect(clippy::disallowed_types, reason = "measuring wall time is its job")]
+
 use std::time::{Duration, Instant};
 
 /// Batch-size ceiling of the geometric growth in [`time_per_call`].

@@ -417,12 +417,14 @@ pub const COMMITTED_FIT: &str = include_str!("../data/host-fit.json");
 
 impl HostFit {
     /// The committed fit, parsed once per process.
+    #[expect(
+        clippy::expect_used,
+        reason = "the committed fit is checked by tests and by `bench_suite fit --check`"
+    )]
     pub fn committed() -> &'static HostFit {
         static FIT: std::sync::OnceLock<HostFit> = std::sync::OnceLock::new();
         FIT.get_or_init(|| {
-            HostFit::from_report(COMMITTED_FIT)
-                // ddl-lint: allow(no-panics): the committed fit is checked by tests and by `bench_suite fit --check`
-                .expect("the committed host fit parses")
+            HostFit::from_report(COMMITTED_FIT).expect("the committed host fit parses")
         })
     }
 

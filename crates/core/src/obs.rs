@@ -29,6 +29,8 @@
 //! `DftPlan::try_profile_with`, `Wisdom::load_with`, … sit next to their
 //! uninstrumented originals, which delegate with [`NullSink`].
 
+#![expect(clippy::disallowed_types, reason = "stage timers of instrumented runs")]
+
 use crate::tree::Tree;
 use ddl_cachesim::MemoryTracer;
 use ddl_num::DdlError;

@@ -716,23 +716,29 @@ impl<S: Sink> Search<'_, S> {
                 Kind::Dft => model.dft_cost_at(tree, ctx).total_ns(),
                 Kind::Wht => model.wht_cost_at(tree, stride, ctx[2]).total_ns(),
             },
+            #[expect(
+                clippy::expect_used,
+                reason = "the planner’s own tree must compile and run; failure here is a planner bug"
+            )]
             CostBackend::Measured { min_secs, min_reps } => match self.kind {
                 Kind::Dft => time_dft_tree(tree, stride, min_secs, min_reps),
                 Kind::Wht => time_wht_tree(tree, stride, min_secs, min_reps),
             }
-            // ddl-lint: allow(no-panics): the planner’s own tree must compile and run; failure here is a planner bug
             .expect("planner generated an invalid tree"),
             CostBackend::Simulated {
                 cache,
                 miss_penalty,
             } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the planner’s own tree must compile and run; failure here is a planner bug"
+                )]
                 let stats = match self.kind {
                     Kind::Dft => DftPlan::new(tree.clone(), Direction::Forward)
                         .and_then(|plan| crate::traced::simulate_dft(&plan, stride, cache)),
                     Kind::Wht => WhtPlan::new(tree.clone())
                         .and_then(|plan| crate::traced::simulate_wht(&plan, stride, cache)),
                 }
-                // ddl-lint: allow(no-panics): the planner’s own tree must compile and run; failure here is a planner bug
                 .expect("planner generated an invalid tree");
                 stats.accesses as f64 + miss_penalty * stats.misses as f64
             }

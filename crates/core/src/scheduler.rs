@@ -32,6 +32,8 @@
 //!   overloaded batch drains in O(items) dequeue steps. In-flight items
 //!   are never interrupted (execution is cooperative).
 
+#![expect(clippy::disallowed_types, reason = "batch deadlines and item timings")]
+
 use crate::faultpoint::{self, relock};
 use crate::flight::RequestId;
 use crate::parallel::{panic_payload_text, BatchReport, ItemTiming};
@@ -41,45 +43,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Process-global scheduler outcome totals, accumulated once per
-/// finished batch. Telemetry snapshots (`ddl-serve`'s `telemetry` wire
-/// op) read these to report steal pressure and shed counts across every
-/// batch the process ever ran, without threading a registry through
-/// each call site.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedulerTotals {
-    /// Batches executed (empty batches included).
-    pub batches: u64,
-    /// Successful steals: tasks taken from a sibling's deque.
-    pub steals: u64,
-    /// Items shed with [`DdlError::DeadlineExceeded`] at dequeue.
-    pub deadline_expired: u64,
-    /// Items shed with [`DdlError::Cancelled`] at dequeue.
-    pub cancelled: u64,
-}
-
-static TOTAL_BATCHES: AtomicU64 = AtomicU64::new(0);
-static TOTAL_STEALS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_DEADLINE_EXPIRED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_CANCELLED: AtomicU64 = AtomicU64::new(0);
-
-/// The process-global scheduler totals so far.
-pub fn scheduler_totals() -> SchedulerTotals {
-    SchedulerTotals {
-        batches: TOTAL_BATCHES.load(Ordering::Relaxed),
-        steals: TOTAL_STEALS.load(Ordering::Relaxed),
-        deadline_expired: TOTAL_DEADLINE_EXPIRED.load(Ordering::Relaxed),
-        cancelled: TOTAL_CANCELLED.load(Ordering::Relaxed),
-    }
-}
-
-fn accumulate_totals(report: &BatchReport) {
-    TOTAL_BATCHES.fetch_add(1, Ordering::Relaxed);
-    TOTAL_STEALS.fetch_add(report.steals(), Ordering::Relaxed);
-    TOTAL_DEADLINE_EXPIRED.fetch_add(report.deadline_expired() as u64, Ordering::Relaxed);
-    TOTAL_CANCELLED.fetch_add(report.cancelled() as u64, Ordering::Relaxed);
-}
 
 /// Cooperative cancellation flag shared between a request's issuer and
 /// the scheduler. Cloning shares the flag.
@@ -285,7 +248,6 @@ where
             0,
         );
         report.set_request(opts.request);
-        accumulate_totals(&report);
         return report;
     }
     let threads = opts.threads.clamp(1, batch);
@@ -396,7 +358,6 @@ where
         steals.load(Ordering::Relaxed),
     );
     report.set_request(opts.request);
-    accumulate_totals(&report);
     report
 }
 
@@ -525,8 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn steals_are_counted_and_accumulate_into_totals() {
-        let before = scheduler_totals();
+    fn steals_are_counted() {
         // One slow head item on worker 0 forces siblings to steal its
         // remaining share; at least one steal must be observed.
         let items: Vec<usize> = (0..32).collect();
@@ -543,9 +503,6 @@ mod tests {
         );
         assert!(report.all_ok());
         assert!(report.steals() > 0, "skewed batch must trigger stealing");
-        let after = scheduler_totals();
-        assert!(after.batches > before.batches);
-        assert!(after.steals >= before.steals + report.steals());
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! and [`WhtPlan::layout`] read the same nodes and the same gather and
 //! lane-batch rules.
 
+#![expect(clippy::disallowed_types, reason = "a profiled run times itself")]
+
 use crate::dft::kernel_set_for;
 use crate::engine::TransformKind;
 use crate::layout::{self, AccessSet, NodeLayout, PlanLayout, Region, StepKind};

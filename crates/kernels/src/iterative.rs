@@ -19,9 +19,12 @@ use ddl_num::{root_of_unity, Complex64, DdlError, Direction};
 /// Forward/inverse per `dir`; the inverse is unnormalized (scale by `1/n`
 /// to invert a forward transform). Panics on a non-power-of-two length;
 /// see [`try_fft_radix2_inplace`] for the fallible form.
+#[expect(
+    clippy::panic,
+    reason = "panicking wrapper by design; use the try_ variant for a Result"
+)]
 pub fn fft_radix2_inplace(data: &mut [Complex64], dir: Direction) {
     if let Err(e) = try_fft_radix2_inplace(data, dir) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
         panic!("{e}");
     }
 }

@@ -52,7 +52,10 @@ fn butterflies<const W: usize>(rows: &mut [[f64; W]]) {
 pub fn naive_wht(x: &[f64]) -> Vec<f64> {
     match try_naive_wht(x) {
         Ok(y) => y,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -138,9 +141,12 @@ pub fn wht8(data: &mut [f64], base: usize, stride: usize) {
 /// The no-twiddle butterfly cascade; needs no bit reversal because the
 /// Hadamard matrix is invariant under it. Panics on a non-power-of-two
 /// length; see [`try_fwht_inplace`] for the fallible form.
+#[expect(
+    clippy::panic,
+    reason = "panicking wrapper by design; use the try_ variant for a Result"
+)]
 pub fn fwht_inplace(data: &mut [f64]) {
     if let Err(e) = try_fwht_inplace(data) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
         panic!("{e}");
     }
 }
@@ -172,9 +178,12 @@ pub fn try_fwht_inplace(data: &mut [f64]) -> Result<(), DdlError> {
 ///
 /// Panics on a non-power-of-two size; see [`try_wht_leaf_strided`] for
 /// the fallible form.
+#[expect(
+    clippy::panic,
+    reason = "panicking wrapper by design; use the try_ variant for a Result"
+)]
 pub fn wht_leaf_strided(n: usize, data: &mut [f64], base: usize, stride: usize) {
     if let Err(e) = try_wht_leaf_strided(n, data, base, stride) {
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
         panic!("{e}");
     }
 }

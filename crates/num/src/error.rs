@@ -39,7 +39,10 @@ pub fn try_rms_error(a: &[Complex64], b: &[Complex64]) -> Result<f64, DdlError> 
 pub fn rms_error(a: &[Complex64], b: &[Complex64]) -> f64 {
     match try_rms_error(a, b) {
         Ok(v) => v,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -85,7 +88,10 @@ pub fn try_linf_error(a: &[Complex64], b: &[Complex64]) -> Result<f64, DdlError>
 pub fn linf_error(a: &[Complex64], b: &[Complex64]) -> f64 {
     match try_linf_error(a, b) {
         Ok(v) => v,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }

@@ -167,9 +167,12 @@ pub struct TwiddleTable {
 impl TwiddleTable {
     /// Builds the table for `N = n1 * n2` in the given direction.
     pub fn new(n1: usize, n2: usize, dir: Direction) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "overflow here is a caller contract violation, not a recoverable state"
+        )]
         let n = n1
             .checked_mul(n2)
-            // ddl-lint: allow(no-panics): overflow here is a caller contract violation, not a recoverable state
             .expect("TwiddleTable: n1 * n2 overflows usize");
         let mut factors = Vec::with_capacity(n);
         let octant = Octant::new(n);

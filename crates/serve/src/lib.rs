@@ -67,6 +67,10 @@
 //! is machine-checked by `ddl_core::check_report`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![expect(clippy::disallowed_types, reason = "request deadlines and latencies")]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,9 +85,9 @@ use ddl_core::engine::{PlanKey, TransformKind};
 use ddl_core::histo::OUTCOME_OVERLOADED;
 use ddl_core::{
     faultpoint::{self, relock},
-    grammar, kernel_set_for, next_request_id, scheduler_totals, DdlError, Deadline, DftPlan,
-    DftViews, Engine, EngineConfig, FlightRecorder, HistogramSet, NullSink, RequestCapsule,
-    RequestId, Strategy, TelemetryReport, WhtPlan, WhtView,
+    grammar, kernel_set_for, next_request_id, DdlError, Deadline, DftPlan, DftViews, Engine,
+    EngineConfig, FlightRecorder, HistogramSet, NullSink, RequestCapsule, RequestId, Strategy,
+    TelemetryReport, WhtPlan, WhtView,
 };
 use ddl_num::{Complex64, Direction};
 
@@ -653,7 +657,6 @@ impl Service {
             && admitted_sum == accepted
             && shed_sum == shed;
         let e = self.inner.engine.stats();
-        let sched = scheduler_totals();
         let c = &mut report.counters;
         c.insert("serve.accepted".into(), accepted);
         c.insert("serve.shed".into(), shed);
@@ -684,10 +687,6 @@ impl Service {
         c.insert("engine.plan_misses".into(), e.plan_misses);
         c.insert("engine.plans_compiled".into(), e.plans_compiled);
         c.insert("engine.shards_quarantined".into(), e.shards_quarantined);
-        c.insert("scheduler.batches".into(), sched.batches);
-        c.insert("scheduler.steals".into(), sched.steals);
-        c.insert("scheduler.deadline_expired".into(), sched.deadline_expired);
-        c.insert("scheduler.cancelled".into(), sched.cancelled);
         c.insert("flight.capsules".into(), self.inner.flight.recorded());
         c.insert("flight.dumps".into(), self.inner.flight.dumps());
         report
@@ -1233,6 +1232,22 @@ mod tests {
         let text = svc.handle("telemetry text");
         assert!(text.contains("ddl_serve_accepted"), "got:\n{text}");
         assert!(text.contains("_bucket"), "got:\n{text}");
+    }
+
+    #[test]
+    fn telemetry_reports_no_scheduler_counters() {
+        // The service never runs a scheduled batch, so a scheduler total
+        // in its snapshot could only ever read 0.
+        let _x = faultpoint::exclusive();
+        let svc = Service::without_workers(small(0, 8));
+        assert!(svc.handle("exec dft 64 sdl").starts_with("ok "));
+        let report = svc.telemetry();
+        let keys: Vec<&String> = report.counters.keys().collect();
+        assert!(report.counters.contains_key("serve.accepted"), "{keys:?}");
+        assert!(
+            !keys.iter().any(|k| k.starts_with("scheduler.")),
+            "{keys:?}"
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@ use ddl_num::{Complex64, DdlError};
 pub fn circular_convolution_direct(x: &[Complex64], h: &[Complex64]) -> Vec<Complex64> {
     match try_circular_convolution_direct(x, h) {
         Ok(y) => y,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -52,7 +55,10 @@ pub fn try_circular_convolution_direct(
 pub fn pointwise_product(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
     match try_pointwise_product(a, b) {
         Ok(y) => y,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }

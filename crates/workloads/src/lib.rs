@@ -7,6 +7,9 @@
 //! PSNR) used to verify end-to-end pipelines built on the transforms.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod convolution;
 pub mod signal;
@@ -26,7 +29,10 @@ pub use signal::{chirp, impulse, noise_complex, noise_real, tone_mixture, Tone};
 pub fn psnr_db(reference: &[f64], reconstruction: &[f64], peak: f64) -> f64 {
     match try_psnr_db(reference, reconstruction, peak) {
         Ok(v) => v,
-        // ddl-lint: allow(no-panics): panicking wrapper by design; use the try_ variant for a Result
+        #[expect(
+            clippy::panic,
+            reason = "panicking wrapper by design; use the try_ variant for a Result"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
