@@ -156,9 +156,41 @@ fn crate_roots_carry_their_lint_attributes() {
         root_violations(&bare),
         ["crates/x/src/lib.rs: missing the lint lines"]
     );
-    let forbid = doctored(SIMD_ROOT, &format!("{POLICY}\n#![forbid(unsafe_code)]\n"));
+}
+
+#[test]
+fn crate_roots_forbid_unsafe_code() {
+    let forbid = doctored(
+        "crates/x/src/lib.rs",
+        &format!("{POLICY}\n#![forbid(unsafe_code)]\n"),
+    );
+    assert_eq!(root_violations(&forbid), Vec::<String>::new());
+    let bare = doctored("crates/y/src/lib.rs", &format!("{POLICY}\npub mod a;\n"));
+    assert_eq!(
+        root_violations(&bare),
+        ["crates/y/src/lib.rs: missing #![forbid(unsafe_code)]"]
+    );
+}
+
+#[test]
+fn only_the_simd_backend_root_denies_unsafe_code() {
+    let deny = format!("{POLICY}\n#![deny(unsafe_code)]\npub mod arch;\n");
+    assert_eq!(
+        root_violations(&doctored(SIMD_ROOT, &deny)),
+        Vec::<String>::new()
+    );
     let want = format!("{SIMD_ROOT}: missing #![deny(unsafe_code)]");
+    let bare = doctored(SIMD_ROOT, &format!("{POLICY}\npub mod arch;\n"));
+    assert_eq!(root_violations(&bare), [want.as_str()]);
+    let forbid = doctored(SIMD_ROOT, &format!("{POLICY}\n#![forbid(unsafe_code)]\n"));
     assert_eq!(root_violations(&forbid), [want]);
+
+    // The carve-out does not generalize: any other root that denies fails.
+    let core = "crates/core/src/lib.rs";
+    assert_eq!(
+        root_violations(&doctored(core, &deny)),
+        [format!("{core}: missing #![forbid(unsafe_code)]")]
+    );
 }
 
 #[test]
