@@ -236,7 +236,7 @@ mod tests {
         assert!(report.passes(), "{:#?}", report.findings);
         let text = doc.pretty();
         let summary = check_cert_text(&text).expect("self-validation");
-        assert_eq!(summary.files, 7, "{summary:?}");
+        assert_eq!(summary.files, 6, "{summary:?}");
         assert!(summary.sites >= summary.files);
         assert!(summary.bounds >= 10);
         // A nested acquisition or an empty scan set does not validate.

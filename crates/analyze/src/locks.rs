@@ -591,7 +591,6 @@ mod tests {
                 "crates/core/src/faultpoint.rs",
                 "crates/core/src/flight.rs",
                 "crates/core/src/histo.rs",
-                "crates/core/src/scheduler.rs",
                 "crates/core/src/scratch.rs",
                 "crates/serve/src/lib.rs",
             ]

@@ -341,11 +341,10 @@ fn check_artifact(path: &Path) -> Result<String, String> {
             s.events, s.begins, s.completes, s.max_depth, s.events_dropped
         )),
         CheckedReport::Report(r) => Ok(format!(
-            "ddl-report: label {:?}, {} plan records ({} simulated, all conserved), {} batches",
+            "ddl-report: label {:?}, {} plan records ({} simulated, all conserved)",
             r.label,
             r.plans.len(),
-            r.plans.iter().filter(|p| p.sim.is_some()).count(),
-            r.batches.len()
+            r.plans.iter().filter(|p| p.sim.is_some()).count()
         )),
         CheckedReport::Telemetry(r) => {
             let (admitted, shed) = r.outcome_totals();

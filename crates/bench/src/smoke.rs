@@ -6,7 +6,7 @@
 //!   every instrumented subsystem: planner searches (DFT and WHT, both
 //!   strategies, analytical backend), instrumented executions including
 //!   trees with explicit reorganizations (so the `Dr` term of Eq. (2)/(3)
-//!   is non-zero), a parallel batch, and a wisdom save/load/hit cycle.
+//!   is non-zero), and a wisdom save/load/hit cycle.
 //!   Each tree gets one plan record, so a planned tree carries its
 //!   `planner` and `measured` sections side by side. The report goes to
 //!   `--metrics-out <path>`, or to stdout without it.
@@ -14,8 +14,7 @@
 //!   parse itself refuses stage times that exceed their execution's wall
 //!   clock) and verifies the structural invariants CI relies on:
 //!   planner records that explored states, at least one DFT and one WHT
-//!   execution that ran a reorganization stage, counters, and batch
-//!   outcomes that partition their items.
+//!   execution that ran a reorganization stage, and counters.
 
 #![expect(clippy::disallowed_types, reason = "times each planner run")]
 
@@ -25,13 +24,8 @@ use ddl_core::obs::{merge_counters, PlannerRunMetrics};
 use ddl_core::planner::{PlannerConfig, Strategy};
 use ddl_core::tree::Tree;
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{
-    execute_batch_scheduled, try_execute_dft_batch, BatchOptions, CancelToken, CheckedReport,
-    DftPlan, Recorder, Report,
-};
-use ddl_num::{Complex64, Direction};
+use ddl_core::{CheckedReport, Recorder, Report};
 use std::path::Path;
-use std::time::Duration;
 
 const DFT_N: usize = 1 << 12;
 const WHT_N: usize = 1 << 10;
@@ -53,7 +47,6 @@ fn emit(metrics_out: Option<&Path>) -> Outcome {
 
     // --- planner: one search per (transform, strategy), analytical
     //     backend; each planned tree is also profiled once ---
-    let mut sdl_dft_tree = None;
     for (transform, n) in [(Transform::Dft, DFT_N), (Transform::Wht, WHT_N)] {
         for strategy in [Strategy::Sdl, Strategy::Ddl] {
             let cfg = match strategy {
@@ -73,9 +66,6 @@ fn emit(metrics_out: Option<&Path>) -> Outcome {
             ));
             report.plans.push(record);
             merge_counters(&mut report.counters, &rec);
-            if (transform, strategy) == (Transform::Dft, Strategy::Sdl) {
-                sdl_dft_tree = Some(out.tree);
-            }
         }
     }
 
@@ -91,43 +81,6 @@ fn emit(metrics_out: Option<&Path>) -> Outcome {
     report
         .plans
         .push(Transform::Wht.profiled_record(&wht_reorg, "ddl")?);
-
-    // --- parallel batch: per-item queue/run timings feed BatchMetrics ---
-    let batch_tree = sdl_dft_tree.ok_or("the SDL DFT search produced no tree")?;
-    let batch_plan = DftPlan::new(batch_tree, Direction::Forward)?;
-    let signals = 8;
-    let inputs = vec![Complex64::ONE; DFT_N * signals];
-    let mut outputs = vec![Complex64::ZERO; DFT_N * signals];
-    let opts = BatchOptions::with_threads(2);
-    let batch = try_execute_dft_batch(&batch_plan, &inputs, &mut outputs, &opts)?;
-    report.batches.push(batch.metrics("dft-smoke-batch"));
-
-    // --- scheduler outcomes: one batch per shed path, so `--check` can
-    //     gate that deadline_expired/cancelled/steals actually flow into
-    //     the report rather than silently reading as zero ---
-    let token = CancelToken::new();
-    token.cancel();
-    for (label, opts) in [
-        (
-            "sched-deadline-batch",
-            BatchOptions::with_threads(2).deadline(Duration::ZERO),
-        ),
-        (
-            "sched-cancelled-batch",
-            BatchOptions::with_threads(2).cancel_token(token),
-        ),
-    ] {
-        let batch = execute_batch_scheduled(
-            (0..8usize).collect(),
-            &opts,
-            || (),
-            |_, item, _| {
-                std::hint::black_box(item);
-                Ok(())
-            },
-        );
-        report.batches.push(batch.metrics(label));
-    }
 
     // --- wisdom: save/load/hit cycle through the counter sink ---
     let dir = std::env::temp_dir().join(format!("ddl-obs-smoke-{}", std::process::id()));
@@ -199,31 +152,11 @@ fn check(path: &Path) -> Outcome {
     if report.counters.is_empty() {
         return Err("counters section is empty".into());
     }
-    // Scheduler outcome accounting: every batch partitions its items
-    // into exactly one outcome, and the smoke run must have exercised
-    // both shed paths.
-    for b in &report.batches {
-        let accounted = b.ok + b.panicked + b.deadline_expired + b.cancelled;
-        if accounted != b.items {
-            return Err(format!(
-                "batch {:?}: outcomes sum to {accounted} but batch has {} items",
-                b.label, b.items
-            )
-            .into());
-        }
-    }
-    if !report.batches.iter().any(|b| b.deadline_expired > 0) {
-        return Err("no batch recorded a deadline-expired item".into());
-    }
-    if !report.batches.iter().any(|b| b.cancelled > 0) {
-        return Err("no batch recorded a cancelled item".into());
-    }
 
     println!(
-        "ok: {} plan records ({planned} planned, {} measured), {} batches, {} counters",
+        "ok: {} plan records ({planned} planned, {} measured), {} counters",
         report.plans.len(),
         report.plans.iter().filter(|p| p.measured.is_some()).count(),
-        report.batches.len(),
         report.counters.len()
     );
     Ok(())

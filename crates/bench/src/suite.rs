@@ -11,18 +11,12 @@
 use crate::host;
 use ddl_core::planner::{try_plan_dft, try_plan_wht, PlannerConfig, Strategy};
 use ddl_core::wisdom::Wisdom;
-use ddl_core::{
-    kernel_set_for, try_execute_dft_batch, BatchOptions, DftPlan, TransformKind, WhtPlan,
-};
+use ddl_core::{kernel_set_for, DftPlan, TransformKind, WhtPlan};
 use ddl_num::{Complex64, DdlError, Direction};
 use std::time::Instant;
 
-/// Transform size of the batch-engine and wisdom-hit cases.
-const SERVICE_CASE_N: usize = 1 << 12;
-/// Signals per batch in the batch-engine case.
-const BATCH_SIGNALS: usize = 8;
-/// Worker threads in the batch-engine case.
-const BATCH_THREADS: usize = 2;
+/// Transform size of the wisdom-hit case.
+const WISDOM_CASE_N: usize = 1 << 12;
 
 /// The host fingerprint a ledger line carries, so trajectories are only
 /// compared within a matching environment.
@@ -90,8 +84,8 @@ pub fn suite_log_sizes(quick: bool) -> Vec<u32> {
 }
 
 /// Runs the pinned suite: every `(transform, strategy, size)` triple
-/// from [`suite_log_sizes`], plus one batch-engine case and one
-/// wisdom-hit case, each over [`default_repeats`]. Plans use the
+/// from [`suite_log_sizes`], plus one wisdom-hit case, each over
+/// [`default_repeats`]. Plans use the
 /// analytical model so the *measured* quantity is execution, not planner
 /// noise.
 pub fn run_suite(label: &str, quick: bool) -> Result<BenchReport, DdlError> {
@@ -104,7 +98,6 @@ pub fn run_suite(label: &str, quick: bool) -> Result<BenchReport, DdlError> {
             cases.push(wht_case(n, strategy, repeats)?);
         }
     }
-    cases.push(batch_case(repeats)?);
     cases.push(wisdom_case(repeats)?);
     Ok(BenchReport {
         label: label.to_string(),
@@ -203,32 +196,10 @@ fn wht_case(n: usize, strategy: Strategy, repeats: u32) -> Result<BenchCase, Ddl
     })
 }
 
-/// Batch engine: [`BATCH_SIGNALS`] independent DFTs over
-/// [`BATCH_THREADS`] workers — covers queueing plus panic containment
-/// overhead, the extension path the per-plan cases miss.
-fn batch_case(repeats: u32) -> Result<BenchCase, DdlError> {
-    let n = SERVICE_CASE_N;
-    let outcome = try_plan_dft(n, &planner_cfg(Strategy::Ddl))?;
-    let plan = DftPlan::new(outcome.tree, Direction::Forward)?;
-    let inputs = dft_input(n * BATCH_SIGNALS);
-    let mut outputs = vec![Complex64::ZERO; n * BATCH_SIGNALS];
-    let opts = BatchOptions::with_threads(BATCH_THREADS);
-    let (median_ns, min_ns, max_ns) = time_median_ns(repeats, || {
-        try_execute_dft_batch(&plan, &inputs, &mut outputs, &opts).map(|_| ())
-    })?;
-    Ok(BenchCase {
-        id: format!("dft-batch-n{n}-s{BATCH_SIGNALS}-t{BATCH_THREADS}"),
-        backend: kernel_set_for(TransformKind::Dft(Direction::Forward)).into(),
-        median_ns,
-        min_ns,
-        max_ns,
-    })
-}
-
 /// Wisdom hit path: recall of an already-planned tree, the latency every
 /// warm-start consumer pays instead of a search.
 fn wisdom_case(repeats: u32) -> Result<BenchCase, DdlError> {
-    let n = SERVICE_CASE_N;
+    let n = WISDOM_CASE_N;
     let cfg = planner_cfg(Strategy::Ddl);
     let mut wisdom = Wisdom::default();
     wisdom.get_or_plan_dft(n, &cfg)?; // populate: miss + plan
@@ -259,13 +230,10 @@ mod tests {
     fn quick_suite_runs_end_to_end() {
         let report = run_suite("unit", true).unwrap();
         assert!(report.quick);
-        // 3 sizes x 2 transforms x 2 strategies + batch + wisdom
-        assert_eq!(report.cases.len(), 14);
+        // 3 sizes x 2 transforms x 2 strategies + wisdom
+        assert_eq!(report.cases.len(), 13);
         assert!(report.cases.iter().all(|c| c.median_ns > 0.0));
-        assert!(report
-            .cases
-            .iter()
-            .any(|c| c.id.starts_with("dft-batch") || c.id.starts_with("wisdom")));
+        assert!(report.cases.iter().any(|c| c.id.starts_with("wisdom")));
         // DFT cases carry the kernel set this process runs.
         for c in report.cases.iter().filter(|c| c.id.starts_with("dft")) {
             assert_eq!(c.backend, ddl_core::kernel_set(), "case {}", c.id);

@@ -1,9 +1,9 @@
 //! Deterministic, seed-reproducible fault injection at named points.
 //!
 //! A long-running transform service has failure modes that unit tests of
-//! the happy path never exercise: a worker panics mid-batch, the OS
-//! refuses a thread, a deadline expires inside the scheduler, a wisdom
-//! file is garbled on disk, an admission queue saturates. This module
+//! the happy path never exercise: a request panics mid-execution, a
+//! deadline runs out while the request waits, a wisdom file is garbled
+//! on disk, a plan-cache shard is poisoned, admission saturates. This module
 //! gives the chaos harness (`tests/chaos.rs`) a way to *force* each of
 //! those at will, deterministically, without test-only compilation flags:
 //! production code is sprinkled with named **fault points** — cheap
@@ -28,15 +28,12 @@
 //!
 //! | point                   | effect when fired                          |
 //! |-------------------------|--------------------------------------------|
-//! | `batch.item.panic`      | batch item panics mid-execution            |
-//! | `scheduler.spawn`       | worker thread spawn reports failure        |
-//! | `scheduler.deadline`    | item treated as past its deadline          |
 //! | `wisdom.load.corrupt`   | wisdom file text garbled after read        |
 //! | `wisdom.save.io`        | wisdom save reports an I/O failure         |
 //! | `engine.shard.poison`   | plan-cache shard write panics (poisons)    |
 //! | `serve.queue.full`      | admission control sheds the request        |
-//! | `serve.worker.panic`    | service worker panics on a request         |
-//! | `serve.dequeue.slow`    | request's deadline treated as spent in queue |
+//! | `serve.worker.panic`    | the service panics while running a request |
+//! | `serve.dequeue.slow`    | permit granted after the deadline was spent |
 //!
 //! Arming is process-global and last-wins; [`FaultGuard`] disarms on
 //! drop. Tests that arm faults must serialize with each other (the chaos
@@ -145,7 +142,7 @@ fn mode_fires(mode: FaultMode, seed: u64, point: &str, ordinal: u64) -> bool {
 
 /// Probes the fault point `point`: returns `true` when an armed rule
 /// decides this hit fires. A single relaxed atomic load when nothing is
-/// armed — cheap enough for scheduler hot paths.
+/// armed — cheap enough for per-request paths.
 pub fn hit(point: &str) -> bool {
     if !REGISTRY.armed.load(Ordering::Relaxed) {
         return false;
@@ -259,7 +256,7 @@ pub fn activity() -> BTreeMap<String, FaultActivity> {
 }
 
 /// Parses one rule spec: `point=always`, `point=once@K`, `point=every@N`,
-/// or `point=pFRACTION` (e.g. `batch.item.panic=p0.25`).
+/// or `point=pFRACTION` (e.g. `serve.worker.panic=p0.25`).
 pub fn parse_spec(spec: &str) -> Result<(String, FaultMode), String> {
     let (point, mode_text) = spec
         .split_once('=')
@@ -299,7 +296,7 @@ pub fn parse_spec(spec: &str) -> Result<(String, FaultMode), String> {
 }
 
 /// Parses a `;`-separated list of rule specs (the `ddl-serve --faults`
-/// argument format), e.g. `"batch.item.panic=p0.1;scheduler.spawn=always"`.
+/// argument format), e.g. `"serve.worker.panic=p0.1;serve.queue.full=always"`.
 pub fn parse_specs(text: &str) -> Result<Vec<(String, FaultMode)>, String> {
     text.split(';')
         .map(str::trim)

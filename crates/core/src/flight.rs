@@ -4,7 +4,7 @@
 //! when it happened, not just a counter that went up. The flight
 //! recorder keeps a fixed-size ring of [`RequestCapsule`]s — one small
 //! plain-data record per completed request carrying the request id and
-//! its queue/plan/execute span breakdown — and, when a trigger fires
+//! its wait/plan/execute span breakdown — and, when a trigger fires
 //! (panic containment, deadline expiry, shard quarantine, queue shed),
 //! appends one `ddl-flight` v1 JSONL line holding the faulting capsule
 //! plus the recent ring contents. The ring is preallocated and bounded:
@@ -71,7 +71,7 @@ pub fn next_request_id() -> RequestId {
 }
 
 /// The bounded per-request span capsule: outcome plus the phase
-/// breakdown (queue wait, plan, execute) attributed to one request id.
+/// breakdown (permit wait, plan, execute) attributed to one request id.
 /// Plain data — cloning or serializing one never touches the service.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RequestCapsule {
@@ -89,7 +89,8 @@ pub struct RequestCapsule {
     pub outcome: String,
     /// The wire line, truncated to a bounded length.
     pub detail: String,
-    /// Nanoseconds spent queued before a worker picked the request up.
+    /// Nanoseconds from admission until the request was granted an
+    /// execution permit (parsing included).
     pub queue_ns: u64,
     /// Nanoseconds spent planning (cache miss compile or lookup).
     pub plan_ns: u64,

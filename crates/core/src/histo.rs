@@ -15,7 +15,7 @@
 //! a bound the proptest suite pins (`tests/telemetry.rs`).
 //!
 //! Merging two histograms is exact bucket-wise addition, which makes
-//! per-shard or per-worker histograms aggregate without error: the
+//! per-shard or per-thread histograms aggregate without error: the
 //! merged quantiles equal the quantiles of the concatenated stream
 //! (also proptest-pinned). Snapshots serialize into the versioned
 //! `ddl-telemetry` report validated by [`crate::check_report`].

@@ -23,10 +23,11 @@
 //! Supporting modules: [`grammar`] (the `ct`/`ctddl`/`split` tree
 //! expression language mirroring the CMU WHT package), [`measure`]
 //! (timing), [`wisdom`] (versioned plan persistence with corrupt-entry
-//! quarantine), [`json`] (the minimal JSON subset wisdom files use),
-//! [`parallel`] (panic-contained scoped-thread batch execution, an
-//! extension beyond the paper's uniprocessor scope). Transforms built on
-//! top of the planned FFT: [`dft2d`], [`rfft`], [`dct`], [`sixstep`].
+//! quarantine), [`json`] (the minimal JSON subset wisdom files use).
+//! Transforms built on top of the planned FFT: [`dft2d`], [`rfft`],
+//! [`dct`], [`sixstep`]. A compiled plan is immutable and `Sync`, so
+//! callers may run one plan from many threads at once; each call takes
+//! its own scratch from the plan's pool.
 //!
 //! Every fallible public operation reports through the workspace-wide
 //! [`DdlError`]. A plan executes through one full-control entry point
@@ -67,11 +68,9 @@ pub mod layout;
 pub mod measure;
 pub mod model;
 pub mod obs;
-pub mod parallel;
 pub mod planner;
 pub mod reports;
 pub mod rfft;
-pub mod scheduler;
 mod scratch;
 pub mod sixstep;
 pub mod trace;
@@ -101,10 +100,9 @@ pub use histo::{
 pub use measure::Deadline;
 pub use model::{CacheModel, HostFit, StageCost};
 pub use obs::{
-    BatchMetrics, Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder, Sink,
-    SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+    Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder, Sink, SpanInfo,
+    SpanKind, Stage, StageBreakdown, TraceEvent,
 };
-pub use parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport, ItemTiming};
 pub use planner::{
     try_plan_dft, try_plan_dft_with, try_plan_wht, try_plan_wht_with, CostBackend, PlannerConfig,
     Strategy,
@@ -114,7 +112,6 @@ pub use reports::{
     REPORT_VERSION,
 };
 pub use rfft::RfftPlan;
-pub use scheduler::{execute_batch_scheduled, BatchOptions, CancelToken};
 pub use sixstep::SixStepPlan;
 pub use trace::{
     chrome_trace_json, validate_chrome_trace, write_chrome_trace, TraceSummary, TRACE_SCHEMA,

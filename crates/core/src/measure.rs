@@ -18,10 +18,10 @@ const MAX_BATCH: u64 = 1 << 20;
 /// A request deadline anchored to one monotonic clock read.
 ///
 /// The anchor is captured **once, at admission**: every later phase
-/// (queue wait, planning, execution) measures against the same instant,
+/// (permit wait, planning, execution) measures against the same instant,
 /// so the deadline budget covers the request's whole wall time rather
 /// than restarting whenever a phase re-reads the clock. A request that
-/// spends its entire budget waiting in a queue is exactly as expired as
+/// spends its entire budget waiting for a permit is exactly as expired as
 /// one that spends it executing — `tests/telemetry.rs` pins this with a
 /// fault-injected slow-queue test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

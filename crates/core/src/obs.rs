@@ -15,11 +15,11 @@
 //! * [`Recorder`] — the standard in-memory sink: monotonic [`Counter`]s,
 //!   per-[`Stage`] span accumulation (the Eq. (2)/(3) split), and a
 //!   bounded log of planner candidates.
-//! * [`PlannerRunMetrics`], [`ExecutionMetrics`], [`BatchMetrics`] — what
-//!   a recorder distils from one search, one profiled execution or one
-//!   batch. They are the `planner` and `measured` sections of a plan
-//!   record and the `batches` of the `ddl-report` envelope
-//!   ([`crate::reports`], DESIGN.md's "Observability" section).
+//! * [`PlannerRunMetrics`], [`ExecutionMetrics`] — what a recorder
+//!   distils from one search or one profiled execution. They are the
+//!   `planner` and `measured` sections of a plan record in the
+//!   `ddl-report` envelope ([`crate::reports`], DESIGN.md's
+//!   "Observability" section).
 //!
 //! * [`Observer`] — what one executor run takes: a [`Sink`] and a
 //!   [`MemoryTracer`] in one value, so measurement and simulation share
@@ -666,36 +666,6 @@ impl ExecutionMetrics {
             leaf_flops_est,
         }
     }
-}
-
-/// One batch execution summary (see [`crate::parallel::BatchReport`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchMetrics {
-    /// Caller-chosen label (e.g. `"dft:1024"`).
-    pub label: String,
-    /// Items in the batch.
-    pub items: u64,
-    /// Items that completed without fault.
-    pub ok: u64,
-    /// Items that failed by worker panic.
-    pub panicked: u64,
-    /// Items shed because the batch deadline expired before they ran.
-    pub deadline_expired: u64,
-    /// Items shed because the batch's cancellation token fired.
-    pub cancelled: u64,
-    /// Whether part of the batch degraded to the calling thread.
-    pub degraded_to_sequential: bool,
-    /// Wall-clock nanoseconds for the whole batch.
-    pub wall_ns: u64,
-    /// Longest time any item waited before starting.
-    pub queue_ns_max: u64,
-    /// Sum of per-item run times (exceeds `wall_ns` under parallelism).
-    pub run_ns_total: u64,
-    /// Longest single item run time.
-    pub run_ns_max: u64,
-    /// Items executed by a scheduler worker other than the one whose
-    /// deque they were dealt to (work-stealing migrations).
-    pub steals: u64,
 }
 
 /// Estimated leaf-stage floating-point operations of a tree: the sum of

@@ -18,7 +18,7 @@
 //!   measured ([`HostFit`]), the data the host cost model prices with.
 //!   Its record names no plan (`transform` `"host"`, `n` 0).
 //!
-//! Batch summaries and raw counters ride in the same envelope. The
+//! Raw counters ride in the same envelope. The
 //! calibration error lines and the hierarchy scorecard are renderings of
 //! the records ([`Report::render_calibration`], [`Report::render_scorecard`]),
 //! not documents of their own. [`Report::parse`] re-verifies every
@@ -38,7 +38,7 @@ use crate::flight::{FlightDump, FLIGHT_SCHEMA};
 use crate::histo::{TelemetryReport, TELEMETRY_SCHEMA};
 use crate::json::{self, Json};
 use crate::model::{CacheLevel, HostFit, StageCost, RESIDENCY_LEVELS, STRIDE_CLASSES};
-use crate::obs::{metrics_err, BatchMetrics, ExecutionMetrics, PlannerRunMetrics, StageBreakdown};
+use crate::obs::{metrics_err, ExecutionMetrics, PlannerRunMetrics, StageBreakdown};
 use crate::rfft::RfftPlan;
 use crate::trace::{validate_chrome_trace, TraceSummary};
 use crate::wht::WhtPlan;
@@ -59,8 +59,6 @@ pub struct Report {
     pub label: String,
     /// One record per plan tree, in production order.
     pub plans: Vec<PlanRecord>,
-    /// One entry per batch execution.
-    pub batches: Vec<BatchMetrics>,
     /// Raw monotonic counters by dotted name.
     pub counters: BTreeMap<String, u64>,
 }
@@ -233,10 +231,6 @@ impl Report {
                 Json::Arr(self.plans.iter().map(record_to_json).collect()),
             ),
             (
-                "batches",
-                Json::Arr(self.batches.iter().map(batch_to_json).collect()),
-            ),
-            (
                 "counters",
                 Json::Obj(
                     self.counters
@@ -266,6 +260,8 @@ impl Report {
 
     /// Strict parse: schema/version gate, field validation, and the
     /// per-record invariant checks. Errors name the offending JSON path.
+    /// A key it does not read is ignored, such as the `batches` array
+    /// that `crates/core/data/host-fit.json` still carries.
     pub fn parse(text: &str) -> Result<Report, DdlError> {
         let doc = json::parse(text).map_err(|e| metrics_err(format!("not JSON: {e}")))?;
         let top = obj(&doc, "$")?;
@@ -293,7 +289,6 @@ impl Report {
         Ok(Report {
             label: get_str(top, "$", "label")?,
             plans: items(top, "$", "plans", record_from_json)?,
-            batches: items(top, "$", "batches", batch_from_json)?,
             counters,
         })
     }
@@ -503,26 +498,6 @@ fn node_to_json(n: &NodeAttribution) -> Json {
     ];
     fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?))));
     object(fields)
-}
-
-fn batch_to_json(b: &BatchMetrics) -> Json {
-    object(vec![
-        ("label", Json::Str(b.label.clone())),
-        ("items", num(b.items)),
-        ("ok", num(b.ok)),
-        ("panicked", num(b.panicked)),
-        ("deadline_expired", num(b.deadline_expired)),
-        ("cancelled", num(b.cancelled)),
-        ("steals", num(b.steals)),
-        (
-            "degraded_to_sequential",
-            Json::Bool(b.degraded_to_sequential),
-        ),
-        ("wall_ns", num(b.wall_ns)),
-        ("queue_ns_max", num(b.queue_ns_max)),
-        ("run_ns_total", num(b.run_ns_total)),
-        ("run_ns_max", num(b.run_ns_max)),
-    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -849,24 +824,6 @@ fn sim_from_json(m: &Map, path: &str) -> Result<AttributionRun, DdlError> {
     run.check_hierarchy()
         .map_err(|e| metrics_err(format!("{path}: {e}")))?;
     Ok(run)
-}
-
-fn batch_from_json(v: &Json, path: &str) -> Result<BatchMetrics, DdlError> {
-    let m = obj(v, path)?;
-    Ok(BatchMetrics {
-        label: get_str(m, path, "label")?,
-        items: get_u64(m, path, "items")?,
-        ok: get_u64(m, path, "ok")?,
-        panicked: get_u64(m, path, "panicked")?,
-        deadline_expired: get_u64(m, path, "deadline_expired")?,
-        cancelled: get_u64(m, path, "cancelled")?,
-        steals: get_u64(m, path, "steals")?,
-        degraded_to_sequential: get_bool(m, path, "degraded_to_sequential")?,
-        wall_ns: get_u64(m, path, "wall_ns")?,
-        queue_ns_max: get_u64(m, path, "queue_ns_max")?,
-        run_ns_total: get_u64(m, path, "run_ns_total")?,
-        run_ns_max: get_u64(m, path, "run_ns_max")?,
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -86,36 +86,28 @@ pub enum DdlError {
         /// Length actually supplied.
         got: usize,
     },
-    /// A worker thread panicked while executing one batch item; only the
-    /// affected item failed.
+    /// A request panicked while it ran; only that request failed.
     WorkerPanic {
-        /// Index of the batch item whose execution panicked.
-        item: usize,
         /// Stringified panic payload.
         payload: String,
     },
-    /// An OS-level resource was unavailable (e.g. thread spawn failed).
+    /// An OS-level resource was unavailable (e.g. a file write failed).
     Resource(String),
-    /// A service shed the request: its admission queue was at capacity.
-    /// Overload is reported immediately — requests are never queued
-    /// unboundedly or blocked indefinitely.
+    /// A service shed the request: every execution permit was held and
+    /// the line of requests waiting for one was at capacity. Overload is
+    /// reported immediately — requests never wait in an unbounded line.
     Overloaded {
-        /// Requests already queued when this one arrived.
+        /// Requests already waiting when this one arrived.
         queued: usize,
-        /// The bounded queue's capacity.
+        /// How many may wait.
         capacity: usize,
     },
     /// A request's deadline expired before (or while) it executed.
     DeadlineExceeded {
-        /// Where expiry was detected (e.g. `"scheduler: dequeue"`).
+        /// Where expiry was detected (e.g. `"serve: queue wait"`).
         context: &'static str,
         /// Nanoseconds the request was past its deadline when detected.
         late_ns: u64,
-    },
-    /// A request was cancelled through its cancellation token.
-    Cancelled {
-        /// Where cancellation was detected.
-        context: &'static str,
     },
     /// A report (a `ddl-report` envelope or any other versioned report
     /// document) could not be written or read, did not conform to its
@@ -171,9 +163,7 @@ impl fmt::Display for DdlError {
             DdlError::ShapeMismatch { context, want, got } => {
                 write!(f, "{context}: need {want}, got {got}")
             }
-            DdlError::WorkerPanic { item, payload } => {
-                write!(f, "batch worker panicked on item {item}: {payload}")
-            }
+            DdlError::WorkerPanic { payload } => write!(f, "request panicked: {payload}"),
             DdlError::Resource(msg) => write!(f, "resource unavailable: {msg}"),
             DdlError::Overloaded { queued, capacity } => write!(
                 f,
@@ -182,7 +172,6 @@ impl fmt::Display for DdlError {
             DdlError::DeadlineExceeded { context, late_ns } => {
                 write!(f, "{context}: deadline exceeded by {late_ns} ns")
             }
-            DdlError::Cancelled { context } => write!(f, "{context}: request cancelled"),
             DdlError::Metrics { detail } => write!(f, "metrics error: {detail}"),
         }
     }

@@ -11,9 +11,10 @@
 //!   (default `127.0.0.1:4890`); one response line per request line.
 //! * `--oneshot`       read requests from stdin, answer on stdout, exit
 //!   at EOF. Used by the CI smoke test and handy for piping.
-//! * `--workers N`     worker threads (default 2; 0 = serve inline).
-//! * `--queue N`       admission queue capacity (default 64); beyond it
-//!   requests shed immediately with `err overloaded:`.
+//! * `--workers N`     at most N requests execute at once (default 2,
+//!   at least 1); each runs on the thread that read it.
+//! * `--queue N`       at most N more wait for their turn (default 64);
+//!   beyond them requests shed immediately with `err overloaded:`.
 //! * `--deadline-ms K` default per-request deadline.
 //! * `--faults S:SPECS` arm fault injection, e.g.
 //!   `--faults 42:serve.worker.panic=p0.1;serve.queue.full=every@7`.
@@ -30,6 +31,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,7 +44,7 @@ use ddl_serve::{Service, ServiceConfig};
 struct Args {
     listen: String,
     oneshot: bool,
-    workers: usize,
+    workers: NonZeroUsize,
     queue: usize,
     deadline: Option<Duration>,
     faults: Option<(u64, String)>,
@@ -62,11 +64,12 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Args {
+    let defaults = ServiceConfig::default();
     let mut args = Args {
         listen: "127.0.0.1:4890".to_string(),
         oneshot: false,
-        workers: 2,
-        queue: 64,
+        workers: defaults.workers,
+        queue: defaults.queue_capacity,
         deadline: None,
         faults: None,
         wisdom: None,
@@ -85,7 +88,12 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--listen" => args.listen = value("--listen"),
             "--oneshot" => args.oneshot = true,
-            "--workers" => args.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
+            "--workers" => {
+                args.workers = value("--workers").parse().unwrap_or_else(|_| {
+                    eprintln!("ddl-serve: --workers wants a count of at least 1");
+                    usage()
+                })
+            }
             "--queue" => args.queue = value("--queue").parse().unwrap_or_else(|_| usage()),
             "--deadline-ms" => {
                 let ms: u64 = value("--deadline-ms").parse().unwrap_or_else(|_| usage());
@@ -169,7 +177,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let svc = Service::start(ServiceConfig {
+    let svc = Service::new(ServiceConfig {
         workers: args.workers,
         queue_capacity: args.queue,
         default_deadline: args.deadline,
@@ -244,9 +252,8 @@ fn main() -> ExitCode {
             }
             println!("{}", svc.handle(&line));
         }
-        svc.shutdown();
-        // Workers are joined: this snapshot is the quiescent one the CI
-        // conservation gate checks.
+        // Every request ran on this thread, so this snapshot is the
+        // quiescent one the CI conservation gate checks.
         finish_telemetry(&svc);
         return ExitCode::SUCCESS;
     }
@@ -302,14 +309,10 @@ mod tests {
 
     #[test]
     fn each_reply_is_one_write_ending_in_newline() {
-        let svc = Service::start(ServiceConfig {
-            workers: 0,
-            ..ServiceConfig::default()
-        });
+        let svc = Service::new(ServiceConfig::default());
         let requests = "exec dft 64 ddl\n\nbogus\nexec wht 16 sdl\n";
         let mut out = SegmentWriter::default();
         serve_stream(&svc, requests.as_bytes(), &mut out);
-        svc.shutdown();
         assert_eq!(out.segments.len(), 3, "one write per non-blank request");
         for seg in &out.segments {
             let text = std::str::from_utf8(seg).unwrap();

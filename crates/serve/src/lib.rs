@@ -4,9 +4,11 @@
 //! plans are expensive to search and compile but cheap to share, so a
 //! long-running process should plan once and execute many times on
 //! behalf of clients. This crate provides that process: a [`Service`]
-//! owning one shared [`Engine`](ddl_core::Engine) plus a pool of worker
-//! threads behind a **bounded** admission queue, and a line-oriented
-//! wire protocol reusing the workspace's factorization-tree grammar.
+//! owning one shared [`Engine`](ddl_core::Engine), whose
+//! [`Service::handle`] runs each request on the thread that read it
+//! under one of a bounded number of execution permits, and a
+//! line-oriented wire protocol reusing the workspace's
+//! factorization-tree grammar.
 //!
 //! # Wire protocol
 //!
@@ -31,40 +33,41 @@
 //! Executions run over an all-ones synthetic input and report the DC
 //! bin, so a client can verify the transform end to end without
 //! shipping data. Failures are one `err <code>: <detail>` line; `code`
-//! is stable (`overloaded`, `deadline`, `cancelled`, `parse`,
-//! `worker-panic`, …).
+//! is stable (`overloaded`, `deadline`, `parse`, `worker-panic`, …).
 //!
 //! # Overload and fault policy
 //!
-//! * **Admission is bounded.** [`Service::submit`] either enqueues or
-//!   fails *immediately* with [`DdlError::Overloaded`] — requests are
-//!   never queued unboundedly and callers are never blocked waiting for
-//!   queue space. Malformed requests are rejected at admission and
-//!   consume no queue slot.
-//! * **Worker panics are contained.** A panic while serving a request
+//! * **Admission is bounded.** At most `workers` requests execute at
+//!   once, each holding a [`Permit`]; at most `queue_capacity` more wait
+//!   for one, served in arrival order. Any further request fails
+//!   *immediately* with [`DdlError::Overloaded`]. Malformed requests are
+//!   rejected before admission and take neither a permit nor a place in
+//!   line.
+//! * **Panics are contained.** A panic while serving a request
 //!   (including those injected via the `serve.worker.panic` fault
 //!   point) turns into an `err worker-panic:` response for that request
-//!   only; the worker thread survives and keeps serving.
-//! * **Deadlines are honored at dequeue and report as typed errors.**
+//!   only; its permit is released and the connection keeps serving.
+//! * **Deadlines are checked when the permit is granted and again after
+//!   execution, and report as typed errors.**
 //! * **Every accepted request gets exactly one response** — the
 //!   conservation invariant the chaos suite asserts:
-//!   `accepted == completed + failed` once the queue drains.
+//!   `accepted == completed + failed` once nothing waits or runs.
 //!
 //! # Telemetry
 //!
 //! Every admitted request gets a [`RequestId`] and is timed against a
 //! single monotonic clock captured at admission
-//! ([`Deadline`](ddl_core::Deadline)): queue wait, planning and
-//! execution all draw from the same budget. Latency lands in a labeled
-//! [`HistogramSet`] — per wire op, transform kind, backend and outcome —
-//! and a bounded [`FlightRecorder`] ring keeps each request's span
-//! capsule. Panic containment, deadline expiry, shard quarantine and
-//! queue shed each dump a `ddl-flight` JSONL line (when an output path
-//! is configured via [`Service::set_flight_out`] or `DDL_FLIGHT_OUT`).
-//! The `telemetry` wire op snapshots everything as a versioned
-//! `ddl-telemetry` document whose conservation law — outcome histogram
-//! sums exactly partition `accepted`/`shed` on a quiescent snapshot —
-//! is machine-checked by `ddl_core::check_report`.
+//! ([`Deadline`](ddl_core::Deadline)): the wait for a permit, planning
+//! and execution all draw from the same budget. Latency lands in a
+//! labeled [`HistogramSet`] — per wire op, transform kind, backend and
+//! outcome — and a bounded [`FlightRecorder`] ring keeps each request's
+//! span capsule. Panic containment, deadline expiry, shard quarantine
+//! and shed requests each dump a `ddl-flight` JSONL line (when an output
+//! path is configured via [`Service::set_flight_out`] or
+//! `DDL_FLIGHT_OUT`). The `telemetry` wire op snapshots everything as a
+//! versioned `ddl-telemetry` document whose conservation law — outcome
+//! histogram sums exactly partition `accepted`/`shed` on a quiescent
+//! snapshot — is machine-checked by `ddl_core::check_report`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -72,13 +75,12 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![expect(clippy::disallowed_types, reason = "request deadlines and latencies")]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ddl_core::engine::{PlanKey, TransformKind};
@@ -94,12 +96,10 @@ use ddl_num::{Complex64, Direction};
 /// Service construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads serving the queue. `0` is allowed: requests are
-    /// then served inline by [`Service::handle`] (degraded mode, also
-    /// what the service falls back to when every spawn fails).
-    pub workers: usize,
-    /// Admission queue capacity; submissions beyond it shed with
-    /// [`DdlError::Overloaded`].
+    /// Execution permits: at most this many requests execute at once.
+    pub workers: NonZeroUsize,
+    /// Requests that may wait for a permit; beyond them a request sheds
+    /// with [`DdlError::Overloaded`].
     pub queue_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
@@ -110,7 +110,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 2,
+            workers: NonZeroUsize::new(2).unwrap_or(NonZeroUsize::MIN),
             queue_capacity: 64,
             default_deadline: None,
             engine: EngineConfig::default(),
@@ -274,7 +274,6 @@ pub fn error_code(e: &DdlError) -> &'static str {
     match e {
         DdlError::Overloaded { .. } => "overloaded",
         DdlError::DeadlineExceeded { .. } => "deadline",
-        DdlError::Cancelled { .. } => "cancelled",
         DdlError::Parse { .. } => "parse",
         DdlError::WorkerPanic { .. } => "worker-panic",
         DdlError::InvalidSize { .. } => "invalid-size",
@@ -292,36 +291,116 @@ fn wire_err(e: &DdlError) -> String {
 /// Point-in-time service counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Requests admitted to the queue (or served inline).
+    /// Requests admitted: granted a permit, waiting for one, or answered
+    /// without one (`stats`, `telemetry`).
     pub accepted: u64,
-    /// Requests shed at admission (queue full or injected shed).
+    /// Requests shed at admission (wait line full or injected shed).
     pub shed: u64,
     /// Requests answered with an `ok` response.
     pub completed: u64,
     /// Requests answered with an `err` response after admission.
     pub failed: u64,
-    /// Failed requests whose cause was a contained worker panic.
+    /// Failed requests whose cause was a contained panic.
     pub worker_panics: u64,
     /// Failed requests whose cause was deadline expiry.
     pub deadline_expired: u64,
-    /// Requests currently queued.
+    /// Requests waiting for a permit.
     pub queued: usize,
-    /// Requests dequeued but not yet answered.
+    /// Permits held: requests executing, plus any permit a caller holds
+    /// through [`Service::permit`].
     pub in_flight: u64,
-    /// Worker threads currently running.
-    pub workers: usize,
 }
 
-struct Job {
-    id: RequestId,
-    /// The wire line, kept for the flight capsule's detail field.
-    line: String,
-    request: Request,
-    /// The admission instant — the single monotonic anchor every phase
-    /// (queue wait, plan, execute) and the deadline measure from.
-    submitted: Instant,
-    deadline: Option<Duration>,
-    reply: SyncSender<String>,
+/// The execution permits: a count under one lock, never a held guard, so
+/// no lock is held while a request runs. Every admitted arrival takes
+/// the next place in line and waits until its place is the oldest
+/// ungranted one and a permit is free, so waiters are served in arrival
+/// order.
+struct Gate {
+    permits: usize,
+    capacity: usize,
+    state: Mutex<GateState>,
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    held: usize,
+    /// Places in line handed out, and places granted a permit; the
+    /// difference waits.
+    issued: u64,
+    granted: u64,
+}
+
+impl GateState {
+    fn waiting(&self) -> usize {
+        (self.issued - self.granted) as usize
+    }
+}
+
+impl Gate {
+    /// Grants a permit at once while one is free and nobody waits, else
+    /// after every earlier arrival, behind at most `capacity` waiters;
+    /// otherwise (or when `forced_full`) sheds at once. `admitted` runs
+    /// under the lock when the caller is admitted, so a counter it bumps
+    /// counts a waiter from the moment it waits.
+    fn acquire(&self, forced_full: bool, admitted: impl FnOnce()) -> Result<Permit<'_>, DdlError> {
+        let mut s = relock(&self.state);
+        let waiting = s.waiting();
+        let free_now = waiting == 0 && s.held < self.permits;
+        if forced_full || (!free_now && waiting >= self.capacity) {
+            return Err(DdlError::Overloaded {
+                queued: waiting,
+                capacity: self.capacity,
+            });
+        }
+        admitted();
+        let place = s.issued;
+        s.issued += 1;
+        while s.granted != place || s.held == self.permits {
+            s = self.turn.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.granted += 1;
+        s.held += 1;
+        // Another permit may be free for the next place in line.
+        let wake = s.waiting() > 0 && s.held < self.permits;
+        drop(s);
+        if wake {
+            self.turn.notify_all();
+        }
+        Ok(Permit { gate: self })
+    }
+
+    fn release(&self) {
+        let wake = {
+            let mut s = relock(&self.state);
+            s.held -= 1;
+            s.waiting() > 0
+        };
+        // Every waiter rechecks its place; only the oldest proceeds.
+        if wake {
+            self.turn.notify_all();
+        }
+    }
+
+    /// `(waiting, held)`, read together.
+    fn counts(&self) -> (usize, usize) {
+        let s = relock(&self.state);
+        (s.waiting(), s.held)
+    }
+}
+
+/// One execution permit. Dropping it releases the permit on every path,
+/// unwinding included, and wakes the waiters.
+#[must_use = "the permit is released when dropped"]
+pub struct Permit<'a> {
+    gate: &'a Gate,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.gate.release();
+    }
 }
 
 /// Per-phase latency attribution for one request, filled in by
@@ -335,114 +414,48 @@ struct Phases {
 
 struct ServiceInner {
     engine: Engine,
-    config: ServiceConfig,
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-    workers_live: AtomicUsize,
+    default_deadline: Option<Duration>,
+    gate: Gate,
     accepted: AtomicU64,
     shed: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     worker_panics: AtomicU64,
     deadline_expired: AtomicU64,
-    /// Requests popped from the queue but not yet finished. Incremented
-    /// while the queue lock is held (a request is never in neither
-    /// place) and decremented only after its histogram sample lands, so
-    /// `queued == 0 && in_flight == 0` implies the histograms cover
-    /// every admitted request.
-    in_flight: AtomicU64,
     histos: HistogramSet,
     flight: FlightRecorder,
 }
 
-/// A pending response for one submitted request.
-#[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<String>,
-    deadline: Option<Duration>,
-}
-
-impl Ticket {
-    /// Waits for the response. Never blocks unboundedly: gives up after
-    /// the request deadline plus grace (or 30 s without one) with an
-    /// `err` line.
-    pub fn wait(self) -> String {
-        let limit = self
-            .deadline
-            .map(|d| d + Duration::from_secs(5))
-            .unwrap_or(Duration::from_secs(30));
-        match self.rx.recv_timeout(limit) {
-            Ok(line) => line,
-            Err(RecvTimeoutError::Timeout) => {
-                wire_err(&DdlError::Resource("response timed out".into()))
-            }
-            Err(RecvTimeoutError::Disconnected) => wire_err(&DdlError::Resource(
-                "worker dropped the response channel".into(),
-            )),
-        }
-    }
-}
-
-/// The service: one shared engine, a bounded queue, a worker pool.
-/// Cloning shares the same service.
+/// The service: one shared engine and its execution permits. It starts
+/// no thread; each request runs on the thread that calls
+/// [`Service::handle`]. Cloning shares the same service.
 #[derive(Clone)]
 pub struct Service {
     inner: Arc<ServiceInner>,
-    // Join handles live outside `inner` so clones stay cheap; only the
-    // handle returned by `start` can join.
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Service {
-    /// Builds the service and spawns its worker pool. Spawn failures
-    /// degrade: the service still works with fewer (or zero) workers,
-    /// serving inline through [`Service::handle`].
-    pub fn start(config: ServiceConfig) -> Service {
-        let svc = Service::without_workers(config);
-        let mut handles = Vec::new();
-        for i in 0..config.workers {
-            // `scheduler.spawn` injects spawn failure here too, so chaos
-            // runs exercise the degraded (fewer-workers) path.
-            if faultpoint::hit("scheduler.spawn") {
-                continue;
-            }
-            let inner = Arc::clone(&svc.inner);
-            let spawned = std::thread::Builder::new()
-                .name(format!("ddl-serve-{i}"))
-                .spawn(move || worker_loop(&inner));
-            if let Ok(h) = spawned {
-                svc.inner.workers_live.fetch_add(1, Ordering::Release);
-                handles.push(h);
-            }
-        }
-        *relock(&svc.workers) = handles;
-        svc
-    }
-
-    /// Builds the service with no worker threads. Tests use this to
-    /// drive the queue deterministically ([`Service::process_one`]);
-    /// production reaches the same state when every spawn fails.
-    pub fn without_workers(config: ServiceConfig) -> Service {
+    /// Builds the service.
+    pub fn new(config: ServiceConfig) -> Service {
         Service {
             inner: Arc::new(ServiceInner {
                 engine: Engine::new(config.engine),
-                config,
-                queue: Mutex::new(VecDeque::new()),
-                ready: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                workers_live: AtomicUsize::new(0),
+                default_deadline: config.default_deadline,
+                gate: Gate {
+                    permits: config.workers.get(),
+                    capacity: config.queue_capacity,
+                    state: Mutex::new(GateState::default()),
+                    turn: Condvar::new(),
+                },
                 accepted: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
                 failed: AtomicU64::new(0),
                 worker_panics: AtomicU64::new(0),
                 deadline_expired: AtomicU64::new(0),
-                in_flight: AtomicU64::new(0),
                 histos: HistogramSet::new(),
                 flight: FlightRecorder::from_env(64),
             }),
-            workers: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -451,150 +464,86 @@ impl Service {
         &self.inner.engine
     }
 
-    /// Parses and admits one request line. Returns a [`Ticket`] for the
-    /// response, or fails immediately — malformed lines with a parse
-    /// error, a full queue with [`DdlError::Overloaded`]. Never blocks.
-    pub fn submit(&self, line: &str) -> Result<Ticket, DdlError> {
-        let admitted = Instant::now();
-        let request = parse_request(line)?;
-        // `stats` and `telemetry` are reads; answer inline without a
-        // queue slot. Their counters and histogram sample land *before*
-        // the response is built, so a telemetry snapshot always
-        // accounts for the request that asked for it.
-        match &request {
-            Request::Stats | Request::Telemetry { .. } => {
-                self.inner.accepted.fetch_add(1, Ordering::Relaxed);
-                self.inner.completed.fetch_add(1, Ordering::Relaxed);
-                let (op, kind, backend) = request_labels(&request);
-                self.inner.histos.record(
-                    op,
-                    &kind,
-                    &backend,
-                    "ok",
-                    admitted.elapsed().as_nanos() as u64,
-                );
-                let body = match request {
-                    Request::Telemetry { text: true } => self.telemetry_text(),
-                    Request::Telemetry { text: false } => self.telemetry_line(),
-                    _ => self.stats_line(),
-                };
-                let (tx, rx) = mpsc::sync_channel(1);
-                let _ = tx.send(body);
-                return Ok(Ticket { rx, deadline: None });
-            }
-            _ => {}
-        }
-        let deadline = match &request {
-            Request::ExecPlanned { deadline, .. } | Request::ExecExpr { deadline, .. } => {
-                deadline.or(self.inner.config.default_deadline)
-            }
-            _ => self.inner.config.default_deadline,
-        };
-        let id = next_request_id();
-        let labels = request_labels(&request);
-        let (tx, rx) = mpsc::sync_channel(1);
-        // The probe takes the fault registry's lock, so it runs before
-        // the queue lock (and so counts every admission).
-        let forced_full = faultpoint::hit("serve.queue.full");
-        let shed_at = {
-            let mut q = relock(&self.inner.queue);
-            let capacity = self.inner.config.queue_capacity;
-            if forced_full || q.len() >= capacity {
-                Some((q.len(), capacity))
-            } else {
-                q.push_back(Job {
-                    id,
-                    line: line.trim().to_string(),
-                    request,
-                    submitted: admitted,
-                    deadline,
-                    reply: tx,
-                });
-                None
-            }
-        };
-        if let Some((queued, capacity)) = shed_at {
-            // Shed accounting runs after the queue guard drops — the
-            // flight recorder and histogram set take their own locks.
-            self.inner.shed.fetch_add(1, Ordering::Relaxed);
-            let (op, kind, backend) = labels;
-            let capsule = RequestCapsule {
-                id: id.get(),
-                op: op.into(),
-                kind,
-                backend,
-                outcome: OUTCOME_OVERLOADED.into(),
-                detail: line.trim().to_string(),
-                total_ns: admitted.elapsed().as_nanos() as u64,
-                ..Default::default()
-            }
-            .truncate_detail();
-            self.inner.flight.record(capsule.clone());
-            let _ = self.inner.flight.dump("queue_shed", &capsule);
-            self.inner.histos.record(
-                op,
-                &capsule.kind,
-                &capsule.backend,
-                OUTCOME_OVERLOADED,
-                capsule.total_ns,
-            );
-            return Err(DdlError::Overloaded { queued, capacity });
-        }
-        self.inner.accepted.fetch_add(1, Ordering::Relaxed);
-        self.inner.ready.notify_one();
-        Ok(Ticket { rx, deadline })
+    /// Takes one execution permit the way a request does, in the same
+    /// line, but counts as no request. Holding permits reserves execution
+    /// capacity; the tests fill the service this way.
+    pub fn permit(&self) -> Result<Permit<'_>, DdlError> {
+        self.inner.gate.acquire(false, || {})
     }
 
-    /// Submits and waits: the one-call entry point connection handlers
-    /// use. With zero live workers (degraded mode) the request is served
-    /// inline on this thread.
+    /// Serves one wire line on the calling thread and returns its
+    /// response line. Malformed lines fail with a parse error and are
+    /// never admitted; `stats` and `telemetry` are answered without a
+    /// permit; every other request waits for one (or sheds) and runs
+    /// under it.
     pub fn handle(&self, line: &str) -> String {
-        match self.submit(line) {
-            Ok(ticket) => {
-                if self.inner.workers_live.load(Ordering::Acquire) == 0 {
-                    self.process_one();
-                }
-                ticket.wait()
-            }
-            Err(e) => wire_err(&e),
-        }
-    }
-
-    /// Dequeues and serves at most one job on the calling thread.
-    /// Returns whether a job was served. Tests and degraded mode use
-    /// this; worker threads run the same path in a loop.
-    pub fn process_one(&self) -> bool {
-        let job = {
-            let mut q = relock(&self.inner.queue);
-            let job = q.pop_front();
-            if job.is_some() {
-                // In flight while the queue lock is still held: the
-                // request is never in neither place.
-                self.inner.in_flight.fetch_add(1, Ordering::Relaxed);
-            }
-            job
+        let admitted = Instant::now();
+        let request = match parse_request(line) {
+            Ok(request) => request,
+            Err(e) => return wire_err(&e),
         };
-        match job {
-            Some(job) => {
-                serve_job(&self.inner, job);
-                true
+        let inner = &*self.inner;
+        if let Request::Stats | Request::Telemetry { .. } = request {
+            // Reads. Their counters and histogram sample land *before*
+            // the response is built, so a telemetry snapshot always
+            // accounts for the request that asked for it.
+            inner.accepted.fetch_add(1, Ordering::Relaxed);
+            inner.completed.fetch_add(1, Ordering::Relaxed);
+            let (op, kind, backend) = request_labels(&request);
+            let ns = admitted.elapsed().as_nanos() as u64;
+            inner.histos.record(op, &kind, &backend, "ok", ns);
+            return match request {
+                Request::Telemetry { text: true } => self.telemetry_text(),
+                Request::Telemetry { text: false } => self.telemetry_line(),
+                _ => self.stats_line(),
+            };
+        }
+        let id = next_request_id();
+        let detail = line.trim();
+        // The probe takes the fault registry's lock, so it runs before
+        // the gate's lock (and so counts every admission).
+        let forced_full = faultpoint::hit("serve.queue.full");
+        let permit = inner.gate.acquire(forced_full, || {
+            inner.accepted.fetch_add(1, Ordering::Relaxed);
+        });
+        let permit = match permit {
+            Ok(permit) => permit,
+            Err(e) => {
+                inner.shed.fetch_add(1, Ordering::Relaxed);
+                let (op, kind, backend) = request_labels(&request);
+                let capsule = RequestCapsule {
+                    id: id.get(),
+                    op: op.into(),
+                    kind,
+                    backend,
+                    outcome: OUTCOME_OVERLOADED.into(),
+                    detail: detail.to_string(),
+                    total_ns: admitted.elapsed().as_nanos() as u64,
+                    ..Default::default()
+                }
+                .truncate_detail();
+                inner.flight.record(capsule.clone());
+                let _ = inner.flight.dump("queue_shed", &capsule);
+                inner.histos.record(
+                    op,
+                    &capsule.kind,
+                    &capsule.backend,
+                    OUTCOME_OVERLOADED,
+                    capsule.total_ns,
+                );
+                return wire_err(&e);
             }
-            None => false,
-        }
-    }
-
-    /// Signals workers to exit once the queue drains and joins them.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.ready.notify_all();
-        let handles = std::mem::take(&mut *relock(&self.workers));
-        for h in handles {
-            let _ = h.join();
-        }
+        };
+        let response = serve(inner, id, detail, &request, admitted);
+        // Released only after `serve` recorded the histogram sample, so a
+        // snapshot that reads no held permit misses no request it counted.
+        drop(permit);
+        response
     }
 
     /// Current counters.
     pub fn stats(&self) -> ServiceStats {
+        let (queued, in_flight) = self.inner.gate.counts();
         ServiceStats {
             accepted: self.inner.accepted.load(Ordering::Relaxed),
             shed: self.inner.shed.load(Ordering::Relaxed),
@@ -602,9 +551,8 @@ impl Service {
             failed: self.inner.failed.load(Ordering::Relaxed),
             worker_panics: self.inner.worker_panics.load(Ordering::Relaxed),
             deadline_expired: self.inner.deadline_expired.load(Ordering::Relaxed),
-            queued: relock(&self.inner.queue).len(),
-            in_flight: self.inner.in_flight.load(Ordering::Acquire),
-            workers: self.inner.workers_live.load(Ordering::Acquire),
+            queued,
+            in_flight: in_flight as u64,
         }
     }
 
@@ -614,7 +562,7 @@ impl Service {
         let e = self.inner.engine.stats();
         format!(
             "ok stats accepted={} shed={} completed={} failed={} worker_panics={} \
-             deadline_expired={} queued={} workers={} plan_hits={} plan_misses={} \
+             deadline_expired={} queued={} plan_hits={} plan_misses={} \
              plans_compiled={} shards_quarantined={}",
             s.accepted,
             s.shed,
@@ -623,7 +571,6 @@ impl Service {
             s.worker_panics,
             s.deadline_expired,
             s.queued,
-            s.workers,
             e.plan_hits,
             e.plan_misses,
             e.plans_compiled,
@@ -634,14 +581,13 @@ impl Service {
     /// A point-in-time `ddl-telemetry` snapshot.
     ///
     /// The `serve.snapshot_quiesced` counter is 1 exactly when the
-    /// snapshot provably covers every admitted request: queue empty,
-    /// nothing in flight, the accepted counter stable across the
-    /// histogram read, and the outcome sums matching the admission
-    /// counters. [`TelemetryReport::parse`] enforces exact conservation
-    /// only on such snapshots (the inequalities always hold).
+    /// snapshot provably covers every admitted request: nothing waiting,
+    /// no permit held, the accepted counter stable across the histogram
+    /// read, and the outcome sums matching the admission counters.
+    /// [`TelemetryReport::parse`] enforces exact conservation only on
+    /// such snapshots (the inequalities always hold).
     pub fn telemetry(&self) -> TelemetryReport {
-        let queued = relock(&self.inner.queue).len() as u64;
-        let in_flight = self.inner.in_flight.load(Ordering::Acquire);
+        let (queued, in_flight) = self.inner.gate.counts();
         let accepted_before = self.inner.accepted.load(Ordering::Relaxed);
         let entries = self.inner.histos.entries();
         let accepted = self.inner.accepted.load(Ordering::Relaxed);
@@ -676,12 +622,8 @@ impl Service {
             "serve.deadline_expired".into(),
             self.inner.deadline_expired.load(Ordering::Relaxed),
         );
-        c.insert("serve.queued".into(), queued);
-        c.insert("serve.in_flight".into(), in_flight);
-        c.insert(
-            "serve.workers".into(),
-            self.inner.workers_live.load(Ordering::Acquire) as u64,
-        );
+        c.insert("serve.queued".into(), queued as u64);
+        c.insert("serve.in_flight".into(), in_flight as u64);
         c.insert("serve.snapshot_quiesced".into(), u64::from(quiesced));
         c.insert("engine.plan_hits".into(), e.plan_hits);
         c.insert("engine.plan_misses".into(), e.plan_misses);
@@ -716,47 +658,28 @@ impl Service {
     }
 }
 
-fn worker_loop(inner: &Arc<ServiceInner>) {
-    loop {
-        let job = {
-            let mut q = relock(&inner.queue);
-            loop {
-                if let Some(j) = q.pop_front() {
-                    inner.in_flight.fetch_add(1, Ordering::Relaxed);
-                    break Some(j);
-                }
-                if inner.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _timeout) = inner
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(25))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        match job {
-            Some(job) => serve_job(inner, job),
-            None => {
-                inner.workers_live.fetch_sub(1, Ordering::Release);
-                return;
-            }
-        }
+/// Serves one admitted request under its permit: the deadline check at
+/// the grant (against the admission anchor), panic-contained execution,
+/// the deadline re-check, then counters, flight capsule (plus trigger
+/// dumps) and histogram sample, in that order. Returns the response.
+fn serve(
+    inner: &ServiceInner,
+    id: RequestId,
+    detail: &str,
+    request: &Request,
+    admitted: Instant,
+) -> String {
+    let queue_ns = admitted.elapsed().as_nanos() as u64;
+    let deadline = match request {
+        Request::ExecPlanned { deadline, .. } | Request::ExecExpr { deadline, .. } => *deadline,
+        _ => None,
     }
-}
-
-/// Serves one job: queue-wait deadline check against the admission
-/// anchor, panic-contained execution, post-execution deadline re-check,
-/// then exactly one pass through [`finish`].
-fn serve_job(inner: &ServiceInner, job: Job) {
-    let queue_ns = job.submitted.elapsed().as_nanos() as u64;
-    let deadline = job
-        .deadline
-        .map(|limit| Deadline::from_admission(job.submitted, limit));
-    // Queue-wait expiry measures against the admission anchor: budget
+    .or(inner.default_deadline)
+    .map(|limit| Deadline::from_admission(admitted, limit));
+    // Expiry at the grant measures against the admission anchor: budget
     // spent waiting is as gone as budget spent executing. The
-    // `serve.dequeue.slow` fault point simulates a dequeue so late the
-    // whole budget burned in the queue.
+    // `serve.dequeue.slow` fault point simulates a grant so late the
+    // whole budget burned in the wait.
     let queue_expired = deadline.and_then(|d| {
         if faultpoint::hit("serve.dequeue.slow") {
             Some(d.limit().as_nanos() as u64)
@@ -774,7 +697,7 @@ fn serve_job(inner: &ServiceInner, job: Job) {
     } else {
         let quarantined_before = inner.engine.stats().shards_quarantined;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_request(inner, &job.request, &mut phases)
+            run_request(inner, request, &mut phases)
         }));
         quarantine_grew = inner.engine.stats().shards_quarantined > quarantined_before;
         match outcome {
@@ -788,43 +711,24 @@ fn serve_job(inner: &ServiceInner, job: Job) {
                 None => Ok(line),
             },
             Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                let text = payload
+            Err(payload) => Err(DdlError::WorkerPanic {
+                payload: payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                Err(DdlError::WorkerPanic {
-                    item: 0,
-                    payload: text,
-                })
-            }
+                    .unwrap_or_else(|| "opaque panic payload".to_string()),
+            }),
         }
     };
-    finish(inner, job, result, phases, queue_ns, quarantine_grew);
-}
-
-/// The single exit path for a dequeued job: counters, flight capsule
-/// (plus trigger dumps), histogram sample, reply — in that order. The
-/// `in_flight` gauge drops only after the histogram sample lands, so a
-/// quiescent telemetry snapshot can never miss a request it counted.
-fn finish(
-    inner: &ServiceInner,
-    job: Job,
-    result: Result<String, DdlError>,
-    phases: Phases,
-    queue_ns: u64,
-    quarantine_grew: bool,
-) {
-    let (line, outcome) = match &result {
-        Ok(line) => (line.clone(), "ok"),
+    let (line, outcome) = match result {
+        Ok(line) => (line, "ok"),
         Err(e) => {
             let outcome = match e {
                 DdlError::DeadlineExceeded { .. } => "deadline_expired",
                 DdlError::WorkerPanic { .. } => "panicked",
                 _ => "error",
             };
-            (wire_err(e), outcome)
+            (wire_err(&e), outcome)
         }
     };
     match outcome {
@@ -843,15 +747,15 @@ fn finish(
             inner.failed.fetch_add(1, Ordering::Relaxed);
         }
     }
-    let total_ns = job.submitted.elapsed().as_nanos() as u64;
-    let (op, kind, backend) = request_labels(&job.request);
+    let total_ns = admitted.elapsed().as_nanos() as u64;
+    let (op, kind, backend) = request_labels(request);
     let capsule = RequestCapsule {
-        id: job.id.get(),
+        id: id.get(),
         op: op.into(),
         kind,
         backend,
         outcome: outcome.into(),
-        detail: job.line,
+        detail: detail.to_string(),
         queue_ns,
         plan_ns: phases.plan_ns,
         execute_ns: phases.execute_ns,
@@ -875,11 +779,7 @@ fn finish(
     inner
         .histos
         .record(op, &capsule.kind, &capsule.backend, outcome, total_ns);
-    // Release pairs with the telemetry snapshot's acquire read: once it
-    // observes `in_flight == 0`, every histogram sample above is
-    // visible to it.
-    inner.in_flight.fetch_sub(1, Ordering::Release);
-    let _ = job.reply.send(line);
+    line
 }
 
 fn run_request(
@@ -889,7 +789,7 @@ fn run_request(
 ) -> Result<String, DdlError> {
     faultpoint::maybe_panic("serve.worker.panic");
     match request {
-        // Both answered at admission; a queue slot never sees them.
+        // Both answered by `handle` without a permit.
         Request::Stats | Request::Telemetry { .. } => Ok(String::new()),
         Request::Plan { kind, n, strategy } => {
             let key = PlanKey {
@@ -973,8 +873,8 @@ fn run_request(
 
 // Both executors take per-request scratch rather than the plan's own
 // pool: cached plans live as long as the engine, and a pool keeps up to
-// one scratch buffer per concurrent worker alive between requests for
-// every cached plan. On the serve-mix load (two workers) that retention
+// one scratch buffer per concurrent request alive between requests for
+// every cached plan. On the serve-mix load (two permits) that retention
 // raised the server's peak RSS by 4-5% over freeing scratch per request.
 fn exec_dft_ones(plan: &DftPlan) -> Result<f64, DdlError> {
     let n = plan.n();
@@ -997,18 +897,25 @@ mod tests {
     use super::*;
     use ddl_core::faultpoint::FaultMode;
 
-    // Submitting, dequeuing, executing and planning all pass fault points
+    // Admitting, granting, executing and planning all pass fault points
     // (`serve.queue.full`, `serve.dequeue.slow`, `serve.worker.panic`,
-    // `engine.shard.poison`, `scheduler.spawn`), so every test that
-    // serves a request holds the fault-point lock: otherwise it can
-    // consume a one-shot fault another test armed, and both fail.
+    // `engine.shard.poison`), so every test that serves a request holds
+    // the fault-point lock: otherwise it can consume a one-shot fault
+    // another test armed, and both fail.
 
     fn small(workers: usize, capacity: usize) -> ServiceConfig {
         ServiceConfig {
-            workers,
+            workers: NonZeroUsize::new(workers).expect("at least one permit"),
             queue_capacity: capacity,
             default_deadline: None,
             engine: EngineConfig::default(),
+        }
+    }
+
+    /// Spins until exactly `k` requests wait for a permit.
+    fn until_queued(svc: &Service, k: usize) {
+        while svc.stats().queued != k {
+            std::thread::yield_now();
         }
     }
 
@@ -1065,37 +972,85 @@ mod tests {
 
     #[test]
     fn saturated_queue_sheds_with_typed_overload() {
+        // Two permits held and one place in line: a third request waits,
+        // a fourth sheds at once, and a released permit serves the waiter.
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 2));
-        let t1 = svc.submit("exec dft 64 sdl").expect("slot 1");
-        let t2 = svc.submit("exec dft 64 sdl").expect("slot 2");
-        match svc.submit("exec dft 64 sdl") {
-            Err(DdlError::Overloaded { queued, capacity }) => {
-                assert_eq!((queued, capacity), (2, 2));
+        let svc = Service::new(small(2, 1));
+        let mut held = vec![
+            svc.permit().expect("permit 1"),
+            svc.permit().expect("permit 2"),
+        ];
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| svc.handle("exec dft 64 sdl"));
+            until_queued(&svc, 1);
+            match svc.permit() {
+                Err(DdlError::Overloaded { queued, capacity }) => {
+                    assert_eq!((queued, capacity), (1, 1));
+                }
+                Err(other) => panic!("want Overloaded, got {other:?}"),
+                Ok(_) => panic!("a permit was granted past the bound"),
             }
-            other => panic!("want Overloaded, got {other:?}"),
-        }
+            let line = svc.handle("exec dft 64 sdl");
+            assert!(line.starts_with("err overloaded:"), "got {line}");
+            assert!(line.contains("(1 queued, capacity 1)"), "got {line}");
+            let s = svc.stats();
+            assert_eq!((s.accepted, s.shed, s.queued, s.in_flight), (1, 1, 1, 2));
+            held.pop();
+            let line = waiter.join().expect("waiter");
+            assert!(line.starts_with("ok exec dft n=64"), "got {line}");
+        });
+        // The freed place in line admits again.
+        assert!(svc
+            .handle("exec dft 64 sdl")
+            .starts_with("ok exec dft n=64"));
         let s = svc.stats();
-        assert_eq!((s.accepted, s.shed, s.queued), (2, 1, 2));
-        // Draining frees slots again.
-        assert!(svc.process_one());
-        assert!(svc.process_one());
-        assert!(t1.wait().starts_with("ok exec dft n=64"));
-        assert!(t2.wait().starts_with("ok exec dft n=64"));
-        assert!(svc.submit("exec dft 64 sdl").is_ok());
+        assert_eq!(
+            (s.accepted, s.completed, s.queued, s.in_flight),
+            (2, 2, 0, 1)
+        );
+    }
+
+    #[test]
+    fn waiters_are_served_in_arrival_order() {
+        let _x = faultpoint::exclusive();
+        let svc = Service::new(small(1, 2));
+        let held = svc.permit().expect("the only permit");
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = ["first", "second"]
+                .into_iter()
+                .enumerate()
+                .map(|(k, name)| {
+                    let (svc, order) = (&svc, &order);
+                    let waiter = s.spawn(move || {
+                        let _permit = svc.permit().expect("admitted");
+                        order.lock().expect("order").push(name);
+                    });
+                    until_queued(svc, k + 1);
+                    waiter
+                })
+                .collect();
+            drop(held);
+            for waiter in waiters {
+                waiter.join().expect("waiter");
+            }
+        });
+        assert_eq!(order.into_inner().expect("order"), ["first", "second"]);
     }
 
     #[test]
     fn expired_deadline_is_shed_at_dequeue() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
-        let t = svc
-            .submit("exec dft 64 sdl deadline_ms=0")
-            .expect("admitted");
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(svc.process_one());
-        let line = t.wait();
-        assert!(line.starts_with("err deadline:"), "got {line}");
+        let svc = Service::new(small(1, 8));
+        let held = svc.permit().expect("the only permit");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| svc.handle("exec dft 64 sdl deadline_ms=0"));
+            until_queued(&svc, 1);
+            // A zero budget is spent by the time the permit is granted.
+            drop(held);
+            let line = waiter.join().expect("waiter");
+            assert!(line.starts_with("err deadline:"), "got {line}");
+        });
         let s = svc.stats();
         assert_eq!((s.failed, s.deadline_expired), (1, 1));
     }
@@ -1103,82 +1058,84 @@ mod tests {
     #[test]
     fn malformed_requests_never_take_a_queue_slot() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 1));
-        assert!(svc.submit("exec dft ct(").is_err());
-        assert!(svc.submit("plan dft ten ddl").is_err());
+        let svc = Service::new(small(1, 1));
+        let held = svc.permit().expect("the only permit");
+        assert!(svc.handle("exec dft ct(").starts_with("err parse:"));
+        assert!(svc.handle("plan dft ten ddl").starts_with("err parse:"));
         assert_eq!(svc.stats().queued, 0);
-        assert!(svc.submit("exec dft 32 sdl").is_ok());
+        // The one place in line is still free.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| svc.handle("exec dft 32 sdl"));
+            until_queued(&svc, 1);
+            drop(held);
+            let line = waiter.join().expect("waiter");
+            assert!(line.starts_with("ok exec dft n=32"), "got {line}");
+        });
     }
 
     #[test]
     fn injected_worker_panic_is_contained() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         {
             let _g = faultpoint::arm(3, &[("serve.worker.panic", FaultMode::Once(0))]);
-            let t = svc.submit("exec dft 64 sdl").expect("admitted");
-            assert!(svc.process_one());
-            let line = t.wait();
+            let line = svc.handle("exec dft 64 sdl");
             assert!(line.starts_with("err worker-panic:"), "got {line}");
+            // The reply names the request, not a batch item.
+            assert!(
+                !line.contains("batch") && !line.contains("item"),
+                "got {line}"
+            );
         }
         // The service keeps serving after the contained panic.
-        let t = svc.submit("exec dft 64 sdl").expect("admitted");
-        assert!(svc.process_one());
-        assert!(t.wait().starts_with("ok exec dft n=64"));
+        assert!(svc
+            .handle("exec dft 64 sdl")
+            .starts_with("ok exec dft n=64"));
         let s = svc.stats();
         assert_eq!((s.worker_panics, s.completed), (1, 1));
         assert_eq!(s.accepted, s.completed + s.failed, "conservation");
+        assert_eq!(s.in_flight, 0, "the panicking request released its permit");
     }
 
     #[test]
     fn injected_queue_full_sheds_even_when_empty() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         let _g = faultpoint::arm(11, &[("serve.queue.full", FaultMode::Once(0))]);
-        match svc.submit("exec dft 64 sdl") {
-            Err(DdlError::Overloaded { queued, .. }) => assert_eq!(queued, 0),
-            other => panic!("want Overloaded, got {other:?}"),
-        }
-        assert!(svc.submit("exec dft 64 sdl").is_ok());
+        let line = svc.handle("exec dft 64 sdl");
+        assert!(line.starts_with("err overloaded:"), "got {line}");
+        assert!(line.contains("(0 queued, capacity 8)"), "got {line}");
+        assert!(svc.handle("exec dft 64 sdl").starts_with("ok "));
     }
 
     #[test]
     fn worker_pool_serves_and_conserves() {
         let _x = faultpoint::exclusive();
-        let svc = Service::start(small(2, 32));
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|i| {
-                let n = 32 << (i % 3);
-                svc.submit(&format!("exec dft {n} ddl")).expect("admitted")
-            })
-            .collect();
-        for t in tickets {
-            let line = t.wait();
-            assert!(line.starts_with("ok exec dft"), "got {line}");
-        }
-        svc.shutdown();
+        let svc = Service::new(small(2, 32));
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let svc = &svc;
+                s.spawn(move || {
+                    for i in 0..4 {
+                        let n = 32 << ((t + i) % 3);
+                        let line = svc.handle(&format!("exec dft {n} ddl"));
+                        assert!(line.starts_with("ok exec dft"), "got {line}");
+                    }
+                });
+            }
+        });
         let s = svc.stats();
         assert_eq!(s.accepted, 16);
         assert_eq!(s.completed, 16);
         assert_eq!(s.failed, 0);
         assert_eq!(s.accepted, s.completed + s.failed, "conservation");
-        assert_eq!(s.workers, 0, "workers joined");
-    }
-
-    #[test]
-    fn degraded_zero_worker_mode_serves_inline() {
-        let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
-        let line = svc.handle("exec wht 128 sdl");
-        assert!(line.starts_with("ok exec wht n=128 dc=128"), "got {line}");
-        let line = svc.handle("stats");
-        assert!(line.starts_with("ok stats "), "got {line}");
+        assert_eq!((s.queued, s.in_flight), (0, 0), "every permit released");
     }
 
     #[test]
     fn plan_command_caches_in_the_engine() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         let first = svc.handle("plan dft 256 ddl");
         assert!(first.contains("cached=false"), "got {first}");
         assert!(first.contains("tree="), "got {first}");
@@ -1189,7 +1146,7 @@ mod tests {
     #[test]
     fn exec_expr_runs_the_given_tree() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         let line = svc.handle("exec dft ct(16, ct(16, 16))");
         assert!(line.starts_with("ok exec dft n=4096 dc=4096"), "got {line}");
     }
@@ -1213,7 +1170,7 @@ mod tests {
     #[test]
     fn telemetry_snapshot_conserves_outcomes_when_quiesced() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         for line in ["plan dft 64 sdl", "exec dft 64 sdl", "exec wht 32 sdl"] {
             assert!(svc.handle(line).starts_with("ok "), "line {line:?}");
         }
@@ -1236,16 +1193,18 @@ mod tests {
 
     #[test]
     fn telemetry_reports_no_scheduler_counters() {
-        // The service never runs a scheduled batch, so a scheduler total
-        // in its snapshot could only ever read 0.
+        // The service runs no scheduler and no worker threads, so such a
+        // counter in its snapshot could only ever read a constant.
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         assert!(svc.handle("exec dft 64 sdl").starts_with("ok "));
         let report = svc.telemetry();
         let keys: Vec<&String> = report.counters.keys().collect();
         assert!(report.counters.contains_key("serve.accepted"), "{keys:?}");
         assert!(
-            !keys.iter().any(|k| k.starts_with("scheduler.")),
+            !keys
+                .iter()
+                .any(|k| k.starts_with("scheduler.") || *k == "serve.workers"),
             "{keys:?}"
         );
     }
@@ -1253,9 +1212,9 @@ mod tests {
     #[test]
     fn shed_requests_land_in_the_overloaded_histogram() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         let _g = faultpoint::arm(17, &[("serve.queue.full", FaultMode::Once(0))]);
-        assert!(svc.submit("exec dft 64 sdl").is_err());
+        assert!(svc.handle("exec dft 64 sdl").starts_with("err overloaded:"));
         let report = svc.telemetry();
         let (admitted, shed) = report.outcome_totals();
         assert_eq!((admitted, shed), (0, 1));
@@ -1266,16 +1225,16 @@ mod tests {
     #[test]
     fn flight_capsules_attribute_phases_to_the_request() {
         let _x = faultpoint::exclusive();
-        let svc = Service::without_workers(small(0, 8));
+        let svc = Service::new(small(1, 8));
         let dir = std::env::temp_dir().join(format!("ddl-serve-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let out = dir.join("flight.jsonl");
         svc.set_flight_out(Some(out.clone()));
         {
             let _g = faultpoint::arm(5, &[("serve.worker.panic", FaultMode::Once(0))]);
-            let t = svc.submit("exec dft 64 sdl").expect("admitted");
-            assert!(svc.process_one());
-            assert!(t.wait().starts_with("err worker-panic:"));
+            assert!(svc
+                .handle("exec dft 64 sdl")
+                .starts_with("err worker-panic:"));
         }
         let text = std::fs::read_to_string(&out).expect("dump written");
         let dump = ddl_core::FlightDump::parse(text.lines().next().expect("one line"))

@@ -21,7 +21,14 @@ run cargo fmt --all -- --check
 # that declares one, no unbounded channel, `unsafe` only in the audited
 # SIMD module. The lint lines at each crate root and the workspace
 # clippy.toml declare it; tests/lint_policy.rs checks the declarations.
-run cargo clippy --workspace --all-targets -- -D warnings
+# A clippy.toml path that names nothing is only a configuration warning,
+# which `-D warnings` does not promote, so any warning line fails too.
+mkdir -p target
+run cargo clippy --workspace --all-targets -- -D warnings 2>&1 | tee target/clippy.log
+if grep -q '^warning' target/clippy.log; then
+    echo "error: clippy printed a warning (target/clippy.log)"
+    exit 1
+fi
 run cargo build --workspace --release
 run cargo test --workspace -q
 # LLVM vectorizes the WHT butterfly loop and lane batches, and the AVX2

@@ -15,12 +15,13 @@
 //! * [`cachesim`] — the trace-driven cache simulator used for the paper's
 //!   miss-rate experiments.
 //! * [`core`] — factorization trees, the `ct`/`ctddl` grammar, executors,
-//!   cost models, planners, wisdom and parallel batch execution.
+//!   cost models, planners and wisdom.
 //! * [`analyze`] — static access/conflict analysis and the three-way
 //!   cache-miss attribution cross-check.
 //! * [`workloads`] — signal generators for examples and benchmarks.
 //! * [`serve`] — the fault-tolerant transform service (`ddl-serve`):
-//!   shared engine, bounded admission, deadline-aware workers.
+//!   shared engine, bounded admission, each request run on the thread
+//!   that read it under an execution permit and a deadline.
 //!
 //! Every fallible operation is available in a `try_*` form returning
 //! `Result<_, DdlError>` (re-exported in the [`prelude`]). Plans execute
@@ -74,15 +75,13 @@ pub mod prelude {
     pub use ddl_core::grammar::{parse as parse_tree, print_dft, print_wht};
     pub use ddl_core::measure::{fft_mflops, time_per_call, time_per_point_ns};
     pub use ddl_core::obs::{
-        BatchMetrics, Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder,
-        Sink, SpanInfo, SpanKind, Stage, StageBreakdown, TraceEvent,
+        Counter, ExecutionMetrics, NullSink, Observer, PlannerRunMetrics, Recorder, Sink, SpanInfo,
+        SpanKind, Stage, StageBreakdown, TraceEvent,
     };
-    pub use ddl_core::parallel::{try_execute_dft_batch, try_execute_wht_batch, BatchReport};
     pub use ddl_core::planner::{try_plan_dft, try_plan_wht, CostBackend, PlannerConfig, Strategy};
     pub use ddl_core::reports::{
         check_report, check_report_text, CheckedReport, PlanRecord, Report,
     };
-    pub use ddl_core::scheduler::{execute_batch_scheduled, BatchOptions, CancelToken};
     pub use ddl_core::trace::{chrome_trace_json, validate_chrome_trace, write_chrome_trace};
     pub use ddl_core::traced::{simulate_dft, simulate_wht};
     pub use ddl_core::tree::Tree;

@@ -2,20 +2,19 @@
 //!
 //! Each test arms one class of fault through `ddl_core::faultpoint`
 //! (seed-reproducible: the set of fired hit ordinals depends only on
-//! `(seed, point, ordinal)`), drives the scheduler / engine / service
+//! `(seed, point, ordinal)`), drives the wisdom store / engine / service
 //! through it, and asserts the three robustness invariants:
 //!
 //! 1. **No deadlock** — the run completes inside a watchdog window.
-//! 2. **No lost item** — every submitted item/request yields exactly one
-//!    outcome (`BatchReport` slot or service response).
+//! 2. **No lost request** — every admitted request gets exactly one
+//!    response, and every permit it took is released.
 //! 3. **Report conservation** — the outcome counts partition the total
-//!    (`ok + panicked + deadline_expired + cancelled == items`;
-//!    `accepted == completed + failed` for the service).
+//!    (`accepted == completed + failed`).
 //!
-//! Fault classes covered: item panics, worker-spawn failure, deadline
-//! expiry, corrupt wisdom loads, admission-queue saturation, engine
-//! shard poisoning, service-worker panics, and deadline budgets burned
-//! entirely in the admission queue (`serve.dequeue.slow`).
+//! Fault classes covered: corrupt wisdom loads, admission saturation,
+//! engine shard poisoning, panics while serving a request, and deadline
+//! budgets burned entirely while waiting for a permit
+//! (`serve.dequeue.slow`).
 //!
 //! Service fault classes additionally assert the flight recorder: each
 //! dump-triggering fault (queue shed, worker panic, queue-wait expiry)
@@ -31,13 +30,12 @@
 use dynamic_data_layout::core::engine::{Engine, EngineConfig, PlanKey};
 use dynamic_data_layout::core::faultpoint::{self, FaultMode};
 use dynamic_data_layout::core::planner::{PlannerConfig, Strategy};
-use dynamic_data_layout::core::scheduler::{execute_batch_scheduled, BatchOptions};
 use dynamic_data_layout::core::tree::Tree;
 use dynamic_data_layout::core::wisdom::Wisdom;
-use dynamic_data_layout::core::{BatchReport, FlightDump};
-use dynamic_data_layout::num::DdlError;
-use dynamic_data_layout::serve::{Service, ServiceConfig, Ticket};
+use dynamic_data_layout::core::FlightDump;
+use dynamic_data_layout::serve::{Service, ServiceConfig};
 use std::io::Write as _;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -121,148 +119,25 @@ fn find_dump(path: &Path, trigger: &str, detail: Option<&str>) -> FlightDump {
     panic!("no {trigger:?} dump in {}", path.display());
 }
 
-fn assert_batch_conservation(report: &BatchReport) {
-    let ok = report.outcomes().iter().filter(|r| r.is_ok()).count();
-    let panicked = report
-        .outcomes()
-        .iter()
-        .filter(|r| matches!(r, Err(DdlError::WorkerPanic { .. })))
-        .count();
-    assert_eq!(
-        ok + panicked + report.deadline_expired() + report.cancelled(),
-        report.items(),
-        "outcomes must partition the batch"
-    );
+/// A service with `workers` permits and `queue` places in line.
+fn service(workers: usize, queue: usize) -> Service {
+    Service::new(ServiceConfig {
+        workers: NonZeroUsize::new(workers).expect("at least one permit"),
+        queue_capacity: queue,
+        default_deadline: None,
+        engine: EngineConfig::default(),
+    })
 }
 
-fn noisy_batch(count: usize, opts: BatchOptions) -> BatchReport {
-    let items: Vec<usize> = (0..count).collect();
-    execute_batch_scheduled(
-        items,
-        &opts,
-        || 0u64,
-        |_idx, item, acc| {
-            *acc = acc.wrapping_add(item as u64);
-            std::hint::black_box(*acc);
-            Ok(())
-        },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Class 1: item panics inside the work-stealing scheduler.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn chaos_item_panics_are_contained_and_deterministic() {
-    let _x = faultpoint::exclusive();
-    let run = |threads: usize| {
-        let _g = faultpoint::arm(seed(), &[("batch.item.panic", FaultMode::Probability(0.3))]);
-        with_watchdog("item-panic", move || {
-            noisy_batch(64, BatchOptions::with_threads(threads))
-        })
-    };
-
-    // Parallel run: containment + conservation.
-    let parallel = run(4);
-    assert_eq!(parallel.items(), 64, "no lost item");
-    assert_batch_conservation(&parallel);
-    let panicked = parallel
-        .outcomes()
-        .iter()
-        .filter(|r| matches!(r, Err(DdlError::WorkerPanic { .. })))
-        .count();
-    assert!(
-        panicked > 0,
-        "seeded probability 0.3 over 64 items fired nothing"
-    );
-    assert!(panicked < 64, "not every item may fail");
-
-    // Determinism: the fired ordinal set depends only on (seed, point,
-    // ordinal), so equal-thread reruns fail the same number of items —
-    // and single-thread reruns fail the exact same *items*.
-    let a = run(1);
-    let b = run(1);
-    let failed = |r: &BatchReport| -> Vec<usize> { r.failures().map(|(index, _)| index).collect() };
-    assert_eq!(failed(&a), failed(&b), "same seed must replay identically");
-    report_line(
-        "batch.item.panic",
-        &format!(
-            "\"items\":64,\"panicked\":{panicked},\"replayed\":{}",
-            failed(&a).len()
-        ),
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Class 2: worker-thread spawn failure degrades, never aborts.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn chaos_spawn_failures_degrade_to_sequential() {
-    let _x = faultpoint::exclusive();
-    let report = {
-        let _g = faultpoint::arm(seed(), &[("scheduler.spawn", FaultMode::Always)]);
-        with_watchdog("spawn-fail", || {
-            noisy_batch(32, BatchOptions::with_threads(8))
-        })
-    };
-    assert_eq!(report.items(), 32, "no lost item");
-    assert!(
-        report.all_ok(),
-        "degraded run must still complete every item"
-    );
-    assert!(
-        report.degraded_to_sequential(),
-        "spawn failure must be recorded in the report"
-    );
-    assert_batch_conservation(&report);
-    report_line(
-        "scheduler.spawn",
-        "\"items\":32,\"ok\":32,\"degraded\":true",
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Class 3: deadline expiry mid-batch.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn chaos_deadline_expiry_sheds_with_typed_errors() {
-    let _x = faultpoint::exclusive();
-    // Fire expiry on every second dequeue: roughly half the batch sheds.
-    let report = {
-        let _g = faultpoint::arm(seed(), &[("scheduler.deadline", FaultMode::Every(2))]);
-        with_watchdog("deadline", || {
-            noisy_batch(48, BatchOptions::with_threads(3))
-        })
-    };
-    assert_eq!(report.items(), 48, "no lost item");
-    assert!(report.deadline_expired() > 0, "injected expiry never fired");
-    assert!(
-        report.outcomes().iter().filter(|r| r.is_ok()).count() > 0,
-        "every-2nd expiry must not shed everything"
-    );
-    for outcome in report.outcomes() {
-        if let Err(e) = outcome {
-            assert!(
-                matches!(e, DdlError::DeadlineExceeded { .. }),
-                "only typed deadline errors expected, got {e:?}"
-            );
-        }
+/// Spins until exactly `k` requests wait for a permit.
+fn until_queued(svc: &Service, k: usize) {
+    while svc.stats().queued != k {
+        std::thread::yield_now();
     }
-    assert_batch_conservation(&report);
-    report_line(
-        "scheduler.deadline",
-        &format!(
-            "\"items\":48,\"deadline_expired\":{}",
-            report.deadline_expired()
-        ),
-    );
 }
 
 // ---------------------------------------------------------------------------
-// Class 4: corrupt wisdom loads quarantine; engine and service degrade.
+// Class 1: corrupt wisdom loads quarantine; engine and service degrade.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -312,46 +187,53 @@ fn chaos_corrupt_wisdom_is_quarantined_not_fatal() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 5: admission-queue saturation sheds with Overloaded.
+// Class 2: admission saturation sheds with Overloaded.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn chaos_queue_saturation_sheds_and_conserves() {
     let _x = faultpoint::exclusive();
-    let svc = Service::without_workers(ServiceConfig {
-        workers: 0,
-        queue_capacity: 4,
-        default_deadline: None,
-        engine: EngineConfig::default(),
-    });
+    let svc = service(1, 4);
     let flight_out = flight_out_for(&svc, "queue-saturation");
 
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut shed = 0usize;
-    for _ in 0..12 {
-        match svc.submit("exec dft 64 sdl") {
-            Ok(t) => tickets.push(t),
-            Err(DdlError::Overloaded { queued, capacity }) => {
-                assert_eq!((queued, capacity), (4, 4));
+    // The one permit is held, so four requests wait for it and every
+    // further one finds the line full.
+    let svc2 = svc.clone();
+    let (responses, shed) = with_watchdog("drain", move || {
+        let held = svc2.permit().expect("the only permit");
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| svc2.handle("exec dft 64 sdl")))
+                .collect();
+            until_queued(&svc2, 4);
+            let mut shed = 0usize;
+            for _ in 0..8 {
+                let line = svc2.handle("exec dft 64 sdl");
+                assert!(
+                    line.starts_with("err overloaded:"),
+                    "only Overloaded may shed, got {line}"
+                );
+                assert!(line.contains("(4 queued, capacity 4)"), "got {line}");
                 shed += 1;
             }
-            Err(other) => panic!("only Overloaded may shed, got {other:?}"),
-        }
-    }
-    assert_eq!(tickets.len(), 4, "exactly capacity admitted");
+            drop(held);
+            let responses: Vec<String> = waiters
+                .into_iter()
+                .map(|w| w.join().expect("waiter"))
+                .collect();
+            (responses, shed)
+        })
+    });
+    assert_eq!(responses.len(), 4, "exactly capacity admitted");
     assert_eq!(shed, 8, "everything else shed immediately");
-
-    let svc2 = svc.clone();
-    with_watchdog("drain", move || while svc2.process_one() {});
-    for t in tickets {
-        let line = t.wait();
+    for line in &responses {
         assert!(line.starts_with("ok exec dft n=64"), "got {line}");
     }
     let s = svc.stats();
     assert_eq!(s.accepted, 4);
     assert_eq!(s.shed, 8);
     assert_eq!(s.accepted, s.completed + s.failed, "conservation");
-    assert_eq!(s.queued, 0);
+    assert_eq!((s.queued, s.in_flight), (0, 0));
 
     // Each shed request left a flight capsule behind.
     let dump = find_dump(&flight_out, "queue_shed", Some("exec dft 64 sdl"));
@@ -364,7 +246,7 @@ fn chaos_queue_saturation_sheds_and_conserves() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 6: a poisoned plan-cache shard quarantines; service keeps going.
+// Class 3: a poisoned plan-cache shard quarantines; service keeps going.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -394,7 +276,7 @@ fn chaos_poisoned_shard_quarantines_not_crashes() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 7: randomized service-worker panics under a drain schedule.
+// Class 4: randomized panics while serving requests.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -405,34 +287,19 @@ fn chaos_service_worker_panics_conserve_responses() {
             seed(),
             &[("serve.worker.panic", FaultMode::Probability(0.4))],
         );
-        let svc = Service::without_workers(ServiceConfig {
-            workers: 0,
-            queue_capacity: 32,
-            default_deadline: None,
-            engine: EngineConfig::default(),
-        });
+        let svc = service(2, 32);
         let flight_out = flight_out_for(&svc, "panic-storm");
         let svc2 = svc.clone();
-        let (responses, stats) = with_watchdog("panic-storm", move || {
-            let mut responses = Vec::new();
-            for chunk in 0..5 {
-                let tickets: Vec<Ticket> = (0..4)
-                    .map(|i| {
-                        let n = 32 << ((chunk + i) % 3);
-                        svc2.submit(&format!("exec dft {n} sdl")).expect("admitted")
-                    })
-                    .collect();
-                while svc2.process_one() {}
-                for t in tickets {
-                    responses.push(t.wait());
-                }
-            }
-            (responses, svc2.stats())
+        let responses = with_watchdog("panic-storm", move || {
+            (0..20)
+                .map(|i| svc2.handle(&format!("exec dft {} sdl", 32 << (i % 3))))
+                .collect::<Vec<_>>()
         });
-        (responses, stats, flight_out)
+        (responses, svc, flight_out)
     };
 
-    let (responses, stats, flight_out) = run();
+    let (responses, svc, flight_out) = run();
+    let stats = svc.stats();
     assert_eq!(responses.len(), 20, "every request answered exactly once");
     let panics = responses
         .iter()
@@ -450,6 +317,14 @@ fn chaos_service_worker_panics_conserve_responses() {
     );
     assert_eq!(stats.worker_panics as usize, panics);
 
+    // No permit leaked: none is held, and both can be held at once
+    // without waiting.
+    assert_eq!(stats.in_flight, 0, "a panicking request kept its permit");
+    with_watchdog("permits-free", move || {
+        let both = [svc.permit(), svc.permit()];
+        assert!(both.iter().all(Result::is_ok));
+    });
+
     // Every contained panic dumped a flight capsule with the faulting
     // request's id and span breakdown.
     let dump = find_dump(&flight_out, "panic", None);
@@ -457,7 +332,7 @@ fn chaos_service_worker_panics_conserve_responses() {
     assert!(dump.capsule.id > 0);
     assert!(dump.capsule.detail.starts_with("exec dft"));
 
-    // Deterministic replay: same seed, same drain schedule, same fates.
+    // Deterministic replay: same seed, same request order, same fates.
     let (replay, _, _) = run();
     let fates = |rs: &[String]| -> Vec<bool> { rs.iter().map(|r| r.starts_with("ok ")).collect() };
     assert_eq!(
@@ -472,41 +347,34 @@ fn chaos_service_worker_panics_conserve_responses() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 8: the whole deadline budget burns in the admission queue.
+// Class 5: the whole deadline budget burns before the permit is granted.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn chaos_slow_dequeue_expires_deadline_during_queue_wait() {
     let _x = faultpoint::exclusive();
-    let svc = Service::without_workers(ServiceConfig {
-        workers: 0,
-        queue_capacity: 8,
-        default_deadline: None,
-        engine: EngineConfig::default(),
-    });
+    let svc = service(1, 8);
     let flight_out = flight_out_for(&svc, "slow-dequeue");
 
-    // An hour of budget: only the injected slow dequeue can expire it,
+    // An hour of budget: only the injected late grant can expire it,
     // proving the check measures from the admission anchor rather than
     // re-reading the clock per phase.
     let line = "exec dft 64 sdl deadline_ms=3600000";
     let resp = {
         let _g = faultpoint::arm(seed(), &[("serve.dequeue.slow", FaultMode::Once(0))]);
-        let t = svc.submit(line).expect("admitted");
         let svc2 = svc.clone();
-        with_watchdog("slow-dequeue", move || while svc2.process_one() {});
-        t.wait()
+        with_watchdog("slow-dequeue", move || svc2.handle(line))
     };
     assert!(resp.starts_with("err deadline:"), "got {resp}");
     assert!(
         resp.contains("queue wait"),
-        "expiry must blame the queue phase, not execution: {resp}"
+        "expiry must blame the wait for a permit, not execution: {resp}"
     );
     let s = svc.stats();
     assert_eq!((s.failed, s.deadline_expired), (1, 1));
     assert_eq!(s.accepted, s.completed + s.failed, "conservation");
 
-    // The flight capsule attributes the whole loss to the queue phase.
+    // The flight capsule attributes the whole loss to the wait.
     let dump = find_dump(&flight_out, "deadline", Some(line));
     assert!(dump.capsule.id > 0);
     assert_eq!(dump.capsule.outcome, "deadline_expired");
@@ -515,9 +383,7 @@ fn chaos_slow_dequeue_expires_deadline_during_queue_wait() {
     assert!(dump.capsule.total_ns >= dump.capsule.queue_ns);
 
     // Disarmed, the same request sails through well inside its budget.
-    let t = svc.submit(line).expect("admitted");
-    assert!(svc.process_one());
-    assert!(t.wait().starts_with("ok exec dft n=64"));
+    assert!(svc.handle(line).starts_with("ok exec dft n=64"));
     report_line(
         "serve.dequeue.slow",
         "\"requests\":1,\"deadline_expired\":1,\"phase\":\"queue-wait\"",

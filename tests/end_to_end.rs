@@ -145,25 +145,6 @@ fn grammar_round_trips_planner_output() {
 }
 
 #[test]
-fn batch_parallel_matches_single_threaded() {
-    let n = 1 << 10;
-    let tree = try_plan_dft(n, &PlannerConfig::ddl_analytical())
-        .unwrap()
-        .tree;
-    let plan = DftPlan::new(tree, Direction::Forward).unwrap();
-    let batch = 9;
-    let inputs = noise_complex(batch * n, 1.0, 77);
-    let mut seq = vec![Complex64::ZERO; batch * n];
-    let mut par = vec![Complex64::ZERO; batch * n];
-    for (out, threads) in [(&mut seq, 1), (&mut par, 4)] {
-        let opts = BatchOptions::with_threads(threads);
-        let report = try_execute_dft_batch(&plan, &inputs, out, &opts).unwrap();
-        assert!(report.all_ok());
-    }
-    assert_eq!(seq, par);
-}
-
-#[test]
 fn simulated_ddl_beats_sdl_above_cache_size() {
     // The paper's Fig. 9 in one assertion: above the cache size, the
     // DDL-planned tree's simulated miss rate is lower than the SDL one's.

@@ -12,9 +12,9 @@
 //!    (`sum(outcome buckets) == accepted` on a quiescent snapshot),
 //!    cross-checked against the wire-level response tally.
 //! 3. **Deadline anchoring**: the per-request budget is measured from
-//!    one monotonic clock captured at admission, so a budget burned in
-//!    the queue expires the request even though execution never ran
-//!    (pinned with the `serve.dequeue.slow` fault point).
+//!    one monotonic clock captured at admission, so a budget burned
+//!    waiting for a permit expires the request even though execution
+//!    never ran (pinned with the `serve.dequeue.slow` fault point).
 
 use dynamic_data_layout::core::engine::EngineConfig;
 use dynamic_data_layout::core::faultpoint::{self, FaultMode};
@@ -23,6 +23,7 @@ use dynamic_data_layout::core::{
 };
 use dynamic_data_layout::serve::{Service, ServiceConfig};
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 
 fn hist_of(values: &[u64]) -> HistogramSnapshot {
     let h = LatencyHistogram::new();
@@ -45,7 +46,7 @@ fn true_quantile(values: &[u64], q: f64) -> u64 {
 proptest! {
     /// Merge is exact: merging per-shard histograms and histogramming
     /// the concatenated stream are the same object, so every quantile
-    /// agrees — the property that makes per-worker histograms safe to
+    /// agrees — the property that makes per-thread histograms safe to
     /// aggregate without re-recording.
     #[test]
     fn merged_quantiles_equal_concatenated_stream_quantiles(
@@ -110,9 +111,9 @@ fn concurrent_recording_conserves_every_sample() {
     assert_eq!(snap.sum_ns, expected_sum, "sum is conserved");
 }
 
-fn inline_service() -> Service {
-    Service::without_workers(ServiceConfig {
-        workers: 0,
+fn one_permit_service() -> Service {
+    Service::new(ServiceConfig {
+        workers: NonZeroUsize::MIN,
         queue_capacity: 16,
         default_deadline: None,
         engine: EngineConfig::default(),
@@ -122,7 +123,7 @@ fn inline_service() -> Service {
 #[test]
 fn quiesced_snapshot_counts_equal_the_wire_tally() {
     let _x = faultpoint::exclusive();
-    let svc = inline_service();
+    let svc = one_permit_service();
     let script = [
         "plan dft 64 sdl",
         "exec dft 64 sdl",
@@ -130,24 +131,20 @@ fn quiesced_snapshot_counts_equal_the_wire_tally() {
         "exec wht 32 sdl",
         "exec dft ct(8, 8)",
         "stats",
-        "exec dft 64 sdl deadline_ms=0", // expires while queued
+        "exec dft 64 sdl deadline_ms=0", // expires before its permit
         "not a command",                 // rejected at parse, never admitted
     ];
     let mut ok = 0u64;
     let mut failed = 0u64;
     let mut rejected = 0u64;
     for line in script {
-        match svc.submit(line) {
-            Ok(ticket) => {
-                while svc.process_one() {}
-                let resp = ticket.wait();
-                if resp.starts_with("ok ") {
-                    ok += 1;
-                } else {
-                    failed += 1;
-                }
-            }
-            Err(_) => rejected += 1,
+        let resp = svc.handle(line);
+        if resp.starts_with("ok ") {
+            ok += 1;
+        } else if resp.starts_with("err parse:") {
+            rejected += 1;
+        } else {
+            failed += 1;
         }
     }
     assert_eq!(rejected, 1, "only the malformed line is rejected");
@@ -156,7 +153,7 @@ fn quiesced_snapshot_counts_equal_the_wire_tally() {
     assert_eq!(
         report.counters.get("serve.snapshot_quiesced"),
         Some(&1),
-        "drained inline service must declare quiescence"
+        "a service with no request in flight must declare quiescence"
     );
     let (admitted_sum, shed_sum) = report.outcome_totals();
     assert_eq!(Some(&admitted_sum), report.counters.get("serve.accepted"));
@@ -184,27 +181,23 @@ fn quiesced_snapshot_counts_equal_the_wire_tally() {
 #[test]
 fn deadline_budget_burned_in_the_queue_expires_the_request() {
     let _x = faultpoint::exclusive();
-    let svc = inline_service();
+    let svc = one_permit_service();
     let dir = std::env::temp_dir().join(format!("ddl-telemetry-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let out = dir.join("flight.jsonl");
     svc.set_flight_out(Some(out.clone()));
 
-    // A huge budget that only the injected slow dequeue can spend: the
-    // expiry must be attributed to queue wait, proving the deadline is
-    // anchored at admission rather than re-read per phase.
+    // A huge budget that only the injected late grant can spend: the
+    // expiry must be attributed to the wait for a permit, proving the
+    // deadline is anchored at admission rather than re-read per phase.
     let resp = {
         let _g = faultpoint::arm(7, &[("serve.dequeue.slow", FaultMode::Once(0))]);
-        let t = svc
-            .submit("exec dft 64 sdl deadline_ms=3600000")
-            .expect("admitted");
-        assert!(svc.process_one());
-        t.wait()
+        svc.handle("exec dft 64 sdl deadline_ms=3600000")
     };
     assert!(resp.starts_with("err deadline:"), "got {resp}");
     assert!(resp.contains("queue wait"), "got {resp}");
     let s = svc.stats();
-    assert_eq!(s.deadline_expired, 1, "fires during queue wait");
+    assert_eq!(s.deadline_expired, 1, "fires during the wait");
 
     // The flight dump carries the request id and the phase breakdown.
     match check_report(&out).expect("flight artifact validates") {
@@ -213,6 +206,8 @@ fn deadline_budget_burned_in_the_queue_expires_the_request() {
             assert!(dump.capsule.id > 0);
             assert_eq!(dump.capsule.outcome, "deadline_expired");
             assert_eq!(dump.capsule.execute_ns, 0, "never executed");
+            assert_eq!(dump.capsule.plan_ns, 0, "never planned");
+            assert!(dump.capsule.total_ns >= dump.capsule.queue_ns);
         }
         other => panic!("wrong dispatch: {}", other.schema()),
     }
@@ -222,7 +217,7 @@ fn deadline_budget_burned_in_the_queue_expires_the_request() {
 #[test]
 fn telemetry_and_flight_artifacts_pass_the_report_checker() {
     let _x = faultpoint::exclusive();
-    let svc = inline_service();
+    let svc = one_permit_service();
     let dir = std::env::temp_dir().join(format!("ddl-telemetry-check-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let flight = dir.join("flight.jsonl");
@@ -231,9 +226,9 @@ fn telemetry_and_flight_artifacts_pass_the_report_checker() {
     assert!(svc.handle("exec dft 64 sdl").starts_with("ok "));
     {
         let _g = faultpoint::arm(9, &[("serve.worker.panic", FaultMode::Once(0))]);
-        let t = svc.submit("exec dft 64 sdl").expect("admitted");
-        assert!(svc.process_one());
-        assert!(t.wait().starts_with("err worker-panic:"));
+        assert!(svc
+            .handle("exec dft 64 sdl")
+            .starts_with("err worker-panic:"));
     }
 
     let telemetry = dir.join("telemetry.json");
